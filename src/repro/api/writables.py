@@ -21,6 +21,7 @@ compressed-sparse-column matrix block, and a dense vector block.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -28,6 +29,9 @@ from scipy import sparse
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
+from repro.x10.serializer import register_transport
+
+_FLOAT32 = struct.Struct(">f")
 
 
 class Writable:
@@ -97,6 +101,11 @@ class IntWritable(WritableComparable):
     def serialized_size(self) -> int:
         return 4
 
+    def clone(self) -> "IntWritable":
+        if type(self) is not IntWritable:  # a subclass may write more fields
+            return super().clone()
+        return IntWritable(self.value)
+
     def compare_to(self, other: "IntWritable") -> int:
         return (self.value > other.value) - (self.value < other.value)
 
@@ -132,6 +141,11 @@ class LongWritable(WritableComparable):
 
     def serialized_size(self) -> int:
         return 8
+
+    def clone(self) -> "LongWritable":
+        if type(self) is not LongWritable:  # a subclass may write more fields
+            return super().clone()
+        return LongWritable(self.value)
 
     def compare_to(self, other: "LongWritable") -> int:
         return (self.value > other.value) - (self.value < other.value)
@@ -169,6 +183,11 @@ class VIntWritable(WritableComparable):
     def serialized_size(self) -> int:
         return vint_size(self.value)
 
+    def clone(self) -> "VIntWritable":
+        if type(self) is not VIntWritable:  # a subclass may write more fields
+            return super().clone()
+        return VIntWritable(self.value)
+
     def compare_to(self, other: "VIntWritable") -> int:
         return (self.value > other.value) - (self.value < other.value)
 
@@ -204,6 +223,12 @@ class FloatWritable(WritableComparable):
 
     def serialized_size(self) -> int:
         return 4
+
+    def clone(self) -> "FloatWritable":
+        if type(self) is not FloatWritable:  # a subclass may write more fields
+            return super().clone()
+        # The wire carries 32 bits, so a clone narrows like a round trip.
+        return FloatWritable(_FLOAT32.unpack(_FLOAT32.pack(self.value))[0])
 
     def compare_to(self, other: "FloatWritable") -> int:
         return (self.value > other.value) - (self.value < other.value)
@@ -241,6 +266,11 @@ class DoubleWritable(WritableComparable):
     def serialized_size(self) -> int:
         return 8
 
+    def clone(self) -> "DoubleWritable":
+        if type(self) is not DoubleWritable:  # a subclass may write more fields
+            return super().clone()
+        return DoubleWritable(self.value)
+
     def compare_to(self, other: "DoubleWritable") -> int:
         return (self.value > other.value) - (self.value < other.value)
 
@@ -276,6 +306,11 @@ class BooleanWritable(WritableComparable):
 
     def serialized_size(self) -> int:
         return 1
+
+    def clone(self) -> "BooleanWritable":
+        if type(self) is not BooleanWritable:  # a subclass may write more fields
+            return super().clone()
+        return BooleanWritable(self.value)
 
     def compare_to(self, other: "BooleanWritable") -> int:
         return int(self.value) - int(other.value)
@@ -314,12 +349,19 @@ class Text(WritableComparable):
         self._value = inp.read_utf()
 
     def serialized_size(self) -> int:
-        encoded = len(self._value.encode("utf-8"))
+        value = self._value
+        encoded = len(value) if value.isascii() else len(value.encode("utf-8"))
         return vint_size(encoded) + encoded
 
+    def clone(self) -> "Text":
+        if type(self) is not Text:  # a subclass may write more fields
+            return super().clone()
+        return Text(self._value)
+
     def compare_to(self, other: "Text") -> int:
-        # Hadoop compares the UTF-8 bytes, not the code points.
-        a, b = self._value.encode("utf-8"), other._value.encode("utf-8")
+        # Hadoop compares the UTF-8 bytes; UTF-8 preserves code-point order,
+        # which is how ``str`` compares, so nothing needs encoding.
+        a, b = self._value, other._value
         return (a > b) - (a < b)
 
     def __eq__(self, other: object) -> bool:
@@ -362,6 +404,11 @@ class BytesWritable(WritableComparable):
 
     def serialized_size(self) -> int:
         return 4 + len(self._data)
+
+    def clone(self) -> "BytesWritable":
+        if type(self) is not BytesWritable:  # a subclass may write more fields
+            return super().clone()
+        return BytesWritable(self._data)
 
     def compare_to(self, other: "BytesWritable") -> int:
         return (self._data > other._data) - (self._data < other._data)
@@ -694,3 +741,54 @@ def _sanitizer_wire_digest(obj: object) -> Optional[bytes]:
 
 
 MUTATION_SANITIZER.digest_hook = _sanitizer_wire_digest
+
+
+# --------------------------------------------------------------------- #
+# transport table (x10.serializer): the leaf Writables' clones
+# --------------------------------------------------------------------- #
+# Each builds what a deep copy builds — a new object of the same class
+# with the same field values, no narrowing, no constructor coercion — which
+# is why these are not the ``clone()`` methods above (those promise a wire
+# round trip).  The composites (inner sharing) and the array-backed blocks
+# (``size_token`` measurement, scipy/numpy internals) are left to the
+# generic walk on purpose.
+
+
+def _transport_value(obj: Writable) -> Writable:
+    fresh = object.__new__(type(obj))
+    fresh.value = obj.value
+    return fresh
+
+
+def _transport_text(obj: Text) -> Text:
+    fresh = object.__new__(Text)
+    fresh._value = obj._value
+    return fresh
+
+
+def _transport_bytes(obj: BytesWritable) -> BytesWritable:
+    fresh = object.__new__(BytesWritable)
+    fresh._data = obj._data
+    return fresh
+
+
+def _transport_block_index(obj: BlockIndexWritable) -> BlockIndexWritable:
+    fresh = object.__new__(BlockIndexWritable)
+    fresh.row = obj.row
+    fresh.col = obj.col
+    return fresh
+
+
+for _cls in (
+    IntWritable,
+    LongWritable,
+    VIntWritable,
+    FloatWritable,
+    DoubleWritable,
+    BooleanWritable,
+):
+    register_transport(_cls, _transport_value)
+register_transport(Text, _transport_text)
+register_transport(BytesWritable, _transport_bytes)
+register_transport(BlockIndexWritable, _transport_block_index)
+register_transport(NullWritable, lambda obj: obj)  # a singleton stays one

@@ -36,7 +36,6 @@ unchanged, and pay one proportional migration when it does change.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -45,6 +44,7 @@ from repro.api.mapred import Reporter
 from repro.core.engine import M3REngine
 from repro.engine_common import EngineResult, JobFailedError
 from repro.sim.metrics import Metrics
+from repro.x10.serializer import clone_pairs
 
 
 @dataclass
@@ -220,7 +220,7 @@ class ResilientM3REngine(M3REngine):
         # Replication serializes: the buddy holds its own object graph.
         self._replicas[name] = ReplicaRecord(
             name=name, path=path, place_id=place,
-            pairs=copy.deepcopy(pairs), nbytes=nbytes,
+            pairs=clone_pairs(pairs), nbytes=nbytes,
         )
 
     def _replicate_output(
@@ -299,7 +299,7 @@ class ResilientM3REngine(M3REngine):
             report.simulated_seconds += cost
             report.promoted_entries += 1
             report.promoted_bytes += entry.nbytes
-            moved = copy.deepcopy(pairs)
+            moved = clone_pairs(pairs)
             self.cache._put(entry.name, entry.path, new_home, moved, entry.nbytes)
             buddy = self.buddy_place(new_home)
             if buddy is not None:

@@ -38,7 +38,6 @@ simulated seconds either way.
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -311,7 +310,7 @@ class M3RStageProvider(StageProvider):
 
         Co-located traffic is a pointer hand-off.  Cross-place messages pay
         (de-duplicated) serialization, wire time and deserialization, and
-        are deep-copied *with a shared memo* so aliasing survives transport
+        are cloned *with a shared memo* so aliasing survives transport
         exactly as X10 reconstructs it on the receiving place.
 
         The heavy lifting lives in :mod:`repro.shuffle`: a deterministic
@@ -456,7 +455,7 @@ def _m3r_map_task_body(
         if entry.place_id != place:
             # A PlacedSplit overrode the cache's location: the sequence
             # crosses places once, with full serialization cost.
-            wire = engine.runtime.serializer.measure_pairs(pairs)
+            wire, (pairs,) = engine.runtime.serializer.ship([pairs])
             cost = (
                 model.serialize_time(wire.wire_bytes, len(pairs))
                 + model.net_transfer_time(wire.wire_bytes)
@@ -464,7 +463,6 @@ def _m3r_map_task_body(
             )
             metrics.time.charge("network", cost)
             duration += cost
-            pairs = copy.deepcopy(pairs)
         if mapper_immutable:
             feed = model.handoff_time(len(pairs))
             metrics.time.charge("framework", feed)

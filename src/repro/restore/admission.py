@@ -22,7 +22,6 @@ generators when ``m3r.restore.enabled`` is on:
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.conf import (
@@ -41,6 +40,7 @@ from repro.restore.fingerprint import (
     content_version,
 )
 from repro.restore.store import StoredPart, StoredResult
+from repro.x10.serializer import clone_pairs
 
 __all__ = ["restore_enabled", "admit", "serve_m3r", "serve_hadoop", "record"]
 
@@ -171,7 +171,7 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
             continue
         # One copy, shared between flush and cache — the same aliasing a
         # real run produces, with no aliasing back into the source entry.
-        pairs = copy.deepcopy(pairs)
+        pairs = clone_pairs(pairs)
         nbytes = part.nbytes
         part_seconds = 0.0
         if not (temp and engine.enable_cache):

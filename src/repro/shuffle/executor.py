@@ -3,12 +3,13 @@
 The executor runs a :class:`~repro.shuffle.plan.ShufflePlan` in two strictly
 separated stages:
 
-* :meth:`ShuffleExecutor.execute` does the *work* — per-run sorting,
-  single-pass de-duplicated measurement and shared-memo transport copies.
-  In parallel mode it is one X10 ``finish`` block with one ``async`` per
-  plan item at the item's source place, bounded by the per-place worker
-  semaphores; results come back in spawn (= plan) order either way, and the
-  first failure is re-raised exactly as the serial loop would raise it.
+* :meth:`ShuffleExecutor.execute` does the *work* — per-run sorting and
+  the serializer's one-pass ``ship`` (de-duplicated measurement plus the
+  shared-memo transport clone).  In parallel mode it is one X10 ``finish``
+  block with one ``async`` per plan item at the item's source place,
+  bounded by the per-place worker semaphores; results come back in spawn
+  (= plan) order either way, and the first failure is re-raised exactly as
+  the serial loop would raise it.
 * :meth:`ShuffleExecutor.replay` does the *accounting* — simulated-time
   charges, counters and per-place skew metrics — on the driver thread, in
   plan order, from the already-computed results.  Nothing here depends on
@@ -19,7 +20,6 @@ separated stages:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -57,7 +57,7 @@ class RemoteResult:
     #: Per partition (parallel to the item's ``partitions``).
     sort_seconds: List[float]
     message: SerializedMessage
-    #: Per partition: the deep-copied pairs as they exist at ``dst``.
+    #: Per partition: the cloned pairs as they exist at ``dst``.
     transported: List[List[Pair]]
 
 
@@ -154,17 +154,12 @@ class ShuffleExecutor:
                 model.sort_time(len(run), nbytes)
                 for run, nbytes in zip(runs, item.run_bytes)
             ]
-        all_pairs = [pair for run in runs for pair in run]
-        # Single-pass wire+raw measurement, memoized via the size cache; the
-        # sorted order does not change the totals because de-duplication is
-        # insensitive to which occurrence of an object comes first.
-        message = self.runtime.serializer.measure_pairs(all_pairs)
-        # One deepcopy memo per message: duplicates become aliases again on
-        # the receiving side, as with X10 deserialization.
-        flat = iter(copy.deepcopy(all_pairs))
-        transported = [
-            [next(flat) for _ in range(len(run))] for run in runs
-        ]
+        # One walk, one memo scope per message: wire+raw measurement through
+        # the size cache, and duplicates become aliases again on the
+        # receiving side, as with X10 deserialization.  The sorted order does
+        # not change the totals because de-duplication is insensitive to
+        # which occurrence of an object comes first.
+        message, transported = self.runtime.serializer.ship(runs)
         return RemoteResult(
             sort_seconds=sort_seconds, message=message, transported=transported
         )

@@ -24,7 +24,15 @@ object graphs the way X10 would serialize them:
   every repeat.  Wire and raw (sharing-ignored) bytes come out of a single
   traversal;
 * :func:`deep_copy_value` — the defensive clone M3R performs when a job does
-  *not* implement ``ImmutableOutput``.
+  *not* implement ``ImmutableOutput``;
+* :func:`register_transport` — the per-class ``(size, clone)`` table the
+  built-in leaf Writables fill at import, consulted before every generic
+  walk below;
+* :meth:`DedupSerializer.ship` / :func:`clone_pairs` — the transport
+  primitive: what arrives at the other place is what ``copy.deepcopy`` of
+  the whole message would build (duplicates stay aliases of one clone,
+  nothing aliases the sender), cloned through the table, and ``ship``
+  measures the message in the same traversal.
 """
 
 from __future__ import annotations
@@ -34,7 +42,16 @@ import pickle
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 
@@ -43,6 +60,26 @@ BACKREF_BYTES = 5
 
 #: Fixed per-object envelope (type tag + length header).
 OBJECT_HEADER_BYTES = 4
+
+#: Exact ``type(obj)`` -> ``(serialized_size, clone)`` for the built-in leaf
+#: Writables.  ``api/writables.py`` fills it while it is imported and
+#: nothing writes to it afterwards, so the hot paths read it without a lock.
+#: Keyed by exact type on purpose: a subclass may add fields, so it takes
+#: the generic walk.
+_TRANSPORT: Dict[type, Tuple[Callable[[Any], int], Callable[[Any], Any]]] = {}
+
+
+def register_transport(cls: type, clone: Callable[[Any], Any]) -> None:
+    """Give instances of exactly ``cls`` the table fast path.
+
+    Their size becomes ``OBJECT_HEADER_BYTES + cls.serialized_size(obj)``
+    without the generic walk, and the transport clones them with
+    ``clone(obj)``, which must build what ``copy.deepcopy(obj)`` builds.
+    Only for leaf types: no ``size_token()`` (those are measured through
+    the :class:`SizeCache`) and no reference to another mutable object
+    (inner sharing is part of what the transport must preserve).
+    """
+    _TRANSPORT[cls] = (cls.serialized_size, clone)
 
 
 class _FallbackTally:
@@ -158,6 +195,9 @@ def estimate_size(obj: Any, size_cache: Optional[SizeCache] = None) -> int:
     handle cycles in the heap", paper Section 5.1), so estimation always
     terminates.
     """
+    entry = _TRANSPORT.get(type(obj))
+    if entry is not None:
+        return OBJECT_HEADER_BYTES + entry[0](obj)
     if size_cache is None:
         size_cache = DEFAULT_SIZE_CACHE
     return _size_of(obj, memo=None, size_cache=size_cache)
@@ -204,6 +244,9 @@ def _size_of(
             return BACKREF_BYTES
         visiting = visiting | {id(obj)}
 
+    table = _TRANSPORT.get(type(obj))
+    if table is not None:
+        return OBJECT_HEADER_BYTES + table[0](obj)
     size_fn = getattr(obj, "serialized_size", None)
     if callable(size_fn):
         if size_cache is not None:
@@ -288,6 +331,10 @@ def _dual_size_of(
     entry = [obj, None]  # hold a reference so ids stay unique
     memo[key] = entry  # noqa: M3R001 - per-message memo; ref keeps ids unique
 
+    table = _TRANSPORT.get(type(obj))
+    if table is not None:
+        size = entry[1] = OBJECT_HEADER_BYTES + table[0](obj)
+        return size, size
     size_fn = getattr(obj, "serialized_size", None)
     if callable(size_fn):
         if size_cache is not None:
@@ -444,10 +491,137 @@ class DedupSerializer:
             duplicate_refs=message.duplicate_refs,
         )
 
+    def ship(
+        self, runs: Sequence[Sequence[Tuple[Any, Any]]]
+    ) -> Tuple[SerializedMessage, List[List[Tuple[Any, Any]]]]:
+        """Send ``runs`` to another place as one message: measure and clone.
+
+        One traversal does both halves of an X10 ``at``.  The message is
+        exactly :meth:`measure_pairs` of the concatenated runs.  The
+        returned runs are what ``copy.deepcopy`` of all of them as one
+        object graph builds: an object sent twice arrives as two aliases
+        of one clone, nothing aliases the sender, and a second ``ship`` of
+        the same object makes an independent clone.
+
+        The two halves keep a memo each, both scoped to this call, because
+        they hold different sets: a Writable nested inside a composite is
+        cloned with it but measured only as part of it.
+        """
+        if MUTATION_SANITIZER.enabled:
+            for run in runs:
+                MUTATION_SANITIZER.observe_pairs(run, site="DedupSerializer.ship")
+        sizes: Dict[int, List[Any]] = {}  # _dual_size_of's memo
+        crossing = _Crossing()
+        clones = crossing.memo
+        size_cache = self.size_cache
+        transport = _TRANSPORT
+        wire = raw = records = duplicates = 0
+        shipped = []
+        for run in runs:
+            arrived = []
+            for pair in run:
+                key, value = pair
+                halves = []
+                for obj in (key, value):
+                    table = transport.get(type(obj))
+                    if table is None:
+                        before = len(sizes)
+                        w, r = _dual_size_of(obj, sizes, size_cache)
+                        wire += w
+                        raw += r
+                        if len(sizes) == before and not _is_inline(obj):
+                            duplicates += 1
+                        halves.append(copy.deepcopy(obj, clones))
+                        continue
+                    # A table leaf: what _dual_size_of and _Crossing.clone
+                    # do with it, inline because this loop is the shuffle's
+                    # per-record cost.
+                    ident = id(obj)
+                    entry = sizes.get(ident)
+                    if entry is None:
+                        size = OBJECT_HEADER_BYTES + table[0](obj)
+                        sizes[ident] = [obj, size]
+                        wire += size
+                        raw += size
+                    else:
+                        wire += BACKREF_BYTES
+                        raw += entry[1]
+                        duplicates += 1
+                    clone = clones.get(ident)
+                    if clone is None:
+                        clone = clones[ident] = table[1](obj)
+                    halves.append(clone)
+                arrived.append(crossing.pair(pair, halves))
+            records += len(run)
+            shipped.append(arrived)
+        message = SerializedMessage(
+            wire_bytes=wire,
+            raw_bytes=raw,
+            records=records,
+            unique_objects=len(sizes),
+            duplicate_refs=duplicates,
+        )
+        return message, shipped
+
 
 def _is_inline(value: Any) -> bool:
     """True for scalars that serialize inline and never enter the memo."""
     return value is None or isinstance(value, (bool, int, float))
+
+
+class _Crossing:
+    """The clone half of one message: ``copy.deepcopy`` on its memo, table first.
+
+    ``memo`` is ``copy.deepcopy``'s own (``id(original) -> copy``), so
+    whatever the table does not know goes to ``copy.deepcopy`` on the same
+    memo and a graph that mixes both kinds keeps its sharing.  The source
+    pairs outlive the crossing, so no id in it can be recycled.
+    """
+
+    def __init__(self) -> None:
+        self.memo: Dict[int, Any] = {}
+
+    def clone(self, obj: Any) -> Any:
+        """``copy.deepcopy(obj, memo)``."""
+        table = _TRANSPORT.get(type(obj))
+        if table is None:
+            return copy.deepcopy(obj, self.memo)
+        ident = id(obj)
+        clone = self.memo.get(ident)
+        if clone is None:
+            clone = self.memo[ident] = table[1](obj)
+        return clone
+
+    def pair(self, pair: Any, halves: List[Any]) -> Any:
+        """``copy.deepcopy(pair, memo)`` given the clones of its halves.
+
+        As there: the same tuple sent twice arrives as one tuple twice, and
+        a tuple whose halves copy to themselves is returned as it is.
+        Anything but a plain 2-tuple goes to ``copy.deepcopy``, which finds
+        the halves in the memo.
+        """
+        if type(pair) is not tuple or len(pair) != 2:
+            return copy.deepcopy(pair, self.memo)
+        arrived = self.memo.get(id(pair))
+        if arrived is None:
+            if halves[0] is pair[0] and halves[1] is pair[1]:
+                return pair
+            arrived = self.memo[id(pair)] = tuple(halves)
+        return arrived
+
+
+def clone_pairs(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
+    """``copy.deepcopy(pairs)`` for a pair list, cloned through the table.
+
+    The transport without the measurement: what a place crossing that is
+    charged from recorded sizes (a served ReStore part, a buddy replica, a
+    promoted cache entry) hands to the receiving side.
+    """
+    crossing = _Crossing()
+    return [
+        crossing.pair(pair, [crossing.clone(half) for half in pair])
+        for pair in pairs
+    ]
 
 
 def deep_copy_value(value: Any) -> Any:

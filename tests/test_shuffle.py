@@ -11,7 +11,9 @@ Covers the three mechanisms of the parallel streaming shuffle:
   partition-stable matvec never re-measures the cached matrix blocks;
 * **sorted-run streaming merge** — ``ShuffleInput.merged`` equals a stable
   sort of the concatenation, and flipping ``m3r.shuffle.sorted-runs``
-  changes no committed byte and no shuffle byte metric.
+  changes no committed byte and no shuffle byte metric;
+* **transport** — each remote message is cloned on its own memo (serial and
+  threaded), and the mutation sanitizer still sees every shipped value.
 """
 
 from __future__ import annotations
@@ -21,11 +23,21 @@ import gc
 import numpy as np
 import pytest
 
-from repro.api.conf import SHUFFLE_SORTED_RUNS_KEY
+from repro.analysis.sanitizers import (
+    MUTATION_SANITIZER,
+    ImmutableViolation,
+    sanitizer_overrides,
+)
+from repro.api.conf import SANITIZE_MUTATION_KEY, SHUFFLE_SORTED_RUNS_KEY
+from repro.api.extensions import ImmutableOutput
+from repro.api.mapred import Mapper, OutputCollector, Reporter
 from repro.api.writables import IntWritable, MatrixBlockWritable, Text, VectorBlockWritable
 from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.engine_common import PartitionBuffer
 from repro.shuffle import ShuffleInput
+from repro.shuffle.executor import ShuffleExecutor
+from repro.shuffle.plan import RemoteMessage
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import (
     Metrics,
@@ -415,4 +427,81 @@ class TestMatvecMemoization:
         finally:
             MatrixBlockWritable.serialized_size = original_matrix
             VectorBlockWritable.serialized_size = original_vector
+            engine.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# transport: one clone memo per message, sanitizer still watching
+# --------------------------------------------------------------------- #
+
+
+class EmitThenMutateMapper(Mapper, ImmutableOutput):
+    """Claims ImmutableOutput, emits one payload under many keys, then
+    changes it without emitting again: only the shuffle's own observation
+    of what it ships can notice."""
+
+    def __init__(self) -> None:
+        self.payload = IntWritable(1)
+
+    def map(self, key, value, output: OutputCollector, reporter: Reporter):
+        for word in value.to_string().split():
+            output.collect(Text(word), self.payload)
+
+    def close(self) -> None:
+        self.payload.set(2)
+
+
+class TestTransport:
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "real-threads"])
+    def test_two_messages_deliver_two_independent_clones(self, m3r4, parallel):
+        executor = ShuffleExecutor(
+            runtime=m3r4.runtime,
+            cost_model=m3r4.cost_model,
+            num_places=m3r4.num_places,
+            partition_place=m3r4.partition_place,
+            workers_per_place=m3r4.workers_per_place,
+            enable_dedup=True,
+        )
+        shared = Text("broadcast")
+        buffers = [PartitionBuffer() for _ in range(m3r4.num_places)]
+        for buffer in buffers:
+            for index in range(3):
+                buffer.append(IntWritable(index), shared, 16)
+        plan = executor.plan(len(buffers), [buffers], [0])
+        results = executor.execute(plan, sort_key=None, parallel=parallel)
+        arrived = [
+            [value for run in result.transported for _, value in run]
+            for item, result in zip(plan.items, results)
+            if isinstance(item, RemoteMessage)
+        ]
+        assert len(arrived) == m3r4.num_places - 1
+        for values in arrived:  # inside one message: aliases of one clone
+            assert all(value is values[0] for value in values)
+            assert values[0] == shared and values[0] is not shared
+        clones = {id(values[0]) for values in arrived}
+        assert len(clones) == len(arrived)  # across messages: independent
+
+    def test_ship_reports_a_value_mutated_after_it_was_emitted(self):
+        value = Text("as emitted")
+        with sanitizer_overrides(mutation=True):
+            MUTATION_SANITIZER.observe(value, site="collect")
+            value.set("changed behind the engine's back")
+            with pytest.raises(ImmutableViolation, match="DedupSerializer.ship"):
+                DedupSerializer().ship([[(IntWritable(0), value)]])
+            MUTATION_SANITIZER.forget(value)
+
+    def test_mutate_after_emit_fails_the_job_with_the_sanitizer_on(self):
+        engine = make_m3r()
+        try:
+            engine.filesystem.write_text("/in.txt", generate_text(20))
+            conf = wordcount_job(
+                "/in.txt", "/out", num_reducers=4, immutable=True, use_combiner=False
+            )
+            conf.set_mapper_class(EmitThenMutateMapper)
+            conf.set_boolean(SANITIZE_MUTATION_KEY, True)
+            result = engine.run_job(conf)
+            assert not result.succeeded
+            assert "ImmutableViolation" in result.error
+            assert "DedupSerializer.ship" in result.error
+        finally:
             engine.shutdown()

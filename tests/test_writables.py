@@ -24,6 +24,7 @@ from repro.api.writables import (
     Text,
     VectorBlockWritable,
     VIntWritable,
+    Writable,
     writable_from_bytes,
     writable_to_bytes,
 )
@@ -119,6 +120,26 @@ class TestText:
     @settings(max_examples=150)
     def test_roundtrip_property(self, value):
         assert roundtrip(Text(value)).to_string() == value
+
+    #: One character from each UTF-8 length class, astral plane included.
+    any_plane = st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+        st.characters(
+            min_codepoint=0x800, max_codepoint=0xFFFF, blacklist_categories=("Cs",)
+        ),
+        st.characters(min_codepoint=0x10000),
+    )
+
+    @given(st.text(any_plane, max_size=12), st.text(any_plane, max_size=12))
+    @settings(max_examples=400)
+    def test_size_and_order_never_encode_yet_match_the_bytes(self, a, b):
+        """``serialized_size`` counts ASCII by ``len`` and ``compare_to``
+        compares code points; both must agree with the UTF-8 encoding."""
+        encoded_a, encoded_b = a.encode("utf-8"), b.encode("utf-8")
+        assert Text(a).serialized_size() == len(writable_to_bytes(Text(a)))
+        expected = (encoded_a > encoded_b) - (encoded_a < encoded_b)
+        assert Text(a).compare_to(Text(b)) == expected
 
 
 class TestBytesWritable:
@@ -227,3 +248,39 @@ class TestClone:
         c = t.clone()
         t.set("after")
         assert c.to_string() == "before"
+
+    @pytest.mark.parametrize(
+        "writable",
+        [
+            IntWritable(-7),
+            LongWritable(2**40),
+            VIntWritable(300),
+            FloatWritable(0.1),  # narrows to 32 bits on the wire
+            DoubleWritable(0.1),
+            BooleanWritable(True),
+            Text("h\u00e9llo \U0001f600"),
+            BytesWritable(b"\x00\xff"),
+        ],
+    )
+    def test_direct_clone_is_the_wire_round_trip(self, writable):
+        direct, via_wire = writable.clone(), Writable.clone(writable)
+        assert type(direct) is type(writable) and direct is not writable
+        assert writable_to_bytes(direct) == writable_to_bytes(via_wire)
+        assert direct == via_wire
+
+    def test_subclass_of_a_scalar_keeps_the_round_trip(self):
+        class Stamped(IntWritable):
+            def __init__(self, value: int = 0, stamp: int = 0):
+                super().__init__(value)
+                self.stamp = stamp
+
+            def write(self, out):
+                super().write(out)
+                out.write_int(self.stamp)
+
+            def read_fields(self, inp):
+                super().read_fields(inp)
+                self.stamp = inp.read_int()
+
+        clone = Stamped(1, stamp=9).clone()
+        assert type(clone) is Stamped and (clone.value, clone.stamp) == (1, 9)

@@ -2,14 +2,38 @@
 
 from __future__ import annotations
 
+import ast
+import copy
+import pathlib
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.api.writables import BytesWritable, IntWritable, Text
+from repro.api import writables
+from repro.api.writables import (
+    ArrayWritable,
+    BlockIndexWritable,
+    BooleanWritable,
+    BytesWritable,
+    DoubleWritable,
+    FloatWritable,
+    IntWritable,
+    LongWritable,
+    MatrixBlockWritable,
+    NullWritable,
+    PairWritable,
+    Text,
+    VectorBlockWritable,
+    VIntWritable,
+    Writable,
+    WritableComparable,
+)
+from repro.sysml import blocks
+from repro.sysml.blocks import CellMatrixBlockWritable, TaggedBlockWritable
 from repro.x10 import (
     DedupSerializer,
     Place,
@@ -19,8 +43,17 @@ from repro.x10 import (
     deep_copy_value,
     estimate_size,
 )
+from repro.x10 import serializer as serializer_module
 from repro.x10.runtime import ActivityError
-from repro.x10.serializer import BACKREF_BYTES
+from repro.x10.serializer import (
+    _TRANSPORT,
+    BACKREF_BYTES,
+    OBJECT_HEADER_BYTES,
+    SizeCache,
+    _dual_size_of,
+    _size_of,
+    clone_pairs,
+)
 
 
 class TestPlaces:
@@ -237,12 +270,307 @@ class TestDeepCopy:
         copy["a"].append(3)
         assert original["a"] == [1, 2]
 
-    def test_deepcopy_list_preserves_sharing(self):
-        """What the M3R shuffle relies on: aliases survive transport."""
-        import copy as copy_module
-
+    def test_ship_preserves_sharing(self):
+        """What the M3R shuffle relies on: aliases survive transport, within
+        one message and across its runs, and never reach back to the sender."""
         shared = Text("shared")
-        pairs = [(IntWritable(0), shared), (IntWritable(1), shared)]
-        transported = copy_module.deepcopy(pairs)
-        assert transported[0][1] is transported[1][1]
-        assert transported[0][1] is not shared
+        runs = [[(IntWritable(0), shared), (IntWritable(1), shared)], [(IntWritable(2), shared)]]
+        message, (first, second) = DedupSerializer().ship(runs)
+        assert first[0][1] is first[1][1] is second[0][1]
+        assert first[0][1] is not shared and first[0][1] == shared
+        assert message.records == 3 and message.duplicate_refs == 2
+
+    def test_each_message_gets_its_own_clone(self):
+        shared = Text("shared")
+        pairs = [(IntWritable(0), shared)]
+        serializer = DedupSerializer()
+        (one,), (two,) = serializer.ship([pairs])[1], serializer.ship([pairs])[1]
+        assert one[0][1] is not two[0][1]
+        assert clone_pairs(pairs)[0][1] is not clone_pairs(pairs)[0][1]
+
+
+# --------------------------------------------------------------------- #
+# the transport table and the one-pass ship walk
+# --------------------------------------------------------------------- #
+
+#: Writables the table leaves to the generic walk, and why.
+GENERIC_ON_PURPOSE = {
+    # composites: their parts may be shared with other records, so they
+    # are cloned by copy.deepcopy on the message's memo
+    ArrayWritable,
+    PairWritable,
+    # size_token blocks: measured through the SizeCache, backed by
+    # numpy/scipy objects whose internals copy.deepcopy already handles
+    MatrixBlockWritable,
+    VectorBlockWritable,
+    CellMatrixBlockWritable,
+    TaggedBlockWritable,
+}
+
+ABSTRACT = {Writable, WritableComparable}
+
+
+class TaggedInt(IntWritable):
+    """A user subclass of a built-in: one more field than the table knows."""
+
+    def __init__(self, value: int = 0, tag: str = ""):
+        super().__init__(value)
+        self.tag = [tag]
+
+
+class Exotic:
+    """A non-Writable value with attributes."""
+
+    def __init__(self, held):
+        self.held = held
+        self.note = "exotic"
+
+
+def one_of_each():
+    """A sample of every registered class."""
+    return [
+        IntWritable(-3),
+        LongWritable(2**40),
+        VIntWritable(300),
+        FloatWritable(0.1),
+        DoubleWritable(2.5),
+        BooleanWritable(True),
+        Text("h\u00e9llo \U0001f600"),
+        BytesWritable(b"x" * 10),
+        NullWritable(),
+        BlockIndexWritable(1, 2),
+    ]
+
+
+def fresh_pool(picks):
+    """Objects for one generated message: every registered leaf, the
+    composites and blocks (holding leaves that also travel on their own),
+    a subclass of a built-in, and plain Python values with nesting, sharing
+    and a cycle.  ``picks`` chooses what the composites hold."""
+    leaves = one_of_each()
+    shared = Text("shared")
+    leaves.append(shared)
+
+    def leaf(i):
+        return leaves[picks[i % len(picks)] % len(leaves)]
+
+    vector = VectorBlockWritable(np.arange(4.0))
+    twin = VectorBlockWritable()
+    twin.values = vector.values  # two blocks over one array
+    cell = CellMatrixBlockWritable(sparse.identity(3, format="csc"))
+    cycle = [leaf(0)]
+    cycle.append(cycle)
+    return leaves + [
+        PairWritable(leaf(1), leaf(2)),
+        PairWritable(shared, shared),
+        ArrayWritable(Text, [shared, leaf(3), shared]),
+        vector,
+        twin,
+        MatrixBlockWritable(sparse.identity(3, format="csc")),
+        TaggedBlockWritable("A", 1, cell),
+        cell,
+        TaggedInt(7, "t"),
+        None,
+        True,
+        7,
+        2.5,
+        "plain",
+        b"bytes",
+        [leaf(4), shared, [shared, leaf(5)]],
+        {"k": leaf(6), "nested": {"again": shared}},
+        (leaf(7), shared),
+        cycle,
+        Exotic(leaf(8)),
+        np.arange(3),
+    ]
+
+
+_ATOMS = (type(None), bool, int, float, str, bytes, type)
+
+
+def _children(obj):
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, dict):
+        return [half for item in obj.items() for half in item]
+    if isinstance(obj, np.ndarray):
+        return []
+    slots = [
+        getattr(obj, name)
+        for klass in type(obj).__mro__
+        for name in getattr(klass, "__slots__", ())
+        if hasattr(obj, name)
+    ]
+    return slots + list(getattr(obj, "__dict__", {}).values())
+
+
+def graph_shape(root, source_ids=frozenset()):
+    """One entry per visit of a pre-order walk over everything reachable:
+    the type, which earlier visit it is the same object as (the ``is``
+    partition), its value if it is a leaf, and whether it is one of the
+    sender's objects.  Two graphs with equal shapes are equal, share
+    alike inside, and alias the sender alike."""
+    first_visit = {}
+    shape = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _ATOMS):
+            shape.append((type(obj), obj))
+            continue
+        revisit = id(obj) in first_visit
+        label = first_visit.setdefault(id(obj), len(first_visit))
+        leaf = (
+            (obj.dtype.str, obj.shape, obj.tobytes())
+            if isinstance(obj, np.ndarray)
+            else None
+        )
+        shape.append((type(obj), label, leaf, id(obj) in source_ids))
+        if not revisit:
+            stack.extend(reversed(_children(obj)))
+    return shape
+
+
+def reachable_ids(root):
+    ids = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _ATOMS) or id(obj) in ids:
+            continue
+        ids.add(id(obj))
+        stack.extend(_children(obj))
+    return ids
+
+
+class TestShipMatchesDeepcopy:
+    @given(
+        picks=st.lists(st.integers(0, 50), min_size=1, max_size=9),
+        draws=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 2)),
+            max_size=14,
+        ),
+        repeat_a_pair=st.booleans(),
+        list_shaped_pair=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_graph_and_same_message(
+        self, picks, draws, repeat_a_pair, list_shaped_pair
+    ):
+        pool = fresh_pool(picks)
+        runs = [[], [], []]
+        for key_index, value_index, run in draws:
+            pair = (pool[key_index % len(pool)], pool[value_index % len(pool)])
+            runs[run].append(pair)
+            if repeat_a_pair:
+                runs[(run + 1) % 3].append(pair)  # the same tuple twice
+        if list_shaped_pair:
+            runs[0].append([pool[0], pool[-1]])
+
+        serializer = DedupSerializer(SizeCache())
+        message, shipped = serializer.ship(runs)
+        expected = copy.deepcopy(runs)
+
+        sender = reachable_ids(runs)
+        assert graph_shape(shipped, sender) == graph_shape(expected, sender)
+        flat = [pair for run in runs for pair in run]
+        assert message == DedupSerializer(SizeCache()).measure_pairs(flat)
+        # The measurement-free crossing is the same clone.
+        assert graph_shape(clone_pairs(flat), sender) == graph_shape(
+            copy.deepcopy(flat), sender
+        )
+
+    def test_mixed_graph_keeps_sharing_across_table_and_deepcopy(self):
+        """A leaf cloned by the table and met again inside a composite (and
+        the other way round) is one object on the receiving side."""
+        leaf, other = Text("leaf"), IntWritable(1)
+        runs = [
+            [(leaf, PairWritable(leaf, other))],
+            [([other, leaf], other)],
+        ]
+        _, ((first,), (second,)) = DedupSerializer().ship(runs)
+        assert first[1].first is first[0]
+        assert second[0][0] is first[1].second is second[1]
+        assert second[0][1] is first[0]
+        assert first[0] is not leaf and second[1] is not other
+
+    def test_null_writable_stays_the_singleton(self):
+        pairs = [(NullWritable(), Text("v"))]
+        _, ((arrived,),) = DedupSerializer().ship([pairs])
+        assert arrived[0] is NullWritable.get()
+        # copy.deepcopy returns an unchanged tuple as itself; so does ship.
+        untouched = (NullWritable(), None)
+        assert DedupSerializer().ship([[untouched]])[1][0][0] is untouched
+
+    def test_subclass_of_a_builtin_takes_the_generic_path(self):
+        tagged = TaggedInt(5, "keep me")
+        assert type(tagged) not in _TRANSPORT
+        assert estimate_size(tagged) == OBJECT_HEADER_BYTES + tagged.serialized_size()
+        _, ((arrived,),) = DedupSerializer().ship([[(tagged, tagged)]])
+        assert type(arrived[0]) is TaggedInt and arrived[0] is arrived[1]
+        assert arrived[0].tag == ["keep me"] and arrived[0].tag is not tagged.tag
+        # ... and still clones by its own (round-trip) rules, not IntWritable's.
+        assert type(tagged.clone()) is TaggedInt
+
+
+class TestTransportTable:
+    def test_every_writable_is_registered_or_generic_on_purpose(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        shipped = {
+            cls
+            for cls in subclasses(Writable)
+            if cls.__module__ in (writables.__name__, blocks.__name__)
+        } | {Writable}
+        registered = set(_TRANSPORT)
+        assert registered | GENERIC_ON_PURPOSE | ABSTRACT == shipped
+        assert not registered & (GENERIC_ON_PURPOSE | ABSTRACT)
+        assert {type(sample) for sample in one_of_each()} == registered
+
+    def test_table_size_equals_the_generic_walk(self, monkeypatch):
+        samples = one_of_each() + [Text(""), Text("ascii"), BytesWritable(b"")]
+        with_table = [
+            (estimate_size(s), _size_of(s, {}), _dual_size_of(s, {}, None))
+            for s in samples
+        ]
+        nested_with_table = estimate_size([samples, {"k": samples[0]}])
+        monkeypatch.setattr(serializer_module, "_TRANSPORT", {})
+        for sample, sizes in zip(samples, with_table):
+            generic = _size_of(sample, None)
+            assert generic == OBJECT_HEADER_BYTES + sample.serialized_size()
+            assert sizes == (generic, generic, (generic, generic)), sample
+        assert estimate_size([samples, {"k": samples[0]}]) == nested_with_table
+
+    def test_table_clone_is_a_deepcopy(self):
+        for sample in one_of_each():
+            clone = _TRANSPORT[type(sample)][1](sample)
+            assert graph_shape(clone) == graph_shape(copy.deepcopy(sample))
+            assert (clone is sample) == (copy.deepcopy(sample) is sample)
+
+    def test_no_deepcopy_outside_the_serializer(self):
+        """One transport primitive: nothing else in the package deep-copies."""
+        package = pathlib.Path(serializer_module.__file__).parents[1]
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path == pathlib.Path(serializer_module.__file__):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = []
+                if isinstance(node, ast.Call):
+                    names = [getattr(node.func, "attr", getattr(node.func, "id", ""))]
+                elif isinstance(node, ast.ImportFrom) and node.module == "copy":
+                    names = [alias.name for alias in node.names]
+                if "deepcopy" in names:
+                    offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+        assert offenders == []
+
+    def test_size_token_blocks_still_go_through_the_size_cache(self):
+        cache = SizeCache()
+        block = VectorBlockWritable(np.ones(8))
+        serializer = DedupSerializer(cache)
+        serializer.ship([[(BlockIndexWritable(0, 0), block)]])
+        serializer.ship([[(BlockIndexWritable(0, 0), block)]])
+        assert cache.snapshot() == (1, 1)
