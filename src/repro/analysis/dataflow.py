@@ -1,16 +1,16 @@
 """Interprocedural capture/escape dataflow over the bare-name call graph.
 
 The PR-4 call graph (:mod:`repro.analysis.callgraph`) answers *who calls
-whom*; this layer answers the question the ROADMAP's "process-based
-places" item reduces to: **what does each callable close over, and what
-kinds of object flow into it?**  Three artifacts per function:
+whom*; this layer answers the question the task-kernel split (DESIGN.md
+§16) rests on: **what does each callable close over, and what kinds of
+object flow into it?**  Three artifacts per function:
 
 * **bindings** — local names whose bound value the AST recognizes as a
   distinguished kind: locks and friends (``threading.Lock()``…), thread
   handles, file handles (``open``/``with open``), lambdas, nested
   functions, local classes, generator expressions.  The first group is
-  *fatally unpicklable*: a closure capturing one can never cross a
-  process boundary.
+  *fatally unpicklable*: a closure capturing one is not a function of
+  its explicit arguments, and the value cannot cross a place boundary.
 * **closures** — the function's immediately nested defs and lambdas,
   each with its free-variable set and, after analysis, a classified
   :class:`Capture` per captured name.
@@ -26,8 +26,8 @@ over-approximate — the right failure mode for a lint.  Consumers:
   boundary) and rule **M3R007** (local callable registered on a JobSpec)
   in :mod:`repro.analysis.rules`;
 * the ``analyze --report portability`` inventory in
-  :mod:`repro.analysis.portability` — the worklist for a future
-  multiprocessing backend.
+  :mod:`repro.analysis.portability` — the gate that holds the task
+  bodies at zero captures.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "free_names",
 ]
 
-#: Object kinds that can never cross a pickle/process boundary.
+#: Object kinds that can never cross a pickle boundary.
 FATAL_KINDS = frozenset(
     {
         "lock",
@@ -79,8 +79,8 @@ _THREAD_FACTORIES = frozenset({"Thread", "ThreadPoolExecutor"})
 _FILE_FACTORIES = frozenset({"open", "TemporaryFile", "NamedTemporaryFile"})
 
 #: Names that *look like* references into the long-lived engine: capturing
-#: one is fine on the threaded backend but advisory for process-based
-#: places (the object would have to be re-materialized, not shipped).
+#: one is advisory, not fatal — the task body should take it through its
+#: explicit ``TaskContext`` instead.
 _ENGINE_REF = re.compile(
     r"(engine|bus|runtime|scope|governor|service|store|cache|filesystem|fs)",
     re.IGNORECASE,

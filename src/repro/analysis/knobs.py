@@ -180,17 +180,6 @@ def _knobs() -> List[Knob]:
           "raise on unknown `m3r.*` keys instead of warning (misspelled "
           "knobs silently no-op otherwise)",
           "CONF_STRICT_KEY"),
-        # -- process places (DESIGN.md §16) ------------------------------ #
-        K("m3r.places.backend", "str", "thread", "M3R_PLACES", "places",
-          "task-execution backend behind the engine's places: `thread` "
-          "(one shared pool) or `process` (persistent per-place worker "
-          "processes running task kernels; identical results)",
-          "PLACES_BACKEND_KEY"),
-        K("m3r.places.shm-threshold-bytes", "int", 65536, None, "places",
-          "contiguous array values at or above this size cross the "
-          "task-envelope pipe as shared-memory blocks instead of inline "
-          "pickle bytes",
-          "PLACES_SHM_THRESHOLD_KEY"),
         # -- internal engine-to-task plumbing ---------------------------- #
         K("m3r.task.filesystem", "object", None, None, "task",
           "task-scoped filesystem handle injected by the running engine",

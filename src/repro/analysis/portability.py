@@ -1,23 +1,23 @@
 """The place-portability inventory: ``analyze --report portability``.
 
-The ROADMAP's "process-based places" open item needs one concrete
-worklist before anyone can start: for every stage-provider task body
-(the nested closures the M3R/Hadoop stage providers hand to
-``bounded_task_fn`` / ``finish_collect``), *what does it capture, and
-would that capture survive a pickle?*  This module renders exactly that
-from the dataflow summaries (:mod:`repro.analysis.dataflow`) as a
-machine-readable document:
+The task-kernel split (DESIGN.md §16) holds only while every
+stage-provider task body is a function of its explicit ``TaskContext``.
+For each task body (the nested closures a M3R/Hadoop stage provider
+would hand to ``bounded_task_fn`` / ``finish_collect``) this module asks
+*what does it capture from the enclosing scope, and of what kind?* and
+renders the answer from the dataflow summaries
+(:mod:`repro.analysis.dataflow`) as a machine-readable document:
 
 * one entry per ``*StageProvider`` method that defines task-body
   closures;
 * per closure, every captured name with its classified kind, whether it
   is fatally unpicklable (``portable: false``), and whether it is merely
-  advisory (engine/bus/self references that a process backend would
-  re-materialize rather than ship).
+  advisory (engine/bus/self references the task should take through its
+  ``TaskContext``).
 
 Fatal captures are the same set rule M3R006 gates on; the report also
-includes the advisory tail M3R006 deliberately ignores, because the
-migration has to plan for both.
+includes the advisory tail M3R006 deliberately ignores, because
+``--gate`` fails on either.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ __all__ = ["PORTABILITY_SCHEMA_VERSION", "portability_inventory"]
 #: Bumped whenever the report document shape changes.
 PORTABILITY_SCHEMA_VERSION = 1
 
-#: Capture kinds that are fine to ship but reference the long-lived
-#: engine: a process backend re-materializes these, it does not pickle
-#: them.
+#: Capture kinds that are picklable but reference the long-lived engine:
+#: they belong in the task's explicit ``TaskContext``, not in a closure.
 _ADVISORY_KINDS = frozenset({"engine-ref", "self-reference"})
 
 

@@ -17,7 +17,8 @@ M3R005    a package ``__init__.py`` without an ``__all__`` export list
           (the import-surface ground truth)
 M3R006    a closure capturing fatally unpicklable state (lock, file
           handle, lambda, local class...) crossing a spawn/serialize
-          boundary — the process-based-places portability blocker
+          boundary — a task body that is not a function of its
+          explicit ``TaskContext``
 M3R007    a lambda / function-local callable registered on a JobSpec
           (ReStore sees it only as a silent fingerprint bypass)
 M3R008    order-sensitive ``+=`` float accumulation into shared state on
@@ -410,12 +411,21 @@ class ImmutableOutputWriteRule(Rule):
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
                     classes.append((module.relpath, node))
-        registered: Set[str] = {"ImmutableOutput"}
+        # The closure is keyed by (module, class name): a base naming a
+        # class of the same module resolves to that class, and only an
+        # imported base falls back to the project-wide bare name —
+        # otherwise an unrelated class that merely shares a marked
+        # class's name elsewhere in the project would be flagged.
+        local = {(relpath, cls.name) for relpath, cls in classes}
+        registered: Set[tuple] = {
+            key for key in local if key[1] == "ImmutableOutput"
+        }
+        names: Set[str] = {"ImmutableOutput"}
         changed = True
         while changed:
             changed = False
-            for _, cls in classes:
-                if cls.name in registered:
+            for relpath, cls in classes:
+                if (relpath, cls.name) in registered:
                     continue
                 for base in cls.bases:
                     base_name = (
@@ -425,11 +435,20 @@ class ImmutableOutputWriteRule(Rule):
                         if isinstance(base, ast.Attribute)
                         else None
                     )
-                    if base_name in registered:
-                        registered.add(cls.name)
+                    same_module = (relpath, base_name)
+                    marked = (
+                        same_module in registered
+                        if same_module in local
+                        else base_name in names
+                    )
+                    if marked:
+                        registered.add((relpath, cls.name))
+                        names.add(cls.name)
                         changed = True
                         break
-        return [(rp, cls) for rp, cls in classes if cls.name in registered]
+        return [
+            (rp, cls) for rp, cls in classes if (rp, cls.name) in registered
+        ]
 
 
 class SwallowedExceptionRule(Rule):
@@ -575,12 +594,15 @@ class UnpicklableCaptureRule(Rule):
     id = "M3R006"
     summary = "unpicklable capture reaches a spawn/serialize boundary"
     rationale = (
-        "On the threaded backend a task-body closure may freely capture "
-        "locks, file handles or other closures — everything shares one "
-        "address space.  Process-based places (the ROADMAP item) must "
-        "pickle whatever crosses async_at/serialize, and these captures "
-        "are exactly what cannot be pickled.  The rule inventories the "
-        "portability debt before the backend exists."
+        "Task bodies are module-level functions of one explicit "
+        "TaskContext (DESIGN.md §16): everything a task reads arrives "
+        "through that argument, which is what keeps the prologue / "
+        "kernel / epilogue split reviewable.  A closure that captures a "
+        "lock, file handle, thread or another closure and is handed to "
+        "async_at/finish_collect or a serializer is not a function of "
+        "its explicit context: every task it spawns shares state the "
+        "signature does not show, and the value cannot be measured or "
+        "copied across a place boundary."
     )
     example = (
         "lock = threading.Lock()\n"
@@ -589,9 +611,9 @@ class UnpicklableCaptureRule(Rule):
         "finish_collect(task)  # task captures `lock`"
     )
     fix = (
-        "Keep unpicklable state out of the closure: pass indexes/paths "
-        "and re-acquire resources inside the task, or hoist shared state "
-        "into the place-local store keyed by place id."
+        "Make the task body a module-level function over a TaskContext: "
+        "pass indexes/paths and re-acquire resources inside the task, or "
+        "hoist shared state into the place-local store keyed by place id."
     )
 
     def check(self, project: "Project") -> List[Finding]:
@@ -626,7 +648,8 @@ class UnpicklableCaptureRule(Rule):
                                     f"task body {closure.name!r} captures "
                                     f"{capture.kind} {capture.name!r} and "
                                     f"crosses boundary {site.callee!r}; "
-                                    f"unpicklable under process-based places"
+                                    f"the task body is not a function of "
+                                    f"its explicit TaskContext"
                                 ),
                             )
                         )
@@ -681,8 +704,7 @@ class LocalCallableRegistrationRule(Rule):
         "ReStore fingerprints a job by the identities of its registered "
         "classes; a lambda or a class/function defined inside a function "
         "has no stable module-level identity, so the fingerprinter "
-        "silently bypasses the job (today's behaviour) — and no process "
-        "backend could ship it.  This rule surfaces statically what "
+        "silently bypasses the job.  This rule surfaces statically what "
         "ReStore only discovers as a missing cache hit."
     )
     example = (
@@ -728,8 +750,7 @@ class LocalCallableRegistrationRule(Rule):
                             message=(
                                 f"{described} registered via {callee}() has "
                                 f"no module-level identity; ReStore cannot "
-                                f"fingerprint it (silent bypass) and no "
-                                f"process backend can ship it"
+                                f"fingerprint it (silent bypass)"
                             ),
                         )
                     )

@@ -181,8 +181,6 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # * service — multi-tenant defaults read by JobService;
 # * batch / imc — the batched record path and licensed in-mapper
 #   combining (byte-identical to the per-record path);
-# * places — the execution substrate behind the engine's places (shared
-#   thread pool vs persistent per-place worker processes);
 # * temp — the paper's §4.2.3 temporary-output convention;
 # * conf — validation of this very namespace (strict unknown-key mode).
 _KNOB_KEYS = REGISTRY.constants()
@@ -224,12 +222,6 @@ IMC_ENABLED_KEY = _KNOB_KEYS["IMC_ENABLED_KEY"]
 IMC_ENV = REGISTRY.get(IMC_ENABLED_KEY).env
 IMC_MAX_ENTRIES_KEY = _KNOB_KEYS["IMC_MAX_ENTRIES_KEY"]
 DEFAULT_IMC_MAX_ENTRIES = REGISTRY.get(IMC_MAX_ENTRIES_KEY).default
-
-PLACES_BACKEND_KEY = _KNOB_KEYS["PLACES_BACKEND_KEY"]
-PLACES_ENV = REGISTRY.get(PLACES_BACKEND_KEY).env
-DEFAULT_PLACES_BACKEND = REGISTRY.get(PLACES_BACKEND_KEY).default
-PLACES_SHM_THRESHOLD_KEY = _KNOB_KEYS["PLACES_SHM_THRESHOLD_KEY"]
-DEFAULT_PLACES_SHM_THRESHOLD = REGISTRY.get(PLACES_SHM_THRESHOLD_KEY).default
 
 # Unknown-knob validation for the m3r.* namespace itself: Configuration.set
 # warns on keys the registry does not know, and raises when this knob (or

@@ -885,7 +885,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     f"FAIL: {captures} task-body capture(s) "
                     f"({document['fatal_captures']} fatal, "
                     f"{document['advisory_captures']} advisory) — task "
-                    "bodies must stay self-contained envelopes "
+                    "bodies must stay functions of their TaskContext "
                     "(DESIGN.md §16)",
                     file=sys.stderr,
                 )
@@ -1138,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", action="store_true",
                    help="with --report portability: exit 1 if any task "
                         "body captures anything (fatal OR advisory) — the "
-                        "CI regression gate for the envelope refactor")
+                        "CI regression gate for the task-kernel split")
     p.add_argument("--check-docs", action="store_true",
                    help="verify the README knob table matches the "
                         "KnobRegistry (exit 1 on drift)")

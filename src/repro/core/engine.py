@@ -72,7 +72,6 @@ from repro.memory import MemoryBudget, MemoryGovernor, SpillManager, create_poli
 from repro.sim.cluster import Cluster
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Metrics
-from repro.x10.backends import resolve_backend_name
 from repro.x10.runtime import X10Runtime
 
 
@@ -94,7 +93,6 @@ class M3REngine:
         cache_low_watermark: float = 0.75,
         cache_eviction_policy: str = "lru",
         cache_spill: bool = True,
-        place_backend: Optional[str] = None,
     ):
         self.cluster = cluster
         self.cost_model = cost_model
@@ -102,14 +100,7 @@ class M3REngine:
         if self.num_places <= 0:
             raise ValueError("need at least one place")
         self.workers_per_place = workers_per_place
-        #: Task-execution substrate behind the places (``m3r.places.backend``
-        #: / ``M3R_PLACES``): ``thread`` shares one driver-side pool;
-        #: ``process`` adds one persistent worker process per place and
-        #: offloads eligible task kernels to them (DESIGN.md §16).
-        self.place_backend = resolve_backend_name(place_backend)
-        self.runtime = X10Runtime(
-            self.num_places, workers_per_place, backend=self.place_backend
-        )
+        self.runtime = X10Runtime(self.num_places, workers_per_place)
         #: Memory governance: per-place budget (0 = unbounded, the default),
         #: pluggable eviction policy, and spill-to-filesystem demotion.  The
         #: spill manager writes to the RAW filesystem — the cache overlay
@@ -188,9 +179,6 @@ class M3REngine:
         self._job_counter += 1
         spec = JobSpec.from_conf(conf)
         self._check_alive()
-        # Warm restart: a place lost to a worker death last job gets a
-        # fresh process now, before any task threads exist (fork safety).
-        self.runtime.heal()
         bus, closers = open_job_bus(
             f"m3r-{self._job_counter}",
             "m3r",

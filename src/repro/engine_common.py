@@ -50,20 +50,6 @@ class JobFailedError(RuntimeError):
     the engine "does not recover from node failure", paper Section 1)."""
 
 
-class PlaceFailure(JobFailedError):
-    """A place's worker process died mid-task (process backend only).
-
-    Process places make the paper's fail-fast story literal: losing a
-    worker process is losing the place, and M3R "does not recover from
-    node failure" — the running job fails with this error while the
-    backend respawns a fresh worker so the *next* job finds a healthy
-    place (warm restart, cold cache)."""
-
-    def __init__(self, place_id: int, reason: str = "worker process died"):
-        super().__init__(f"place {place_id}: {reason}")
-        self.place_id = place_id
-
-
 def bounded_task_fn(
     lanes: Sequence[int], lane_width: int, task_fn: Callable[[int], Any]
 ) -> Callable[[int], Any]:

@@ -303,18 +303,6 @@ class KeyValueStore:
                 blocks.append(self._data_get(block.info.place_id, (path, block_id)))
             return Reader(blocks)
 
-    def shared_view(
-        self, paths: Sequence[str], threshold_bytes: Optional[int] = None
-    ):
-        """A process-shared snapshot of ``paths`` (DESIGN.md §16): large
-        contiguous array values are exported into shared-memory blocks so
-        a worker process maps instead of copies them.  Each path is read
-        under its own lock-table entry — the same exclusion every writer
-        takes — so the snapshot is block-consistent per path."""
-        from repro.kvstore.shared import SharedStoreView
-
-        return SharedStoreView.from_store(self, paths, threshold_bytes)
-
     def get_info(self, path: str) -> Optional[PathInfo]:
         """Metadata snapshot, or ``None`` when the path does not exist."""
         path = normalize_path(path)

@@ -17,13 +17,11 @@ Clock discipline matches the M3R provider: each ``ctx.advance`` is one
 so simulated seconds are byte-identical to the pre-lifecycle engine.
 
 Task bodies are module-level functions over an explicit
-:class:`~repro.lifecycle.envelopes.TaskContext` — the same portability
-shape as the M3R provider (zero captures in ``analyze --report
-portability``).  This engine never offloads its kernels to place
-workers, though: the stock engine's task bodies interleave user code
-with streaming filesystem reads and record writers (both driver-side
-objects), and its place-backend setting is API parity only
-(DESIGN.md §16).
+:class:`~repro.lifecycle.envelopes.TaskContext` — the same shape as the
+M3R provider (zero captures in ``analyze --report portability``,
+DESIGN.md §16).  They do not go through the shared kernels, though: the
+stock engine's task bodies interleave user code with streaming
+filesystem reads and record writers by design.
 """
 
 from __future__ import annotations

@@ -20,20 +20,15 @@ ride the event bus (see :mod:`repro.lifecycle.subscriptions`).
 
 Task bodies are **module-level functions over an explicit**
 :class:`~repro.lifecycle.envelopes.TaskContext` — not closures over
-provider methods.  That is the place-portability refactor (DESIGN.md
-§16): ``analyze --report portability`` counts every capture a provider
-method's closures would have to ship to another process, and this module
-keeps that inventory at zero by construction.  Each task body splits as
+provider methods (DESIGN.md §16): ``analyze --report portability``
+counts every value a provider method's closures would capture from the
+enclosing scope, and this module keeps that inventory at zero by
+construction.  Each task body splits as
 
-    driver prologue  (cache/filesystem/placement — needs the engine)
-    → kernel         (pure user code; offloadable to a place worker)
-    → driver epilogue (cost-model charges from the kernel outcome,
-                       applied in exactly the original order)
-
-with the kernel either run inline (thread backend, or any fallback) or
-shipped to a per-place worker process as a picklable envelope
-(:mod:`repro.lifecycle.envelopes`) — identical outputs, counters and
-simulated seconds either way.
+    prologue  (cache/filesystem/placement — needs the engine)
+    → kernel  (pure user code, :mod:`repro.lifecycle.envelopes`)
+    → epilogue (cost-model charges from the kernel outcome,
+                applied in exactly the original order)
 """
 
 from __future__ import annotations
@@ -66,17 +61,10 @@ from repro.engine_common import (
 from repro.fs.instrumented import FsTally, InstrumentedFileSystem
 from repro.hadoop_engine.scheduler import SlotLanes
 from repro.lifecycle.envelopes import (
-    MapKernelEnvelope,
-    ReduceKernelEnvelope,
     TaskContext,
-    dispatch_kernel,
     make_task_reader,
-    map_kernel_eligible,
-    merge_counter_groups,
-    reduce_kernel_eligible,
     run_map_kernel,
     run_reduce_kernel,
-    wire_task_conf,
 )
 from repro.lifecycle.pipeline import JobContext, StageFn, StageProvider
 from repro.lifecycle.subscriptions import (
@@ -442,8 +430,6 @@ def _m3r_map_task_body(
     use_imc = use_batched and imc_armed(spec, conf)
 
     # --- input: cache, or filesystem + cache insert ------------------- #
-    # ``pairs`` set (materialized input) means the kernel can run in a
-    # place worker; a streaming reader pins the kernel to the driver.
     pairs = None
     inner_reader = None
     entry = engine._cache_lookup(split, pin=True)
@@ -505,45 +491,25 @@ def _m3r_map_task_body(
             duration += net
             metrics.incr("remote_map_reads")
 
-    # --- run the user code (the kernel: worker process, or inline) ---- #
+    # --- run the user code (the kernel) -------------------------------- #
     policy = (
         "alias" if spec.map_output_immutable(split, fresh_runner=True) else "clone"
     )
     imc_entries = imc_max_entries_for(conf)
-    outcome = None
-    if pairs is not None and map_kernel_eligible(engine, conf, spec, mapper_class):
-        envelope = MapKernelEnvelope(
-            wire_task_conf(task_conf),
-            split,
-            pairs,
-            clone_input=not mapper_immutable,
-            use_batched=use_batched,
-            batch_size=batch_size,
-            use_imc=use_imc,
-            imc_max_entries=imc_entries,
-            policy=policy,
-            map_only=spec.is_map_only,
-        )
-        outcome = dispatch_kernel(engine, place, envelope)
-        if outcome is not None:
-            merge_counter_groups(counters, outcome.counter_groups)
-            if outcome.error is not None:
-                raise outcome.error
-    if outcome is None:
-        inner = (
-            inner_reader
-            if inner_reader is not None
-            else MaterializedReader(pairs, clone=not mapper_immutable)
-        )
-        reader = make_task_reader(inner, counters, use_batched, batch_size)
-        outcome = run_map_kernel(
-            spec, split, reader, counters, reporter, task_conf,
-            use_batched=use_batched,
-            use_imc=use_imc,
-            imc_max_entries=imc_entries,
-            policy=policy,
-            map_only=spec.is_map_only,
-        )
+    inner = (
+        inner_reader
+        if inner_reader is not None
+        else MaterializedReader(pairs, clone=not mapper_immutable)
+    )
+    reader = make_task_reader(inner, counters, use_batched, batch_size)
+    outcome = run_map_kernel(
+        spec, split, reader, counters, reporter, task_conf,
+        use_batched=use_batched,
+        use_imc=use_imc,
+        imc_max_entries=imc_entries,
+        policy=policy,
+        map_only=spec.is_map_only,
+    )
     if use_batched:
         metrics.incr("batch_batches", outcome.reader_batches)
         metrics.incr("batch_records", outcome.reader_records)
@@ -659,22 +625,10 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
 
     policy = "alias" if spec.reduce_output_immutable() else "clone"
     deferred = batch_size_for(conf) > 0
-    outcome = None
-    if reduce_kernel_eligible(engine, conf, spec):
-        envelope = ReduceKernelEnvelope(
-            wire_task_conf(task_conf), shuffle_input,
-            policy=policy, deferred=deferred,
-        )
-        outcome = dispatch_kernel(engine, place, envelope)
-        if outcome is not None:
-            merge_counter_groups(counters, outcome.counter_groups)
-            if outcome.error is not None:
-                raise outcome.error
-    if outcome is None:
-        outcome = run_reduce_kernel(
-            spec, shuffle_input, counters, reporter, task_conf,
-            policy=policy, deferred=deferred,
-        )
+    outcome = run_reduce_kernel(
+        spec, shuffle_input, counters, reporter, task_conf,
+        policy=policy, deferred=deferred,
+    )
 
     compute = outcome.compute_user
     metrics.time.charge("reduce_compute", compute)

@@ -62,87 +62,6 @@ class Place:
         return hash(("Place", self.place_id))
 
 
-class PlaceWorker:
-    """A persistent OS process bound to one place (DESIGN.md §16).
-
-    This is the physical half of the paper's "long-lived place": a daemon
-    child process (``fork`` start method — workers inherit the code and
-    the loaded job classes by reference, no re-import races) connected to
-    the driver by one duplex pipe.  The protocol over that pipe belongs to
-    :mod:`repro.x10.backends`; this class only owns the lifecycle — spawn,
-    framed request/response, graceful stop, hard kill.
-
-    ``call_bytes`` must be invoked under :attr:`lock`: one outstanding
-    request per worker at a time (kernels at the same place serialize,
-    exactly like a core).
-    """
-
-    def __init__(self, place_id: int, main: Callable[[int, Any], None]):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe()
-        self.place_id = place_id
-        #: Serializes requests to this worker (one kernel per place-core).
-        self.lock = threading.Lock()
-        self._conn = parent_conn
-        self._proc = context.Process(
-            target=main,
-            args=(place_id, child_conn),
-            daemon=True,
-            name=f"m3r-place-{place_id}",
-        )
-        self._proc.start()
-        child_conn.close()
-
-    def alive(self) -> bool:
-        return self._proc.is_alive()
-
-    def call_bytes(self, message: bytes) -> bytes:
-        """Send one framed request and block for its framed reply.
-
-        Caller holds :attr:`lock`.  A dead worker surfaces as
-        ``EOFError``/``OSError``/``BrokenPipeError`` from the pipe — the
-        backend turns that into a ``PlaceFailure``.
-        """
-        self._conn.send_bytes(message)
-        return self._conn.recv_bytes()
-
-    def stop(self, timeout: float = 2.0) -> None:
-        """Graceful drain: stop sentinel, bounded join, then escalate
-        terminate → kill.  Idempotent — safe to call on a stopped worker."""
-        try:
-            self._conn.send_bytes(b"S")
-        except (BrokenPipeError, OSError):
-            pass
-        self._proc.join(timeout)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(1.0)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(1.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-    def kill(self) -> None:
-        """Immediate teardown (worker already failed, or interpreter exit)."""
-        try:
-            self._proc.terminate()
-        except (ValueError, OSError):  # already closed / reaped
-            pass
-        self._proc.join(1.0)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(0.5)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
 class PlaceLocalHandle:
     """X10's ``PlaceLocalHandle``: one logical name resolving to a distinct
     value at every place.

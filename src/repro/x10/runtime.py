@@ -18,10 +18,9 @@ count — the engine only needs fail-fast behaviour, matching M3R's explicit
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
-from typing import Any, Callable, List, Sequence, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, List, Sequence
 
-from repro.x10.backends import PlaceBackend, resolve_backend
 from repro.x10.places import Place
 from repro.x10.serializer import DedupSerializer, SerializedMessage
 
@@ -79,23 +78,17 @@ class X10Runtime:
     the sequence.
     """
 
-    def __init__(
-        self,
-        num_places: int,
-        workers_per_place: int = 8,
-        backend: Union[None, str, PlaceBackend] = None,
-    ):
+    def __init__(self, num_places: int, workers_per_place: int = 8):
         if num_places <= 0:
             raise ValueError("need at least one place")
         self.places: List[Place] = [
             Place(i, workers=workers_per_place) for i in range(num_places)
         ]
-        # The backend owns the shared driver-side pool (sized to the whole
-        # "cluster"; per-place affinity is modelled by cost accounting, not
-        # by pinning threads) and — for the process backend — the per-place
-        # worker processes kernels offload to (DESIGN.md §16).
-        self.backend: PlaceBackend = resolve_backend(
-            backend, num_places, workers_per_place
+        # One shared bounded pool, sized to the whole "cluster"; per-place
+        # affinity is modelled by cost accounting, not by pinning threads.
+        self._pool = ThreadPoolExecutor(
+            max_workers=max(4, num_places * min(workers_per_place, 4)),
+            thread_name_prefix="x10-worker",
         )
         self.serializer = DedupSerializer()
         #: The serializer's memoized size-measurement cache; engines read
@@ -113,23 +106,10 @@ class X10Runtime:
         """The place with the given id."""
         return self.places[place_id]
 
-    def heal(self) -> None:
-        """Respawn any place whose worker process died (process backend;
-        a no-op otherwise).  Must be called between jobs — forking while
-        task threads run is unsafe — which is exactly when the engine's
-        admission path invokes it."""
-        if not self._closed:
-            self.backend.ensure_workers()
-
     def shutdown(self) -> None:
-        """Tear the runtime down (pool and any place workers).
-
-        Idempotent and interrupt-safe: the backend finishes reaping its
-        worker processes even when a first call was cut short by
-        ``KeyboardInterrupt`` — calling again completes the teardown.
-        """
+        """Tear the runtime down, joining the worker threads.  Idempotent."""
         self._closed = True
-        self.backend.shutdown()
+        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "X10Runtime":
         return self
@@ -202,7 +182,7 @@ class _FinishScope:
 
     def async_at(self, place: Place, fn: Callable[..., Any], *args: Any) -> Activity:
         """X10 ``async at (p) S``: spawn ``fn(*args)`` at ``place``."""
-        future = self._runtime.backend.submit(fn, *args)
+        future = self._runtime._pool.submit(fn, *args)
         activity = Activity(future, place)
         self._finish.add(activity)
         return activity

@@ -9,42 +9,13 @@ service's determinism contract).
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
 import os
-import time
 
 import pytest
 
 from repro import hadoop_engine, m3r_engine
 from repro.fs import InMemoryFileSystem, SimulatedHDFS
 from repro.sim import Cluster
-
-
-@pytest.fixture(autouse=True)
-def _no_orphaned_workers():
-    """Every test must leave zero live worker processes behind.
-
-    Engines own their process places (``ProcessPlaceBackend``); a test
-    that builds one must shut it down (or drop its last reference — the
-    backend's finalizer reaps the pool on collection).  A lingering
-    child here means a worker leak: the pool would pile up across the
-    suite and outlive the pytest process.
-    """
-    yield
-    if not multiprocessing.active_children():
-        return
-    # Engines built inline (make_m3r) are usually unreferenced by now;
-    # collecting runs the backend finalizers, which stop their workers.
-    gc.collect()
-    deadline = time.monotonic() + 5.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    leaked = multiprocessing.active_children()
-    assert not leaked, (
-        f"test leaked {len(leaked)} worker process(es): "
-        f"{[p.pid for p in leaked]} — call engine.shutdown()"
-    )
 
 
 @pytest.fixture

@@ -247,6 +247,31 @@ class Mapper(ImmutableOutput):
     assert "M3R003" not in rules_fired(findings)
 
 
+M3R003_MARKED_MODULE = """
+from api import ImmutableOutput, Mapper
+
+class TokenizeMapper(Mapper, ImmutableOutput):
+    def map(self, key, value, output, reporter):
+        self.seen = key
+"""
+
+M3R003_UNMARKED_NAMESAKE = """
+from api import Mapper
+
+class TokenizeMapper(Mapper):
+    def map(self, key, value, output, reporter):
+        self.seen = key
+"""
+
+
+def test_m3r003_keys_classes_by_module_not_bare_name(tmp_path):
+    # Two modules define a ``TokenizeMapper``; only one is ImmutableOutput.
+    (tmp_path / "marked.py").write_text(M3R003_MARKED_MODULE)
+    (tmp_path / "namesake.py").write_text(M3R003_UNMARKED_NAMESAKE)
+    fired = [f for f in Analyzer().run([tmp_path]) if f.rule == "M3R003"]
+    assert [Path(f.path).name for f in fired] == ["marked.py"]
+
+
 # --------------------------------------------------------------------- #
 # M3R004: swallowed broad exceptions
 # --------------------------------------------------------------------- #

@@ -55,6 +55,9 @@ from repro.x10.serializer import (
     clone_pairs,
 )
 
+from conftest import make_hadoop, make_m3r
+from workloads import stress_job, write_corpus
+
 
 class TestPlaces:
     def test_place_identity(self):
@@ -123,6 +126,20 @@ class TestRuntime:
         runtime.shutdown()
         with pytest.raises(RuntimeError):
             runtime.finish(lambda scope: None)
+
+    @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
+    def test_engine_shutdown_twice_leaves_no_worker_thread(self, make_engine):
+        def workers():
+            return {t for t in threading.enumerate() if t.name.startswith("x10-worker")}
+
+        before = workers()
+        engine = make_engine()
+        write_corpus(engine.filesystem, "/in", 2, parts=2)
+        result = engine.run_job(stress_job("/in", "/out", reducers=2))
+        assert result.succeeded, result.error
+        engine.shutdown()
+        engine.shutdown()  # the second call is a no-op
+        assert workers() <= before
 
 
 class TestTeam:
@@ -551,19 +568,25 @@ class TestTransportTable:
             assert (clone is sample) == (copy.deepcopy(sample) is sample)
 
     def test_no_deepcopy_outside_the_serializer(self):
-        """One transport primitive: nothing else in the package deep-copies."""
+        """One transport primitive: nothing else in the package deep-copies.
+        One execution substrate: nothing in it imports a process pool."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
         offenders = []
         for path in sorted(package.rglob("*.py")):
-            if path == pathlib.Path(serializer_module.__file__):
-                continue
+            is_serializer = path == pathlib.Path(serializer_module.__file__)
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                names = []
+                names, modules = [], []
                 if isinstance(node, ast.Call):
                     names = [getattr(node.func, "attr", getattr(node.func, "id", ""))]
-                elif isinstance(node, ast.ImportFrom) and node.module == "copy":
-                    names = [alias.name for alias in node.names]
-                if "deepcopy" in names:
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "copy":
+                        names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                if ("deepcopy" in names and not is_serializer) or any(
+                    module.split(".")[0] == "multiprocessing" for module in modules
+                ):
                     offenders.append(f"{path.relative_to(package)}:{node.lineno}")
         assert offenders == []
 

@@ -22,7 +22,6 @@ from repro.api.formats import (
     TextInputFormat,
 )
 from repro.api.mapred import Mapper, Reducer
-from repro.api.portable import ProcessPortable
 from repro.api.vectorized import AssociativeReducer
 from repro.api.writables import IntWritable, Text
 from repro.apps import matvec
@@ -122,7 +121,7 @@ def seeded_histogram_dataset(seed: int) -> Tuple[List[Tuple[Any, Any]], Dict[str
 # --------------------------------------------------------------------- #
 
 
-class ToOneMapper(Mapper, ProcessPortable):
+class ToOneMapper(Mapper):
     """(key, anything) → (key, 1); with SumValuesReducer this is a
     combiner-safe key histogram."""
 
@@ -130,7 +129,7 @@ class ToOneMapper(Mapper, ProcessPortable):
         output.collect(key, IntWritable(1))
 
 
-class SumValuesReducer(Reducer, AssociativeReducer, ProcessPortable):
+class SumValuesReducer(Reducer, AssociativeReducer):
     """Integer sum — marked associative, so the IMC suites exercise the
     opt-in marker path (the stock SumReducers exercise the allowlist)."""
 
@@ -138,7 +137,7 @@ class SumValuesReducer(Reducer, AssociativeReducer, ProcessPortable):
         output.collect(key, IntWritable(sum(v.get() for v in values)))
 
 
-class WordStressMapper(Mapper, ProcessPortable):
+class WordStressMapper(Mapper):
     """Word splitter with a per-record user counter (lost updates under
     concurrent increments would show up as an inexact total)."""
 
@@ -149,7 +148,7 @@ class WordStressMapper(Mapper, ProcessPortable):
             output.collect(Text(word), IntWritable(1))
 
 
-class PoisonedMapper(Mapper, ProcessPortable):
+class PoisonedMapper(Mapper):
     """Raises mid-phase when it encounters the poisoned record."""
 
     exception: type = ValueError
