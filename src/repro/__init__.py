@@ -12,8 +12,8 @@ In-Memory Hadoop Jobs* (Shinnar, Cunningham, Herta, Saraswat — PVLDB 5(12),
   network bandwidth, JVM start-up, scheduler latency).  Engines execute user
   code for real and charge simulated seconds for every I/O event, which is
   how the paper's performance *shapes* are reproduced on a laptop.
-* :mod:`repro.x10` — a mini X10-style runtime: places, ``finish``/``async``,
-  ``at``, team barriers and a de-duplicating serializer.
+* :mod:`repro.x10` — a mini X10-style runtime: places and a de-duplicating
+  serializer.
 * :mod:`repro.fs` — a FileSystem abstraction with an in-memory local
   filesystem and a simulated HDFS (namenode, datanodes, blocks, replication,
   locality metadata).

@@ -66,9 +66,9 @@ def _knobs() -> List[Knob]:
     K = Knob
     return [
         # -- engine ------------------------------------------------------ #
-        K("m3r.engine.real-threads", "bool", True, None, "engine",
-          "run map/reduce tasks on real bounded worker threads; `false` "
-          "selects the serial debugging path (identical results)",
+        K("m3r.engine.real-threads", "bool", None, None, "engine",
+          "retired: accepted and ignored; tasks and shuffle messages "
+          "always run inline",
           "REAL_THREADS_KEY"),
         # -- cache (memory governance, DESIGN.md §8) --------------------- #
         K("m3r.cache.capacity-bytes", "int", 0, None, "cache",
@@ -92,15 +92,10 @@ def _knobs() -> List[Knob]:
           "job's duration",
           "CACHE_PINNED_PATHS_KEY"),
         # -- shuffle (DESIGN.md §9) -------------------------------------- #
-        K("m3r.shuffle.real-threads", "bool", True, None, "shuffle",
-          "execute shuffle messages as bounded per-place asyncs; time "
-          "charges replay in plan order, so results are identical",
+        K("m3r.shuffle.real-threads", "bool", None, None, "shuffle",
+          "retired: accepted and ignored; tasks and shuffle messages "
+          "always run inline",
           "SHUFFLE_REAL_THREADS_KEY"),
-        K("m3r.shuffle.sorted-runs", "bool", True, None, "shuffle",
-          "ship pre-sorted per-mapper runs and k-way merge reduce-side; "
-          "`false` re-sorts the concatenation (same bytes, different "
-          "time category)",
-          "SHUFFLE_SORTED_RUNS_KEY"),
         # -- sanitizers (DESIGN.md §10) ---------------------------------- #
         K("m3r.sanitize.mutation", "bool", None, "M3R_SANITIZE_MUTATION",
           "sanitize",

@@ -188,7 +188,7 @@ class AsyncParamMutationRule(Rule):
         findings: List[Finding],
     ) -> None:
         def emit(node: ast.AST, param: str, how: str) -> None:
-            findings.append(  # noqa: M3R001 - lint driver is single-threaded
+            findings.append(
                 Finding(
                     rule=self.id,
                     path=fn.relpath,
@@ -339,6 +339,58 @@ _BUILDER_METHODS = frozenset(
 _BUILDER_PREFIXES = ("with_", "_build")
 
 
+def _project_classes(project: "Project") -> List[tuple]:
+    """Every ``(module relpath, ClassDef)`` in the project."""
+    return [
+        (module.relpath, node)
+        for module in project.modules
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+
+
+def _marker_subclasses(classes: List[tuple], marker: str) -> List[tuple]:
+    """The classes that transitively subclass the marker class ``marker``
+    (M3R003's ``ImmutableOutput``, M3R009's ``AssociativeReducer``),
+    the marker's own definition included.
+
+    The closure is keyed by (module, class name): a base naming a class of
+    the same module resolves to that class, and only an imported base
+    falls back to the project-wide bare name — otherwise an unrelated
+    class that merely shares a marked class's name elsewhere in the
+    project would be checked as if it carried the marker.
+    """
+    local = {(relpath, cls.name) for relpath, cls in classes}
+    marked: Set[tuple] = {key for key in local if key[1] == marker}
+    names: Set[str] = {marker}
+    changed = True
+    while changed:
+        changed = False
+        for relpath, cls in classes:
+            if (relpath, cls.name) in marked:
+                continue
+            for base in cls.bases:
+                base_name = (
+                    base.id
+                    if isinstance(base, ast.Name)
+                    else base.attr
+                    if isinstance(base, ast.Attribute)
+                    else None
+                )
+                same_module = (relpath, base_name)
+                inherits = (
+                    same_module in marked
+                    if same_module in local
+                    else base_name in names
+                )
+                if inherits:
+                    marked.add((relpath, cls.name))
+                    names.add(cls.name)
+                    changed = True
+                    break
+    return [(rp, cls) for rp, cls in classes if (rp, cls.name) in marked]
+
+
 class ImmutableOutputWriteRule(Rule):
     """M3R003: post-construction attribute writes on ImmutableOutput."""
 
@@ -356,9 +408,10 @@ class ImmutableOutputWriteRule(Rule):
     )
 
     def check(self, project: "Project") -> List[Finding]:
-        registered = self._registered_classes(project)
         findings: List[Finding] = []
-        for relpath, cls in registered:
+        for relpath, cls in _marker_subclasses(
+            _project_classes(project), "ImmutableOutput"
+        ):
             if cls.name == "ImmutableOutput":
                 continue
             for method in cls.body:
@@ -403,52 +456,6 @@ class ImmutableOutputWriteRule(Rule):
                                 )
                             )
         return findings
-
-    @staticmethod
-    def _registered_classes(project: "Project") -> List[tuple]:
-        classes: List[tuple] = []  # (relpath, ClassDef)
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes.append((module.relpath, node))
-        # The closure is keyed by (module, class name): a base naming a
-        # class of the same module resolves to that class, and only an
-        # imported base falls back to the project-wide bare name —
-        # otherwise an unrelated class that merely shares a marked
-        # class's name elsewhere in the project would be flagged.
-        local = {(relpath, cls.name) for relpath, cls in classes}
-        registered: Set[tuple] = {
-            key for key in local if key[1] == "ImmutableOutput"
-        }
-        names: Set[str] = {"ImmutableOutput"}
-        changed = True
-        while changed:
-            changed = False
-            for relpath, cls in classes:
-                if (relpath, cls.name) in registered:
-                    continue
-                for base in cls.bases:
-                    base_name = (
-                        base.id
-                        if isinstance(base, ast.Name)
-                        else base.attr
-                        if isinstance(base, ast.Attribute)
-                        else None
-                    )
-                    same_module = (relpath, base_name)
-                    marked = (
-                        same_module in registered
-                        if same_module in local
-                        else base_name in names
-                    )
-                    if marked:
-                        registered.add((relpath, cls.name))
-                        names.add(cls.name)
-                        changed = True
-                        break
-        return [
-            (rp, cls) for rp, cls in classes if (rp, cls.name) in registered
-        ]
 
 
 class SwallowedExceptionRule(Rule):
@@ -916,35 +923,12 @@ class AssociativityClaimRule(Rule):
 
     @staticmethod
     def _claimed_classes(project: "Project") -> List[tuple]:
-        classes: List[tuple] = []
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes.append((module.relpath, node))
+        classes = _project_classes(project)
         # Transitive AssociativeReducer subclasses (marker inheritance).
-        claimed: Set[str] = {"AssociativeReducer"}
-        changed = True
-        while changed:
-            changed = False
-            for _, cls in classes:
-                if cls.name in claimed:
-                    continue
-                for base in cls.bases:
-                    base_name = (
-                        base.id
-                        if isinstance(base, ast.Name)
-                        else base.attr
-                        if isinstance(base, ast.Attribute)
-                        else None
-                    )
-                    if base_name in claimed:
-                        claimed.add(cls.name)
-                        changed = True
-                        break
         out = [
             (rp, cls)
-            for rp, cls in classes
-            if cls.name in claimed and cls.name != "AssociativeReducer"
+            for rp, cls in _marker_subclasses(classes, "AssociativeReducer")
+            if cls.name != "AssociativeReducer"
         ]
         # Allowlisted qualnames: resolve "pkg.mod.Class" to a ClassDef in
         # the module whose relpath matches pkg/mod.py.
@@ -990,7 +974,7 @@ class AssociativityClaimRule(Rule):
         values_param = params[2] if len(params) > 2 else None
 
         def emit(node: ast.AST, what: str) -> None:
-            findings.append(  # noqa: M3R001 - lint driver is single-threaded
+            findings.append(
                 Finding(
                     rule=self.id,
                     path=relpath,

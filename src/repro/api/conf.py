@@ -170,8 +170,7 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # escapes it).  The per-subsystem semantics live with the registry rows;
 # the short map:
 #
-# * engine/shuffle — real worker threads and pre-sorted shuffle runs,
-#   switchable per job with identical simulated results;
+# * engine/shuffle — two retired real-threads keys (accepted, ignored);
 # * cache — per-place memory governance (budget, watermarks, policy,
 #   spill, pinned paths); the Hadoop engine ignores them entirely;
 # * sanitize — per-job overrides for the runtime mutation / lock-order
@@ -185,7 +184,11 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # * conf — validation of this very namespace (strict unknown-key mode).
 _KNOB_KEYS = REGISTRY.constants()
 
+# Tasks and shuffle messages always run inline; these two constants stay
+# only until benchmarks/spine stops naming them in SERIAL_KNOBS (ROADMAP
+# item 4, *Dispatch*).
 REAL_THREADS_KEY = _KNOB_KEYS["REAL_THREADS_KEY"]
+SHUFFLE_REAL_THREADS_KEY = _KNOB_KEYS["SHUFFLE_REAL_THREADS_KEY"]
 
 CACHE_CAPACITY_KEY = _KNOB_KEYS["CACHE_CAPACITY_KEY"]
 CACHE_HIGH_WATERMARK_KEY = _KNOB_KEYS["CACHE_HIGH_WATERMARK_KEY"]
@@ -193,9 +196,6 @@ CACHE_LOW_WATERMARK_KEY = _KNOB_KEYS["CACHE_LOW_WATERMARK_KEY"]
 CACHE_EVICTION_POLICY_KEY = _KNOB_KEYS["CACHE_EVICTION_POLICY_KEY"]
 CACHE_SPILL_KEY = _KNOB_KEYS["CACHE_SPILL_KEY"]
 CACHE_PINNED_PATHS_KEY = _KNOB_KEYS["CACHE_PINNED_PATHS_KEY"]
-
-SHUFFLE_REAL_THREADS_KEY = _KNOB_KEYS["SHUFFLE_REAL_THREADS_KEY"]
-SHUFFLE_SORTED_RUNS_KEY = _KNOB_KEYS["SHUFFLE_SORTED_RUNS_KEY"]
 
 SANITIZE_MUTATION_KEY = _KNOB_KEYS["SANITIZE_MUTATION_KEY"]
 SANITIZE_LOCK_ORDER_KEY = _KNOB_KEYS["SANITIZE_LOCK_ORDER_KEY"]
@@ -254,10 +254,10 @@ def conf_bool(
     """Resolve a boolean knob with the canonical precedence:
     JobConf setting > environment variable > ``default``.
 
-    This is the one place the engines' copy-pasted knob parsing
-    (``m3r.engine.real-threads``, ``m3r.shuffle.*``, ``m3r.sanitize.*``)
-    funnels through.  ``conf`` may be ``None`` (no job context); ``env``
-    may be ``None`` (no environment fallback for this knob).
+    This is the one place the engines' boolean knob parsing
+    (``m3r.batch.*``, ``m3r.imc.*``, ``m3r.sanitize.*``) funnels through.
+    ``conf`` may be ``None`` (no job context); ``env`` may be ``None`` (no
+    environment fallback for this knob).
     """
     if conf is not None and key in conf:
         return conf.get_boolean(key, default)

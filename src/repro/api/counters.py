@@ -76,9 +76,9 @@ def _resolve(key_or_group: Union[str, CounterKey], name: str = "") -> Tuple[str,
 class Counter:
     """One named counter inside a group.
 
-    Increments are atomic: with real multi-threaded task execution many
-    tasks update the same counter concurrently, and a bare ``+=`` would
-    lose updates between the read and the write-back.
+    Increments are atomic: user code may update a counter from helper
+    threads of its own, and a bare ``+=`` would lose updates between the
+    read and the write-back.
     """
 
     __slots__ = ("name", "value", "_lock")

@@ -93,7 +93,7 @@ class Reporter:
         """Attribute ``seconds`` of simulated user computation to this task."""
         if seconds < 0:
             raise ValueError("cannot charge negative compute time")
-        self._compute_seconds += seconds  # noqa: M3R008 - per-task accumulator; one task's charges are serial
+        self._compute_seconds += seconds
 
     def charge_flops(self, flops: float, flops_per_sec: float = 1.1e9) -> None:
         """Convenience: attribute computation expressed as FLOPs."""

@@ -114,7 +114,7 @@ class DelegatingInputFormat(InputFormat):
         )
         if not registrations:
             raise ValueError("DelegatingInputFormat configured without MultipleInputs")
-        total = sum(len(regs) for regs in registrations.values())  # noqa: M3R002 - order-independent sum
+        total = sum(len(regs) for regs in registrations.values())
         splits: List[InputSplit] = []
         for path in sorted(registrations):
             for format_class, mapper_class in registrations[path]:

@@ -338,12 +338,12 @@ class KeyValueCache:
             self.governor.reconfigure(
                 resident_entries=[
                     (entry.name, entry.nbytes)
-                    for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
+                    for entry in self._index.values()
                     if not entry.spilled
                 ],
                 **overrides,
             )
-            for place_id in {e.place_id for e in self._index.values()}:  # noqa: M3R002 - deduped place ids, order-independent loop
+            for place_id in {e.place_id for e in self._index.values()}:
                 self._enforce(place_id)
             self._enforce_tenants()
 

@@ -27,14 +27,12 @@ typed lifecycle events onto a per-job bus: the engine's ring buffer always
 subscribes, a JSONL sink when ``m3r.trace.path`` (or ``M3R_TRACE_PATH``)
 is set, plus anything registered in :attr:`M3REngine.trace_sinks`.
 
-Map and reduce phases run on **real worker threads**: one X10 ``finish``
-block per phase, one ``async`` activity per task at its assigned place,
-with ``workers_per_place`` bounding per-place concurrency (the paper's
-"long-lived multi-threaded JVMs").  Benchmark numbers stay deterministic
-because simulated time is still charged to the :class:`SlotLanes` virtual
-clock in task-index order after the ``finish`` joins.  The
-``m3r.engine.real-threads`` JobConf knob (default on) restores the serial
-debugging path; ``workers_per_place=1`` forces it too.
+Tasks and shuffle messages run **inline, in plan order** (DESIGN.md §7).
+The paper's "long-lived multi-threaded JVMs" are modelled where its claim
+about them lives, in simulated time: each phase's task durations are packed
+onto ``workers_per_place`` :class:`SlotLanes` per place, and that makespan
+is what the job clock advances by.  ``workers_per_place`` is therefore a
+lane width (and the default split hint), never a thread count.
 
 The engine is deliberately fail-fast: if any place's node is marked failed,
 the job raises :class:`~repro.engine_common.JobFailedError` ("the engine
@@ -146,8 +144,10 @@ class M3REngine:
     # ------------------------------------------------------------------ #
 
     def shutdown(self) -> None:
-        """Release the place family (ends the engine instance's life)."""
-        self.runtime.shutdown()
+        """End the engine instance's life.  The engine starts no thread and
+        holds no OS resource, so there is nothing to release; the call
+        exists so scripts, the service and tests tear both engines down
+        through one code path.  Idempotent."""
 
     def partition_place(self, partition: int) -> int:
         """The partition-stability guarantee: a deterministic partition →

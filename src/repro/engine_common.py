@@ -17,10 +17,8 @@ around it*.  This module holds the parts that are engine-agnostic:
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.conf import (
@@ -48,64 +46,6 @@ from repro.x10.serializer import deep_copy_value, estimate_size
 class JobFailedError(RuntimeError):
     """Raised when a job cannot complete (M3R raises this on node failure —
     the engine "does not recover from node failure", paper Section 1)."""
-
-
-def bounded_task_fn(
-    lanes: Sequence[int], lane_width: int, task_fn: Callable[[int], Any]
-) -> Callable[[int], Any]:
-    """Wrap ``task_fn`` so at most ``lane_width`` tasks run concurrently per
-    lane (a lane is a place for M3R, a node for Hadoop).
-
-    Task bodies never block on each other's *results*, only on lane slots,
-    so a blocked pool thread always unblocks once some running task at its
-    lane finishes — the bounding cannot deadlock.
-    """
-    limiters = {
-        lane: threading.Semaphore(lane_width) for lane in sorted(set(lanes))
-    }
-
-    def bounded(index: int) -> Any:
-        with limiters[lanes[index]]:
-            return task_fn(index)
-
-    return bounded
-
-
-def run_tasks_threaded(
-    lanes: Sequence[int],
-    lane_width: int,
-    task_fn: Callable[[int], Any],
-    max_workers: int = 32,
-    thread_name_prefix: str = "task-worker",
-) -> List[Any]:
-    """Execute ``task_fn(i)`` for every task index on real worker threads.
-
-    Per-lane concurrency is bounded to ``lane_width`` (a tasktracker's slot
-    count).  Results are returned in task-index order regardless of thread
-    completion order.  If any task raises, every task is still allowed to
-    settle (no orphaned threads) and then the **first** exception in task
-    order is re-raised — the same exception a serial loop would have
-    surfaced, so engine failure semantics are thread-agnostic.
-    """
-    num_tasks = len(lanes)
-    if num_tasks == 0:
-        return []
-    bounded = bounded_task_fn(lanes, lane_width, task_fn)
-    results: List[Any] = []
-    errors: List[BaseException] = []
-    with ThreadPoolExecutor(
-        max_workers=min(max_workers, num_tasks),
-        thread_name_prefix=thread_name_prefix,
-    ) as pool:
-        futures = [pool.submit(bounded, index) for index in range(num_tasks)]
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - collected, rethrown
-                errors.append(exc)
-    if errors:
-        raise errors[0]
-    return results
 
 
 @dataclass

@@ -21,9 +21,9 @@ from repro.fs.filesystem import FileStatus, FileSystem
 class FsTally:
     """What one task did through the filesystem.
 
-    Updates are atomic: a tally is usually private to one task, but user
-    code may hand one filesystem view to helper threads, and the engines'
-    real-threads mode must never lose an I/O tally to a torn ``+=``.
+    Updates are atomic: a tally is private to one task, but user code may
+    hand its filesystem view to helper threads, and an I/O tally must not
+    be lost to a torn ``+=``.
     """
 
     bytes_read: int = 0

@@ -96,10 +96,10 @@ class HadoopEngine:
     # ------------------------------------------------------------------ #
 
     def shutdown(self) -> None:
-        """API parity with M3REngine.  The stock engine owns no long-lived
-        execution substrate (its tasktracker threads are per-phase), so
-        this is a no-op; it exists so tests and harnesses can tear both
-        engines down through one code path.  Idempotent."""
+        """API parity with M3REngine: the engine starts no thread and holds
+        no OS resource, so this is a no-op; it exists so tests and
+        harnesses can tear both engines down through one code path.
+        Idempotent."""
 
     def run_job(self, conf: JobConf) -> EngineResult:
         """Execute one job; never raises for user-code failures."""

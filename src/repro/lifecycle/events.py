@@ -10,12 +10,11 @@ id, the engine, places/partitions, simulated seconds and byte counters —
 everything a per-stage/per-place waterfall or a cross-job reuse analysis
 needs.
 
-Determinism note: stage and task events are emitted from the driver thread
-*after* each phase's ``finish`` joins, in task-index order — the trace is
-the deterministic replay of the accounting, not a live sample of thread
-interleavings.  Cache/spill events are emitted from whichever worker thread
-triggered the pressure, so their relative order within a stage is the one
-thing in the stream that may vary run to run.
+Determinism note: task events are emitted *after* their phase's tasks have
+all run, in task-index order — the trace replays the accounting rather than
+sampling execution.  Cache/spill events are emitted where the pressure
+arises, inside the task that triggered it; tasks run inline in plan order,
+so the whole stream repeats run to run.
 
 This module imports nothing from the rest of ``repro`` so every layer
 (cache, governor, shuffle executor) can emit events without import cycles.
@@ -211,8 +210,9 @@ class EventBus:
     and its error recorded in :attr:`sink_errors` — observability must
     never perturb the run it observes.
 
-    ``emit`` is thread-safe; worker threads emit cache/spill events while
-    the driver emits stage events.
+    ``emit`` is thread-safe: a tenant client touching a shared engine's
+    cache while the service's worker runs a job is narrated on that job's
+    bus, from the client's thread.
     """
 
     def __init__(self, job_id: str, engine: str):
@@ -237,7 +237,7 @@ class EventBus:
         for sink in sinks:
             try:
                 sink(event)
-            except Exception as exc:  # noqa: M3R004 - recorded, sink dropped
+            except Exception as exc:
                 self.sink_errors.append(f"{type(exc).__name__}: {exc}")
                 dead.append(sink)
         if dead:

@@ -31,13 +31,7 @@ import heapq
 import math
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.api.conf import (
-    NUM_MAPS_HINT_KEY,
-    REAL_THREADS_KEY,
-    SHUFFLE_SORTED_RUNS_KEY,
-    JobConf,
-    conf_bool,
-)
+from repro.api.conf import NUM_MAPS_HINT_KEY, JobConf
 from repro.api.counters import JobCounter, TaskCounter
 from repro.api.extensions import is_immutable_output
 from repro.api.formats import FileOutputFormat
@@ -55,7 +49,6 @@ from repro.engine_common import (
     imc_armed,
     imc_max_entries_for,
     run_combiner_if_any,
-    run_tasks_threaded,
 )
 from repro.fs.instrumented import FsTally, InstrumentedFileSystem
 from repro.hadoop_engine.scheduler import SlotLanes, place_map_tasks, reduce_node_for
@@ -133,10 +126,10 @@ class HadoopStageProvider(StageProvider):
         engine = self.engine
         model = engine.cost_model
         spec, conf = ctx.spec, ctx.conf
-        st["job_salt"] = f"job_{engine._job_counter}_{spec.name}"  # noqa: M3R001 - driver-thread stage scratch
+        st["job_salt"] = f"job_{engine._job_counter}_{spec.name}"
 
         spec.output_format.check_output_specs(engine.filesystem, conf)
-        st["committer"] = spec.output_format.get_output_committer()  # noqa: M3R001 - driver-thread stage scratch
+        st["committer"] = spec.output_format.get_output_committer()
         st["committer"].setup_job(engine.filesystem, conf)
 
         # Submission: staging, split calculation, jobtracker RPCs.
@@ -156,20 +149,19 @@ class HadoopStageProvider(StageProvider):
         )
         placements = engine._reroute_failures(placements, ctx.metrics)
         ctx.counters.increment(JobCounter.DATA_LOCAL_MAPS, data_local)
-        st["splits"] = splits  # noqa: M3R001 - driver-thread stage scratch
-        st["placements"] = placements  # noqa: M3R001 - driver-thread stage scratch
+        st["splits"] = splits
+        st["placements"] = placements
 
     def _map_stage(self, ctx: JobContext, st: Dict[str, Any]) -> Dict[int, float]:
         engine = self.engine
         placements: List[int] = st["placements"]
 
         tctx = TaskContext(ctx, engine, st)
-        map_results = self._run_phase(
-            ctx.conf, placements, engine.map_slots,
-            functools.partial(run_hadoop_map_task, tctx),
-        )
-        # Slot-lane accounting stays on the driver thread, in task-index
-        # order, so the simulated makespan matches the serial path exactly.
+        map_results = [
+            run_hadoop_map_task(tctx, index) for index in range(len(placements))
+        ]
+        # Tasks ran one after another; their concurrency is simulated here,
+        # by packing the durations onto map_slots lanes per node.
         map_lanes = SlotLanes(engine.cluster.num_nodes, engine.map_slots)
         map_outputs: List[List[PartitionBuffer]] = []
         map_nodes: List[int] = []
@@ -184,8 +176,8 @@ class HadoopStageProvider(StageProvider):
                 records=sum(len(b.pairs) for b in buffers),
                 nbytes=sum(b.bytes for b in buffers),
             )
-        st["map_outputs"] = map_outputs  # noqa: M3R001 - driver-thread stage scratch
-        st["map_nodes"] = map_nodes  # noqa: M3R001 - driver-thread stage scratch
+        st["map_outputs"] = map_outputs
+        st["map_nodes"] = map_nodes
         return map_lanes.node_busy_seconds()
 
     def _reduce_stage(self, ctx: JobContext, st: Dict[str, Any]) -> Dict[int, float]:
@@ -202,14 +194,14 @@ class HadoopStageProvider(StageProvider):
             node, failover = engine._healthy_node(node)
             reduce_nodes.append(node)
             failovers.append(failover)
-        st["reduce_nodes"] = reduce_nodes  # noqa: M3R001 - driver-thread stage scratch
-        st["failovers"] = failovers  # noqa: M3R001 - driver-thread stage scratch
+        st["reduce_nodes"] = reduce_nodes
+        st["failovers"] = failovers
 
         tctx = TaskContext(ctx, engine, st)
-        durations = self._run_phase(
-            ctx.conf, reduce_nodes, engine.reduce_slots,
-            functools.partial(run_hadoop_reduce_task, tctx),
-        )
+        durations = [
+            run_hadoop_reduce_task(tctx, partition)
+            for partition in range(spec.num_reducers)
+        ]
         reduce_lanes = SlotLanes(engine.cluster.num_nodes, engine.reduce_slots)
         for partition, duration in enumerate(durations):
             reduce_lanes.add_task(reduce_nodes[partition], duration)
@@ -224,28 +216,6 @@ class HadoopStageProvider(StageProvider):
         st["committer"].commit_job(engine.filesystem, ctx.conf)
         ctx.advance(model.hadoop_job_cleanup)
         ctx.metrics.time.charge("job_submit", model.hadoop_job_cleanup)
-
-    # ------------------------------------------------------------------ #
-    # phase running
-    # ------------------------------------------------------------------ #
-
-    def _run_phase(
-        self,
-        conf: JobConf,
-        nodes: List[int],
-        slots: int,
-        task_fn,
-    ) -> List[Any]:
-        """One phase of tasks: threaded like real tasktrackers (bounded to
-        ``slots`` concurrent tasks per node), or serial when the
-        ``m3r.engine.real-threads`` knob is off — the same knob the M3R
-        engine honours, so engine-equivalence runs compare like for like.
-        Results are returned in task-index order either way."""
-        if len(nodes) <= 1 or not conf_bool(conf, REAL_THREADS_KEY, default=True):
-            return [task_fn(index) for index in range(len(nodes))]
-        return run_tasks_threaded(
-            nodes, slots, task_fn, thread_name_prefix="hadoop-task"
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -481,23 +451,17 @@ def run_hadoop_reduce_task(tctx: TaskContext, partition: int) -> float:
     metrics.time.charge("deserialize", deser)
     duration += deser
 
+    # Real Hadoop ships map output as sorted spill runs and the reducer
+    # merges; do the same so record order (stable-merge of stable-sorted
+    # runs, in map-index order) matches M3R's shuffle record for record.
+    # The charge is the external merge above.
     sort_key = spec.sort_key()
-    if conf_bool(conf, SHUFFLE_SORTED_RUNS_KEY, default=True):
-        # Real Hadoop ships map output as sorted spill runs and the
-        # reducer merges; do the same so record order (stable-merge of
-        # stable-sorted runs, in map-index order) matches M3R's
-        # sorted-runs shuffle record for record.  The charge is already
-        # the external merge above — this changes the mechanism, not
-        # the modeled cost.
-        pairs = list(
-            heapq.merge(
-                *[sorted(run, key=sort_key) for run in run_lists],
-                key=sort_key,
-            )
+    pairs = list(
+        heapq.merge(
+            *[sorted(run, key=sort_key) for run in run_lists],
+            key=sort_key,
         )
-    else:
-        pairs = [pair for run in run_lists for pair in run]
-        pairs.sort(key=sort_key)
+    )
     groups = list(spec.group_sorted_pairs(pairs))
     counters.increment(TaskCounter.REDUCE_INPUT_GROUPS, len(groups))
     counters.increment(TaskCounter.REDUCE_INPUT_RECORDS, len(pairs))

@@ -36,14 +36,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.api.conf import (
-    NUM_MAPS_HINT_KEY,
-    REAL_THREADS_KEY,
-    SHUFFLE_REAL_THREADS_KEY,
-    SHUFFLE_SORTED_RUNS_KEY,
-    JobConf,
-    conf_bool,
-)
+from repro.api.conf import NUM_MAPS_HINT_KEY, JobConf
 from repro.api.counters import JobCounter
 from repro.api.extensions import is_immutable_output, is_temporary_output
 from repro.api.formats import FileOutputFormat
@@ -54,7 +47,6 @@ from repro.engine_common import (
     MaterializedReader,
     PartitionBuffer,
     batch_size_for,
-    bounded_task_fn,
     imc_armed,
     imc_max_entries_for,
 )
@@ -73,7 +65,6 @@ from repro.lifecycle.subscriptions import (
 )
 from repro.restore import admission as restore
 from repro.shuffle import ShuffleExecutor, ShuffleInput
-from repro.x10.runtime import ActivityError
 from repro.x10.serializer import FALLBACK_TALLY
 
 __all__ = ["M3RStageProvider", "run_m3r_map_task", "run_m3r_reduce_task"]
@@ -138,12 +129,12 @@ class M3RStageProvider(StageProvider):
         spec, conf = ctx.spec, ctx.conf
         # Engine-lifetime tallies snapshotted up front so teardown can
         # report per-job deltas (size cache, serializer fallbacks).
-        st["size_cache_before"] = engine.runtime.size_cache.snapshot()  # noqa: M3R001 - driver-thread stage scratch
-        st["fallbacks_before"] = FALLBACK_TALLY.snapshot()  # noqa: M3R001 - driver-thread stage scratch
+        st["size_cache_before"] = engine.runtime.size_cache.snapshot()
+        st["fallbacks_before"] = FALLBACK_TALLY.snapshot()
 
         spec.output_format.check_output_specs(engine.filesystem, conf)
-        st["committer"] = spec.output_format.get_output_committer()  # noqa: M3R001 - driver-thread stage scratch
-        st["job_is_temp"] = spec.output_path is not None and is_temporary_output(  # noqa: M3R001 - driver-thread stage scratch
+        st["committer"] = spec.output_format.get_output_committer()
+        st["job_is_temp"] = spec.output_path is not None and is_temporary_output(
             spec.output_path, conf
         )
         if not (st["job_is_temp"] and engine.enable_cache):
@@ -161,8 +152,8 @@ class M3RStageProvider(StageProvider):
         splits = spec.input_format.get_splits(engine.filesystem, conf, hint)
         ctx.metrics.incr("map_tasks", len(splits))
         ctx.counters.increment(JobCounter.TOTAL_LAUNCHED_MAPS, len(splits))
-        st["splits"] = splits  # noqa: M3R001 - driver-thread stage scratch
-        st["placements"] = [  # noqa: M3R001 - driver-thread stage scratch
+        st["splits"] = splits
+        st["placements"] = [
             engine._place_for_split(split, index, spec)
             for index, split in enumerate(splits)
         ]
@@ -175,13 +166,11 @@ class M3RStageProvider(StageProvider):
         placements: List[int] = st["placements"]
 
         tctx = TaskContext(ctx, engine, st)
-        map_results = run_m3r_phase(
-            engine, ctx.conf, placements,
-            functools.partial(run_m3r_map_task, tctx),
-        )
-        # Virtual-clock accounting happens after the finish joins, in
-        # task-index order, so the makespan is identical to the serial path
-        # no matter how the worker threads interleaved.
+        map_results = [
+            run_m3r_map_task(tctx, index) for index in range(len(splits))
+        ]
+        # Tasks ran one after another; their concurrency is simulated here,
+        # by packing the durations onto workers_per_place lanes per place.
         map_lanes = SlotLanes(engine.num_places, engine.workers_per_place)
         map_outputs: List[List[PartitionBuffer]] = []
         map_places: List[int] = []
@@ -196,8 +185,8 @@ class M3RStageProvider(StageProvider):
                 records=sum(len(b.pairs) for b in buffers),
                 nbytes=sum(b.bytes for b in buffers),
             )
-        st["map_outputs"] = map_outputs  # noqa: M3R001 - driver-thread stage scratch
-        st["map_places"] = map_places  # noqa: M3R001 - driver-thread stage scratch
+        st["map_outputs"] = map_outputs
+        st["map_places"] = map_places
         return map_lanes.node_busy_seconds()
 
     def _commit_map_only(self, ctx: JobContext, st: Dict[str, Any]) -> None:
@@ -218,7 +207,7 @@ class M3RStageProvider(StageProvider):
         )
         ctx.advance(shuffle_time + model.m3r_barrier)
         ctx.metrics.time.charge("barrier", model.m3r_barrier)
-        st["reduce_inputs"] = reduce_inputs  # noqa: M3R001 - driver-thread stage scratch
+        st["reduce_inputs"] = reduce_inputs
 
     def _reduce_stage(
         self, ctx: JobContext, st: Dict[str, Any]
@@ -231,13 +220,13 @@ class M3RStageProvider(StageProvider):
             engine.partition_place(partition)
             for partition in range(spec.num_reducers)
         ]
-        st["reduce_places"] = reduce_places  # noqa: M3R001 - driver-thread stage scratch
+        st["reduce_places"] = reduce_places
 
         tctx = TaskContext(ctx, engine, st)
-        durations = run_m3r_phase(
-            engine, ctx.conf, reduce_places,
-            functools.partial(run_m3r_reduce_task, tctx),
-        )
+        durations = [
+            run_m3r_reduce_task(tctx, partition)
+            for partition in range(spec.num_reducers)
+        ]
         reduce_lanes = SlotLanes(engine.num_places, engine.workers_per_place)
         for partition, duration in enumerate(durations):
             reduce_lanes.add_task(reduce_places[partition], duration)
@@ -280,14 +269,6 @@ class M3RStageProvider(StageProvider):
     # shuffle
     # ------------------------------------------------------------------ #
 
-    def _use_shuffle_threads(self, conf: JobConf) -> bool:
-        """Parallel shuffle messages, unless the shuffle knob (or a single
-        worker) forces the serial path.  Independent of the task-execution
-        knob so the two mechanisms can be ablated separately."""
-        return self.engine.workers_per_place > 1 and conf_bool(
-            conf, SHUFFLE_REAL_THREADS_KEY, default=True
-        )
-
     def _shuffle(
         self,
         ctx: JobContext,
@@ -302,82 +283,27 @@ class M3RStageProvider(StageProvider):
         exactly as X10 reconstructs it on the receiving place.
 
         The heavy lifting lives in :mod:`repro.shuffle`: a deterministic
-        plan, parallel (or serial) execution of one activity per
-        place-to-place message, and a post-join replay of all charges in
-        plan order — so simulated time is identical however the worker
-        threads interleave.  With ``m3r.shuffle.sorted-runs`` on (default),
-        runs are sorted map-side and reducers stream a k-way merge.  The
+        plan, one pass of work per place-to-place message in plan order,
+        and a replay of all charges in plan order onto per-place lanes.
+        Runs are sorted map-side and reducers stream a k-way merge.  The
         replay also narrates each message as a ``shuffle`` TaskEnd event.
         """
         engine = self.engine
-        spec, conf = ctx.spec, ctx.conf
-        sorted_runs = conf_bool(conf, SHUFFLE_SORTED_RUNS_KEY, default=True)
+        spec = ctx.spec
         executor = ShuffleExecutor(
-            runtime=engine.runtime,
+            serializer=engine.runtime.serializer,
             cost_model=engine.cost_model,
             num_places=engine.num_places,
             partition_place=engine.partition_place,
-            workers_per_place=engine.workers_per_place,
             enable_dedup=engine.enable_dedup,
         )
         plan = executor.plan(spec.num_reducers, map_outputs, map_places)
-        results = executor.execute(
-            plan,
-            sort_key=spec.sort_key() if sorted_runs else None,
-            parallel=self._use_shuffle_threads(conf),
-        )
-        reduce_inputs = [
-            ShuffleInput(sorted_runs) for _ in range(spec.num_reducers)
-        ]
+        results = executor.execute(plan, spec.sort_key())
+        reduce_inputs = [ShuffleInput() for _ in range(spec.num_reducers)]
         seconds = executor.replay(
             plan, results, reduce_inputs, ctx.counters, ctx.metrics, bus=ctx.bus
         )
         return seconds, reduce_inputs
-
-
-# ---------------------------------------------------------------------- #
-# phase running
-# ---------------------------------------------------------------------- #
-
-
-def _m3r_use_real_threads(engine: Any, conf: JobConf) -> bool:
-    """Real threaded execution, unless the knob (or a single worker)
-    forces the serial debugging path."""
-    return engine.workers_per_place > 1 and conf_bool(
-        conf, REAL_THREADS_KEY, default=True
-    )
-
-
-def run_m3r_phase(
-    engine: Any,
-    conf: JobConf,
-    placements: Sequence[int],
-    task_fn: Callable[[int], Any],
-) -> List[Any]:
-    """Run one barrier-delimited phase: ``task_fn(i)`` at place
-    ``placements[i]`` for every task index.
-
-    In real-threads mode this is one ``finish`` block spawning one
-    ``async`` activity per task at its place, with a per-place semaphore
-    bounding concurrency to ``workers_per_place``.  Results come back in
-    task-index order either way, and the first task exception is
-    re-raised exactly as the serial loop would raise it (unwrapped from
-    :class:`ActivityError`), preserving the fail-fast "no resilience"
-    semantics — a :class:`JobFailedError` from a task still reaches
-    the pipeline as a :class:`JobFailedError`.
-    """
-    if len(placements) <= 1 or not _m3r_use_real_threads(engine, conf):
-        return [task_fn(index) for index in range(len(placements))]
-    bounded = bounded_task_fn(placements, engine.workers_per_place, task_fn)
-
-    def spawn(scope: Any) -> None:
-        for index, place_id in enumerate(placements):
-            scope.async_at(engine.runtime.place(place_id), bounded, index)
-
-    try:
-        return engine.runtime.finish_collect(spawn)
-    except ActivityError as error:
-        raise error.first from error
 
 
 # ---------------------------------------------------------------------- #
@@ -389,8 +315,9 @@ def run_m3r_map_task(
     tctx: TaskContext, index: int
 ) -> Tuple[float, List[PartitionBuffer]]:
     """One map task at its planned place.  The cached input (if any) is
-    pinned for the task's duration — a concurrent task's eviction wave
-    must not spill the sequence this task is actively reading."""
+    pinned for the task's duration — an eviction wave (this task's own
+    admissions, or another tenant's job on a shared engine) must not spill
+    the sequence this task is actively reading."""
     split = tctx.st["splits"][index]
     place = tctx.st["placements"][index]
     pinned: List[str] = []
@@ -434,7 +361,7 @@ def _m3r_map_task_body(
     inner_reader = None
     entry = engine._cache_lookup(split, pin=True)
     if entry is not None:
-        pinned.append(entry.name)  # noqa: M3R001 - per-task private list
+        pinned.append(entry.name)
         metrics.incr("cache_hits")
         pairs = entry.pairs
         nbytes = entry.nbytes
@@ -607,21 +534,16 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
     # Bytes and records were accounted while the runs accumulated — no
     # re-walk of the pairs through the size estimator here.  The charge
     # needs only the counts, so it lands before the kernel does the
-    # actual merge (or sort).
+    # actual merge.
     records = shuffle_input.records
     nbytes = shuffle_input.bytes
-    if shuffle_input.sorted_runs:
-        # Runs arrived pre-sorted: stream a k-way merge instead of
-        # re-sorting the concatenation.  heapq.merge is stable and runs
-        # are merged in map-index order, so the output order matches a
-        # stable sort of the concatenated input exactly.
-        merge_t = model.merge_time(records, nbytes, len(shuffle_input.runs))
-        metrics.time.charge("merge", merge_t)
-        duration += merge_t
-    else:
-        sort_time = model.sort_time(records, nbytes)
-        metrics.time.charge("sort", sort_time)
-        duration += sort_time
+    # Runs arrived pre-sorted: stream a k-way merge instead of re-sorting
+    # the concatenation.  heapq.merge is stable and runs are merged in
+    # map-index order, so the output order matches a stable sort of the
+    # concatenated input exactly.
+    merge_t = model.merge_time(records, nbytes, len(shuffle_input.runs))
+    metrics.time.charge("merge", merge_t)
+    duration += merge_t
 
     policy = "alias" if spec.reduce_output_immutable() else "clone"
     deferred = batch_size_for(conf) > 0

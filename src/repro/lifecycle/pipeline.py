@@ -63,7 +63,7 @@ class JobContext:
 
     def advance(self, seconds: float) -> None:
         """Advance the job clock (driver thread only)."""
-        self.clock += seconds  # noqa: M3R008 - driver-thread job clock, single writer
+        self.clock += seconds
 
     def emit(self, event: Any) -> None:
         self.bus.emit(event)
@@ -79,8 +79,8 @@ class JobContext:
     ) -> None:
         """Emit the TaskStart/TaskEnd pair for one settled task.
 
-        Called post-join in task-index order — the deterministic replay of
-        the phase's accounting.
+        Called after the phase's tasks have all run, in task-index order —
+        the replay of the phase's accounting.
         """
         base = dict(job_id=self.job_id, engine=self.engine, stage=stage,
                     task=task, place=place)

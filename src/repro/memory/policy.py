@@ -8,8 +8,8 @@ crossed the governor asks the active policy to rank victims.
 
 All policy callbacks run under the cache's lock, so implementations need no
 locking of their own; they must be deterministic functions of the event
-sequence (ties broken by name) so that serial and threaded runs with the
-same access order evict the same entries.
+sequence (ties broken by name) so that two runs with the same access
+order evict the same entries.
 
 Pinning is *not* a policy concern: the governor filters pinned entries out
 of the candidate list before the policy ever sees them, which is what makes

@@ -122,8 +122,8 @@ def _require_alias(script: PigScript, alias: str) -> None:
 
 
 def _add(script: PigScript, node) -> None:
-    script.nodes[node.alias] = node  # noqa: M3R001 - parser runs on the driver thread only
-    script.order.append(node.alias)  # noqa: M3R001 - parser runs on the driver thread only
+    script.nodes[node.alias] = node
+    script.order.append(node.alias)
 
 
 def _parse_statement(text: str, script: PigScript) -> None:
@@ -131,7 +131,7 @@ def _parse_statement(text: str, script: PigScript) -> None:
     if store:
         alias = store.group(1)
         _require_alias(script, alias)
-        script.stores.append(StoreStatement(alias, _unquote(store.group(2))))  # noqa: M3R001 - parser runs on the driver thread only
+        script.stores.append(StoreStatement(alias, _unquote(store.group(2))))
         return
 
     assign = re.match(r"^(\w+)\s*=\s*(.+)$", text)

@@ -80,7 +80,7 @@ def admit(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
     if RESTORE_MAX_ENTRIES_KEY in ctx.conf:
         store.reconfigure(max_entries=ctx.conf.get_int(RESTORE_MAX_ENTRIES_KEY))
     fingerprint = compute_fingerprint(engine, ctx.spec, ctx.conf, store)
-    st[FINGERPRINT_KEY] = fingerprint  # noqa: M3R001 - driver-thread stage scratch
+    st[FINGERPRINT_KEY] = fingerprint
     if fingerprint is None:
         ctx.metrics.incr("restore_bypassed")
         store.note("bypasses")
@@ -104,7 +104,7 @@ def admit(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
             return
     ctx.metrics.incr("restore_hits")
     store.note("hits")
-    st[HIT_KEY] = hit  # noqa: M3R001 - driver-thread stage scratch
+    st[HIT_KEY] = hit
 
 
 def _read_part(engine: Any, path: str) -> Tuple[Optional[List[Any]], Optional[bytes]]:

@@ -4,25 +4,21 @@ The shuffle is M3R's headline mechanism: in-memory routing, co-location
 pointer hand-off, de-duplicated X10 serialization and partition stability.
 This package factors it out of the engine into three deterministic stages:
 
-1. **plan** (:mod:`repro.shuffle.plan`) — walk the map outputs on the
-   driver thread and produce an ordered list of shuffle items: a
+1. **plan** (:mod:`repro.shuffle.plan`) — walk the map outputs and produce
+   an ordered list of shuffle items: a
    :class:`~repro.shuffle.plan.LocalHandoff` per co-located partition and a
    :class:`~repro.shuffle.plan.RemoteMessage` per (source place →
    destination place) pair, covering every partition that lives there;
 2. **execute** (:class:`~repro.shuffle.executor.ShuffleExecutor`) — the
-   expensive work per item (per-run sorting, single-pass de-duplicated
-   measurement, shared-memo transport copies) runs either serially or as
-   one X10 ``finish`` block with an ``async`` per item at its source
-   place, bounded by the per-place worker semaphores;
+   expensive work per item (map-side run sorting, single-pass de-duplicated
+   measurement, shared-memo transport copies), item by item in plan order;
 3. **replay** — simulated-time charges, counters and skew metrics are
-   applied on the driver thread in plan order after the ``finish`` joins,
-   so the virtual clock and every metric are byte-identical no matter how
-   the worker threads interleaved.
+   applied in plan order from the results; this is where places run
+   concurrently, as per-place lanes of the virtual clock.
 
 Reducers receive a :class:`~repro.shuffle.merge.ShuffleInput`: per-mapper
-runs in arrival order, pre-sorted when ``m3r.shuffle.sorted-runs`` is on so
-the reduce side streams a ``heapq.merge`` instead of re-sorting the
-concatenation.
+runs in arrival order, each pre-sorted, so the reduce side streams a
+``heapq.merge`` instead of re-sorting the concatenation.
 """
 
 from repro.shuffle.executor import ShuffleExecutor

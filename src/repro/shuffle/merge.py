@@ -1,11 +1,11 @@
 """Reduce-side shuffle input: per-mapper runs, streamed through a k-way merge.
 
-With ``m3r.shuffle.sorted-runs`` on (the default) each run arrives already
-sorted by the job's key order, so the reducer consumes a ``heapq.merge``
-instead of re-sorting the concatenation — O(n log k) comparisons over k runs
-instead of O(n log n), and the order M3R's reducers see is identical because
-Timsort and the heap merge are both stable: ties keep run order, and runs
-are added in map-index order.
+Each run arrives already sorted by the job's key order (the executor sorts
+map-side), so the reducer consumes a ``heapq.merge`` instead of re-sorting
+the concatenation — O(n log k) comparisons over k runs instead of
+O(n log n), and the order M3R's reducers see is the order a stable sort of
+the concatenation would give because Timsort and the heap merge are both
+stable: ties keep run order, and runs are added in map-index order.
 """
 
 from __future__ import annotations
@@ -17,18 +17,12 @@ Pair = Tuple[Any, Any]
 
 
 class ShuffleInput:
-    """Everything one reduce task receives from the shuffle.
+    """Everything one reduce task receives from the shuffle: pre-sorted
+    runs, appended in plan order (ascending map index)."""
 
-    Runs are appended in plan order (ascending map index), which is the same
-    order the old engine concatenated buffers in — so the fallback
-    :meth:`concatenated` path reproduces the pre-run-based input exactly.
-    """
+    __slots__ = ("runs", "records", "bytes")
 
-    __slots__ = ("sorted_runs", "runs", "records", "bytes")
-
-    def __init__(self, sorted_runs: bool):
-        #: Whether the runs were pre-sorted on the map side.
-        self.sorted_runs = sorted_runs
+    def __init__(self) -> None:
         self.runs: List[List[Pair]] = []
         self.records = 0
         self.bytes = 0
@@ -42,24 +36,15 @@ class ShuffleInput:
         self.bytes += nbytes
 
     def merged(self, key: Callable[[Pair], Any]) -> List[Pair]:
-        """K-way merge of the pre-sorted runs (requires ``sorted_runs``)."""
-        if not self.sorted_runs:
-            raise ValueError("runs are not pre-sorted; use concatenated()")
+        """K-way merge of the pre-sorted runs."""
         if not self.runs:
             return []
         if len(self.runs) == 1:
             return list(self.runs[0])
         return list(heapq.merge(*self.runs, key=key))
 
-    def concatenated(self) -> List[Pair]:
-        """The runs flattened in arrival order (the unsorted fallback)."""
-        flat: List[Pair] = []
-        for run in self.runs:
-            flat.extend(run)
-        return flat
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShuffleInput(runs={len(self.runs)}, records={self.records}, "
-            f"bytes={self.bytes}, sorted={self.sorted_runs})"
+            f"bytes={self.bytes})"
         )

@@ -24,8 +24,9 @@ class SimClock:
 
     The clock never reads wall time; engines advance it explicitly with
     :meth:`advance`.  Negative advances are rejected so a cost-model bug
-    cannot silently run time backwards.  Advances are atomic, so activities
-    running on real worker threads can share one clock.
+    cannot silently run time backwards.  Advances are atomic, so threads
+    sharing an engine (the service's worker, tenant clients) can share one
+    clock.
     """
 
     __slots__ = ("_now", "_lock")
@@ -44,7 +45,7 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         with self._lock:
-            self._now += seconds  # noqa: M3R008 - advances replay in deterministic plan order
+            self._now += seconds
             return self._now
 
     def advance_to(self, t: float) -> float:
@@ -87,8 +88,7 @@ class PhaseTimer:
         return len(self._elapsed)
 
     def charge(self, participant: int, seconds: float) -> None:
-        """Add ``seconds`` of work to one participant's lane (atomic, so
-        concurrent activities at different places can share one timer)."""
+        """Add ``seconds`` of work to one participant's lane (atomic)."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         with self._lock:

@@ -110,16 +110,15 @@ def shuffle_skew(metrics: "Metrics") -> Dict[str, float]:
 class TimeBreakdown:
     """Simulated seconds attributed to named categories.
 
-    Charges are atomic: concurrent tasks all charge the same breakdown, and
-    a float ``+=`` is a read-modify-write that would otherwise lose time.
+    Charges are atomic: the governor charges the running job's breakdown
+    from whichever thread touched the shared cache (the service's worker, a
+    tenant client), and a float ``+=`` is a read-modify-write that would
+    otherwise lose time.
 
-    Charges are also *order-independent*: tasks running on real threads
-    charge in whatever order the OS schedules them, and a running float
-    sum would round differently per interleaving (last-ulp drift that
-    breaks byte-identity checks on the metrics snapshot).  Each category
-    therefore keeps its addends and reduces with :func:`math.fsum`, whose
-    result is the correctly-rounded exact sum — the same float for every
-    arrival order.
+    Charges are also *order-independent*: each category keeps its addends
+    and reduces with :func:`math.fsum`, whose result is the correctly-rounded
+    exact sum — the same float for every arrival order, so merged snapshots
+    compare byte for byte however they were assembled.
     """
 
     def __init__(self) -> None:

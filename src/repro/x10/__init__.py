@@ -4,24 +4,24 @@ M3R is implemented in X10; the engine relies on a handful of X10 semantics:
 
 * **places** — operating-system processes with their own heap and worker
   threads; M3R runs one place per host and keeps them alive across jobs;
-* **async / finish** — structured fork/join concurrency;
-* **at (p) S** — run ``S`` at place ``p``, transparently serializing captured
-  values across the place boundary;
+* **async / finish / at (p) S** — structured fork/join concurrency, with
+  captured values serialized across the place boundary;
 * **teams / barriers** — fast multi-place synchronization (no reducer runs
   until globally all shuffle messages have been sent);
 * **de-duplicating serialization** — the serializer must handle heap cycles,
   so it recognizes already-serialized objects; M3R gets broadcast
   de-duplication "for free" from this.
 
-This package reproduces exactly that surface.  Places live inside one Python
-process (each with a real worker thread pool), the serializer measures and
-de-duplicates object graphs, and ``at``/``finish``/``Team`` have the X10
-semantics the engine needs.
+This package reproduces what of that surface outlives a job.  Places live
+inside one Python process, each with a private heap; the serializer
+measures, de-duplicates and clones object graphs.  Fork/join and barriers
+are not executed but *charged*: tasks and shuffle messages run inline on
+the driver in plan order, and a place's ``workers`` threads exist as lane
+width in the simulated clock (DESIGN.md §7).
 """
 
 from repro.x10.places import Place, PlaceLocalHandle
-from repro.x10.runtime import X10Runtime, Activity
-from repro.x10.team import Team
+from repro.x10.runtime import X10Runtime
 from repro.x10.serializer import (
     DedupSerializer,
     SerializedMessage,
@@ -33,8 +33,6 @@ __all__ = [
     "Place",
     "PlaceLocalHandle",
     "X10Runtime",
-    "Activity",
-    "Team",
     "DedupSerializer",
     "SerializedMessage",
     "deep_copy_value",

@@ -5,10 +5,12 @@ fixed family of places (one JVM per host in the paper) and keeps them alive
 for the whole job sequence — that is what lets it share heap state between
 jobs.
 
-In this reproduction all places live inside one Python process, but each
-place keeps a *private heap* (:attr:`Place.heap`) and code is expected to
-touch another place's heap only through :func:`repro.x10.runtime.X10Runtime.at`
-— the tests enforce the discipline by checking serialization accounting.
+In this reproduction all places live inside one Python process and their
+tasks run inline on the driver; each place still keeps a *private heap*
+(:attr:`Place.heap`), and data that moves between places goes through the
+de-duplicating serializer so the crossing is measured and charged.
+:attr:`Place.workers` is the width of the place's lane in the simulated
+clock, not a thread count in this process.
 """
 
 from __future__ import annotations
@@ -29,18 +31,20 @@ class Place:
         #: The cluster node this place runs on (defaults to ``place_id``,
         #: matching M3R's one-place-per-host deployment).
         self.node_id = place_id if node_id is None else node_id
-        #: Number of worker threads (the paper used 8 to match 8 cores).
+        #: Worker threads the modelled place has (the paper used 8 to match
+        #: 8 cores): simulated concurrency only — see ``SlotLanes``.
         self.workers = workers
         #: The place-local heap: named roots to arbitrary objects.  Shared
         #: between jobs — this is where M3R's cache partitions live.
         self.heap: Dict[str, Any] = {}
-        #: Guards mutations of :attr:`heap` made by concurrent activities.
+        #: Guards mutations of :attr:`heap`: engines are shared by the
+        #: service's worker thread and its tenant clients.
         self.heap_lock = threading.RLock()
 
     def get_root(self, name: str, factory: Callable[[], Any]) -> Any:
         """Return the heap root ``name``, creating it with ``factory`` if absent.
 
-        Creation is atomic with respect to other activities at this place.
+        Creation is atomic with respect to other threads sharing the engine.
         """
         with self.heap_lock:
             if name not in self.heap:

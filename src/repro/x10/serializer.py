@@ -63,7 +63,8 @@ OBJECT_HEADER_BYTES = 4
 
 #: Exact ``type(obj)`` -> ``(serialized_size, clone)`` for the built-in leaf
 #: Writables.  ``api/writables.py`` fills it while it is imported and
-#: nothing writes to it afterwards, so the hot paths read it without a lock.
+#: nothing writes to it afterwards, so every reader — the engines' driver,
+#: the service's worker, a tenant client — reads it without a lock.
 #: Keyed by exact type on purpose: a subclass may add fields, so it takes
 #: the generic walk.
 _TRANSPORT: Dict[type, Tuple[Callable[[Any], int], Callable[[Any], Any]]] = {}
@@ -119,7 +120,8 @@ class SizeCache:
     Entries hold weak references, so a recycled ``id()`` can never alias a
     dead object's measurement and the cache never keeps payloads alive.
 
-    Thread-safe: shuffle measurement runs on worker threads.  The hit/miss
+    Thread-safe: an engine, and so its cache, can be shared by the service's
+    worker thread and its tenant clients.  The hit/miss
     tallies are monotonic lifetime totals; engines snapshot them around a
     job to report per-job deltas (they are *not* part of the deterministic
     byte accounting — a cache hit returns exactly the bytes a fresh

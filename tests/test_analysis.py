@@ -711,6 +711,33 @@ class Plain:
     assert "M3R009" not in rules_fired(findings)
 
 
+M3R009_CLAIMED_MODULE = """
+from api import AssociativeReducer, Reducer
+
+class SumReducer(Reducer, AssociativeReducer):
+    def reduce(self, key, values, output, reporter):
+        self.seen += 1
+        output.collect(key, sum(values))
+"""
+
+M3R009_UNCLAIMED_NAMESAKE = """
+from api import Reducer
+
+class SumReducer(Reducer):
+    def reduce(self, key, values, output, reporter):
+        self.seen += 1
+        output.collect(key, sum(values))
+"""
+
+
+def test_m3r009_keys_classes_by_module_not_bare_name(tmp_path):
+    # Two modules define a ``SumReducer``; only one claims associativity.
+    (tmp_path / "claimed.py").write_text(M3R009_CLAIMED_MODULE)
+    (tmp_path / "namesake.py").write_text(M3R009_UNCLAIMED_NAMESAKE)
+    fired = [f for f in Analyzer().run([tmp_path]) if f.rule == "M3R009"]
+    assert [Path(f.path).name for f in fired] == ["claimed.py"]
+
+
 # --------------------------------------------------------------------- #
 # M3R010: m3r.* knob literal outside the KnobRegistry
 # --------------------------------------------------------------------- #

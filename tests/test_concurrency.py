@@ -1,21 +1,19 @@
-"""Concurrency stress tests for real multi-threaded task execution.
+"""Stress, fail-fast and determinism tests for inline task execution.
 
-The M3R engine now runs each map/reduce phase as one X10 ``finish`` block
-spawning an ``async`` per task on real worker threads, with
-``workers_per_place`` bounding per-place concurrency; the Hadoop engine
-mirrors this with slot-bounded worker threads.  These tests pin down the
-contract that makes that safe:
+Both engines run every map task, shuffle message and reduce task inline,
+in plan order; a place's worker threads exist only as lane width in the
+simulated clock (DESIGN.md §7).  These tests pin down what that buys:
 
-* **Determinism** — with ``workers_per_place >= 4`` over ~64 splits, the
-  committed output, every counter total, and the cached blocks are
-  byte-identical to the serial debugging path
-  (``m3r.engine.real-threads = false``), across many seeded datasets.
-* **No lost updates** — per-record counters (system and user) are exact,
-  not merely close, under concurrent increments.
-* **Fail-fast** — a mapper raising at an arbitrary task index fails the
-  whole job (``JobFailedError`` propagates; plain exceptions surface as a
-  failed :class:`EngineResult`), the ``finish`` never hangs, no output is
-  committed, and the engine stays usable afterwards.
+* **Exact accounting at width** — per-record system and user counters over
+  64 splits are exact; local hand-offs and wire traffic partition the map
+  output; an iterated matvec equals numpy.
+* **Fail-fast** — a task raising at a seeded index fails the whole job with
+  that task's error (``JobFailedError`` propagates; a plain exception
+  becomes a failed :class:`EngineResult`), no later task starts, nothing is
+  committed, no pin survives, and the engine takes the next job.
+* **Determinism under memory pressure** — with a cache budget of half the
+  working set, two fresh engines agree on simulated seconds and on every
+  governor count to the last bit (ROADMAP item 1b).
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from collections import Counter as PyCounter
 import numpy as np
 import pytest
 
-from repro.api.conf import REAL_THREADS_KEY, SHUFFLE_REAL_THREADS_KEY
 from repro.api.counters import TaskCounter
+from repro.api.multiple_io import TASK_PARTITION_KEY
 from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.engine_common import JobFailedError
@@ -43,25 +41,11 @@ from workloads import (
 )
 
 
-class TestM3RStress:
-    def test_threaded_matches_serial_on_64_splits(self):
-        """workers_per_place=4, 64 splits: byte-identical to the serial path."""
-        threaded = run_stress(make_m3r, seed=1, threaded=True,
-                              engine_kwargs={"workers_per_place": 4})
-        serial = run_stress(make_m3r, seed=1, threaded=False,
-                            engine_kwargs={"workers_per_place": 4})
-        assert threaded["output"] == serial["output"]
-        assert threaded["counters"] == serial["counters"]
-        assert threaded["cached"] == serial["cached"]
-        assert threaded["seconds"] == pytest.approx(serial["seconds"])
-        # And the answer itself is right.
-        expected = PyCounter(threaded["corpus"].split())
-        assert dict(threaded["counts"]) == dict(expected)
-
-    def test_counters_exact_under_threads(self):
-        """Per-record system and user counters: exact totals, no lost
-        updates, across 64 concurrently-mapped splits."""
-        run = run_stress(make_m3r, seed=2, threaded=True,
+class TestStress:
+    def test_counters_exact_over_64_splits(self):
+        """Per-record system and user counters: exact totals across 64
+        map tasks on four-wide places, and the right answer."""
+        run = run_stress(make_m3r, seed=2,
                          engine_kwargs={"workers_per_place": 4})
         words = len(run["corpus"].split())
         lines = sum(1 for line in run["corpus"].splitlines() if line)
@@ -70,66 +54,22 @@ class TestM3RStress:
         assert counters.value("stress", "records") == lines
         assert counters.value(TaskCounter.MAP_INPUT_RECORDS) == lines
         assert counters.value(TaskCounter.MAP_OUTPUT_RECORDS) == words
+        assert dict(run["counts"]) == dict(PyCounter(run["corpus"].split()))
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_twenty_seeded_runs_deterministic(self, seed):
-        """Acceptance sweep: 20 seeded corpora, threaded == serial on
-        output, counters and cached blocks."""
-        threaded = run_stress(make_m3r, seed=seed, threaded=True, parts=16,
-                              engine_kwargs={"workers_per_place": 4})
-        serial = run_stress(make_m3r, seed=seed, threaded=False, parts=16,
-                            engine_kwargs={"workers_per_place": 4})
-        assert threaded["output"] == serial["output"]
-        assert threaded["counters"] == serial["counters"]
-        assert threaded["cached"] == serial["cached"]
-
-    def test_single_worker_forces_serial_path_same_answer(self):
-        """workers_per_place=1 forces the serial debugging path; the job's
-        answer is unchanged (the split *hint* scales with workers, so task
-        counts differ legitimately — the committed counts must not)."""
-        serial = run_stress(make_m3r, seed=3, threaded=True, parts=16,
+    def test_workers_per_place_changes_task_count_not_answer(self):
+        """The split *hint* scales with ``workers_per_place``, so task
+        counts differ legitimately — the committed counts must not."""
+        narrow = run_stress(make_m3r, seed=3, parts=16,
                             engine_kwargs={"workers_per_place": 1})
-        threaded = run_stress(make_m3r, seed=3, threaded=True, parts=16,
-                              engine_kwargs={"workers_per_place": 8})
-        assert dict(threaded["counts"]) == dict(serial["counts"])
-        assert dict(serial["counts"]) == dict(PyCounter(serial["corpus"].split()))
-
-
-class TestShuffleConcurrency:
-    """The parallel shuffle (one async per place-to-place message) must be
-    observationally identical to the serial shuffle: every byte metric,
-    every counter, every committed record, and the simulated clock."""
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_twenty_seeded_runs_parallel_shuffle_deterministic(self, seed):
-        """Acceptance sweep: m3r.shuffle.real-threads on vs off — identical
-        shuffle_remote_bytes, dedup_saved_bytes, counters, outputs, and
-        (exactly, not approximately) simulated seconds."""
-        parallel = run_stress(
-            make_m3r, seed=seed, threaded=True, parts=16,
-            engine_kwargs={"workers_per_place": 4},
-            conf_bools={SHUFFLE_REAL_THREADS_KEY: True},
-        )
-        serial = run_stress(
-            make_m3r, seed=seed, threaded=True, parts=16,
-            engine_kwargs={"workers_per_place": 4},
-            conf_bools={SHUFFLE_REAL_THREADS_KEY: False},
-        )
-        assert parallel["output"] == serial["output"]
-        assert parallel["counters"] == serial["counters"]
-        assert parallel["cached"] == serial["cached"]
-        for name in ("shuffle_remote_bytes", "shuffle_remote_records",
-                     "shuffle_local_bytes", "shuffle_local_records",
-                     "dedup_saved_bytes"):
-            assert parallel["metrics"].get(name) == serial["metrics"].get(name), name
-        # Charges are replayed in plan order post-join, so the float sums
-        # are bitwise identical — no approx needed.
-        assert parallel["seconds"] == serial["seconds"]
+        wide = run_stress(make_m3r, seed=3, parts=16,
+                          engine_kwargs={"workers_per_place": 8})
+        assert dict(wide["counts"]) == dict(narrow["counts"])
+        assert dict(narrow["counts"]) == dict(PyCounter(narrow["corpus"].split()))
 
     def test_local_handoff_bytes_split_from_shuffle_bytes(self):
         """Co-located partitions are counted as local hand-offs, not as
         REDUCE_SHUFFLE_BYTES; the two cover all map-output traffic."""
-        run = run_stress(make_m3r, seed=5, threaded=True, parts=16,
+        run = run_stress(make_m3r, seed=5, parts=16,
                          engine_kwargs={"workers_per_place": 4})
         counters = run["counters_obj"]
         remote = counters.value(TaskCounter.REDUCE_SHUFFLE_BYTES)
@@ -138,10 +78,53 @@ class TestShuffleConcurrency:
         assert remote > 0
         assert local == run["metrics"].get("shuffle_local_bytes")
 
+    def test_matvec_iteration_matches_numpy(self):
+        rows, block = 256, 32
+        num_blocks = rows // block
+        g = matvec.generate_blocked_matrix(rows, block, sparsity=0.05, seed=21)
+        v = matvec.generate_blocked_vector(rows, block, seed=22)
+        reference = matvec.reference_multiply(g, v, rows, block)
+        engine = make_m3r(num_nodes=4, workers_per_place=4)
+        try:
+            matvec.write_partitioned(engine.filesystem, "/G", g, num_blocks, 8)
+            matvec.write_partitioned(engine.filesystem, "/v0", v, num_blocks, 8)
+            sequence = matvec.iteration_jobs(
+                "/G", "/v0", "/v1", "/tmp", 0, num_blocks, 8
+            )
+            results = engine.run_sequence(sequence)
+            assert all(r.succeeded for r in results)
+            pairs = engine.filesystem.read_kv_pairs("/v1")
+            vector = matvec.blocked_vector_to_array(pairs, rows)
+        finally:
+            engine.shutdown()
+        assert np.allclose(vector, reference)
+
+
+# --------------------------------------------------------------------- #
+# fail-fast
+# --------------------------------------------------------------------- #
+
+
+#: Index of every map task that started, in start order.
+STARTED: list = []
+
+
+class RecordsStart:
+    def configure(self, conf):
+        STARTED.append(conf.get(TASK_PARTITION_KEY))
+
+
+class RecordingPoisonedMapper(RecordsStart, PoisonedMapper):
+    pass
+
+
+class RecordingNodeLossMapper(RecordsStart, NodeLossMapper):
+    pass
+
 
 class PoisonKeyComparator:
-    """Sort comparator that fails when the poison key reaches a shuffle
-    sort — the fault-injection hook for the shuffle asyncs."""
+    """Sort comparator that fails when the poison key reaches a sort — the
+    fault-injection hook for the shuffle's map-side run sorting."""
 
     def compare(self, a, b):
         if "POISON" in str(a) or "POISON" in str(b):
@@ -149,13 +132,58 @@ class PoisonKeyComparator:
         return (str(a) > str(b)) - (str(a) < str(b))
 
 
-class TestShuffleFaultInjection:
-    @pytest.mark.parametrize("parallel_shuffle", [True, False])
-    def test_shuffle_async_failure_fails_job_cleanly(self, parallel_shuffle):
-        """With sorted runs on (default), run sorting happens inside the
-        shuffle activities.  A comparator blowing up there must fail the
-        job the same way the serial shuffle fails it: a failed
-        EngineResult, nothing committed, engine usable afterwards."""
+def assert_failed_cleanly(engine, out_dir="/out"):
+    """Nothing committed (no ``_SUCCESS``, no part file), nothing pinned,
+    and the engine takes the next job."""
+    assert engine.filesystem.list_files_recursive(out_dir) == []
+    if hasattr(engine, "cache"):
+        assert sum(entry.pins for entry in engine.cache.entries()) == 0
+        assert engine.governor.pinned_prefixes() == []
+    follow_up = engine.run_job(wordcount_job("/in/part-00000", "/out2", 2))
+    assert follow_up.succeeded, follow_up.error
+    assert engine.filesystem.exists("/out2/_SUCCESS")
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_job_failed_error_propagates(self, seed):
+        """A task simulating node loss at a seeded index fails the whole
+        job: JobFailedError reaches the caller and no later task starts.
+        A first job leaves the input cached, so every task that ran held
+        a pin on its split."""
+        engine = make_m3r(num_nodes=4, workers_per_place=4)
+        try:
+            victim = poison_corpus(engine.filesystem, seed)
+            assert engine.run_job(wordcount_job("/in", "/warm", 4)).succeeded
+            STARTED.clear()
+            with pytest.raises(JobFailedError, match="injected task failure"):
+                engine.run_job(failing_job(RecordingNodeLossMapper))
+            assert STARTED == list(range(victim + 1))
+            assert_failed_cleanly(engine)
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_user_exception_becomes_failed_result(self, seed, make_engine):
+        """A plain user exception surfaces as a failed EngineResult carrying
+        that task's error, on either engine, and no later task starts."""
+        engine = make_engine(num_nodes=4)
+        try:
+            victim = poison_corpus(engine.filesystem, seed)
+            STARTED.clear()
+            result = engine.run_job(failing_job(RecordingPoisonedMapper))
+            assert not result.succeeded
+            assert result.error == "ValueError: injected task failure"
+            assert STARTED == list(range(victim + 1))
+            assert_failed_cleanly(engine)
+        finally:
+            engine.shutdown()
+
+    def test_comparator_failure_in_shuffle_fails_job_cleanly(self):
+        """Run sorting happens inside the shuffle.  A comparator blowing up
+        there fails the job: a failed EngineResult, nothing committed,
+        engine usable afterwards."""
         engine = make_m3r(num_nodes=4, workers_per_place=4)
         try:
             for part in range(8):
@@ -168,104 +196,93 @@ class TestShuffleFaultInjection:
             # already in the map phase — the point here is the shuffle.
             conf.unset("mapred.combiner.class")
             conf.set_output_key_comparator_class(PoisonKeyComparator)
-            conf.set_boolean(SHUFFLE_REAL_THREADS_KEY, parallel_shuffle)
             result = engine.run_job(conf)
             assert not result.succeeded
             assert "injected shuffle failure" in result.error
-            assert not engine.filesystem.exists("/out/_SUCCESS")
-            # The finish joined cleanly; the engine takes the next job.
-            follow_up = engine.run_job(
-                wordcount_job("/in/part-00000", "/out2", 2)
+            assert_failed_cleanly(engine)
+        finally:
+            engine.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# determinism under memory pressure
+# --------------------------------------------------------------------- #
+
+
+ROWS, BLOCK, ITERATIONS = 1200, 100, 2
+NUM_BLOCKS = ROWS // BLOCK
+
+
+def matvec_engine(g, v, capacity_bytes):
+    """A fresh four-wide engine with G and V0 written, under a budget."""
+    engine = make_m3r(num_nodes=4, workers_per_place=4,
+                      cache_capacity_bytes=capacity_bytes)
+    matvec.write_partitioned(engine.filesystem, "/G", g, NUM_BLOCKS, 4)
+    matvec.write_partitioned(engine.filesystem, "/V0", v, NUM_BLOCKS, 4)
+    return engine
+
+
+def resident_bytes_by_place(engine):
+    places = engine.cache.stats()["places"].values()
+    return [slot["resident_bytes"] for slot in places]
+
+
+def warm_working_set(g, v):
+    """Largest per-place resident bytes with G and V0 warm and no budget."""
+    engine = matvec_engine(g, v, capacity_bytes=0)
+    try:
+        engine.warm_cache_from("/G")
+        engine.warm_cache_from("/V0")
+        return max(resident_bytes_by_place(engine))
+    finally:
+        engine.shutdown()
+
+
+def run_under_pressure(g, v, capacity_bytes):
+    """Iterated matvec on a fresh engine; returns every number the memory
+    governor can move, the MB·s integral (resident MB after each job × the
+    job's simulated seconds) included."""
+    engine = matvec_engine(g, v, capacity_bytes)
+    mem_mb_s = []
+
+    def meter(event):
+        if event.kind == "job_end":
+            resident_mb = sum(resident_bytes_by_place(engine)) / 2**20
+            mem_mb_s.append(resident_mb * event.seconds)
+
+    engine.trace_sinks.append(meter)
+    try:
+        seconds = []
+        for iteration in range(ITERATIONS):
+            sequence = matvec.iteration_jobs(
+                "/G", f"/V{iteration}", f"/V{iteration + 1}", "/scratch",
+                iteration, NUM_BLOCKS, 4,
             )
-            assert follow_up.succeeded, follow_up.error
-        finally:
-            engine.shutdown()
+            results = sequence.run_all(engine)
+            assert all(r.succeeded for r in results)
+            seconds.extend(r.simulated_seconds for r in results)
+        governed = engine.cache.stats()["lifetime"]["counters"]
+        return {
+            "seconds": seconds,
+            "mem_mb_s": mem_mb_s,
+            "evictions": governed["cache_evictions"],
+            "spills": governed["cache_spills"],
+            "spill_bytes": governed["cache_spill_bytes"],
+            "rehydrations": governed["cache_rehydrations"],
+        }
+    finally:
+        engine.shutdown()
 
 
-class TestHadoopStress:
-    def test_threaded_matches_serial(self):
-        """The Hadoop engine honours the same knob — like for like."""
-        threaded = run_stress(make_hadoop, seed=4, threaded=True)
-        serial = run_stress(make_hadoop, seed=4, threaded=False)
-        assert threaded["output"] == serial["output"]
-        assert threaded["counters"] == serial["counters"]
-        assert threaded["seconds"] == pytest.approx(serial["seconds"])
-
-
-class TestMatvecStress:
-    def test_matvec_iteration_threaded_matches_serial_and_numpy(self):
-        rows, block = 256, 32
-        num_blocks = rows // block
-        g = matvec.generate_blocked_matrix(rows, block, sparsity=0.05, seed=21)
-        v = matvec.generate_blocked_vector(rows, block, seed=22)
-        reference = matvec.reference_multiply(g, v, rows, block)
-        vectors = {}
-        for threaded in (True, False):
-            engine = make_m3r(num_nodes=4, workers_per_place=4)
-            try:
-                matvec.write_partitioned(engine.filesystem, "/G", g, num_blocks, 8)
-                matvec.write_partitioned(engine.filesystem, "/v0", v, num_blocks, 8)
-                sequence = matvec.iteration_jobs(
-                    "/G", "/v0", "/v1", "/tmp", 0, num_blocks, 8
-                )
-                for conf in sequence.confs:
-                    conf.set_boolean(REAL_THREADS_KEY, threaded)
-                results = engine.run_sequence(sequence)
-                assert all(r.succeeded for r in results)
-                pairs = engine.filesystem.read_kv_pairs("/v1")
-                vectors[threaded] = matvec.blocked_vector_to_array(pairs, rows)
-            finally:
-                engine.shutdown()
-        # threaded vs serial: bit-identical floats, not just close
-        assert np.array_equal(vectors[True], vectors[False])
-        assert np.allclose(vectors[True], reference)
-
-
-class TestFaultInjection:
-    @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_job_failed_error_propagates_under_threads(self, seed):
-        """A task simulating node loss fails the whole job: JobFailedError
-        reaches the caller, the finish does not hang, nothing is committed."""
-        engine = make_m3r(num_nodes=4, workers_per_place=4)
-        try:
-            poison_corpus(engine.filesystem, seed)
-            with pytest.raises(JobFailedError):
-                engine.run_job(failing_job(NodeLossMapper))
-            # No partially committed output: the failure struck in the map
-            # phase, so no reducer ever wrote a part file, and the success
-            # marker never appeared.
-            assert not engine.filesystem.exists("/out/_SUCCESS")
-            assert engine.filesystem.read_kv_pairs("/out") == []
-        finally:
-            engine.shutdown()
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_user_exception_reported_same_as_serial(self, seed):
-        """A plain user exception surfaces as a failed EngineResult with the
-        same error string as the serial path — and the engine (and its
-        cache) stays usable for the next job."""
-        results = {}
-        for threaded in (True, False):
-            engine = make_m3r(num_nodes=4, workers_per_place=4)
-            try:
-                poison_corpus(engine.filesystem, seed)
-                conf = failing_job(PoisonedMapper)
-                conf.set_boolean(REAL_THREADS_KEY, threaded)
-                result = engine.run_job(conf)
-                assert not result.succeeded
-                assert "ValueError" in result.error
-                results[threaded] = result.error
-                assert not engine.filesystem.exists("/out/_SUCCESS")
-                # Engine survives the failure: a clean job runs fine and the
-                # cache is still consistent (registrations from the failed
-                # map phase must not wedge later lookups).
-                follow_up = engine.run_job(
-                    wordcount_job("/in/part-00000", "/out2", 2)
-                )
-                assert follow_up.succeeded, follow_up.error
-                assert engine.filesystem.exists("/out2/_SUCCESS")
-                for entry in engine.cache.entries():
-                    assert entry.nbytes >= 0 and entry.pairs is not None
-            finally:
-                engine.shutdown()
-        assert results[True] == results[False]
+class TestDeterminismUnderPressure:
+    def test_two_fresh_engines_agree_exactly(self):
+        """The spine's ``cache_pressure`` shape: budget = half the warm
+        working set, default conf.  Which entry is evicted is a function
+        of the plan, so a repetition repeats — ``==``, no approx."""
+        g = matvec.generate_blocked_matrix(ROWS, BLOCK, sparsity=0.05, seed=31)
+        v = matvec.generate_blocked_vector(ROWS, BLOCK, seed=32)
+        budget = warm_working_set(g, v) // 2
+        first = run_under_pressure(g, v, budget)
+        second = run_under_pressure(g, v, budget)
+        assert first["evictions"] > 0 and first["rehydrations"] > 0
+        assert first == second

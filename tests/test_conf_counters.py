@@ -7,6 +7,8 @@ import pytest
 from repro.api.conf import (
     CONF_STRICT_ENV,
     CONF_STRICT_KEY,
+    REAL_THREADS_KEY,
+    SHUFFLE_REAL_THREADS_KEY,
     Configuration,
     JobConf,
     UnknownKnobError,
@@ -16,6 +18,8 @@ from repro.api.conf import (
 from repro.api.counters import Counters, FileSystemCounter, JobCounter, TaskCounter
 from repro.api.mapred import IdentityMapper, IdentityReducer
 from repro.api.partitioner import HashPartitioner
+
+from workloads import make_hadoop, make_m3r, run_stress
 
 
 class TestConfiguration:
@@ -193,6 +197,27 @@ class TestKnobValidation:
         with pytest.raises(KeyError) as excinfo:
             conf.set(self.BAD, 1)
         assert self.BAD in str(excinfo.value)
+
+
+class TestRetiredKeys:
+    """The two real-threads keys are still registered (so setting them
+    neither warns nor raises) but nothing reads them: tasks and shuffle
+    messages always run inline."""
+
+    @staticmethod
+    def observed(factory, conf_bools=None):
+        run = run_stress(factory, seed=6, parts=8, conf_bools=conf_bools)
+        return (run["output"], run["cached"], run["counters"],
+                run["metrics"].as_dict(), run["seconds"])
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "key", [REAL_THREADS_KEY, SHUFFLE_REAL_THREADS_KEY], ids=["engine", "shuffle"]
+    )
+    def test_setting_a_retired_key_changes_nothing(self, key, value, recwarn):
+        for factory in (make_m3r, make_hadoop):
+            assert self.observed(factory, {key: value}) == self.observed(factory)
+        assert not [w for w in recwarn.list if issubclass(w.category, UnknownKnobWarning)]
 
 
 class TestJobConf:

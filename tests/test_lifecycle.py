@@ -15,7 +15,6 @@ import pytest
 
 from repro.api.conf import (
     CACHE_PINNED_PATHS_KEY,
-    REAL_THREADS_KEY,
     TRACE_PATH_KEY,
     TRACE_RING_KEY,
     JobConf,
@@ -344,13 +343,11 @@ class TestCacheSpillEvents:
 
 
 class TestPinLeakOnFailure:
-    @pytest.mark.parametrize("real_threads", [True, False])
-    def test_failed_job_releases_pins(self, real_threads):
+    def test_failed_job_releases_pins(self):
         engine = make_m3r(4)
         try:
             engine.filesystem.write_text("/in.txt", generate_text(50))
             conf = exploding_wordcount()
-            conf.set_boolean(REAL_THREADS_KEY, real_threads)
             conf.set(CACHE_PINNED_PATHS_KEY, "/in.txt")
             result = engine.run_job(conf)
             assert not result.succeeded

@@ -10,10 +10,9 @@ Covers the three mechanisms of the parallel streaming shuffle:
   behaviour, and the end-to-end guarantee that iteration 2+ of a
   partition-stable matvec never re-measures the cached matrix blocks;
 * **sorted-run streaming merge** — ``ShuffleInput.merged`` equals a stable
-  sort of the concatenation, and flipping ``m3r.shuffle.sorted-runs``
-  changes no committed byte and no shuffle byte metric;
-* **transport** — each remote message is cloned on its own memo (serial and
-  threaded), and the mutation sanitizer still sees every shipped value.
+  sort of the concatenation;
+* **transport** — each remote message is cloned on its own memo, and the
+  mutation sanitizer still sees every shipped value.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.analysis.sanitizers import (
     ImmutableViolation,
     sanitizer_overrides,
 )
-from repro.api.conf import SANITIZE_MUTATION_KEY, SHUFFLE_SORTED_RUNS_KEY
+from repro.api.conf import SANITIZE_MUTATION_KEY
 from repro.api.extensions import ImmutableOutput
 from repro.api.mapred import Mapper, OutputCollector, Reporter
 from repro.api.writables import IntWritable, MatrixBlockWritable, Text, VectorBlockWritable
@@ -279,7 +278,7 @@ class TestShuffleInput:
             [(0, "b0"), (1, "b1"), (3, "b2")],
             [(1, "c0"), (2, "c1")],
         ]
-        inp = ShuffleInput(sorted_runs=True)
+        inp = ShuffleInput()
         for run in runs:
             inp.add_run(sorted(run, key=self.key), nbytes=10)
         flat = [pair for run in runs for pair in run]
@@ -288,18 +287,11 @@ class TestShuffleInput:
         assert inp.bytes == 30
 
     def test_empty_runs_are_skipped(self):
-        inp = ShuffleInput(sorted_runs=True)
+        inp = ShuffleInput()
         inp.add_run([], 0)
         inp.add_run([(1, "x")], 5)
         assert len(inp.runs) == 1
         assert inp.merged(self.key) == [(1, "x")]
-
-    def test_unsorted_input_refuses_merge(self):
-        inp = ShuffleInput(sorted_runs=False)
-        inp.add_run([(2, "y"), (1, "x")], 7)
-        with pytest.raises(ValueError):
-            inp.merged(self.key)
-        assert inp.concatenated() == [(2, "y"), (1, "x")]
 
 
 # --------------------------------------------------------------------- #
@@ -326,46 +318,8 @@ class TestSkewMetrics:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: sorted runs on/off, local handoff counter, memoization
+# end-to-end: memoization
 # --------------------------------------------------------------------- #
-
-
-class TestSortedRunsKnob:
-    def run_once(self, sorted_runs: bool):
-        engine = make_m3r(num_nodes=4, workers_per_place=4)
-        try:
-            for part in range(8):
-                engine.filesystem.write_text(
-                    f"/in/part-{part:05d}", generate_text(6, seed=400 + part)
-                )
-            conf = wordcount_job("/in", "/out", num_reducers=4)
-            conf.set_boolean(SHUFFLE_SORTED_RUNS_KEY, sorted_runs)
-            result = engine.run_job(conf)
-            assert result.succeeded, result.error
-            output = {}
-            for status in engine.filesystem.list_status("/out"):
-                output[status.path] = [
-                    (repr(k), repr(v))
-                    for k, v in engine.filesystem.read_kv_pairs(status.path)
-                ] if not status.path.endswith("_SUCCESS") else []
-            return result, output
-        finally:
-            engine.shutdown()
-
-    def test_knob_changes_no_byte(self):
-        """Streamed merge vs re-sort: identical committed files (order
-        included), counters and shuffle byte metrics — only the charged
-        time categories move (sort → merge)."""
-        merged_result, merged_out = self.run_once(True)
-        sorted_result, sorted_out = self.run_once(False)
-        assert merged_out == sorted_out
-        assert merged_result.counters.as_dict() == sorted_result.counters.as_dict()
-        for name in ("shuffle_remote_bytes", "shuffle_remote_records",
-                     "shuffle_local_bytes", "dedup_saved_bytes"):
-            assert merged_result.metrics.get(name) == sorted_result.metrics.get(name)
-        assert merged_result.metrics.time.get("merge") > 0
-        assert sorted_result.metrics.time.get("merge") == 0
-        assert sorted_result.metrics.time.get("sort") > 0
 
 
 class TestMatvecMemoization:
@@ -452,14 +406,12 @@ class EmitThenMutateMapper(Mapper, ImmutableOutput):
 
 
 class TestTransport:
-    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "real-threads"])
-    def test_two_messages_deliver_two_independent_clones(self, m3r4, parallel):
+    def test_two_messages_deliver_two_independent_clones(self, m3r4):
         executor = ShuffleExecutor(
-            runtime=m3r4.runtime,
+            serializer=m3r4.runtime.serializer,
             cost_model=m3r4.cost_model,
             num_places=m3r4.num_places,
             partition_place=m3r4.partition_place,
-            workers_per_place=m3r4.workers_per_place,
             enable_dedup=True,
         )
         shared = Text("broadcast")
@@ -468,7 +420,7 @@ class TestTransport:
             for index in range(3):
                 buffer.append(IntWritable(index), shared, 16)
         plan = executor.plan(len(buffers), [buffers], [0])
-        results = executor.execute(plan, sort_key=None, parallel=parallel)
+        results = executor.execute(plan, sort_key=lambda pair: pair[0].get())
         arrived = [
             [value for run in result.transported for _, value in run]
             for item, result in zip(plan.items, results)

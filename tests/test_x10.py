@@ -1,4 +1,4 @@
-"""The mini X10 runtime: places, finish/async, teams, dedup serialization."""
+"""The mini X10 runtime: places and the de-duplicating serializer."""
 
 from __future__ import annotations
 
@@ -38,13 +38,10 @@ from repro.x10 import (
     DedupSerializer,
     Place,
     PlaceLocalHandle,
-    Team,
-    X10Runtime,
     deep_copy_value,
     estimate_size,
 )
 from repro.x10 import serializer as serializer_module
-from repro.x10.runtime import ActivityError
 from repro.x10.serializer import (
     _TRANSPORT,
     BACKREF_BYTES,
@@ -90,112 +87,18 @@ class TestPlaces:
 
 
 class TestRuntime:
-    def test_finish_waits_for_asyncs(self):
-        with X10Runtime(4, workers_per_place=2) as runtime:
-            results = []
-            lock = threading.Lock()
-
-            def work(i):
-                with lock:
-                    results.append(i)
-                return i * i
-
-            activities = runtime.finish(
-                lambda scope: [
-                    scope.async_at(runtime.place(i % 4), work, i) for i in range(16)
-                ]
-            )
-            assert sorted(results) == list(range(16))
-            assert [a.result() for a in activities] == [i * i for i in range(16)]
-
-    def test_finish_propagates_failures(self):
-        with X10Runtime(2) as runtime:
-            def explode():
-                raise ValueError("place died")
-
-            with pytest.raises(ActivityError) as excinfo:
-                runtime.finish(lambda scope: scope.async_at(runtime.place(1), explode))
-            assert isinstance(excinfo.value.first, ValueError)
-
-    def test_at_runs_synchronously(self):
-        with X10Runtime(2) as runtime:
-            assert runtime.at(runtime.place(1), lambda x: x + 1, 41) == 42
-
-    def test_shutdown_rejects_new_work(self):
-        runtime = X10Runtime(2)
-        runtime.shutdown()
-        with pytest.raises(RuntimeError):
-            runtime.finish(lambda scope: None)
-
     @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
     def test_engine_shutdown_twice_leaves_no_worker_thread(self, make_engine):
-        def workers():
-            return {t for t in threading.enumerate() if t.name.startswith("x10-worker")}
-
-        before = workers()
+        """Engines start no thread: after a job and shutdown the live
+        threads are exactly those alive before the engine was built."""
+        before = set(threading.enumerate())
         engine = make_engine()
         write_corpus(engine.filesystem, "/in", 2, parts=2)
         result = engine.run_job(stress_job("/in", "/out", reducers=2))
         assert result.succeeded, result.error
         engine.shutdown()
         engine.shutdown()  # the second call is a no-op
-        assert workers() <= before
-
-
-class TestTeam:
-    def test_barrier_synchronizes(self):
-        team = Team(4)
-        phase_log = []
-        lock = threading.Lock()
-
-        def member(i):
-            with lock:
-                phase_log.append(("before", i))
-            team.barrier(i)
-            with lock:
-                phase_log.append(("after", i))
-
-        threads = [threading.Thread(target=member, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        befores = [idx for idx, (phase, _) in enumerate(phase_log) if phase == "before"]
-        afters = [idx for idx, (phase, _) in enumerate(phase_log) if phase == "after"]
-        assert max(befores) < min(afters)
-        assert team.barriers_crossed == 1
-
-    def test_allreduce_sum(self):
-        team = Team(3)
-        outputs = {}
-
-        def member(i):
-            outputs[i] = team.allreduce(i, i + 1, lambda a, b: a + b)
-
-        threads = [threading.Thread(target=member, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert set(outputs.values()) == {6}
-
-    def test_allreduce_ordered_fold(self):
-        team = Team(3)
-        outputs = {}
-
-        def member(i):
-            outputs[i] = team.allreduce(i, str(i), lambda a, b: a + b)
-
-        threads = [threading.Thread(target=member, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert set(outputs.values()) == {"012"}  # member order, deterministic
-
-    def test_member_out_of_range(self):
-        with pytest.raises(ValueError):
-            Team(2).barrier(5)
+        assert set(threading.enumerate()) == before
 
 
 class TestEstimateSize:

@@ -15,7 +15,7 @@ from collections import Counter as PyCounter
 from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
-from repro.api.conf import REAL_THREADS_KEY, RESTORE_ENABLED_KEY, JobConf
+from repro.api.conf import RESTORE_ENABLED_KEY, JobConf
 from repro.api.formats import (
     SequenceFileInputFormat,
     SequenceFileOutputFormat,
@@ -286,14 +286,13 @@ def snapshot_output(engine, out_dir: str) -> Dict[str, str]:
     return per_file
 
 
-def run_stress(factory, seed: int, threaded: bool, parts: int = NUM_SPLITS,
+def run_stress(factory, seed: int, parts: int = NUM_SPLITS,
                engine_kwargs=None, conf_bools=None):
     """One engine, one seeded corpus, one run; returns the full snapshot."""
     engine = factory(**(engine_kwargs or {}))
     try:
         corpus = write_corpus(engine.filesystem, "/in", seed, parts=parts)
         conf = stress_job("/in", "/out")
-        conf.set_boolean(REAL_THREADS_KEY, threaded)
         for key, value in (conf_bools or {}).items():
             conf.set_boolean(key, value)
         result = engine.run_job(conf)
