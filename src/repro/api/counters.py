@@ -3,10 +3,26 @@
 The paper lists counters among the HMR features M3R supports ("in addition
 to correctly propagating user counters, M3R keeps many Hadoop system counters
 properly updated").  Counters are grouped; user code addresses them either by
-``(group, name)`` strings or by enum constant.  Engines keep one
-:class:`Counters` per task and aggregate at job completion (M3R does the
-aggregation with a team all-reduce, Hadoop with jobtracker heartbeats — the
-result is the same object shape).
+``(group, name)`` strings or by enum constant.
+
+Both engines keep one job-wide :class:`Counters` that every task of the job
+shares.  What reaches it, and when:
+
+* **user counters** (``Reporter.incr_counter``) land immediately, one
+  ``increment`` per call;
+* **per-record system counters** — MAP_INPUT_RECORDS, MAP_OUTPUT_RECORDS /
+  _BYTES, COMBINE_OUTPUT_RECORDS, REDUCE_OUTPUT_RECORDS — are tallied in
+  plain ints by the task's reader and sinks (:mod:`repro.engine_common`)
+  and published as one delta per task by their ``flush_counters()``, when
+  the user code has returned.  A task that raises publishes nothing, an
+  empty task creates no counter, and ``Reporter.get_counter`` on one of
+  these reads the value as of the last finished task;
+* everything else (launched tasks, shuffle bytes, reduce input groups, …)
+  is one ``increment`` per task or per shuffle message by the stage that
+  knows the number.
+
+So the number of ``increment`` calls in a job is a function of its tasks
+and partitions, not of its records (``tests/test_hot_path.py``).
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ The immutability rules of paper Section 4.1 are encoded here:
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -56,6 +59,10 @@ from repro.api.mapreduce import (
 from repro.api.multiple_io import DelegatingMapper, TaggedInputSplit
 from repro.api.partitioner import HashPartitioner, Partitioner
 from repro.api.splits import InputSplit
+from repro.api.writables import RAW_SORT_KEYS
+
+Pair = Tuple[Any, Any]
+PairKey = Callable[[Pair], Any]
 
 
 def _compare_fn(comparator_class: Optional[type]) -> Optional[Callable[[Any, Any], int]]:
@@ -75,6 +82,48 @@ def _natural_compare(a: Any, b: Any) -> int:
     if callable(compare_to):
         return compare_to(b)
     return (a > b) - (a < b)
+
+
+#: ``JobSpec.sort_key()`` of every job without a sort comparator — one shared
+#: object, so :func:`sort_run` / :func:`merge_runs` recognise the natural
+#: order by identity.
+NATURAL_SORT_KEY: PairKey = functools.cmp_to_key(
+    lambda a, b: _natural_compare(a[0], b[0])  # type: ignore[misc]
+)
+
+_key_of = operator.itemgetter(0)
+_value_of = operator.itemgetter(1)
+
+
+def _raw_pair_key(pairs: Iterable[Pair]) -> Optional[PairKey]:
+    """The natural order of ``pairs`` as a key of built-in values, if it has
+    one: every key is of one exact class with an entry in
+    :data:`~repro.api.writables.RAW_SORT_KEYS`.  Such keys compare in C,
+    and since they order and equate exactly as ``compare_to`` does, a
+    stable sort, a stable merge and a grouping over them return what the
+    comparator returns, object for object.  Anything else — a subclass, an
+    unregistered or plain-Python key, a run mixing classes — gets None."""
+    classes = set(map(type, map(_key_of, pairs)))
+    raw = RAW_SORT_KEYS.get(classes.pop()) if len(classes) == 1 else None
+    if raw is None:
+        return None
+    return lambda pair: raw(pair[0])
+
+
+def sort_run(pairs: List[Pair], key: PairKey) -> List[Pair]:
+    """``sorted(pairs, key=key)``, on raw keys when ``key`` is the natural
+    order and the run has them."""
+    if key is NATURAL_SORT_KEY:
+        key = _raw_pair_key(pairs) or key
+    return sorted(pairs, key=key)
+
+
+def merge_runs(runs: List[List[Pair]], key: PairKey) -> List[Pair]:
+    """Stable k-way merge of runs sorted by ``key`` (ties keep run order),
+    on raw keys under the same condition as :func:`sort_run`."""
+    if key is NATURAL_SORT_KEY:
+        key = _raw_pair_key(itertools.chain.from_iterable(runs)) or key
+    return list(heapq.merge(*runs, key=key))
 
 
 @dataclass
@@ -147,9 +196,12 @@ class JobSpec:
         """Zero reducers: map output goes straight to the output format."""
         return self.num_reducers == 0
 
-    def sort_key(self) -> Callable[[Tuple[Any, Any]], Any]:
-        """A ``sorted`` key function over (key, value) pairs."""
+    def sort_key(self) -> PairKey:
+        """A ``sorted`` key function over (key, value) pairs; engines apply
+        it through :func:`sort_run` / :func:`merge_runs`."""
         cmp = self.sort_cmp
+        if cmp is _natural_compare:
+            return NATURAL_SORT_KEY
         return functools.cmp_to_key(lambda a, b: cmp(a[0], b[0]))  # type: ignore[misc]
 
     def resolve_mapper_class(self, split: InputSplit) -> type:
@@ -372,7 +424,14 @@ class JobSpec:
     def group_sorted_pairs(
         self, pairs: List[Tuple[Any, Any]]
     ) -> Iterator[Tuple[Any, List[Any]]]:
-        """Group an already-sorted run of pairs with the grouping comparator."""
+        """Group an already-sorted run of pairs with the grouping comparator
+        (on raw keys when that is the natural order and the run has them)."""
+        raw = _raw_pair_key(pairs) if self.group_cmp is _natural_compare else None
+        if raw is not None:
+            for _, group in itertools.groupby(pairs, key=raw):
+                members = list(group)
+                yield members[0][0], list(map(_value_of, members))
+            return
         group_key: Any = None
         group_values: List[Any] = []
         for key, value in pairs:

@@ -22,7 +22,8 @@ compressed-sparse-column matrix block, and a dense vector block.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple, Type
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 from scipy import sparse
@@ -792,3 +793,26 @@ register_transport(Text, _transport_text)
 register_transport(BytesWritable, _transport_bytes)
 register_transport(BlockIndexWritable, _transport_block_index)
 register_transport(NullWritable, lambda obj: obj)  # a singleton stays one
+
+
+# --------------------------------------------------------------------- #
+# raw sort keys (api.job): the naturally ordered keys' built-in forms
+# --------------------------------------------------------------------- #
+#: Exact key class → extractor of a built-in value that orders and equates
+#: exactly as ``compare_to`` does, so a run of such keys is sorted, merged
+#: and grouped by C comparisons — the analogue of the raw comparators Hadoop
+#: registers with ``WritableComparator.define``.  Read-only after import and
+#: keyed by exact type: a subclass may override ``compare_to``.  Left to the
+#: comparator on purpose: ``FloatWritable`` / ``DoubleWritable`` (a NaN
+#: compares 0 with everything but equals nothing) and ``PairWritable``
+#: (parts of any class; no app keys on it).
+RAW_SORT_KEYS: Dict[type, Callable[[Any], Any]] = {
+    IntWritable: attrgetter("value"),
+    LongWritable: attrgetter("value"),
+    VIntWritable: attrgetter("value"),
+    BooleanWritable: attrgetter("value"),
+    Text: attrgetter("_value"),
+    BytesWritable: attrgetter("_data"),
+    BlockIndexWritable: attrgetter("row", "col"),
+    NullWritable: lambda key: 0,  # every instance is the singleton
+}

@@ -12,6 +12,11 @@ around it*.  This module holds the parts that are engine-agnostic:
 * :class:`CollectorSink` — the engine-side OutputCollector that partitions
   map output, applies the engine's per-record policy (serialize-now for
   Hadoop, clone-or-alias for M3R) and tallies bytes per partition;
+* the per-task counter deltas: readers and sinks tally the per-record
+  system counters in plain ints and publish them to the job's
+  :class:`~repro.api.counters.Counters` once, in ``flush_counters()``,
+  when the task's user code has returned (a task that raises publishes
+  nothing, as Hadoop discards a failed attempt's counters);
 * byte accounting helpers over the de-duplicating size estimator.
 """
 
@@ -35,7 +40,7 @@ from repro.api.conf import (
 )
 from repro.api.counters import Counters, TaskCounter
 from repro.api.formats import RecordReader
-from repro.api.job import JobSpec
+from repro.api.job import JobSpec, sort_run
 from repro.api.mapred import OutputCollector, Reporter
 from repro.api.partitioner import Partitioner
 from repro.api.vectorized import is_associative_reducer
@@ -117,19 +122,28 @@ def pairs_bytes(pairs: List[Tuple[Any, Any]]) -> int:
 
 class CountingReader(RecordReader):
     """Wraps a reader so MAP_INPUT_RECORDS is counted by the engine, not by
-    whichever MapRunnable happens to drive the task."""
+    whichever MapRunnable happens to drive the task: every record handed
+    out is tallied in ``records`` and published by ``flush_counters()``."""
 
     def __init__(self, inner: RecordReader, counters: Counters):
         self._inner = inner
         self._counters = counters
+        self._flushed = False
         self.records = 0
 
     def next_pair(self) -> Optional[Tuple[Any, Any]]:
         pair = self._inner.next_pair()
         if pair is not None:
             self.records += 1
-            self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, 1)
         return pair
+
+    def flush_counters(self) -> None:
+        """Publish the task's MAP_INPUT_RECORDS (idempotent; an empty task
+        creates no counter)."""
+        if self._flushed or self.records == 0:
+            return
+        self._flushed = True
+        self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, self.records)
 
     def get_progress(self) -> float:
         return self._inner.get_progress()
@@ -175,22 +189,18 @@ class MaterializedReader(RecordReader):
         return self._index / len(self._pairs)
 
 
-class BatchingReader(RecordReader):
-    """Batched replacement for :class:`CountingReader`.
+class BatchingReader(CountingReader):
+    """A :class:`CountingReader` that also hands out batches.
 
     ``next_batch`` pulls up to ``batch_size`` records (via the inner
-    reader's native ``take_batch`` when it has one) and bumps
-    MAP_INPUT_RECORDS once per batch — identical totals, one counter
-    round-trip per batch instead of per record.  ``next_pair`` stays
+    reader's native ``take_batch`` when it has one).  ``next_pair`` stays
     available for drivers that fall back to the per-record loop.
     """
 
     def __init__(self, inner: RecordReader, counters: Counters, batch_size: int):
-        self._inner = inner
-        self._counters = counters
+        super().__init__(inner, counters)
         self._batch_size = batch_size
         self._take = getattr(inner, "take_batch", None)
-        self.records = 0
         self.batches = 0
 
     def next_batch(self) -> Optional[List[Tuple[Any, Any]]]:
@@ -209,21 +219,7 @@ class BatchingReader(RecordReader):
             return None
         self.records += len(batch)
         self.batches += 1
-        self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, len(batch))
         return batch
-
-    def next_pair(self) -> Optional[Tuple[Any, Any]]:
-        pair = self._inner.next_pair()
-        if pair is not None:
-            self.records += 1
-            self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, 1)
-        return pair
-
-    def get_progress(self) -> float:
-        return self._inner.get_progress()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 @dataclass
@@ -246,7 +242,8 @@ class CollectorSink(OutputCollector):
     Hadoop's immediate serialization; ``"clone"`` → M3R defensive copy;
     ``"alias"`` → M3R with ImmutableOutput: keep the reference).  The sink
     counts records and exact wire bytes either way, because the engines
-    charge time from those tallies.
+    charge time from those tallies; ``flush_counters()`` publishes the
+    same tallies as the task's output counters.
     """
 
     def __init__(
@@ -256,7 +253,6 @@ class CollectorSink(OutputCollector):
         counters: Counters,
         record_policy: str = "serialize",
         output_counter: TaskCounter = TaskCounter.MAP_OUTPUT_RECORDS,
-        deferred_counters: bool = False,
     ):
         if record_policy not in ("serialize", "clone", "alias"):
             raise ValueError(f"unknown record policy {record_policy!r}")
@@ -278,11 +274,6 @@ class CollectorSink(OutputCollector):
             partitioner.get_partition if partitioner is not None else None
         )
         self._map_bytes = output_counter is TaskCounter.MAP_OUTPUT_RECORDS
-        # With deferred_counters the per-emission increments are published
-        # in one flush_counters() call at end of task: identical totals and
-        # identical counter *presence* (nothing is created for an empty
-        # task), minus two lock round-trips per record.
-        self._deferred = deferred_counters
         self._flushed = False
         self.records = 0
         self.bytes = 0
@@ -315,15 +306,11 @@ class CollectorSink(OutputCollector):
         self.partitions[partition].append(key, value, nbytes)
         self.records += 1
         self.bytes += nbytes
-        if self._deferred:
-            return
-        self._counters.increment(self._output_counter, 1)
-        if self._map_bytes:
-            self._counters.increment(TaskCounter.MAP_OUTPUT_BYTES, nbytes)
 
     def flush_counters(self) -> None:
-        """Publish deferred per-emission counters (idempotent)."""
-        if not self._deferred or self._flushed or self.records == 0:
+        """Publish the task's output counters (idempotent; an empty task
+        creates no counter)."""
+        if self._flushed or self.records == 0:
             return
         self._flushed = True
         self._counters.increment(self._output_counter, self.records)
@@ -341,7 +328,6 @@ class WriterCollector(OutputCollector):
         counters: Counters,
         record_policy: str = "serialize",
         on_write: Optional[Callable[[Any, Any, int], None]] = None,
-        deferred_counters: bool = False,
     ):
         self._writer = writer
         self._write = writer.write
@@ -349,7 +335,6 @@ class WriterCollector(OutputCollector):
         self._policy = record_policy
         self._copies = record_policy in ("serialize", "clone")
         self._on_write = on_write
-        self._deferred = deferred_counters
         self._flushed = False
         self.records = 0
         self.bytes = 0
@@ -368,15 +353,14 @@ class WriterCollector(OutputCollector):
             MUTATION_SANITIZER.observe(value, site="WriterCollector.collect")
         self.records += 1
         self.bytes += nbytes
-        if not self._deferred:
-            self._counters.increment(TaskCounter.REDUCE_OUTPUT_RECORDS, 1)
         if self._on_write is not None:
             self._on_write(key, value, nbytes)
         self._write(key, value)
 
     def flush_counters(self) -> None:
-        """Publish the deferred output-record counter (idempotent)."""
-        if not self._deferred or self._flushed or self.records == 0:
+        """Publish the task's output-record counter (idempotent; an empty
+        task creates no counter)."""
+        if self._flushed or self.records == 0:
             return
         self._flushed = True
         self._counters.increment(TaskCounter.REDUCE_OUTPUT_RECORDS, self.records)
@@ -394,7 +378,7 @@ def run_combiner_if_any(
     (or the input unchanged when no combiner is configured)."""
     if spec.combiner_class is None or not buffer.pairs:
         return buffer
-    ordered = sorted(buffer.pairs, key=spec.sort_key())
+    ordered = sort_run(buffer.pairs, spec.sort_key())
     groups = spec.group_sorted_pairs(ordered)
     combined = CollectorSink(
         num_partitions=1,
@@ -405,6 +389,7 @@ def run_combiner_if_any(
     )
     counters.increment(TaskCounter.COMBINE_INPUT_RECORDS, len(ordered))
     spec.run_combine(groups, combined, reporter)
+    combined.flush_counters()
     return combined.partitions[0]
 
 
@@ -611,7 +596,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
 
     def finish(self) -> List[PartitionBuffer]:
         """Close out the task: merge spills, sort the combined pairs, apply
-        the record policy, publish the deferred counters, and hand back
+        the record policy, publish the task's counters, and hand back
         per-partition buffers shaped exactly like the per-record path's."""
         if self._finished:
             raise RuntimeError("InMapperCombineSink.finish called twice")
@@ -647,7 +632,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
             # Spilled/degraded pairs precede the live aggregate in arrival
             # order for every key, so the stable sort reconstructs exactly
             # the per-record path's per-key value order before re-folding.
-            ordered = sorted(partials + live, key=self._spec.sort_key())
+            ordered = sort_run(partials + live, self._spec.sort_key())
             pairs = []
             fold = self._fold
             for key, values in self._spec.group_sorted_pairs(ordered):
@@ -661,7 +646,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         else:
             pairs = [
                 (key, fold_one(key, value))
-                for key, value in sorted(live, key=self._spec.sort_key())
+                for key, value in sort_run(live, self._spec.sort_key())
             ]
         observe = MUTATION_SANITIZER.enabled and not self._copies
         for key, value in pairs:

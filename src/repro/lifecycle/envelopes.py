@@ -118,7 +118,6 @@ def run_map_kernel(
             partitioner=None,
             counters=counters,
             record_policy=policy,
-            deferred_counters=use_batched,
         )
     elif use_imc:
         collector = InMapperCombineSink(
@@ -135,19 +134,13 @@ def run_map_kernel(
             partitioner=spec.partitioner,
             counters=counters,
             record_policy=policy,
-            deferred_counters=use_batched,
         )
 
-    if use_batched:
-        spec.run_map_task_batched(
-            split, reader, collector, reporter, task_conf, fresh_runner=True
-        )
-        if not use_imc:
-            collector.flush_counters()
-    else:
-        spec.run_map_task(
-            split, reader, collector, reporter, task_conf, fresh_runner=True
-        )
+    drive = spec.run_map_task_batched if use_batched else spec.run_map_task
+    drive(split, reader, collector, reporter, task_conf, fresh_runner=True)
+    reader.flush_counters()
+    if not use_imc:  # the in-mapper aggregate publishes from finish()
+        collector.flush_counters()
 
     outcome = MapKernelOutcome(
         reader_records=reader.records,
@@ -207,7 +200,6 @@ def run_reduce_kernel(
     task_conf: JobConf,
     *,
     policy: str,
-    deferred: bool,
 ) -> ReduceKernelOutcome:
     """The pure middle of a reduce task: merge, group, drive the reducer
     into a single-partition sink."""
@@ -222,11 +214,9 @@ def run_reduce_kernel(
         counters=counters,
         record_policy=policy,
         output_counter=TaskCounter.REDUCE_OUTPUT_RECORDS,
-        deferred_counters=deferred,
     )
     spec.run_reduce_task(groups, sink, reporter, task_conf)
-    if deferred:
-        sink.flush_counters()
+    sink.flush_counters()
 
     return ReduceKernelOutcome(
         groups=len(groups),

@@ -27,7 +27,6 @@ filesystem reads and record writers by design.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from repro.api.conf import NUM_MAPS_HINT_KEY, JobConf
 from repro.api.counters import JobCounter, TaskCounter
 from repro.api.extensions import is_immutable_output
 from repro.api.formats import FileOutputFormat
+from repro.api.job import merge_runs, sort_run
 from repro.api.mapred import Reporter
 from repro.api.multiple_io import TASK_FS_KEY, TASK_PARTITION_KEY
 from repro.api.splits import InputSplit
@@ -268,19 +268,16 @@ def run_hadoop_map_task(
             metrics.incr("batch_records", reader.records)
         else:
             spec.run_map_task(split, reader, sink, reporter, task_conf)
+        reader.flush_counters()
 
     collector: Any = None
     if spec.is_map_only:
         writer = spec.output_format.get_record_writer(
             task_fs, task_conf, FileOutputFormat.part_name(task_index), reporter
         )
-        sink = WriterCollector(
-            writer, counters, record_policy="serialize",
-            deferred_counters=use_batched,
-        )
+        sink = WriterCollector(writer, counters, record_policy="serialize")
         run_user_code(sink)
-        if use_batched:
-            sink.flush_counters()
+        sink.flush_counters()
         writer.close()
         buffers: List[PartitionBuffer] = []
         out_bytes, out_records = sink.bytes, sink.records
@@ -302,11 +299,9 @@ def run_hadoop_map_task(
             partitioner=spec.partitioner,
             counters=counters,
             record_policy="serialize",
-            deferred_counters=use_batched,
         )
         run_user_code(collector)
-        if use_batched:
-            collector.flush_counters()
+        collector.flush_counters()
         buffers = collector.partitions
         out_bytes, out_records = collector.bytes, collector.records
 
@@ -456,12 +451,7 @@ def run_hadoop_reduce_task(tctx: TaskContext, partition: int) -> float:
     # runs, in map-index order) matches M3R's shuffle record for record.
     # The charge is the external merge above.
     sort_key = spec.sort_key()
-    pairs = list(
-        heapq.merge(
-            *[sorted(run, key=sort_key) for run in run_lists],
-            key=sort_key,
-        )
-    )
+    pairs = merge_runs([sort_run(run, sort_key) for run in run_lists], sort_key)
     groups = list(spec.group_sorted_pairs(pairs))
     counters.increment(TaskCounter.REDUCE_INPUT_GROUPS, len(groups))
     counters.increment(TaskCounter.REDUCE_INPUT_RECORDS, len(pairs))
@@ -476,13 +466,9 @@ def run_hadoop_reduce_task(tctx: TaskContext, partition: int) -> float:
     writer = spec.output_format.get_record_writer(
         task_fs, task_conf, FileOutputFormat.part_name(partition), reporter
     )
-    deferred = batch_size_for(conf) > 0
-    sink = WriterCollector(
-        writer, counters, record_policy="serialize", deferred_counters=deferred
-    )
+    sink = WriterCollector(writer, counters, record_policy="serialize")
     spec.run_reduce_task(groups, sink, reporter, task_conf)
-    if deferred:
-        sink.flush_counters()
+    sink.flush_counters()
     writer.close()
 
     compute = reporter.consume_compute_seconds()

@@ -546,10 +546,8 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
     duration += merge_t
 
     policy = "alias" if spec.reduce_output_immutable() else "clone"
-    deferred = batch_size_for(conf) > 0
     outcome = run_reduce_kernel(
-        spec, shuffle_input, counters, reporter, task_conf,
-        policy=policy, deferred=deferred,
+        spec, shuffle_input, counters, reporter, task_conf, policy=policy
     )
 
     compute = outcome.compute_user

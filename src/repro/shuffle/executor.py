@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.api.counters import Counters, TaskCounter
+from repro.api.job import sort_run
 from repro.shuffle.merge import ShuffleInput
 from repro.shuffle.plan import (
     LocalHandoff,
@@ -102,7 +103,7 @@ class ShuffleExecutor:
         ]
 
     def _prepare_local(self, item: LocalHandoff, sort_key: SortKey) -> LocalResult:
-        run = sorted(item.pairs, key=sort_key)
+        run = sort_run(item.pairs, sort_key)
         return LocalResult(
             sort_seconds=self.cost_model.sort_time(len(run), item.nbytes),
             run=run,
@@ -112,7 +113,7 @@ class ShuffleExecutor:
         self, item: RemoteMessage, sort_key: SortKey
     ) -> RemoteResult:
         model = self.cost_model
-        runs = [sorted(run, key=sort_key) for run in item.runs]
+        runs = [sort_run(run, sort_key) for run in item.runs]
         sort_seconds = [
             model.sort_time(len(run), nbytes)
             for run, nbytes in zip(runs, item.run_bytes)

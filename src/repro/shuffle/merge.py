@@ -10,8 +10,9 @@ stable: ties keep run order, and runs are added in map-index order.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, List, Tuple
+
+from repro.api.job import merge_runs
 
 Pair = Tuple[Any, Any]
 
@@ -41,7 +42,7 @@ class ShuffleInput:
             return []
         if len(self.runs) == 1:
             return list(self.runs[0])
-        return list(heapq.merge(*self.runs, key=key))
+        return merge_runs(self.runs, key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

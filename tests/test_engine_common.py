@@ -13,6 +13,7 @@ from repro.api.partitioner import HashPartitioner, Partitioner
 from repro.api.writables import IntWritable, Text
 from repro.apps.wordcount import SumReducer
 from repro.engine_common import (
+    BatchingReader,
     CollectorSink,
     CountingReader,
     EngineResult,
@@ -47,7 +48,41 @@ class TestReaders:
         consumed = list(iter(reader.next_pair, None))
         assert len(consumed) == 6
         assert reader.records == 6
+        # Tally, then flush: nothing reaches the job's counters per record.
+        assert counters.as_dict() == {}
+        reader.flush_counters()
         assert counters.value(TaskCounter.MAP_INPUT_RECORDS) == 6
+
+    def test_flush_is_idempotent_and_silent_for_an_empty_task(self):
+        counters = Counters()
+        writer = TestWriterCollector._Writer()
+        idle = [
+            CountingReader(MaterializedReader([]), counters),
+            BatchingReader(MaterializedReader([]), counters, batch_size=4),
+            CollectorSink(2, HashPartitioner(), counters),
+            WriterCollector(writer, counters),
+        ]
+        assert idle[0].next_pair() is None and idle[1].next_batch() is None
+        for tally in idle:
+            tally.flush_counters()
+        assert counters.as_dict() == {}  # no counter is created, not even at 0
+
+        reader = BatchingReader(MaterializedReader(PAIRS), counters, batch_size=4)
+        assert [len(batch) for batch in iter(reader.next_batch, None)] == [4, 2]
+        sink = CollectorSink(1, None, counters)
+        out = WriterCollector(writer, counters)
+        for key, value in PAIRS:
+            sink.collect(key, value)
+            out.collect(key, value)
+        for _ in range(2):  # the second flush publishes nothing
+            for tally in (reader, sink, out):
+                tally.flush_counters()
+        assert counters.group("org.apache.hadoop.mapreduce.TaskCounter") == {
+            "MAP_INPUT_RECORDS": 6,
+            "MAP_OUTPUT_RECORDS": 6,
+            "MAP_OUTPUT_BYTES": pairs_bytes(PAIRS),
+            "REDUCE_OUTPUT_RECORDS": 6,
+        }
 
     def test_materialized_reader_alias_mode(self):
         reader = MaterializedReader(PAIRS, clone=False)
@@ -97,8 +132,10 @@ class TestCollectorSink:
         counters = Counters()
         sink = CollectorSink(1, None, counters)
         sink.collect(IntWritable(1), Text("x"))
+        assert counters.as_dict() == {}
+        sink.flush_counters()
         assert counters.value(TaskCounter.MAP_OUTPUT_RECORDS) == 1
-        assert counters.value(TaskCounter.MAP_OUTPUT_BYTES) > 0
+        assert counters.value(TaskCounter.MAP_OUTPUT_BYTES) == sink.bytes > 0
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +169,8 @@ class TestWriterCollector:
         sink.collect(IntWritable(1), reused)
         reused.set("changed")
         assert writer.pairs[0][1].to_string() == "v"
+        assert counters.as_dict() == {}
+        sink.flush_counters()
         assert counters.value(TaskCounter.REDUCE_OUTPUT_RECORDS) == 1
 
     def test_on_write_hook(self):

@@ -1,0 +1,86 @@
+"""Hot-path call budget: nothing per record goes through ``Counters`` or the
+comparator.
+
+The engines tally the per-record system counters in the task's reader and
+sinks and publish one delta per task (``api/counters.py``), and they sort,
+merge and group naturally ordered keys on their raw built-in form
+(``api/job.py``).  Both are easy to undo by accident — one ``increment`` in
+a ``collect`` body, one ``key=spec.sort_key()`` passed to ``sorted`` — and
+nothing but a benchmark would notice.  So count the calls: a ``Text``-keyed
+combiner job, run at two input sizes that differ only in lines per part,
+must make the *same* number of ``Counters.increment`` calls (a function of
+tasks and partitions, not of records) and no ``_natural_compare`` call.
+"""
+
+from __future__ import annotations
+
+import zlib
+
+import pytest
+from workloads import make_hadoop, make_m3r
+
+from repro.api import job as job_module
+from repro.api.counters import Counters, TaskCounter
+from repro.api.partitioner import Partitioner
+from repro.apps.wordcount import generate_text, wordcount_job
+
+PARTS, REDUCERS = 4, 3
+
+
+class Crc32Partitioner(Partitioner):
+    """The stock HashPartitioner over ``Text`` is salted per process
+    (ROADMAP 1a); which partitions a task fills must not depend on that."""
+
+    def get_partition(self, key, value, num_partitions):
+        return zlib.crc32(str(key).encode("utf-8")) % num_partitions
+
+
+def corpus(lines_per_part):
+    texts = [generate_text(lines_per_part, seed=40 + part) for part in range(PARTS)]
+    for text in texts:  # every map task fills every partition, at any size
+        filled = {zlib.crc32(word.encode("utf-8")) % REDUCERS for word in text.split()}
+        assert filled == set(range(REDUCERS))
+    return texts
+
+
+def count_calls(monkeypatch, make_engine, lines_per_part):
+    """Run the job under counting shims; returns (increments, compares,
+    map input records)."""
+    calls = {"increment": 0, "compare": 0}
+    increment, compare = Counters.increment, job_module._natural_compare
+
+    def counting_increment(self, *args):
+        calls["increment"] += 1
+        increment(self, *args)
+
+    def counting_compare(a, b):
+        calls["compare"] += 1
+        return compare(a, b)
+
+    engine = make_engine()
+    try:
+        for part, text in enumerate(corpus(lines_per_part)):
+            engine.filesystem.write_text(f"/in/part-{part:05d}", text)
+        conf = wordcount_job("/in", "/out", num_reducers=REDUCERS)
+        conf.set_partitioner_class(Crc32Partitioner)
+        conf.set_num_map_tasks(1)  # one split per file, at any size
+        with monkeypatch.context() as patch:
+            patch.setattr(Counters, "increment", counting_increment)
+            patch.setattr(job_module, "_natural_compare", counting_compare)
+            result = engine.run_job(conf)
+        assert result.succeeded, result.error
+        records = result.counters.value(TaskCounter.MAP_INPUT_RECORDS)
+        return calls["increment"], calls["compare"], records
+    finally:
+        engine.shutdown()
+
+
+@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
+def test_counter_and_comparator_calls_do_not_grow_with_records(
+    make_engine, monkeypatch
+):
+    small = count_calls(monkeypatch, make_engine, lines_per_part=6)
+    large = count_calls(monkeypatch, make_engine, lines_per_part=30)
+    assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
+    assert small[0] == large[0] > 0  # increments: tasks and partitions only
+    assert small[1] == large[1] == 0  # Text keys never reach the comparator

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import heapq
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.api import job as job_module
+from repro.api import writables as writables_module
+from repro.api.conf import JobConf
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer
+from repro.api.job import JobSpec, _natural_compare, merge_runs, sort_run
 from repro.api.writables import (
+    RAW_SORT_KEYS,
     ArrayWritable,
     BlockIndexWritable,
     BooleanWritable,
@@ -25,6 +35,7 @@ from repro.api.writables import (
     VectorBlockWritable,
     VIntWritable,
     Writable,
+    WritableComparable,
     writable_from_bytes,
     writable_to_bytes,
 )
@@ -284,3 +295,219 @@ class TestClone:
 
         clone = Stamped(1, stamp=9).clone()
         assert type(clone) is Stamped and (clone.value, clone.stamp) == (1, 9)
+
+
+# --------------------------------------------------------------------- #
+# raw sort keys: the C-compared form of the natural order (api/job.py)
+# --------------------------------------------------------------------- #
+
+I32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+#: Registered class -> strategy of constructor arguments.  Keys are built
+#: from a small pool of these, so every run has duplicates.
+RAW_KEY_ARGS = {
+    IntWritable: st.tuples(I32),
+    LongWritable: st.tuples(I64),
+    VIntWritable: st.tuples(I64),
+    BooleanWritable: st.tuples(st.booleans()),
+    Text: st.tuples(st.text(TestText.any_plane, max_size=6)),
+    # short alphabet: equal strings, and strings that are prefixes of others
+    BytesWritable: st.tuples(st.binary(max_size=4).map(lambda b: bytes(x & 3 for x in b))),
+    # narrow rows: many ties on row that the column must break
+    BlockIndexWritable: st.tuples(st.integers(-2, 2), I32),
+    NullWritable: st.tuples(),
+}
+
+#: Naturally ordered keys left to ``compare_to``, and why.
+COMPARATOR_ONLY = {
+    # (nan > x) - (nan < x) is 0 for every x, so compare_to calls a NaN equal
+    # to everything, while the raw float equals nothing: grouping and the
+    # heap merge's tie-break would differ.
+    FloatWritable: "NaN",
+    DoubleWritable: "NaN",
+    # parts of any class, compared part by part; no app keys on it
+    PairWritable: "composite",
+}
+
+
+@st.composite
+def keyed_pairs(draw, cls):
+    """(key, serial) pairs over a small pool of key values; every key is its
+    own object, so the order of *objects* is what the tests compare."""
+    pool = draw(st.lists(RAW_KEY_ARGS[cls], min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return [(cls(*args), serial) for serial, args in enumerate(picks)]
+
+
+def reference_key():
+    """The comparator path, spelled out independently of api/job.py."""
+    return functools.cmp_to_key(lambda a, b: _natural_compare(a[0], b[0]))
+
+
+def reference_groups(pairs):
+    groups = []
+    for key, value in pairs:
+        if groups and _natural_compare(key, groups[-1][0]) == 0:
+            groups[-1][1].append(value)
+        else:
+            groups.append((key, [value]))
+    return groups
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+@contextlib.contextmanager
+def counting_natural_compare():
+    """Count calls of ``api.job._natural_compare`` (the comparator path).
+    Build the JobSpec inside: it holds the function it resolved."""
+    calls = []
+
+    def shim(a, b):
+        calls.append((a, b))
+        return _natural_compare(a, b)
+
+    with mock.patch.object(job_module, "_natural_compare", shim):
+        yield calls
+
+
+def natural_spec(**comparators):
+    conf = JobConf()
+    conf.set_input_paths("/in")
+    conf.set_output_path("/out")
+    if "sort" in comparators:
+        conf.set_output_key_comparator_class(comparators["sort"])
+    if "group" in comparators:
+        conf.set_output_value_grouping_comparator(comparators["group"])
+    return JobSpec.from_conf(conf)
+
+
+class TestRawSortKeys:
+    def test_every_comparable_is_registered_or_comparator_only(self):
+        shipped = {
+            cls
+            for cls in vars(writables_module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, WritableComparable)
+            and cls is not WritableComparable
+        }
+        assert set(RAW_SORT_KEYS) | set(COMPARATOR_ONLY) == shipped
+        assert not set(RAW_SORT_KEYS) & set(COMPARATOR_ONLY)
+        assert set(RAW_KEY_ARGS) == set(RAW_SORT_KEYS)
+
+    @pytest.mark.parametrize("cls", [FloatWritable, DoubleWritable])
+    def test_why_the_floats_stay_comparator_only(self, cls):
+        nan, one = cls(float("nan")), cls(1.0)
+        assert nan.compare_to(one) == 0 and nan.value != one.value
+        # ... whereas the other awkward values would have been fine:
+        for a, b in [(0.0, -0.0), (float("inf"), 1e308), (float("-inf"), -1e308)]:
+            assert (cls(a).compare_to(cls(b)) == 0) == (a == b)
+
+    @pytest.mark.parametrize("cls", sorted(RAW_KEY_ARGS, key=lambda c: c.__name__))
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_raw_order_is_the_comparator_order_object_for_object(self, cls, data):
+        pairs = data.draw(keyed_pairs(cls))
+        raw = RAW_SORT_KEYS[cls]
+        for a, _ in pairs[:8]:
+            for b, _ in pairs[:8]:
+                assert (raw(a) == raw(b)) == (a.compare_to(b) == 0)
+                assert (raw(a) < raw(b)) == (a.compare_to(b) < 0)
+
+        expected = sorted(pairs, key=reference_key())
+        third = len(pairs) // 3 + 1  # contiguous runs, as map tasks produce them
+        runs = [
+            sorted(pairs[start : start + third], key=reference_key())
+            for start in range(0, 3 * third, third)
+        ]
+        merged = list(heapq.merge(*runs, key=reference_key()))
+        with counting_natural_compare() as calls:
+            spec = natural_spec()
+            assert same_objects(sort_run(pairs, spec.sort_key()), expected)
+            assert same_objects(merge_runs(runs, spec.sort_key()), merged)
+            groups = list(spec.group_sorted_pairs(expected))
+            assert calls == []  # not one comparator call on the raw path
+            sorted(pairs, key=spec.sort_key())  # ... which the shim would see
+            assert len(calls) >= len(pairs) - 1
+        assert same_objects(merged, expected)  # stable merge == stable sort
+        wanted = reference_groups(expected)
+        assert same_objects([k for k, _ in groups], [k for k, _ in wanted])
+        assert [values for _, values in groups] == [values for _, values in wanted]
+
+    def test_a_subclass_orders_through_its_own_compare_to(self):
+        class Descending(Text):
+            def compare_to(self, other):
+                return -super().compare_to(other)
+
+        pairs = [(Descending(word), None) for word in ("b", "c", "a", "c")]
+        with counting_natural_compare() as calls:
+            spec = natural_spec()
+            ordered = sort_run(pairs, spec.sort_key())
+            merged = merge_runs([ordered[:2], ordered[2:]], spec.sort_key())
+            groups = list(spec.group_sorted_pairs(ordered))
+        assert [str(key) for key, _ in ordered] == ["c", "c", "b", "a"]
+        assert same_objects(merged, ordered)
+        assert [len(values) for _, values in groups] == [2, 1, 1]
+        assert all(type(a) is Descending for a, _ in calls) and len(calls) >= 9
+
+    def test_a_run_mixing_key_classes_orders_through_compare_to(self):
+        pairs = [(IntWritable(3), "i3"), (LongWritable(1), "l1"), (IntWritable(2), "i2")]
+        with counting_natural_compare() as calls:
+            spec = natural_spec()
+            ordered = sort_run(pairs, spec.sort_key())
+            groups = list(spec.group_sorted_pairs(ordered))
+        assert [value for _, value in ordered] == ["l1", "i2", "i3"]
+        assert len(groups) == 3 and len(calls) >= 4
+        # one class per run is enough for the sort; the merge sees both
+        runs = [[(IntWritable(1), "a"), (IntWritable(5), "b")], [(LongWritable(3), "c")]]
+        with counting_natural_compare() as calls:
+            spec = natural_spec()
+            assert [sort_run(run, spec.sort_key()) for run in runs] == runs
+            assert calls == []
+            merged = merge_runs(runs, spec.sort_key())
+        assert [value for _, value in merged] == ["a", "c", "b"] and calls
+
+    def test_unregistered_and_plain_python_keys_order_through_the_comparator(self):
+        for keys in ([DoubleWritable(2.0), DoubleWritable(-1.0)], [7, 3]):
+            with counting_natural_compare() as calls:
+                sort_key = natural_spec().sort_key()
+                ordered = sort_run([(key, None) for key in keys], sort_key)
+            assert [key for key, _ in ordered] == sorted(keys) and calls
+
+    def test_a_custom_sort_comparator_is_never_bypassed(self):
+        seen = []
+
+        class ByLength:
+            def compare(self, a, b):
+                seen.append((a, b))
+                return len(str(a)) - len(str(b))
+
+        pairs = [(Text(word), None) for word in ("ccc", "a", "bb", "z")]
+        with counting_natural_compare() as calls:
+            spec = natural_spec(sort=ByLength)
+            ordered = sort_run(pairs, spec.sort_key())
+            groups = list(spec.group_sorted_pairs(ordered))  # group = sort comparator
+        assert [str(key) for key, _ in ordered] == ["a", "z", "bb", "ccc"]
+        assert [len(values) for _, values in groups] == [2, 1, 1]
+        assert seen and calls == []
+
+    def test_natural_sort_with_a_grouping_comparator(self):
+        """Sort on raw keys, group through the comparator."""
+        seen = []
+
+        class FirstLetter:
+            def compare(self, a, b):
+                seen.append((a, b))
+                return (str(a)[0] > str(b)[0]) - (str(a)[0] < str(b)[0])
+
+        pairs = [(Text(word), word) for word in ("bz", "ab", "ba", "aa")]
+        with counting_natural_compare() as calls:
+            spec = natural_spec(group=FirstLetter)
+            assert not spec.uses_natural_ordering()
+            ordered = sort_run(pairs, spec.sort_key())
+            assert calls == [] and seen == []
+            groups = list(spec.group_sorted_pairs(ordered))
+        assert [values for _, values in groups] == [["aa", "ab"], ["ba", "bz"]]
+        assert len(seen) == 3 and calls == []
