@@ -30,7 +30,7 @@ from scipy import sparse
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
-from repro.x10.serializer import register_transport
+from repro.x10.serializer import Crossing, register_transport
 
 _FLOAT32 = struct.Struct(">f")
 
@@ -655,12 +655,9 @@ class MatrixBlockWritable(Writable):
         rows, cols = self.matrix.shape
         return 12 + 4 * (cols + 1) + 4 * self.matrix.nnz + 8 * self.matrix.nnz
 
-    def size_token(self) -> Tuple[int, int]:
-        """Size-determining fingerprint for the serializer's SizeCache:
-        the wire size depends only on the column count and nnz."""
-        return (self.matrix.shape[1], self.matrix.nnz)
-
     def clone(self) -> "MatrixBlockWritable":
+        if type(self) is MatrixBlockWritable:
+            return _transport_matrix_block(self, Crossing())
         return MatrixBlockWritable(self.matrix.copy())
 
     def __eq__(self, other: object) -> bool:
@@ -699,12 +696,9 @@ class VectorBlockWritable(Writable):
     def serialized_size(self) -> int:
         return 4 + 8 * len(self.values)
 
-    def size_token(self) -> int:
-        """Size-determining fingerprint: the wire size is a pure function
-        of the element count."""
-        return len(self.values)
-
     def clone(self) -> "VectorBlockWritable":
+        if type(self) is VectorBlockWritable:
+            return _transport_vector_block(self, Crossing())
         return VectorBlockWritable(self.values.copy())
 
     def __eq__(self, other: object) -> bool:
@@ -745,38 +739,58 @@ MUTATION_SANITIZER.digest_hook = _sanitizer_wire_digest
 
 
 # --------------------------------------------------------------------- #
-# transport table (x10.serializer): the leaf Writables' clones
+# transport table (x10.serializer): the built-in Writables' clones
 # --------------------------------------------------------------------- #
 # Each builds what a deep copy builds — a new object of the same class
-# with the same field values, no narrowing, no constructor coercion — which
-# is why these are not the ``clone()`` methods above (those promise a wire
-# round trip).  The composites (inner sharing) and the array-backed blocks
-# (``size_token`` measurement, scipy/numpy internals) are left to the
-# generic walk on purpose.
+# with the same field values, no narrowing, no constructor coercion.  For
+# the scalars that is why these are not the ``clone()`` methods above
+# (those promise a wire round trip); for the array-backed blocks a wire
+# round trip *is* an exact copy, so an exact-class block's ``clone()`` is
+# its table clone: no scipy validating constructor runs, only the array
+# copies.  The composites (inner sharing) are left to the generic walk on
+# purpose.
 
 
-def _transport_value(obj: Writable) -> Writable:
+def _transport_value(obj: Writable, crossing: Crossing) -> Writable:
     fresh = object.__new__(type(obj))
     fresh.value = obj.value
     return fresh
 
 
-def _transport_text(obj: Text) -> Text:
+def _transport_text(obj: Text, crossing: Crossing) -> Text:
     fresh = object.__new__(Text)
     fresh._value = obj._value
     return fresh
 
 
-def _transport_bytes(obj: BytesWritable) -> BytesWritable:
+def _transport_bytes(obj: BytesWritable, crossing: Crossing) -> BytesWritable:
     fresh = object.__new__(BytesWritable)
     fresh._data = obj._data
     return fresh
 
 
-def _transport_block_index(obj: BlockIndexWritable) -> BlockIndexWritable:
+def _transport_block_index(
+    obj: BlockIndexWritable, crossing: Crossing
+) -> BlockIndexWritable:
     fresh = object.__new__(BlockIndexWritable)
     fresh.row = obj.row
     fresh.col = obj.col
+    return fresh
+
+
+def _transport_matrix_block(
+    obj: MatrixBlockWritable, crossing: Crossing
+) -> MatrixBlockWritable:
+    fresh = object.__new__(MatrixBlockWritable)
+    fresh.matrix = crossing.arrays_of(obj.matrix, ("data", "indices", "indptr"))
+    return fresh
+
+
+def _transport_vector_block(
+    obj: VectorBlockWritable, crossing: Crossing
+) -> VectorBlockWritable:
+    fresh = object.__new__(VectorBlockWritable)
+    fresh.values = crossing.array(obj.values)
     return fresh
 
 
@@ -792,7 +806,9 @@ for _cls in (
 register_transport(Text, _transport_text)
 register_transport(BytesWritable, _transport_bytes)
 register_transport(BlockIndexWritable, _transport_block_index)
-register_transport(NullWritable, lambda obj: obj)  # a singleton stays one
+register_transport(NullWritable, lambda obj, crossing: obj)  # a singleton stays one
+register_transport(MatrixBlockWritable, _transport_matrix_block)
+register_transport(VectorBlockWritable, _transport_vector_block)
 
 
 # --------------------------------------------------------------------- #

@@ -351,8 +351,8 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 def cmd_shuffle_stats(args: argparse.Namespace) -> int:
     """Admin view of the shuffle: run a workload on an M3R engine, then
-    print per-place shuffle bytes (the skew view), local vs remote traffic,
-    de-duplication savings and size-cache effectiveness."""
+    print per-place shuffle bytes (the skew view), local vs remote traffic
+    and de-duplication savings."""
     from repro.sim.metrics import Metrics, shuffle_place_bytes, shuffle_skew
 
     cluster = Cluster(args.nodes)
@@ -422,10 +422,6 @@ def cmd_shuffle_stats(args: argparse.Namespace) -> int:
                 "local_records": totals.get("shuffle_local_records"),
             },
             "dedup_saved_bytes": totals.get("dedup_saved_bytes"),
-            "size_cache": {
-                "hits": totals.get("size_cache_hits"),
-                "misses": totals.get("size_cache_misses"),
-            },
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -449,11 +445,7 @@ def cmd_shuffle_stats(args: argparse.Namespace) -> int:
         f"  local={totals.get('shuffle_local_bytes'):,} B"
         f" ({totals.get('shuffle_local_records'):,} records)"
     )
-    print(
-        f"  dedup saved: {totals.get('dedup_saved_bytes'):,} B"
-        f"  size-cache: {totals.get('size_cache_hits'):,} hits /"
-        f" {totals.get('size_cache_misses'):,} misses"
-    )
+    print(f"  dedup saved: {totals.get('dedup_saved_bytes'):,} B")
     return 0
 
 
@@ -1017,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "shuffle-stats",
         help="shuffle admin view: per-place shuffle bytes, skew ratio, "
-             "local/remote traffic, dedup and size-cache savings",
+             "local/remote traffic, dedup savings",
     )
     p.add_argument("--workload", choices=("wordcount", "matvec"),
                    default="matvec")

@@ -12,7 +12,7 @@ Execution flow per job (now explicit as lifecycle stages — see
     commit (cached at the reducer's place; flushed to the filesystem
             unless the path follows the temporary-output convention) →
     cache-admit (governor spill/rehydrate I/O lands on the clock) →
-    teardown (per-job size-cache / serializer-fallback deltas)
+    teardown (per-job serializer-fallback delta)
 
 Compared to the Hadoop engine there is **no jobtracker, no heartbeat, no
 per-task JVM start-up and no disk in the shuffle** — the five advantages of

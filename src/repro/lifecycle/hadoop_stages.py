@@ -82,9 +82,6 @@ class HadoopStageProvider(StageProvider):
     #: through the result object, never raised.
     raise_node_failure = False
 
-    def __init__(self, engine: Any):
-        self.engine = engine
-
     # ------------------------------------------------------------------ #
     # pipeline contract
     # ------------------------------------------------------------------ #

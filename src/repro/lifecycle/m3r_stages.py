@@ -77,9 +77,6 @@ class M3RStageProvider(StageProvider):
     #: No resilience: a lost node kills the job with JobFailedError.
     raise_node_failure = True
 
-    def __init__(self, engine: Any):
-        self.engine = engine
-
     # ------------------------------------------------------------------ #
     # pipeline contract
     # ------------------------------------------------------------------ #
@@ -127,9 +124,8 @@ class M3RStageProvider(StageProvider):
         engine = self.engine
         model = engine.cost_model
         spec, conf = ctx.spec, ctx.conf
-        # Engine-lifetime tallies snapshotted up front so teardown can
-        # report per-job deltas (size cache, serializer fallbacks).
-        st["size_cache_before"] = engine.runtime.size_cache.snapshot()
+        # Process-lifetime tally snapshotted up front so teardown can report
+        # the per-job delta.
         st["fallbacks_before"] = FALLBACK_TALLY.snapshot()
 
         spec.output_format.check_output_specs(engine.filesystem, conf)
@@ -251,13 +247,6 @@ class M3RStageProvider(StageProvider):
         ctx.advance(self.engine.governor.drain_seconds())
 
     def _teardown(self, ctx: JobContext, st: Dict[str, Any]) -> None:
-        engine = self.engine
-        # How much re-measurement the memoized size cache saved this job
-        # (the cache is engine-lifetime; metrics report per-job deltas).
-        cache_hits, cache_misses = st["size_cache_before"]
-        hits, misses = engine.runtime.size_cache.snapshot()
-        ctx.metrics.incr("size_cache_hits", hits - cache_hits)
-        ctx.metrics.incr("size_cache_misses", misses - cache_misses)
         # Size estimates that fell back to a fixed pickle guess this job
         # (see x10.serializer.FALLBACK_TALLY) — ideally always zero.
         ctx.metrics.incr(

@@ -21,6 +21,7 @@ float subtraction does not telescope — but ``StageEnd.clock`` and
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -98,6 +99,18 @@ class StageProvider:
     #: M3R re-raises JobFailedError (the paper's no-resilience contract);
     #: Hadoop reports every failure through the result object.
     raise_node_failure = False
+
+    def __init__(self, engine: Any):
+        # Weak: the engine owns its pipeline, which owns this provider.  A
+        # strong back-pointer would close a cycle, and a dropped engine —
+        # with its whole filesystem and cache — would wait for the cyclic
+        # collector instead of dying with its last reference.
+        self._engine = weakref.ref(engine)
+
+    @property
+    def engine(self) -> Any:
+        """The owning engine (alive for as long as it can run a job)."""
+        return self._engine()
 
     def stages(self, ctx: JobContext) -> Iterable[Tuple[str, StageFn]]:
         """Yield ``(stage_name, stage_fn)`` pairs, in execution order."""

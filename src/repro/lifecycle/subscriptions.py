@@ -15,6 +15,7 @@ they ignore every event other than JobStart/JobEnd.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, List, Optional
 
 from repro.analysis.sanitizers import (
@@ -44,13 +45,16 @@ class GovernorSubscription:
     """
 
     def __init__(self, engine: Any, ctx: JobContext):
-        self._engine = engine
+        # Weak: the job's bus, context and subscriptions reference each
+        # other, so this object outlives the job until the cyclic collector
+        # runs — it must not keep the engine (filesystem, cache) with it.
+        self._engine = weakref.ref(engine)
         self._ctx = ctx
         self._pins: List[str] = []
 
     def __call__(self, event: LifecycleEvent) -> None:
         if isinstance(event, JobStart):
-            engine, ctx = self._engine, self._ctx
+            engine, ctx = self._engine(), self._ctx
             engine._apply_cache_conf(ctx.conf)
             self._pins = engine._job_pins(ctx.spec, ctx.conf)
             for prefix in self._pins:
@@ -58,7 +62,7 @@ class GovernorSubscription:
             engine.governor.attach_job_metrics(ctx.metrics)
             engine.governor.attach_bus(ctx.bus)
         elif isinstance(event, JobEnd):
-            governor = self._engine.governor
+            governor = self._engine().governor
             governor.detach_bus()
             governor.detach_job_metrics()
             for prefix in self._pins:

@@ -118,9 +118,9 @@ class ShuffleExecutor:
             model.sort_time(len(run), nbytes)
             for run, nbytes in zip(runs, item.run_bytes)
         ]
-        # One walk, one memo scope per message: wire+raw measurement through
-        # the size cache, and duplicates become aliases again on the
-        # receiving side, as with X10 deserialization.  The sorted order does
+        # One walk, one memo scope per message: wire+raw measurement, and
+        # duplicates become aliases again on the receiving side, as with
+        # X10 deserialization.  The sorted order does
         # not change the totals because de-duplication is insensitive to
         # which occurrence of an object comes first.
         message, transported = self.serializer.ship(runs)

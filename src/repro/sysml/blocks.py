@@ -18,6 +18,7 @@ from scipy import sparse
 
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer
 from repro.api.writables import Writable
+from repro.x10.serializer import Crossing, register_transport
 
 #: Extra bytes per cell modelling the boxed-object overhead of SystemML's
 #: in-memory representation (paper: ~10x the hand-written CSC blocks).
@@ -86,11 +87,9 @@ class CellMatrixBlockWritable(Writable):
         # representation pays per cell.
         return 12 + self.nnz * (16 + CELL_OVERHEAD_BYTES)
 
-    def size_token(self) -> int:
-        """Size-determining fingerprint: the wire size depends only on nnz."""
-        return self.nnz
-
     def clone(self) -> "CellMatrixBlockWritable":
+        if type(self) is CellMatrixBlockWritable:
+            return _transport_cell_block(self, Crossing())
         fresh = CellMatrixBlockWritable(shape=(self.rows, self.cols))
         fresh.cell_rows = self.cell_rows.copy()
         fresh.cell_cols = self.cell_cols.copy()
@@ -106,6 +105,23 @@ class CellMatrixBlockWritable(Writable):
 
     def __repr__(self) -> str:
         return f"CellMatrixBlockWritable({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _transport_cell_block(
+    obj: CellMatrixBlockWritable, crossing: Crossing
+) -> CellMatrixBlockWritable:
+    fresh = object.__new__(CellMatrixBlockWritable)
+    fresh.rows, fresh.cols = obj.rows, obj.cols
+    fresh.cell_rows = crossing.array(obj.cell_rows)
+    fresh.cell_cols = crossing.array(obj.cell_cols)
+    fresh.cell_vals = crossing.array(obj.cell_vals)
+    return fresh
+
+
+# The transport table's entry (see api/writables.py): O(1) size, and a clone
+# that is the three array copies.  ``TaggedBlockWritable`` below holds
+# another Writable, so it stays on the generic walk.
+register_transport(CellMatrixBlockWritable, _transport_cell_block)
 
 
 class TaggedBlockWritable(Writable):
@@ -132,10 +148,6 @@ class TaggedBlockWritable(Writable):
 
     def serialized_size(self) -> int:
         return 2 + 4 + self.block.serialized_size()
-
-    def size_token(self) -> Tuple[str, int]:
-        """Fingerprint delegates to the wrapped block (tag is 1-char)."""
-        return (self.tag, self.block.size_token())
 
     def clone(self) -> "TaggedBlockWritable":
         return TaggedBlockWritable(self.tag, self.index, self.block.clone())

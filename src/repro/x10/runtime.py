@@ -6,8 +6,8 @@ claim about them lives — in *simulated* time, through
 ``SlotLanes(workers_per_place)`` — and runs every task and shuffle message
 inline on the driver, in plan order (DESIGN.md §7).  What the engine needs
 from the runtime is therefore only what outlives a job: the places (with
-their private heaps) and the serializer whose size cache persists across
-the jobs of a sequence.
+their private heaps) and the serializer that measures and clones what
+crosses between them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,3 @@ class X10Runtime:
             Place(i, workers=workers_per_place) for i in range(num_places)
         ]
         self.serializer = DedupSerializer()
-        #: The serializer's memoized size-measurement cache; engines read
-        #: its hit/miss statistics to report re-measurement savings.
-        self.size_cache = self.serializer.size_cache

@@ -15,10 +15,6 @@ object graphs the way X10 would serialize them:
 * :func:`estimate_size` — the encoded size of a single object (Writables
   report their exact wire size; containers and numpy/scipy payloads are
   walked; anything else falls back to ``pickle``);
-* :class:`SizeCache` — memoized leaf measurement: payloads that expose a
-  ``size_token()`` (block Writables) are measured once and revalidated with
-  a cheap token, so iteration N of a partition-stable job never re-measures
-  the blocks iteration N-1 already saw;
 * :class:`DedupSerializer` — per-message measurement with a memo, so each
   distinct object costs its full size once and a small back-reference for
   every repeat.  Wire and raw (sharing-ignored) bytes come out of a single
@@ -26,8 +22,10 @@ object graphs the way X10 would serialize them:
 * :func:`deep_copy_value` — the defensive clone M3R performs when a job does
   *not* implement ``ImmutableOutput``;
 * :func:`register_transport` — the per-class ``(size, clone)`` table the
-  built-in leaf Writables fill at import, consulted before every generic
-  walk below;
+  built-in leaf Writables and the array-backed blocks fill at import,
+  consulted before every generic walk below.  Nothing is remembered between
+  two measurements: every registered size is O(1) arithmetic, cheaper than
+  any cache in front of it;
 * :meth:`DedupSerializer.ship` / :func:`clone_pairs` — the transport
   primitive: what arrives at the other place is what ``copy.deepcopy`` of
   the whole message would build (duplicates stay aliases of one clone,
@@ -40,7 +38,6 @@ from __future__ import annotations
 import copy
 import pickle
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -48,7 +45,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -62,23 +58,30 @@ BACKREF_BYTES = 5
 OBJECT_HEADER_BYTES = 4
 
 #: Exact ``type(obj)`` -> ``(serialized_size, clone)`` for the built-in leaf
-#: Writables.  ``api/writables.py`` fills it while it is imported and
-#: nothing writes to it afterwards, so every reader — the engines' driver,
-#: the service's worker, a tenant client — reads it without a lock.
-#: Keyed by exact type on purpose: a subclass may add fields, so it takes
-#: the generic walk.
-_TRANSPORT: Dict[type, Tuple[Callable[[Any], int], Callable[[Any], Any]]] = {}
+#: Writables and the array-backed blocks.  The modules that define them
+#: fill it while they are imported and nothing writes to it afterwards, so
+#: every reader — the engines' driver, the service's worker, a tenant
+#: client — reads it without a lock.  Keyed by exact type on purpose: a
+#: subclass may add fields, so it takes the generic walk.
+_TRANSPORT: Dict[
+    type, Tuple[Callable[[Any], int], Callable[[Any, "Crossing"], Any]]
+] = {}
 
 
-def register_transport(cls: type, clone: Callable[[Any], Any]) -> None:
+def register_transport(
+    cls: type, clone: Callable[[Any, "Crossing"], Any]
+) -> None:
     """Give instances of exactly ``cls`` the table fast path.
 
     Their size becomes ``OBJECT_HEADER_BYTES + cls.serialized_size(obj)``
     without the generic walk, and the transport clones them with
-    ``clone(obj)``, which must build what ``copy.deepcopy(obj)`` builds.
-    Only for leaf types: no ``size_token()`` (those are measured through
-    the :class:`SizeCache`) and no reference to another mutable object
-    (inner sharing is part of what the transport must preserve).
+    ``clone(obj, crossing)``, which must build what
+    ``copy.deepcopy(obj, crossing.memo)`` builds.  For types whose only
+    mutable parts are numpy arrays: a scalar Writable ignores the crossing,
+    a block copies its arrays with :meth:`Crossing.array`, because two
+    blocks over one array must arrive as two blocks over one array.  A
+    type that holds another Writable (inner sharing with other records)
+    stays on the generic walk.
     """
     _TRANSPORT[cls] = (cls.serialized_size, clone)
 
@@ -110,84 +113,7 @@ class _FallbackTally:
 FALLBACK_TALLY = _FallbackTally()
 
 
-class SizeCache:
-    """Memoized ``serialized_size`` measurements, keyed by identity + token.
-
-    Only objects that expose a ``size_token()`` method participate: the
-    token is a cheap, size-determining fingerprint (e.g. ``(cols, nnz)``
-    for a CSC matrix block) that acts as the entry's version tick — any
-    mutation that could change the wire size changes the token and misses.
-    Entries hold weak references, so a recycled ``id()`` can never alias a
-    dead object's measurement and the cache never keeps payloads alive.
-
-    Thread-safe: an engine, and so its cache, can be shared by the service's
-    worker thread and its tenant clients.  The hit/miss
-    tallies are monotonic lifetime totals; engines snapshot them around a
-    job to report per-job deltas (they are *not* part of the deterministic
-    byte accounting — a cache hit returns exactly the bytes a fresh
-    measurement would).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[weakref.ref, Any, int]] = {}
-        # RLock: the weakref death callback can fire re-entrantly while the
-        # same thread is mutating the table.
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-
-    def measure(self, obj: Any, size_fn: Any) -> int:
-        """``size_fn()``, memoized when ``obj`` carries a size token."""
-        token_fn = getattr(obj, "size_token", None)
-        if not callable(token_fn):
-            return int(size_fn())
-        token = token_fn()
-        if token is None:  # the object declares itself uncacheable
-            return int(size_fn())
-        key = id(obj)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                ref, cached_token, size = entry
-                if ref() is obj and cached_token == token:
-                    self._hits += 1
-                    return size
-        size = int(size_fn())
-        with self._lock:
-            try:
-                ref = weakref.ref(obj, lambda _, key=key: self._forget(key))
-            except TypeError:  # not weakref-able (e.g. __slots__ scalars)
-                self._misses += 1
-                return size
-            self._entries[key] = (ref, token, size)
-            self._misses += 1
-        return size
-
-    def _forget(self, key: int) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def snapshot(self) -> Tuple[int, int]:
-        """Lifetime ``(hits, misses)`` so far."""
-        with self._lock:
-            return self._hits, self._misses
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: The process-wide default cache: every engine's serializer and the
-#: module-level :func:`estimate_size` share it, so a block measured at
-#: ``collect()`` time is already warm when the shuffle measures the message.
-DEFAULT_SIZE_CACHE = SizeCache()
-
-
-def estimate_size(obj: Any, size_cache: Optional[SizeCache] = None) -> int:
+def estimate_size(obj: Any) -> int:
     """Estimate the serialized size of one object, ignoring sharing.
 
     Writables (anything with a ``serialized_size()`` method) report their
@@ -200,16 +126,13 @@ def estimate_size(obj: Any, size_cache: Optional[SizeCache] = None) -> int:
     entry = _TRANSPORT.get(type(obj))
     if entry is not None:
         return OBJECT_HEADER_BYTES + entry[0](obj)
-    if size_cache is None:
-        size_cache = DEFAULT_SIZE_CACHE
-    return _size_of(obj, memo=None, size_cache=size_cache)
+    return _size_of(obj, memo=None)
 
 
 def _size_of(
     obj: Any,
     memo: "Dict[int, Any] | None",
     visiting: "set | None" = None,
-    size_cache: Optional[SizeCache] = None,
 ) -> int:
     """Size of ``obj``; when ``memo`` is given, repeats cost a back-ref.
 
@@ -251,8 +174,6 @@ def _size_of(
         return OBJECT_HEADER_BYTES + table[0](obj)
     size_fn = getattr(obj, "serialized_size", None)
     if callable(size_fn):
-        if size_cache is not None:
-            return OBJECT_HEADER_BYTES + size_cache.measure(obj, size_fn)
         return OBJECT_HEADER_BYTES + int(size_fn())
 
     if isinstance(obj, (bytes, bytearray, memoryview)):
@@ -261,12 +182,11 @@ def _size_of(
         return OBJECT_HEADER_BYTES + len(obj.encode("utf-8"))
     if isinstance(obj, (list, tuple, set, frozenset)):
         return OBJECT_HEADER_BYTES + sum(
-            _size_of(item, memo, visiting, size_cache) for item in obj
+            _size_of(item, memo, visiting) for item in obj
         )
     if isinstance(obj, dict):
         return OBJECT_HEADER_BYTES + sum(
-            _size_of(k, memo, visiting, size_cache)
-            + _size_of(v, memo, visiting, size_cache)
+            _size_of(k, memo, visiting) + _size_of(v, memo, visiting)
             for k, v in obj.items()
         )
 
@@ -287,7 +207,7 @@ def _size_of(
     attrs = getattr(obj, "__dict__", None)
     if attrs is not None:
         return OBJECT_HEADER_BYTES + sum(
-            _size_of(v, memo, visiting, size_cache) for v in attrs.values()  # noqa: M3R002 - __dict__ order fixed at construction
+            _size_of(v, memo, visiting) for v in attrs.values()  # noqa: M3R002 - __dict__ order fixed at construction
         )
 
     try:
@@ -297,11 +217,7 @@ def _size_of(
         return OBJECT_HEADER_BYTES + 64
 
 
-def _dual_size_of(
-    obj: Any,
-    memo: Dict[int, List[Any]],
-    size_cache: Optional[SizeCache],
-) -> Tuple[int, int]:
+def _dual_size_of(obj: Any, memo: Dict[int, List[Any]]) -> Tuple[int, int]:
     """``(wire, raw)`` size of ``obj`` in one traversal.
 
     ``memo`` maps ``id(obj) -> [obj, raw_size]``; ``raw_size`` is ``None``
@@ -339,10 +255,7 @@ def _dual_size_of(
         return size, size
     size_fn = getattr(obj, "serialized_size", None)
     if callable(size_fn):
-        if size_cache is not None:
-            size = OBJECT_HEADER_BYTES + size_cache.measure(obj, size_fn)
-        else:
-            size = OBJECT_HEADER_BYTES + int(size_fn())
+        size = OBJECT_HEADER_BYTES + int(size_fn())
         entry[1] = size
         return size, size
 
@@ -358,7 +271,7 @@ def _dual_size_of(
     if isinstance(obj, (list, tuple, set, frozenset)):
         wire = raw = OBJECT_HEADER_BYTES
         for item in obj:
-            w, r = _dual_size_of(item, memo, size_cache)
+            w, r = _dual_size_of(item, memo)
             wire += w
             raw += r
         entry[1] = raw
@@ -366,10 +279,10 @@ def _dual_size_of(
     if isinstance(obj, dict):
         wire = raw = OBJECT_HEADER_BYTES
         for k, v in obj.items():
-            w, r = _dual_size_of(k, memo, size_cache)
+            w, r = _dual_size_of(k, memo)
             wire += w
             raw += r
-            w, r = _dual_size_of(v, memo, size_cache)
+            w, r = _dual_size_of(v, memo)
             wire += w
             raw += r
         entry[1] = raw
@@ -396,7 +309,7 @@ def _dual_size_of(
     if attrs is not None:
         wire = raw = OBJECT_HEADER_BYTES
         for v in attrs.values():  # noqa: M3R002 - __dict__ order fixed at construction
-            w, r = _dual_size_of(v, memo, size_cache)
+            w, r = _dual_size_of(v, memo)
             wire += w
             raw += r
         entry[1] = raw
@@ -436,14 +349,9 @@ class DedupSerializer:
     """Measures messages with X10's de-duplicating protocol.
 
     One instance can be shared; every :meth:`measure_message` call uses a
-    fresh memo, matching X10's per-message de-duplication scope.  Leaf
-    measurements go through the (shared, thread-safe) :class:`SizeCache`.
+    fresh memo, matching X10's per-message de-duplication scope, and the
+    instance itself holds no state.
     """
-
-    def __init__(self, size_cache: Optional[SizeCache] = None):
-        self.size_cache = (
-            size_cache if size_cache is not None else DEFAULT_SIZE_CACHE
-        )
 
     def measure_message(self, values: Sequence[Any]) -> SerializedMessage:
         """Measure serializing ``values`` as one message.
@@ -463,7 +371,7 @@ class DedupSerializer:
         duplicates = 0
         for value in values:
             before = len(memo)
-            w, r = _dual_size_of(value, memo, self.size_cache)
+            w, r = _dual_size_of(value, memo)
             wire += w
             raw += r
             if len(memo) == before and not _is_inline(value):
@@ -513,9 +421,8 @@ class DedupSerializer:
             for run in runs:
                 MUTATION_SANITIZER.observe_pairs(run, site="DedupSerializer.ship")
         sizes: Dict[int, List[Any]] = {}  # _dual_size_of's memo
-        crossing = _Crossing()
+        crossing = Crossing()
         clones = crossing.memo
-        size_cache = self.size_cache
         transport = _TRANSPORT
         wire = raw = records = duplicates = 0
         shipped = []
@@ -528,14 +435,14 @@ class DedupSerializer:
                     table = transport.get(type(obj))
                     if table is None:
                         before = len(sizes)
-                        w, r = _dual_size_of(obj, sizes, size_cache)
+                        w, r = _dual_size_of(obj, sizes)
                         wire += w
                         raw += r
                         if len(sizes) == before and not _is_inline(obj):
                             duplicates += 1
                         halves.append(copy.deepcopy(obj, clones))
                         continue
-                    # A table leaf: what _dual_size_of and _Crossing.clone
+                    # A table entry: what _dual_size_of and Crossing.clone
                     # do with it, inline because this loop is the shuffle's
                     # per-record cost.
                     ident = id(obj)
@@ -551,7 +458,7 @@ class DedupSerializer:
                         duplicates += 1
                     clone = clones.get(ident)
                     if clone is None:
-                        clone = clones[ident] = table[1](obj)
+                        clone = clones[ident] = table[1](obj, crossing)
                     halves.append(clone)
                 arrived.append(crossing.pair(pair, halves))
             records += len(run)
@@ -571,13 +478,14 @@ def _is_inline(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float))
 
 
-class _Crossing:
+class Crossing:
     """The clone half of one message: ``copy.deepcopy`` on its memo, table first.
 
     ``memo`` is ``copy.deepcopy``'s own (``id(original) -> copy``), so
     whatever the table does not know goes to ``copy.deepcopy`` on the same
     memo and a graph that mixes both kinds keeps its sharing.  The source
-    pairs outlive the crossing, so no id in it can be recycled.
+    pairs outlive the crossing, so no id in it can be recycled.  A fresh
+    crossing per object is a plain deep copy (the blocks' ``clone()``).
     """
 
     def __init__(self) -> None:
@@ -591,8 +499,40 @@ class _Crossing:
         ident = id(obj)
         clone = self.memo.get(ident)
         if clone is None:
-            clone = self.memo[ident] = table[1](obj)
+            clone = self.memo[ident] = table[1](obj, self)
         return clone
+
+    def array(self, array: Any) -> Any:
+        """``copy.deepcopy(array, memo)`` for a (1-D) numpy array.
+
+        What the block Writables' table clones are made of: one
+        ``ndarray.copy`` per array, through the memo, so an array that two
+        blocks share arrives shared — as ``copy.deepcopy`` of the message
+        would have it.
+        """
+        memo = self.memo
+        copied = memo.get(id(array))
+        if copied is None:
+            copied = memo[id(array)] = array.copy()
+        return copied
+
+    def arrays_of(self, obj: Any, names: Sequence[str]) -> Any:
+        """``copy.deepcopy(obj, memo)`` for a plain object whose only
+        mutable parts are the arrays in its attributes ``names`` — the
+        scipy container inside a ``MatrixBlockWritable``.
+
+        No constructor and no reduce protocol run: a shallow copy of the
+        instance ``__dict__`` (scipy's lazily cached format flags travel
+        with it) and :meth:`array` for each named array.
+        """
+        fresh = self.memo.get(id(obj))
+        if fresh is None:
+            fresh = self.memo[id(obj)] = object.__new__(type(obj))
+            attrs = fresh.__dict__
+            attrs.update(obj.__dict__)
+            for name in names:
+                attrs[name] = self.array(attrs[name])
+        return fresh
 
     def pair(self, pair: Any, halves: List[Any]) -> Any:
         """``copy.deepcopy(pair, memo)`` given the clones of its halves.
@@ -619,7 +559,7 @@ def clone_pairs(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
     charged from recorded sizes (a served ReStore part, a buddy replica, a
     promoted cache entry) hands to the receiving side.
     """
-    crossing = _Crossing()
+    crossing = Crossing()
     return [
         crossing.pair(pair, [crossing.clone(half) for half in pair])
         for pair in pairs

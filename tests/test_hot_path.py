@@ -10,18 +10,28 @@ nothing but a benchmark would notice.  So count the calls: a ``Text``-keyed
 combiner job, run at two input sizes that differ only in lines per part,
 must make the *same* number of ``Counters.increment`` calls (a function of
 tasks and partitions, not of records) and no ``_natural_compare`` call.
+
+The block Writables are cloned and measured through the transport table
+(``x10/serializer.py``): no scipy validating constructor, no generic deep
+copy.  One ``MatrixBlockWritable(matrix.copy())`` in a ``clone`` or one
+unregistered block class brings either back, so a warm matvec iteration
+must make no ``check_format`` and no ``copy.deepcopy`` call at any block
+size.
 """
 
 from __future__ import annotations
 
+import copy
 import zlib
 
 import pytest
+from scipy.sparse import _compressed
 from workloads import make_hadoop, make_m3r
 
 from repro.api import job as job_module
 from repro.api.counters import Counters, TaskCounter
 from repro.api.partitioner import Partitioner
+from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
 
 PARTS, REDUCERS = 4, 3
@@ -84,3 +94,51 @@ def test_counter_and_comparator_calls_do_not_grow_with_records(
     assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
     assert small[0] == large[0] > 0  # increments: tasks and partitions only
     assert small[1] == large[1] == 0  # Text keys never reach the comparator
+
+
+def count_block_calls(monkeypatch, make_engine, block):
+    """One warm matvec iteration under counting shims; returns
+    (check_format calls, deepcopy calls)."""
+    calls = {"check_format": 0, "deepcopy": 0}
+    check_format, deepcopy = _compressed._cs_matrix.check_format, copy.deepcopy
+
+    def counting_check_format(self, *args, **kwargs):
+        calls["check_format"] += 1
+        return check_format(self, *args, **kwargs)
+
+    def counting_deepcopy(*args, **kwargs):
+        calls["deepcopy"] += 1
+        return deepcopy(*args, **kwargs)
+
+    blocks = 4
+    engine = make_engine()
+    try:
+        g = matvec.generate_blocked_matrix(blocks * block, block, sparsity=0.1, seed=7)
+        v = matvec.generate_blocked_vector(blocks * block, block, seed=8)
+        matvec.write_partitioned(engine.filesystem, "/G", g, blocks, 4)
+        matvec.write_partitioned(engine.filesystem, "/V0", v, blocks, 4)
+
+        def iterate(index):
+            sequence = matvec.iteration_jobs(
+                "/G", f"/V{index}", f"/V{index + 1}", "/scratch", index, blocks, 4
+            )
+            assert all(result.succeeded for result in sequence.run_all(engine))
+
+        iterate(0)  # warm: the counted iteration reads what this one left
+        with monkeypatch.context() as patch:
+            patch.setattr(_compressed._cs_matrix, "check_format", counting_check_format)
+            patch.setattr(copy, "deepcopy", counting_deepcopy)
+            iterate(1)
+        return calls["check_format"], calls["deepcopy"]
+    finally:
+        engine.shutdown()
+
+
+@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
+def test_blocks_cross_without_validating_constructor_or_generic_deepcopy(
+    make_engine, monkeypatch
+):
+    # The app's own ``VectorBlockWritable(partial)`` builds no sparse matrix,
+    # so whatever is counted here is the engine's.
+    assert count_block_calls(monkeypatch, make_engine, block=32) == (0, 0)
+    assert count_block_calls(monkeypatch, make_engine, block=64) == (0, 0)

@@ -9,7 +9,9 @@ releases pins and sanitizer scopes on every exit path.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -382,6 +384,51 @@ class TestPinLeakOnFailure:
             assert engine.governor.pinned_prefixes() == []
         finally:
             engine.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# engine teardown: by refcount, not by the cyclic collector
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestEngineTeardown:
+    """A dropped engine takes its filesystem and cache with it at once.
+    The provider and the governor subscription point back at the engine
+    weakly; a strong pointer closes engine → pipeline → provider → engine,
+    and the whole simulated cluster then waits for a generational
+    collection that an allocation-light workload may not trigger before the
+    next engine is built on top of it."""
+
+    @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
+    def test_dropping_an_engine_frees_it_without_the_collector(
+        self, make_engine, no_cyclic_gc
+    ):
+        engine = make_engine(4)
+        sequence = JobSequence([
+            wordcount_job("/in.txt", "/temp-1", 4),
+            exploding_wordcount("/bad-2"),
+        ])
+        engine.filesystem.write_text("/in.txt", generate_text(50))
+        assert run_wordcount(engine).succeeded
+        assert [r.succeeded for r in engine.run_sequence(sequence)] == [True, False]
+        owned = [engine, engine.filesystem]
+        if make_engine is make_m3r:
+            assert len(engine.cache) > 0
+            owned += [engine.cache, engine.governor]
+        alive = [weakref.ref(thing) for thing in owned]
+        engine.shutdown()
+        del engine, owned, sequence
+        assert [ref() for ref in alive] == [None] * len(alive)
 
 
 # --------------------------------------------------------------------- #

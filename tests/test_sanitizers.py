@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 from conftest import make_m3r
+from scipy import sparse
 
 from repro.analysis.sanitizers import (
     LOCK_ORDER_SANITIZER,
@@ -26,12 +28,21 @@ from repro.analysis.sanitizers import (
     MutationSanitizer,
     sanitizer_overrides,
 )
-from repro.api.conf import SANITIZE_LOCK_ORDER_KEY, SANITIZE_MUTATION_KEY
+from repro.api.conf import SANITIZE_LOCK_ORDER_KEY, SANITIZE_MUTATION_KEY, JobConf
 from repro.api.extensions import ImmutableOutput
+from repro.api.formats import SequenceFileInputFormat, SequenceFileOutputFormat
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
-from repro.api.writables import IntWritable, Text
+from repro.api.multiple_io import MultipleInputs
+from repro.api.writables import (
+    IntWritable,
+    MatrixBlockWritable,
+    Text,
+    VectorBlockWritable,
+)
+from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.kvstore.locks import LockTable
+from repro.x10.serializer import DedupSerializer, estimate_size
 
 
 @pytest.fixture(autouse=True)
@@ -246,6 +257,141 @@ class TestMutationEndToEnd:
         result = engine.run_job(conf)
         assert result.succeeded, result.error
         engine.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# block Writables: the transport table's fast path is still watched
+# --------------------------------------------------------------------- #
+# A block's table entry sizes it from its shape alone and clones it without
+# a constructor, so an in-place write into its arrays (same length: the size
+# does not move) is visible only to the sanitizer's wire-bytes fingerprint.
+
+
+class ScribbledVector(VectorBlockWritable):
+    """A subclass: not in the table, so it takes the generic walk."""
+
+
+def scribble(block) -> None:
+    if isinstance(block, MatrixBlockWritable):
+        block.matrix.data *= 2.0
+    else:
+        block.values[:] = -1.0
+
+
+class ScribblingGMapper(matvec.GPassMapper):
+    """Claims ImmutableOutput (inherited), emits the G block and then
+    scales its ``data`` in place."""
+
+    def map(self, key, value, output, reporter):
+        output.collect(key, value)
+        scribble(value)
+
+    def map_batch(self, keys, values, output, reporter):
+        for key, value in zip(keys, values):
+            self.map(key, value, output, reporter)
+
+
+class ScribblingVMapper(matvec.VBroadcastMapper):
+    """Broadcasts the V block, then overwrites ``values`` in place."""
+
+    def map(self, key, value, output, reporter):
+        super().map(key, value, output, reporter)
+        scribble(value)
+
+
+def _matvec_engine(blocks=4, block=8):
+    engine = make_m3r()
+    g = matvec.generate_blocked_matrix(blocks * block, block, sparsity=0.5, seed=3)
+    v = matvec.generate_blocked_vector(blocks * block, block, seed=4)
+    matvec.write_partitioned(engine.filesystem, "/G", g, blocks, 4)
+    matvec.write_partitioned(engine.filesystem, "/V0", v, blocks, 4)
+    return engine
+
+
+def _multiply_job(g_mapper, v_mapper, blocks=4):
+    conf = JobConf()
+    conf.set_int(matvec.NUM_ROW_BLOCKS_KEY, blocks)
+    MultipleInputs.add_input_path(conf, "/G", SequenceFileInputFormat, g_mapper)
+    MultipleInputs.add_input_path(conf, "/V0", SequenceFileInputFormat, v_mapper)
+    conf.set_reducer_class(matvec.MultiplyReducer)
+    conf.set_partitioner_class(matvec.RowChunkPartitioner)
+    conf.set_output_format(SequenceFileOutputFormat)
+    conf.set_output_path("/partial")
+    conf.set_num_reduce_tasks(4)
+    conf.set_boolean(SANITIZE_MUTATION_KEY, True)
+    return conf
+
+
+class TestBlocksAreStillWatched:
+    @pytest.mark.parametrize(
+        "block",
+        [
+            VectorBlockWritable(np.arange(6.0)),
+            MatrixBlockWritable(sparse.identity(4, format="csc")),
+            ScribbledVector(np.arange(6.0)),
+        ],
+        ids=["vector-table", "matrix-table", "subclass-generic"],
+    )
+    def test_ship_sees_an_in_place_write_of_unchanged_size(self, block):
+        serializer = DedupSerializer()
+        pairs = [(IntWritable(0), block)]
+        with sanitizer_overrides(mutation=True):
+            MUTATION_SANITIZER.observe(block, site="collect")
+            size = estimate_size(block)
+            serializer.ship([pairs])  # unchanged: quiet
+            scribble(block)
+            assert estimate_size(block) == size
+            with pytest.raises(ImmutableViolation, match="DedupSerializer.ship"):
+                serializer.ship([pairs])
+
+    def test_mapper_that_writes_into_an_emitted_vector_fails_at_ship(self):
+        engine = _matvec_engine()
+        try:
+            result = engine.run_job(_multiply_job(matvec.GPassMapper, ScribblingVMapper))
+            assert not result.succeeded
+            assert "ImmutableViolation" in result.error
+            assert "DedupSerializer.ship" in result.error
+        finally:
+            engine.shutdown()
+
+    def test_mapper_that_scales_a_cached_matrix_fails_the_next_cache_read(self):
+        """G is partition-stable — its blocks are handed over, never
+        shipped — so the in-place scaling surfaces when the next job reads
+        the cached block."""
+        engine = _matvec_engine()
+        try:
+            first = engine.run_job(_multiply_job(ScribblingGMapper, matvec.VBroadcastMapper))
+            assert first.succeeded, first.error
+            honest = _multiply_job(matvec.GPassMapper, matvec.VBroadcastMapper)
+            honest.set_output_path("/partial-2")
+            result = engine.run_job(honest)
+            assert not result.succeeded
+            assert "ImmutableViolation" in result.error
+            assert "KeyValueCache.get(/G" in result.error
+        finally:
+            engine.shutdown()
+
+    def test_cached_block_written_in_place_fails_the_next_cache_read(self):
+        engine = _matvec_engine()
+        try:
+            honest = _multiply_job(matvec.GPassMapper, matvec.VBroadcastMapper)
+            assert engine.run_job(honest).succeeded
+            cached = [
+                value
+                for entry in engine.cache.entries()
+                if entry.path.startswith("/partial")
+                for _, value in entry.pairs or []
+            ]
+            assert cached and {type(value) for value in cached} == {VectorBlockWritable}
+            scribble(cached[0])
+            conf = matvec.sum_job("/partial", "/V1", 4, 4)
+            conf.set_boolean(SANITIZE_MUTATION_KEY, True)
+            result = engine.run_job(conf)
+            assert not result.succeeded
+            assert "ImmutableViolation" in result.error
+            assert "KeyValueCache.get(/partial" in result.error
+        finally:
+            engine.shutdown()
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""The shuffle subsystem: memoized measurement, sorted-run merge, skew.
+"""The shuffle subsystem: measurement, sorted-run merge, skew.
 
 Covers the three mechanisms of the parallel streaming shuffle:
 
@@ -6,9 +6,9 @@ Covers the three mechanisms of the parallel streaming shuffle:
   computes wire (de-duplicated) and raw (sharing-ignored) bytes in one
   traversal; these tests pin it to the two-pass reference semantics for
   shares, sibling repeats, cycles and repeated top-levels;
-* **memoized size measurement** — ``SizeCache`` hit/miss/invalidation
-  behaviour, and the end-to-end guarantee that iteration 2+ of a
-  partition-stable matvec never re-measures the cached matrix blocks;
+* **stateless size measurement** — every measurement asks the object (the
+  table, else ``serialized_size()``), nothing is remembered, and a second
+  engine over the same input Writables reports the same metrics;
 * **sorted-run streaming merge** — ``ShuffleInput.merged`` equals a stable
   sort of the concatenation;
 * **transport** — each remote message is cloned on its own memo, and the
@@ -18,6 +18,7 @@ Covers the three mechanisms of the parallel streaming shuffle:
 from __future__ import annotations
 
 import gc
+import inspect
 
 import numpy as np
 import pytest
@@ -30,8 +31,14 @@ from repro.analysis.sanitizers import (
 from repro.api.conf import SANITIZE_MUTATION_KEY
 from repro.api.extensions import ImmutableOutput
 from repro.api.mapred import Mapper, OutputCollector, Reporter
-from repro.api.writables import IntWritable, MatrixBlockWritable, Text, VectorBlockWritable
-from repro.apps import matvec
+from repro.api.writables import (
+    IntWritable,
+    MatrixBlockWritable,
+    Text,
+    VectorBlockWritable,
+    writable_to_bytes,
+)
+from repro.apps.repartition import IdentityImmutableReducer
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.engine_common import PartitionBuffer
 from repro.shuffle import ShuffleInput
@@ -47,7 +54,6 @@ from repro.sim.metrics import (
 from repro.x10.serializer import (
     BACKREF_BYTES,
     DedupSerializer,
-    SizeCache,
     _size_of,
     estimate_size,
 )
@@ -141,101 +147,93 @@ class TestDualWalk:
 
 
 # --------------------------------------------------------------------- #
-# SizeCache
+# measurement remembers nothing
 # --------------------------------------------------------------------- #
 
 
-class TokenBlock:
-    """A minimal cacheable payload: token = length, size derived from it."""
+class CountingBlock:
+    """A user payload that counts how often it is asked for its size."""
 
     def __init__(self, n):
         self.n = n
         self.size_calls = 0
-
-    def size_token(self):
-        return self.n
 
     def serialized_size(self):
         self.size_calls += 1
         return 10 * self.n
 
 
+class LeftoverTokenBlock(CountingBlock):
+    """Still offers the retired ``size_token`` protocol."""
+
+    def size_token(self):  # pragma: no cover - must never run
+        raise AssertionError("size_token is not part of any protocol")
+
+
 class SlotsBlock:
-    __slots__ = ("n",)  # no __weakref__: cannot be cached
+    __slots__ = ("n",)  # no __weakref__, no __dict__
 
     def __init__(self, n):
         self.n = n
-
-    def size_token(self):
-        return self.n
 
     def serialized_size(self):
         return self.n
 
 
-class TestSizeCache:
-    def test_hit_on_revalidated_token(self):
-        cache = SizeCache()
-        block = TokenBlock(4)
-        assert cache.measure(block, block.serialized_size) == 40
-        assert cache.measure(block, block.serialized_size) == 40
-        assert block.size_calls == 1  # second call was a cache hit
-        assert cache.snapshot() == (1, 1)
+class TestSizeIsNeverRemembered:
+    """What replaced ``SizeCache``: one code path per object — the table,
+    else ``serialized_size()``, else the generic walk — and no state
+    between two measurements, so nothing can go stale or differ between
+    two engines in one process."""
 
-    def test_token_change_invalidates(self):
-        cache = SizeCache()
-        block = TokenBlock(4)
-        cache.measure(block, block.serialized_size)
-        block.n = 5  # mutation visible through the token
-        assert cache.measure(block, block.serialized_size) == 50
+    def test_every_measurement_asks_the_object(self):
+        block = CountingBlock(4)
+        assert estimate_size(block) == 4 + 40
+        assert estimate_size(block) == 4 + 40
         assert block.size_calls == 2
-        hits, misses = cache.snapshot()
-        assert (hits, misses) == (0, 2)
 
-    def test_no_token_means_no_caching(self):
-        cache = SizeCache()
-        text = Text("plain")  # scalar writables carry no size_token
-        assert not callable(getattr(text, "size_token", None))
-        cache.measure(text, text.serialized_size)
-        cache.measure(text, text.serialized_size)
-        assert cache.snapshot() == (0, 0)
-        assert len(cache) == 0
+    def test_a_size_change_needs_no_invalidation(self):
+        block = CountingBlock(4)
+        before = estimate_size([block])
+        block.n = 5
+        assert (before, estimate_size([block])) == (4 + 44, 4 + 54)
 
-    def test_dead_objects_are_forgotten(self):
-        cache = SizeCache()
-        block = TokenBlock(2)
-        cache.measure(block, block.serialized_size)
-        assert len(cache) == 1
-        del block
-        gc.collect()
-        assert len(cache) == 0
+    def test_a_leftover_size_token_method_is_ignored(self):
+        block = LeftoverTokenBlock(3)
+        assert estimate_size(block) == 4 + 30
+        assert DedupSerializer().measure_message([block, block]).raw_bytes == 68
+        assert block.size_calls == 2  # the repeat is a back-reference
 
-    def test_non_weakrefable_objects_still_measured(self):
-        cache = SizeCache()
+    def test_objects_without_weakref_support_are_measured_like_any_other(self):
         block = SlotsBlock(9)
-        assert cache.measure(block, block.serialized_size) == 9
-        assert len(cache) == 0  # computed but not stored
-        assert cache.snapshot() == (0, 1)
+        assert estimate_size(block) == estimate_size(block) == 4 + 9
 
-    def test_block_writables_cache_through_estimate_size(self):
+    def test_estimate_size_takes_the_object_and_nothing_else(self):
+        assert list(inspect.signature(estimate_size).parameters) == ["obj"]
+        assert list(inspect.signature(DedupSerializer).parameters) == []
+
+    def test_dead_objects_leave_nothing_behind(self):
+        """The memo kept a weakref and a table row per measured block."""
+        gc.collect()
+        block = VectorBlockWritable(np.ones(3))
+        before = len(gc.get_objects())
+        estimate_size(block)
+        estimate_size([block])
+        assert len(gc.get_objects()) == before
+
+    def test_block_sizes_are_the_wire_sizes(self):
         import scipy.sparse as sp
 
         matrix = sp.random(8, 8, density=0.5, format="csc", random_state=3)
-        block = MatrixBlockWritable(matrix)
-        cache = SizeCache()
-        first = estimate_size(block, size_cache=cache)
-        second = estimate_size(block, size_cache=cache)
-        assert first == second
-        hits, misses = cache.snapshot()
-        assert (hits, misses) == (1, 1)
+        for block in (MatrixBlockWritable(matrix), VectorBlockWritable(np.ones(5))):
+            wire = len(writable_to_bytes(block))
+            assert estimate_size(block) == estimate_size(block) == 4 + wire
 
-    def test_vector_block_token_tracks_length(self):
+    def test_block_size_tracks_the_arrays(self):
         block = VectorBlockWritable(np.ones(5))
-        cache = SizeCache()
-        a = estimate_size(block, size_cache=cache)
+        a = estimate_size(block)
         block.values = np.ones(6)
-        b = estimate_size(block, size_cache=cache)
-        assert b > a  # token changed, size re-measured
+        assert estimate_size(block) == a + 8
 
 
 # --------------------------------------------------------------------- #
@@ -318,70 +316,48 @@ class TestSkewMetrics:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: memoization
+# end-to-end: a second engine measures what the first did
 # --------------------------------------------------------------------- #
 
 
-class TestMatvecMemoization:
-    def test_iteration_two_never_remeasures_cached_blocks(self):
-        """The acceptance criterion: after iteration 1 warms the size
-        cache, iteration 2 of the partition-stable matvec performs zero
-        full re-measurements of the cached G blocks (their cheap
-        ``size_token`` revalidation is all that runs), and the engine
-        reports the hits."""
-        rows, block = 128, 32
-        num_blocks = rows // block
-        engine = make_m3r(num_nodes=4, workers_per_place=4)
-        measured = []
-        original_matrix = MatrixBlockWritable.serialized_size
-        original_vector = VectorBlockWritable.serialized_size
+#: One block object that every run of the job below emits, whichever engine
+#: runs it — the sharing a driver gets by reusing input Writables.
+BROADCAST_BLOCK = VectorBlockWritable(np.arange(16.0))
 
-        def spy_matrix(self):
-            measured.append(id(self))
-            return original_matrix(self)
 
-        def spy_vector(self):
-            measured.append(id(self))
-            return original_vector(self)
+class BroadcastBlockMapper(Mapper, ImmutableOutput):
+    def map(self, key, value, output: OutputCollector, reporter: Reporter):
+        for word in value.to_string().split():
+            output.collect(Text(word), BROADCAST_BLOCK)
 
-        MatrixBlockWritable.serialized_size = spy_matrix
-        VectorBlockWritable.serialized_size = spy_vector
-        try:
-            g = matvec.generate_blocked_matrix(rows, block, sparsity=0.1, seed=7)
-            v = matvec.generate_blocked_vector(rows, block, seed=8)
-            matvec.write_partitioned(engine.filesystem, "/G", g, num_blocks, 4)
-            matvec.write_partitioned(engine.filesystem, "/V0", v, num_blocks, 4)
-            engine.warm_cache_from("/G")
-            engine.warm_cache_from("/V0")
 
-            def run_iteration(index, src, dst):
-                sequence = matvec.iteration_jobs(
-                    "/G", src, dst, "/scratch", index, num_blocks, 4
+class TestSecondEngineMeasurement:
+    def test_a_second_engine_over_the_same_blocks_reports_the_same_metrics(self):
+        """ROADMAP 1(b), closed by deletion: two engines in one process
+        that ship the *same* block objects report the same metrics.  With
+        the process-wide size memo the second engine found the block
+        already measured and said so (one miss fewer, one hit more)."""
+
+        def run_once():
+            engine = make_m3r()
+            try:
+                engine.filesystem.write_text("/in.txt", generate_text(20))
+                conf = wordcount_job(
+                    "/in.txt", "/out", num_reducers=4, immutable=True,
+                    use_combiner=False,
                 )
-                results = sequence.run_all(engine)
-                assert all(r.succeeded for r in results)
-                return results
+                conf.set_mapper_class(BroadcastBlockMapper)
+                conf.set_reducer_class(IdentityImmutableReducer)
+                result = engine.run_job(conf)
+                assert result.succeeded, result.error
+                return result.metrics.as_dict()["counters"]
+            finally:
+                engine.shutdown()
 
-            run_iteration(0, "/V0", "/V1")
-            # Identities of every payload cached under /G after iteration 1:
-            # these are the long-lived blocks iteration 2 will alias.
-            cached_ids = {
-                id(value)
-                for entry in engine.cache.entries()
-                if entry.path is not None and entry.path.startswith("/G")
-                for _, value in (entry.pairs or [])
-            }
-            assert cached_ids
-            measured.clear()
-            results = run_iteration(1, "/V1", "/V2")
-            remeasured = cached_ids & set(measured)
-            assert remeasured == set()
-            hits = sum(r.metrics.get("size_cache_hits") for r in results)
-            assert hits > 0
-        finally:
-            MatrixBlockWritable.serialized_size = original_matrix
-            VectorBlockWritable.serialized_size = original_vector
-            engine.shutdown()
+        first, second = run_once(), run_once()
+        assert first == second
+        assert first["shuffle_remote_bytes"] > 0 and first["dedup_saved_bytes"] > 0
+        assert not [key for key in first if key.startswith("size_")]
 
 
 # --------------------------------------------------------------------- #

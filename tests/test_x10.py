@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import copy
 import pathlib
+import re
 import threading
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api import writables
 from repro.api.writables import (
     ArrayWritable,
@@ -46,7 +48,7 @@ from repro.x10.serializer import (
     _TRANSPORT,
     BACKREF_BYTES,
     OBJECT_HEADER_BYTES,
-    SizeCache,
+    Crossing,
     _dual_size_of,
     _size_of,
     clone_pairs,
@@ -219,11 +221,8 @@ GENERIC_ON_PURPOSE = {
     # are cloned by copy.deepcopy on the message's memo
     ArrayWritable,
     PairWritable,
-    # size_token blocks: measured through the SizeCache, backed by
-    # numpy/scipy objects whose internals copy.deepcopy already handles
-    MatrixBlockWritable,
-    VectorBlockWritable,
-    CellMatrixBlockWritable,
+    # holds a CellMatrixBlockWritable that may also travel on its own; its
+    # size is one direct serialized_size() call
     TaggedBlockWritable,
 }
 
@@ -259,6 +258,16 @@ def one_of_each():
         BytesWritable(b"x" * 10),
         NullWritable(),
         BlockIndexWritable(1, 2),
+    ]
+
+
+def one_of_each_block():
+    """A sample of every registered array-backed block class."""
+    matrix = sparse.random(5, 4, density=0.4, format="csc", random_state=2)
+    return [
+        MatrixBlockWritable(matrix),
+        VectorBlockWritable(np.arange(4.0)),
+        CellMatrixBlockWritable(matrix),
     ]
 
 
@@ -387,14 +396,14 @@ class TestShipMatchesDeepcopy:
         if list_shaped_pair:
             runs[0].append([pool[0], pool[-1]])
 
-        serializer = DedupSerializer(SizeCache())
+        serializer = DedupSerializer()
         message, shipped = serializer.ship(runs)
         expected = copy.deepcopy(runs)
 
         sender = reachable_ids(runs)
         assert graph_shape(shipped, sender) == graph_shape(expected, sender)
         flat = [pair for run in runs for pair in run]
-        assert message == DedupSerializer(SizeCache()).measure_pairs(flat)
+        assert message == DedupSerializer().measure_pairs(flat)
         # The measurement-free crossing is the same clone.
         assert graph_shape(clone_pairs(flat), sender) == graph_shape(
             copy.deepcopy(flat), sender
@@ -448,12 +457,14 @@ class TestTransportTable:
         registered = set(_TRANSPORT)
         assert registered | GENERIC_ON_PURPOSE | ABSTRACT == shipped
         assert not registered & (GENERIC_ON_PURPOSE | ABSTRACT)
-        assert {type(sample) for sample in one_of_each()} == registered
+        samples = one_of_each() + one_of_each_block()
+        assert {type(sample) for sample in samples} == registered
 
     def test_table_size_equals_the_generic_walk(self, monkeypatch):
         samples = one_of_each() + [Text(""), Text("ascii"), BytesWritable(b"")]
+        samples += one_of_each_block()
         with_table = [
-            (estimate_size(s), _size_of(s, {}), _dual_size_of(s, {}, None))
+            (estimate_size(s), _size_of(s, {}), _dual_size_of(s, {}))
             for s in samples
         ]
         nested_with_table = estimate_size([samples, {"k": samples[0]}])
@@ -465,19 +476,31 @@ class TestTransportTable:
         assert estimate_size([samples, {"k": samples[0]}]) == nested_with_table
 
     def test_table_clone_is_a_deepcopy(self):
-        for sample in one_of_each():
-            clone = _TRANSPORT[type(sample)][1](sample)
-            assert graph_shape(clone) == graph_shape(copy.deepcopy(sample))
+        for sample in one_of_each() + one_of_each_block():
+            clone = _TRANSPORT[type(sample)][1](sample, Crossing())
+            mine = reachable_ids(sample)
+            assert graph_shape(clone, mine) == graph_shape(
+                copy.deepcopy(sample), mine
+            )
             assert (clone is sample) == (copy.deepcopy(sample) is sample)
 
     def test_no_deepcopy_outside_the_serializer(self):
         """One transport primitive: nothing else in the package deep-copies.
-        One execution substrate: nothing in it imports a process pool."""
+        One execution substrate: nothing in it imports a process pool.
+        One measurement: no size memo — its class, its token protocol or a
+        parameter that carries it — anywhere in the package, prose included."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
+        retired = re.compile("SizeCache|size_token|size_cache")
         offenders = []
         for path in sorted(package.rglob("*.py")):
             is_serializer = path == pathlib.Path(serializer_module.__file__)
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            source = path.read_text()
+            offenders += [
+                f"{path.relative_to(package)}:{number}"
+                for number, line in enumerate(source.splitlines(), 1)
+                if retired.search(line)
+            ]
+            for node in ast.walk(ast.parse(source, str(path))):
                 names, modules = [], []
                 if isinstance(node, ast.Call):
                     names = [getattr(node.func, "attr", getattr(node.func, "id", ""))]
@@ -493,10 +516,19 @@ class TestTransportTable:
                     offenders.append(f"{path.relative_to(package)}:{node.lineno}")
         assert offenders == []
 
-    def test_size_token_blocks_still_go_through_the_size_cache(self):
-        cache = SizeCache()
+    def test_blocks_are_measured_from_the_table_every_time(self):
+        """What replaced the size memo: a block's size is the table's O(1)
+        arithmetic on every ship, so a resize between two ships shows in
+        the second and a serializer holds nothing between them."""
         block = VectorBlockWritable(np.ones(8))
-        serializer = DedupSerializer(cache)
-        serializer.ship([[(BlockIndexWritable(0, 0), block)]])
-        serializer.ship([[(BlockIndexWritable(0, 0), block)]])
-        assert cache.snapshot() == (1, 1)
+        serializer = DedupSerializer()
+        assert vars(serializer) == {}
+        key = BlockIndexWritable(0, 0)
+        first, _ = serializer.ship([[(key, block)]])
+        again, _ = serializer.ship([[(key, block)]])
+        block.values = np.ones(9)
+        MUTATION_SANITIZER.forget(block)  # the sanitized row: a legal resize
+        grown, _ = serializer.ship([[(key, block)]])
+        assert first == again
+        assert grown.wire_bytes == first.wire_bytes + 8
+        assert estimate_size(block) == OBJECT_HEADER_BYTES + 4 + 8 * 9
