@@ -1,15 +1,11 @@
-"""Static lint + runtime sanitizers for the engine's concurrency contracts.
+"""Static lint + runtime sanitizers for the engine's contracts.
 
 Three parts:
 
-* ``python -m repro analyze`` — an AST lint (M3R001..M3R010) over the
-  source tree enforcing the async-mutation, determinism, ImmutableOutput,
-  exception-reporting, import-surface, place-portability, ReStore
-  fingerprintability, float-determinism, associativity-claim, and
-  knob-registry contracts (see :mod:`repro.analysis.rules`), backed by
-  the interprocedural capture/taint summaries of
-  :mod:`repro.analysis.dataflow` and the portability inventory of
-  :mod:`repro.analysis.portability`;
+* ``python -m repro analyze`` — an AST lint over the source tree enforcing
+  the determinism, ImmutableOutput, exception-reporting, import-surface,
+  ReStore fingerprintability, associativity-claim, and knob-registry
+  contracts (the catalog and its ids are in :mod:`repro.analysis.rules`);
 * the :mod:`repro.analysis.knobs` ``KnobRegistry`` — the single source
   of truth for every ``m3r.*`` configuration key (``repro.api.conf`` and
   the README knob table derive from it);
@@ -18,19 +14,9 @@ Three parts:
   into the serializer, cache, and lock table.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    diff_baseline,
-    load_baseline,
-    new_findings,
-    orphaned_fingerprints,
-    write_baseline,
-)
 from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph
-from repro.analysis.dataflow import Dataflow, analyze_dataflow
 from repro.analysis.knobs import REGISTRY, Knob, KnobRegistry, render_markdown_table
 from repro.analysis.linter import Analyzer, Module, Project, load_project
-from repro.analysis.portability import portability_inventory
 from repro.analysis.report import findings_to_document, render_json, render_text
 from repro.analysis.rules import Finding, Rule, default_rules, rule_by_id
 from repro.analysis.sanitizers import (
@@ -46,8 +32,6 @@ from repro.analysis.sanitizers import (
 __all__ = [
     "Analyzer",
     "CallGraph",
-    "DEFAULT_BASELINE_PATH",
-    "Dataflow",
     "Finding",
     "FunctionInfo",
     "Knob",
@@ -62,20 +46,13 @@ __all__ = [
     "MutationSanitizer",
     "Project",
     "Rule",
-    "analyze_dataflow",
     "build_call_graph",
     "default_rules",
-    "diff_baseline",
     "findings_to_document",
-    "load_baseline",
     "load_project",
-    "new_findings",
-    "orphaned_fingerprints",
-    "portability_inventory",
     "render_json",
     "render_markdown_table",
     "render_text",
     "rule_by_id",
     "sanitizer_overrides",
-    "write_baseline",
 ]

@@ -4,11 +4,12 @@
 given roots, builds the project-wide call graph once, runs each rule from
 :func:`repro.analysis.rules.default_rules`, and marks suppressions.
 
-Suppression is per line, flake8-style: a ``# noqa: M3R001`` comment on the
-flagged line suppresses that rule there (several ids may be listed,
-comma-separated); a bare ``# noqa`` suppresses every rule on the line.
-Suppressed findings stay in the report (marked ``suppressed``) so the
-baseline and reviewers can still see them — they just don't gate.
+Suppression is per line, flake8-style, and the only way to accept a
+finding: a ``# noqa: M3R002 - reason`` comment on the flagged line
+suppresses that rule there (several ids may be listed, comma-separated);
+a bare ``# noqa`` suppresses every rule on the line.  Suppressed findings
+stay in the report (marked ``suppressed``) so reviewers can still see
+them — they just don't gate.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from repro.analysis.rules import Finding, Rule, default_rules
 
 __all__ = ["Module", "Project", "Analyzer", "load_project"]
 
-# A rule id is letters followed by digits (M3R001, E501, ...).  The codes
+# A rule id is letters followed by digits (M3R002, E501, ...).  The codes
 # group must match *id tokens* specifically, not "any uppercase-ish text":
 # the old pattern ``[A-Z0-9,\s]+`` under IGNORECASE swallowed trailing
-# prose ("# noqa: M3R001,M3R004 and why"), so the second id parsed as
+# prose ("# noqa: M3R002,M3R004 and why"), so the second id parsed as
 # "M3R004 AND WHY" and its suppression silently failed.
 _NOQA_CODE = r"[A-Za-z][A-Za-z0-9]*[0-9]"
 _NOQA = re.compile(
@@ -56,23 +57,6 @@ class Project:
         self.call_graph: CallGraph = build_call_graph(
             [(m.relpath, m.tree) for m in modules]
         )
-        self._dataflow = None
-
-    @property
-    def dataflow(self):
-        """The interprocedural capture/taint summaries, built on first use
-        (only the dataflow-backed rules and the portability report pay)."""
-        if self._dataflow is None:
-            from repro.analysis.dataflow import analyze_dataflow
-
-            self._dataflow = analyze_dataflow(self.call_graph)
-        return self._dataflow
-
-    def module_for(self, relpath: str) -> Optional[Module]:
-        for module in self.modules:
-            if module.relpath == relpath:
-                return module
-        return None
 
 
 def _iter_sources(root: Path) -> List[Path]:

@@ -5,8 +5,6 @@ Each rule is a class with an ``id``, a one-line ``summary``, and a
 the engine's unwritten concurrency/immutability/determinism contracts:
 
 ========  ==============================================================
-M3R001    mutation of a parameter inside a function reachable from an
-          ``async``/``finish`` body, outside any lock-ish ``with`` block
 M3R002    iteration over a ``set`` / ``dict.values()`` inside code that
           feeds shuffle-plan or replay ordering (nondeterminism hazard)
 M3R003    attribute writes on ``ImmutableOutput``-registered classes
@@ -15,15 +13,8 @@ M3R004    a bare ``except``/``except Exception`` that swallows the error
           (no re-raise, never reads the bound exception)
 M3R005    a package ``__init__.py`` without an ``__all__`` export list
           (the import-surface ground truth)
-M3R006    a closure capturing fatally unpicklable state (lock, file
-          handle, lambda, local class...) crossing a spawn/serialize
-          boundary — a task body that is not a function of its
-          explicit ``TaskContext``
 M3R007    a lambda / function-local callable registered on a JobSpec
           (ReStore sees it only as a silent fingerprint bypass)
-M3R008    order-sensitive ``+=`` float accumulation into shared state on
-          an async-reachable path (use the addend-list + ``math.fsum``
-          pattern the TimeBreakdown fix established)
 M3R009    an ``AssociativeReducer``/allowlist associativity claim whose
           ``reduce`` mutates inputs, keeps cross-call state, or branches
           on arrival order
@@ -31,18 +22,13 @@ M3R010    an ``m3r.*`` knob string literal outside the KnobRegistry
           (misspelled knobs silently no-op)
 ========  ==============================================================
 
-M3R006/M3R007 consume the interprocedural capture summaries of
-:mod:`repro.analysis.dataflow` (``project.dataflow``); the rest stay
-single-pass over the AST + call graph.
+Ids are never reused: the gaps in the numbering (001, 006, 008) linted for
+worker threads and pickling across a pipe and went with those execution
+modes.
 
-Findings are suppressed line-by-line with ``# noqa: M3Rxxx`` (see
-:mod:`repro.analysis.linter`).  Thread-safe state is recognised
-structurally, not by registry: mutations under a ``with <something
-lock-like>`` block are exempt, and the thread-safe counters/metrics
-(`sim.metrics`, `api.counters`) expose *methods* (``incr``, ``increment``,
-``charge``, ``merge``) that are not in the raw-container mutator list, so
-calling them never fires M3R001 — mutating their internals without their
-own lock would.
+Every rule is single-pass over the AST + call graph.  A finding is
+accepted one way only: a ``# noqa`` naming the rule, with its reason, on
+the flagged line (see :mod:`repro.analysis.linter`).
 """
 
 from __future__ import annotations
@@ -51,9 +37,7 @@ import ast
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set
-
-from repro.analysis.callgraph import FunctionInfo
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.linter import Project
@@ -61,14 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Finding",
     "Rule",
-    "AsyncParamMutationRule",
     "UnorderedIterationRule",
     "ImmutableOutputWriteRule",
     "SwallowedExceptionRule",
     "ImportSurfaceRule",
-    "UnpicklableCaptureRule",
     "LocalCallableRegistrationRule",
-    "FloatAccumulationOrderRule",
     "AssociativityClaimRule",
     "KnobLiteralRule",
     "default_rules",
@@ -90,8 +71,8 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """A stable identity for baselining: survives unrelated edits by
-        excluding the line number."""
+        """A line-number-free identity in the JSON report: the same
+        finding keeps it across unrelated edits, so two reports diff."""
         raw = f"{self.rule}|{self.path}|{self.symbol}|{self.message}"
         return hashlib.sha1(raw.encode("utf-8")).hexdigest()
 
@@ -124,11 +105,6 @@ def _root_name(expr: ast.expr) -> Optional[str]:
     return expr.id if isinstance(expr, ast.Name) else None
 
 
-#: ``with`` context expressions matching this are treated as lock-holding.
-_LOCK_CONTEXT = re.compile(
-    r"lock|guard|hold|acquire|semaphore|limiter|mutex|cond", re.IGNORECASE
-)
-
 #: Raw-container method calls that mutate their receiver in place.
 _MUTATORS = frozenset(
     {
@@ -147,96 +123,6 @@ _MUTATORS = frozenset(
         "reverse",
     }
 )
-
-
-class AsyncParamMutationRule(Rule):
-    """M3R001: unsynchronised parameter mutation on a worker-thread path."""
-
-    id = "M3R001"
-    summary = (
-        "parameter mutated inside an async-reachable function without a lock"
-    )
-    rationale = (
-        "Functions reachable from async/finish bodies run on X10 worker "
-        "threads; mutating a caller-supplied object there without a lock "
-        "is a data race against every other task sharing it."
-    )
-    example = "def task(shared):  # spawned via async_at\n    shared.append(x)"
-    fix = (
-        "Hold the owning lock (`with self._lock:`), or give each task "
-        "private state and merge on the driver thread."
-    )
-
-    def check(self, project: "Project") -> List[Finding]:
-        graph = project.call_graph
-        reachable = graph.reachable_from(graph.spawn_roots)
-        findings: List[Finding] = []
-        for fn in graph.functions:
-            if fn.name not in reachable and fn.name not in graph.spawn_roots:
-                continue
-            shared = [p for p in fn.params if p not in ("self", "cls")]
-            if not shared:
-                continue
-            self._scan(fn, set(shared), project, findings)
-        return findings
-
-    def _scan(
-        self,
-        fn: FunctionInfo,
-        params: Set[str],
-        project: "Project",
-        findings: List[Finding],
-    ) -> None:
-        def emit(node: ast.AST, param: str, how: str) -> None:
-            findings.append(
-                Finding(
-                    rule=self.id,
-                    path=fn.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    symbol=fn.qualname,
-                    message=(
-                        f"parameter {param!r} of async-reachable "
-                        f"{fn.qualname!r} is mutated ({how}) without holding "
-                        f"a lock"
-                    ),
-                )
-            )
-
-        def visit(node: ast.AST, locked: bool) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                now_locked = locked or any(
-                    _LOCK_CONTEXT.search(ast.unparse(item.context_expr))
-                    for item in node.items
-                )
-                for item in node.items:
-                    visit(item, locked)
-                for stmt in node.body:
-                    visit(stmt, now_locked)
-                return
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root = _root_name(target)
-                        if root in params and not locked:
-                            emit(target, root, "assignment")
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in _MUTATORS:
-                    root = _root_name(node.func.value)
-                    if root in params and not locked:
-                        emit(node, root, f".{node.func.attr}() call")
-            for child in ast.iter_child_nodes(node):
-                visit(child, locked)
-
-        for stmt in fn.node.body:
-            visit(stmt, False)
 
 
 #: Function names that *define* shuffle-plan / replay ordering.
@@ -594,98 +480,36 @@ class ImportSurfaceRule(Rule):
         return False
 
 
-class UnpicklableCaptureRule(Rule):
-    """M3R006: fatally unpicklable capture crossing a spawn/serialize
-    boundary (the dataflow layer's headline consumer)."""
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    id = "M3R006"
-    summary = "unpicklable capture reaches a spawn/serialize boundary"
-    rationale = (
-        "Task bodies are module-level functions of one explicit "
-        "TaskContext (DESIGN.md §16): everything a task reads arrives "
-        "through that argument, which is what keeps the prologue / "
-        "kernel / epilogue split reviewable.  A closure that captures a "
-        "lock, file handle, thread or another closure and is handed to "
-        "async_at/finish_collect or a serializer is not a function of "
-        "its explicit context: every task it spawns shares state the "
-        "signature does not show, and the value cannot be measured or "
-        "copied across a place boundary."
-    )
-    example = (
-        "lock = threading.Lock()\n"
-        "def task(i):\n"
-        "    with lock: ...\n"
-        "finish_collect(task)  # task captures `lock`"
-    )
-    fix = (
-        "Make the task body a module-level function over a TaskContext: "
-        "pass indexes/paths and re-acquire resources inside the task, or "
-        "hoist shared state into the place-local store keyed by place id."
-    )
 
-    def check(self, project: "Project") -> List[Finding]:
-        dataflow = project.dataflow
-        boundaries = dataflow.boundary_names()
-        findings: List[Finding] = []
-        seen: Set[tuple] = set()
-        for fn in project.call_graph.functions:
-            summary = dataflow.summary(fn)
-            if not summary.closures:
-                continue
-            for site in fn.call_sites:
-                if site.callee not in boundaries:
-                    continue
-                for closure in self._closure_args(summary, site):
-                    for capture in closure.fatal_captures():
-                        key = (
-                            fn.relpath, fn.qualname, closure.name,
-                            capture.name, site.callee,
-                        )
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        findings.append(
-                            Finding(
-                                rule=self.id,
-                                path=fn.relpath,
-                                line=capture.line,
-                                col=capture.col,
-                                symbol=f"{fn.qualname}.{closure.name}",
-                                message=(
-                                    f"task body {closure.name!r} captures "
-                                    f"{capture.kind} {capture.name!r} and "
-                                    f"crosses boundary {site.callee!r}; "
-                                    f"the task body is not a function of "
-                                    f"its explicit TaskContext"
-                                ),
-                            )
-                        )
-        return findings
+def iter_own_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``node``'s body without descending into nested function, lambda
+    or class scopes (the nested node itself is yielded; its body is not)."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        yield child
+        if isinstance(child, _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(child))
 
-    @staticmethod
-    def _closure_args(summary, site) -> List:
-        """The ClosureInfos handed to this call: name-bound closures plus
-        anonymous lambdas appearing directly in the argument list."""
-        closures = []
-        names = list(site.pos_args) + list(site.kw_args.values())
-        for name in names:
-            if name is not None and name in summary.closure_by_name:
-                closures.append(summary.closure_by_name[name])
-        if site.node is not None:
-            arg_exprs = list(site.node.args) + [
-                kw.value for kw in site.node.keywords
-            ]
-            anonymous = {
-                (c.line, c.col): c
-                for c in summary.closures
-                if c.is_lambda and c.name == "<lambda>"
-            }
-            for expr in arg_exprs:
-                if isinstance(expr, ast.Lambda):
-                    closure = anonymous.get((expr.lineno, expr.col_offset))
-                    if closure is not None:
-                        closures.append(closure)
-        return closures
+
+def _local_bindings(function: ast.AST) -> Dict[str, str]:
+    """Names ``function``'s own scope binds to a callable with no
+    module-level identity, by kind: ``lambda`` (``name = lambda ...``),
+    ``local function`` (a nested ``def``) or ``local class``."""
+    bindings: Dict[str, str] = {}
+    for child in iter_own_scope(function):
+        if isinstance(child, ast.Assign) and isinstance(child.value, ast.Lambda):
+            for target in child.targets:
+                if isinstance(target, ast.Name):
+                    bindings[target.id] = "lambda"
+        elif isinstance(child, _FUNCTION_NODES):
+            bindings[child.name] = "local function"
+        elif isinstance(child, ast.ClassDef):
+            bindings[child.name] = "local class"
+    return bindings
 
 
 #: JobSpec/JobConf entry points that register a user class for the job.
@@ -725,12 +549,9 @@ class LocalCallableRegistrationRule(Rule):
     )
 
     def check(self, project: "Project") -> List[Finding]:
-        from repro.analysis.dataflow import iter_own_scope
-
-        dataflow = project.dataflow
         findings: List[Finding] = []
         for fn in project.call_graph.functions:
-            summary = dataflow.summary(fn)
+            bindings = _local_bindings(fn.node)
             for node in iter_own_scope(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
@@ -744,7 +565,7 @@ class LocalCallableRegistrationRule(Rule):
                 if callee not in _JOBSPEC_SETTERS:
                     continue
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    described = self._describe_local(arg, summary)
+                    described = self._describe_local(arg, bindings)
                     if described is None:
                         continue
                     findings.append(
@@ -764,124 +585,12 @@ class LocalCallableRegistrationRule(Rule):
         return findings
 
     @staticmethod
-    def _describe_local(arg: ast.expr, summary) -> Optional[str]:
+    def _describe_local(arg: ast.expr, bindings: Dict[str, str]) -> Optional[str]:
         if isinstance(arg, ast.Lambda):
             return "a lambda"
-        if isinstance(arg, ast.Name):
-            binding = summary.bindings.get(arg.id)
-            if binding is not None and binding.kind in (
-                "lambda", "local-function", "local-class",
-            ):
-                return f"{binding.kind.replace('-', ' ')} {arg.id!r}"
+        if isinstance(arg, ast.Name) and arg.id in bindings:
+            return f"{bindings[arg.id]} {arg.id!r}"
         return None
-
-
-_FLOATY_NAME = re.compile(
-    r"(time|seconds|secs|elapsed|duration|cost|weight|charge|total)",
-    re.IGNORECASE,
-)
-_TIME_SOURCES = frozenset({"perf_counter", "monotonic", "time", "process_time"})
-
-
-class FloatAccumulationOrderRule(Rule):
-    """M3R008: order-sensitive float ``+=`` on an async-reachable path."""
-
-    id = "M3R008"
-    summary = "order-sensitive float += into shared state on an async path"
-    rationale = (
-        "Float addition is not associative: when worker threads fold "
-        "`self.total += dt` in arrival order, the low-order bits depend "
-        "on scheduling, breaking byte-identical replay.  The "
-        "TimeBreakdown bug fixed in PR 7 was exactly this; the shipped "
-        "pattern collects addends per category and reduces once with "
-        "math.fsum in a deterministic order."
-    )
-    example = (
-        "def on_task_done(self, dt):  # async-reachable\n"
-        "    self.elapsed_seconds += dt"
-    )
-    fix = (
-        "Append addends to a list and reduce with math.fsum at a "
-        "deterministic point (task finish, plan order), as "
-        "sim.metrics.TimeBreakdown does."
-    )
-
-    def check(self, project: "Project") -> List[Finding]:
-        from repro.analysis.dataflow import iter_own_scope
-
-        graph = project.call_graph
-        reachable = graph.reachable_from(graph.spawn_roots)
-        findings: List[Finding] = []
-        for fn in graph.functions:
-            if fn.name not in reachable and fn.name not in graph.spawn_roots:
-                continue
-            if "fsum" in fn.callees:
-                # Already using the order-insensitive reduction.
-                continue
-            shared_roots = {"self"} | {
-                p for p in fn.params if p not in ("cls",)
-            }
-            for node in iter_own_scope(fn.node):
-                if not isinstance(node, ast.AugAssign):
-                    continue
-                if not isinstance(node.op, ast.Add):
-                    continue
-                target = node.target
-                if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                    continue
-                root = _root_name(target)
-                if root not in shared_roots:
-                    continue
-                if not self._is_floaty(target, node.value):
-                    continue
-                findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=fn.relpath,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        symbol=fn.qualname,
-                        message=(
-                            f"float accumulation "
-                            f"`{ast.unparse(target)} += ...` in "
-                            f"async-reachable {fn.qualname!r} is "
-                            f"arrival-order sensitive; collect addends and "
-                            f"reduce with math.fsum"
-                        ),
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _is_floaty(target: ast.expr, value: ast.expr) -> bool:
-        if isinstance(target, ast.Attribute) and _FLOATY_NAME.search(
-            target.attr
-        ):
-            return True
-        for node in ast.walk(value):
-            if isinstance(node, ast.Constant) and isinstance(
-                node.value, float
-            ):
-                return True
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                return True
-            if isinstance(node, ast.Name) and _FLOATY_NAME.search(node.id):
-                return True
-            if isinstance(node, ast.Attribute) and _FLOATY_NAME.search(
-                node.attr
-            ):
-                return True
-            if isinstance(node, ast.Call):
-                callee = (
-                    node.func.attr
-                    if isinstance(node.func, ast.Attribute)
-                    else node.func.id
-                    if isinstance(node.func, ast.Name)
-                    else ""
-                )
-                if callee in _TIME_SOURCES:
-                    return True
-        return False
 
 
 class AssociativityClaimRule(Rule):
@@ -1113,14 +822,11 @@ class KnobLiteralRule(Rule):
 def default_rules() -> List[Rule]:
     """The shipped rule catalog, in id order."""
     return [
-        AsyncParamMutationRule(),
         UnorderedIterationRule(),
         ImmutableOutputWriteRule(),
         SwallowedExceptionRule(),
         ImportSurfaceRule(),
-        UnpicklableCaptureRule(),
         LocalCallableRegistrationRule(),
-        FloatAccumulationOrderRule(),
         AssociativityClaimRule(),
         KnobLiteralRule(),
     ]

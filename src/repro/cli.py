@@ -840,18 +840,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     import repro
-    from repro.analysis import (
-        Analyzer,
-        diff_baseline,
-        load_baseline,
-        load_project,
-        new_findings,
-        orphaned_fingerprints,
-        portability_inventory,
-        render_json,
-        render_text,
-        write_baseline,
-    )
+    from repro.analysis import Analyzer, render_json, render_text
 
     if args.explain:
         return _explain_rule(args.explain)
@@ -863,61 +852,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.paths
         else [Path(repro.__file__).parent]
     )
-
-    if args.report == "portability":
-        project = load_project(roots)
-        document = portability_inventory(project)
-        print(json.dumps(document, indent=2, sort_keys=True))
-        if args.gate:
-            captures = (
-                document["fatal_captures"] + document["advisory_captures"]
-            )
-            if captures:
-                print(
-                    f"FAIL: {captures} task-body capture(s) "
-                    f"({document['fatal_captures']} fatal, "
-                    f"{document['advisory_captures']} advisory) — task "
-                    "bodies must stay functions of their TaskContext "
-                    "(DESIGN.md §16)",
-                    file=sys.stderr,
-                )
-                return 1
-        return 0
-
     findings = Analyzer().run(roots)
-    baseline_path = Path(args.baseline_file)
-
-    if args.baseline:
-        previous = load_baseline(baseline_path)
-        added, removed = diff_baseline(findings, previous)
-        write_baseline(findings, baseline_path)
-        print(
-            f"baseline written to {baseline_path}: {len(findings)} "
-            f"finding(s) recorded (+{len(added)} new, -{len(removed)} gone)"
-        )
-        return 0
-
-    baseline = load_baseline(baseline_path)
     print(render_json(findings) if args.format == "json" else render_text(findings))
-    failed = False
-    gate = new_findings(findings, baseline)
-    if gate:
-        print(
-            f"FAIL: {len(gate)} unsuppressed, non-baselined finding(s)",
-            file=sys.stderr,
-        )
-        failed = True
-    orphans = orphaned_fingerprints(baseline_path, roots)
-    if orphans:
-        for label in sorted(orphans.values()):
-            print(f"  orphaned baseline entry: {label}", file=sys.stderr)
-        print(
-            f"FAIL: {len(orphans)} baseline fingerprint(s) point at files "
-            f"that no longer exist — refresh with --baseline",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+    active = sum(1 for f in findings if not f.suppressed)
+    if active:
+        print(f"FAIL: {active} unsuppressed finding(s)", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _check_equivalence(outputs: Dict[str, object]) -> int:
@@ -1100,13 +1041,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_service_stats)
 
+    from repro.analysis import default_rules
+
     p = sub.add_parser(
         "analyze",
         help="static lint: check the source tree against the M3R "
-             "concurrency/immutability/determinism/portability rules "
-             "(M3R001..M3R010)",
+             "determinism/immutability/fingerprintability/knob rules ("
+             + ", ".join(rule.id for rule in default_rules()) + ")",
         description="Static analysis over the source tree.  Exit codes: "
-                    "0 = clean (no unsuppressed, non-baselined findings), "
+                    "0 = clean (no unsuppressed findings), "
                     "1 = findings or doc drift, 2 = usage error (unknown "
                     "rule id, bad flag).",
     )
@@ -1114,23 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to analyze (default: the "
                         "installed repro package)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--baseline", action="store_true",
-                   help="write/refresh the baseline file instead of gating")
-    p.add_argument("--baseline-file", default="analysis/baseline.json",
-                   help="baseline location (default analysis/baseline.json)")
     p.add_argument("--explain", metavar="M3R00x",
                    help="print one rule's rationale, example and fix, "
                         "then exit")
-    p.add_argument("--report", choices=("findings", "portability"),
-                   default="findings",
-                   help="'findings' (default) gates on the rule catalog; "
-                        "'portability' emits the machine-readable "
-                        "unpicklable-capture inventory per stage-provider "
-                        "task body")
-    p.add_argument("--gate", action="store_true",
-                   help="with --report portability: exit 1 if any task "
-                        "body captures anything (fatal OR advisory) — the "
-                        "CI regression gate for the task-kernel split")
     p.add_argument("--check-docs", action="store_true",
                    help="verify the README knob table matches the "
                         "KnobRegistry (exit 1 on drift)")

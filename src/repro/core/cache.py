@@ -255,14 +255,15 @@ class KeyValueCache:
                     break  # everything left is pinned; high-water records it
 
     def _evict(self, entry: CacheEntry) -> None:
-        """Demote one resident entry: spill if available, else drop."""
+        """Demote one resident entry: spill if available, else drop.
+        Caller holds the lock."""
         governor = self.governor
         if governor.spill_active:
             record, seconds = governor.spill.spill(entry.pairs)
             self._store.delete(entry.name)
-            entry.pairs = None  # noqa: M3R001 - caller holds self._lock
-            entry.spilled = True  # noqa: M3R001 - caller holds self._lock
-            entry.spill = record  # noqa: M3R001 - caller holds self._lock
+            entry.pairs = None
+            entry.spilled = True
+            entry.spill = record
             governor.incr("cache_spills")
             governor.incr("cache_spill_bytes", record.wire_bytes)
             governor.charge_seconds("spill_write", seconds)
@@ -286,9 +287,9 @@ class KeyValueCache:
         stored = self._store.put_block(
             entry.name, BlockInfo(place_id=entry.place_id), pairs, entry.nbytes
         )
-        entry.pairs = stored  # noqa: M3R001 - caller holds self._lock
-        entry.spilled = False  # noqa: M3R001 - caller holds self._lock
-        entry.spill = None  # noqa: M3R001 - caller holds self._lock
+        entry.pairs = stored
+        entry.spilled = False
+        entry.spill = None
         governor.budget.charge(entry.place_id, entry.nbytes)
         governor.tenants.charge(entry.path, entry.nbytes)
         governor.policy.on_admit(entry.name, entry.nbytes)
@@ -299,12 +300,12 @@ class KeyValueCache:
         )
         # Re-admission can push the place back over its watermark; protect
         # the entry being handed to the caller from its own eviction wave.
-        entry.pins += 1  # noqa: M3R001 - caller holds self._lock
+        entry.pins += 1
         try:
             self._enforce(entry.place_id)
             self._enforce_tenants()
         finally:
-            entry.pins -= 1  # noqa: M3R001 - caller holds self._lock
+            entry.pins -= 1
 
     def _forget(self, name: str) -> None:
         """Remove an entry outright (replacement, delete, clear)."""
@@ -373,7 +374,7 @@ class KeyValueCache:
             )
         self.governor.policy.on_access(entry.name, entry.nbytes)
         if pin:
-            entry.pins += 1  # noqa: M3R001 - caller holds self._lock
+            entry.pins += 1
         return entry
 
     def get_file(

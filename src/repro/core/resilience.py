@@ -194,7 +194,8 @@ class ResilientM3REngine(M3REngine):
             if replica.place_id in dead:
                 del self._replicas[name]
         self.recovery_log.append(report)
-        self._pending_recovery_seconds += report.simulated_seconds  # noqa: M3R008 - driver-thread recovery accounting, single writer
+        # Recovery accounting has one writer: the driver, between jobs.
+        self._pending_recovery_seconds += report.simulated_seconds
 
     def _cache_replace(self, name: str, path: str, replica: ReplicaRecord) -> None:
         """Re-point a cache entry at the replica's place and pairs."""

@@ -17,8 +17,8 @@ module is the refactor that split it into three layers:
   and the invariant is byte-identical simulated seconds.
 
 A :class:`TaskContext` carries the handles a task body needs (the
-explicit replacement for the ``engine``/``self`` captures that the
-portability inventory flagged as the 25 advisory captures).
+explicit replacement for the ``engine``/``self`` captures of the closure
+it replaced).
 """
 
 from __future__ import annotations

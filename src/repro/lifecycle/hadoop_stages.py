@@ -18,10 +18,9 @@ so simulated seconds are byte-identical to the pre-lifecycle engine.
 
 Task bodies are module-level functions over an explicit
 :class:`~repro.lifecycle.envelopes.TaskContext` — the same shape as the
-M3R provider (zero captures in ``analyze --report portability``,
-DESIGN.md §16).  They do not go through the shared kernels, though: the
-stock engine's task bodies interleave user code with streaming
-filesystem reads and record writers by design.
+M3R provider (DESIGN.md §16).  They do not go through the shared
+kernels, though: the stock engine's task bodies interleave user code with
+streaming filesystem reads and record writers by design.
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ class HadoopStageProvider(StageProvider):
         return (SanitizerSubscription(ctx),)
 
     def stages(self, ctx: JobContext) -> Iterable[Tuple[str, StageFn]]:
-        # Partials, not lambdas: stage thunks must not be closures over
-        # this method (the portability inventory counts every capture).
+        # Partials, not lambdas: a stage thunk reads what its arguments
+        # say, never this method's scope.
         st: Dict[str, Any] = {}
         reuse = restore.restore_enabled(ctx.conf)
         if reuse:

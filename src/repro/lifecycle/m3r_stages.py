@@ -20,10 +20,8 @@ ride the event bus (see :mod:`repro.lifecycle.subscriptions`).
 
 Task bodies are **module-level functions over an explicit**
 :class:`~repro.lifecycle.envelopes.TaskContext` — not closures over
-provider methods (DESIGN.md §16): ``analyze --report portability``
-counts every value a provider method's closures would capture from the
-enclosing scope, and this module keeps that inventory at zero by
-construction.  Each task body splits as
+provider methods (DESIGN.md §16), so what a task reads is what its
+signature says.  Each task body splits as
 
     prologue  (cache/filesystem/placement — needs the engine)
     → kernel  (pure user code, :mod:`repro.lifecycle.envelopes`)
@@ -86,8 +84,8 @@ class M3RStageProvider(StageProvider):
         return (GovernorSubscription(self.engine, ctx), SanitizerSubscription(ctx))
 
     def stages(self, ctx: JobContext) -> Iterable[Tuple[str, StageFn]]:
-        # Partials, not lambdas: stage thunks must not be closures over
-        # this method (the portability inventory counts every capture).
+        # Partials, not lambdas: a stage thunk reads what its arguments
+        # say, never this method's scope.
         st: Dict[str, Any] = {}
         reuse = restore.restore_enabled(ctx.conf)
         if reuse:

@@ -147,10 +147,12 @@ class MemoryGovernor:
         self.lifetime.incr(name, amount)
 
     def charge_seconds(self, category: str, seconds: float) -> None:
-        """Attribute simulated time for a spill/rehydrate I/O event."""
+        """Attribute simulated time for a spill/rehydrate I/O event.
+        Charges replay in plan order, so the pending float sum is
+        deterministic."""
         self.lifetime.time.charge(category, seconds)
         with self._lock:
-            self._pending_seconds += seconds  # noqa: M3R008 - spill/rehydrate charges replay in plan order
+            self._pending_seconds += seconds
             job = self._job_metrics
         if job is not None:
             job.time.charge(category, seconds)

@@ -374,9 +374,9 @@ class JobService:
                 except BaseException as exc:
                     # The running record is owned exclusively by this
                     # thread (run lock held) until done is set.
-                    record.exception = exc  # noqa: M3R001 - run lock held
+                    record.exception = exc
                     break
-                record.results.append(result)  # noqa: M3R001 - run lock held
+                record.results.append(result)
                 with self._lock:
                     state.counters["jobs_run"] += 1
                     state.simulated_seconds += result.simulated_seconds

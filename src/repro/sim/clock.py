@@ -88,11 +88,13 @@ class PhaseTimer:
         return len(self._elapsed)
 
     def charge(self, participant: int, seconds: float) -> None:
-        """Add ``seconds`` of work to one participant's lane (atomic)."""
+        """Add ``seconds`` of work to one participant's lane (atomic).
+        One participant's charges arrive serially, in plan order, so the
+        lane's float sum is deterministic."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         with self._lock:
-            self._elapsed[participant] += seconds  # noqa: M3R008 - per-lane accumulator; one participant's charges are serial
+            self._elapsed[participant] += seconds
 
     def elapsed(self, participant: int) -> float:
         """Seconds charged so far to ``participant``."""

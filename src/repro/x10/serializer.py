@@ -136,6 +136,8 @@ def _size_of(
 ) -> int:
     """Size of ``obj``; when ``memo`` is given, repeats cost a back-ref.
 
+    ``memo`` is the caller's per-message table ``id(obj) -> obj``: holding
+    the object keeps it alive, so ids stay unique for the whole message.
     ``visiting`` tracks the ids on the *current* descent path: even without
     a memo (raw, sharing-ignored measurement) a cycle must terminate, and a
     back-reference is what a cycle-capable wire protocol emits for it.
@@ -159,7 +161,7 @@ def _size_of(
         key = id(obj)
         if key in memo:
             return BACKREF_BYTES
-        memo[key] = obj  # noqa: M3R001 - per-message memo; ref keeps ids unique
+        memo[key] = obj
     elif isinstance(obj, (list, tuple, set, frozenset, dict)) or hasattr(
         obj, "__dict__"
     ):
@@ -220,7 +222,8 @@ def _size_of(
 def _dual_size_of(obj: Any, memo: Dict[int, List[Any]]) -> Tuple[int, int]:
     """``(wire, raw)`` size of ``obj`` in one traversal.
 
-    ``memo`` maps ``id(obj) -> [obj, raw_size]``; ``raw_size`` is ``None``
+    ``memo`` is the caller's per-message table ``id(obj) -> [obj,
+    raw_size]`` (the held reference keeps ids unique); ``raw_size`` is ``None``
     while the object's walk is still in progress (i.e. the hit is a cycle,
     which both accountings encode as a back-reference).  A completed-walk
     hit costs a back-reference on the wire but its full, sharing-ignored
@@ -247,7 +250,7 @@ def _dual_size_of(obj: Any, memo: Dict[int, List[Any]]) -> Tuple[int, int]:
             return BACKREF_BYTES, BACKREF_BYTES
         return BACKREF_BYTES, raw_size
     entry = [obj, None]  # hold a reference so ids stay unique
-    memo[key] = entry  # noqa: M3R001 - per-message memo; ref keeps ids unique
+    memo[key] = entry
 
     table = _TRANSPORT.get(type(obj))
     if table is not None:

@@ -2,13 +2,15 @@
 
 Each rule gets a fixture pair: a known-bad snippet it must fire on, and
 the fixed version it must stay silent on.  The suite also covers the
-``# noqa`` suppression convention, baseline write/diff, the reporters, and
-the self-gate: the shipped ``src/repro`` tree must be clean.
+``# noqa`` suppression convention, the reporters, the fixture contract
+(a rule stays only with a fixture) and the self-gate: the shipped
+``src/repro`` tree must be clean.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,13 +18,10 @@ import pytest
 import repro
 from repro.analysis import (
     Analyzer,
-    diff_baseline,
+    default_rules,
     findings_to_document,
-    load_baseline,
-    new_findings,
     render_json,
     render_text,
-    write_baseline,
 )
 from repro.analysis.callgraph import build_call_graph
 import ast
@@ -41,76 +40,6 @@ def rules_fired(findings, *, include_suppressed: bool = False):
         for f in findings
         if include_suppressed or not f.suppressed
     }
-
-
-# --------------------------------------------------------------------- #
-# M3R001: parameter mutation on an async-reachable path
-# --------------------------------------------------------------------- #
-
-M3R001_BAD = """
-def task_body(shared, index):
-    shared.append(index)
-
-def driver(scope, items):
-    for i in range(len(items)):
-        scope.async_at(None, task_body, i)
-"""
-
-M3R001_FIXED = """
-def task_body(shared, index, lock):
-    with lock:
-        shared.append(index)
-
-def driver(scope, items):
-    for i in range(len(items)):
-        scope.async_at(None, task_body, i)
-"""
-
-
-def test_m3r001_fires_on_unlocked_mutation(tmp_path):
-    findings = run_lint(tmp_path, M3R001_BAD)
-    assert "M3R001" in rules_fired(findings)
-    (finding,) = [f for f in findings if f.rule == "M3R001"]
-    assert finding.symbol == "task_body"
-    assert "shared" in finding.message
-
-
-def test_m3r001_silent_when_lock_held(tmp_path):
-    findings = run_lint(tmp_path, M3R001_FIXED)
-    assert "M3R001" not in rules_fired(findings)
-
-
-def test_m3r001_silent_for_driver_only_function(tmp_path):
-    source = """
-def helper(out, x):
-    out.append(x)
-
-def main(items):
-    acc = []
-    for x in items:
-        helper(acc, x)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R001" not in rules_fired(findings)
-
-
-def test_m3r001_sees_through_spawn_forwarders(tmp_path):
-    # bounded_task_fn-style wrapper: the body is spawned indirectly.
-    source = """
-def wrapper(task_fn):
-    def bounded(i):
-        return task_fn(i)
-    return bounded
-
-def body(shared, i):
-    shared[i] = 1
-
-def driver(scope):
-    bounded = wrapper(body)
-    scope.submit(bounded)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R001" in rules_fired(findings)
 
 
 # --------------------------------------------------------------------- #
@@ -333,10 +262,15 @@ def fragile():
 # --------------------------------------------------------------------- #
 
 
+M3R005_BAD = "from math import pi\n"
+
+M3R005_FIXED = "from math import pi\n__all__ = ['pi']\n"
+
+
 def test_m3r005_fires_on_missing_all(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
-    (pkg / "__init__.py").write_text("from math import pi\n")
+    (pkg / "__init__.py").write_text(M3R005_BAD)
     findings = Analyzer().run([pkg])
     assert "M3R005" in rules_fired(findings)
 
@@ -344,108 +278,9 @@ def test_m3r005_fires_on_missing_all(tmp_path):
 def test_m3r005_silent_with_all(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
-    (pkg / "__init__.py").write_text("from math import pi\n__all__ = ['pi']\n")
+    (pkg / "__init__.py").write_text(M3R005_FIXED)
     findings = Analyzer().run([pkg])
     assert "M3R005" not in rules_fired(findings)
-
-
-# --------------------------------------------------------------------- #
-# M3R006: unpicklable capture reaching a spawn/serialize boundary
-# --------------------------------------------------------------------- #
-
-M3R006_BAD = """
-import threading
-
-def run_stage(scope, items):
-    lock = threading.Lock()
-    def task(i):
-        with lock:
-            items[i] = 1
-    scope.finish_collect(task)
-"""
-
-M3R006_FIXED = """
-def run_stage(scope, items):
-    def task(i):
-        items[i] = 1
-    scope.finish_collect(task)
-"""
-
-
-def test_m3r006_fires_on_lock_capture_crossing_spawn(tmp_path):
-    findings = run_lint(tmp_path, M3R006_BAD)
-    fired = [f for f in findings if f.rule == "M3R006"]
-    assert fired
-    assert "lock" in fired[0].message
-    assert "finish_collect" in fired[0].message
-    assert fired[0].symbol == "run_stage.task"
-
-
-def test_m3r006_silent_without_fatal_capture(tmp_path):
-    findings = run_lint(tmp_path, M3R006_FIXED)
-    assert "M3R006" not in rules_fired(findings)
-
-
-def test_m3r006_silent_when_closure_never_crosses_boundary(tmp_path):
-    source = """
-import threading
-
-def local_only(items):
-    lock = threading.Lock()
-    def helper(i):
-        with lock:
-            items[i] = 1
-    for i in range(3):
-        helper(i)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R006" not in rules_fired(findings)
-
-
-def test_m3r006_sees_anonymous_lambda_argument(tmp_path):
-    source = """
-import threading
-
-def run(scope):
-    lock = threading.Lock()
-    scope.submit(lambda: lock.acquire())
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R006"]
-    assert fired and "<lambda>" in fired[0].symbol
-
-
-def test_m3r006_taint_flows_through_call_edges(tmp_path):
-    # The lock is created in the driver and *passed* to the stage; the
-    # stage's task body captures the tainted parameter.
-    source = """
-import threading
-
-def stage(scope, guard):
-    def task(i):
-        with guard:
-            return i
-    scope.finish_collect(task)
-
-def driver(scope):
-    lock = threading.Lock()
-    stage(scope, lock)
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R006"]
-    assert fired and "guard" in fired[0].message
-
-
-def test_m3r006_serialize_boundary_counts(tmp_path):
-    source = """
-def measure_stage(serializer, handle_factory):
-    fh = open("/tmp/x")
-    task = lambda: fh.read()
-    serializer.measure(task)
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R006"]
-    assert fired and "file-handle" in fired[0].message
 
 
 # --------------------------------------------------------------------- #
@@ -517,87 +352,6 @@ def helper(conf):
 """
     findings = run_lint(tmp_path, source)
     assert "M3R007" not in rules_fired(findings)
-
-
-# --------------------------------------------------------------------- #
-# M3R008: order-sensitive float accumulation on an async path
-# --------------------------------------------------------------------- #
-
-M3R008_BAD = """
-class Tracker:
-    def on_task_done(self, dt):
-        self.elapsed_seconds += dt
-
-def driver(scope, tracker):
-    scope.async_at(None, tracker.on_task_done, 0.5)
-"""
-
-M3R008_FIXED = """
-import math
-
-class Tracker:
-    def on_task_done(self, dt):
-        self.addends.append(dt)
-
-    def finish(self):
-        self.elapsed_seconds = math.fsum(self.addends)
-
-def driver(scope, tracker):
-    scope.async_at(None, tracker.on_task_done, 0.5)
-"""
-
-
-def test_m3r008_fires_on_float_augassign_in_async_reachable(tmp_path):
-    findings = run_lint(tmp_path, M3R008_BAD)
-    fired = [f for f in findings if f.rule == "M3R008"]
-    assert fired
-    assert "self.elapsed_seconds" in fired[0].message
-    assert "fsum" in fired[0].message
-
-
-def test_m3r008_silent_on_fsum_pattern(tmp_path):
-    findings = run_lint(tmp_path, M3R008_FIXED)
-    assert "M3R008" not in rules_fired(findings)
-
-
-def test_m3r008_silent_on_driver_only_accumulation(tmp_path):
-    source = """
-class Clock:
-    def advance(self, seconds):
-        self.now_seconds += seconds
-
-def main(clock):
-    clock.advance(1.5)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R008" not in rules_fired(findings)
-
-
-def test_m3r008_silent_on_integer_counter(tmp_path):
-    source = """
-class Counter:
-    def on_record(self, n):
-        self.records += n
-
-def driver(scope, counter):
-    scope.async_at(None, counter.on_record, 1)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R008" not in rules_fired(findings)
-
-
-def test_m3r008_fires_on_time_source_fed_subscript(tmp_path):
-    source = """
-from time import perf_counter
-
-def worker(stats, key):
-    stats[key] += perf_counter()
-
-def driver(scope):
-    scope.submit(worker)
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R008" in rules_fired(findings)
 
 
 # --------------------------------------------------------------------- #
@@ -789,27 +543,18 @@ def test_m3r010_src_tree_defines_keys_only_in_the_registry():
 
 
 # --------------------------------------------------------------------- #
-# the 20-fixture true/false-positive matrix for the dataflow-era rules
+# the fixture matrix: a rule stays only with a fixture
 # --------------------------------------------------------------------- #
 
+# Rows are (rule, fires, source[, file name]).  A row's test id carries its
+# index, so a retired rule's rows are replaced in place (M3R002/M3R003 sit
+# where M3R006's rows were, M3R004/M3R005 where M3R008's were) and new rows
+# are appended: the surviving ids never shift.
 _MATRIX = [
-    # (rule, fires, source)
-    ("M3R006", True, M3R006_BAD),
-    ("M3R006", True, """
-import threading
-
-def stage(scope):
-    t = threading.Thread(target=print)
-    body = lambda: t.join()
-    scope.async_at(None, body)
-"""),
-    ("M3R006", False, M3R006_FIXED),
-    ("M3R006", False, """
-def stage(scope, engine):
-    def task(i):
-        return engine.lookup(i)
-    scope.finish_collect(task)
-"""),  # engine-ref is advisory, not fatal
+    ("M3R002", True, M3R002_BAD),
+    ("M3R002", False, M3R002_FIXED),
+    ("M3R003", True, M3R003_BAD),
+    ("M3R003", False, M3R003_FIXED),
     ("M3R007", True, M3R007_BAD),
     ("M3R007", True, """
 def build(conf):
@@ -822,24 +567,10 @@ def build(conf):
 def build(conf, mapper_cls):
     conf.set_mapper_class(mapper_cls)
 """),  # a parameter has module-level identity at the call site
-    ("M3R008", True, M3R008_BAD),
-    ("M3R008", True, """
-def body(metrics, dt):
-    metrics.total_cost += dt / 2.0
-
-def driver(scope):
-    scope.submit(body)
-"""),
-    ("M3R008", False, M3R008_FIXED),
-    ("M3R008", False, """
-def body(out, i):
-    local_seconds = 0.0
-    local_seconds += 1.5
-    out[i] = local_seconds
-
-def driver(scope):
-    scope.submit(body)
-"""),  # local accumulator: single-task, order-free
+    ("M3R004", True, M3R004_BAD),
+    ("M3R004", False, M3R004_FIXED),
+    ("M3R005", True, M3R005_BAD, "pkg/__init__.py"),
+    ("M3R005", False, M3R005_FIXED, "pkg/__init__.py"),
     ("M3R009", True, M3R009_BAD),
     ("M3R009", True, """
 class AssociativeReducer:
@@ -870,232 +601,51 @@ class MaxReducer(AssociativeReducer):
 
 
 @pytest.mark.parametrize(
-    "rule,fires,source",
+    "row",
     _MATRIX,
     ids=[
-        f"{rule}-{'tp' if fires else 'fp'}-{i}"
-        for i, (rule, fires, _) in enumerate(_MATRIX)
+        f"{row[0]}-{'tp' if row[1] else 'fp'}-{i}"
+        for i, row in enumerate(_MATRIX)
     ],
 )
-def test_rule_matrix(tmp_path, rule, fires, source):
-    findings = run_lint(tmp_path, source)
+def test_rule_matrix(tmp_path, row):
+    rule, fires, source, *name = row
+    findings = run_lint(tmp_path, source, *name)
     if fires:
         assert rule in rules_fired(findings)
     else:
         assert rule not in rules_fired(findings)
 
 
-# --------------------------------------------------------------------- #
-# the dataflow layer itself: capture summaries and taint
-# --------------------------------------------------------------------- #
+def _documented_rule_ids(text: str, heading: str = "") -> set:
+    """The rule ids heading the rows of the rule table in ``text`` (in
+    the section under ``heading``, when given): lines that start with an
+    id, bare or as a markdown table cell."""
+    if heading:
+        text = text[text.index(heading) + len(heading):]
+        text = re.split(r"^#{1,6} ", text, maxsplit=1, flags=re.MULTILINE)[0]
+    return set(re.findall(r"^\|? ?`?(M3R\d{3})\b", text, re.MULTILINE))
 
 
-def _dataflow_for(source: str):
-    from repro.analysis.dataflow import analyze_dataflow
+def test_every_rule_has_fixtures_and_is_documented():
+    """ROADMAP item 6's contract: a rule ships only with a firing and a
+    silent fixture, and the catalog, the rules.py docstring, DESIGN.md
+    §10.1 and the README all list the same ids."""
+    import repro.analysis.rules as rules_module
 
-    graph = build_call_graph([("mod.py", ast.parse(source))])
-    return graph, analyze_dataflow(graph)
-
-
-def _summary_of(graph, dataflow, qualname: str):
-    for fn in graph.functions:
-        if fn.qualname == qualname:
-            return dataflow.summary(fn)
-    raise AssertionError(f"no function {qualname!r}")
-
-
-def test_dataflow_nested_closure_captures_through_levels():
-    source = """
-import threading
-
-def outer():
-    lock = threading.Lock()
-    def middle():
-        def inner():
-            with lock:
-                pass
-        return inner
-    return middle
-"""
-    graph, dataflow = _dataflow_for(source)
-    outer = _summary_of(graph, dataflow, "outer")
-    # `middle` transitively keeps `lock` alive: inner's loads count.
-    (middle,) = [c for c in outer.closures if c.name == "middle"]
-    assert "lock" in middle.free_names
-    assert any(c.name == "lock" and c.kind == "lock" and c.fatal
-               for c in middle.captures)
-    # One level down: `lock` is free in `inner` too (raw free-variable
-    # math), but it is not a *capture from middle's scope* — middle never
-    # binds it, so the classified capture correctly lives on `middle`.
-    from repro.analysis.dataflow import free_names as raw_free_names
-
-    mid_summary = _summary_of(graph, dataflow, "outer.middle")
-    (inner,) = [c for c in mid_summary.closures if c.name == "inner"]
-    assert "lock" in raw_free_names(inner_node(graph))
-    assert inner.free_names == set()
-
-
-def inner_node(graph):
-    for fn in graph.functions:
-        if fn.qualname == "outer.middle.inner":
-            return fn.node
-    raise AssertionError("no inner")
-
-
-def test_dataflow_factory_returned_callable_taints_caller():
-    source = """
-import threading
-
-def make_task(guard):
-    def task(i):
-        with guard:
-            return i
-    return task
-
-def driver(scope):
-    lock = threading.Lock()
-    t = make_task(lock)
-    scope.submit(t)
-"""
-    graph, dataflow = _dataflow_for(source)
-    factory = _summary_of(graph, dataflow, "make_task")
-    assert "lock" in factory.tainted_params.get("guard", set())
-    (task,) = [c for c in factory.closures if c.name == "task"]
-    guard = [c for c in task.captures if c.name == "guard"]
-    assert guard and guard[0].fatal and guard[0].kind.startswith("param:")
-
-
-def test_dataflow_functools_partial_binding_is_a_plain_local():
-    # functools.partial over a module-level function is picklable: the
-    # summary must NOT classify the bound name as a fatal kind.
-    source = """
-import functools
-
-def work(a, b):
-    return a + b
-
-def driver(scope):
-    bound = functools.partial(work, 1)
-    def task():
-        return bound()
-    scope.submit(task)
-"""
-    graph, dataflow = _dataflow_for(source)
-    driver = _summary_of(graph, dataflow, "driver")
-    assert "bound" not in driver.bindings  # not a recognized fatal kind
-    (task,) = [c for c in driver.closures if c.name == "task"]
-    bound = [c for c in task.captures if c.name == "bound"]
-    assert bound and not bound[0].fatal and bound[0].kind == "local"
-
-
-def test_dataflow_keyword_argument_taint_alignment():
-    source = """
-import threading
-
-def stage(scope, guard=None):
-    return guard
-
-def driver(scope):
-    lock = threading.Lock()
-    stage(scope, guard=lock)
-"""
-    graph, dataflow = _dataflow_for(source)
-    stage = _summary_of(graph, dataflow, "stage")
-    assert "lock" in stage.tainted_params.get("guard", set())
-
-
-def test_dataflow_self_offset_for_attribute_calls():
-    source = """
-import threading
-
-class Runner:
-    def launch(self, guard):
-        return guard
-
-def driver(runner):
-    lock = threading.Lock()
-    runner.launch(lock)
-"""
-    graph, dataflow = _dataflow_for(source)
-    launch = _summary_of(graph, dataflow, "Runner.launch")
-    assert "lock" in launch.tainted_params.get("guard", set())
-
-
-def test_dataflow_free_names_exclude_locals_and_params():
-    source = """
-def outer(items):
-    limit = 10
-    def task(i):
-        local = i * 2
-        return local + limit + len(items)
-    return task
-"""
-    graph, dataflow = _dataflow_for(source)
-    outer = _summary_of(graph, dataflow, "outer")
-    (task,) = outer.closures
-    assert task.free_names == {"limit", "items"}
-    kinds = {c.name: c.kind for c in task.captures}
-    assert kinds["limit"] == "local"
-    assert kinds["items"] == "param"
-    assert not any(c.fatal for c in task.captures)
-
-
-# --------------------------------------------------------------------- #
-# the portability inventory
-# --------------------------------------------------------------------- #
-
-
-def test_portability_inventory_shape_and_verdicts(tmp_path):
-    from repro.analysis import load_project, portability_inventory
-    from repro.analysis.portability import PORTABILITY_SCHEMA_VERSION
-
-    source = """
-import threading
-
-class DemoStageProvider:
-    def _map_stage(self, scope, engine, items):
-        lock = threading.Lock()
-        def task_body(i):
-            with lock:
-                return engine.lookup(items[i])
-        scope.finish_collect(task_body)
-"""
-    path = tmp_path / "stages.py"
-    path.write_text(source, encoding="utf-8")
-    project = load_project([path])
-    document = portability_inventory(project)
-
-    assert document["schema_version"] == PORTABILITY_SCHEMA_VERSION
-    assert document["report"] == "portability"
-    assert document["fatal_captures"] == 1
-    (provider,) = document["providers"]
-    assert provider["provider"] == "DemoStageProvider"
-    (method,) = provider["methods"]
-    assert method["method"] == "DemoStageProvider._map_stage"
-    (body,) = method["task_bodies"]
-    assert body["name"] == "task_body"
-    verdicts = {c["name"]: c for c in body["captures"]}
-    assert verdicts["lock"] == {
-        "name": "lock", "kind": "lock", "portable": False, "advisory": False,
+    live = {rule.id for rule in default_rules()}
+    assert live == {
+        "M3R002", "M3R003", "M3R004", "M3R005", "M3R007", "M3R009", "M3R010",
     }
-    assert verdicts["engine"]["advisory"] is True
-    assert verdicts["engine"]["portable"] is True
-    assert json.dumps(document)  # machine-readable: JSON-serializable
+    assert {row[0] for row in _MATRIX if row[1]} == live
+    assert {row[0] for row in _MATRIX if not row[1]} == live
 
-
-def test_portability_inventory_on_shipped_tree_is_empty():
-    # The process-places refactor moved every task body to module level
-    # (DESIGN.md §16); the shipped providers define no closures at all,
-    # so the whole inventory — fatal AND advisory — must stay at zero.
-    # This is the regression gate `analyze --report portability --gate`
-    # enforces in CI.
-    from repro.analysis import load_project, portability_inventory
-
-    project = load_project([Path(repro.__file__).parent])
-    document = portability_inventory(project)
-    assert document["fatal_captures"] == 0
-    assert document["advisory_captures"] == 0
-    assert document["providers"] == []
+    repo_root = Path(repro.__file__).parent.parent.parent
+    design = (repo_root / "DESIGN.md").read_text(encoding="utf-8")
+    readme = (repo_root / "README.md").read_text(encoding="utf-8")
+    assert _documented_rule_ids(rules_module.__doc__) == live
+    assert _documented_rule_ids(design, "### 10.1") == live
+    assert _documented_rule_ids(readme, "## Analysis & sanitizers") == live
 
 
 # --------------------------------------------------------------------- #
@@ -1153,49 +703,48 @@ def test_knob_registry_markdown_table_lists_public_knobs():
 # --------------------------------------------------------------------- #
 
 
+_M3R002_LINE = "for dest in set(destinations):"
+
+
 def test_noqa_suppresses_specific_rule(tmp_path):
-    source = M3R001_BAD.replace(
-        "shared.append(index)",
-        "shared.append(index)  # noqa: M3R001 - test justification",
+    source = M3R002_BAD.replace(
+        _M3R002_LINE, _M3R002_LINE + "  # noqa: M3R002 - test justification"
     )
     findings = run_lint(tmp_path, source)
-    m3r001 = [f for f in findings if f.rule == "M3R001"]
-    assert m3r001 and all(f.suppressed for f in m3r001)
+    m3r002 = [f for f in findings if f.rule == "M3R002"]
+    assert m3r002 and all(f.suppressed for f in m3r002)
 
 
 def test_bare_noqa_suppresses_everything_on_line(tmp_path):
-    source = M3R001_BAD.replace(
-        "shared.append(index)", "shared.append(index)  # noqa"
-    )
+    source = M3R002_BAD.replace(_M3R002_LINE, _M3R002_LINE + "  # noqa")
     findings = run_lint(tmp_path, source)
-    assert all(f.suppressed for f in findings if f.rule == "M3R001")
+    assert all(f.suppressed for f in findings if f.rule == "M3R002")
 
 
 def test_noqa_for_other_rule_does_not_suppress(tmp_path):
-    source = M3R001_BAD.replace(
-        "shared.append(index)", "shared.append(index)  # noqa: M3R004"
+    source = M3R002_BAD.replace(
+        _M3R002_LINE, _M3R002_LINE + "  # noqa: M3R004"
     )
     findings = run_lint(tmp_path, source)
     assert any(
-        f.rule == "M3R001" and not f.suppressed for f in findings
+        f.rule == "M3R002" and not f.suppressed for f in findings
     )
 
 
 def test_noqa_multi_code_suppresses_each_listed_rule(tmp_path):
     # One line firing two rules, both listed comma-separated.
     source = """
-def fragile(shared, index):
-    try:
-        shared.append(index)  # noqa: M3R001, M3R004 - listed together
-    except Exception:
-        pass  # noqa: M3R004
-
-def driver(scope):
-    scope.async_at(None, fragile)
+def build_plan(conf):
+    order = []
+    for dest in set(conf.get("m3r.no.such.knob")):  # noqa: M3R002, M3R010 - listed together
+        order.append(dest)
+    return order
 """
     findings = run_lint(tmp_path, source)
-    m3r001 = [f for f in findings if f.rule == "M3R001"]
-    assert m3r001 and all(f.suppressed for f in m3r001)
+    assert rules_fired(findings, include_suppressed=True) == {
+        "M3R002", "M3R010",
+    }
+    assert all(f.suppressed for f in findings)
 
 
 def test_noqa_multi_code_with_trailing_prose(tmp_path):
@@ -1204,12 +753,12 @@ def test_noqa_multi_code_with_trailing_prose(tmp_path):
     from repro.analysis.linter import _suppressed_codes
 
     assert _suppressed_codes(
-        "x = 1  # noqa: M3R001,M3R004 and a justification why"
-    ) == ["M3R001", "M3R004"]
-    assert _suppressed_codes("x = 1  # noqa: M3R001 - reason") == ["M3R001"]
-    assert _suppressed_codes("x = 1  # noqa: m3r001") == ["M3R001"]
-    assert _suppressed_codes("x = 1  # NOQA: M3R001 ,  M3R002") == [
-        "M3R001", "M3R002",
+        "x = 1  # noqa: M3R003,M3R004 and a justification why"
+    ) == ["M3R003", "M3R004"]
+    assert _suppressed_codes("x = 1  # noqa: M3R003 - reason") == ["M3R003"]
+    assert _suppressed_codes("x = 1  # noqa: m3r003") == ["M3R003"]
+    assert _suppressed_codes("x = 1  # NOQA: M3R003 ,  M3R002") == [
+        "M3R003", "M3R002",
     ]
 
 
@@ -1223,16 +772,15 @@ def test_noqa_bare_and_edge_forms(tmp_path):
     # semantics) rather than degrading to suppress-all.
     assert _suppressed_codes("x = 1  # noqa: because reasons") == ["<invalid>"]
     # "noqald" or similar words must not count as a noqa comment.
-    assert _suppressed_codes("x = 1  # noqald: M3R001") is None
+    assert _suppressed_codes("x = 1  # noqald: M3R002") is None
 
 
 def test_noqa_invalid_code_list_does_not_suppress(tmp_path):
-    source = M3R001_BAD.replace(
-        "shared.append(index)",
-        "shared.append(index)  # noqa: not a code",
+    source = M3R002_BAD.replace(
+        _M3R002_LINE, _M3R002_LINE + "  # noqa: not a code"
     )
     findings = run_lint(tmp_path, source)
-    assert any(f.rule == "M3R001" and not f.suppressed for f in findings)
+    assert any(f.rule == "M3R002" and not f.suppressed for f in findings)
 
 
 # --------------------------------------------------------------------- #
@@ -1241,16 +789,16 @@ def test_noqa_invalid_code_list_does_not_suppress(tmp_path):
 
 
 def test_text_report_mentions_location_and_counts(tmp_path):
-    findings = run_lint(tmp_path, M3R001_BAD)
+    findings = run_lint(tmp_path, M3R002_BAD)
     text = render_text(findings)
-    assert "mod.py" in text and "M3R001" in text
+    assert "mod.py" in text and "M3R002" in text
     assert "active" in text and "suppressed" in text
 
 
 def test_json_report_shape(tmp_path):
     from repro.analysis.report import REPORT_SCHEMA_VERSION
 
-    findings = run_lint(tmp_path, M3R001_BAD)
+    findings = run_lint(tmp_path, M3R002_BAD)
     document = json.loads(render_json(findings))
     assert document["schema_version"] == REPORT_SCHEMA_VERSION == 2
     assert document["counts"]["total"] == len(findings)
@@ -1262,150 +810,11 @@ def test_json_report_shape(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------- #
-
-
-def test_baseline_roundtrip_gates_only_new_findings(tmp_path):
-    findings = run_lint(tmp_path, M3R001_BAD)
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_file)
-    baseline = load_baseline(baseline_file)
-    assert new_findings(findings, baseline) == []
-
-    # A new violation in another function is NOT covered by the baseline.
-    worse = M3R001_BAD + (
-        "\n\ndef second_body(out, i):\n"
-        "    out[i] = 1\n\n"
-        "def driver2(scope):\n"
-        "    scope.submit(second_body)\n"
-    )
-    findings2 = run_lint(tmp_path, worse)
-    fresh = new_findings(findings2, baseline)
-    assert fresh and all(f.fingerprint not in baseline for f in fresh)
-
-    added, removed = diff_baseline(findings2, baseline)
-    assert added and not removed
-
-
-def test_baseline_missing_file_is_empty():
-    assert load_baseline(Path("/nonexistent/baseline.json")) == set()
-
-
-def test_baseline_renamed_file_changes_fingerprint(tmp_path):
-    """Fingerprints embed the relpath: renaming the file orphans the old
-    entry and gates the finding afresh (the refresh workflow)."""
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "old_name.py").write_text(M3R001_BAD, encoding="utf-8")
-    findings = Analyzer().run([pkg])
-    assert {f.path for f in findings} == {"pkg/old_name.py"}
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_file)
-    baseline = load_baseline(baseline_file)
-
-    (pkg / "old_name.py").rename(pkg / "new_name.py")
-    renamed = Analyzer().run([pkg])
-    fresh = new_findings(renamed, baseline)
-    assert fresh and all(f.path == "pkg/new_name.py" for f in fresh)
-
-    # ...and the old entries are now orphaned: their recorded file no
-    # longer exists under the analyzed root.
-    from repro.analysis import orphaned_fingerprints
-
-    orphans = orphaned_fingerprints(baseline_file, [pkg])
-    assert len(orphans) == len(baseline)
-    assert all("old_name.py" in label for label in orphans.values())
-
-
-def test_baseline_deleted_finding_shows_as_removed(tmp_path):
-    findings = run_lint(tmp_path, M3R001_BAD)
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_file)
-    baseline = load_baseline(baseline_file)
-
-    fixed = run_lint(tmp_path, M3R001_FIXED)
-    added, removed = diff_baseline(
-        [f for f in fixed if f.rule == "M3R001"], baseline
-    )
-    assert added == []
-    assert removed == baseline  # the baselined debt was paid off
-
-
-def test_baseline_reordered_entries_are_equivalent(tmp_path):
-    """The baseline is a *set* of fingerprints: entry order in the JSON
-    file must not affect gating, and writes are canonically sorted."""
-    both = M3R001_BAD + M3R004_BAD
-    findings = run_lint(tmp_path, both)
-    assert len({f.fingerprint for f in findings}) >= 2
-    baseline_file = tmp_path / "baseline.json"
-    document = write_baseline(findings, baseline_file)
-
-    shuffled = {
-        "version": document["version"],
-        "fingerprints": dict(
-            reversed(list(document["fingerprints"].items()))
-        ),
-    }
-    shuffled_file = tmp_path / "baseline-shuffled.json"
-    shuffled_file.write_text(json.dumps(shuffled))
-    assert load_baseline(shuffled_file) == load_baseline(baseline_file)
-    assert new_findings(findings, load_baseline(shuffled_file)) == []
-
-    # Writing is canonical: same findings in any order -> identical file.
-    rewritten = write_baseline(list(reversed(findings)), shuffled_file)
-    assert rewritten == document
-
-
-def test_orphaned_fingerprints_detects_moved_files(tmp_path):
-    from repro.analysis import orphaned_fingerprints
-
-    root = tmp_path / "pkg"
-    root.mkdir()
-    (root / "alive.py").write_text("x = 1\n")
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(json.dumps({
-        "version": 1,
-        "fingerprints": {
-            "aaaa": "M3R001 pkg/alive.py some_fn",
-            "bbbb": "M3R001 pkg/deleted.py gone_fn",
-        },
-    }))
-    orphans = orphaned_fingerprints(baseline_file, [root])
-    assert list(orphans) == ["bbbb"]
-    assert "deleted.py" in orphans["bbbb"]
-
-
-def test_orphaned_fingerprints_empty_cases(tmp_path):
-    from repro.analysis import orphaned_fingerprints
-
-    assert orphaned_fingerprints(tmp_path / "missing.json", [tmp_path]) == {}
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(json.dumps({"version": 1, "fingerprints": {}}))
-    assert orphaned_fingerprints(baseline_file, [tmp_path]) == {}
-
-
-def test_shipped_baseline_has_no_orphans():
-    """The committed baseline must only reference files that still exist
-    (the CI analyze gate enforces this)."""
-    import repro
-    from repro.analysis import DEFAULT_BASELINE_PATH, orphaned_fingerprints
-
-    repo_root = Path(repro.__file__).parent.parent.parent
-    baseline_file = repo_root / DEFAULT_BASELINE_PATH
-    assert baseline_file.exists()
-    orphans = orphaned_fingerprints(
-        baseline_file, [Path(repro.__file__).parent]
-    )
-    assert orphans == {}
-
-
-# --------------------------------------------------------------------- #
 # call graph
 # --------------------------------------------------------------------- #
 
 
-def test_call_graph_spawn_roots_and_reachability():
+def test_call_graph_reachability():
     tree = ast.parse(
         """
 def leaf(x):
@@ -1415,28 +824,13 @@ def body(i):
     return leaf(i)
 
 def driver(scope):
-    scope.async_at(None, body, 1)
+    scope.run(body, 1)
 """
     )
     graph = build_call_graph([("mod.py", tree)])
-    assert "body" in graph.spawn_roots
-    reachable = graph.reachable_from(graph.spawn_roots)
-    assert {"body", "leaf"} <= reachable
-    assert "driver" not in reachable
-
-
-def test_call_graph_lambda_argument_names_spawned_functions():
-    tree = ast.parse(
-        """
-def body(i):
-    return i
-
-def driver(scope):
-    scope.submit(lambda i: body(i))
-"""
-    )
-    graph = build_call_graph([("mod.py", tree)])
-    assert "body" in graph.spawn_roots
+    assert [fn.qualname for fn in graph.functions] == ["leaf", "body", "driver"]
+    reachable = graph.reachable_from(["body", "no_such_function"])
+    assert reachable == {"body", "leaf"}
 
 
 # --------------------------------------------------------------------- #

@@ -43,7 +43,7 @@ class TestSuccessMarker:
         engine = factory()
         engine.filesystem.write_pairs("/in/part-00000", [(IntWritable(1), Text("x"))])
         conf = identity_conf("/in", "/out")
-        conf.set_mapper_class(Exploding)
+        conf.set_mapper_class(Exploding)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = engine.run_job(conf)
         assert not result.succeeded
         assert not engine.filesystem.exists("/out/_SUCCESS")

@@ -59,7 +59,7 @@ class TestEmptyInputs:
             "/in/part-00000", [(IntWritable(i), Text("x")) for i in range(5)]
         )
         conf = identity_conf("/in", "/out")
-        conf.set_mapper_class(DropAll)
+        conf.set_mapper_class(DropAll)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = engine.run_job(conf)
         assert result.succeeded
         assert engine.filesystem.read_kv_pairs("/out") == []

@@ -369,7 +369,7 @@ def test_random_datasets_property(raw_pairs, reducers):
         conf.set_input_paths("/in")
         conf.set_input_format(SequenceFileInputFormat)
         conf.set_mapper_class(IdentityMapper)
-        conf.set_reducer_class(CountReducer)
+        conf.set_reducer_class(CountReducer)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         conf.set_output_format(SequenceFileOutputFormat)
         conf.set_output_path("/out")
         conf.set_num_reduce_tasks(reducers)

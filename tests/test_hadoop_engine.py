@@ -137,7 +137,7 @@ class TestJobExecution:
         conf = JobConf()
         conf.set_input_paths("/in")
         conf.set_input_format(SequenceFileInputFormat)
-        conf.set_mapper_class(Exploding)
+        conf.set_mapper_class(Exploding)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         conf.set_output_format(SequenceFileOutputFormat)
         conf.set_output_path("/out")
         result = hadoop4.run_job(conf)

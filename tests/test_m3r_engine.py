@@ -192,7 +192,7 @@ class TestImmutability:
 
         seeded_input(m3r4, n=8)
         conf = identity_job("/in", "/out1")
-        conf.set_mapper_class(Vandal)
+        conf.set_mapper_class(Vandal)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         assert m3r4.run_job(conf).succeeded
         # The cached input still serves pristine values to the next job.
         result = m3r4.run_job(identity_job("/in", "/out2"))
@@ -215,7 +215,7 @@ class TestDedup:
             "/in/part-00000", [(IntWritable(0), Text("seed"))], at_node=0
         )
         conf = identity_job("/in", "/out")
-        conf.set_mapper_class(Broadcast)
+        conf.set_mapper_class(Broadcast)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = m3r4.run_job(conf)
         assert result.succeeded
         assert result.metrics.get("dedup_saved_bytes") == 0  # one pair per place
@@ -228,7 +228,7 @@ class TestDedup:
                     output.collect(IntWritable(partition + 4), self.payload)
 
         conf = identity_job("/in", "/out2", reducers=8)
-        conf.set_mapper_class(DoubleBroadcast)
+        conf.set_mapper_class(DoubleBroadcast)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = m3r4.run_job(conf)
         assert result.metrics.get("dedup_saved_bytes") > 0
 
@@ -250,7 +250,7 @@ class TestDedup:
                 "/in/part-00000", [(IntWritable(0), Text("s"))], at_node=0
             )
             conf = identity_job("/in", "/out", reducers=8)
-            conf.set_mapper_class(Broadcast)
+            conf.set_mapper_class(Broadcast)  # noqa: M3R007 - test-local class; ReStore bypass is intended
             result = engine.run_job(conf)
             shuffles[flag] = result.metrics.get("shuffle_remote_bytes")
         assert shuffles[True] < shuffles[False]
@@ -309,12 +309,12 @@ class TestSplitExtensions:
                 return CountingReaderImpl()
 
         conf = identity_job("/ignored", "/out1")
-        conf.set_input_format(GeneratorFormat)
+        conf.set_input_format(GeneratorFormat)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         conf.set_input_paths("/ignored")
         assert m3r4.run_job(conf).succeeded
         assert calls["reads"] == 1
         conf2 = identity_job("/ignored", "/out2")
-        conf2.set_input_format(GeneratorFormat)
+        conf2.set_input_format(GeneratorFormat)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         assert m3r4.run_job(conf2).succeeded
         assert calls["reads"] == 1  # second job served from the cache
         assert m3r4.cache.get_named("generator-data") is not None
@@ -344,7 +344,7 @@ class TestSplitExtensions:
                 return R()
 
         conf = identity_job("/ignored", "/out")
-        conf.set_input_format(OpaqueFormat)
+        conf.set_input_format(OpaqueFormat)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = m3r4.run_job(conf)
         assert result.succeeded
         assert result.metrics.get("cache_inserts") == 0
@@ -364,7 +364,7 @@ class TestNoResilience:
 
         seeded_input(m3r4)
         conf = identity_job("/in", "/out")
-        conf.set_mapper_class(Exploding)
+        conf.set_mapper_class(Exploding)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         result = m3r4.run_job(conf)
         assert not result.succeeded and "boom" in result.error
 

@@ -230,7 +230,7 @@ class TestDistributedCache:
         conf = JobConf()
         conf.set_input_paths("/in")
         conf.set_input_format(SequenceFileInputFormat)
-        conf.set_mapper_class(FilterByDictionary)
+        conf.set_mapper_class(FilterByDictionary)  # noqa: M3R007 - test-local class; ReStore bypass is intended
         conf.set_output_format(SequenceFileOutputFormat)
         conf.set_output_path("/out")
         conf.set_num_reduce_tasks(1)
