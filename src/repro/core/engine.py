@@ -53,18 +53,22 @@ from repro.api.conf import (
     CACHE_SPILL_KEY,
     JobConf,
 )
-from repro.api.extensions import DelegatingSplit, NamedSplit, PlacedSplit
+from repro.api.extensions import NamedSplit, PlacedSplit
 from repro.api.job import JobSequence, JobSpec
 from repro.api.splits import FileSplit, InputSplit
 from repro.core.cache import KeyValueCache
 from repro.core.cachefs import M3RFileSystem
-from repro.engine_common import EngineResult, JobFailedError
+from repro.engine_common import (
+    EngineResult,
+    JobFailedError,
+    part_index,
+    unwrap_split,
+)
 from repro.fs.filesystem import FileSystem, normalize_path
-from repro.fs.hdfs import SimulatedHDFS
 from repro.lifecycle.events import LifecycleEvent
 from repro.lifecycle.m3r_stages import M3RStageProvider
 from repro.lifecycle.pipeline import JobPipeline
-from repro.lifecycle.sinks import RingBufferSink, open_job_bus
+from repro.lifecycle.sinks import RingBufferSink
 from repro.restore.store import ResultStore
 from repro.memory import MemoryBudget, MemoryGovernor, SpillManager, create_policy
 from repro.sim.cluster import Cluster
@@ -179,19 +183,7 @@ class M3REngine:
         self._job_counter += 1
         spec = JobSpec.from_conf(conf)
         self._check_alive()
-        bus, closers = open_job_bus(
-            f"m3r-{self._job_counter}",
-            "m3r",
-            conf,
-            ring=self.event_ring,
-            extra_sinks=tuple(self.trace_sinks),
-            trace_path=self.trace_path,
-        )
-        try:
-            return self._pipeline.run_job(spec, conf, bus)
-        finally:
-            for close in closers:
-                close()
+        return self._pipeline.run_traced(spec, conf)
 
     def run_sequence(self, sequence: JobSequence) -> List[EngineResult]:
         """Run a job pipeline on the shared places (cache persists across jobs).
@@ -256,7 +248,7 @@ class M3REngine:
             basename = status.path.rsplit("/", 1)[-1]
             if basename.startswith((".", "_")):
                 continue
-            partition = _part_index(basename)
+            partition = part_index(basename)
             place = self.partition_place(partition if partition is not None else cached)
             pairs = self.raw_filesystem.read_pairs(status.path)
             self.cache.put_file(status.path, place, pairs, status.length)
@@ -279,15 +271,6 @@ class M3REngine:
     # split placement & cache identity
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _unwrap(split: InputSplit) -> InputSplit:
-        seen: Set[int] = set()
-        current = split
-        while isinstance(current, DelegatingSplit) and id(current) not in seen:
-            seen.add(id(current))
-            current = current.get_delegate()
-        return current
-
     def _split_cache_identity(
         self, split: InputSplit
     ) -> Optional[Tuple[str, Any]]:
@@ -296,7 +279,7 @@ class M3REngine:
         Returns ``("file", FileSplit)`` or ``("named", name)`` or ``None``
         (unknown split type → the cache is bypassed, paper Section 4.2.1).
         """
-        inner = self._unwrap(split)
+        inner = unwrap_split(split)
         if isinstance(inner, FileSplit):
             return ("file", inner)
         if isinstance(inner, NamedSplit):
@@ -336,13 +319,13 @@ class M3REngine:
         locality → round robin.  (PlacedSplit first, per Section 4.3: it
         exists to *override* M3R's preference for local splits.)
         """
-        for candidate in (split, self._unwrap(split)):
+        for candidate in (split, unwrap_split(split)):
             if isinstance(candidate, PlacedSplit):
                 return self.partition_place(candidate.get_partition())
         entry = self._cache_lookup(split, materialize=False)
         if entry is not None:
             return entry.place_id
-        for host in self._unwrap(split).get_locations():
+        for host in unwrap_split(split).get_locations():
             node = self._host_to_node.get(host)
             if node is not None:
                 return node % self.num_places
@@ -373,11 +356,6 @@ class M3REngine:
         else:
             self.cache.put_named(payload, place, pairs, nbytes)
 
-    def _is_local_read(self, split: InputSplit, node: int) -> bool:
-        hostname = self.cluster.node(node).hostname
-        locations = self._unwrap(split).get_locations()
-        return (not locations) or hostname in locations or "localhost" in locations
-
     def _replicate_output(
         self,
         part_path: str,
@@ -392,27 +370,3 @@ class M3REngine:
         design point); :class:`~repro.core.resilience.ResilientM3REngine`
         buddy-copies the output here."""
         return 0.0
-
-    def _charge_fs_write(self, nbytes: int, metrics: Metrics) -> float:
-        model = self.cost_model
-        if nbytes <= 0:
-            return 0.0
-        write = model.disk_write_time(nbytes, seeks=1)
-        if isinstance(self.raw_filesystem, SimulatedHDFS):
-            extra = self.raw_filesystem.replication - 1
-            if extra > 0:
-                write += model.net_transfer_time(nbytes * extra)
-                write += model.disk_write_time(nbytes * extra, seeks=1)
-        metrics.time.charge("disk_write", write)
-        metrics.incr("hdfs_output_bytes", nbytes)
-        return write
-
-
-def _part_index(basename: str) -> Optional[int]:
-    """Parse the partition number out of a ``part-NNNNN``-style name."""
-    for prefix in ("part-r-", "part-m-", "part-"):
-        if basename.startswith(prefix):
-            tail = basename[len(prefix):]
-            if tail.isdigit():
-                return int(tail)
-    return None

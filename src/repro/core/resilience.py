@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.api.conf import JobConf
 from repro.api.mapred import Reporter
 from repro.core.engine import M3REngine
-from repro.engine_common import EngineResult, JobFailedError
+from repro.engine_common import EngineResult, JobFailedError, part_index
 from repro.sim.metrics import Metrics
 from repro.x10.serializer import clone_pairs
 
@@ -312,8 +312,5 @@ class ResilientM3REngine(M3REngine):
     @staticmethod
     def _entry_partition_hint(entry: Any) -> int:
         """Best-effort partition number for an entry (part-file index)."""
-        basename = entry.path.rsplit("/", 1)[-1]
-        for prefix in ("part-r-", "part-m-", "part-"):
-            if basename.startswith(prefix) and basename[len(prefix):].isdigit():
-                return int(basename[len(prefix):])
-        return entry.place_id
+        partition = part_index(entry.path.rsplit("/", 1)[-1])
+        return entry.place_id if partition is None else partition

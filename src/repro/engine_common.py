@@ -17,13 +17,16 @@ around it*.  This module holds the parts that are engine-agnostic:
   :class:`~repro.api.counters.Counters` once, in ``flush_counters()``,
   when the task's user code has returned (a task that raises publishes
   nothing, as Hadoop discards a failed attempt's counters);
-* byte accounting helpers over the de-duplicating size estimator.
+* byte accounting helpers over the de-duplicating size estimator;
+* :func:`is_local_read` / :func:`charge_fs_write` — the input-locality
+  test and the output-file write charge, which do not depend on which
+  engine is asking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.conf import (
@@ -39,11 +42,13 @@ from repro.api.conf import (
     conf_bool,
 )
 from repro.api.counters import Counters, TaskCounter
+from repro.api.extensions import DelegatingSplit
 from repro.api.formats import RecordReader
 from repro.api.job import JobSpec, sort_run
 from repro.api.mapred import OutputCollector, Reporter
 from repro.api.partitioner import Partitioner
 from repro.api.vectorized import is_associative_reducer
+from repro.fs.hdfs import SimulatedHDFS
 from repro.sim.metrics import Metrics
 from repro.x10.serializer import deep_copy_value, estimate_size
 
@@ -118,6 +123,53 @@ def pair_bytes(key: Any, value: Any) -> int:
 def pairs_bytes(pairs: List[Tuple[Any, Any]]) -> int:
     """Total wire size of a pair list, ignoring cross-record sharing."""
     return sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
+
+
+def part_index(basename: str) -> Optional[int]:
+    """The partition number in a ``part-NNNNN``-style file name."""
+    for prefix in ("part-r-", "part-m-", "part-"):
+        if basename.startswith(prefix):
+            tail = basename[len(prefix):]
+            if tail.isdigit():
+                return int(tail)
+    return None
+
+
+def unwrap_split(split: Any) -> Any:
+    """The innermost split behind any chain of ``DelegatingSplit`` wrappers
+    (paper Section 4.2.1): the one whose naming and locality rules apply."""
+    seen: Set[int] = set()
+    current = split
+    while isinstance(current, DelegatingSplit) and id(current) not in seen:
+        seen.add(id(current))
+        current = current.get_delegate()
+    return current
+
+
+def is_local_read(engine: Any, split: Any, node: int) -> bool:
+    """Does ``node`` hold a replica of the split's data (or does the split
+    not say where it lives)?  A non-local map read also pays the wire."""
+    hostname = engine.cluster.node(node).hostname
+    locations = unwrap_split(split).get_locations()
+    return (not locations) or hostname in locations or "localhost" in locations
+
+
+def charge_fs_write(engine: Any, nbytes: int, metrics: Metrics) -> float:
+    """Charge one output file's write to the engine's real filesystem —
+    local disk plus, on HDFS, the pipelined replication — and return the
+    simulated seconds."""
+    if nbytes <= 0:
+        return 0.0
+    model = engine.cost_model
+    write = model.disk_write_time(nbytes, seeks=1)
+    if isinstance(engine.raw_filesystem, SimulatedHDFS):
+        extra_replicas = engine.raw_filesystem.replication - 1
+        if extra_replicas > 0:
+            write += model.net_transfer_time(nbytes * extra_replicas)
+            write += model.disk_write_time(nbytes * extra_replicas, seeks=1)
+    metrics.time.charge("disk_write", write)
+    metrics.incr("hdfs_output_bytes", nbytes)
+    return write
 
 
 class CountingReader(RecordReader):
@@ -234,7 +286,32 @@ class PartitionBuffer:
         self.bytes += nbytes
 
 
-class CollectorSink(OutputCollector):
+class _TallyingCollector(OutputCollector):
+    """What both engine-side sinks keep per task — records, exact wire
+    bytes, and how many of each were copied — and how the tallies become
+    the task's output counters."""
+
+    def __init__(self, counters: Counters, output_counter: TaskCounter):
+        self._counters = counters
+        self._output_counter = output_counter
+        self._flushed = False
+        self.records = 0
+        self.bytes = 0
+        self.copied_records = 0
+        self.copied_bytes = 0
+
+    def flush_counters(self) -> None:
+        """Publish the task's output counters (idempotent; an empty task
+        creates no counter).  Map output also reports its bytes."""
+        if self._flushed or self.records == 0:
+            return
+        self._flushed = True
+        self._counters.increment(self._output_counter, self.records)
+        if self._output_counter is TaskCounter.MAP_OUTPUT_RECORDS:
+            self._counters.increment(TaskCounter.MAP_OUTPUT_BYTES, self.bytes)
+
+
+class CollectorSink(_TallyingCollector):
     """The engine-side map/reduce output collector.
 
     ``record_policy`` is the engine's per-record treatment, applied *before*
@@ -258,27 +335,18 @@ class CollectorSink(OutputCollector):
             raise ValueError(f"unknown record policy {record_policy!r}")
         if num_partitions <= 0:
             raise ValueError("need at least one partition")
+        super().__init__(counters, output_counter)
         self.partitions: List[PartitionBuffer] = [
             PartitionBuffer() for _ in range(num_partitions)
         ]
-        self._partitioner = partitioner
-        self._counters = counters
-        self._policy = record_policy
-        self._output_counter = output_counter
         # Hot-loop hoists: collect() runs once per record, so the policy
-        # test, partition-count len() and the per-emission counter choice
-        # are all resolved here instead of there.
+        # test and the partition-count len() are resolved here instead of
+        # there.
         self._copies = record_policy in ("serialize", "clone")
         self._num_partitions = num_partitions
         self._get_partition = (
             partitioner.get_partition if partitioner is not None else None
         )
-        self._map_bytes = output_counter is TaskCounter.MAP_OUTPUT_RECORDS
-        self._flushed = False
-        self.records = 0
-        self.bytes = 0
-        self.copied_records = 0
-        self.copied_bytes = 0
 
     def collect(self, key: Any, value: Any) -> None:
         nbytes = pair_bytes(key, value)
@@ -307,63 +375,28 @@ class CollectorSink(OutputCollector):
         self.records += 1
         self.bytes += nbytes
 
-    def flush_counters(self) -> None:
-        """Publish the task's output counters (idempotent; an empty task
-        creates no counter)."""
-        if self._flushed or self.records == 0:
-            return
-        self._flushed = True
-        self._counters.increment(self._output_counter, self.records)
-        if self._map_bytes:
-            self._counters.increment(TaskCounter.MAP_OUTPUT_BYTES, self.bytes)
 
+class WriterCollector(_TallyingCollector):
+    """Adapts a RecordWriter to the OutputCollector interface: the stock
+    engine's streaming output sink.  Every record is snapshotted before
+    the write (the moral equivalent of Hadoop's immediate serialization),
+    so user code may reuse its objects.  ``output_counter`` is the task
+    body's choice: a map-only task's output is map output, a reduce
+    task's is reduce output."""
 
-class WriterCollector(OutputCollector):
-    """Adapts a RecordWriter to the OutputCollector interface (reduce side),
-    applying the engine's record policy before the write."""
-
-    def __init__(
-        self,
-        writer: Any,
-        counters: Counters,
-        record_policy: str = "serialize",
-        on_write: Optional[Callable[[Any, Any, int], None]] = None,
-    ):
-        self._writer = writer
+    def __init__(self, writer: Any, counters: Counters, output_counter: TaskCounter):
+        super().__init__(counters, output_counter)
         self._write = writer.write
-        self._counters = counters
-        self._policy = record_policy
-        self._copies = record_policy in ("serialize", "clone")
-        self._on_write = on_write
-        self._flushed = False
-        self.records = 0
-        self.bytes = 0
-        self.copied_records = 0
-        self.copied_bytes = 0
 
     def collect(self, key: Any, value: Any) -> None:
         nbytes = pair_bytes(key, value)
-        if self._copies:
-            key = deep_copy_value(key)
-            value = deep_copy_value(value)
-            self.copied_records += 1
-            self.copied_bytes += nbytes
-        elif MUTATION_SANITIZER.enabled:
-            MUTATION_SANITIZER.observe(key, site="WriterCollector.collect")
-            MUTATION_SANITIZER.observe(value, site="WriterCollector.collect")
+        key = deep_copy_value(key)
+        value = deep_copy_value(value)
+        self.copied_records += 1
+        self.copied_bytes += nbytes
         self.records += 1
         self.bytes += nbytes
-        if self._on_write is not None:
-            self._on_write(key, value, nbytes)
         self._write(key, value)
-
-    def flush_counters(self) -> None:
-        """Publish the task's output-record counter (idempotent; an empty
-        task creates no counter)."""
-        if self._flushed or self.records == 0:
-            return
-        self._flushed = True
-        self._counters.increment(TaskCounter.REDUCE_OUTPUT_RECORDS, self.records)
 
 
 def run_combiner_if_any(
@@ -409,7 +442,7 @@ class _FoldSlot(OutputCollector):
         self.emitted += 1
 
 
-class InMapperCombineSink(OutputCollector):
+class InMapperCombineSink(_TallyingCollector):
     """Map-output collector that folds duplicate keys as they arrive.
 
     The per-record path buffers every emission, sorts each partition and
@@ -450,9 +483,11 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
             raise ValueError(f"unknown record policy {record_policy!r}")
         if num_partitions <= 0:
             raise ValueError("need at least one partition")
+        # The tallies are pre-combine totals (what the per-record
+        # CollectorSink would have tallied): the stage charges sort and
+        # serialize time from these.
+        super().__init__(counters, TaskCounter.MAP_OUTPUT_RECORDS)
         self._spec = spec
-        self._counters = counters
-        self._policy = record_policy
         self._copies = record_policy in ("serialize", "clone")
         self._max_entries = max(1, max_entries)
         self._num_partitions = num_partitions
@@ -474,12 +509,6 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         )
         self._slot = _FoldSlot()
         self._fold_reporter = Reporter()
-        # Pre-combine totals (what the per-record CollectorSink would have
-        # tallied): the stage charges sort/serialize time from these.
-        self.records = 0
-        self.bytes = 0
-        self.copied_records = 0
-        self.copied_bytes = 0
         # Post-combine totals, available after finish().
         self.output_records = 0
         self.output_bytes = 0
@@ -606,9 +635,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         finally:
             self._combiner.close()
         counters = self._counters
-        if self.records:
-            counters.increment(TaskCounter.MAP_OUTPUT_RECORDS, self.records)
-            counters.increment(TaskCounter.MAP_OUTPUT_BYTES, self.bytes)
+        self.flush_counters()
         for partition, buffer in enumerate(buffers):
             if self._pre_records[partition]:
                 counters.increment(

@@ -20,7 +20,9 @@ filesystem, slot counts, failure set) and the failover helpers, and
 delegates job execution to the shared
 :class:`~repro.lifecycle.pipeline.JobPipeline` driving a
 :class:`~repro.lifecycle.hadoop_stages.HadoopStageProvider` — the same
-driver the M3R engine uses, emitting the same typed lifecycle events.
+driver the M3R engine uses, emitting the same typed lifecycle events, with
+user code run by the same task kernels (:mod:`repro.lifecycle.kernels`).
+What is Hadoop's own is what the provider charges around them.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.api.conf import JobConf
 from repro.api.job import JobSequence, JobSpec
-from repro.api.splits import InputSplit
 from repro.engine_common import EngineResult
 from repro.fs.filesystem import FileSystem
-from repro.fs.hdfs import SimulatedHDFS
 from repro.lifecycle.events import LifecycleEvent
 from repro.lifecycle.hadoop_stages import (
     DEFAULT_SORT_BUFFER,
@@ -41,7 +41,7 @@ from repro.lifecycle.hadoop_stages import (
     HadoopStageProvider,
 )
 from repro.lifecycle.pipeline import JobPipeline
-from repro.lifecycle.sinks import RingBufferSink, open_job_bus
+from repro.lifecycle.sinks import RingBufferSink
 from repro.restore.store import ResultStore
 from repro.sim.cluster import Cluster
 from repro.sim.cost_model import CostModel
@@ -104,20 +104,7 @@ class HadoopEngine:
     def run_job(self, conf: JobConf) -> EngineResult:
         """Execute one job; never raises for user-code failures."""
         self._job_counter += 1
-        spec = JobSpec.from_conf(conf)
-        bus, closers = open_job_bus(
-            f"hadoop-{self._job_counter}",
-            "hadoop",
-            conf,
-            ring=self.event_ring,
-            extra_sinks=tuple(self.trace_sinks),
-            trace_path=self.trace_path,
-        )
-        try:
-            return self._pipeline.run_job(spec, conf, bus)
-        finally:
-            for close in closers:
-                close()
+        return self._pipeline.run_traced(JobSpec.from_conf(conf), conf)
 
     def run_sequence(self, sequence: JobSequence) -> List[EngineResult]:
         """Run a job pipeline; each job pays full I/O (no cross-job cache)."""
@@ -157,23 +144,3 @@ class HadoopEngine:
         if not healthy:
             raise RuntimeError("every node has failed")
         return healthy[node % len(healthy)], True
-
-    def _is_local_read(self, split: InputSplit, node: int) -> bool:
-        hostname = self.cluster.node(node).hostname
-        locations = split.get_locations()
-        return (not locations) or hostname in locations or "localhost" in locations
-
-    def _charge_fs_write(self, nbytes: int, metrics: Metrics) -> float:
-        """HDFS write cost: local disk plus pipelined replication."""
-        model = self.cost_model
-        if nbytes <= 0:
-            return 0.0
-        write = model.disk_write_time(nbytes, seeks=1)
-        if isinstance(self.filesystem, SimulatedHDFS):
-            extra_replicas = self.filesystem.replication - 1
-            if extra_replicas > 0:
-                write += model.net_transfer_time(nbytes * extra_replicas)
-                write += model.disk_write_time(nbytes * extra_replicas, seeks=1)
-        metrics.time.charge("disk_write", write)
-        metrics.incr("hdfs_output_bytes", nbytes)
-        return write

@@ -9,7 +9,10 @@ bus, wiring up the provider's critical subscriptions (governor pins,
 sanitizer scoping), translating failures into :class:`EngineResult`, and —
 crucially — emitting ``JobEnd`` in a ``finally`` so subscriptions always
 unwind: a job that raises mid-stage still releases its cache pins and
-restores the sanitizer flags.
+restores the sanitizer flags.  :class:`StageProvider` also holds the stage
+skeleton both engines share: the ReStore admission / record wrapper around
+the engine's stages, split planning, and the run-tasks → lane replay →
+task-event loop of a map or reduce phase.
 
 Clock discipline: each stage advances ``ctx.clock`` with exactly the float
 additions the pre-lifecycle monolithic ``_execute`` performed, in the same
@@ -21,12 +24,13 @@ float subtraction does not telescope — but ``StageEnd.clock`` and
 
 from __future__ import annotations
 
+import functools
 import weakref
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.conf import JobConf
-from repro.api.counters import Counters
+from repro.api.conf import NUM_MAPS_HINT_KEY, JobConf
+from repro.api.counters import Counters, JobCounter
 from repro.api.job import JobSpec
 from repro.engine_common import EngineResult, JobFailedError
 from repro.lifecycle.events import (
@@ -38,9 +42,11 @@ from repro.lifecycle.events import (
     TaskEnd,
     TaskStart,
 )
+from repro.lifecycle.sinks import open_job_bus
+from repro.restore import admission as restore
 from repro.sim.metrics import Metrics
 
-__all__ = ["JobContext", "StageProvider", "JobPipeline"]
+__all__ = ["JobContext", "TaskContext", "StageProvider", "JobPipeline"]
 
 #: A stage body: mutates the context (clock, state, metrics) and may
 #: return a per-place busy-seconds dict for the StageEnd event.
@@ -59,8 +65,6 @@ class JobContext:
     metrics: Metrics
     bus: EventBus
     clock: float = 0.0
-    #: Scratch space stages share (splits, placements, map outputs, ...).
-    state: Dict[str, Any] = field(default_factory=dict)
 
     def advance(self, seconds: float) -> None:
         """Advance the job clock (driver thread only)."""
@@ -69,26 +73,17 @@ class JobContext:
     def emit(self, event: Any) -> None:
         self.bus.emit(event)
 
-    def emit_task(
-        self,
-        stage: str,
-        task: int,
-        place: int,
-        seconds: float,
-        records: int = 0,
-        nbytes: int = 0,
-    ) -> None:
-        """Emit the TaskStart/TaskEnd pair for one settled task.
 
-        Called after the phase's tasks have all run, in task-index order —
-        the replay of the phase's accounting.
-        """
-        base = dict(job_id=self.job_id, engine=self.engine, stage=stage,
-                    task=task, place=place)
-        self.bus.emit(TaskStart(**base))
-        self.bus.emit(
-            TaskEnd(seconds=seconds, records=records, nbytes=nbytes, **base)
-        )
+@dataclass
+class TaskContext:
+    """The handles one task body needs: the job context (conf, spec,
+    counters, metrics, bus), the engine, and the provider's stage
+    scratch.  Task bodies are module-level functions taking one of these —
+    never closures over a provider method's scope (DESIGN.md §16)."""
+
+    ctx: JobContext
+    engine: Any
+    st: Dict[str, Any]
 
 
 class StageProvider:
@@ -99,6 +94,10 @@ class StageProvider:
     #: M3R re-raises JobFailedError (the paper's no-resilience contract);
     #: Hadoop reports every failure through the result object.
     raise_node_failure = False
+    #: The ReStore serve body for this engine: replays a stored result
+    #: into the job's output directory with the engine's own write and
+    #: commit charges (``serve(ctx, engine, st)``).
+    serve_hit: Callable[..., None]
 
     def __init__(self, engine: Any):
         # Weak: the engine owns its pipeline, which owns this provider.  A
@@ -113,8 +112,75 @@ class StageProvider:
         return self._engine()
 
     def stages(self, ctx: JobContext) -> Iterable[Tuple[str, StageFn]]:
-        """Yield ``(stage_name, stage_fn)`` pairs, in execution order."""
+        """Yield ``(stage_name, stage_fn)`` pairs, in execution order: the
+        engine's :meth:`job_stages`, wrapped in ReStore admission / record
+        when ``m3r.restore.enabled`` is on."""
+        # Partials, not lambdas: a stage thunk reads what its arguments
+        # say, never this method's scope.
+        st: Dict[str, Any] = {}
+        reuse = restore.restore_enabled(ctx.conf)
+        if reuse:
+            # Admission runs before any stage touches the filesystem; the
+            # generator resumes after the pipeline executed it, so a hit
+            # replaces the whole stage list with one serve stage.
+            yield "admission", functools.partial(restore.admit, ctx, self.engine, st)
+            if st.get(restore.HIT_KEY) is not None:
+                yield "serve", functools.partial(self.serve_hit, ctx, self.engine, st)
+                return
+        yield from self.job_stages(ctx, st)
+        if reuse:
+            yield "restore-record", functools.partial(
+                restore.record, ctx, self.engine, st
+            )
+
+    def job_stages(
+        self, ctx: JobContext, st: Dict[str, Any]
+    ) -> Iterable[Tuple[str, StageFn]]:
+        """The engine's own stages; ``st`` is their shared scratch."""
         raise NotImplementedError
+
+    def run_task_phase(
+        self,
+        ctx: JobContext,
+        st: Dict[str, Any],
+        stage: str,
+        lanes: Any,
+        places: Sequence[int],
+        run_task: Callable[[TaskContext, int], Any],
+        barrier: float = 0.0,
+    ) -> Tuple[List[Any], Dict[int, float]]:
+        """Run one phase's tasks inline, in plan order, then replay it.
+
+        ``run_task(tctx, index)`` returns the task's ledger.  Tasks ran one
+        after another; their concurrency is simulated here, by packing the
+        durations onto ``lanes`` (slots per node / workers per place) at
+        each task's planned place.  The clock advances by makespan plus
+        ``barrier`` in one addition (float addition is order-sensitive;
+        ``x + 0.0`` is ``x``), then each task is narrated as a TaskStart /
+        TaskEnd pair.  Returns the ledgers and per-place busy seconds."""
+        tctx = TaskContext(ctx, self.engine, st)
+        ledgers = [run_task(tctx, index) for index in range(len(places))]
+        for place, task in zip(places, ledgers):
+            lanes.add_task(place, task.seconds)
+        ctx.advance(lanes.makespan() + barrier)
+        for index, (place, task) in enumerate(zip(places, ledgers)):
+            base = dict(job_id=ctx.job_id, engine=ctx.engine, stage=stage,
+                        task=index, place=place)
+            ctx.emit(TaskStart(**base))
+            ctx.emit(TaskEnd(seconds=task.seconds, records=task.records,
+                             nbytes=task.nbytes, **base))
+        return ledgers, lanes.node_busy_seconds()
+
+    def plan_splits(self, ctx: JobContext, default_hint: int) -> List[Any]:
+        """Ask the input format for the job's splits (``default_hint`` of
+        them unless the job names a count) and count the map tasks."""
+        hint = ctx.conf.get_int(NUM_MAPS_HINT_KEY, 0) or default_hint
+        splits = ctx.spec.input_format.get_splits(
+            self.engine.filesystem, ctx.conf, hint
+        )
+        ctx.metrics.incr("map_tasks", len(splits))
+        ctx.counters.increment(JobCounter.TOTAL_LAUNCHED_MAPS, len(splits))
+        return splits
 
     def subscriptions(self, ctx: JobContext) -> Sequence[Callable[[Any], None]]:
         """Critical bus subscribers set up/torn down by JobStart/JobEnd."""
@@ -126,6 +192,26 @@ class JobPipeline:
 
     def __init__(self, provider: StageProvider):
         self.provider = provider
+
+    def run_traced(self, spec: JobSpec, conf: JobConf) -> EngineResult:
+        """Run one job on a bus carrying the engine's standard sinks (its
+        event ring, a JSONL trace when one is configured, anything in
+        ``trace_sinks``); the sinks are closed after the job, successful or
+        not, so trace files are flushed per job."""
+        engine, name = self.provider.engine, self.provider.engine_name
+        bus, closers = open_job_bus(
+            f"{name}-{engine._job_counter}",
+            name,
+            conf,
+            ring=engine.event_ring,
+            extra_sinks=tuple(engine.trace_sinks),
+            trace_path=engine.trace_path,
+        )
+        try:
+            return self.run_job(spec, conf, bus)
+        finally:
+            for close in closers:
+                close()
 
     def run_job(self, spec: JobSpec, conf: JobConf, bus: EventBus) -> EngineResult:
         counters = Counters()

@@ -33,6 +33,7 @@ from repro.api.conf import (
 )
 from repro.api.extensions import is_temporary_output
 from repro.api.mapred import Reporter
+from repro.engine_common import charge_fs_write, part_index
 from repro.lifecycle.events import ReuseEvent
 from repro.restore.fingerprint import (
     _is_hidden,
@@ -52,16 +53,6 @@ HIT_KEY = "restore_hit"
 def restore_enabled(conf: Optional[JobConf]) -> bool:
     """The ``m3r.restore.enabled`` knob (``M3R_RESTORE`` env fallback)."""
     return conf_bool(conf, RESTORE_ENABLED_KEY, env=RESTORE_ENV, default=False)
-
-
-def _partition_of(basename: str) -> int:
-    """Parse ``part-NNNNN``-style names (0 for anything else)."""
-    for prefix in ("part-r-", "part-m-", "part-"):
-        if basename.startswith(prefix):
-            tail = basename[len(prefix):]
-            if tail.isdigit():
-                return int(tail)
-    return 0
 
 
 def _reuse_event(ctx: Any, action: str, fingerprint: Optional[str],
@@ -157,7 +148,7 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
     served_bytes = served_records = 0
     for part in hit.parts:
         dest = f"{spec.output_path}/{part.basename}"
-        place = engine.partition_place(_partition_of(part.basename))
+        place = engine.partition_place(part_index(part.basename) or 0)
         pairs, raw = _read_part(engine, part.path)
         if pairs is None:
             # Byte file (no cached sequence anywhere): raw copy.
@@ -165,7 +156,7 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
             nbytes = len(raw)
             read = model.disk_read_time(nbytes, seeks=1)
             metrics.time.charge("disk_read", read)
-            part_seconds = read + engine._charge_fs_write(nbytes, metrics)
+            part_seconds = read + charge_fs_write(engine, nbytes, metrics)
             lanes.add_task(place, part_seconds)
             served_bytes += nbytes
             continue
@@ -179,7 +170,7 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
             ser = model.serialize_time(nbytes, len(pairs))
             metrics.time.charge("serialize", ser)
             part_seconds += ser
-            part_seconds += engine._charge_fs_write(nbytes, metrics)
+            part_seconds += charge_fs_write(engine, nbytes, metrics)
             metrics.time.charge("namenode", model.namenode_op)
             part_seconds += model.namenode_op
         else:
@@ -231,7 +222,7 @@ def serve_hadoop(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
         else:
             _serve_part_pairs(ctx, engine, dest, part.basename, pairs)
             served_records += len(pairs)
-        seconds += engine._charge_fs_write(nbytes, metrics)
+        seconds += charge_fs_write(engine, nbytes, metrics)
         metrics.time.charge("namenode", model.namenode_op)
         seconds += model.namenode_op
         served_bytes += nbytes

@@ -60,7 +60,7 @@ class TestReaders:
             CountingReader(MaterializedReader([]), counters),
             BatchingReader(MaterializedReader([]), counters, batch_size=4),
             CollectorSink(2, HashPartitioner(), counters),
-            WriterCollector(writer, counters),
+            WriterCollector(writer, counters, TaskCounter.REDUCE_OUTPUT_RECORDS),
         ]
         assert idle[0].next_pair() is None and idle[1].next_batch() is None
         for tally in idle:
@@ -70,7 +70,7 @@ class TestReaders:
         reader = BatchingReader(MaterializedReader(PAIRS), counters, batch_size=4)
         assert [len(batch) for batch in iter(reader.next_batch, None)] == [4, 2]
         sink = CollectorSink(1, None, counters)
-        out = WriterCollector(writer, counters)
+        out = WriterCollector(writer, counters, TaskCounter.REDUCE_OUTPUT_RECORDS)
         for key, value in PAIRS:
             sink.collect(key, value)
             out.collect(key, value)
@@ -164,7 +164,7 @@ class TestWriterCollector:
     def test_writes_through_with_policy(self):
         writer = self._Writer()
         counters = Counters()
-        sink = WriterCollector(writer, counters, record_policy="serialize")
+        sink = WriterCollector(writer, counters, TaskCounter.REDUCE_OUTPUT_RECORDS)
         reused = Text("v")
         sink.collect(IntWritable(1), reused)
         reused.set("changed")
@@ -172,15 +172,6 @@ class TestWriterCollector:
         assert counters.as_dict() == {}
         sink.flush_counters()
         assert counters.value(TaskCounter.REDUCE_OUTPUT_RECORDS) == 1
-
-    def test_on_write_hook(self):
-        seen = []
-        sink = WriterCollector(
-            self._Writer(), Counters(), record_policy="alias",
-            on_write=lambda k, v, n: seen.append((k, v, n)),
-        )
-        sink.collect(IntWritable(1), Text("x"))
-        assert len(seen) == 1 and seen[0][2] > 0
 
 
 class TestCombinerHelper:

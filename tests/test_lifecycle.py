@@ -21,6 +21,7 @@ from repro.api.conf import (
     TRACE_RING_KEY,
     JobConf,
 )
+from repro.api.counters import TaskCounter
 from repro.api.job import JobSequence
 from repro.api.mapred import IdentityMapper
 from repro.apps.wordcount import generate_text, wordcount_job
@@ -115,6 +116,29 @@ class TestStageSequence:
             ]
             assert map_tasks == sorted(map_tasks)
             assert len(map_tasks) > 0
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+    def test_reduce_task_ends_account_for_the_reduce_input(self, factory):
+        """Both providers replay a phase through one loop, so a reduce
+        TaskEnd says what that reducer received on either engine — reduce
+        skew is visible in a trace of the baseline too."""
+        engine = factory(4)
+        try:
+            result = run_wordcount(engine)
+            ends = [
+                e for e in engine.event_ring.events(result.job_id)
+                if isinstance(e, TaskEnd) and e.stage == "reduce"
+            ]
+            assert [e.task for e in ends] == [0, 1, 2, 3]
+            assert sum(e.records for e in ends) == result.counters.value(
+                TaskCounter.REDUCE_INPUT_RECORDS
+            ) > 0
+            # M3R counts what crossed a place apart from what was handed off.
+            assert sum(e.nbytes for e in ends) == result.counters.value(
+                TaskCounter.REDUCE_SHUFFLE_BYTES
+            ) + result.counters.value(TaskCounter.REDUCE_LOCAL_HANDOFF_BYTES)
         finally:
             engine.shutdown()
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.conf import JobConf
 from repro.api.counters import JobCounter, TaskCounter
+from repro.api.formats import SequenceFileOutputFormat, TextInputFormat
+from repro.api.mapred import IdentityMapper
 from repro.apps.microbenchmark import generate_input, microbenchmark_job, run_microbenchmark
 from repro.apps.wordcount import generate_text, wordcount_job
 
@@ -136,22 +139,40 @@ class TestCounterEquivalence:
         JobCounter.TOTAL_LAUNCHED_REDUCES,
     )
 
+    @staticmethod
+    def _map_only_job():
+        """IdentityMapper over ten lines, no reducers: the map output is
+        the job output, and no reducer is launched to report any."""
+        conf = JobConf()
+        conf.set_job_name("map-only")
+        conf.set_input_paths("/in.txt")
+        conf.set_output_path("/out")
+        conf.set_input_format(TextInputFormat)
+        conf.set_output_format(SequenceFileOutputFormat)
+        conf.set_mapper_class(IdentityMapper)
+        conf.set_num_reduce_tasks(0)
+        return conf
+
     def test_wordcount_counters_match(self):
-        text = generate_text(150)
-        counters = {}
-        for factory in (make_hadoop, make_m3r):
-            engine = factory()
-            engine.filesystem.write_text("/in.txt", text)
-            result = engine.run_job(
-                wordcount_job("/in.txt", "/out", 4, use_combiner=False)
-            )
-            assert result.succeeded
-            counters[factory.__name__] = result.counters
-        for counter in self.EQUAL_COUNTERS:
-            assert (
-                counters["make_hadoop"].value(counter)
-                == counters["make_m3r"].value(counter)
-            ), counter
+        jobs = (
+            (generate_text(150),
+             lambda: wordcount_job("/in.txt", "/out", 4, use_combiner=False)),
+            (generate_text(10), self._map_only_job),
+        )
+        for text, build_job in jobs:
+            counters = {}
+            for factory in (make_hadoop, make_m3r):
+                engine = factory()
+                engine.filesystem.write_text("/in.txt", text)
+                result = engine.run_job(build_job())
+                assert result.succeeded
+                counters[factory.__name__] = result.counters
+            assert counters["make_m3r"].value(TaskCounter.MAP_OUTPUT_RECORDS) > 0
+            for counter in self.EQUAL_COUNTERS:
+                assert (
+                    counters["make_hadoop"].value(counter)
+                    == counters["make_m3r"].value(counter)
+                ), (result.job_name, counter)
 
     def test_reduce_group_counters_match(self):
         counters = {}

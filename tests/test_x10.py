@@ -527,6 +527,23 @@ class TestTransportTable:
                     offenders.append(f"{path.relative_to(package)}:{node.lineno}")
         assert offenders == []
 
+    def test_only_the_kernels_run_user_code(self):
+        """One task kernel for both engines: under ``lifecycle/`` nothing but
+        ``kernels.py`` builds a collector, runs a combiner, merges or groups
+        runs, or drives a mapper / reducer — so a stage provider cannot grow
+        a second copy of a task body (prose naming these counts too)."""
+        lifecycle = pathlib.Path(serializer_module.__file__).parents[1] / "lifecycle"
+        user_code = re.compile(
+            r"CollectorSink\(|InMapperCombineSink\(|run_combiner_if_any"
+            r"|merge_runs|group_sorted_pairs|spec\.run_map_task|spec\.run_reduce_task"
+        )
+        hits = {
+            path.name
+            for path in lifecycle.glob("*.py")
+            if user_code.search(path.read_text())
+        }
+        assert hits == {"kernels.py"}
+
     def test_blocks_are_measured_from_the_table_every_time(self):
         """What replaced the size memo: a block's size is the table's O(1)
         arithmetic on every ship, so a resize between two ships shows in
