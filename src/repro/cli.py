@@ -2,16 +2,21 @@
 
 ::
 
-    python -m repro wordcount --lines 2000 --engine both
-    python -m repro micro --remote 60 --engine m3r
-    python -m repro matvec --rows 800 --iterations 3 --engine both
-    python -m repro sysml --algorithm pagerank --size 400 --engine m3r
-    python -m repro pig --script my_script.pig --engine both
+    python -m repro --engine both wordcount --lines 2000
+    python -m repro --engine m3r micro --remote 60
+    python -m repro --engine both matvec --rows 800 --iterations 3
+    python -m repro --engine m3r sysml --algorithm pagerank --size 400
+    python -m repro --engine both pig --script my_script.pig
+    python -m repro --engine m3r stats --workload matvec \\
+        --set m3r.restore.enabled=true --format json
 
 Each command builds a fresh simulated cluster, generates the workload,
 runs it on the selected engine(s) and prints simulated seconds plus the
 headline metrics.  ``--engine both`` also verifies output equivalence,
-which is the paper's own methodology.
+which is the paper's own methodology.  ``wordcount``, ``matvec``,
+``trace``, ``stats`` and ``serve`` stage their input and build each run's
+jobs through one staging function (:func:`_stage`); ``stats`` is the administrative
+view (paper §5.3): one schema-versioned document per engine.
 """
 
 from __future__ import annotations
@@ -20,22 +25,114 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import hadoop_engine, m3r_engine
 from repro.fs import SimulatedHDFS
 from repro.sim import Cluster
 
+#: The workloads :func:`_stage` builds.
+WORKLOADS = ("wordcount", "grep", "matvec")
+
+#: Version of the ``stats`` document layout; bump on any key change.
+STATS_SCHEMA_VERSION = 1
+
+#: What :func:`_stage` and the service demo read from every command
+#: that runs a workload; each command's own flags override these.
+_STAGE_DEFAULTS: Dict[str, Any] = dict(
+    workload="wordcount", lines=2000, rows=400, sparsity=0.01, iterations=1,
+    pattern="[a-f]+", reducers=None, mutating=False, settings=(), weights="",
+)
+
+#: One run's job confs and the path its result lands at.
+Plan = Callable[[str], Tuple[list, str]]
+
+
+class _JobFailed(Exception):
+    """A workload job failed; :func:`main` reports it and exits 1."""
+
+
+def _engine(kind: str, nodes: int):
+    fs = SimulatedHDFS(Cluster(nodes), block_size=256 * 1024, replication=1)
+    return m3r_engine(filesystem=fs) if kind == "m3r" else hadoop_engine(filesystem=fs)
+
 
 def _engines(args: argparse.Namespace):
     kinds = ("hadoop", "m3r") if args.engine == "both" else (args.engine,)
     for kind in kinds:
-        cluster = Cluster(args.nodes)
-        fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-        if kind == "hadoop":
-            yield kind, hadoop_engine(filesystem=fs)
-        else:
-            yield kind, m3r_engine(filesystem=fs)
+        yield kind, _engine(kind, args.nodes)
+
+
+def _stage(args: argparse.Namespace, kind: str, engine) -> Plan:
+    """Write ``args.workload``'s input on ``engine`` once — on M3R also
+    warm it into the cache, the paper's §6.2 methodology — and return
+    ``plan(root)``: one run's job confs, every output under ``root`` and
+    every ``--set`` knob applied, and the path the run's result lands at."""
+    fs, nodes = engine.filesystem, args.nodes
+    if args.workload == "matvec":
+        from repro.apps import matvec
+
+        block = max(1, args.rows // 8)
+        row_blocks = (args.rows + block - 1) // block
+        matrix = matvec.generate_blocked_matrix(args.rows, block, sparsity=args.sparsity)
+        vector = matvec.generate_blocked_vector(args.rows, block)
+        matvec.write_partitioned(fs, "/G", matrix, row_blocks, nodes)
+        matvec.write_partitioned(fs, "/V0", vector, row_blocks, nodes)
+        if kind == "m3r":
+            engine.warm_cache_from("/G")
+            engine.warm_cache_from("/V0")
+
+        def build(root: str) -> Tuple[list, str]:
+            confs: list = []
+            current = "/V0"
+            for iteration in range(args.iterations):
+                nxt = f"{root}/V{iteration + 1}"
+                confs += matvec.iteration_jobs(
+                    "/G", current, nxt, f"{root}/scratch", iteration,
+                    row_blocks, nodes,
+                )
+                current = nxt
+            return confs, current
+    else:
+        from repro.apps.grep import grep_sequence
+        from repro.apps.wordcount import generate_text, wordcount_job
+
+        fs.write_text("/in.txt", generate_text(args.lines))
+
+        def build(root: str) -> Tuple[list, str]:
+            out = f"{root}/out"
+            if args.workload == "grep":
+                return list(grep_sequence(
+                    "/in.txt", out, args.pattern, temp_dir=f"{root}/tmp-grep",
+                    num_reducers=nodes,
+                )), out
+            return [wordcount_job("/in.txt", out, args.reducers or nodes,
+                                  immutable=not args.mutating)], out
+
+    def plan(root: str) -> Tuple[list, str]:
+        confs, out = build(root)
+        for conf in confs:
+            for key, value in args.settings:
+                conf.set(key, value)
+        return confs, out
+
+    return plan
+
+
+def _checked(result):
+    """``result`` if its job succeeded; a failed job ends the command."""
+    if not result.succeeded:
+        raise _JobFailed(f"{result.job_name}: FAILED — {result.error}")
+    return result
+
+
+def _run(engine, confs: list) -> list:
+    """Run one workload run's jobs in order."""
+    return [_checked(engine.run_job(conf)) for conf in confs]
+
+
+def _seconds(results: list) -> float:
+    return sum(result.simulated_seconds for result in results)
 
 
 def _report(kind: str, seconds: float, extra: str = "") -> None:
@@ -43,25 +140,15 @@ def _report(kind: str, seconds: float, extra: str = "") -> None:
 
 
 def cmd_wordcount(args: argparse.Namespace) -> int:
-    from repro.apps.wordcount import generate_text, wordcount_job
-
-    text = generate_text(args.lines)
     outputs: Dict[str, Dict[str, int]] = {}
-    print(f"wordcount over {len(text)} bytes, {args.nodes} nodes:")
+    print(f"wordcount over {args.lines} lines, {args.nodes} nodes:")
     for kind, engine in _engines(args):
-        engine.filesystem.write_text("/in.txt", text)
-        result = engine.run_job(
-            wordcount_job("/in.txt", "/out", args.reducers,
-                          immutable=not args.mutating)
-        )
-        if not result.succeeded:
-            print(f"  {kind}: FAILED — {result.error}")
-            return 1
+        confs, out = _stage(args, kind, engine)("")
+        seconds = _seconds(_run(engine, confs))
         outputs[kind] = {
-            str(k): v.get() for k, v in engine.filesystem.read_kv_pairs("/out")
+            str(k): v.get() for k, v in engine.filesystem.read_kv_pairs(out)
         }
-        _report(kind, result.simulated_seconds,
-                f"  ({len(outputs[kind])} distinct words)")
+        _report(kind, seconds, f"  ({len(outputs[kind])} distinct words)")
     return _check_equivalence(outputs)
 
 
@@ -81,38 +168,17 @@ def cmd_micro(args: argparse.Namespace) -> int:
 
 
 def cmd_matvec(args: argparse.Namespace) -> int:
-    from repro.apps import matvec
-
-    block = max(1, args.rows // 8)
-    num_row_blocks = (args.rows + block - 1) // block
     print(f"sparse matvec, {args.rows} rows, {args.iterations} iterations:")
     checksums: Dict[str, float] = {}
     for kind, engine in _engines(args):
-        g = matvec.generate_blocked_matrix(args.rows, block, sparsity=args.sparsity)
-        v = matvec.generate_blocked_vector(args.rows, block)
-        matvec.write_partitioned(engine.filesystem, "/G", g, num_row_blocks,
-                                 args.nodes)
-        matvec.write_partitioned(engine.filesystem, "/V0", v, num_row_blocks,
-                                 args.nodes)
-        if kind == "m3r":
-            engine.warm_cache_from("/G")
-            engine.warm_cache_from("/V0")
-        total = 0.0
-        current = "/V0"
-        for iteration in range(args.iterations):
-            nxt = f"/V{iteration + 1}"
-            sequence = matvec.iteration_jobs(
-                "/G", current, nxt, "/scratch", iteration, num_row_blocks,
-                args.nodes,
-            )
-            total += sum(r.simulated_seconds for r in sequence.run_all(engine))
-            current = nxt
+        confs, out = _stage(args, kind, engine)("")
+        seconds = _seconds(_run(engine, confs))
         checksum = sum(
             float(value.values.sum())
-            for _, value in engine.filesystem.read_kv_pairs(current)
+            for _, value in engine.filesystem.read_kv_pairs(out)
         )
         checksums[kind] = round(checksum, 9)
-        _report(kind, total, f"  (checksum {checksum:+.6e})")
+        _report(kind, seconds, f"  (checksum {checksum:+.6e})")
     if len(checksums) == 2 and len(set(checksums.values())) != 1:
         print("  ERROR: engines disagree on the result")
         return 1
@@ -210,46 +276,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         os.remove(out)  # the JSONL sink appends; a CLI run starts fresh
     for kind, engine in _engines(args):
         engine.trace_path = out
-        if args.workload == "wordcount":
-            from repro.apps.wordcount import generate_text, wordcount_job
-
-            engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-            result = engine.run_job(
-                wordcount_job("/in.txt", "/out", args.nodes)
-            )
-            if not result.succeeded:
-                print(f"  {result.job_name}: FAILED — {result.error}")
-                return 1
-        else:
-            from repro.apps import matvec
-
-            block = max(1, args.rows // 8)
-            num_row_blocks = (args.rows + block - 1) // block
-            g = matvec.generate_blocked_matrix(
-                args.rows, block, sparsity=args.sparsity
-            )
-            v = matvec.generate_blocked_vector(args.rows, block)
-            matvec.write_partitioned(
-                engine.filesystem, "/G", g, num_row_blocks, args.nodes
-            )
-            matvec.write_partitioned(
-                engine.filesystem, "/V0", v, num_row_blocks, args.nodes
-            )
-            if kind == "m3r":
-                engine.warm_cache_from("/G")
-                engine.warm_cache_from("/V0")
-            current = "/V0"
-            for iteration in range(args.iterations):
-                nxt = f"/V{iteration + 1}"
-                sequence = matvec.iteration_jobs(
-                    "/G", current, nxt, "/scratch", iteration,
-                    num_row_blocks, args.nodes,
-                )
-                for result in sequence.run_all(engine):
-                    if not result.succeeded:
-                        print(f"  {result.job_name}: FAILED — {result.error}")
-                        return 1
-                current = nxt
+        _run(engine, _stage(args, kind, engine)("")[0])
 
     events = read_jsonl(out)
     waterfalls = collect_waterfalls(events)
@@ -261,473 +288,54 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache_stats(args: argparse.Namespace) -> int:
-    """Admin view of memory governance: run an iterative workload on an
-    M3R engine with the requested budget, then print per-place occupancy
-    and the lifetime eviction/spill/rehydration counters."""
-    from repro.apps import matvec
-
-    cluster = Cluster(args.nodes)
-    fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-    engine = m3r_engine(
-        filesystem=fs,
-        cache_capacity_bytes=args.capacity_bytes,
-        cache_high_watermark=args.high_watermark,
-        cache_low_watermark=args.low_watermark,
-        cache_eviction_policy=args.policy,
-        cache_spill=not args.no_spill,
-    )
-    block = max(1, args.rows // 8)
-    num_row_blocks = (args.rows + block - 1) // block
-    g = matvec.generate_blocked_matrix(args.rows, block, sparsity=args.sparsity)
-    v = matvec.generate_blocked_vector(args.rows, block)
-    matvec.write_partitioned(engine.filesystem, "/G", g, num_row_blocks, args.nodes)
-    matvec.write_partitioned(engine.filesystem, "/V0", v, num_row_blocks, args.nodes)
-    engine.warm_cache_from("/G")
-    engine.warm_cache_from("/V0")
-    current = "/V0"
-    for iteration in range(args.iterations):
-        nxt = f"/V{iteration + 1}"
-        sequence = matvec.iteration_jobs(
-            "/G", current, nxt, "/scratch", iteration, num_row_blocks, args.nodes,
-        )
-        for result in sequence.run_all(engine):
-            if not result.succeeded:
-                print(f"  {result.job_name}: FAILED — {result.error}")
-                return 1
-        current = nxt
-
-    stats = engine.cache.stats()
-    capacity = stats["capacity_bytes"]
-    if args.format == "json":
-        doc = {
-            "workload": "matvec",
-            "iterations": args.iterations,
-            "nodes": args.nodes,
-            "policy": stats["policy"],
-            "capacity_bytes": capacity,
-            "high_watermark": stats["high_watermark"],
-            "low_watermark": stats["low_watermark"],
-            "spill_enabled": stats["spill_enabled"],
-            "places": {
-                str(place_id): stats["places"][place_id]
-                for place_id in sorted(stats["places"])
-            },
-            "lifetime": stats["lifetime"],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"cache-stats after {args.iterations} matvec iteration(s), "
-        f"{args.nodes} places:"
-    )
-    print(
-        f"  policy={stats['policy']}"
-        f"  capacity={'unbounded' if capacity <= 0 else f'{capacity:,} B'}"
-        f"  watermarks={stats['high_watermark']:.2f}/{stats['low_watermark']:.2f}"
-        f"  spill={'on' if stats['spill_enabled'] else 'off'}"
-    )
-    header = (f"  {'place':>5}  {'entries':>7}  {'spilled':>7}  "
-              f"{'resident B':>12}  {'occupancy B':>12}  {'high-water B':>12}")
-    print(header)
-    for place_id in sorted(stats["places"]):
-        slot = stats["places"][place_id]
-        print(
-            f"  {place_id:>5}  {slot['entries']:>7}  {slot['spilled']:>7}  "
-            f"{slot['resident_bytes']:>12,}  {slot['occupancy_bytes']:>12,}  "
-            f"{slot['high_water_bytes']:>12,}"
-        )
-    counters = stats["lifetime"]["counters"]
-    print(
-        f"  totals: hits={counters.get('cache_lookup_hits', 0)}"
-        f" misses={counters.get('cache_lookup_misses', 0)}"
-        f" evictions={counters.get('cache_evictions', 0)}"
-        f" spills={counters.get('cache_spills', 0)}"
-        f" rehydrations={counters.get('cache_rehydrations', 0)}"
-        f" spill-bytes={counters.get('cache_spill_bytes', 0):,}"
-    )
-    return 0
-
-
-def cmd_shuffle_stats(args: argparse.Namespace) -> int:
-    """Admin view of the shuffle: run a workload on an M3R engine, then
-    print per-place shuffle bytes (the skew view), local vs remote traffic
-    and de-duplication savings."""
-    from repro.sim.metrics import Metrics, shuffle_place_bytes, shuffle_skew
-
-    cluster = Cluster(args.nodes)
-    fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-    engine = m3r_engine(filesystem=fs)
-    totals = Metrics()
-    jobs = 0
-
-    if args.workload == "wordcount":
-        from repro.apps.wordcount import generate_text, wordcount_job
-
-        engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-        for iteration in range(args.iterations):
-            result = engine.run_job(
-                wordcount_job("/in.txt", f"/out-{iteration}", args.nodes)
-            )
-            if not result.succeeded:
-                print(f"  {result.job_name}: FAILED — {result.error}")
-                return 1
-            totals.merge(result.metrics)
-            jobs += 1
-    else:
-        from repro.apps import matvec
-
-        block = max(1, args.rows // 8)
-        num_row_blocks = (args.rows + block - 1) // block
-        g = matvec.generate_blocked_matrix(
-            args.rows, block, sparsity=args.sparsity
-        )
-        v = matvec.generate_blocked_vector(args.rows, block)
-        matvec.write_partitioned(
-            engine.filesystem, "/G", g, num_row_blocks, args.nodes
-        )
-        matvec.write_partitioned(
-            engine.filesystem, "/V0", v, num_row_blocks, args.nodes
-        )
-        engine.warm_cache_from("/G")
-        engine.warm_cache_from("/V0")
-        current = "/V0"
-        for iteration in range(args.iterations):
-            nxt = f"/V{iteration + 1}"
-            sequence = matvec.iteration_jobs(
-                "/G", current, nxt, "/scratch", iteration, num_row_blocks,
-                args.nodes,
-            )
-            for result in sequence.run_all(engine):
-                if not result.succeeded:
-                    print(f"  {result.job_name}: FAILED — {result.error}")
-                    return 1
-                totals.merge(result.metrics)
-                jobs += 1
-            current = nxt
-
-    per_place = shuffle_place_bytes(totals)
-    skew = shuffle_skew(totals)
-    if args.format == "json":
-        doc = {
-            "workload": args.workload,
-            "jobs": jobs,
-            "nodes": args.nodes,
-            "places": {str(place): per_place[place] for place in sorted(per_place)},
-            "skew": skew,
-            "traffic": {
-                "remote_bytes": totals.get("shuffle_remote_bytes"),
-                "remote_records": totals.get("shuffle_remote_records"),
-                "local_bytes": totals.get("shuffle_local_bytes"),
-                "local_records": totals.get("shuffle_local_records"),
-            },
-            "dedup_saved_bytes": totals.get("dedup_saved_bytes"),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"shuffle-stats: {args.workload}, {jobs} job(s), {args.nodes} places:"
-    )
-    print(f"  {'place':>5}  {'shuffle bytes':>13}")
-    peak = max(per_place.values(), default=1) or 1
-    for place in sorted(per_place):
-        nbytes = per_place[place]
-        bar = "#" * round(40 * nbytes / peak)
-        print(f"  {place:>5}  {nbytes:>13,}  {bar}")
-    print(
-        f"  skew: max={skew['max_bytes']:,.0f} B"
-        f"  mean={skew['mean_bytes']:,.1f} B"
-        f"  ratio={skew['skew_ratio']:.3f}"
-    )
-    print(
-        f"  traffic: remote={totals.get('shuffle_remote_bytes'):,} B"
-        f" ({totals.get('shuffle_remote_records'):,} records)"
-        f"  local={totals.get('shuffle_local_bytes'):,} B"
-        f" ({totals.get('shuffle_local_records'):,} records)"
-    )
-    print(f"  dedup saved: {totals.get('dedup_saved_bytes'):,} B")
-    return 0
-
-
-def cmd_batch_stats(args: argparse.Namespace) -> int:
-    """Admin view of the batched record path (DESIGN.md §14): run one
-    workload through the per-record, batched and batched+imc paths, verify
-    they are byte-identical, and print wall-clock, shuffle volume and the
-    ``batch_*`` / ``imc_*`` metrics side by side."""
-    import time
-
-    from repro.api.conf import BATCH_ENABLED_KEY, BATCH_SIZE_KEY, IMC_ENABLED_KEY
-
-    modes = ("per-record", "batched", "batched+imc")
-    engines = ("m3r", "hadoop") if args.engine == "both" else (args.engine,)
-    doc: Dict[str, object] = {
-        "workload": args.workload,
-        "nodes": args.nodes,
-        "engines": {},
-    }
-
-    for kind in engines:
-        runs: Dict[str, Dict[str, object]] = {}
-        for mode in modes:
-            cluster = Cluster(args.nodes)
-            fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-            engine = (
-                m3r_engine(filesystem=fs)
-                if kind == "m3r"
-                else hadoop_engine(filesystem=fs)
-            )
-            if args.workload == "wordcount":
-                from repro.apps.wordcount import generate_text, wordcount_job
-
-                engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-                confs = [wordcount_job("/in.txt", "/out", args.nodes)]
-                final_out = "/out"
-            else:
-                from repro.apps.grep import grep_sequence
-                from repro.apps.wordcount import generate_text
-
-                engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-                confs = list(
-                    grep_sequence("/in.txt", "/out", args.pattern, num_reducers=args.nodes)
-                )
-                final_out = "/out"
-            for conf in confs:
-                if mode != "per-record":
-                    conf.set_boolean(BATCH_ENABLED_KEY, True)
-                    conf.set_int(BATCH_SIZE_KEY, args.batch_size)
-                if mode == "batched+imc":
-                    conf.set_boolean(IMC_ENABLED_KEY, True)
-            started = time.perf_counter()
-            simulated = 0.0
-            shuffle_bytes = 0
-            metrics: Dict[str, int] = {}
-            for conf in confs:
-                result = engine.run_job(conf)
-                if not result.succeeded:
-                    print(f"  {result.job_name}: FAILED — {result.error}")
-                    return 1
-                simulated += result.simulated_seconds
-                task_counters = result.counters.as_dict().get(
-                    "org.apache.hadoop.mapreduce.TaskCounter", {}
-                )
-                shuffle_bytes += task_counters.get("REDUCE_SHUFFLE_BYTES", 0)
-                for name, value in result.metrics.counters.items():
-                    if name.startswith(("batch_", "imc_")):
-                        metrics[name] = metrics.get(name, 0) + value
-            wall = time.perf_counter() - started
-            runs[mode] = {
-                "wall_seconds": wall,
-                "simulated_seconds": simulated,
-                "reduce_shuffle_bytes": shuffle_bytes,
-                "metrics": metrics,
-                "output": sorted(
-                    (str(k), str(v))
-                    for k, v in engine.filesystem.read_kv_pairs(final_out)
-                ),
-            }
-            if hasattr(engine, "shutdown"):
-                engine.shutdown()
-        base = runs["per-record"]
-        for mode in modes[1:]:
-            if (
-                runs[mode]["output"] != base["output"]
-                or runs[mode]["simulated_seconds"] != base["simulated_seconds"]
-            ):
-                print(f"  IDENTITY VIOLATION: {kind}/{mode} diverged "
-                      "from the per-record path")
-                return 1
-        doc["engines"][kind] = {  # type: ignore[index]
-            mode: {k: v for k, v in run.items() if k != "output"}
-            for mode, run in runs.items()
-        }
-
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(f"batch-stats: {args.workload}, {args.nodes} nodes, "
-          f"batch size {args.batch_size} (outputs verified identical)")
-    for kind, runs in doc["engines"].items():  # type: ignore[union-attr]
-        print(f"  {kind}:")
-        base_wall = runs["per-record"]["wall_seconds"]
-        for mode, run in runs.items():
-            speedup = base_wall / run["wall_seconds"] if run["wall_seconds"] else 0.0
-            m = run["metrics"]
-            extras = ""
-            if m.get("batch_batches"):
-                extras += f"  batches={m['batch_batches']:,}"
-            if m.get("imc_input_records"):
-                extras += (
-                    f"  imc: {m['imc_input_records']:,}→"
-                    f"{m['imc_output_records']:,} records"
-                    f" ({m.get('imc_spills', 0)} spills)"
-                )
-            print(
-                f"    {mode:>12}: wall={run['wall_seconds']:.3f}s"
-                f" ({speedup:.2f}x)"
-                f"  simulated={run['simulated_seconds']:.4f}s"
-                f"  shuffle={run['reduce_shuffle_bytes']:,} B{extras}"
-            )
-    return 0
-
-
-def cmd_restore_stats(args: argparse.Namespace) -> int:
-    """Cross-job reuse admin view: run the same workload ``--runs`` times
-    on one M3R engine with ``m3r.restore.enabled`` on, then print per-run
-    seconds, the rerun speedup, and the result store's contents."""
-    from repro.api.conf import RESTORE_ENABLED_KEY
-    from repro.api.counters import JobCounter
-
-    cluster = Cluster(args.nodes)
-    fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-    engine = m3r_engine(filesystem=fs)
-
-    if args.workload == "wordcount":
-        from repro.apps.wordcount import generate_text, wordcount_job
-
-        engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-
-        def run_once(tag: int):
-            conf = wordcount_job("/in.txt", f"/out-{tag}", args.nodes)
-            conf.set_boolean(RESTORE_ENABLED_KEY, True)
-            return [engine.run_job(conf)]
-    else:
-        from repro.apps import matvec
-
-        block = max(1, args.rows // 8)
-        num_row_blocks = (args.rows + block - 1) // block
-        g = matvec.generate_blocked_matrix(args.rows, block,
-                                           sparsity=args.sparsity)
-        v = matvec.generate_blocked_vector(args.rows, block)
-        matvec.write_partitioned(engine.filesystem, "/G", g, num_row_blocks,
-                                 args.nodes)
-        matvec.write_partitioned(engine.filesystem, "/V0", v, num_row_blocks,
-                                 args.nodes)
-
-        def run_once(tag: int):
-            sequence = matvec.iteration_jobs(
-                "/G", "/V0", f"/V1-{tag}", f"/scratch-{tag}", 0,
-                num_row_blocks, args.nodes,
-            )
-            for conf in sequence.confs:
-                conf.set_boolean(RESTORE_ENABLED_KEY, True)
-            return sequence.run_all(engine)
-
-    runs = []
-    for index in range(args.runs):
-        results = run_once(index)
-        for result in results:
-            if not result.succeeded:
-                print(f"  {result.job_name}: FAILED — {result.error}")
-                return 1
-        runs.append({
-            "seconds": sum(r.simulated_seconds for r in results),
-            "hits": sum(r.metrics.get("restore_hits") for r in results),
-            "misses": sum(r.metrics.get("restore_misses") for r in results),
-            "tasks": sum(
-                r.counters.value(JobCounter.TOTAL_LAUNCHED_MAPS)
-                + r.counters.value(JobCounter.TOTAL_LAUNCHED_REDUCES)
-                for r in results
-            ),
-            "served_bytes": sum(
-                r.metrics.get("restore_served_bytes") for r in results
-            ),
-        })
-
-    speedup = (
-        runs[0]["seconds"] / runs[1]["seconds"]
-        if len(runs) > 1 and runs[1]["seconds"] > 0
-        else None
-    )
-    stats = engine.restore.stats()
-    if args.format == "json":
-        doc = {
-            "workload": args.workload,
-            "nodes": args.nodes,
-            "runs": runs,
-            "speedup": speedup,
-            "store": stats,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(f"restore-stats: {args.workload}, {args.runs} run(s), "
-          f"{args.nodes} places:")
-    print(f"  {'run':>3}  {'seconds':>10}  {'tasks':>6}  {'hits':>4}  "
-          f"{'misses':>6}  {'served B':>10}")
-    for index, run in enumerate(runs):
-        print(f"  {index:>3}  {run['seconds']:>10.4f}  {run['tasks']:>6}  "
-              f"{run['hits']:>4}  {run['misses']:>6}  "
-              f"{run['served_bytes']:>10,}")
-    if speedup is not None:
-        print(f"  rerun speedup: {speedup:.1f}x")
-    lifetime = stats["lifetime"]
-    print(
-        f"  store: {len(stats['entries'])}/{stats['max_entries']} entries"
-        f"  lineage={stats['lineage_entries']}"
-        f"  hits={lifetime.get('hits', 0)}"
-        f" misses={lifetime.get('misses', 0)}"
-        f" invalidations={lifetime.get('invalidations', 0)}"
-        f" bypasses={lifetime.get('bypasses', 0)}"
-        f" evicted={lifetime.get('evicted', 0)}"
-    )
-    for entry in stats["entries"]:
-        print(
-            f"    {entry['fingerprint'][:12]}…  {entry['job_name']}"
-            f"  → {entry['output_path']}  ({entry['parts']} part(s),"
-            f" {entry['nbytes']:,} B)"
-        )
-    return 0
-
-
-def _service_demo(args: argparse.Namespace):
-    """Build one engine + a JobService and submit the demo workload:
-    ``--tenants`` tenants, each with its own /out/<tenant> namespace and
-    ``--jobs`` wordcount jobs over a shared corpus.  Returns the service
-    (queues loaded, nothing run yet) so the caller picks the drive mode."""
-    from repro.apps.wordcount import generate_text, wordcount_job
+def _service_demo(args: argparse.Namespace, engine, plan: Plan):
+    """Wrap ``engine`` in a :class:`~repro.service.JobService` configured
+    with the ``--set`` knobs, register ``--tenants`` tenants (each owning
+    ``/out/<tenant>``) and submit ``args.runs`` runs of the staged workload
+    for each.  Returns the service — queues loaded, nothing run yet, so the
+    caller picks the drive mode — and the tickets grouped by run."""
+    from repro.api.conf import Configuration
+    from repro.api.job import JobSequence
     from repro.service import JobService
 
-    kind = "m3r" if args.engine == "both" else args.engine
-    cluster = Cluster(args.nodes)
-    fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-    engine = m3r_engine(filesystem=fs) if kind == "m3r" else hadoop_engine(
-        filesystem=fs
-    )
-    fs.write_text("/in.txt", generate_text(args.lines))
-
+    config = Configuration()
+    for key, value in args.settings:
+        config.set(key, value)
+    service = JobService(engine, config)
     weights = [int(w) for w in args.weights.split(",")] if args.weights else []
-    service = JobService(engine)
-    clients = []
-    for i in range(args.tenants):
-        name = f"t{i}"
-        clients.append(
-            service.register_tenant(
-                name,
-                weight=weights[i] if i < len(weights) else 1,
-                prefixes=(f"/out/{name}",),
-            )
+    clients = [
+        service.register_tenant(
+            f"t{i}",
+            weight=weights[i] if i < len(weights) else None,
+            prefixes=(f"/out/t{i}",),
         )
-    tickets = []
-    for job in range(args.jobs):
-        for client in clients:
-            tickets.append(
-                client.submit(
-                    wordcount_job("/in.txt", f"/out/{client.tenant}/run-{job}")
-                )
-            )
+        for i in range(args.tenants)
+    ]
+    tickets = [
+        [
+            client.submit(JobSequence(plan(f"/out/{client.tenant}/run-{run}")[0]))
+            for client in clients
+        ]
+        for run in range(args.runs)
+    ]
     return service, tickets
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Always-on server demo: start the background worker, stream the
     admission/scheduling narration as the queues drain, then summarize."""
-    service, tickets = _service_demo(args)
+    kind = "m3r" if args.engine == "both" else args.engine
+    engine = _engine(kind, args.nodes)
+    service, tickets = _service_demo(args, engine, _stage(args, kind, engine))
     print(
-        f"serving {len(tickets)} submission(s) from {args.tenants} tenant(s) "
-        f"on one {service.service_stats()['engine']} engine:"
+        f"serving {args.runs * args.tenants} submission(s) from "
+        f"{args.tenants} tenant(s) on one {service.service_stats()['engine']} "
+        "engine:"
     )
     with service:
-        for ticket in tickets:
-            service.wait(ticket)
+        for run in tickets:
+            for ticket in run:
+                service.wait(ticket)
     for event in service.events():
         line = f"  [{event.action:>9}] {event.tenant:<6} {event.job_id}"
         if event.detail:
@@ -744,38 +352,154 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_service_stats(args: argparse.Namespace) -> int:
-    """Deterministic admission/fairness accounting: load the demo queues,
-    drain them caller-driven (single thread, reproducible schedule) and
-    print the schedule plus the per-tenant isolation accounting."""
-    service, _ = _service_demo(args)
-    service.drain()
-    if args.format == "json":
+def _stats_doc(args: argparse.Namespace, kind: str, engine, runs: List[list],
+               service) -> Dict[str, Any]:
+    """One engine's administrative document, built from the accessors the
+    subsystems already expose and from the runs' summed job metrics."""
+    from repro.api.counters import JobCounter
+    from repro.sim.metrics import Metrics, shuffle_place_bytes, shuffle_skew
+
+    totals = Metrics()
+    for results in runs:
+        for result in results:
+            totals.merge(result.metrics)
+    seconds = [_seconds(results) for results in runs]
+    doc: Dict[str, Any] = {
+        "schema_version": STATS_SCHEMA_VERSION,
+        "engine": kind,
+        "workload": args.workload,
+        "nodes": args.nodes,
+        "settings": dict(args.settings),
+        "runs": [
+            {
+                "seconds": run_seconds,
+                "jobs": len(results),
+                "tasks": sum(
+                    r.counters.value(JobCounter.TOTAL_LAUNCHED_MAPS)
+                    + r.counters.value(JobCounter.TOTAL_LAUNCHED_REDUCES)
+                    for r in results
+                ),
+                "hits": sum(r.metrics.get("restore_hits") for r in results),
+                "misses": sum(r.metrics.get("restore_misses") for r in results),
+                "served_bytes": sum(
+                    r.metrics.get("restore_served_bytes") for r in results
+                ),
+            }
+            for run_seconds, results in zip(seconds, runs)
+        ],
+        "speedup": (
+            seconds[0] / seconds[1]
+            if len(seconds) > 1 and seconds[1] > 0 else None
+        ),
+        "shuffle": {
+            "places": shuffle_place_bytes(totals),
+            "skew": shuffle_skew(totals),
+            "traffic": {
+                name: totals.get(f"shuffle_{name}")
+                for name in ("remote_bytes", "remote_records",
+                             "local_bytes", "local_records")
+            },
+            "dedup_saved_bytes": totals.get("dedup_saved_bytes"),
+        },
+        "batch": {
+            name: value for name, value in sorted(totals.counters.items())
+            if name.startswith(("batch_", "imc_"))
+        },
+        "restore": engine.restore.stats(),
+    }
+    if kind == "m3r":
+        doc["cache"] = engine.cache.stats()
+    if service is not None:
         stats = service.service_stats()
-        stats["schedule"] = service.schedule_log()
-        for name in list(stats["tenants"]):
-            stats["tenants"][name] = service.tenant_stats(name)
-        print(json.dumps(stats, indent=2, default=str))
-        return 0
-    stats = service.service_stats()
-    print(f"service over one {stats['engine']} engine "
-          f"(queue depth {stats['queue_depth']}):")
-    print("  schedule:", " ".join(t for t, _ in service.schedule_log()))
-    print(
-        f"  {'tenant':>8} {'weight':>6} {'jobs':>5} {'sim s':>9}"
-        f" {'cache B':>10} {'restore':>8}"
-    )
-    for name in sorted(stats["tenants"]):
-        tstats = service.tenant_stats(name)
-        cache = tstats.get("cache", {})
-        restore = tstats.get("restore", {})
-        print(
-            f"  {name:>8} {tstats['weight']:>6} {tstats['jobs_run']:>5}"
-            f" {tstats['simulated_seconds']:>9.2f}"
-            f" {cache.get('occupancy_bytes', 0):>10,}"
-            f" {len(restore.get('entries', ())):>8}"
-        )
+        stats["schedule"] = [ticket for _, ticket in service.schedule_log()]
+        stats["tenants"] = {name: service.tenant_stats(name) for name in stats["tenants"]}
+        doc["service"] = stats
+    return doc
+
+
+def _render(doc: Dict[Any, Any], depth: int = 0) -> None:
+    """The text view of a stats document: a ``key: value`` line per leaf,
+    nested sections indented, a list of rows one line per row."""
+    pad = "  " * depth
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            print(f"{pad}{key}:")
+            _render(value, depth + 1)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            print(f"{pad}{key}:")
+            for index, row in enumerate(value):
+                cells = "  ".join(f"{k}={_cell(v)}" for k, v in row.items())
+                print(f"{pad}  [{index}] {cells}")
+        else:
+            print(f"{pad}{key}: {_cell(value)}")
+
+
+def _cell(value: Any) -> str:
+    if isinstance(value, bool) or value is None:
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:,.4f}"
+    if isinstance(value, int):
+        return f"{value:,}"
+    if isinstance(value, list):
+        return " ".join(_cell(item) for item in value)
+    return str(value)
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    """The administrative view (paper §5.3): run the workload ``--runs``
+    times per engine — each run under its own output root, so a rerun
+    with ``m3r.restore.enabled`` is a reuse hit — directly or, with
+    ``--tenants``, through a caller-driven service, then print one
+    schema-versioned document per engine."""
+    docs: Dict[str, Dict[str, Any]] = {}
+    for kind, engine in _engines(args):
+        plan = _stage(args, kind, engine)
+        service = None
+        if args.tenants:
+            service, tickets = _service_demo(args, engine, plan)
+            service.drain()
+            runs = [
+                [_checked(r) for ticket in run for r in service.wait(ticket)]
+                for run in tickets
+            ]
+        else:
+            runs = [_run(engine, plan(f"/run-{i}")[0]) for i in range(args.runs)]
+        docs[kind] = _stats_doc(args, kind, engine, runs, service)
+    if args.format == "json":
+        print(json.dumps(docs, indent=2, sort_keys=True))
+    else:
+        _render(docs)
     return 0
+
+
+#: What ``--set`` accepts for a bool knob.
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _knob_setting(text: str) -> Tuple[str, Any]:
+    """``--set KEY=VALUE``: KEY must be a user-settable ``KnobRegistry``
+    key and VALUE must parse as that knob's type."""
+    from repro.analysis.knobs import REGISTRY
+
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    if key not in REGISTRY or REGISTRY.get(key).internal:
+        raise argparse.ArgumentTypeError(
+            f"unknown knob {key!r}: not a settable KnobRegistry key"
+        )
+    kind = REGISTRY.get(key).type
+    if kind == "bool":
+        flag = raw.strip().lower()
+        if flag not in _BOOLEANS:
+            raise argparse.ArgumentTypeError(f"{key} is a bool, got {raw!r}")
+        return key, _BOOLEANS[flag]
+    try:
+        return key, {"int": int, "float": float}.get(kind, str)(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{key} is {kind}, got {raw!r}") from None
 
 
 def _explain_rule(code: str) -> int:
@@ -871,6 +595,14 @@ def _check_equivalence(outputs: Dict[str, object]) -> int:
     return 0
 
 
+def _workload_parser(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """A sub-command that runs a workload through :func:`_stage`."""
+    p = sub.add_parser(name, **kwargs)
+    # Before the flags: a flag's own default must win over these.
+    p.set_defaults(func=func, **_STAGE_DEFAULTS)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -883,12 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cluster size (default 8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wordcount", help="Figure 8 workload")
+    p = _workload_parser(sub, "wordcount", cmd_wordcount, help="Figure 8 workload")
     p.add_argument("--lines", type=int, default=2000)
     p.add_argument("--reducers", type=int, default=8)
     p.add_argument("--mutating", action="store_true",
                    help="use the object-reusing (non-ImmutableOutput) variant")
-    p.set_defaults(func=cmd_wordcount)
 
     p = sub.add_parser("micro", help="Figure 6 workload")
     p.add_argument("--remote", type=int, default=50)
@@ -896,11 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-bytes", type=int, default=4096)
     p.set_defaults(func=cmd_micro)
 
-    p = sub.add_parser("matvec", help="Figure 7 workload")
+    p = _workload_parser(sub, "matvec", cmd_matvec, help="Figure 7 workload")
+    p.set_defaults(workload="matvec")
     p.add_argument("--rows", type=int, default=800)
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--sparsity", type=float, default=0.01)
-    p.set_defaults(func=cmd_matvec)
 
     p = sub.add_parser("sysml", help="Figures 9-11 workloads")
     p.add_argument("--algorithm", choices=("gnmf", "linreg", "pagerank"),
@@ -911,75 +642,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=2)
     p.set_defaults(func=cmd_sysml)
 
-    p = sub.add_parser(
-        "trace",
+    p = _workload_parser(
+        sub, "trace", cmd_trace,
         help="run a workload with lifecycle tracing and render the "
              "per-stage / per-place waterfall",
     )
-    p.add_argument("--workload", choices=("wordcount", "matvec"),
-                   default="matvec")
+    p.add_argument("--workload", choices=WORKLOADS, default="matvec")
     p.add_argument("--out", default="m3r-trace.jsonl",
                    help="JSONL event stream destination "
                         "(default m3r-trace.jsonl)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--lines", type=int, default=2000,
-                   help="wordcount input size")
+                   help="wordcount / grep input size")
     p.add_argument("--rows", type=int, default=400, help="matvec matrix rows")
     p.add_argument("--iterations", type=int, default=2)
     p.add_argument("--sparsity", type=float, default=0.01)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser(
-        "cache-stats",
-        help="memory-governance admin view: per-place occupancy, budget "
-             "and eviction/spill counters after an iterative workload",
+    p = _workload_parser(
+        sub, "stats", cmd_stats,
+        help="administrative view: run a workload --runs times, then print "
+             "per-run seconds and reuse, cache, shuffle, batch, ReStore "
+             "and (with --tenants) service statistics per engine",
     )
-    p.add_argument("--capacity-bytes", type=int, default=0,
-                   help="per-place cache budget (0 = unbounded)")
-    p.add_argument("--high-watermark", type=float, default=0.9)
-    p.add_argument("--low-watermark", type=float, default=0.75)
-    p.add_argument("--policy", choices=("lru", "fifo", "gds"), default="lru")
-    p.add_argument("--no-spill", action="store_true",
-                   help="drop evicted durable entries instead of spilling")
-    p.add_argument("--rows", type=int, default=400)
-    p.add_argument("--iterations", type=int, default=3)
-    p.add_argument("--sparsity", type=float, default=0.01)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cache_stats)
-
-    p = sub.add_parser(
-        "shuffle-stats",
-        help="shuffle admin view: per-place shuffle bytes, skew ratio, "
-             "local/remote traffic, dedup savings",
-    )
-    p.add_argument("--workload", choices=("wordcount", "matvec"),
-                   default="matvec")
+    p.add_argument("--workload", choices=WORKLOADS, default="wordcount")
+    p.add_argument("--runs", type=int, default=2,
+                   help="runs of the workload, each under its own output root")
+    p.add_argument("--set", dest="settings", action="append", default=[],
+                   type=_knob_setting, metavar="KEY=VALUE",
+                   help="a KnobRegistry knob for every job (and the service "
+                        "configuration); repeatable")
+    p.add_argument("--tenants", type=int, default=0,
+                   help="route the runs through a job service with this "
+                        "many tenants, drained caller-driven (0 = direct)")
     p.add_argument("--lines", type=int, default=2000,
-                   help="wordcount input size")
+                   help="wordcount / grep input size")
     p.add_argument("--rows", type=int, default=400, help="matvec matrix rows")
-    p.add_argument("--iterations", type=int, default=3)
+    p.add_argument("--iterations", type=int, default=1,
+                   help="matvec iterations per run")
     p.add_argument("--sparsity", type=float, default=0.01)
+    p.add_argument("--pattern", default="[a-f]+", help="grep pattern")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_shuffle_stats)
-
-    p = sub.add_parser(
-        "batch-stats",
-        help="batched record path admin view: per-record vs batched vs "
-             "batched+imc wall-clock, shuffle bytes and fold metrics, with "
-             "byte-identity verified",
-    )
-    p.add_argument("--workload", choices=("wordcount", "grep"),
-                   default="wordcount")
-    p.add_argument("--lines", type=int, default=2000,
-                   help="generated input size")
-    p.add_argument("--pattern", default="[a-f]+",
-                   help="grep pattern (grep workload only)")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="m3r.batch.size for the batched modes")
-    p.add_argument("--engine", choices=("m3r", "hadoop", "both"),
-                   default="m3r")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_batch_stats)
 
     p = sub.add_parser("jaql", help="run a Jaql JSON pipeline")
     p.add_argument("--script", required=True, help="path to the pipeline file")
@@ -995,51 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster path for --data (default /data/input.txt)")
     p.set_defaults(func=cmd_pig)
 
-    p = sub.add_parser(
-        "restore-stats",
-        help="cross-job reuse admin view: run a workload repeatedly with "
-             "the result store on, show the rerun speedup and store "
-             "contents",
-    )
-    p.add_argument("--workload", choices=("wordcount", "matvec"),
-                   default="wordcount")
-    p.add_argument("--lines", type=int, default=2000,
-                   help="wordcount input size")
-    p.add_argument("--rows", type=int, default=400, help="matvec matrix rows")
-    p.add_argument("--sparsity", type=float, default=0.01)
-    p.add_argument("--runs", type=int, default=2)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_restore_stats)
-
-    p = sub.add_parser(
-        "serve",
+    p = _workload_parser(
+        sub, "serve", cmd_serve,
         help="multi-tenant job service demo: start the always-on worker, "
              "stream admission/scheduling events while tenant queues drain",
     )
     p.add_argument("--tenants", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=2,
+    p.add_argument("--jobs", dest="runs", type=int, default=2,
                    help="submissions per tenant")
     p.add_argument("--lines", type=int, default=500,
                    help="shared wordcount corpus size")
     p.add_argument("--weights", default="",
                    help="comma-separated fair-share weights, e.g. 2,1,1")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "service-stats",
-        help="deterministic service accounting: drain the demo tenant "
-             "queues caller-driven and print the fair schedule plus "
-             "per-tenant isolation stats",
-    )
-    p.add_argument("--tenants", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=2,
-                   help="submissions per tenant")
-    p.add_argument("--lines", type=int, default=500,
-                   help="shared wordcount corpus size")
-    p.add_argument("--weights", default="",
-                   help="comma-separated fair-share weights, e.g. 2,1,1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_service_stats)
 
     from repro.analysis import default_rules
 
@@ -1069,7 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _JobFailed as failure:
+        print(f"  {failure}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -528,7 +528,7 @@ class KeyValueCache:
 
     def stats(self) -> Dict[str, Any]:
         """Per-place occupancy/budget plus lifetime governance counters
-        (the ``cache-stats`` admin command's data source)."""
+        (the ``cache`` section of ``repro stats``)."""
         governor = self.governor
         with self._lock:
             per_place: Dict[int, Dict[str, int]] = {}

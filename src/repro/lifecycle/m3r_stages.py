@@ -43,7 +43,6 @@ from repro.api.counters import JobCounter, TaskCounter
 from repro.api.extensions import is_immutable_output, is_temporary_output
 from repro.api.formats import FileOutputFormat
 from repro.api.mapred import Reporter
-from repro.api.multiple_io import TASK_FS_KEY
 from repro.api.splits import InputSplit
 from repro.engine_common import (
     MaterializedReader,
@@ -321,8 +320,8 @@ def _m3r_map_task_body(
     _charge_output_clone(task, model, outcome)
 
     if sink is not None:
-        task.seconds += emit_m3r_output(
-            tctx, task_conf, task_index, place, sink.partitions[0], reporter
+        task.seconds += _emit_task_output(
+            tctx, task_fs, task_conf, task_index, place, sink.partitions[0]
         )
         return task
     charge_map_combine(task, model, spec, outcome)
@@ -368,7 +367,7 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> TaskLedger:
     place = st["reduce_places"][partition]
     shuffle_input: ShuffleInput = st["reduce_inputs"][partition]
     task = TaskLedger(ctx.metrics)
-    tally, _, task_conf, reporter = open_task(
+    tally, task_fs, task_conf, reporter = open_task(
         tctx, engine.place_node(place), partition
     )
 
@@ -403,8 +402,8 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> TaskLedger:
     if tally.bytes_written:
         task.charge("disk_write", model.disk_write_time(tally.bytes_written, seeks=1))
 
-    task.seconds += emit_m3r_output(
-        tctx, task_conf, partition, place, sink.partitions[0], reporter
+    task.seconds += _emit_task_output(
+        tctx, task_fs, task_conf, partition, place, sink.partitions[0]
     )
     return task
 
@@ -414,30 +413,48 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> TaskLedger:
 # ---------------------------------------------------------------------- #
 
 
-def emit_m3r_output(
+def _emit_task_output(
     tctx: TaskContext,
+    task_fs: Any,
     task_conf: JobConf,
     partition: int,
     place: int,
     output: PartitionBuffer,
-    reporter: Reporter,
 ) -> float:
-    """Cache the output at this place; flush to the filesystem unless
-    the output is temporary.  Returns the simulated cost."""
-    ctx, engine = tctx.ctx, tctx.engine
-    pairs, nbytes = output.pairs, output.bytes
+    ctx = tctx.ctx
+    return emit_m3r_output(
+        ctx, tctx.engine, task_fs, task_conf, FileOutputFormat.part_name(partition),
+        FileOutputFormat.part_path(ctx.conf, partition), place,
+        output.pairs, output.bytes, tctx.st["job_is_temp"],
+    )
+
+
+def emit_m3r_output(
+    ctx: JobContext,
+    engine: Any,
+    fs: Any,
+    conf: JobConf,
+    basename: str,
+    dest: str,
+    place: int,
+    pairs: List[Any],
+    nbytes: int,
+    temp: bool,
+) -> float:
+    """Cache one output part at ``place`` under ``dest``, first flushing it
+    as ``basename`` through the job's output format on ``fs`` unless it is
+    a temporary only the cache holds.  A task's output and a ReStore hit's
+    replayed part both land here.  Returns the simulated cost, summed in
+    charge order."""
     model = engine.cost_model
     metrics = ctx.metrics
-    part_path = FileOutputFormat.part_path(ctx.conf, partition)
-    temp_output = tctx.st["job_is_temp"]
     out = TaskLedger(metrics)
-    if not (temp_output and engine.enable_cache):
+    if not (temp and engine.enable_cache):
         # Flush to the real filesystem first: writing through the
         # M3RFileSystem invalidates any cache entry for the path, so the
         # cache insert must come after the flush.
         writer = ctx.spec.output_format.get_record_writer(
-            task_conf.get(TASK_FS_KEY), task_conf,
-            FileOutputFormat.part_name(partition), reporter,
+            fs, conf, basename, Reporter(ctx.counters)
         )
         write = writer.write
         for key, value in pairs:
@@ -451,10 +468,8 @@ def emit_m3r_output(
     if engine.enable_cache:
         # A temp output exists ONLY here — mark it non-durable so
         # eviction must spill it (never drop it).
-        engine.cache.put_file(
-            part_path, place, pairs, nbytes, durable=not temp_output
-        )
+        engine.cache.put_file(dest, place, pairs, nbytes, durable=not temp)
         out.charge("framework", model.handoff_time(len(pairs)))
         metrics.incr("cache_outputs")
-    out.seconds += engine._replicate_output(part_path, place, pairs, nbytes, metrics)
+    out.seconds += engine._replicate_output(dest, place, pairs, nbytes, metrics)
     return out.seconds

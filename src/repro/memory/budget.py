@@ -128,7 +128,7 @@ class MemoryBudget:
             self.low_watermark = float(low)
 
     def snapshot(self) -> Dict[int, Dict[str, int]]:
-        """Per-place ``{occupancy, high_water, capacity}`` (for cache-stats)."""
+        """Per-place ``{occupancy, high_water, capacity}``."""
         with self._lock:
             places = set(self._occupancy) | set(self._high_water)
             return {

@@ -53,7 +53,7 @@ class MemoryGovernor:
         self.policy = policy if policy is not None else LRUPolicy()
         self.spill = spill
         self.spill_enabled = spill_enabled
-        #: Engine-lifetime counters/time (cache-stats reads these).
+        #: Engine-lifetime counters/time (``repro stats`` reads these).
         self.lifetime = Metrics()
         self._job_metrics: Optional[Metrics] = None
         self._pending_seconds = 0.0

@@ -132,6 +132,7 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
     slot-lane makespan of the per-part work, not its serial sum.
     """
     from repro.hadoop_engine.scheduler import SlotLanes
+    from repro.lifecycle.m3r_stages import emit_m3r_output
 
     hit: StoredResult = st[HIT_KEY]
     model = engine.cost_model
@@ -163,27 +164,11 @@ def serve_m3r(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
         # One copy, shared between flush and cache — the same aliasing a
         # real run produces, with no aliasing back into the source entry.
         pairs = clone_pairs(pairs)
-        nbytes = part.nbytes
-        part_seconds = 0.0
-        if not (temp and engine.enable_cache):
-            _serve_part_pairs(ctx, engine, dest, part.basename, pairs)
-            ser = model.serialize_time(nbytes, len(pairs))
-            metrics.time.charge("serialize", ser)
-            part_seconds += ser
-            part_seconds += charge_fs_write(engine, nbytes, metrics)
-            metrics.time.charge("namenode", model.namenode_op)
-            part_seconds += model.namenode_op
-        else:
-            metrics.incr("temp_outputs_skipped")
-        if engine.enable_cache:
-            engine.cache.put_file(dest, place, pairs, nbytes, durable=not temp)
-            cost = model.handoff_time(len(pairs))
-            metrics.time.charge("framework", cost)
-            part_seconds += cost
-            metrics.incr("cache_outputs")
-        part_seconds += engine._replicate_output(dest, place, pairs, nbytes, metrics)
-        lanes.add_task(place, part_seconds)
-        served_bytes += nbytes
+        lanes.add_task(place, emit_m3r_output(
+            ctx, engine, engine.filesystem, JobConf(conf), part.basename, dest,
+            place, pairs, part.nbytes, temp,
+        ))
+        served_bytes += part.nbytes
         served_records += len(pairs)
 
     if not (temp and engine.enable_cache):

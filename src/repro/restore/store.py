@@ -66,7 +66,7 @@ class ResultStore:
     """Per-engine fingerprint → result index with an LRU entry bound.
 
     Thread-safe: the engines' pipelines record from the driver thread,
-    but ``restore-stats`` tooling and tests may read concurrently.
+    but ``repro stats`` tooling and tests may read concurrently.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):

@@ -24,7 +24,7 @@ makes that multi-tenant:
   ``tenant_stats`` fed by typed :class:`LifecycleEvent` subscriptions on
   every job's bus, a :class:`~repro.lifecycle.events.ServiceEvent` family
   narrating admission decisions, and ``python -m repro serve`` /
-  ``python -m repro service-stats``.
+  ``python -m repro stats --tenants N``.
 
 Jobs execute strictly one at a time on the wrapped engine — concurrency
 lives in the admission layer — so the repo's determinism contract holds

@@ -49,7 +49,7 @@ from repro.service.tenancy import SubmissionRecord, TenantSpec, TenantState
 
 DEFAULT_QUEUE_DEPTH = 64
 DEFAULT_INFLIGHT_LIMIT = 8
-#: How many ServiceEvents the service remembers for ``service-stats``.
+#: How many ServiceEvents the service remembers (``events``, ``schedule_log``).
 SERVICE_EVENT_RING = 512
 
 

@@ -13,14 +13,14 @@ M3R is implemented in X10; the engine relies on a handful of X10 semantics:
   de-duplication "for free" from this.
 
 This package reproduces what of that surface outlives a job.  Places live
-inside one Python process, each with a private heap; the serializer
-measures, de-duplicates and clones object graphs.  Fork/join and barriers
-are not executed but *charged*: tasks and shuffle messages run inline on
-the driver in plan order, and a place's ``workers`` threads exist as lane
-width in the simulated clock (DESIGN.md §7).
+inside one Python process as an id, a node and a lane width; the
+serializer measures, de-duplicates and clones object graphs.  Fork/join
+and barriers are not executed but *charged*: tasks and shuffle messages
+run inline in plan order, and a place's ``workers`` threads exist as
+lane width in the simulated clock (DESIGN.md §7).
 """
 
-from repro.x10.places import Place, PlaceLocalHandle
+from repro.x10.places import Place
 from repro.x10.runtime import X10Runtime
 from repro.x10.serializer import (
     DedupSerializer,
@@ -31,7 +31,6 @@ from repro.x10.serializer import (
 
 __all__ = [
     "Place",
-    "PlaceLocalHandle",
     "X10Runtime",
     "DedupSerializer",
     "SerializedMessage",

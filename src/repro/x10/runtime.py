@@ -5,9 +5,9 @@ reproduction models a place's concurrent worker threads where the paper's
 claim about them lives — in *simulated* time, through
 ``SlotLanes(workers_per_place)`` — and runs every task and shuffle message
 inline on the driver, in plan order (DESIGN.md §7).  What the engine needs
-from the runtime is therefore only what outlives a job: the places (with
-their private heaps) and the serializer that measures and clones what
-crosses between them.
+from the runtime is therefore only what outlives a job: the places (an
+id, a node and a lane width each) and the serializer that measures and
+clones what crosses between them.
 """
 
 from __future__ import annotations

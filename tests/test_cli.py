@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api.conf import (
+    CACHE_CAPACITY_KEY,
+    CACHE_EVICTION_POLICY_KEY,
+    CACHE_HIGH_WATERMARK_KEY,
+    CACHE_SPILL_KEY,
+    TASK_PARTITION_KEY,
+)
+from repro.cli import STATS_SCHEMA_VERSION, build_parser, main
 
 
 class TestParser:
@@ -26,6 +33,68 @@ class TestParser:
         assert args.engine == "both"
         assert args.nodes == 8
         assert args.lines == 2000
+
+    def test_subcommands(self):
+        assert sorted(subcommands()) == sorted([
+            "wordcount", "micro", "matvec", "sysml", "trace", "stats",
+            "jaql", "pig", "serve", "analyze",
+        ])
+
+    def test_global_options_survive_every_subcommand(self):
+        """A sub-command option whose ``dest`` collides with a global one
+        silently overrides it (argparse lets the sub-parser's default win)."""
+        for name, sub in subcommands().items():
+            required = [
+                arg
+                for action in sub._actions
+                if action.required and action.option_strings
+                for arg in (action.option_strings[0], "x")
+            ]
+            args = build_parser().parse_args(
+                ["--engine", "hadoop", "--nodes", "3", name, *required]
+            )
+            assert (args.engine, args.nodes) == ("hadoop", 3), name
+
+    def test_set_rejects_an_unknown_knob(self, capsys):
+        unknown = "m3r.no.such-key"  # noqa: M3R010 - deliberately unregistered
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--set", f"{unknown}=1"])
+        assert excinfo.value.code == 2
+        assert unknown in capsys.readouterr().err
+
+    def test_set_parses_the_knob_type(self, capsys):
+        args = build_parser().parse_args([
+            "stats", "--set", f"{CACHE_CAPACITY_KEY}=6000",
+            "--set", f"{CACHE_SPILL_KEY}=off",
+            "--set", f"{CACHE_HIGH_WATERMARK_KEY}=0.5",
+        ])
+        assert args.settings == [
+            (CACHE_CAPACITY_KEY, 6000),
+            (CACHE_SPILL_KEY, False),
+            (CACHE_HIGH_WATERMARK_KEY, 0.5),
+        ]
+        for bad in (f"{CACHE_CAPACITY_KEY}=lots", f"{CACHE_SPILL_KEY}=maybe",
+                    f"{TASK_PARTITION_KEY}=1", CACHE_SPILL_KEY):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["stats", "--set", bad])
+        assert TASK_PARTITION_KEY in capsys.readouterr().err
+
+
+def subcommands():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def stats_docs(capsys, *argv):
+    """Run ``repro <argv> --format json`` (a ``stats`` invocation) and
+    return its documents, keyed by engine."""
+    assert main([*argv, "--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    for kind, doc in docs.items():
+        assert doc["schema_version"] == STATS_SCHEMA_VERSION
+        assert doc["engine"] == kind
+    return docs
 
 
 class TestCommands:
@@ -60,42 +129,108 @@ class TestCommands:
         assert "generated jobs" in capsys.readouterr().out
 
     def test_cache_stats_unbounded(self, capsys):
-        assert main(["--nodes", "4", "cache-stats", "--rows", "100",
-                     "--iterations", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "capacity=unbounded" in out
-        assert "evictions=0" in out and "spills=0" in out
+        docs = stats_docs(capsys, "--nodes", "4", "stats", "--workload",
+                          "matvec", "--rows", "100", "--runs", "1")
+        cache = docs["m3r"]["cache"]
+        assert cache["capacity_bytes"] == 0
+        counters = cache["lifetime"]["counters"]
+        assert counters.get("cache_evictions", 0) == 0
+        assert counters.get("cache_spills", 0) == 0
 
     def test_cache_stats_under_pressure(self, capsys):
-        assert main(["--nodes", "4", "cache-stats", "--rows", "200",
-                     "--iterations", "2", "--capacity-bytes", "6000",
-                     "--policy", "gds"]) == 0
-        out = capsys.readouterr().out
-        assert "policy=gds" in out
-        assert "evictions=0" not in out  # pressure produced evictions
-        assert "spill=on" in out
+        docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "4", "stats",
+                          "--workload", "matvec", "--rows", "200",
+                          "--iterations", "2", "--runs", "1",
+                          "--set", f"{CACHE_CAPACITY_KEY}=6000",
+                          "--set", f"{CACHE_EVICTION_POLICY_KEY}=gds")
+        doc = docs["m3r"]
+        assert doc["settings"] == {CACHE_CAPACITY_KEY: 6000,
+                                   CACHE_EVICTION_POLICY_KEY: "gds"}
+        cache = doc["cache"]
+        assert cache["policy"] == "gds"
+        assert cache["lifetime"]["counters"]["cache_evictions"] > 0
+        assert cache["spill_enabled"] is True
 
     def test_cache_stats_json_round_trip(self, capsys):
-        assert main(["--nodes", "4", "cache-stats", "--rows", "100",
-                     "--iterations", "1", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["capacity_bytes"] == 0
-        assert doc["policy"] == "lru"
-        assert doc["spill_enabled"] is True
-        assert sorted(doc["places"]) == ["0", "1", "2", "3"]
-        for slot in doc["places"].values():
+        docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "4", "stats",
+                          "--workload", "matvec", "--rows", "100", "--runs", "1")
+        cache = docs["m3r"]["cache"]
+        assert cache["policy"] == "lru"
+        assert cache["spill_enabled"] is True
+        assert sorted(cache["places"]) == ["0", "1", "2", "3"]
+        for slot in cache["places"].values():
             assert slot["entries"] >= 0 and slot["resident_bytes"] >= 0
-        assert doc["lifetime"]["counters"].get("cache_evictions", 0) == 0
 
     def test_shuffle_stats_json_round_trip(self, capsys):
-        assert main(["--nodes", "4", "shuffle-stats", "--workload",
-                     "wordcount", "--lines", "200", "--iterations", "1",
-                     "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"] == "wordcount" and doc["jobs"] == 1
-        assert all(isinstance(k, str) for k in doc["places"])
-        assert doc["traffic"]["remote_bytes"] >= 0
-        assert doc["skew"]["skew_ratio"] >= 1.0
+        docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "4", "stats",
+                          "--workload", "wordcount", "--lines", "200",
+                          "--runs", "1")
+        doc = docs["m3r"]
+        assert doc["workload"] == "wordcount" and doc["runs"][0]["jobs"] == 1
+        shuffle = doc["shuffle"]
+        assert all(isinstance(k, str) for k in shuffle["places"])
+        assert shuffle["traffic"]["remote_bytes"] >= 0
+        assert shuffle["skew"]["skew_ratio"] >= 1.0
+
+    def test_stats_batch_totals(self, capsys):
+        docs = stats_docs(capsys, "--nodes", "2", "stats", "--workload", "grep",
+                          "--lines", "100", "--runs", "1",
+                          "--set", "m3r.batch.enabled=true",
+                          "--set", "m3r.imc.enabled=true")
+        for doc in docs.values():
+            assert doc["runs"][0]["jobs"] == 2
+            assert doc["batch"]["batch_batches"] > 0
+            assert doc["batch"]["imc_folded_records"] > 0
+
+    def test_stats_hadoop_has_no_cache_section(self, capsys):
+        docs = stats_docs(capsys, "--engine", "hadoop", "--nodes", "2", "stats",
+                          "--lines", "100", "--runs", "1")
+        assert list(docs) == ["hadoop"]
+        assert "cache" not in docs["hadoop"]
+        assert {"runs", "shuffle", "batch", "restore"} <= set(docs["hadoop"])
+
+    def test_stats_through_the_service(self, capsys):
+        docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "2", "stats",
+                          "--lines", "100", "--tenants", "3", "--runs", "2")
+        doc = docs["m3r"]
+        service = doc["service"]
+        assert len(service["schedule"]) == 6
+        assert sorted(service["tenants"]) == ["t0", "t1", "t2"]
+        for tenant in service["tenants"].values():
+            assert tenant["jobs_run"] == 2
+        assert [run["jobs"] for run in doc["runs"]] == [3, 3]
+
+    def test_restore_stats_text(self, capsys):
+        assert main(["--engine", "m3r", "--nodes", "4", "stats", "--lines",
+                     "200", "--set", "m3r.restore.enabled=true"]) == 0
+        out = capsys.readouterr().out
+        for line in ("m3r:", "  schema_version: 1", "  runs:", "  speedup: ",
+                     "  restore:", "    lifetime:", "      hits: 1",
+                     "      misses: 1", "  cache:", "  shuffle:"):
+            assert line + ("" if line.endswith(" ") else "\n") in out, line
+
+    def test_restore_stats_json_round_trip(self, capsys):
+        docs = stats_docs(capsys, "--nodes", "4", "stats", "--workload",
+                          "matvec", "--rows", "64",
+                          "--set", "m3r.restore.enabled=true")
+        for doc in docs.values():
+            assert doc["workload"] == "matvec"
+            runs = doc["runs"]
+            assert len(runs) == 2
+            # First run executes tasks and misses; the rerun is a pure hit.
+            assert runs[0]["tasks"] > 0 and runs[0]["hits"] == 0
+            assert runs[1]["tasks"] == 0 and runs[1]["hits"] == 2
+            assert runs[1]["seconds"] < runs[0]["seconds"]
+            assert doc["speedup"] > 1.0
+            assert doc["restore"]["lifetime"]["hits"] == 2
+            assert len(doc["restore"]["entries"]) == 2
+
+    def test_restore_stats_single_run_no_speedup(self, capsys):
+        docs = stats_docs(capsys, "--nodes", "2", "stats", "--lines", "100",
+                          "--runs", "1", "--set", "m3r.restore.enabled=true")
+        for doc in docs.values():
+            assert doc["speedup"] is None
+            assert len(doc["runs"]) == 1
 
     def test_trace_matvec_stage_seconds_sum_to_total(self, tmp_path, capsys):
         """Acceptance: the trace's per-stage seconds reconstruct each
@@ -134,34 +269,6 @@ class TestCommands:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert "stale" not in out.read_text()
-
-    def test_restore_stats_text(self, capsys):
-        assert main(["--nodes", "4", "restore-stats", "--lines", "200"]) == 0
-        out = capsys.readouterr().out
-        assert "restore-stats: wordcount, 2 run(s)" in out
-        assert "rerun speedup:" in out
-        assert "hits=1 misses=1" in out
-
-    def test_restore_stats_json_round_trip(self, capsys):
-        assert main(["--nodes", "4", "restore-stats", "--workload", "matvec",
-                     "--rows", "64", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"] == "matvec"
-        assert len(doc["runs"]) == 2
-        # First run executes tasks and misses; the rerun is a pure hit.
-        assert doc["runs"][0]["tasks"] > 0 and doc["runs"][0]["hits"] == 0
-        assert doc["runs"][1]["tasks"] == 0 and doc["runs"][1]["hits"] == 2
-        assert doc["runs"][1]["seconds"] < doc["runs"][0]["seconds"]
-        assert doc["speedup"] > 1.0
-        assert doc["store"]["lifetime"]["hits"] == 2
-        assert len(doc["store"]["entries"]) == 2
-
-    def test_restore_stats_single_run_no_speedup(self, capsys):
-        assert main(["--nodes", "2", "restore-stats", "--lines", "100",
-                     "--runs", "1", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["speedup"] is None
-        assert len(doc["runs"]) == 1
 
     def test_analyze_clean_tree_exits_zero(self, tmp_path, capsys):
         src = tmp_path / "clean.py"
