@@ -15,15 +15,15 @@ replays that operational story with the pieces this repository provides:
 4. outputs are verified identical across the two deployments;
 5. the always-on engine goes **multi-tenant**: the Pig ETL team, the Jaql
    analytics team and an ad-hoc wordcount user each get their own
-   namespace on one :class:`~repro.service.JobService` and submit
-   *concurrently* from their own threads — and every tenant's outputs
-   are byte-identical to the solo runs above.
+   namespace on one :class:`~repro.service.JobService`.  The ad-hoc job
+   is queued first; the Pig and Jaql teams' blocking runs then drive the
+   fair scheduler, which interleaves the queued job with theirs — and
+   every tenant's outputs are byte-identical to the solo runs above.
 
 Run:  python examples/bigsheets_server.py
 """
 
 import json
-import threading
 
 from repro import hadoop_engine, m3r_engine
 from repro.api.conf import JOB_END_NOTIFICATION_URL_KEY
@@ -118,9 +118,11 @@ def run_multitenant() -> dict:
 
     Each tenant registers its own output namespace (the runners' temp
     workdirs included, so intermediate spills are charged to the right
-    tenant) and submits from its own thread while the service's worker
-    drains the queues — asynchronous admission, serial deterministic
-    execution.
+    tenant).  The ad-hoc user submits a wordcount and gets a ticket back;
+    the Pig and Jaql runners then run through their tenant clients, and
+    each blocking ``run_job`` drives the fair scheduler, which also runs
+    the queued ad-hoc job when its turn comes — deferred admission, serial
+    deterministic execution, no thread.
     """
     engine = m3r_engine(filesystem=SimulatedHDFS(Cluster(NODES),
                                                  block_size=256 * 1024,
@@ -136,30 +138,24 @@ def run_multitenant() -> dict:
         adhoc_client = service.register_tenant(
             "adhoc", prefixes=("/out/words",))
 
-        def pig_team() -> None:
-            runner = PigRunner(pig_client, num_reducers=NODES)
-            runner.run(PIG_SCRIPT)
-            outputs["spend"] = sorted(runner.read_output("/out/spend"))
+        adhoc_ticket = adhoc_client.submit(
+            wordcount_job("/data/notes.txt", "/out/words", NODES))
 
-        def jaql_team() -> None:
-            runner = JaqlRunner(jaql_client, num_reducers=NODES)
-            runner.run(JAQL_PIPELINE)
-            outputs["views"] = runner.read_output("/out/views")
+        pig = PigRunner(pig_client, num_reducers=NODES)
+        pig.run(PIG_SCRIPT)
+        outputs["spend"] = sorted(pig.read_output("/out/spend"))
 
-        def adhoc_user() -> None:
-            adhoc_client.run_job(
-                wordcount_job("/data/notes.txt", "/out/words", NODES))
-            outputs["words"] = sorted(
-                (str(k), v.get())
-                for k, v in engine.filesystem.read_kv_pairs("/out/words")
-            )
+        jaql = JaqlRunner(jaql_client, num_reducers=NODES)
+        jaql.run(JAQL_PIPELINE)
+        outputs["views"] = jaql.read_output("/out/views")
 
-        threads = [threading.Thread(target=fn)
-                   for fn in (pig_team, jaql_team, adhoc_user)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        service.wait(adhoc_ticket)
+        outputs["words"] = sorted(
+            (str(k), v.get())
+            for k, v in engine.filesystem.read_kv_pairs("/out/words")
+        )
+        print("  [service] schedule: "
+              + " ".join(ticket for _, ticket in service.schedule_log()))
 
         total = 0.0
         for name in service.tenant_names():

@@ -28,7 +28,6 @@ and partitions, not of its records (``tests/test_hot_path.py``).
 from __future__ import annotations
 
 import enum
-import threading
 from collections import defaultdict
 from typing import Dict, Iterator, Tuple, Union
 
@@ -90,23 +89,16 @@ def _resolve(key_or_group: Union[str, CounterKey], name: str = "") -> Tuple[str,
 
 
 class Counter:
-    """One named counter inside a group.
+    """One named counter inside a group."""
 
-    Increments are atomic: user code may update a counter from helper
-    threads of its own, and a bare ``+=`` would lose updates between the
-    read and the write-back.
-    """
-
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: int = 0):
         self.name = name
         self.value = value
-        self._lock = threading.Lock()
 
     def increment(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def get_value(self) -> int:
         return self.value
@@ -118,25 +110,22 @@ class Counter:
 class Counters:
     """Grouped counters with Hadoop's addressing conventions.
 
-    Safe for concurrent use: the group/name maps are guarded by a lock (so
-    two tasks creating the same counter race to one object, not two) and the
-    counters themselves take atomic increments.
+    Single-threaded like the engine that owns it: every task of a job runs
+    on the engine's thread, so the maps and counters take no lock.
     """
 
     def __init__(self) -> None:
         self._groups: Dict[str, Dict[str, Counter]] = defaultdict(dict)
-        self._lock = threading.Lock()
 
     def find_counter(
         self, key_or_group: Union[str, CounterKey], name: str = ""
     ) -> Counter:
         """Find (creating if needed) the addressed counter."""
         group, counter_name = _resolve(key_or_group, name)
-        with self._lock:
-            counters = self._groups[group]
-            if counter_name not in counters:
-                counters[counter_name] = Counter(counter_name)
-            return counters[counter_name]
+        counters = self._groups[group]
+        if counter_name not in counters:
+            counters[counter_name] = Counter(counter_name)
+        return counters[counter_name]
 
     def increment(
         self, key_or_group: Union[str, CounterKey], name_or_amount: Union[str, int] = 1,
@@ -155,27 +144,23 @@ class Counters:
     def value(self, key_or_group: Union[str, CounterKey], name: str = "") -> int:
         """Current value (0 when the counter was never touched)."""
         group, counter_name = _resolve(key_or_group, name)
-        with self._lock:
-            counter = self._groups.get(group, {}).get(counter_name)
+        counter = self._groups.get(group, {}).get(counter_name)
         return 0 if counter is None else counter.value
 
     def groups(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._groups))
+        return iter(list(self._groups))
 
     def group(self, group: str) -> Dict[str, int]:
         """A name → value snapshot of one group."""
-        with self._lock:
-            counters = list(self._groups.get(group, {}).items())
+        counters = list(self._groups.get(group, {}).items())
         return {name: c.value for name, c in counters}
 
     def merge(self, other: "Counters") -> "Counters":
         """Fold another counters object into this one; returns self."""
-        with other._lock:
-            snapshot = [
-                (group, list(counters.items()))
-                for group, counters in other._groups.items()
-            ]
+        snapshot = [
+            (group, list(counters.items()))
+            for group, counters in other._groups.items()
+        ]
         for group, counters in snapshot:
             for name, counter in counters:
                 self.find_counter(group, name).increment(counter.value)
@@ -183,8 +168,7 @@ class Counters:
 
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """A nested plain-dict snapshot."""
-        with self._lock:
-            groups = list(self._groups)
+        groups = list(self._groups)
         return {group: self.group(group) for group in groups}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

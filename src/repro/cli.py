@@ -14,9 +14,10 @@ Each command builds a fresh simulated cluster, generates the workload,
 runs it on the selected engine(s) and prints simulated seconds plus the
 headline metrics.  ``--engine both`` also verifies output equivalence,
 which is the paper's own methodology.  ``wordcount``, ``matvec``,
-``trace``, ``stats`` and ``serve`` stage their input and build each run's
-jobs through one staging function (:func:`_stage`); ``stats`` is the administrative
-view (paper §5.3): one schema-versioned document per engine.
+``trace`` and ``stats`` stage their input and build each run's jobs
+through one staging function (:func:`_stage`); ``stats`` is the
+administrative view (paper §5.3): one schema-versioned document per
+engine, with ``--tenants`` run through a caller-driven job service.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from repro.sim import Cluster
 WORKLOADS = ("wordcount", "grep", "matvec")
 
 #: Version of the ``stats`` document layout; bump on any key change.
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
-#: What :func:`_stage` and the service demo read from every command
-#: that runs a workload; each command's own flags override these.
+#: What :func:`_stage` reads from every command that runs a workload;
+#: each command's own flags override these.
 _STAGE_DEFAULTS: Dict[str, Any] = dict(
     workload="wordcount", lines=2000, rows=400, sparsity=0.01, iterations=1,
-    pattern="[a-f]+", reducers=None, mutating=False, settings=(), weights="",
+    pattern="[a-f]+", reducers=None, mutating=False, settings=(),
 )
 
 #: One run's job confs and the path its result lands at.
@@ -288,70 +289,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_demo(args: argparse.Namespace, engine, plan: Plan):
-    """Wrap ``engine`` in a :class:`~repro.service.JobService` configured
-    with the ``--set`` knobs, register ``--tenants`` tenants (each owning
-    ``/out/<tenant>``) and submit ``args.runs`` runs of the staged workload
-    for each.  Returns the service — queues loaded, nothing run yet, so the
-    caller picks the drive mode — and the tickets grouped by run."""
-    from repro.api.conf import Configuration
-    from repro.api.job import JobSequence
-    from repro.service import JobService
-
-    config = Configuration()
-    for key, value in args.settings:
-        config.set(key, value)
-    service = JobService(engine, config)
-    weights = [int(w) for w in args.weights.split(",")] if args.weights else []
-    clients = [
-        service.register_tenant(
-            f"t{i}",
-            weight=weights[i] if i < len(weights) else None,
-            prefixes=(f"/out/t{i}",),
-        )
-        for i in range(args.tenants)
-    ]
-    tickets = [
-        [
-            client.submit(JobSequence(plan(f"/out/{client.tenant}/run-{run}")[0]))
-            for client in clients
-        ]
-        for run in range(args.runs)
-    ]
-    return service, tickets
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Always-on server demo: start the background worker, stream the
-    admission/scheduling narration as the queues drain, then summarize."""
-    kind = "m3r" if args.engine == "both" else args.engine
-    engine = _engine(kind, args.nodes)
-    service, tickets = _service_demo(args, engine, _stage(args, kind, engine))
-    print(
-        f"serving {args.runs * args.tenants} submission(s) from "
-        f"{args.tenants} tenant(s) on one {service.service_stats()['engine']} "
-        "engine:"
-    )
-    with service:
-        for run in tickets:
-            for ticket in run:
-                service.wait(ticket)
-    for event in service.events():
-        line = f"  [{event.action:>9}] {event.tenant:<6} {event.job_id}"
-        if event.detail:
-            line += f"  ({event.detail})"
-        print(line)
-    stats = service.service_stats()
-    print("per-tenant totals:")
-    for name, tstats in stats["tenants"].items():
-        print(
-            f"  {name:>6}: weight={tstats['weight']}"
-            f"  jobs={tstats['jobs_run']}"
-            f"  simulated={tstats['simulated_seconds']:.2f}s"
-        )
-    return 0
-
-
 def _stats_doc(args: argparse.Namespace, kind: str, engine, runs: List[list],
                service) -> Dict[str, Any]:
     """One engine's administrative document, built from the accessors the
@@ -451,13 +388,42 @@ def cmd_stats(args: argparse.Namespace) -> int:
     times per engine — each run under its own output root, so a rerun
     with ``m3r.restore.enabled`` is a reuse hit — directly or, with
     ``--tenants``, through a caller-driven service, then print one
-    schema-versioned document per engine."""
+    schema-versioned document per engine.
+
+    The service is configured with the ``--set`` knobs; tenant ``t<i>``
+    has the ``i``-th ``--weights`` entry, owns ``/out/t<i>`` and submits
+    one job sequence per run."""
+    from repro.api.conf import Configuration
+    from repro.api.job import JobSequence
+    from repro.service import JobService
+
+    weights = [int(w) for w in args.weights.split(",")] if args.weights else []
     docs: Dict[str, Dict[str, Any]] = {}
     for kind, engine in _engines(args):
         plan = _stage(args, kind, engine)
         service = None
         if args.tenants:
-            service, tickets = _service_demo(args, engine, plan)
+            config = Configuration()
+            for key, value in args.settings:
+                config.set(key, value)
+            service = JobService(engine, config)
+            clients = [
+                service.register_tenant(
+                    f"t{i}",
+                    weight=weights[i] if i < len(weights) else None,
+                    prefixes=(f"/out/t{i}",),
+                )
+                for i in range(args.tenants)
+            ]
+            tickets = [
+                [
+                    client.submit(
+                        JobSequence(plan(f"/out/{client.tenant}/run-{run}")[0])
+                    )
+                    for client in clients
+                ]
+                for run in range(args.runs)
+            ]
             service.drain()
             runs = [
                 [_checked(r) for ticket in run for r in service.wait(ticket)]
@@ -674,6 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants", type=int, default=0,
                    help="route the runs through a job service with this "
                         "many tenants, drained caller-driven (0 = direct)")
+    p.add_argument("--weights", default="",
+                   help="comma-separated fair-share weights of the "
+                        "--tenants tenants, e.g. 2,1,1")
     p.add_argument("--lines", type=int, default=2000,
                    help="wordcount / grep input size")
     p.add_argument("--rows", type=int, default=400, help="matvec matrix rows")
@@ -696,19 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-path", default="/data/input.txt",
                    help="cluster path for --data (default /data/input.txt)")
     p.set_defaults(func=cmd_pig)
-
-    p = _workload_parser(
-        sub, "serve", cmd_serve,
-        help="multi-tenant job service demo: start the always-on worker, "
-             "stream admission/scheduling events while tenant queues drain",
-    )
-    p.add_argument("--tenants", type=int, default=3)
-    p.add_argument("--jobs", dest="runs", type=int, default=2,
-                   help="submissions per tenant")
-    p.add_argument("--lines", type=int, default=500,
-                   help="shared wordcount corpus size")
-    p.add_argument("--weights", default="",
-                   help="comma-separated fair-share weights, e.g. 2,1,1")
 
     from repro.analysis import default_rules
 

@@ -18,14 +18,15 @@ Both trackers are fed by the typed lifecycle event bus (they subscribe to
 ``engine.trace_sinks``), not by any private engine hook: the per-queue
 success/failure/seconds accounting and the phase-fraction progress view
 are derived from the same ``JobStart``/``StageEnd``/``JobEnd`` stream that
-traces, sanitizers and the job service read.  The multi-tenant successor
-to the queue manager is :class:`repro.service.JobService` — this module
-remains the single-tenant, Hadoop-shaped administrative surface.
+traces, sanitizers and the job service read.  All three run on the
+engine's thread (the trackers as sinks the bus calls inline), so none of
+them takes a lock.  The multi-tenant successor to the queue manager is
+:class:`repro.service.JobService` — this module remains the single-tenant,
+Hadoop-shaped administrative surface.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -49,18 +50,15 @@ class JobEndNotifier:
 
     def __init__(self) -> None:
         self._handlers: Dict[str, NotificationHandler] = {}
-        self._lock = threading.Lock()
         #: (url, result) pairs with no matching handler — kept for
         #: inspection instead of being silently dropped.
         self.undeliverable: List[str] = []
 
     def register(self, url_prefix: str, handler: NotificationHandler) -> None:
-        with self._lock:
-            self._handlers[url_prefix] = handler
+        self._handlers[url_prefix] = handler
 
     def unregister(self, url_prefix: str) -> None:
-        with self._lock:
-            self._handlers.pop(url_prefix, None)
+        self._handlers.pop(url_prefix, None)
 
     def notify(self, conf: JobConf, result: EngineResult) -> Optional[str]:
         """Deliver the notification for a finished job, if configured.
@@ -75,13 +73,12 @@ class JobEndNotifier:
         url = template.replace("$jobId", result.job_name).replace(
             "$jobStatus", status
         )
-        with self._lock:
-            candidates = sorted(
-                (prefix for prefix in self._handlers if url.startswith(prefix)),
-                key=len,
-                reverse=True,
-            )
-            handler = self._handlers[candidates[0]] if candidates else None
+        candidates = sorted(
+            (prefix for prefix in self._handlers if url.startswith(prefix)),
+            key=len,
+            reverse=True,
+        )
+        handler = self._handlers[candidates[0]] if candidates else None
         if handler is None:
             self.undeliverable.append(url)
         else:
@@ -115,7 +112,6 @@ class JobQueueManager:
         names = queues if queues is not None else [DEFAULT_QUEUE]
         self._queues: Dict[str, List[JobConf]] = {name: [] for name in names}
         self._stats: Dict[str, QueueStats] = {name: QueueStats() for name in names}
-        self._lock = threading.Lock()
         #: The queue whose job is currently on the engine — JobEnd events
         #: arriving on the bus are accounted to it.
         self._active_queue: Optional[str] = None
@@ -138,16 +134,15 @@ class JobQueueManager:
         """
         if not isinstance(event, JobEnd):
             return
-        with self._lock:
-            queue = self._active_queue
-            if queue is None:
-                return  # a job outside any drain (direct run_job)
-            stats = self._stats[queue]
-            if event.succeeded:
-                stats.succeeded += 1
-            else:
-                stats.failed += 1
-            stats.simulated_seconds += event.seconds
+        queue = self._active_queue
+        if queue is None:
+            return  # a job outside any drain (direct run_job)
+        stats = self._stats[queue]
+        if event.succeeded:
+            stats.succeeded += 1
+        else:
+            stats.failed += 1
+        stats.simulated_seconds += event.seconds
 
     @property
     def queue_names(self) -> List[str]:
@@ -156,22 +151,19 @@ class JobQueueManager:
     def submit(self, conf: JobConf) -> str:
         """Enqueue a job; returns the queue it landed in."""
         queue = conf.get(JOB_QUEUE_NAME_KEY, DEFAULT_QUEUE)
-        with self._lock:
-            if queue not in self._queues:
-                raise KeyError(
-                    f"unknown queue {queue!r}; declared queues: {self.queue_names}"
-                )
-            self._queues[queue].append(conf)
-            self._stats[queue].submitted += 1
+        if queue not in self._queues:
+            raise KeyError(
+                f"unknown queue {queue!r}; declared queues: {self.queue_names}"
+            )
+        self._queues[queue].append(conf)
+        self._stats[queue].submitted += 1
         return queue
 
     def pending(self, queue: str = DEFAULT_QUEUE) -> int:
-        with self._lock:
-            return len(self._queues[queue])
+        return len(self._queues[queue])
 
     def stats(self, queue: str = DEFAULT_QUEUE) -> QueueStats:
-        with self._lock:
-            return self._stats[queue]
+        return self._stats[queue]
 
     def drain(self, queue: str = DEFAULT_QUEUE) -> List[EngineResult]:
         """Run every queued job of one queue in FIFO order.
@@ -182,16 +174,14 @@ class JobQueueManager:
         """
         results: List[EngineResult] = []
         while True:
-            with self._lock:
-                if not self._queues[queue]:
-                    break
-                conf = self._queues[queue].pop(0)
-                self._active_queue = queue
+            if not self._queues[queue]:
+                break
+            conf = self._queues[queue].pop(0)
+            self._active_queue = queue
             try:
                 result = self.engine.run_job(conf)
             finally:
-                with self._lock:
-                    self._active_queue = None
+                self._active_queue = None
             results.append(result)
             if self.notifier is not None:
                 self.notifier.notify(conf, result)
@@ -228,23 +218,21 @@ class ProgressTracker:
     events into phase/fraction updates — ``JobStart`` is "submitted",
     each task stage's ``StageEnd`` advances the fraction, a successful
     ``JobEnd`` is "done".  Clients poll :meth:`snapshot` (or read
-    :attr:`events`) without blocking the job — the shape of Hadoop's
-    ``JobClient.monitorAndPrintJob``.  Direct calls
+    :attr:`events`) from a sink, from user code or between jobs — the
+    shape of Hadoop's ``JobClient.monitorAndPrintJob``.  Direct calls
     (``tracker(name, phase, fraction)``) still work for custom reporters.
     """
 
     def __init__(self) -> None:
         self.events: List[ProgressEvent] = []
-        self._lock = threading.Lock()
         self._latest: Dict[str, ProgressEvent] = {}
         #: Bus job id (``m3r-<n>``) → user-facing job name, from JobStart.
         self._job_names: Dict[str, str] = {}
 
     def __call__(self, job_name: str, phase: str, fraction: float) -> None:
         event = ProgressEvent(job_name, phase, min(1.0, max(0.0, fraction)))
-        with self._lock:
-            self.events.append(event)
-            self._latest[job_name] = event
+        self.events.append(event)
+        self._latest[job_name] = event
 
     def attach(self, engine: Any) -> "ProgressTracker":
         engine.trace_sinks.append(self._on_event)
@@ -258,8 +246,7 @@ class ProgressTracker:
         """Lifecycle sink: translate bus events into progress updates."""
         if isinstance(event, JobStart):
             name = event.job_name or event.job_id
-            with self._lock:
-                self._job_names[event.job_id] = name
+            self._job_names[event.job_id] = name
             self(name, "submitted", 0.0)
         elif isinstance(event, StageEnd) and event.stage in _STAGE_PROGRESS:
             phase, fraction = _STAGE_PROGRESS[event.stage]
@@ -269,13 +256,10 @@ class ProgressTracker:
             self(self._name_of(event.job_id), "done", 1.0)
 
     def _name_of(self, job_id: str) -> str:
-        with self._lock:
-            return self._job_names.get(job_id, job_id)
+        return self._job_names.get(job_id, job_id)
 
     def snapshot(self, job_name: str) -> Optional[ProgressEvent]:
-        with self._lock:
-            return self._latest.get(job_name)
+        return self._latest.get(job_name)
 
     def phases_seen(self, job_name: str) -> List[str]:
-        with self._lock:
-            return [e.phase for e in self.events if e.job_name == job_name]
+        return [e.phase for e in self.events if e.job_name == job_name]

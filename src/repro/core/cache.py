@@ -28,7 +28,6 @@ unbounded with no spill, which is exactly the historical behaviour.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,13 +95,7 @@ class KeyValueCache:
         self._index: Dict[str, CacheEntry] = {}
         #: Budget/policy/spill coordinator; unbounded + no spill by default.
         self.governor = governor if governor is not None else MemoryGovernor()
-        # Guards the index AND keeps each registration (store put_block +
-        # name-map update) atomic: two reducers caching outputs concurrently
-        # must not interleave the block write with the index write.  Eviction
-        # and rehydration run under the same lock, so an entry can never be
-        # observed mid-demotion.
-        self._lock = threading.RLock()
-        # Admission stamp source for CacheEntry.version (guarded by _lock).
+        # Admission stamp source for CacheEntry.version.
         self._version_counter = 0
 
     # -- writes ------------------------------------------------------------- #
@@ -167,36 +160,35 @@ class KeyValueCache:
             # that occupies memory but charges nothing), so fall back to
             # the serializer's estimate.
             nbytes = estimate_size(pairs)
-        with self._lock:
-            if name in self._index:
-                self._forget(name)
-            # The store keeps the list reference — this is an in-memory cache,
-            # the whole point is that nothing is copied or serialized here.
-            stored = self._store.put_block(
-                name, BlockInfo(place_id=place_id), pairs, nbytes
+        if name in self._index:
+            self._forget(name)
+        # The store keeps the list reference — this is an in-memory cache,
+        # the whole point is that nothing is copied or serialized here.
+        stored = self._store.put_block(
+            name, BlockInfo(place_id=place_id), pairs, nbytes
+        )
+        if MUTATION_SANITIZER.enabled:
+            MUTATION_SANITIZER.observe_pairs(
+                stored, site=f"KeyValueCache.put({name})"
             )
-            if MUTATION_SANITIZER.enabled:
-                MUTATION_SANITIZER.observe_pairs(
-                    stored, site=f"KeyValueCache.put({name})"
-                )
-            self._version_counter += 1
-            entry = CacheEntry(
-                name=name, path=path, place_id=place_id, pairs=stored,
-                nbytes=nbytes, durable=durable, version=self._version_counter,
-            )
-            self._index[name] = entry
-            self.governor.budget.charge(place_id, nbytes)
-            self.governor.tenants.charge(path, nbytes)
-            self.governor.policy.on_admit(name, nbytes)
-            self._enforce(place_id)
-            self._enforce_tenants()
-            return entry
+        self._version_counter += 1
+        entry = CacheEntry(
+            name=name, path=path, place_id=place_id, pairs=stored,
+            nbytes=nbytes, durable=durable, version=self._version_counter,
+        )
+        self._index[name] = entry
+        self.governor.budget.charge(place_id, nbytes)
+        self.governor.tenants.charge(path, nbytes)
+        self.governor.policy.on_admit(name, nbytes)
+        self._enforce(place_id)
+        self._enforce_tenants()
+        return entry
 
     # -- memory governance --------------------------------------------------- #
 
     def _enforce(self, place_id: int) -> None:
         """Evict at ``place_id`` until it is back under the low watermark
-        (or nothing evictable remains).  Caller holds the lock."""
+        (or nothing evictable remains)."""
         governor = self.governor
         while governor.needs_eviction(place_id):
             spill_active = governor.spill_active
@@ -224,7 +216,7 @@ class KeyValueCache:
 
     def _enforce_tenants(self) -> None:
         """Evict each over-budget tenant's own unpinned resident entries
-        down to its low watermark.  Caller holds the lock.
+        down to its low watermark.
 
         Candidates are restricted to the over-budget tenant's namespace,
         so one tenant's pressure can never touch another tenant's entries
@@ -255,8 +247,7 @@ class KeyValueCache:
                     break  # everything left is pinned; high-water records it
 
     def _evict(self, entry: CacheEntry) -> None:
-        """Demote one resident entry: spill if available, else drop.
-        Caller holds the lock."""
+        """Demote one resident entry: spill if available, else drop."""
         governor = self.governor
         if governor.spill_active:
             record, seconds = governor.spill.spill(entry.pairs)
@@ -281,7 +272,7 @@ class KeyValueCache:
         governor.emit_cache("evict", entry.name, entry.place_id, entry.nbytes)
 
     def _rehydrate(self, entry: CacheEntry) -> None:
-        """Bring a spilled entry back to residency.  Caller holds the lock."""
+        """Bring a spilled entry back to residency."""
         governor = self.governor
         pairs, seconds = governor.spill.rehydrate(entry.spill)
         stored = self._store.put_block(
@@ -320,40 +311,37 @@ class KeyValueCache:
 
     def pin(self, name: str) -> bool:
         """Ref-count-pin an entry against eviction; False when unknown."""
-        with self._lock:
-            entry = self._index.get(name)
-            if entry is None:
-                return False
-            entry.pins += 1
-            return True
+        entry = self._index.get(name)
+        if entry is None:
+            return False
+        entry.pins += 1
+        return True
 
     def unpin(self, name: str) -> None:
-        with self._lock:
-            entry = self._index.get(name)
-            if entry is not None and entry.pins > 0:
-                entry.pins -= 1
+        entry = self._index.get(name)
+        if entry is not None and entry.pins > 0:
+            entry.pins -= 1
 
     def reconfigure(self, **overrides: Any) -> None:
         """Apply ``m3r.cache.*`` overrides, then re-enforce every budget."""
-        with self._lock:
-            self.governor.reconfigure(
-                resident_entries=[
-                    (entry.name, entry.nbytes)
-                    for entry in self._index.values()
-                    if not entry.spilled
-                ],
-                **overrides,
-            )
-            for place_id in {e.place_id for e in self._index.values()}:
-                self._enforce(place_id)
-            self._enforce_tenants()
+        self.governor.reconfigure(
+            resident_entries=[
+                (entry.name, entry.nbytes)
+                for entry in self._index.values()
+                if not entry.spilled
+            ],
+            **overrides,
+        )
+        for place_id in {e.place_id for e in self._index.values()}:
+            self._enforce(place_id)
+        self._enforce_tenants()
 
     # -- lookups --------------------------------------------------------- #
 
     def _resolve(
         self, entry: Optional[CacheEntry], materialize: bool, pin: bool
     ) -> Optional[CacheEntry]:
-        """Post-process one index lookup.  Caller holds the lock.
+        """Post-process one index lookup.
 
         ``materialize=False`` is the metadata peek: no rehydration, no
         policy touch, no hit/miss tally — namespace queries must not
@@ -381,10 +369,9 @@ class KeyValueCache:
         self, path: str, materialize: bool = True, pin: bool = False
     ) -> Optional[CacheEntry]:
         """The whole-file entry for ``path``, if cached."""
-        with self._lock:
-            return self._resolve(
-                self._index.get(normalize_path(path)), materialize, pin
-            )
+        return self._resolve(
+            self._index.get(normalize_path(path)), materialize, pin
+        )
 
     def get_split(
         self,
@@ -397,53 +384,49 @@ class KeyValueCache:
     ) -> Optional[CacheEntry]:
         """An entry serving the given split: exact range match, or the
         whole-file entry when the split covers the entire file."""
-        with self._lock:
-            entry = self._index.get(split_cache_name(path, start, length))
-            if entry is None and start == 0:
-                whole = self._index.get(normalize_path(path))
-                if whole is not None and (
-                    file_length is None
-                    or length >= file_length
-                    or length >= whole.nbytes
-                ):
-                    entry = whole
-            return self._resolve(entry, materialize, pin)
+        entry = self._index.get(split_cache_name(path, start, length))
+        if entry is None and start == 0:
+            whole = self._index.get(normalize_path(path))
+            if whole is not None and (
+                file_length is None
+                or length >= file_length
+                or length >= whole.nbytes
+            ):
+                entry = whole
+        return self._resolve(entry, materialize, pin)
 
     def get_named(
         self, name: str, materialize: bool = True, pin: bool = False
     ) -> Optional[CacheEntry]:
         if not name.startswith("/"):
             name = "/" + name
-        with self._lock:
-            return self._resolve(self._index.get(name), materialize, pin)
+        return self._resolve(self._index.get(name), materialize, pin)
 
     def contains_path(self, path: str) -> bool:
         """Is anything cached for ``path`` — the file itself, one of its
         splits, or (for directories) anything beneath it?"""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._index:
-                return True
-            range_prefix = path + RANGE_SEP
-            child_prefix = path + "/"
-            return any(
-                name.startswith(range_prefix) or entry.path.startswith(child_prefix)
-                for name, entry in self._index.items()
-            )
+        if path in self._index:
+            return True
+        range_prefix = path + RANGE_SEP
+        child_prefix = path + "/"
+        return any(
+            name.startswith(range_prefix) or entry.path.startswith(child_prefix)
+            for name, entry in self._index.items()
+        )
 
     def paths_under(self, directory: str) -> List[str]:
         """Whole-file cache paths at or under ``directory`` (for listing)."""
         directory = normalize_path(directory)
         prefix = "/" if directory == "/" else directory + "/"
-        with self._lock:
-            return sorted(
-                {
-                    entry.path
-                    for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
-                    if entry.name == entry.path
-                    and (entry.path == directory or entry.path.startswith(prefix))
-                }
-            )
+        return sorted(
+            {
+                entry.path
+                for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
+                if entry.name == entry.path
+                and (entry.path == directory or entry.path.startswith(prefix))
+            }
+        )
 
     # -- invalidation (mirrors filesystem mutation) --------------------------- #
 
@@ -455,95 +438,87 @@ class KeyValueCache:
         releases the budget bytes and any spill file immediately.
         """
         path = normalize_path(path)
-        with self._lock:
-            doomed = [
-                name
-                for name, entry in self._index.items()
-                if entry.path == path
-                or entry.path.startswith(path + "/")
-                or name.startswith(path + RANGE_SEP)
-            ]
-            for name in doomed:
-                self._forget(name)
-            return bool(doomed)
+        doomed = [
+            name
+            for name, entry in self._index.items()
+            if entry.path == path
+            or entry.path.startswith(path + "/")
+            or name.startswith(path + RANGE_SEP)
+        ]
+        for name in doomed:
+            self._forget(name)
+        return bool(doomed)
 
     def rename_path(self, src: str, dst: str) -> None:
         """Re-key every entry for ``src`` to ``dst`` (data stays in place)."""
         src = normalize_path(src)
         dst = normalize_path(dst)
-        with self._lock:
-            moves: List[Tuple[str, str, CacheEntry]] = []
-            for name, entry in list(self._index.items()):
-                if entry.path == src or entry.path.startswith(src + "/"):
-                    new_path = dst + entry.path[len(src):]
-                    new_name = new_path + name[len(entry.path):]
-                    moves.append((name, new_name, entry))
-            for old_name, new_name, entry in moves:
-                if not entry.spilled:
-                    self._store.rename(old_name, new_name)
-                    # A rename can cross tenant namespaces (commit moves a
-                    # temp path into the tenant's output dir) — re-attribute
-                    # the resident bytes to the destination's owner.
-                    self.governor.tenants.release(entry.path, entry.nbytes)
-                    self.governor.tenants.charge(
-                        dst + entry.path[len(src):], entry.nbytes
-                    )
-                del self._index[old_name]
-                entry.name = new_name
-                entry.path = dst + entry.path[len(src):]
-                self._index[new_name] = entry
-                self.governor.policy.on_rename(old_name, new_name)
+        moves: List[Tuple[str, str, CacheEntry]] = []
+        for name, entry in list(self._index.items()):
+            if entry.path == src or entry.path.startswith(src + "/"):
+                new_path = dst + entry.path[len(src):]
+                new_name = new_path + name[len(entry.path):]
+                moves.append((name, new_name, entry))
+        for old_name, new_name, entry in moves:
+            if not entry.spilled:
+                self._store.rename(old_name, new_name)
+                # A rename can cross tenant namespaces (commit moves a
+                # temp path into the tenant's output dir) — re-attribute
+                # the resident bytes to the destination's owner.
+                self.governor.tenants.release(entry.path, entry.nbytes)
+                self.governor.tenants.charge(
+                    dst + entry.path[len(src):], entry.nbytes
+                )
+            del self._index[old_name]
+            entry.name = new_name
+            entry.path = dst + entry.path[len(src):]
+            self._index[new_name] = entry
+            self.governor.policy.on_rename(old_name, new_name)
 
     def clear(self) -> None:
         """Flush the whole cache."""
-        with self._lock:
-            for name in list(self._index):
-                self._forget(name)
+        for name in list(self._index):
+            self._forget(name)
 
     # -- accounting ---------------------------------------------------------- #
 
     def total_bytes(self) -> int:
         """Logical bytes of every entry, resident or spilled."""
-        with self._lock:
-            return sum(entry.nbytes for entry in self._index.values())
+        return sum(entry.nbytes for entry in self._index.values())
 
     def resident_bytes(self) -> int:
         """Bytes actually held in memory (what the budget charges)."""
-        with self._lock:
-            return sum(
-                entry.nbytes for entry in self._index.values() if not entry.spilled
-            )
+        return sum(
+            entry.nbytes for entry in self._index.values() if not entry.spilled
+        )
 
     def bytes_at_place(self, place_id: int) -> int:
-        with self._lock:
-            return sum(
-                entry.nbytes
-                for entry in self._index.values()
-                if entry.place_id == place_id
-            )
+        return sum(
+            entry.nbytes
+            for entry in self._index.values()
+            if entry.place_id == place_id
+        )
 
     def entries(self) -> Iterator[CacheEntry]:
-        with self._lock:
-            return iter(list(self._index.values()))
+        return iter(list(self._index.values()))
 
     def stats(self) -> Dict[str, Any]:
         """Per-place occupancy/budget plus lifetime governance counters
         (the ``cache`` section of ``repro stats``)."""
         governor = self.governor
-        with self._lock:
-            per_place: Dict[int, Dict[str, int]] = {}
-            for entry in self._index.values():
-                slot = per_place.setdefault(
-                    entry.place_id,
-                    {"entries": 0, "spilled": 0, "resident_bytes": 0,
-                     "spilled_bytes": 0},
-                )
-                slot["entries"] += 1
-                if entry.spilled:
-                    slot["spilled"] += 1
-                    slot["spilled_bytes"] += entry.nbytes
-                else:
-                    slot["resident_bytes"] += entry.nbytes
+        per_place: Dict[int, Dict[str, int]] = {}
+        for entry in self._index.values():
+            slot = per_place.setdefault(
+                entry.place_id,
+                {"entries": 0, "spilled": 0, "resident_bytes": 0,
+                 "spilled_bytes": 0},
+            )
+            slot["entries"] += 1
+            if entry.spilled:
+                slot["spilled"] += 1
+                slot["spilled_bytes"] += entry.nbytes
+            else:
+                slot["resident_bytes"] += entry.nbytes
         budget = governor.budget
         for place_id, slot in per_place.items():
             slot["occupancy_bytes"] = budget.occupancy(place_id)

@@ -15,7 +15,6 @@ explicit here is what makes that interposition (in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -92,11 +91,9 @@ class FileSystem:
 
     Subclasses hook :meth:`_on_file_written` / :meth:`_on_file_removed` for
     block placement (HDFS) and may override :meth:`get_block_locations`.
-    All operations are thread-safe.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._files: Dict[str, _Entry] = {}
         self._dirs: set = {"/"}
         self._stamp = 0
@@ -119,169 +116,159 @@ class FileSystem:
             self._dirs.add(ancestor)
 
     def _on_file_written(self, path: str, length: int, at_node: Optional[int]) -> None:
-        """Subclass hook: called with the lock held after a file (re)write."""
+        """Subclass hook: called after a file (re)write."""
 
     def _on_file_removed(self, path: str) -> None:
-        """Subclass hook: called with the lock held after a file removal."""
+        """Subclass hook: called after a file removal."""
 
     # -- namespace operations ----------------------------------------------- #
 
     def exists(self, path: str) -> bool:
         path = normalize_path(path)
-        with self._lock:
-            return path in self._files or path in self._dirs
+        return path in self._files or path in self._dirs
 
     def is_directory(self, path: str) -> bool:
         path = normalize_path(path)
-        with self._lock:
-            return path in self._dirs
+        return path in self._dirs
 
     def mkdirs(self, path: str) -> bool:
         """Create a directory and all missing ancestors; True if created."""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._files:
-                raise NotADirectoryError(f"{path} is a file")
-            if path in self._dirs:
-                return False
-            self._ensure_parents(path)
-            self._dirs.add(path)
-            return True
+        if path in self._files:
+            raise NotADirectoryError(f"{path} is a file")
+        if path in self._dirs:
+            return False
+        self._ensure_parents(path)
+        self._dirs.add(path)
+        return True
 
     def get_file_status(self, path: str) -> Optional[FileStatus]:
         path = normalize_path(path)
-        with self._lock:
-            entry = self._files.get(path)
-            if entry is not None:
-                return FileStatus(path, entry.length, is_dir=False,
-                                  modification_stamp=entry.stamp)
-            if path in self._dirs:
-                return FileStatus(path, 0, is_dir=True)
-            return None
+        entry = self._files.get(path)
+        if entry is not None:
+            return FileStatus(path, entry.length, is_dir=False,
+                              modification_stamp=entry.stamp)
+        if path in self._dirs:
+            return FileStatus(path, 0, is_dir=True)
+        return None
 
     def list_status(self, path: str) -> List[FileStatus]:
         """Direct children of a directory (Hadoop ``listStatus``)."""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._files:
-                return [self.get_file_status(path)]  # type: ignore[list-item]
-            if path not in self._dirs:
-                raise FileNotFoundError(path)
-            prefix = "/" if path == "/" else path + "/"
-            children: List[FileStatus] = []
-            for file_path, entry in self._files.items():
-                if file_path.startswith(prefix) and "/" not in file_path[len(prefix):]:
-                    children.append(
-                        FileStatus(file_path, entry.length, is_dir=False,
-                                   modification_stamp=entry.stamp)
-                    )
-            for dir_path in self._dirs:
-                if (
-                    dir_path != path
-                    and dir_path.startswith(prefix)
-                    and "/" not in dir_path[len(prefix):]
-                ):
-                    children.append(FileStatus(dir_path, 0, is_dir=True))
-            return sorted(children, key=lambda s: s.path)
+        if path in self._files:
+            return [self.get_file_status(path)]  # type: ignore[list-item]
+        if path not in self._dirs:
+            raise FileNotFoundError(path)
+        prefix = "/" if path == "/" else path + "/"
+        children: List[FileStatus] = []
+        for file_path, entry in self._files.items():
+            if file_path.startswith(prefix) and "/" not in file_path[len(prefix):]:
+                children.append(
+                    FileStatus(file_path, entry.length, is_dir=False,
+                               modification_stamp=entry.stamp)
+                )
+        for dir_path in self._dirs:
+            if (
+                dir_path != path
+                and dir_path.startswith(prefix)
+                and "/" not in dir_path[len(prefix):]
+            ):
+                children.append(FileStatus(dir_path, 0, is_dir=True))
+        return sorted(children, key=lambda s: s.path)
 
     def list_files_recursive(self, path: str) -> List[FileStatus]:
         """Every file at or under ``path``."""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._files:
-                return [self.get_file_status(path)]  # type: ignore[list-item]
-            prefix = "/" if path == "/" else path + "/"
-            return sorted(
-                (
-                    FileStatus(p, e.length, is_dir=False, modification_stamp=e.stamp)
-                    for p, e in self._files.items()
-                    if p.startswith(prefix)
-                ),
-                key=lambda s: s.path,
-            )
+        if path in self._files:
+            return [self.get_file_status(path)]  # type: ignore[list-item]
+        prefix = "/" if path == "/" else path + "/"
+        return sorted(
+            (
+                FileStatus(p, e.length, is_dir=False, modification_stamp=e.stamp)
+                for p, e in self._files.items()
+                if p.startswith(prefix)
+            ),
+            key=lambda s: s.path,
+        )
 
     def delete(self, path: str, recursive: bool = False) -> bool:
         """Remove a file or directory; True when something was removed."""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._files:
-                del self._files[path]
-                self._on_file_removed(path)
-                return True
-            if path not in self._dirs:
-                return False
-            prefix = "/" if path == "/" else path + "/"
-            nested_files = [p for p in self._files if p.startswith(prefix)]
-            nested_dirs = [d for d in self._dirs if d != path and d.startswith(prefix)]
-            if (nested_files or nested_dirs) and not recursive:
-                raise IsADirectoryError(f"{path} is a non-empty directory")
-            for file_path in nested_files:
-                del self._files[file_path]
-                self._on_file_removed(file_path)
-            for dir_path in nested_dirs:
-                self._dirs.discard(dir_path)
-            if path != "/":
-                self._dirs.discard(path)
+        if path in self._files:
+            del self._files[path]
+            self._on_file_removed(path)
             return True
+        if path not in self._dirs:
+            return False
+        prefix = "/" if path == "/" else path + "/"
+        nested_files = [p for p in self._files if p.startswith(prefix)]
+        nested_dirs = [d for d in self._dirs if d != path and d.startswith(prefix)]
+        if (nested_files or nested_dirs) and not recursive:
+            raise IsADirectoryError(f"{path} is a non-empty directory")
+        for file_path in nested_files:
+            del self._files[file_path]
+            self._on_file_removed(file_path)
+        for dir_path in nested_dirs:
+            self._dirs.discard(dir_path)
+        if path != "/":
+            self._dirs.discard(path)
+        return True
 
     def rename(self, src: str, dst: str) -> bool:
         """Move a file or directory tree; False when ``src`` is absent."""
         src = normalize_path(src)
         dst = normalize_path(dst)
-        with self._lock:
-            if src == dst:
-                return src in self._files or src in self._dirs
-            if dst in self._files or dst in self._dirs:
-                raise FileExistsError(f"rename target exists: {dst}")
-            if src in self._files:
-                self._ensure_parents(dst)
-                entry = self._files.pop(src)
-                entry.stamp = self._next_stamp()
-                self._files[dst] = entry
-                self._on_file_removed(src)
-                self._on_file_written(dst, entry.length, at_node=None)
-                return True
-            if src in self._dirs:
-                self._ensure_parents(dst)
-                prefix = "/" if src == "/" else src + "/"
-                moved_files = [p for p in self._files if p.startswith(prefix)]
-                moved_dirs = [d for d in self._dirs if d == src or d.startswith(prefix)]
-                for dir_path in moved_dirs:
-                    self._dirs.discard(dir_path)
-                    self._dirs.add(dst + dir_path[len(src):])
-                for file_path in moved_files:
-                    entry = self._files.pop(file_path)
-                    new_path = dst + file_path[len(src):]
-                    self._files[new_path] = entry
-                    self._on_file_removed(file_path)
-                    self._on_file_written(new_path, entry.length, at_node=None)
-                return True
-            return False
+        if src == dst:
+            return src in self._files or src in self._dirs
+        if dst in self._files or dst in self._dirs:
+            raise FileExistsError(f"rename target exists: {dst}")
+        if src in self._files:
+            self._ensure_parents(dst)
+            entry = self._files.pop(src)
+            entry.stamp = self._next_stamp()
+            self._files[dst] = entry
+            self._on_file_removed(src)
+            self._on_file_written(dst, entry.length, at_node=None)
+            return True
+        if src in self._dirs:
+            self._ensure_parents(dst)
+            prefix = "/" if src == "/" else src + "/"
+            moved_files = [p for p in self._files if p.startswith(prefix)]
+            moved_dirs = [d for d in self._dirs if d == src or d.startswith(prefix)]
+            for dir_path in moved_dirs:
+                self._dirs.discard(dir_path)
+                self._dirs.add(dst + dir_path[len(src):])
+            for file_path in moved_files:
+                entry = self._files.pop(file_path)
+                new_path = dst + file_path[len(src):]
+                self._files[new_path] = entry
+                self._on_file_removed(file_path)
+                self._on_file_written(new_path, entry.length, at_node=None)
+            return True
+        return False
 
     # -- data operations ---------------------------------------------------- #
 
     def write_bytes(self, path: str, data: bytes, at_node: Optional[int] = None) -> None:
         """Create or replace ``path`` with raw bytes."""
         path = normalize_path(path)
-        with self._lock:
-            if path in self._dirs:
-                raise IsADirectoryError(path)
-            self._ensure_parents(path)
-            self._files[path] = _Entry(
-                data=bytes(data), pairs=None, length=len(data),
-                stamp=self._next_stamp(),
-            )
-            self._on_file_written(path, len(data), at_node)
+        if path in self._dirs:
+            raise IsADirectoryError(path)
+        self._ensure_parents(path)
+        self._files[path] = _Entry(
+            data=bytes(data), pairs=None, length=len(data),
+            stamp=self._next_stamp(),
+        )
+        self._on_file_written(path, len(data), at_node)
 
     def read_bytes(self, path: str) -> bytes:
         path = normalize_path(path)
-        with self._lock:
-            entry = self._files.get(path)
-            if entry is None:
-                raise FileNotFoundError(path)
-            if entry.data is None:
-                raise TypeError(f"{path} is a sequence (pair) file, not bytes")
-            return entry.data
+        entry = self._files.get(path)
+        if entry is None:
+            raise FileNotFoundError(path)
+        if entry.data is None:
+            raise TypeError(f"{path} is a sequence (pair) file, not bytes")
+        return entry.data
 
     def write_text(self, path: str, text: str, at_node: Optional[int] = None) -> None:
         self.write_bytes(path, text.encode("utf-8"), at_node=at_node)
@@ -298,39 +285,36 @@ class FileSystem:
         """Create or replace ``path`` with a typed key/value sequence."""
         path = normalize_path(path)
         length = pairs_wire_size(pairs)
-        with self._lock:
-            if path in self._dirs:
-                raise IsADirectoryError(path)
-            self._ensure_parents(path)
-            self._files[path] = _Entry(
-                data=None, pairs=list(pairs), length=length,
-                stamp=self._next_stamp(),
-            )
-            self._on_file_written(path, length, at_node)
+        if path in self._dirs:
+            raise IsADirectoryError(path)
+        self._ensure_parents(path)
+        self._files[path] = _Entry(
+            data=None, pairs=list(pairs), length=length,
+            stamp=self._next_stamp(),
+        )
+        self._on_file_written(path, length, at_node)
 
     def read_pairs(self, path: str) -> List[Tuple[Any, Any]]:
         path = normalize_path(path)
-        with self._lock:
-            entry = self._files.get(path)
-            if entry is None:
-                raise FileNotFoundError(path)
-            if entry.pairs is None:
-                raise TypeError(f"{path} is a byte file, not a sequence file")
-            return list(entry.pairs)
+        entry = self._files.get(path)
+        if entry is None:
+            raise FileNotFoundError(path)
+        if entry.pairs is None:
+            raise TypeError(f"{path} is a byte file, not a sequence file")
+        return list(entry.pairs)
 
     def read_kv_pairs(self, path_or_dir: str) -> List[Tuple[Any, Any]]:
         """All pairs at ``path``, or concatenated over a directory's part files."""
         path = normalize_path(path_or_dir)
-        with self._lock:
-            if path in self._files:
-                return self.read_pairs(path)
-            pairs: List[Tuple[Any, Any]] = []
-            for status in self.list_files_recursive(path):
-                basename = status.path.rsplit("/", 1)[-1]
-                if basename.startswith((".", "_")):
-                    continue
-                pairs.extend(self.read_pairs(status.path))
-            return pairs
+        if path in self._files:
+            return self.read_pairs(path)
+        pairs: List[Tuple[Any, Any]] = []
+        for status in self.list_files_recursive(path):
+            basename = status.path.rsplit("/", 1)[-1]
+            if basename.startswith((".", "_")):
+                continue
+            pairs.extend(self.read_pairs(status.path))
+        return pairs
 
     # -- locality metadata ------------------------------------------------ #
 
@@ -343,5 +327,4 @@ class FileSystem:
 
     def total_bytes(self) -> int:
         """Total stored bytes (capacity accounting for tests)."""
-        with self._lock:
-            return sum(e.length for e in self._files.values())
+        return sum(e.length for e in self._files.values())

@@ -105,21 +105,19 @@ class SimulatedHDFS(FileSystem):
     def get_block_locations(self, path: str, start: int, length: int) -> List[str]:
         """Hostnames of the block containing ``start`` (namenode RPC)."""
         path = normalize_path(path)
-        with self._lock:
-            self.namenode_ops += 1
-            blocks = self._blocks.get(path)
-            if not blocks:
-                return []
-            for block in blocks:
-                if block.offset <= start < block.offset + max(1, block.length):
-                    return list(block.hosts)
-            return list(blocks[-1].hosts)
+        self.namenode_ops += 1
+        blocks = self._blocks.get(path)
+        if not blocks:
+            return []
+        for block in blocks:
+            if block.offset <= start < block.offset + max(1, block.length):
+                return list(block.hosts)
+        return list(blocks[-1].hosts)
 
     def file_blocks(self, path: str) -> List[BlockLocation]:
         """All blocks of ``path`` (empty when unknown)."""
         path = normalize_path(path)
-        with self._lock:
-            return list(self._blocks.get(path, []))
+        return list(self._blocks.get(path, []))
 
     def primary_node_of(self, path: str) -> Optional[int]:
         """The node id of the first replica of the first block, if any."""

@@ -10,8 +10,7 @@ after the task finishes.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.fs.filesystem import FileStatus, FileSystem
@@ -19,43 +18,31 @@ from repro.fs.filesystem import FileStatus, FileSystem
 
 @dataclass
 class FsTally:
-    """What one task did through the filesystem.
-
-    Updates are atomic: a tally is private to one task, but user code may
-    hand its filesystem view to helper threads, and an I/O tally must not
-    be lost to a torn ``+=``.
-    """
+    """What one task did through the filesystem."""
 
     bytes_read: int = 0
     bytes_written: int = 0
     read_ops: int = 0
     write_ops: int = 0
     metadata_ops: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def add_read(self, nbytes: int) -> None:
-        with self._lock:
-            self.read_ops += 1
-            self.bytes_read += nbytes
+        self.read_ops += 1
+        self.bytes_read += nbytes
 
     def add_write(self, nbytes: int) -> None:
-        with self._lock:
-            self.write_ops += 1
-            self.bytes_written += nbytes
+        self.write_ops += 1
+        self.bytes_written += nbytes
 
     def add_metadata_op(self) -> None:
-        with self._lock:
-            self.metadata_ops += 1
+        self.metadata_ops += 1
 
     def reset(self) -> None:
-        with self._lock:
-            self.bytes_read = 0
-            self.bytes_written = 0
-            self.read_ops = 0
-            self.write_ops = 0
-            self.metadata_ops = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
+        self.read_ops = 0
+        self.write_ops = 0
+        self.metadata_ops = 0
 
 
 class InstrumentedFileSystem(FileSystem):

@@ -22,7 +22,6 @@ This module imports nothing from the rest of ``repro`` so every layer
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from typing import Any, Callable, ClassVar, Dict, List, Optional
 
@@ -209,10 +208,6 @@ class EventBus:
     buffer, JSONL trace, metrics bridge): a sink that raises is dropped
     and its error recorded in :attr:`sink_errors` — observability must
     never perturb the run it observes.
-
-    ``emit`` is thread-safe: a tenant client touching a shared engine's
-    cache while the service's worker runs a job is narrated on that job's
-    bus, from the client's thread.
     """
 
     def __init__(self, job_id: str, engine: str):
@@ -220,17 +215,14 @@ class EventBus:
         self.engine = engine
         self._critical: List[Subscriber] = []
         self._sinks: List[Subscriber] = []
-        self._lock = threading.Lock()
         self.sink_errors: List[str] = []
 
     def subscribe(self, subscriber: Subscriber, critical: bool = False) -> None:
-        with self._lock:
-            (self._critical if critical else self._sinks).append(subscriber)
+        (self._critical if critical else self._sinks).append(subscriber)
 
     def emit(self, event: LifecycleEvent) -> None:
-        with self._lock:
-            critical = list(self._critical)
-            sinks = list(self._sinks)
+        critical = list(self._critical)
+        sinks = list(self._sinks)
         for subscriber in critical:
             subscriber(event)
         dead: List[Subscriber] = []
@@ -241,7 +233,6 @@ class EventBus:
                 self.sink_errors.append(f"{type(exc).__name__}: {exc}")
                 dead.append(sink)
         if dead:
-            with self._lock:
-                for sink in dead:
-                    if sink in self._sinks:
-                        self._sinks.remove(sink)
+            for sink in dead:
+                if sink in self._sinks:
+                    self._sinks.remove(sink)

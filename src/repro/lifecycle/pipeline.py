@@ -25,6 +25,7 @@ float subtraction does not telescope — but ``StageEnd.clock`` and
 from __future__ import annotations
 
 import functools
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -188,16 +189,29 @@ class StageProvider:
 
 
 class JobPipeline:
-    """Runs a provider's stages under the lifecycle contract."""
+    """Runs a provider's stages under the lifecycle contract.
+
+    An engine is single-threaded by construction: its cache, filesystem,
+    governor, counters and bus take no locks.  The pipeline records the
+    thread that built it, and a job started from any other thread raises
+    before anything is written, pinned or counted (DESIGN.md §7)."""
 
     def __init__(self, provider: StageProvider):
         self.provider = provider
+        self._owner = threading.get_ident()
 
     def run_traced(self, spec: JobSpec, conf: JobConf) -> EngineResult:
         """Run one job on a bus carrying the engine's standard sinks (its
         event ring, a JSONL trace when one is configured, anything in
         ``trace_sinks``); the sinks are closed after the job, successful or
         not, so trace files are flushed per job."""
+        caller = threading.get_ident()
+        if caller != self._owner:
+            raise RuntimeError(
+                f"{self.provider.engine_name} engine entered from thread "
+                f"{caller}; it was built on thread {self._owner} and runs "
+                "jobs only there"
+            )
         engine, name = self.provider.engine, self.provider.engine_name
         bus, closers = open_job_bus(
             f"{name}-{engine._job_counter}",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
@@ -49,7 +48,6 @@ class RingBufferSink:
 
     def __init__(self, maxlen: int = DEFAULT_RING_SIZE):
         self._events: Deque[LifecycleEvent] = deque(maxlen=maxlen)
-        self._lock = threading.Lock()
 
     @property
     def maxlen(self) -> int:
@@ -59,36 +57,32 @@ class RingBufferSink:
         """Rebuild the ring with a new bound, keeping the newest events."""
         if maxlen <= 0:
             raise ValueError("ring size must be positive")
-        with self._lock:
-            self._events = deque(self._events, maxlen=maxlen)
+        self._events = deque(self._events, maxlen=maxlen)
 
     def __call__(self, event: LifecycleEvent) -> None:
-        with self._lock:
-            self._events.append(event)
+        self._events.append(event)
 
     def events(self, job_id: Optional[str] = None) -> List[LifecycleEvent]:
         """A snapshot of buffered events (optionally for one job)."""
-        with self._lock:
-            snapshot = list(self._events)
+        snapshot = list(self._events)
         if job_id is None:
             return snapshot
         return [event for event in snapshot if event.job_id == job_id]
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
+        self._events.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
 
 class JsonlTraceSink:
     """Appends one JSON object per event to a trace file.
 
     Append mode on purpose: a sequence of jobs (or a test session with the
-    ``M3R_TRACE_PATH`` env var set) accumulates one stream, and concurrent
-    engines interleave whole lines rather than clobbering each other.
+    ``M3R_TRACE_PATH`` env var set) accumulates one stream, and several
+    engines writing one file interleave whole lines rather than clobbering
+    each other.
     """
 
     def __init__(self, path: str):
@@ -97,20 +91,17 @@ class JsonlTraceSink:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._handle = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
 
     def __call__(self, event: LifecycleEvent) -> None:
         line = json.dumps(event.to_dict(), sort_keys=True)
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
+        if self._handle.closed:
+            return
+        self._handle.write(line + "\n")
 
     def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
+        if not self._handle.closed:
+            self._handle.flush()
+            self._handle.close()
 
 
 class MetricsBridgeSink:

@@ -14,12 +14,11 @@ budget models each host's heap, not the cluster aggregate.  A capacity of
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
 
 class MemoryBudget:
-    """Thread-safe per-place byte accounting with watermark hysteresis.
+    """Per-place byte accounting with watermark hysteresis.
 
     ``capacity_bytes`` is the per-place ceiling (0 = unbounded).  Eviction
     starts when occupancy exceeds ``high_watermark * capacity`` and stops at
@@ -34,7 +33,6 @@ class MemoryBudget:
         high_watermark: float = 0.9,
         low_watermark: float = 0.75,
     ):
-        self._lock = threading.Lock()
         self._occupancy: Dict[int, int] = {}
         self._high_water: Dict[int, int] = {}
         self._validate(capacity_bytes, high_watermark, low_watermark)
@@ -66,33 +64,28 @@ class MemoryBudget:
         """Charge ``nbytes`` of cache residency at ``place_id``."""
         if nbytes < 0:
             raise ValueError(f"cannot charge negative bytes: {nbytes}")
-        with self._lock:
-            occupancy = self._occupancy.get(place_id, 0) + nbytes
-            self._occupancy[place_id] = occupancy
-            if occupancy > self._high_water.get(place_id, 0):
-                self._high_water[place_id] = occupancy
+        occupancy = self._occupancy.get(place_id, 0) + nbytes
+        self._occupancy[place_id] = occupancy
+        if occupancy > self._high_water.get(place_id, 0):
+            self._high_water[place_id] = occupancy
 
     def release(self, place_id: int, nbytes: int) -> None:
         """Release ``nbytes`` (eviction, spill demotion, explicit delete)."""
         if nbytes < 0:
             raise ValueError(f"cannot release negative bytes: {nbytes}")
-        with self._lock:
-            self._occupancy[place_id] = max(
-                0, self._occupancy.get(place_id, 0) - nbytes
-            )
+        self._occupancy[place_id] = max(
+            0, self._occupancy.get(place_id, 0) - nbytes
+        )
 
     def occupancy(self, place_id: int) -> int:
-        with self._lock:
-            return self._occupancy.get(place_id, 0)
+        return self._occupancy.get(place_id, 0)
 
     def high_water(self, place_id: int) -> int:
         """The highest occupancy ever observed at ``place_id``."""
-        with self._lock:
-            return self._high_water.get(place_id, 0)
+        return self._high_water.get(place_id, 0)
 
     def total_occupancy(self) -> int:
-        with self._lock:
-            return sum(self._occupancy.values())
+        return sum(self._occupancy.values())
 
     # -- watermark queries -------------------------------------------------- #
 
@@ -122,23 +115,21 @@ class MemoryBudget:
         high = self.high_watermark if high_watermark is None else high_watermark
         low = self.low_watermark if low_watermark is None else low_watermark
         self._validate(capacity, high, low)
-        with self._lock:
-            self.capacity_bytes = int(capacity)
-            self.high_watermark = float(high)
-            self.low_watermark = float(low)
+        self.capacity_bytes = int(capacity)
+        self.high_watermark = float(high)
+        self.low_watermark = float(low)
 
     def snapshot(self) -> Dict[int, Dict[str, int]]:
         """Per-place ``{occupancy, high_water, capacity}``."""
-        with self._lock:
-            places = set(self._occupancy) | set(self._high_water)
-            return {
-                place: {
-                    "occupancy_bytes": self._occupancy.get(place, 0),
-                    "high_water_bytes": self._high_water.get(place, 0),
-                    "capacity_bytes": self.capacity_bytes,
-                }
-                for place in sorted(places)
+        places = set(self._occupancy) | set(self._high_water)
+        return {
+            place: {
+                "occupancy_bytes": self._occupancy.get(place, 0),
+                "high_water_bytes": self._high_water.get(place, 0),
+                "capacity_bytes": self.capacity_bytes,
             }
+            for place in sorted(places)
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "unbounded" if self.is_unbounded else f"{self.capacity_bytes}B"
@@ -164,7 +155,6 @@ class TenantLedger:
     """
 
     def __init__(self, high_watermark: float = 0.9, low_watermark: float = 0.75):
-        self._lock = threading.Lock()
         self.high_watermark = float(high_watermark)
         self.low_watermark = float(low_watermark)
         self._prefixes: Dict[str, tuple] = {}
@@ -184,33 +174,29 @@ class TenantLedger:
         cleaned = tuple(sorted({p.rstrip("/") or "/" for p in prefixes}))
         if not cleaned:
             raise ValueError(f"tenant {name!r} needs at least one path prefix")
-        with self._lock:
-            self._prefixes[name] = cleaned
-            self._capacity[name] = int(capacity_bytes)
-            self._occupancy.setdefault(name, 0)
-            self._high_water.setdefault(name, 0)
+        self._prefixes[name] = cleaned
+        self._capacity[name] = int(capacity_bytes)
+        self._occupancy.setdefault(name, 0)
+        self._high_water.setdefault(name, 0)
 
     def unregister(self, name: str) -> None:
-        with self._lock:
-            for table in (self._prefixes, self._capacity,
-                          self._occupancy, self._high_water):
-                table.pop(name, None)
+        for table in (self._prefixes, self._capacity,
+                      self._occupancy, self._high_water):
+            table.pop(name, None)
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._prefixes)
+        return sorted(self._prefixes)
 
     def tenant_of(self, path: str) -> Optional[str]:
         """The tenant owning ``path`` (longest registered prefix wins)."""
-        with self._lock:
-            best: Optional[str] = None
-            best_len = -1
-            for name, prefixes in self._prefixes.items():
-                for prefix in prefixes:
-                    if path == prefix or path.startswith(prefix + "/"):
-                        if len(prefix) > best_len:
-                            best, best_len = name, len(prefix)
-            return best
+        best: Optional[str] = None
+        best_len = -1
+        for name, prefixes in self._prefixes.items():
+            for prefix in prefixes:
+                if path == prefix or path.startswith(prefix + "/"):
+                    if len(prefix) > best_len:
+                        best, best_len = name, len(prefix)
+        return best
 
     # -- accounting -------------------------------------------------------- #
 
@@ -218,62 +204,54 @@ class TenantLedger:
         name = self.tenant_of(path)
         if name is None:
             return
-        with self._lock:
-            occupancy = self._occupancy.get(name, 0) + nbytes
-            self._occupancy[name] = occupancy
-            if occupancy > self._high_water.get(name, 0):
-                self._high_water[name] = occupancy
+        occupancy = self._occupancy.get(name, 0) + nbytes
+        self._occupancy[name] = occupancy
+        if occupancy > self._high_water.get(name, 0):
+            self._high_water[name] = occupancy
 
     def release(self, path: str, nbytes: int) -> None:
         name = self.tenant_of(path)
         if name is None:
             return
-        with self._lock:
-            self._occupancy[name] = max(0, self._occupancy.get(name, 0) - nbytes)
+        self._occupancy[name] = max(0, self._occupancy.get(name, 0) - nbytes)
 
     def occupancy(self, name: str) -> int:
-        with self._lock:
-            return self._occupancy.get(name, 0)
+        return self._occupancy.get(name, 0)
 
     def high_water(self, name: str) -> int:
-        with self._lock:
-            return self._high_water.get(name, 0)
+        return self._high_water.get(name, 0)
 
     def capacity(self, name: str) -> int:
-        with self._lock:
-            return self._capacity.get(name, 0)
+        return self._capacity.get(name, 0)
 
     # -- watermark queries -------------------------------------------------- #
 
     def over_high_watermark(self) -> List[str]:
         """Tenants whose residency crossed their high watermark (sorted —
         tenant-budget eviction must run in a deterministic order)."""
-        with self._lock:
-            return sorted(
-                name
-                for name, capacity in self._capacity.items()
-                if capacity > 0
-                and self._occupancy.get(name, 0) > self.high_watermark * capacity
-            )
+        return sorted(
+            name
+            for name, capacity in self._capacity.items()
+            if capacity > 0
+            and self._occupancy.get(name, 0) > self.high_watermark * capacity
+        )
 
     def eviction_target(self, name: str) -> int:
         """Bytes tenant ``name`` must free to reach its low watermark."""
-        with self._lock:
-            capacity = self._capacity.get(name, 0)
-            if capacity <= 0:
-                return 0
-            floor = int(self.low_watermark * capacity)
-            return max(0, self._occupancy.get(name, 0) - floor)
+        capacity = self._capacity.get(name, 0)
+        if capacity <= 0:
+            return 0
+        floor = int(self.low_watermark * capacity)
+        return max(0, self._occupancy.get(name, 0) - floor)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-tenant ``{prefixes, occupancy, high_water, capacity}``."""
-        with self._lock:
-            return {
-                name: {
-                    "prefixes": list(self._prefixes[name]),
-                    "occupancy_bytes": self._occupancy.get(name, 0),
-                    "high_water_bytes": self._high_water.get(name, 0),
-                    "capacity_bytes": self._capacity.get(name, 0),
-                }
-                for name in sorted(self._prefixes)
+        return {
+            name: {
+                "prefixes": list(self._prefixes[name]),
+                "occupancy_bytes": self._occupancy.get(name, 0),
+                "high_water_bytes": self._high_water.get(name, 0),
+                "capacity_bytes": self._capacity.get(name, 0),
             }
+            for name in sorted(self._prefixes)
+        }

@@ -21,7 +21,6 @@ job or job sequence (its output directories, plus anything listed under
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -59,7 +58,6 @@ class MemoryGovernor:
         self._pending_seconds = 0.0
         self._pinned_prefixes: Counter = Counter()
         self._bus: Optional[object] = None
-        self._lock = threading.RLock()
 
     # -- spill availability -------------------------------------------------- #
 
@@ -75,13 +73,11 @@ class MemoryGovernor:
         Resets the pending-seconds accumulator: costs left over from
         between-jobs activity (e.g. ``warm_cache_from``) belong to no job.
         """
-        with self._lock:
-            self._job_metrics = metrics
-            self._pending_seconds = 0.0
+        self._job_metrics = metrics
+        self._pending_seconds = 0.0
 
     def detach_job_metrics(self) -> None:
-        with self._lock:
-            self._job_metrics = None
+        self._job_metrics = None
 
     # -- lifecycle event narration ------------------------------------------- #
 
@@ -89,12 +85,10 @@ class MemoryGovernor:
         """Narrate governance decisions onto a job's lifecycle event bus
         (CacheEvent/SpillEvent) for its duration.  The governor never
         *requires* a bus — between jobs it simply stays silent."""
-        with self._lock:
-            self._bus = bus
+        self._bus = bus
 
     def detach_bus(self) -> None:
-        with self._lock:
-            self._bus = None
+        self._bus = None
 
     def emit_cache(self, action: str, name: str, place: int, nbytes: int) -> None:
         """Emit a CacheEvent on the attached bus, if any.
@@ -102,8 +96,7 @@ class MemoryGovernor:
         Imported lazily: ``memory`` sits below ``lifecycle`` in the layer
         order and must not import it at module scope.
         """
-        with self._lock:
-            bus = self._bus
+        bus = self._bus
         if bus is None:
             return
         from repro.lifecycle.events import CacheEvent
@@ -119,8 +112,7 @@ class MemoryGovernor:
         self, action: str, name: str, place: int, nbytes: int, seconds: float
     ) -> None:
         """Emit a SpillEvent on the attached bus, if any."""
-        with self._lock:
-            bus = self._bus
+        bus = self._bus
         if bus is None:
             return
         from repro.lifecycle.events import SpillEvent
@@ -136,8 +128,7 @@ class MemoryGovernor:
     def incr(self, name: str, amount: int = 1) -> None:
         """Count an event against lifetime AND the attached job metrics."""
         self.lifetime.incr(name, amount)
-        with self._lock:
-            job = self._job_metrics
+        job = self._job_metrics
         if job is not None:
             job.incr(name, amount)
 
@@ -151,42 +142,36 @@ class MemoryGovernor:
         Charges replay in plan order, so the pending float sum is
         deterministic."""
         self.lifetime.time.charge(category, seconds)
-        with self._lock:
-            self._pending_seconds += seconds
-            job = self._job_metrics
+        self._pending_seconds += seconds
+        job = self._job_metrics
         if job is not None:
             job.time.charge(category, seconds)
 
     def drain_seconds(self) -> float:
         """Simulated seconds accumulated since the last drain (job clock)."""
-        with self._lock:
-            seconds = self._pending_seconds
-            self._pending_seconds = 0.0
-            return seconds
+        seconds = self._pending_seconds
+        self._pending_seconds = 0.0
+        return seconds
 
     # -- pinning -------------------------------------------------------------- #
 
     def pin_prefix(self, prefix: str) -> None:
         """Pin every entry at or under ``prefix`` (ref-counted)."""
-        with self._lock:
-            self._pinned_prefixes[prefix] += 1
+        self._pinned_prefixes[prefix] += 1
 
     def unpin_prefix(self, prefix: str) -> None:
-        with self._lock:
-            self._pinned_prefixes[prefix] -= 1
-            if self._pinned_prefixes[prefix] <= 0:
-                del self._pinned_prefixes[prefix]
+        self._pinned_prefixes[prefix] -= 1
+        if self._pinned_prefixes[prefix] <= 0:
+            del self._pinned_prefixes[prefix]
 
     def pinned_prefixes(self) -> List[str]:
-        with self._lock:
-            return sorted(self._pinned_prefixes)
+        return sorted(self._pinned_prefixes)
 
     def is_pinned(self, name: str, path: str, pin_count: int) -> bool:
         """Is the entry (by name/path/explicit pins) exempt from eviction?"""
         if pin_count > 0:
             return True
-        with self._lock:
-            prefixes = tuple(self._pinned_prefixes)
+        prefixes = tuple(self._pinned_prefixes)
         for prefix in prefixes:
             if (
                 path == prefix

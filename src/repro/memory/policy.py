@@ -6,10 +6,10 @@ The policy layer keeps that decision replaceable: the cache reports
 admissions/accesses/removals, and when the budget's high watermark is
 crossed the governor asks the active policy to rank victims.
 
-All policy callbacks run under the cache's lock, so implementations need no
-locking of their own; they must be deterministic functions of the event
-sequence (ties broken by name) so that two runs with the same access
-order evict the same entries.
+All policy callbacks run inside the cache's own calls, on the engine's
+thread, so implementations need no locking; they must be deterministic
+functions of the event sequence (ties broken by name) so that two runs
+with the same access order evict the same entries.
 
 Pinning is *not* a policy concern: the governor filters pinned entries out
 of the candidate list before the policy ever sees them, which is what makes

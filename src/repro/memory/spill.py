@@ -16,7 +16,6 @@ convention never mistake them for job data.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
@@ -58,12 +57,10 @@ class SpillManager:
         self._root = root.rstrip("/")
         self._serializer = DedupSerializer()
         self._seq = 0
-        self._lock = threading.Lock()
 
     def _next_path(self) -> str:
-        with self._lock:
-            self._seq += 1
-            return f"{self._root}/s{self._seq:08d}"
+        self._seq += 1
+        return f"{self._root}/s{self._seq:08d}"
 
     def spill(
         self, pairs: List[Tuple[Any, Any]]

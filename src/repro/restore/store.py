@@ -19,7 +19,6 @@ the same lineage tokens, so every stage of the rerun hits in turn.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -63,11 +62,7 @@ class StoredResult:
 
 
 class ResultStore:
-    """Per-engine fingerprint → result index with an LRU entry bound.
-
-    Thread-safe: the engines' pipelines record from the driver thread,
-    but ``repro stats`` tooling and tests may read concurrently.
-    """
+    """Per-engine fingerprint → result index with an LRU entry bound."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries <= 0:
@@ -79,7 +74,6 @@ class ResultStore:
         # canonical *name* for the content, and downstream fingerprints
         # must stay stable for as long as the content does.
         self._lineage: Dict[str, Tuple[str, str]] = {}
-        self._lock = threading.Lock()
         self._tally: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -93,25 +87,22 @@ class ResultStore:
 
     def lookup(self, fingerprint: str) -> Optional[StoredResult]:
         """The stored result for ``fingerprint`` (LRU-touched), if any."""
-        with self._lock:
-            result = self._results.get(fingerprint)
-            if result is not None:
-                self._results.move_to_end(fingerprint)
-            return result
+        result = self._results.get(fingerprint)
+        if result is not None:
+            self._results.move_to_end(fingerprint)
+        return result
 
     def record(self, result: StoredResult) -> None:
-        with self._lock:
-            self._results[result.fingerprint] = result
-            self._results.move_to_end(result.fingerprint)
-            self._tally["records"] += 1
-            while len(self._results) > self.max_entries:
-                self._results.popitem(last=False)
-                self._tally["evicted"] += 1
+        self._results[result.fingerprint] = result
+        self._results.move_to_end(result.fingerprint)
+        self._tally["records"] += 1
+        while len(self._results) > self.max_entries:
+            self._results.popitem(last=False)
+            self._tally["evicted"] += 1
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop a stored result whose parts failed validation."""
-        with self._lock:
-            return self._results.pop(fingerprint, None) is not None
+        return self._results.pop(fingerprint, None) is not None
 
     # -- lineage ---------------------------------------------------------- #
 
@@ -119,43 +110,39 @@ class ResultStore:
         self, path: str, version: str, lineage_token: str
     ) -> None:
         """Name ``path``'s current content by its producing fingerprint."""
-        with self._lock:
-            self._lineage[path] = (version, lineage_token)
+        self._lineage[path] = (version, lineage_token)
 
     def lineage_token(self, path: str, version: str) -> Optional[str]:
         """The lineage token for ``path`` — only while its content still
         matches the version the token was registered against."""
-        with self._lock:
-            registered = self._lineage.get(path)
-            if registered is not None and registered[0] == version:
-                return registered[1]
-            return None
+        registered = self._lineage.get(path)
+        if registered is not None and registered[0] == version:
+            return registered[1]
+        return None
 
     # -- accounting -------------------------------------------------------- #
 
     def note(self, outcome: str) -> None:
         """Bump one lifetime tally (hits / misses / invalidations / bypasses)."""
-        with self._lock:
-            self._tally[outcome] = self._tally.get(outcome, 0) + 1
+        self._tally[outcome] = self._tally.get(outcome, 0) + 1
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            entries = [
-                {
-                    "fingerprint": result.fingerprint,
-                    "job_name": result.job_name,
-                    "output_path": result.output_path,
-                    "parts": len(result.parts),
-                    "nbytes": result.total_bytes,
-                }
-                for result in self._results.values()
-            ]
-            return {
-                "max_entries": self.max_entries,
-                "entries": entries,
-                "lineage_entries": len(self._lineage),
-                "lifetime": dict(self._tally),
+        entries = [
+            {
+                "fingerprint": result.fingerprint,
+                "job_name": result.job_name,
+                "output_path": result.output_path,
+                "parts": len(result.parts),
+                "nbytes": result.total_bytes,
             }
+            for result in self._results.values()
+        ]
+        return {
+            "max_entries": self.max_entries,
+            "entries": entries,
+            "lineage_entries": len(self._lineage),
+            "lifetime": dict(self._tally),
+        }
 
     def reconfigure(self, max_entries: Optional[int] = None) -> None:
         """Apply knob overrides (``m3r.restore.max-entries``)."""
@@ -163,17 +150,14 @@ class ResultStore:
             return
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        with self._lock:
-            self.max_entries = max_entries
-            while len(self._results) > self.max_entries:
-                self._results.popitem(last=False)
-                self._tally["evicted"] += 1
+        self.max_entries = max_entries
+        while len(self._results) > self.max_entries:
+            self._results.popitem(last=False)
+            self._tally["evicted"] += 1
 
     def clear(self) -> None:
-        with self._lock:
-            self._results.clear()
-            self._lineage.clear()
+        self._results.clear()
+        self._lineage.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._results)
+        return len(self._results)

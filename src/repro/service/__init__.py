@@ -23,11 +23,12 @@ makes that multi-tenant:
 * **observability** — ``submit`` / ``status`` / ``wait`` / ``cancel`` /
   ``tenant_stats`` fed by typed :class:`LifecycleEvent` subscriptions on
   every job's bus, a :class:`~repro.lifecycle.events.ServiceEvent` family
-  narrating admission decisions, and ``python -m repro serve`` /
-  ``python -m repro stats --tenants N``.
+  narrating admission decisions, and
+  ``python -m repro stats --tenants N [--weights W,...]``.
 
-Jobs execute strictly one at a time on the wrapped engine — concurrency
-lives in the admission layer — so the repo's determinism contract holds
+Jobs execute strictly one at a time on the wrapped engine, on the thread
+that drives the service — the service starts no thread — so the repo's
+determinism contract holds
 end to end: for any fixed admission order, the schedule, every output
 byte and every simulated second are identical across runs, and each
 tenant's outputs are byte-identical to running its sequence alone.

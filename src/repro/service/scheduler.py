@@ -27,8 +27,8 @@ class FairScheduler:
     """Stride scheduler state: pass values + weights, no queues of its own.
 
     The service owns the per-tenant FIFO queues; this class only answers
-    "who runs next" and "charge this run".  All methods are called under
-    the service lock, so there is no locking here.
+    "who runs next" and "charge this run".  The service calls it on the
+    thread that drives it, so there is no locking here.
     """
 
     def __init__(self) -> None:

@@ -4,17 +4,19 @@ A tenant is a named client of the always-on engine: a fair-share weight,
 an in-flight limit, a path namespace with a cache-residency budget, and a
 ReStore visibility choice.  The spec is immutable; the mutable runtime
 side (queue, stride pass value, accounting) lives on :class:`TenantState`
-inside the service and is guarded by the service lock.
+inside the service, which reads and writes it on the caller's thread only.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.filesystem import normalize_path
 from repro.restore.store import ResultStore
+
+#: Submission states after which nothing about the record changes.
+TERMINAL_STATES = frozenset({"succeeded", "failed", "cancelled"})
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class TenantSpec:
 
 
 class TenantState:
-    """The service's mutable per-tenant record (guarded by the service
-    lock): the FIFO queue, the stride scheduler's pass value, the private
-    result store, and lifetime accounting."""
+    """The service's mutable per-tenant record: the FIFO queue, the stride
+    scheduler's pass value, the private result store, and lifetime
+    accounting."""
 
     def __init__(self, spec: TenantSpec, store: Optional[ResultStore]):
         self.spec = spec
@@ -120,11 +122,14 @@ class SubmissionRecord:
     #: queued | running | succeeded | failed | cancelled
     state: str = "queued"
     results: List[object] = field(default_factory=list)
-    #: Engine exception (node loss) captured by the worker; ``wait``
-    #: re-raises it so service submission fails exactly like a direct run.
+    #: Engine exception (node loss) captured while the submission ran;
+    #: ``wait`` re-raises it so service submission fails exactly like a
+    #: direct run.
     exception: Optional[BaseException] = None
     #: Narration from lifecycle events: the running job's current stage.
     current_stage: Optional[str] = None
-    #: Set when the submission reaches a terminal state; ``wait`` blocks on
-    #: it in server mode (caller-driven mode re-checks while driving).
-    done: threading.Event = field(default_factory=threading.Event)
+
+    @property
+    def finished(self) -> bool:
+        """Has the submission reached a terminal state?"""
+        return self.state in TERMINAL_STATES

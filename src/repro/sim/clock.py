@@ -16,24 +16,19 @@ barrier).  That structure lets us model time without a discrete-event queue:
 
 from __future__ import annotations
 
-import threading
-
 
 class SimClock:
     """An accumulator of simulated seconds.
 
     The clock never reads wall time; engines advance it explicitly with
     :meth:`advance`.  Negative advances are rejected so a cost-model bug
-    cannot silently run time backwards.  Advances are atomic, so threads
-    sharing an engine (the service's worker, tenant clients) can share one
-    clock.
+    cannot silently run time backwards.
     """
 
-    __slots__ = ("_now", "_lock")
+    __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._lock = threading.Lock()
 
     @property
     def now(self) -> float:
@@ -44,21 +39,18 @@ class SimClock:
         """Advance the clock by ``seconds`` and return the new time."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
     def advance_to(self, t: float) -> float:
         """Advance the clock to absolute time ``t`` (no-op if already past)."""
-        with self._lock:
-            if t > self._now:
-                self._now = t
-            return self._now
+        if t > self._now:
+            self._now = t
+        return self._now
 
     def reset(self) -> None:
         """Reset the clock to zero."""
-        with self._lock:
-            self._now = 0.0
+        self._now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"
@@ -75,26 +67,24 @@ class PhaseTimer:
         job_clock.advance(timer.barrier())   # everyone waits for the slowest
     """
 
-    __slots__ = ("_elapsed", "_lock")
+    __slots__ = ("_elapsed",)
 
     def __init__(self, participants: int) -> None:
         if participants <= 0:
             raise ValueError("a phase needs at least one participant")
         self._elapsed = [0.0] * participants
-        self._lock = threading.Lock()
 
     @property
     def participants(self) -> int:
         return len(self._elapsed)
 
     def charge(self, participant: int, seconds: float) -> None:
-        """Add ``seconds`` of work to one participant's lane (atomic).
+        """Add ``seconds`` of work to one participant's lane.
         One participant's charges arrive serially, in plan order, so the
         lane's float sum is deterministic."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
-        with self._lock:
-            self._elapsed[participant] += seconds
+        self._elapsed[participant] += seconds
 
     def elapsed(self, participant: int) -> float:
         """Seconds charged so far to ``participant``."""

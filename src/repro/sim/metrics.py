@@ -16,7 +16,6 @@ polling model, disk-based out-of-core shuffling, and JVM startup costs").
 from __future__ import annotations
 
 import math
-import threading
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
@@ -110,12 +109,7 @@ def shuffle_skew(metrics: "Metrics") -> Dict[str, float]:
 class TimeBreakdown:
     """Simulated seconds attributed to named categories.
 
-    Charges are atomic: the governor charges the running job's breakdown
-    from whichever thread touched the shared cache (the service's worker, a
-    tenant client), and a float ``+=`` is a read-modify-write that would
-    otherwise lose time.
-
-    Charges are also *order-independent*: each category keeps its addends
+    Charges are *order-independent*: each category keeps its addends
     and reduces with :func:`math.fsum`, whose result is the correctly-rounded
     exact sum — the same float for every arrival order, so merged snapshots
     compare byte for byte however they were assembled.
@@ -123,20 +117,17 @@ class TimeBreakdown:
 
     def __init__(self) -> None:
         self._parts: Dict[str, List[float]] = defaultdict(list)
-        self._lock = threading.Lock()
 
     def charge(self, category: str, seconds: float) -> None:
         """Attribute ``seconds`` to ``category``."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
-        with self._lock:
-            self._parts[category].append(seconds)
+        self._parts[category].append(seconds)
 
     def get(self, category: str) -> float:
         """Seconds attributed so far to ``category`` (0.0 when never charged)."""
-        with self._lock:
-            parts = self._parts.get(category)
-            return math.fsum(parts) if parts else 0.0
+        parts = self._parts.get(category)
+        return math.fsum(parts) if parts else 0.0
 
     def total(self) -> float:
         """Sum over all categories.
@@ -144,25 +135,21 @@ class TimeBreakdown:
         Note this is *work* time, not wall-clock: parallel lanes overlap, so
         engines report wall-clock separately and this total can exceed it.
         """
-        with self._lock:
-            return math.fsum(
-                seconds
-                for parts in self._parts.values()
-                for seconds in parts
-            )
+        return math.fsum(
+            seconds
+            for parts in self._parts.values()
+            for seconds in parts
+        )
 
     def merge(self, other: "TimeBreakdown") -> None:
         """Fold another breakdown into this one."""
-        with other._lock:
-            snapshot = [(k, list(v)) for k, v in other._parts.items()]
-        with self._lock:
-            for category, parts in snapshot:
-                self._parts[category].extend(parts)
+        snapshot = [(k, list(v)) for k, v in other._parts.items()]
+        for category, parts in snapshot:
+            self._parts[category].extend(parts)
 
     def as_dict(self) -> Dict[str, float]:
         """A plain dict snapshot (categories with zero time omitted)."""
-        with self._lock:
-            return {k: math.fsum(v) for k, v in self._parts.items()}
+        return {k: math.fsum(v) for k, v in self._parts.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(
@@ -177,33 +164,27 @@ class Metrics:
     def __init__(self) -> None:
         self.counters: Dict[str, int] = defaultdict(int)
         self.time = TimeBreakdown()
-        self._lock = threading.Lock()
 
     # -- counters --------------------------------------------------------- #
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Increment the counter ``name`` by ``amount`` (atomic)."""
-        with self._lock:
-            self.counters[name] += amount
+        """Increment the counter ``name`` by ``amount``."""
+        self.counters[name] += amount
 
     def get(self, name: str) -> int:
         """Counter value (0 when never incremented)."""
-        with self._lock:
-            return self.counters.get(name, 0)
+        return self.counters.get(name, 0)
 
     def merge(self, other: "Metrics") -> None:
         """Fold another metrics object into this one."""
-        with other._lock:
-            snapshot = list(other.counters.items())
-        with self._lock:
-            for name, value in snapshot:
-                self.counters[name] += value
+        snapshot = list(other.counters.items())
+        for name, value in snapshot:
+            self.counters[name] += value
         self.time.merge(other.time)
 
     def as_dict(self) -> Dict[str, object]:
         """A plain snapshot suitable for printing or JSON."""
-        with self._lock:
-            counters = dict(self.counters)
+        counters = dict(self.counters)
         return {"counters": counters, "time": self.time.as_dict()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

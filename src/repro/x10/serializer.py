@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-import threading
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -59,9 +58,8 @@ OBJECT_HEADER_BYTES = 4
 
 #: Exact ``type(obj)`` -> ``(serialized_size, clone)`` for the built-in leaf
 #: Writables and the array-backed blocks.  The modules that define them
-#: fill it while they are imported and nothing writes to it afterwards, so
-#: every reader — the engines' driver, the service's worker, a tenant
-#: client — reads it without a lock.  Keyed by exact type on purpose: a
+#: fill it while they are imported and nothing writes to it afterwards.
+#: Keyed by exact type on purpose: a
 #: subclass may add fields, so it takes the generic walk.
 _TRANSPORT: Dict[
     type, Tuple[Callable[[Any], int], Callable[[Any, "Crossing"], Any]]
@@ -87,7 +85,7 @@ def register_transport(
 
 
 class _FallbackTally:
-    """Thread-safe lifetime count of pickle-fallback size estimates.
+    """Lifetime count of pickle-fallback size estimates.
 
     An object that reaches the final ``pickle.dumps`` path and still fails
     gets a fixed 64-byte guess; that used to happen silently.  Engines
@@ -97,16 +95,13 @@ class _FallbackTally:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._count = 0
 
     def record(self) -> None:
-        with self._lock:
-            self._count += 1
+        self._count += 1
 
     def snapshot(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
 
 #: Process-wide tally shared by every serializer instance.

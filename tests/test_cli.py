@@ -37,7 +37,7 @@ class TestParser:
     def test_subcommands(self):
         assert sorted(subcommands()) == sorted([
             "wordcount", "micro", "matvec", "sysml", "trace", "stats",
-            "jaql", "pig", "serve", "analyze",
+            "jaql", "pig", "analyze",
         ])
 
     def test_global_options_survive_every_subcommand(self):
@@ -200,11 +200,21 @@ class TestCommands:
             assert tenant["jobs_run"] == 2
         assert [run["jobs"] for run in doc["runs"]] == [3, 3]
 
+    def test_stats_tenant_weights(self, capsys):
+        docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "2", "stats",
+                          "--lines", "100", "--tenants", "3",
+                          "--weights", "2,1,1", "--runs", "2")
+        service = docs["m3r"]["service"]
+        weights = {name: t["weight"] for name, t in service["tenants"].items()}
+        assert weights == {"t0": 2, "t1": 1, "t2": 1}
+        assert len(service["schedule"]) == 6
+        assert "worker" not in service
+
     def test_restore_stats_text(self, capsys):
         assert main(["--engine", "m3r", "--nodes", "4", "stats", "--lines",
                      "200", "--set", "m3r.restore.enabled=true"]) == 0
         out = capsys.readouterr().out
-        for line in ("m3r:", "  schema_version: 1", "  runs:", "  speedup: ",
+        for line in ("m3r:", "  schema_version: 2", "  runs:", "  speedup: ",
                      "  restore:", "    lifetime:", "      hits: 1",
                      "      misses: 1", "  cache:", "  shuffle:"):
             assert line + ("" if line.endswith(" ") else "\n") in out, line

@@ -4,13 +4,15 @@ Covers the refactor's contract: both engines drive the same
 :class:`~repro.lifecycle.pipeline.JobPipeline`, every job emits one
 deterministic stream of typed events, observers never perturb the run
 (byte-identity with tracing on or off), and the guaranteed ``JobEnd``
-releases pins and sanitizer scopes on every exit path.
+releases pins and sanitizer scopes on every exit path.  An engine runs
+jobs only on the thread that built it.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import threading
 import weakref
 
 import pytest
@@ -453,6 +455,30 @@ class TestEngineTeardown:
         engine.shutdown()
         del engine, owned, sequence
         assert [ref() for ref in alive] == [None] * len(alive)
+
+
+@pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+def test_engine_entered_from_a_second_thread_raises(factory):
+    """A job started from a thread other than the engine's builder raises
+    before it writes anything; the owner thread's next job is unaffected."""
+    engine = factory(4)
+    engine.filesystem.write_text("/in.txt", generate_text(50))
+    caught = []
+
+    def intruder():
+        try:
+            engine.run_job(wordcount_job("/in.txt", "/stray", 4))
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    thread = threading.Thread(target=intruder)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(caught) == 1
+    assert f"thread {thread.ident}" in str(caught[0])
+    assert not engine.filesystem.exists("/stray")
+    assert run_wordcount(engine).succeeded
 
 
 # --------------------------------------------------------------------- #

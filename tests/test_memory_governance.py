@@ -4,12 +4,11 @@ Covers the unit layer (budget arithmetic, policy victim selection), the
 cache integration (eviction/spill/rehydrate, pinning, range-alias safety,
 the nbytes fallback) and the engine layer (bounded runs stay byte-identical
 to unbounded runs, conf-key overrides, metrics attribution), plus the
-concurrency invariants under real worker threads.
+invariants under several clients' put / lookup / evict streams,
+interleaved round-robin on one cache.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -365,37 +364,22 @@ def test_store_place_bytes_counter_matches_scan():
 
 
 # --------------------------------------------------------------------------- #
-# concurrency: put/get/evict races under real threads
+# interleaving: put/get/evict streams of several clients, round-robin
 # --------------------------------------------------------------------------- #
 
 def test_concurrent_put_and_evict_invariants():
-    """Hammer one governed cache from many threads; every materializing
-    lookup must return live pairs, and the final budget must reconcile
-    exactly with the resident entries."""
+    """Eight writers' put/get streams, interleaved round-robin on one
+    governed cache: every materializing lookup returns live pairs, and the
+    final budget reconciles exactly with the resident entries."""
     cache, _ = _governed_cache(2000, places=4)
-    errors = []
-    barrier = threading.Barrier(8)
-
-    def worker(worker_id: int) -> None:
-        try:
-            barrier.wait()
-            for i in range(40):
-                path = f"/w{worker_id}/f{i % 10}"
-                pairs = _pairs(f"{worker_id}-{i}", 6)
-                cache.put_file(path, (worker_id + i) % 4, list(pairs), 120)
-                hit = cache.get_file(path)
-                if hit is not None:  # may already be replaced by a peer
-                    assert hit.pairs is not None, "materialized entry had no pairs"
-                    assert not hit.spilled
-        except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
+    for i in range(40):
+        for worker_id in range(8):
+            path = f"/w{worker_id}/f{i % 10}"
+            pairs = _pairs(f"{worker_id}-{i}", 6)
+            cache.put_file(path, (worker_id + i) % 4, list(pairs), 120)
+            hit = cache.get_file(path)
+            assert hit is not None and hit.pairs is not None
+            assert not hit.spilled
     # Budget reconciliation: occupancy equals the bytes of resident entries.
     per_place = {p: 0 for p in range(4)}
     for entry in cache.entries():
@@ -407,38 +391,20 @@ def test_concurrent_put_and_evict_invariants():
 
 
 def test_concurrent_lookup_during_eviction_never_sees_spilled():
+    """A churning writer and three readers, interleaved round-robin: after
+    every put, each reader looks up every seed entry, and a materialised
+    hit is never spilled — even when the churn had just evicted it."""
     cache, _ = _governed_cache(500)
     for i in range(4):
         cache.put_file(f"/seed{i}", 0, _pairs(f"seed{i}"), 100)
-    stop = threading.Event()
-    errors = []
-
-    def reader() -> None:
-        try:
-            while not stop.is_set():
-                for i in range(4):
-                    hit = cache.get_file(f"/seed{i}")
-                    if hit is not None:
-                        assert hit.pairs is not None and not hit.spilled
-        except Exception as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    def churner() -> None:
-        try:
-            for i in range(120):
-                cache.put_file(f"/churn{i % 6}", 0, _pairs(f"c{i}"), 100)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(exc)
-        finally:
-            stop.set()
-
-    threads = [threading.Thread(target=reader) for _ in range(3)]
-    threads.append(threading.Thread(target=churner))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
+    for i in range(120):
+        cache.put_file(f"/churn{i % 6}", 0, _pairs(f"c{i}"), 100)
+        for _reader in range(3):
+            for seed in range(4):
+                hit = cache.get_file(f"/seed{seed}")
+                if hit is not None:
+                    assert hit.pairs is not None and not hit.spilled
+    assert cache.governor.lifetime.counters.get("cache_rehydrations", 0) > 0
 
 
 # --------------------------------------------------------------------------- #

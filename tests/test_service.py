@@ -4,6 +4,7 @@ The contracts under test are the service package's invariants:
 
 * backpressure is typed and accounted (queue depth, per-tenant in-flight);
 * cancel withdraws queued submissions and refuses running ones;
+* a submission cannot drive the service from inside its own job;
 * a tenant's cache budget evicts only that tenant's unpinned entries;
 * the stride schedule, every output byte and every simulated second are a
   pure function of the admission order (20-seed sweep, both engines);
@@ -14,13 +15,10 @@ The contracts under test are the service package's invariants:
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro import hadoop_engine, m3r_engine
-from repro.api.mapred import Mapper
-from repro.apps.wordcount import wordcount_job
+from repro.apps.wordcount import WordCountMapperImmutable, wordcount_job
 from repro.fs import SimulatedHDFS
 from repro.service import (
     AdmissionError,
@@ -126,16 +124,30 @@ class TestAdmission:
 # --------------------------------------------------------------------- #
 
 
-class GateMapper(Mapper):
-    """Blocks the first map task until released — keeps a job 'running'."""
+class CancelFromInsideMapper(WordCountMapperImmutable):
+    """Checks, from inside its own job, that the running submission is
+    reported running and refuses cancellation."""
 
-    started = threading.Event()
-    release = threading.Event()
+    service = None
+    ticket = None
+    checked = 0
 
     def map(self, key, value, output, reporter):
-        GateMapper.started.set()
-        GateMapper.release.wait(10)
-        output.collect(key, value)
+        cls = CancelFromInsideMapper
+        assert cls.service.status(cls.ticket).state == "running"
+        assert cls.service.cancel(cls.ticket) is False  # running: not cancellable
+        cls.checked += 1
+        super().map(key, value, output, reporter)
+
+
+class ReentrantDriveMapper(WordCountMapperImmutable):
+    """Tries to drive the service that is running its own job."""
+
+    service = None
+
+    def map(self, key, value, output, reporter):
+        ReentrantDriveMapper.service.step()
+        super().map(key, value, output, reporter)
 
 
 class TestCancel:
@@ -157,23 +169,35 @@ class TestCancel:
     def test_cancel_running_submission_refused(self):
         engine = make_m3r()
         write_corpus(engine.filesystem, "/in", seed=1, parts=1)
-        GateMapper.started.clear()
-        GateMapper.release.clear()
         conf = wc("/in", "/out/gated")
-        conf.set_mapper_class(GateMapper)
+        conf.set_mapper_class(CancelFromInsideMapper)
         service = JobService(engine)
         client = service.register_tenant("a")
-        service.start()
-        try:
-            ticket = client.submit(conf)
-            assert GateMapper.started.wait(10), "job never started"
-            assert service.status(ticket).state == "running"
-            assert service.cancel(ticket) is False  # running: not cancellable
-        finally:
-            GateMapper.release.set()
-            service.close()
-        assert service.status(ticket).state in ("succeeded", "failed")
+        ticket = client.submit(conf)
+        CancelFromInsideMapper.service = service
+        CancelFromInsideMapper.ticket = ticket
+        CancelFromInsideMapper.checked = 0
+        (result,) = service.wait(ticket)
+        assert result.succeeded, result.error
+        assert CancelFromInsideMapper.checked > 0
+        assert service.status(ticket).state == "succeeded"
         assert service.cancel(ticket) is False  # finished: not cancellable
+
+
+def test_reentrant_drive_fails_the_job():
+    engine = make_m3r()
+    write_corpus(engine.filesystem, "/in", seed=1, parts=1)
+    conf = wc("/in", "/out/reentrant")
+    conf.set_mapper_class(ReentrantDriveMapper)
+    service = JobService(engine)
+    client = service.register_tenant("a")
+    ReentrantDriveMapper.service = service
+    result = client.run_job(conf)
+    assert not result.succeeded
+    assert "re-entrant drive" in result.error
+    assert service.status("a/0").state == "failed"
+    # The service is not wedged: the next submission runs.
+    assert client.run_job(wc("/in", "/out/after")).succeeded
 
 
 # --------------------------------------------------------------------- #
@@ -427,7 +451,7 @@ class TestRestoreVisibility:
 
 
 # --------------------------------------------------------------------- #
-# observability / server mode
+# observability
 # --------------------------------------------------------------------- #
 
 
@@ -464,29 +488,3 @@ class TestObservability:
         with pytest.raises(JobFailedError):
             client.run_job(wc("/in", "/out/r"))
         assert service.status("a/0").state == "failed"
-
-    def test_server_mode_concurrent_submitters(self):
-        engine = make_m3r()
-        write_corpus(engine.filesystem, "/in", seed=1, parts=2)
-        snaps = {}
-        with JobService(engine) as service:
-            clients = [
-                service.register_tenant(f"t{i}", prefixes=(f"/out/t{i}",))
-                for i in range(3)
-            ]
-
-            def submitter(client):
-                result = client.run_job(
-                    wc("/in", f"/out/{client.tenant}/r"))
-                assert result.succeeded
-                snaps[client.tenant] = snapshot_output(
-                    engine, f"/out/{client.tenant}/r")
-
-            threads = [threading.Thread(target=submitter, args=(c,))
-                       for c in clients]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert len(snaps) == 3
-        assert snaps["t0"] == snaps["t1"] == snaps["t2"]  # same input corpus
