@@ -72,20 +72,20 @@ def _knobs() -> List[Knob]:
           "REAL_THREADS_KEY"),
         # -- cache (memory governance, DESIGN.md §8) --------------------- #
         K("m3r.cache.capacity-bytes", "int", 0, None, "cache",
-          "per-place cache budget in bytes; `0` = unbounded",
+          "per-place cache budget in bytes; `0` = unbounded; "
+          "set by a job, it stays for later jobs",
           "CACHE_CAPACITY_KEY"),
         K("m3r.cache.high-watermark", "float", 0.9, None, "cache",
-          "eviction starts above this fraction of capacity",
+          "eviction starts above this fraction of capacity; "
+          "set by a job, it stays for later jobs",
           "CACHE_HIGH_WATERMARK_KEY"),
         K("m3r.cache.low-watermark", "float", 0.75, None, "cache",
-          "eviction frees down to this fraction (hysteresis)",
+          "eviction frees down to this fraction (hysteresis); "
+          "set by a job, it stays for later jobs",
           "CACHE_LOW_WATERMARK_KEY"),
-        K("m3r.cache.eviction-policy", "str", "lru", None, "cache",
-          "`lru`, `fifo`, or `gds` (size-aware GreedyDual)",
-          "CACHE_EVICTION_POLICY_KEY"),
         K("m3r.cache.spill", "bool", True, None, "cache",
           "demote evicted durable entries to `/.m3r/spill` instead of "
-          "dropping them",
+          "dropping them; set by a job, it stays for later jobs",
           "CACHE_SPILL_KEY"),
         K("m3r.cache.pinned-paths", "paths", None, None, "cache",
           "comma-separated path prefixes exempt from eviction for the "

@@ -171,8 +171,8 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # the short map:
 #
 # * engine/shuffle — two retired real-threads keys (accepted, ignored);
-# * cache — per-place memory governance (budget, watermarks, policy,
-#   spill, pinned paths); the Hadoop engine ignores them entirely;
+# * cache — per-place memory governance (budget, watermarks, spill,
+#   pinned paths); the Hadoop engine ignores them entirely;
 # * sanitize — per-job overrides for the runtime mutation / lock-order
 #   observers (process default from the environment);
 # * trace — lifecycle JSONL sink and event-ring sizing (pure observer);
@@ -193,7 +193,6 @@ SHUFFLE_REAL_THREADS_KEY = _KNOB_KEYS["SHUFFLE_REAL_THREADS_KEY"]
 CACHE_CAPACITY_KEY = _KNOB_KEYS["CACHE_CAPACITY_KEY"]
 CACHE_HIGH_WATERMARK_KEY = _KNOB_KEYS["CACHE_HIGH_WATERMARK_KEY"]
 CACHE_LOW_WATERMARK_KEY = _KNOB_KEYS["CACHE_LOW_WATERMARK_KEY"]
-CACHE_EVICTION_POLICY_KEY = _KNOB_KEYS["CACHE_EVICTION_POLICY_KEY"]
 CACHE_SPILL_KEY = _KNOB_KEYS["CACHE_SPILL_KEY"]
 CACHE_PINNED_PATHS_KEY = _KNOB_KEYS["CACHE_PINNED_PATHS_KEY"]
 

@@ -36,7 +36,7 @@ from repro.sim import Cluster
 WORKLOADS = ("wordcount", "grep", "matvec")
 
 #: Version of the ``stats`` document layout; bump on any key change.
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
 
 #: What :func:`_stage` reads from every command that runs a workload;
 #: each command's own flags override these.

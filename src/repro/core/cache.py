@@ -17,24 +17,30 @@ job sequences communication-free.
 
 Every byte the cache holds is governed by a
 :class:`~repro.memory.governor.MemoryGovernor` (see :mod:`repro.memory`):
-admissions charge a per-place budget, crossing the high watermark evicts
-unpinned entries in the order the active policy chooses, and evicted
-entries are demoted to a spill file on the underlying filesystem rather
-than dropped — a spilled entry stays in the index (so the namespace union
-in :mod:`repro.core.cachefs` still sees it) and is transparently
-rehydrated by the next materializing lookup.  The default governor is
-unbounded with no spill, which is exactly the historical behaviour.
+admissions charge their place's budget (and their tenant's, when the
+path lies in a registered tenant namespace).  An owner that crosses its
+high watermark sheds its least recently used unpinned entries — the one
+replacement rule, kept as a ``touched`` stamp on each entry — through one
+eviction routine for places and tenants alike.  Evicted entries are
+demoted to a spill file on the underlying filesystem rather than dropped:
+a spilled entry stays in the index (so the namespace union in
+:mod:`repro.core.cachefs` still sees it) and is transparently rehydrated
+by the next materializing lookup.  The default governor is unbounded with
+no spill, which is exactly the historical behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
+)
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.fs.filesystem import normalize_path
 from repro.kvstore.store import BlockInfo, KeyValueStore
-from repro.memory import EvictionCandidate, MemoryGovernor, SpillRecord
+from repro.memory import MemoryGovernor, SpillRecord, WatermarkLedger
 from repro.x10.places import Place
 from repro.x10.serializer import estimate_size
 
@@ -74,10 +80,22 @@ class CacheEntry:
     #: the restore subsystem keys content validity on it.  Spill/rehydrate
     #: do not change the version (the data is the same).
     version: int = 0
+    #: Recency stamp (per cache instance), bumped on admission, rehydration
+    #: and every materializing hit; eviction takes the lowest first.
+    touched: int = field(default=0, compare=False)
 
     @property
     def records(self) -> int:
         return len(self.pairs) if self.pairs is not None else 0
+
+
+def _place_of(entry: CacheEntry) -> int:
+    return entry.place_id
+
+
+def _recency(entry: CacheEntry) -> Tuple[int, str]:
+    """LRU order, ties broken by name."""
+    return entry.touched, entry.name
 
 
 class KeyValueCache:
@@ -93,10 +111,12 @@ class KeyValueCache:
         # name -> (path, place_id); the store holds the data blocks.  This
         # index exists because lookups arrive by path *or* by split name.
         self._index: Dict[str, CacheEntry] = {}
-        #: Budget/policy/spill coordinator; unbounded + no spill by default.
+        #: Ledger/pin/spill coordinator; unbounded + no spill by default.
         self.governor = governor if governor is not None else MemoryGovernor()
         # Admission stamp source for CacheEntry.version.
         self._version_counter = 0
+        # Recency stamp source for CacheEntry.touched.
+        self._tick = 0
 
     # -- writes ------------------------------------------------------------- #
 
@@ -177,74 +197,71 @@ class KeyValueCache:
             nbytes=nbytes, durable=durable, version=self._version_counter,
         )
         self._index[name] = entry
-        self.governor.budget.charge(place_id, nbytes)
-        self.governor.tenants.charge(path, nbytes)
-        self.governor.policy.on_admit(name, nbytes)
-        self._enforce(place_id)
-        self._enforce_tenants()
+        self.governor.charge(place_id, path, nbytes)
+        self._touch(entry)
+        self._enforce((place_id,))
         return entry
 
     # -- memory governance --------------------------------------------------- #
 
-    def _enforce(self, place_id: int) -> None:
-        """Evict at ``place_id`` until it is back under the low watermark
-        (or nothing evictable remains)."""
+    def _touch(self, entry: CacheEntry) -> None:
+        """Stamp ``entry`` as the most recently used."""
+        self._tick += 1
+        entry.touched = self._tick
+
+    def _enforce(self, place_ids: Iterable[int]) -> None:
+        """Bring every place in ``place_ids``, then every tenant (in name
+        order), back under its high watermark."""
         governor = self.governor
-        while governor.needs_eviction(place_id):
-            spill_active = governor.spill_active
-            candidates = [
-                EvictionCandidate(entry.name, entry.place_id, entry.nbytes)
-                for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
-                if entry.place_id == place_id
-                and not entry.spilled
+        for place_id in place_ids:
+            self._shed(governor.budget, place_id, _place_of)
+        for tenant in governor.tenant_names():
+            self._shed(governor.tenants, tenant, self._tenant_of)
+
+    def _tenant_of(self, entry: CacheEntry) -> Optional[str]:
+        return self.governor.tenant_of(entry.path)
+
+    def _shed(
+        self,
+        ledger: WatermarkLedger,
+        owner: Hashable,
+        owner_of: Callable[[CacheEntry], Hashable],
+    ) -> None:
+        """The one eviction wave, for places and tenants alike.
+
+        When ``owner`` is over its high watermark in ``ledger``, evict the
+        least recently touched prefix of its evictable entries (those with
+        ``owner_of(entry) == owner``, resident, unpinned) that covers the
+        bytes down to its low watermark — or every one of them, when even
+        that is not enough (occupancy then stays above the watermark and
+        the high-water mark records it).  Candidates are restricted to the
+        owner, so one tenant's pressure never touches another tenant's
+        entries.
+        """
+        if not ledger.over_high_watermark(owner):
+            return
+        governor = self.governor
+        spill_active = governor.spill_active
+        candidates = sorted(
+            (
+                entry
+                for entry in self._index.values()  # noqa: M3R002 - sorted by (touched, name), a total order
+                if not entry.spilled
+                and owner_of(entry) == owner
                 # Without spill, dropping a non-durable entry (a temporary
                 # output that was never flushed) would lose data — treat
                 # it as implicitly pinned.
                 and (spill_active or entry.durable)
                 and not governor.is_pinned(entry.name, entry.path, entry.pins)
-            ]
-            victims = governor.plan_eviction(place_id, candidates)
-            evicted = 0
-            for name in victims:
-                entry = self._index.get(name)
-                if entry is None or entry.spilled:
-                    continue
-                self._evict(entry)
-                evicted += 1
-            if not evicted:
-                break  # everything left is pinned; high-water records it
-
-    def _enforce_tenants(self) -> None:
-        """Evict each over-budget tenant's own unpinned resident entries
-        down to its low watermark.
-
-        Candidates are restricted to the over-budget tenant's namespace,
-        so one tenant's pressure can never touch another tenant's entries
-        — pinned or not — and the place-budget invariant (pins are always
-        exempt) carries over unchanged.
-        """
-        governor = self.governor
-        for tenant in governor.tenants.over_high_watermark():
-            while governor.tenants.eviction_target(tenant) > 0:
-                spill_active = governor.spill_active
-                candidates = [
-                    EvictionCandidate(entry.name, entry.place_id, entry.nbytes)
-                    for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
-                    if not entry.spilled
-                    and governor.tenants.tenant_of(entry.path) == tenant
-                    and (spill_active or entry.durable)
-                    and not governor.is_pinned(entry.name, entry.path, entry.pins)
-                ]
-                victims = governor.plan_tenant_eviction(tenant, candidates)
-                evicted = 0
-                for name in victims:
-                    entry = self._index.get(name)
-                    if entry is None or entry.spilled:
-                        continue
-                    self._evict(entry)
-                    evicted += 1
-                if not evicted:
-                    break  # everything left is pinned; high-water records it
+            ),
+            key=_recency,
+        )
+        to_free = ledger.eviction_target(owner)
+        for entry in candidates:
+            if to_free <= 0:
+                break
+            self._evict(entry)
+            to_free -= entry.nbytes
 
     def _evict(self, entry: CacheEntry) -> None:
         """Demote one resident entry: spill if available, else drop."""
@@ -265,9 +282,7 @@ class KeyValueCache:
             self._store.delete(entry.name)
             del self._index[entry.name]
             governor.emit_cache("drop", entry.name, entry.place_id, entry.nbytes)
-        governor.budget.release(entry.place_id, entry.nbytes)
-        governor.tenants.release(entry.path, entry.nbytes)
-        governor.policy.on_remove(entry.name)
+        governor.release(entry.place_id, entry.path, entry.nbytes)
         governor.incr("cache_evictions")
         governor.emit_cache("evict", entry.name, entry.place_id, entry.nbytes)
 
@@ -281,9 +296,8 @@ class KeyValueCache:
         entry.pairs = stored
         entry.spilled = False
         entry.spill = None
-        governor.budget.charge(entry.place_id, entry.nbytes)
-        governor.tenants.charge(entry.path, entry.nbytes)
-        governor.policy.on_admit(entry.name, entry.nbytes)
+        governor.charge(entry.place_id, entry.path, entry.nbytes)
+        self._touch(entry)
         governor.incr("cache_rehydrations")
         governor.charge_seconds("spill_read", seconds)
         governor.emit_spill(
@@ -293,8 +307,7 @@ class KeyValueCache:
         # the entry being handed to the caller from its own eviction wave.
         entry.pins += 1
         try:
-            self._enforce(entry.place_id)
-            self._enforce_tenants()
+            self._enforce((entry.place_id,))
         finally:
             entry.pins -= 1
 
@@ -305,9 +318,7 @@ class KeyValueCache:
             self.governor.spill.discard(entry.spill)
         else:
             self._store.delete(name)
-            self.governor.budget.release(entry.place_id, entry.nbytes)
-            self.governor.tenants.release(entry.path, entry.nbytes)
-        self.governor.policy.on_remove(name)
+            self.governor.release(entry.place_id, entry.path, entry.nbytes)
 
     def pin(self, name: str) -> bool:
         """Ref-count-pin an entry against eviction; False when unknown."""
@@ -324,17 +335,8 @@ class KeyValueCache:
 
     def reconfigure(self, **overrides: Any) -> None:
         """Apply ``m3r.cache.*`` overrides, then re-enforce every budget."""
-        self.governor.reconfigure(
-            resident_entries=[
-                (entry.name, entry.nbytes)
-                for entry in self._index.values()
-                if not entry.spilled
-            ],
-            **overrides,
-        )
-        for place_id in {e.place_id for e in self._index.values()}:
-            self._enforce(place_id)
-        self._enforce_tenants()
+        self.governor.reconfigure(**overrides)
+        self._enforce({e.place_id for e in self._index.values()})
 
     # -- lookups --------------------------------------------------------- #
 
@@ -344,7 +346,7 @@ class KeyValueCache:
         """Post-process one index lookup.
 
         ``materialize=False`` is the metadata peek: no rehydration, no
-        policy touch, no hit/miss tally — namespace queries must not
+        recency stamp, no hit/miss tally — namespace queries must not
         perturb replacement order or drag data back from spill.
         """
         if entry is None:
@@ -360,7 +362,7 @@ class KeyValueCache:
             MUTATION_SANITIZER.observe_pairs(
                 entry.pairs, site=f"KeyValueCache.get({entry.name})"
             )
-        self.governor.policy.on_access(entry.name, entry.nbytes)
+        self._touch(entry)
         if pin:
             entry.pins += 1
         return entry
@@ -453,27 +455,24 @@ class KeyValueCache:
         """Re-key every entry for ``src`` to ``dst`` (data stays in place)."""
         src = normalize_path(src)
         dst = normalize_path(dst)
-        moves: List[Tuple[str, str, CacheEntry]] = []
+        moves: List[Tuple[str, str, str, CacheEntry]] = []
         for name, entry in list(self._index.items()):
             if entry.path == src or entry.path.startswith(src + "/"):
                 new_path = dst + entry.path[len(src):]
                 new_name = new_path + name[len(entry.path):]
-                moves.append((name, new_name, entry))
-        for old_name, new_name, entry in moves:
+                moves.append((name, new_name, new_path, entry))
+        for old_name, new_name, new_path, entry in moves:
             if not entry.spilled:
                 self._store.rename(old_name, new_name)
                 # A rename can cross tenant namespaces (commit moves a
                 # temp path into the tenant's output dir) — re-attribute
                 # the resident bytes to the destination's owner.
-                self.governor.tenants.release(entry.path, entry.nbytes)
-                self.governor.tenants.charge(
-                    dst + entry.path[len(src):], entry.nbytes
-                )
+                self.governor.release(entry.place_id, entry.path, entry.nbytes)
+                self.governor.charge(entry.place_id, new_path, entry.nbytes)
             del self._index[old_name]
             entry.name = new_name
-            entry.path = dst + entry.path[len(src):]
+            entry.path = new_path
             self._index[new_name] = entry
-            self.governor.policy.on_rename(old_name, new_name)
 
     def clear(self) -> None:
         """Flush the whole cache."""
@@ -528,10 +527,9 @@ class KeyValueCache:
             "capacity_bytes": budget.capacity_bytes,
             "high_watermark": budget.high_watermark,
             "low_watermark": budget.low_watermark,
-            "policy": governor.policy.name,
             "spill_enabled": governor.spill_active,
             "places": per_place,
-            "tenants": governor.tenants.snapshot(),
+            "tenants": governor.tenant_snapshot(),
             "lifetime": lifetime,
         }
 

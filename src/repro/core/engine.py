@@ -46,7 +46,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.conf import (
     CACHE_CAPACITY_KEY,
-    CACHE_EVICTION_POLICY_KEY,
     CACHE_HIGH_WATERMARK_KEY,
     CACHE_LOW_WATERMARK_KEY,
     CACHE_PINNED_PATHS_KEY,
@@ -70,7 +69,7 @@ from repro.lifecycle.m3r_stages import M3RStageProvider
 from repro.lifecycle.pipeline import JobPipeline
 from repro.lifecycle.sinks import RingBufferSink
 from repro.restore.store import ResultStore
-from repro.memory import MemoryBudget, MemoryGovernor, SpillManager, create_policy
+from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
 from repro.sim.cluster import Cluster
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Metrics
@@ -93,7 +92,6 @@ class M3REngine:
         cache_capacity_bytes: int = 0,
         cache_high_watermark: float = 0.9,
         cache_low_watermark: float = 0.75,
-        cache_eviction_policy: str = "lru",
         cache_spill: bool = True,
     ):
         self.cluster = cluster
@@ -103,17 +101,16 @@ class M3REngine:
             raise ValueError("need at least one place")
         self.workers_per_place = workers_per_place
         self.runtime = X10Runtime(self.num_places, workers_per_place)
-        #: Memory governance: per-place budget (0 = unbounded, the default),
-        #: pluggable eviction policy, and spill-to-filesystem demotion.  The
-        #: spill manager writes to the RAW filesystem — the cache overlay
-        #: must never see its own spill files.
+        #: Memory governance: per-place budget (0 = unbounded, the default)
+        #: and spill-to-filesystem demotion.  The spill manager writes to
+        #: the RAW filesystem — the cache overlay must never see its own
+        #: spill files.
         self.governor = MemoryGovernor(
-            budget=MemoryBudget(
+            budget=WatermarkLedger(
                 capacity_bytes=cache_capacity_bytes,
                 high_watermark=cache_high_watermark,
                 low_watermark=cache_low_watermark,
             ),
-            policy=create_policy(cache_eviction_policy),
             spill=SpillManager(filesystem, cost_model),
             spill_enabled=cache_spill,
         )
@@ -212,7 +209,12 @@ class M3REngine:
 
     def _apply_cache_conf(self, conf: JobConf) -> None:
         """Fold any ``m3r.cache.*`` JobConf overrides into the governor
-        (only keys actually present change anything)."""
+        (only keys actually present change anything).
+
+        The overrides are not scoped to the job: they reconfigure the
+        engine's governor and stay in force for every later job on this
+        engine until another conf sets the key again.
+        """
         overrides: Dict[str, Any] = {}
         if CACHE_CAPACITY_KEY in conf:
             overrides["capacity_bytes"] = conf.get_int(CACHE_CAPACITY_KEY)
@@ -220,8 +222,6 @@ class M3REngine:
             overrides["high_watermark"] = conf.get_float(CACHE_HIGH_WATERMARK_KEY)
         if CACHE_LOW_WATERMARK_KEY in conf:
             overrides["low_watermark"] = conf.get_float(CACHE_LOW_WATERMARK_KEY)
-        if CACHE_EVICTION_POLICY_KEY in conf:
-            overrides["policy_name"] = conf.get(CACHE_EVICTION_POLICY_KEY)
         if CACHE_SPILL_KEY in conf:
             overrides["spill_enabled"] = conf.get_boolean(CACHE_SPILL_KEY, True)
         if overrides:

@@ -1,12 +1,14 @@
-"""The memory governor: budget + policy + spill + pins, in one place.
+"""The memory governor: ledgers + spill + pins, in one place.
 
-The governor is the brain of memory governance; the cache keeps the
-mechanics (index/store surgery) and asks the governor three questions:
+The governor holds the state of memory governance; the cache keeps the
+mechanics (index/store surgery and the one eviction loop) and asks the
+governor three things:
 
-* *accounting* — charge/release bytes against the per-place budget;
-* *pressure* — is this place over its high watermark, and if so, which
-  unpinned resident entries should go (policy decision) and should each
-  victim be spilled or dropped;
+* *accounting* — charge/release an entry's bytes against its place and,
+  when its path lies in a registered tenant's namespace, its tenant
+  (two :class:`~repro.memory.budget.WatermarkLedger` instances);
+* *pressure* — is an owner over its high watermark, how many bytes must
+  it free, is an entry pinned, and should a victim be spilled or dropped;
 * *attribution* — every eviction/spill/rehydration increments the
   governor's engine-lifetime metrics, the currently attached per-job
   metrics (so ``EngineResult.metrics`` reports what the job caused), and
@@ -16,40 +18,35 @@ mechanics (index/store surgery) and asks the governor three questions:
 Pinning lives here too: entries pinned by name (ref-counted, used while a
 task is actively reading a cached sequence) and path prefixes pinned for a
 job or job sequence (its output directories, plus anything listed under
-``m3r.cache.pinned-paths``) are never offered to the policy.
+``m3r.cache.pinned-paths``) are never eviction candidates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.memory.budget import MemoryBudget, TenantLedger
-from repro.memory.policy import (
-    EvictionCandidate,
-    EvictionPolicy,
-    LRUPolicy,
-    create_policy,
-)
+from repro.memory.budget import WatermarkLedger
 from repro.memory.spill import SpillManager
 from repro.sim.metrics import Metrics
 
 
 class MemoryGovernor:
-    """Coordinates budget, eviction policy, spill and pins for one cache."""
+    """Coordinates the place and tenant ledgers, spill and pins for one
+    cache."""
 
     def __init__(
         self,
-        budget: Optional[MemoryBudget] = None,
-        policy: Optional[EvictionPolicy] = None,
+        budget: Optional[WatermarkLedger] = None,
         spill: Optional[SpillManager] = None,
         spill_enabled: bool = True,
     ):
-        self.budget = budget if budget is not None else MemoryBudget.unbounded()
-        #: Per-tenant residency accounting (the multi-tenant job service
-        #: registers namespaces + budgets here; empty = no tenancy).
-        self.tenants = TenantLedger()
-        self.policy = policy if policy is not None else LRUPolicy()
+        #: Per-place residency (0 = unbounded, the default).
+        self.budget = budget if budget is not None else WatermarkLedger()
+        #: Per-tenant residency, keyed by tenant name (the multi-tenant job
+        #: service registers namespaces + budgets; none = no tenancy).
+        self.tenants = WatermarkLedger()
+        self._tenant_prefixes: Dict[str, Tuple[str, ...]] = {}
         self.spill = spill
         self.spill_enabled = spill_enabled
         #: Engine-lifetime counters/time (``repro stats`` reads these).
@@ -58,6 +55,57 @@ class MemoryGovernor:
         self._pending_seconds = 0.0
         self._pinned_prefixes: Counter = Counter()
         self._bus: Optional[object] = None
+
+    # -- accounting ------------------------------------------------------------ #
+
+    def register_tenant(
+        self, name: str, prefixes: Iterable[str], capacity_bytes: int = 0
+    ) -> None:
+        """Charge resident bytes under ``prefixes`` to tenant ``name``, with
+        an engine-wide budget of ``capacity_bytes`` (0 = tracked, never
+        evicted).  Callers register a tenant before any of its data is
+        admitted (the job service does so at tenant creation)."""
+        cleaned = tuple(sorted({p.rstrip("/") or "/" for p in prefixes}))
+        if not cleaned:
+            raise ValueError(f"tenant {name!r} needs at least one path prefix")
+        self.tenants.set_capacity(name, capacity_bytes)
+        self._tenant_prefixes[name] = cleaned
+
+    def tenant_names(self) -> List[str]:
+        return sorted(self._tenant_prefixes)
+
+    def tenant_of(self, path: str) -> Optional[str]:
+        """The tenant owning ``path`` (longest registered prefix wins)."""
+        best: Optional[str] = None
+        best_len = -1
+        for name, prefixes in self._tenant_prefixes.items():
+            for prefix in prefixes:
+                if path == prefix or path.startswith(prefix + "/"):
+                    if len(prefix) > best_len:
+                        best, best_len = name, len(prefix)
+        return best
+
+    def charge(self, place_id: int, path: str, nbytes: int) -> None:
+        """Charge a resident entry's bytes to its place and its tenant."""
+        self.budget.charge(place_id, nbytes)
+        self.tenants.charge(self.tenant_of(path), nbytes)
+
+    def release(self, place_id: int, path: str, nbytes: int) -> None:
+        self.budget.release(place_id, nbytes)
+        self.tenants.release(self.tenant_of(path), nbytes)
+
+    def tenant_snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Per-tenant ``{prefixes, occupancy, high_water, capacity}``."""
+        tenants = self.tenants
+        return {
+            name: {
+                "prefixes": list(self._tenant_prefixes[name]),
+                "occupancy_bytes": tenants.occupancy(name),
+                "high_water_bytes": tenants.high_water(name),
+                "capacity_bytes": tenants.capacity(name),
+            }
+            for name in self.tenant_names()
+        }
 
     # -- spill availability -------------------------------------------------- #
 
@@ -181,33 +229,6 @@ class MemoryGovernor:
                 return True
         return False
 
-    # -- eviction planning ------------------------------------------------------ #
-
-    def needs_eviction(self, place_id: int) -> bool:
-        return self.budget.over_high_watermark(place_id)
-
-    def plan_eviction(
-        self, place_id: int, candidates: Sequence[EvictionCandidate]
-    ) -> List[str]:
-        """Victim names for ``place_id`` (already filtered to unpinned,
-        resident entries by the cache)."""
-        target = self.budget.eviction_target(place_id)
-        if target <= 0 or not candidates:
-            return []
-        return self.policy.select_victims(candidates, target)
-
-    def plan_tenant_eviction(
-        self, tenant: str, candidates: Sequence[EvictionCandidate]
-    ) -> List[str]:
-        """Victim names to bring ``tenant`` back under its low watermark
-        (candidates already filtered to that tenant's unpinned, resident
-        entries by the cache).  Reuses the active replacement policy, so a
-        tenant under pressure sheds its own coldest entries first."""
-        target = self.tenants.eviction_target(tenant)
-        if target <= 0 or not candidates:
-            return []
-        return self.policy.select_victims(candidates, target)
-
     # -- reconfiguration --------------------------------------------------------- #
 
     def reconfigure(
@@ -215,17 +236,10 @@ class MemoryGovernor:
         capacity_bytes: Optional[int] = None,
         high_watermark: Optional[float] = None,
         low_watermark: Optional[float] = None,
-        policy_name: Optional[str] = None,
         spill_enabled: Optional[bool] = None,
-        resident_entries: Iterable[Tuple[str, int]] = (),
     ) -> None:
         """Apply JobConf overrides (``m3r.cache.*``) before a job runs.
-
-        Switching policies rebuilds the new policy's state by replaying
-        ``resident_entries`` (name, nbytes) in the cache's insertion order,
-        so the swap behaves like the new policy had been active all along
-        minus the access history.
-        """
+        They stay in force for every later job on the engine."""
         self.budget.reconfigure(
             capacity_bytes=capacity_bytes,
             high_watermark=high_watermark,
@@ -233,8 +247,3 @@ class MemoryGovernor:
         )
         if spill_enabled is not None:
             self.spill_enabled = bool(spill_enabled)
-        if policy_name is not None and policy_name != self.policy.name:
-            policy = create_policy(policy_name)
-            for name, nbytes in resident_entries:
-                policy.on_admit(name, nbytes)
-            self.policy = policy

@@ -160,7 +160,7 @@ class JobService:
         self._scheduler.add_tenant(name, spec.weight)
         governor = getattr(self.engine, "governor", None)
         if governor is not None and spec.prefixes:
-            governor.tenants.register(name, spec.prefixes, spec.cache_budget_bytes)
+            governor.register_tenant(name, spec.prefixes, spec.cache_budget_bytes)
         return TenantClient(self, name)
 
     def client(self, name: str) -> "TenantClient":
@@ -449,7 +449,7 @@ class JobService:
         stats["pass"] = self._scheduler.pass_of(name)
         governor = getattr(self.engine, "governor", None)
         if governor is not None:
-            ledger = governor.tenants.snapshot().get(name)
+            ledger = governor.tenant_snapshot().get(name)
             if ledger is not None:
                 stats["cache"] = ledger
         store = self._store_of(name)

@@ -9,8 +9,8 @@ import pytest
 
 from repro.api.conf import (
     CACHE_CAPACITY_KEY,
-    CACHE_EVICTION_POLICY_KEY,
     CACHE_HIGH_WATERMARK_KEY,
+    CACHE_LOW_WATERMARK_KEY,
     CACHE_SPILL_KEY,
     TASK_PARTITION_KEY,
 )
@@ -142,12 +142,12 @@ class TestCommands:
                           "--workload", "matvec", "--rows", "200",
                           "--iterations", "2", "--runs", "1",
                           "--set", f"{CACHE_CAPACITY_KEY}=6000",
-                          "--set", f"{CACHE_EVICTION_POLICY_KEY}=gds")
+                          "--set", f"{CACHE_LOW_WATERMARK_KEY}=0.5")
         doc = docs["m3r"]
         assert doc["settings"] == {CACHE_CAPACITY_KEY: 6000,
-                                   CACHE_EVICTION_POLICY_KEY: "gds"}
+                                   CACHE_LOW_WATERMARK_KEY: 0.5}
         cache = doc["cache"]
-        assert cache["policy"] == "gds"
+        assert cache["low_watermark"] == 0.5
         assert cache["lifetime"]["counters"]["cache_evictions"] > 0
         assert cache["spill_enabled"] is True
 
@@ -155,7 +155,6 @@ class TestCommands:
         docs = stats_docs(capsys, "--engine", "m3r", "--nodes", "4", "stats",
                           "--workload", "matvec", "--rows", "100", "--runs", "1")
         cache = docs["m3r"]["cache"]
-        assert cache["policy"] == "lru"
         assert cache["spill_enabled"] is True
         assert sorted(cache["places"]) == ["0", "1", "2", "3"]
         for slot in cache["places"].values():
@@ -214,7 +213,8 @@ class TestCommands:
         assert main(["--engine", "m3r", "--nodes", "4", "stats", "--lines",
                      "200", "--set", "m3r.restore.enabled=true"]) == 0
         out = capsys.readouterr().out
-        for line in ("m3r:", "  schema_version: 2", "  runs:", "  speedup: ",
+        for line in ("m3r:", f"  schema_version: {STATS_SCHEMA_VERSION}",
+                     "  runs:", "  speedup: ",
                      "  restore:", "    lifetime:", "      hits: 1",
                      "      misses: 1", "  cache:", "  shuffle:"):
             assert line + ("" if line.endswith(" ") else "\n") in out, line

@@ -1,7 +1,7 @@
-"""Memory governance: budgets, eviction policies, spill and rehydration.
+"""Memory governance: ledgers, LRU replacement, spill and rehydration.
 
-Covers the unit layer (budget arithmetic, policy victim selection), the
-cache integration (eviction/spill/rehydrate, pinning, range-alias safety,
+Covers the unit layer (ledger arithmetic), the cache integration (LRU
+victim selection, eviction/spill/rehydrate, pinning, range-alias safety,
 the nbytes fallback) and the engine layer (bounded runs stay byte-identical
 to unbounded runs, conf-key overrides, metrics attribution), plus the
 invariants under several clients' put / lookup / evict streams,
@@ -14,22 +14,14 @@ import pytest
 
 from repro.api.conf import (
     CACHE_CAPACITY_KEY,
-    CACHE_EVICTION_POLICY_KEY,
     CACHE_PINNED_PATHS_KEY,
+    JobConf,
+    UnknownKnobWarning,
 )
 from repro.core.cache import KeyValueCache, split_cache_name
 from repro.fs import InMemoryFileSystem
 from repro.kvstore.store import BlockInfo, KeyValueStore
-from repro.memory import (
-    EvictionCandidate,
-    FIFOPolicy,
-    GreedyDualSizePolicy,
-    LRUPolicy,
-    MemoryBudget,
-    MemoryGovernor,
-    SpillManager,
-    create_policy,
-)
+from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
 from repro.sim.cost_model import paper_cluster_cost_model
 from repro.x10.places import Place
 from tests.conftest import make_m3r
@@ -47,15 +39,13 @@ def _governed_cache(
     capacity: int,
     *,
     places: int = 2,
-    policy: str = "lru",
     spill: bool = True,
     high: float = 0.9,
     low: float = 0.75,
 ):
     fs = InMemoryFileSystem()
     governor = MemoryGovernor(
-        budget=MemoryBudget(capacity, high, low),
-        policy=create_policy(policy),
+        budget=WatermarkLedger(capacity, high, low),
         spill=SpillManager(fs, paper_cluster_cost_model()),
         spill_enabled=spill,
     )
@@ -67,11 +57,11 @@ def _pairs(tag: str, n: int = 4):
 
 
 # --------------------------------------------------------------------------- #
-# budget
+# ledger
 # --------------------------------------------------------------------------- #
 
 def test_budget_charge_release_and_watermarks():
-    budget = MemoryBudget(1000, high_watermark=0.9, low_watermark=0.5)
+    budget = WatermarkLedger(1000, high_watermark=0.9, low_watermark=0.5)
     budget.charge(0, 800)
     assert budget.occupancy(0) == 800
     assert not budget.over_high_watermark(0)
@@ -85,7 +75,7 @@ def test_budget_charge_release_and_watermarks():
 
 
 def test_budget_unbounded_never_evicts():
-    budget = MemoryBudget.unbounded()
+    budget = WatermarkLedger()
     budget.charge(3, 10**12)
     assert not budget.over_high_watermark(3)
     assert budget.eviction_target(3) == 0
@@ -93,88 +83,72 @@ def test_budget_unbounded_never_evicts():
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        MemoryBudget(-1)
+        WatermarkLedger(-1)
     with pytest.raises(ValueError):
-        MemoryBudget(100, high_watermark=0.5, low_watermark=0.9)
+        WatermarkLedger(100, high_watermark=0.5, low_watermark=0.9)
     with pytest.raises(ValueError):
-        MemoryBudget(100, high_watermark=1.5)
+        WatermarkLedger(100, high_watermark=1.5)
+    with pytest.raises(ValueError):
+        WatermarkLedger().set_capacity("t", -1)
+
+
+def test_ledger_capacity_is_per_owner():
+    """The tenant ledger's shape: unbounded by default, each owner with its
+    own ceiling, and the ``None`` owner (a path no tenant claims) untracked."""
+    ledger = WatermarkLedger()
+    ledger.set_capacity("small", 100)
+    ledger.charge("small", 95)
+    ledger.charge("free", 10**6)
+    ledger.charge(None, 50)
+    assert ledger.over_high_watermark("small")
+    assert ledger.eviction_target("small") == 95 - 75
+    assert not ledger.over_high_watermark("free")
+    assert ledger.capacity("free") == 0 and ledger.occupancy(None) == 0
 
 
 # --------------------------------------------------------------------------- #
-# policies
+# replacement: least recently used, through the cache
 # --------------------------------------------------------------------------- #
 
-def _candidates(sizes):
-    return [EvictionCandidate(name, 0, size) for name, size in sizes]
+def _resident(cache, path):
+    return not cache.get_file(path, materialize=False).spilled
 
 
 def test_lru_evicts_least_recently_touched():
-    policy = LRUPolicy()
-    for name in ("a", "b", "c"):
-        policy.on_admit(name, 10)
-    policy.on_access("a", 10)  # refresh a: b is now the coldest
-    victims = policy.select_victims(
-        _candidates([("a", 10), ("b", 10), ("c", 10)]), bytes_to_free=10
-    )
-    assert victims == ["b"]
-
-
-def test_fifo_ignores_accesses():
-    policy = FIFOPolicy()
-    for name in ("a", "b", "c"):
-        policy.on_admit(name, 10)
-    policy.on_access("a", 10)  # no effect: a was admitted first, a goes first
-    victims = policy.select_victims(
-        _candidates([("a", 10), ("b", 10), ("c", 10)]), bytes_to_free=10
-    )
-    assert victims == ["a"]
-
-
-def test_gds_prefers_large_cold_entries():
-    policy = GreedyDualSizePolicy()
-    policy.on_admit("big", 1000)
-    policy.on_admit("small", 10)
-    # Equal recency: the big entry has the lower cost/size priority.
-    victims = policy.select_victims(
-        _candidates([("big", 1000), ("small", 10)]), bytes_to_free=500
-    )
-    assert victims == ["big"]
-
-
-def test_gds_inflation_ages_out_stale_entries():
-    policy = GreedyDualSizePolicy()
-    policy.on_admit("old-small", 10)
-    victims = policy.select_victims(
-        _candidates([("old-small", 10)]), bytes_to_free=5
-    )
-    assert victims == ["old-small"]
-    policy.on_remove("old-small")
-    # Post-eviction inflation: a NEW large entry outranks the stale priority
-    # a re-admitted copy of the old entry would have had before aging.
-    policy.on_admit("new-big", 1000)
-    assert policy._priority["new-big"] > policy.MISS_COST / 10 * 0  # sanity
-    policy.on_admit("reborn-small", 10)
-    ordered = policy.select_victims(
-        _candidates([("new-big", 1000), ("reborn-small", 10)]), bytes_to_free=1
-    )
-    assert ordered == ["new-big"]
+    cache, _ = _governed_cache(40)  # evict above 36, down to 30
+    for name in ("/a", "/b", "/c"):
+        cache.put_file(name, 0, _pairs(name), 10)
+    cache.get_file("/a")  # refresh a: b is now the coldest
+    cache.put_file("/d", 0, _pairs("d"), 10)  # 40 > 36: free 10
+    assert [p for p in ("/a", "/b", "/c", "/d") if not _resident(cache, p)] == ["/b"]
 
 
 def test_policy_victims_cover_requested_bytes():
-    policy = LRUPolicy()
-    for name in ("a", "b", "c"):
-        policy.on_admit(name, 30)
-    victims = policy.select_victims(
-        _candidates([("a", 30), ("b", 30), ("c", 30)]), bytes_to_free=50
-    )
-    assert victims == ["a", "b"]  # 60 >= 50, stops there
+    cache, _ = _governed_cache(100, low=0.7)  # evict above 90, down to 70
+    for name in ("/a", "/b", "/c"):
+        cache.put_file(name, 0, _pairs(name), 30)
+    cache.governor.pin_prefix("/d")
+    cache.put_file("/d", 0, _pairs("d"), 30)  # 120 > 90: free 50
+    # 60 >= 50 after /a and /b: the wave stops there.
+    assert [p for p in ("/a", "/b", "/c", "/d") if not _resident(cache, p)] == ["/a", "/b"]
+    assert cache.governor.lifetime.counters["cache_evictions"] == 2
+    cache.governor.unpin_prefix("/d")
 
 
-def test_create_policy_registry():
-    assert create_policy("LRU").name == "lru"
-    assert create_policy("greedydual").name == "gds"
-    with pytest.raises(ValueError):
-        create_policy("clock")
+def test_rename_keeps_recency():
+    cache, _ = _governed_cache(40)
+    cache.put_file("/old/a", 0, _pairs("a"), 10)
+    cache.put_file("/b", 0, _pairs("b"), 10)
+    cache.get_file("/old/a")  # a is now more recent than b
+    cache.rename_path("/old", "/new")
+    cache.put_file("/c", 0, _pairs("c"), 20)  # 40 > 36: free 10
+    assert _resident(cache, "/new/a")
+    assert not _resident(cache, "/b")
+
+
+def test_retired_eviction_policy_key_warns():
+    with pytest.warns(UnknownKnobWarning):
+        JobConf().set("m3r.cache.eviction-policy", "gds")  # noqa: M3R010 - the deleted key, deliberately unregistered
 
 
 # --------------------------------------------------------------------------- #
@@ -325,8 +299,7 @@ def test_reconfigure_shrinks_budget_and_enforces():
     cache.put_file("/a", 0, _pairs("a"), 60)
     cache.put_file("/b", 0, _pairs("b"), 60)
     assert cache.governor.lifetime.counters.get("cache_evictions", 0) == 0
-    cache.reconfigure(capacity_bytes=100, policy_name="fifo")
-    assert cache.governor.policy.name == "fifo"
+    cache.reconfigure(capacity_bytes=100)
     assert cache.governor.lifetime.counters["cache_evictions"] >= 1
     assert cache.governor.budget.occupancy(0) <= 100
 
@@ -337,7 +310,7 @@ def test_stats_shape():
     cache.put_file("/b", 1, _pairs("b"), 60)
     stats = cache.stats()
     assert stats["capacity_bytes"] == 100
-    assert stats["policy"] == "lru"
+    assert "policy" not in stats
     assert set(stats["places"]) == {0, 1}
     assert stats["places"][0]["resident_bytes"] == 60
     assert "counters" in stats["lifetime"]
@@ -369,10 +342,20 @@ def test_store_place_bytes_counter_matches_scan():
 
 def test_concurrent_put_and_evict_invariants():
     """Eight writers' put/get streams, interleaved round-robin on one
-    governed cache: every materializing lookup returns live pairs, and the
-    final budget reconciles exactly with the resident entries."""
+    governed cache and split between two tenants (one budgeted), with one
+    rename across their namespaces midway: every materializing lookup
+    returns live pairs, and the final place and tenant ledgers reconcile
+    exactly with the resident entries."""
     cache, _ = _governed_cache(2000, places=4)
+    tenants = {
+        "left": ("/w0", "/w1", "/w2", "/w3"),
+        "right": ("/w4", "/w5", "/w6", "/w7"),
+    }
+    cache.governor.register_tenant("left", tenants["left"], capacity_bytes=1500)
+    cache.governor.register_tenant("right", tenants["right"])
     for i in range(40):
+        if i == 20:
+            cache.rename_path("/w0", "/w7/from-w0")
         for worker_id in range(8):
             path = f"/w{worker_id}/f{i % 10}"
             pairs = _pairs(f"{worker_id}-{i}", 6)
@@ -380,13 +363,22 @@ def test_concurrent_put_and_evict_invariants():
             hit = cache.get_file(path)
             assert hit is not None and hit.pairs is not None
             assert not hit.spilled
-    # Budget reconciliation: occupancy equals the bytes of resident entries.
+    # Ledger reconciliation: occupancy equals the bytes of resident entries.
     per_place = {p: 0 for p in range(4)}
+    per_tenant = {name: 0 for name in tenants}
     for entry in cache.entries():
         if not entry.spilled:
             per_place[entry.place_id] += entry.nbytes
+            for name, prefixes in tenants.items():
+                if entry.path.startswith(tuple(p + "/" for p in prefixes)):
+                    per_tenant[name] += entry.nbytes
     for place, expect in per_place.items():
         assert cache.governor.budget.occupancy(place) == expect
+    for name, expect in per_tenant.items():
+        assert cache.governor.tenants.occupancy(name) == expect
+    assert per_tenant["right"] > 0 and any(
+        entry.path.startswith("/w7/from-w0/") for entry in cache.entries()
+    )
     assert cache.governor.lifetime.counters.get("cache_evictions", 0) > 0
 
 
@@ -464,12 +456,11 @@ def test_jobconf_overrides_reconfigure_governor():
         engine.filesystem.write_text("/in.txt", generate_text(200))
         conf = wordcount_job("/in.txt", "/out", 4)
         conf.set_int(CACHE_CAPACITY_KEY, 50_000)
-        conf.set(CACHE_EVICTION_POLICY_KEY, "gds")
         conf.set_strings(CACHE_PINNED_PATHS_KEY, ["/precious"])
         result = engine.run_job(conf)
         assert result.succeeded
+        # The override outlives the job: it reconfigured the engine.
         assert engine.governor.budget.capacity_bytes == 50_000
-        assert engine.governor.policy.name == "gds"
         # Job-scoped pins are released after the job.
         assert engine.governor.pinned_prefixes() == []
     finally:

@@ -478,7 +478,9 @@ class TestTransportTable:
         in the README or DESIGN.md.  Single-threaded by construction: no
         service worker or ``serve`` command anywhere, and outside the KV
         store (the paper's concurrent store) and the analysis sanitizers no
-        module takes a lock or starts a thread."""
+        module takes a lock or starts a thread.  One replacement rule: no
+        eviction-policy layer, knob or second shedding loop in the package
+        or the workflow, and no policy knob in the README or DESIGN.md."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
         commands = (
             "cache-stats|shuffle-stats|batch-stats|restore-stats|service-stats"
@@ -490,6 +492,9 @@ class TestTransportTable:
             "|finish_collect|bounded_task_fn|run_tasks_threaded|async_at"
             f"|{commands}|PlaceLocalHandle|get_root|heap_lock"
             "|_worker_loop|_run_lock|cmd_serve"
+            "|EvictionPolicy|FIFOPolicy|GreedyDualSizePolicy|create_policy"
+            "|EvictionCandidate|plan_tenant_eviction|_enforce_tenants"
+            "|eviction-policy|EVICTION_POLICY"
         )
         threaded = re.compile(
             r"threading\.(Lock|RLock|Condition|Semaphore|Event|Thread|Barrier)\b"
@@ -499,8 +504,8 @@ class TestTransportTable:
             f"{name}:{number}"
             for name, pattern in (
                 (".github/workflows/ci.yml", retired),
-                ("README.md", re.compile(commands)),
-                ("DESIGN.md", re.compile(commands)),
+                ("README.md", re.compile(f"{commands}|eviction-policy")),
+                ("DESIGN.md", re.compile(f"{commands}|eviction-policy")),
             )
             for number, line in enumerate((root / name).read_text().splitlines(), 1)
             if pattern.search(line)
