@@ -30,7 +30,7 @@ from scipy import sparse
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
-from repro.x10.serializer import Crossing, register_transport
+from repro.x10.serializer import Crossing, fixed_width_run, register_transport
 
 _FLOAT32 = struct.Struct(">f")
 
@@ -739,16 +739,18 @@ MUTATION_SANITIZER.digest_hook = _sanitizer_wire_digest
 
 
 # --------------------------------------------------------------------- #
-# transport table (x10.serializer): the built-in Writables' clones
+# transport table (x10.serializer): the built-in Writables' clones and
+# run sizers
 # --------------------------------------------------------------------- #
-# Each builds what a deep copy builds — a new object of the same class
+# Each clone builds what a deep copy builds — a new object of the same class
 # with the same field values, no narrowing, no constructor coercion.  For
 # the scalars that is why these are not the ``clone()`` methods above
 # (those promise a wire round trip); for the array-backed blocks a wire
 # round trip *is* an exact copy, so an exact-class block's ``clone()`` is
 # its table clone: no scipy validating constructor runs, only the array
 # copies.  The composites (inner sharing) are left to the generic walk on
-# purpose.
+# purpose.  Each run sizer sums the ``serialized_size()`` of a collector's
+# run without a Python-level call per object.
 
 
 def _transport_value(obj: Writable, crossing: Crossing) -> Writable:
@@ -794,19 +796,32 @@ def _transport_vector_block(
     return fresh
 
 
-for _cls in (
-    IntWritable,
-    LongWritable,
-    VIntWritable,
-    FloatWritable,
-    DoubleWritable,
-    BooleanWritable,
-):
-    register_transport(_cls, _transport_value)
-register_transport(Text, _transport_text)
-register_transport(BytesWritable, _transport_bytes)
-register_transport(BlockIndexWritable, _transport_block_index)
-register_transport(NullWritable, lambda obj, crossing: obj)  # a singleton stays one
+def _text_run(run: Sequence[Text]) -> Optional[int]:
+    """All-ASCII strings of at most 127 characters: one VInt length byte
+    and one byte per character each.  Any other run: string by string."""
+    values = list(map(attrgetter("_value"), run))
+    joined = "".join(values)
+    if not joined.isascii() or max(map(len, values)) > 127:
+        return None
+    return len(values) + len(joined)
+
+
+def _bytes_run(run: Sequence[BytesWritable]) -> int:
+    return 4 * len(run) + sum(map(len, map(attrgetter("_data"), run)))
+
+
+for _cls in (IntWritable, LongWritable, FloatWritable, DoubleWritable, BooleanWritable):
+    register_transport(_cls, _transport_value, fixed_width_run(_cls))
+register_transport(VIntWritable, _transport_value)  # variable width: no run sizer
+register_transport(Text, _transport_text, _text_run)
+register_transport(BytesWritable, _transport_bytes, _bytes_run)
+register_transport(
+    BlockIndexWritable, _transport_block_index, fixed_width_run(BlockIndexWritable)
+)
+register_transport(  # a singleton stays one
+    NullWritable, lambda obj, crossing: obj, fixed_width_run(NullWritable)
+)
+# The blocks have no run sizer: a run of blocks is few objects, O(1) each.
 register_transport(MatrixBlockWritable, _transport_matrix_block)
 register_transport(VectorBlockWritable, _transport_vector_block)
 

@@ -11,13 +11,16 @@ around it*.  This module holds the parts that are engine-agnostic:
   task;
 * :class:`CollectorSink` — the engine-side OutputCollector that partitions
   map output, applies the engine's per-record policy (serialize-now for
-  Hadoop, clone-or-alias for M3R) and tallies bytes per partition;
+  Hadoop, clone-or-alias for M3R) and appends each record to its
+  partition's run.  Nothing is sized per record: at task close ``seal()``
+  measures each run once (:func:`~repro.x10.serializer.pairs_size`);
 * the per-task counter deltas: readers and sinks tally the per-record
   system counters in plain ints and publish them to the job's
   :class:`~repro.api.counters.Counters` once, in ``flush_counters()``,
   when the task's user code has returned (a task that raises publishes
   nothing, as Hadoop discards a failed attempt's counters);
-* byte accounting helpers over the de-duplicating size estimator;
+* :func:`pair_bytes`, the per-record size the in-mapper fold still takes,
+  because the fold consumes values before the task closes;
 * :func:`is_local_read` / :func:`charge_fs_write` — the input-locality
   test and the output-file write charge, which do not depend on which
   engine is asking.
@@ -50,7 +53,7 @@ from repro.api.partitioner import Partitioner
 from repro.api.vectorized import is_associative_reducer
 from repro.fs.hdfs import SimulatedHDFS
 from repro.sim.metrics import Metrics
-from repro.x10.serializer import deep_copy_value, estimate_size
+from repro.x10.serializer import deep_copy_value, estimate_size, pairs_size
 
 
 class JobFailedError(RuntimeError):
@@ -118,11 +121,6 @@ def imc_max_entries_for(conf: Optional[JobConf]) -> int:
 def pair_bytes(key: Any, value: Any) -> int:
     """Wire size of one key/value pair, ignoring cross-record sharing."""
     return estimate_size(key) + estimate_size(value)
-
-
-def pairs_bytes(pairs: List[Tuple[Any, Any]]) -> int:
-    """Total wire size of a pair list, ignoring cross-record sharing."""
-    return sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
 
 
 def part_index(basename: str) -> Optional[int]:
@@ -276,34 +274,52 @@ class BatchingReader(CountingReader):
 
 @dataclass
 class PartitionBuffer:
-    """Map output destined for one reduce partition."""
+    """Output destined for one partition: the run of pairs and, once its
+    collector is sealed, their exact wire bytes."""
 
     pairs: List[Tuple[Any, Any]] = field(default_factory=list)
     bytes: int = 0
-
-    def append(self, key: Any, value: Any, nbytes: int) -> None:
-        self.pairs.append((key, value))
-        self.bytes += nbytes
 
 
 class _TallyingCollector(OutputCollector):
     """What both engine-side sinks keep per task — records, exact wire
     bytes, and how many of each were copied — and how the tallies become
-    the task's output counters."""
+    the task's output counters.  A sink appends to the runs in
+    ``partitions`` and sizes nothing per record; :meth:`seal` measures each
+    run once at task close, so tallies are read after ``flush_counters()``
+    (DESIGN.md §14, *Collector side*)."""
 
-    def __init__(self, counters: Counters, output_counter: TaskCounter):
+    def __init__(self, counters: Counters, output_counter: TaskCounter, copies: bool):
         self._counters = counters
         self._output_counter = output_counter
+        self._copies = copies
         self._flushed = False
+        self.partitions: List[PartitionBuffer] = []
         self.records = 0
         self.bytes = 0
         self.copied_records = 0
         self.copied_bytes = 0
 
+    def seal(self) -> None:
+        """Measure each run once; set every buffer's ``bytes`` and the
+        tallies (a copied record is measured on its clone, as wide as its
+        original; an aliased one at close, not at emit)."""
+        records = nbytes = 0
+        for buffer in self.partitions:
+            buffer.bytes = pairs_size(buffer.pairs)
+            records += len(buffer.pairs)
+            nbytes += buffer.bytes
+        self.records, self.bytes = records, nbytes
+        if self._copies:
+            self.copied_records, self.copied_bytes = records, nbytes
+
     def flush_counters(self) -> None:
-        """Publish the task's output counters (idempotent; an empty task
-        creates no counter).  Map output also reports its bytes."""
-        if self._flushed or self.records == 0:
+        """Seal, then publish the task's output counters (idempotent; an
+        empty task creates no counter).  Map output also reports its bytes."""
+        if self._flushed:
+            return
+        self.seal()
+        if self.records == 0:
             return
         self._flushed = True
         self._counters.increment(self._output_counter, self.records)
@@ -317,10 +333,10 @@ class CollectorSink(_TallyingCollector):
     ``record_policy`` is the engine's per-record treatment, applied *before*
     buffering (``"serialize"`` → snapshot via clone, the moral equivalent of
     Hadoop's immediate serialization; ``"clone"`` → M3R defensive copy;
-    ``"alias"`` → M3R with ImmutableOutput: keep the reference).  The sink
-    counts records and exact wire bytes either way, because the engines
-    charge time from those tallies; ``flush_counters()`` publishes the
-    same tallies as the task's output counters.
+    ``"alias"`` → M3R with ImmutableOutput: keep the reference).  The
+    engines charge time from the records and exact wire bytes, which
+    ``flush_counters()`` measures once per partition run and publishes as
+    the task's output counters.
     """
 
     def __init__(
@@ -335,26 +351,21 @@ class CollectorSink(_TallyingCollector):
             raise ValueError(f"unknown record policy {record_policy!r}")
         if num_partitions <= 0:
             raise ValueError("need at least one partition")
-        super().__init__(counters, output_counter)
-        self.partitions: List[PartitionBuffer] = [
-            PartitionBuffer() for _ in range(num_partitions)
-        ]
-        # Hot-loop hoists: collect() runs once per record, so the policy
-        # test and the partition-count len() are resolved here instead of
+        super().__init__(counters, output_counter, copies=record_policy != "alias")
+        self.partitions = [PartitionBuffer() for _ in range(num_partitions)]
+        # Hot-loop hoists: collect() runs once per record, so the runs'
+        # appends and the partition count are resolved here instead of
         # there.
-        self._copies = record_policy in ("serialize", "clone")
+        self._appends = [buffer.pairs.append for buffer in self.partitions]
         self._num_partitions = num_partitions
         self._get_partition = (
             partitioner.get_partition if partitioner is not None else None
         )
 
     def collect(self, key: Any, value: Any) -> None:
-        nbytes = pair_bytes(key, value)
         if self._copies:
             key = deep_copy_value(key)
             value = deep_copy_value(value)
-            self.copied_records += 1
-            self.copied_bytes += nbytes
         elif MUTATION_SANITIZER.enabled:
             # Aliased records are covered by the ImmutableOutput contract
             # from the moment they are collected: fingerprint them here so
@@ -371,31 +382,28 @@ class CollectorSink(_TallyingCollector):
                 )
         else:
             partition = 0
-        self.partitions[partition].append(key, value, nbytes)
-        self.records += 1
-        self.bytes += nbytes
+        self._appends[partition]((key, value))
 
 
 class WriterCollector(_TallyingCollector):
     """Adapts a RecordWriter to the OutputCollector interface: the stock
     engine's streaming output sink.  Every record is snapshotted before
     the write (the moral equivalent of Hadoop's immediate serialization),
-    so user code may reuse its objects.  ``output_counter`` is the task
-    body's choice: a map-only task's output is map output, a reduce
-    task's is reduce output."""
+    so user code may reuse its objects; the sink keeps the snapshots it
+    wrote as its one run, for ``seal()`` to measure.  ``output_counter``
+    is the task body's choice: a map-only task's output is map output, a
+    reduce task's is reduce output."""
 
     def __init__(self, writer: Any, counters: Counters, output_counter: TaskCounter):
-        super().__init__(counters, output_counter)
+        super().__init__(counters, output_counter, copies=True)
+        self.partitions = [PartitionBuffer()]
+        self._keep = self.partitions[0].pairs.append
         self._write = writer.write
 
     def collect(self, key: Any, value: Any) -> None:
-        nbytes = pair_bytes(key, value)
         key = deep_copy_value(key)
         value = deep_copy_value(value)
-        self.copied_records += 1
-        self.copied_bytes += nbytes
-        self.records += 1
-        self.bytes += nbytes
+        self._keep((key, value))
         self._write(key, value)
 
 
@@ -486,9 +494,10 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         # The tallies are pre-combine totals (what the per-record
         # CollectorSink would have tallied): the stage charges sort and
         # serialize time from these.
-        super().__init__(counters, TaskCounter.MAP_OUTPUT_RECORDS)
+        super().__init__(
+            counters, TaskCounter.MAP_OUTPUT_RECORDS, copies=record_policy != "alias"
+        )
         self._spec = spec
-        self._copies = record_policy in ("serialize", "clone")
         self._max_entries = max(1, max_entries)
         self._num_partitions = num_partitions
         self._get_partition = spec.partitioner.get_partition
@@ -623,6 +632,10 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
 
     # -- end of task ----------------------------------------------------- #
 
+    def seal(self) -> None:
+        """Nothing to measure at close: the fold consumes values inside
+        ``collect``, so this sink tallies each record there."""
+
     def finish(self) -> List[PartitionBuffer]:
         """Close out the task: merge spills, sort the combined pairs, apply
         the record policy, publish the task's counters, and hand back
@@ -651,9 +664,8 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
     def _finish_partition(self, partition: int) -> PartitionBuffer:
         live = list(self._aggregates[partition].items())
         partials = self._partials[partition]
-        buffer = PartitionBuffer()
         if not live and not partials:
-            return buffer
+            return PartitionBuffer()
         fold_one = self._fold_one
         if partials:
             # Spilled/degraded pairs precede the live aggregate in arrival
@@ -675,14 +687,8 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
                 (key, fold_one(key, value))
                 for key, value in sort_run(live, self._spec.sort_key())
             ]
-        observe = MUTATION_SANITIZER.enabled and not self._copies
-        for key, value in pairs:
-            nbytes = pair_bytes(key, value)
-            if self._copies:
-                key = deep_copy_value(key)
-                value = deep_copy_value(value)
-            elif observe:
-                MUTATION_SANITIZER.observe(key, site="InMapperCombineSink.finish")
-                MUTATION_SANITIZER.observe(value, site="InMapperCombineSink.finish")
-            buffer.append(key, value, nbytes)
-        return buffer
+        if self._copies:
+            pairs = [(deep_copy_value(k), deep_copy_value(v)) for k, v in pairs]
+        elif MUTATION_SANITIZER.enabled:
+            MUTATION_SANITIZER.observe_pairs(pairs, site="InMapperCombineSink.finish")
+        return PartitionBuffer(pairs, pairs_size(pairs))

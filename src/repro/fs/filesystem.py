@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.x10.serializer import estimate_size
+from repro.x10.serializer import pairs_size
 
 
 def normalize_path(path: str) -> str:
@@ -79,11 +79,6 @@ class _Entry:
         self.pairs = pairs
         self.length = length
         self.stamp = stamp
-
-
-def pairs_wire_size(pairs: Iterable[Tuple[Any, Any]]) -> int:
-    """The Hadoop wire size of a pair sequence (no de-duplication)."""
-    return sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
 
 
 class FileSystem:
@@ -279,17 +274,19 @@ class FileSystem:
     def write_pairs(
         self,
         path: str,
-        pairs: List[Tuple[Any, Any]],
+        pairs: Iterable[Tuple[Any, Any]],
         at_node: Optional[int] = None,
     ) -> None:
-        """Create or replace ``path`` with a typed key/value sequence."""
+        """Create or replace ``path`` with a typed key/value sequence (any
+        iterable: it is materialised once, then measured)."""
         path = normalize_path(path)
-        length = pairs_wire_size(pairs)
+        stored = list(pairs)
+        length = pairs_size(stored)
         if path in self._dirs:
             raise IsADirectoryError(path)
         self._ensure_parents(path)
         self._files[path] = _Entry(
-            data=None, pairs=list(pairs), length=length,
+            data=None, pairs=stored, length=length,
             stamp=self._next_stamp(),
         )
         self._on_file_written(path, length, at_node)

@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.fs.filesystem import normalize_path, parent_path
 from repro.kvstore.locks import LockTable
 from repro.x10.places import Place
-from repro.x10.serializer import estimate_size
+from repro.x10.serializer import pairs_size
 
 
 class KVStoreError(RuntimeError):
@@ -83,21 +83,20 @@ class _PathMeta:
 
 
 class Writer:
-    """Buffers pairs for one block; ``close`` registers it atomically."""
+    """Buffers pairs for one block; ``close`` sizes the block once and
+    registers it atomically."""
 
     def __init__(self, store: "KeyValueStore", path: str, info: BlockInfo):
         self._store = store
         self._path = path
         self._info = info
         self._pairs: List[Tuple[Any, Any]] = []
-        self._nbytes = 0
         self._closed = False
 
     def write(self, key: Any, value: Any) -> None:
         if self._closed:
             raise KVStoreError("write after close")
         self._pairs.append((key, value))
-        self._nbytes += estimate_size(key) + estimate_size(value)
 
     def write_pairs(self, pairs: Sequence[Tuple[Any, Any]]) -> None:
         for key, value in pairs:
@@ -106,7 +105,9 @@ class Writer:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._store._commit_block(self._path, self._info, self._pairs, self._nbytes)
+            self._store._commit_block(
+                self._path, self._info, self._pairs, pairs_size(self._pairs)
+            )
 
     def __enter__(self) -> "Writer":
         return self
@@ -282,7 +283,7 @@ class KeyValueStore:
         """
         stored = list(pairs)
         if nbytes is None:
-            nbytes = sum(estimate_size(k) + estimate_size(v) for k, v in stored)
+            nbytes = pairs_size(stored)
         self._commit_block(normalize_path(path), info, stored, nbytes)
         return stored
 

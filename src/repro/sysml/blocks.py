@@ -119,7 +119,8 @@ def _transport_cell_block(
 
 
 # The transport table's entry (see api/writables.py): O(1) size, and a clone
-# that is the three array copies.  ``TaggedBlockWritable`` below holds
+# that is the three array copies; no run sizer, as for the other blocks
+# (a run of blocks is few objects).  ``TaggedBlockWritable`` below holds
 # another Writable, so it stays on the generic walk.
 register_transport(CellMatrixBlockWritable, _transport_cell_block)
 

@@ -21,11 +21,15 @@ object graphs the way X10 would serialize them:
   traversal;
 * :func:`deep_copy_value` — the defensive clone M3R performs when a job does
   *not* implement ``ImmutableOutput``;
-* :func:`register_transport` — the per-class ``(size, clone)`` table the
-  built-in leaf Writables and the array-backed blocks fill at import,
-  consulted before every generic walk below.  Nothing is remembered between
-  two measurements: every registered size is O(1) arithmetic, cheaper than
-  any cache in front of it;
+* :func:`register_transport` — the per-class ``(size, clone, run size)``
+  table the built-in leaf Writables and the array-backed blocks fill at
+  import, consulted before every generic walk below.  Nothing is remembered
+  between two measurements: every registered size is O(1) arithmetic,
+  cheaper than any cache in front of it;
+* :func:`run_size` / :func:`pairs_size` — a whole run (a collector's
+  partition, an output file, a KV block) measured in one call, by the
+  table's run sizer in one C-level pass where it has one: exactly the sum
+  of :func:`estimate_size` over the run;
 * :meth:`DedupSerializer.ship` / :func:`clone_pairs` — the transport
   primitive: what arrives at the other place is what ``copy.deepcopy`` of
   the whole message would build (duplicates stay aliases of one clone,
@@ -38,15 +42,8 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Sequence,
-    Tuple,
-)
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 
@@ -56,18 +53,24 @@ BACKREF_BYTES = 5
 #: Fixed per-object envelope (type tag + length header).
 OBJECT_HEADER_BYTES = 4
 
-#: Exact ``type(obj)`` -> ``(serialized_size, clone)`` for the built-in leaf
-#: Writables and the array-backed blocks.  The modules that define them
-#: fill it while they are imported and nothing writes to it afterwards.
-#: Keyed by exact type on purpose: a
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
+
+#: The ``serialized_size()`` sum of a run of exactly one registered class,
+#: or ``None`` to have that run measured object by object.
+RunSizer = Callable[[Sequence[Any]], Optional[int]]
+
+#: Exact ``type(obj)`` -> ``(serialized_size, clone, run sizer or None)``
+#: for the built-in leaf Writables and the array-backed blocks.  The
+#: modules that define them fill it while they are imported and nothing
+#: writes to it afterwards.  Keyed by exact type on purpose: a
 #: subclass may add fields, so it takes the generic walk.
 _TRANSPORT: Dict[
-    type, Tuple[Callable[[Any], int], Callable[[Any, "Crossing"], Any]]
+    type, Tuple[Callable[[Any], int], Callable[[Any, "Crossing"], Any], Optional[RunSizer]]
 ] = {}
 
 
 def register_transport(
-    cls: type, clone: Callable[[Any, "Crossing"], Any]
+    cls: type, clone: Callable[[Any, "Crossing"], Any], run_sizer: Optional[RunSizer] = None
 ) -> None:
     """Give instances of exactly ``cls`` the table fast path.
 
@@ -79,9 +82,17 @@ def register_transport(
     a block copies its arrays with :meth:`Crossing.array`, because two
     blocks over one array must arrive as two blocks over one array.  A
     type that holds another Writable (inner sharing with other records)
-    stays on the generic walk.
+    stays on the generic walk.  ``run_sizer`` is what :func:`run_size`
+    calls for a run of exactly ``cls``; without one, runs are measured
+    object by object.
     """
-    _TRANSPORT[cls] = (cls.serialized_size, clone)
+    _TRANSPORT[cls] = (cls.serialized_size, clone, run_sizer)
+
+
+def fixed_width_run(cls: type) -> RunSizer:
+    """The run sizer of a class whose every instance is as wide as a new one."""
+    width = cls().serialized_size()
+    return lambda run: width * len(run)
 
 
 class _FallbackTally:
@@ -122,6 +133,32 @@ def estimate_size(obj: Any) -> int:
     if entry is not None:
         return OBJECT_HEADER_BYTES + entry[0](obj)
     return _size_of(obj, memo=None)
+
+
+def run_size(objs: Sequence[Any]) -> int:
+    """``sum(map(estimate_size, objs))``, by the run sizer when every
+    object is exactly the first one's class.  That check is made only when
+    the class has a sizer: block runs and unregistered runs go straight to
+    the per-object sum."""
+    if objs:
+        cls = type(objs[0])
+        entry = _TRANSPORT.get(cls)
+        sizer = entry[2] if entry is not None else None
+        if sizer is not None and set(map(type, objs)) == {cls}:
+            size = sizer(objs)
+            if size is not None:
+                return OBJECT_HEADER_BYTES * len(objs) + size
+    return sum(map(estimate_size, objs))
+
+
+def pairs_size(pairs: Sequence[Tuple[Any, Any]]) -> int:
+    """The wire size of a pair sequence, ignoring sharing: :func:`run_size`
+    of its keys plus that of its values.  (The columns are taken with
+    ``itemgetter``: ``zip(*pairs)`` would allocate an iterator per pair,
+    and so run the garbage collector every few hundred pairs.)"""
+    if not pairs:  # an empty partition, common in jobs of few records
+        return 0
+    return run_size(list(map(_KEY, pairs))) + run_size(list(map(_VALUE, pairs)))
 
 
 def _size_of(

@@ -21,10 +21,10 @@ from repro.engine_common import (
     PartitionBuffer,
     WriterCollector,
     pair_bytes,
-    pairs_bytes,
     run_combiner_if_any,
 )
 from repro.sim.metrics import Metrics
+from repro.x10.serializer import pairs_size
 
 
 PAIRS = [(IntWritable(i), Text(f"value-{i}")) for i in range(6)]
@@ -36,9 +36,9 @@ class TestByteHelpers:
         measured = pair_bytes(key, value)
         assert measured >= key.serialized_size() + value.serialized_size()
 
-    def test_pairs_bytes_sums(self):
-        assert pairs_bytes(PAIRS) == sum(pair_bytes(k, v) for k, v in PAIRS)
-        assert pairs_bytes([]) == 0
+    def test_pairs_size_sums(self):
+        assert pairs_size(PAIRS) == sum(pair_bytes(k, v) for k, v in PAIRS)
+        assert pairs_size([]) == 0
 
 
 class TestReaders:
@@ -80,7 +80,7 @@ class TestReaders:
         assert counters.group("org.apache.hadoop.mapreduce.TaskCounter") == {
             "MAP_INPUT_RECORDS": 6,
             "MAP_OUTPUT_RECORDS": 6,
-            "MAP_OUTPUT_BYTES": pairs_bytes(PAIRS),
+            "MAP_OUTPUT_BYTES": pairs_size(PAIRS),
             "REDUCE_OUTPUT_RECORDS": 6,
         }
 
@@ -105,19 +105,24 @@ class TestReaders:
 
 
 class TestCollectorSink:
+    """The tallies are measured at task close, so every test reads them
+    after ``flush_counters()``."""
+
     def test_partitioning(self):
         sink = CollectorSink(3, HashPartitioner(), Counters())
         for key, value in PAIRS:
             sink.collect(key, value)
+        sink.flush_counters()
         assert sum(len(b.pairs) for b in sink.partitions) == 6
         assert sink.records == 6
-        assert sink.bytes == pairs_bytes(PAIRS)
+        assert sink.bytes == pairs_size(PAIRS)
 
     def test_serialize_policy_snapshots(self):
         sink = CollectorSink(1, None, Counters(), record_policy="serialize")
         reused = Text("before")
         sink.collect(IntWritable(1), reused)
         reused.set("after")
+        sink.flush_counters()
         assert sink.partitions[0].pairs[0][1].to_string() == "before"
         assert sink.copied_records == 1
 
@@ -125,8 +130,29 @@ class TestCollectorSink:
         sink = CollectorSink(1, None, Counters(), record_policy="alias")
         value = Text("shared")
         sink.collect(IntWritable(1), value)
+        sink.flush_counters()
         assert sink.partitions[0].pairs[0][1] is value
         assert sink.copied_records == 0
+
+    @pytest.mark.parametrize("policy", ["serialize", "clone", "alias"])
+    def test_sealed_tallies_equal_the_per_record_sum(self, policy):
+        pairs = PAIRS + [
+            (Text("kéy"), IntWritable(2)),  # a mixed-class, non-ASCII run
+            (IntWritable(9), Text("x" * 200)),
+        ]
+        sink = CollectorSink(3, HashPartitioner(), Counters(), record_policy=policy)
+        for key, value in pairs:
+            sink.collect(key, value)
+        sink.flush_counters()
+        per_record = sum(pair_bytes(k, v) for k, v in pairs)
+        assert (sink.records, sink.bytes) == (len(pairs), per_record)
+        assert [b.bytes for b in sink.partitions] == [
+            sum(pair_bytes(k, v) for k, v in b.pairs) for b in sink.partitions
+        ]
+        copies = policy != "alias"
+        assert (sink.copied_records, sink.copied_bytes) == (
+            (len(pairs), per_record) if copies else (0, 0)
+        )
 
     def test_counters_updated(self):
         counters = Counters()
@@ -185,10 +211,8 @@ class TestCombinerHelper:
 
     def test_combiner_compresses_buffer(self):
         spec = self.make_spec()
-        buffer = PartitionBuffer()
-        for word in ("a", "b", "a", "a", "b"):
-            key, value = Text(word), IntWritable(1)
-            buffer.append(key, value, pair_bytes(key, value))
+        pairs = [(Text(word), IntWritable(1)) for word in ("a", "b", "a", "a", "b")]
+        buffer = PartitionBuffer(pairs, pairs_size(pairs))
         combined = run_combiner_if_any(
             spec, buffer, Counters(), Reporter(), "serialize"
         )
@@ -198,8 +222,7 @@ class TestCombinerHelper:
 
     def test_no_combiner_passthrough(self):
         spec = self.make_spec(with_combiner=False)
-        buffer = PartitionBuffer()
-        buffer.append(Text("a"), IntWritable(1), 4)
+        buffer = PartitionBuffer([(Text("a"), IntWritable(1))], 4)
         result = run_combiner_if_any(spec, buffer, Counters(), Reporter(), "alias")
         assert result is buffer
 
@@ -212,9 +235,7 @@ class TestCombinerHelper:
     def test_combiner_counters(self):
         spec = self.make_spec()
         counters = Counters()
-        buffer = PartitionBuffer()
-        for word in ("x", "x", "y"):
-            buffer.append(Text(word), IntWritable(1), 4)
+        buffer = PartitionBuffer([(Text(word), IntWritable(1)) for word in "xxy"], 12)
         run_combiner_if_any(spec, buffer, counters, Reporter(), "serialize")
         assert counters.value(TaskCounter.COMBINE_INPUT_RECORDS) == 3
         assert counters.value(TaskCounter.COMBINE_OUTPUT_RECORDS) == 2

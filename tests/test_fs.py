@@ -133,6 +133,17 @@ class TestNamespace:
         status = memfs.get_file_status("/p")
         assert status.length > 0
 
+    def test_pairs_from_an_iterator_are_stored_and_measured_once(self, memfs):
+        pairs = [(IntWritable(i), Text(f"v{i}")) for i in range(3)]
+        memfs.write_pairs("/listed", pairs)
+        memfs.write_pairs("/streamed", (pair for pair in pairs))
+        assert memfs.read_pairs("/streamed") == pairs
+        assert (
+            memfs.get_file_status("/streamed").length
+            == memfs.get_file_status("/listed").length
+            == 3 * (8 + 7)  # IntWritable 4 + 4, Text "vN" 4 + 1 + 2
+        )
+
     def test_type_confusion_raises(self, memfs):
         memfs.write_text("/t", "text")
         with pytest.raises(TypeError):

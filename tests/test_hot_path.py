@@ -1,5 +1,5 @@
-"""Hot-path call budget: nothing per record goes through ``Counters`` or the
-comparator.
+"""Hot-path call budget: nothing per record goes through ``Counters``, the
+comparator or the per-object size estimator.
 
 The engines tally the per-record system counters in the task's reader and
 sinks and publish one delta per task (``api/counters.py``), and they sort,
@@ -10,6 +10,13 @@ nothing but a benchmark would notice.  So count the calls: a ``Text``-keyed
 combiner job, run at two input sizes that differ only in lines per part,
 must make the *same* number of ``Counters.increment`` calls (a function of
 tasks and partitions, not of records) and no ``_natural_compare`` call.
+
+Collectors only append; every map / reduce run, output file and KV block
+is measured once, at close, by ``run_size`` (``x10/serializer.py``), whose
+run sizers measure a run of ``Text`` or ``IntWritable`` without a call per
+object.  One ``pair_bytes`` in a ``collect`` body, or one run sizer
+dropped from the table, makes ``estimate_size`` calls grow with records
+again, so the same job must make the same number of them at both sizes.
 
 The block Writables are cloned and measured through the transport table
 (``x10/serializer.py``): no scipy validating constructor, no generic deep
@@ -22,6 +29,8 @@ size.
 from __future__ import annotations
 
 import copy
+import cProfile
+import pstats
 import zlib
 
 import pytest
@@ -33,6 +42,7 @@ from repro.api.counters import Counters, TaskCounter
 from repro.api.partitioner import Partitioner
 from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.x10 import serializer
 
 PARTS, REDUCERS = 4, 3
 
@@ -53,9 +63,19 @@ def corpus(lines_per_part):
     return texts
 
 
+def estimate_calls(profile):
+    """``estimate_size`` calls from every import site, as the spine's
+    ``estimate_calls`` metric counts them: off the profile."""
+    return sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(profile).stats.items()
+        if name == "estimate_size" and path == serializer.__file__
+    )
+
+
 def count_calls(monkeypatch, make_engine, lines_per_part):
-    """Run the job under counting shims; returns (increments, compares,
-    map input records)."""
+    """Run the job under counting shims and a profile; returns (increments,
+    compares, map input records, estimate_size calls)."""
     calls = {"increment": 0, "compare": 0}
     increment, compare = Counters.increment, job_module._natural_compare
 
@@ -77,10 +97,15 @@ def count_calls(monkeypatch, make_engine, lines_per_part):
         with monkeypatch.context() as patch:
             patch.setattr(Counters, "increment", counting_increment)
             patch.setattr(job_module, "_natural_compare", counting_compare)
-            result = engine.run_job(conf)
+            profile = cProfile.Profile()
+            profile.enable()
+            try:
+                result = engine.run_job(conf)
+            finally:
+                profile.disable()
         assert result.succeeded, result.error
         records = result.counters.value(TaskCounter.MAP_INPUT_RECORDS)
-        return calls["increment"], calls["compare"], records
+        return calls["increment"], calls["compare"], records, estimate_calls(profile)
     finally:
         engine.shutdown()
 
@@ -94,6 +119,14 @@ def test_counter_and_comparator_calls_do_not_grow_with_records(
     assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
     assert small[0] == large[0] > 0  # increments: tasks and partitions only
     assert small[1] == large[1] == 0  # Text keys never reach the comparator
+
+
+@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
+def test_size_estimates_do_not_grow_with_records(make_engine, monkeypatch):
+    small = count_calls(monkeypatch, make_engine, lines_per_part=6)
+    large = count_calls(monkeypatch, make_engine, lines_per_part=30)
+    assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
+    assert small[3] == large[3]  # runs are sized per run, not per record
 
 
 def count_block_calls(monkeypatch, make_engine, block):

@@ -391,10 +391,10 @@ class TestTransport:
             enable_dedup=True,
         )
         shared = Text("broadcast")
-        buffers = [PartitionBuffer() for _ in range(m3r4.num_places)]
-        for buffer in buffers:
-            for index in range(3):
-                buffer.append(IntWritable(index), shared, 16)
+        buffers = [
+            PartitionBuffer([(IntWritable(index), shared) for index in range(3)], 48)
+            for _ in range(m3r4.num_places)
+        ]
         plan = executor.plan(len(buffers), [buffers], [0])
         results = executor.execute(plan, sort_key=lambda pair: pair[0].get())
         arrived = [

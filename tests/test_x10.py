@@ -10,10 +10,11 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro import engine_common
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api import writables
 from repro.api.writables import (
@@ -51,6 +52,8 @@ from repro.x10.serializer import (
     _dual_size_of,
     _size_of,
     clone_pairs,
+    pairs_size,
+    run_size,
 )
 
 from conftest import make_hadoop, make_m3r
@@ -480,7 +483,8 @@ class TestTransportTable:
         store (the paper's concurrent store) and the analysis sanitizers no
         module takes a lock or starts a thread.  One replacement rule: no
         eviction-policy layer, knob or second shedding loop in the package
-        or the workflow, and no policy knob in the README or DESIGN.md."""
+        or the workflow, and no policy knob in the README or DESIGN.md.
+        One run sizer: no second pair-sequence sum beside ``pairs_size``."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
         commands = (
             "cache-stats|shuffle-stats|batch-stats|restore-stats|service-stats"
@@ -495,6 +499,7 @@ class TestTransportTable:
             "|EvictionPolicy|FIFOPolicy|GreedyDualSizePolicy|create_policy"
             "|EvictionCandidate|plan_tenant_eviction|_enforce_tenants"
             "|eviction-policy|EVICTION_POLICY"
+            "|pairs_wire_size|pairs_bytes"
         )
         threaded = re.compile(
             r"threading\.(Lock|RLock|Condition|Semaphore|Event|Thread|Barrier)\b"
@@ -552,6 +557,31 @@ class TestTransportTable:
         }
         assert hits == {"kernels.py"}
 
+    def test_collectors_only_append(self):
+        """Size each run once: the per-record ``collect`` of the buffering
+        sink and of the streaming sink measures nothing — ``seal()`` does,
+        once per run, when the task closes."""
+        sizers = {"estimate_size", "pair_bytes", "pairs_size", "run_size"}
+        calls = {}
+        for node in ast.parse(pathlib.Path(engine_common.__file__).read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in (
+                "CollectorSink",
+                "WriterCollector",
+            ):
+                (collect,) = [
+                    item
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "collect"
+                ]
+                calls[node.name] = [
+                    name
+                    for call in ast.walk(collect)
+                    if isinstance(call, ast.Call)
+                    for name in [getattr(call.func, "attr", getattr(call.func, "id", ""))]
+                    if name in sizers
+                ]
+        assert calls == {"CollectorSink": [], "WriterCollector": []}
+
     def test_blocks_are_measured_from_the_table_every_time(self):
         """What replaced the size memo: a block's size is the table's O(1)
         arithmetic on every ship, so a resize between two ships shows in
@@ -568,3 +598,89 @@ class TestTransportTable:
         assert first == again
         assert grown.wire_bytes == first.wire_bytes + 8
         assert estimate_size(block) == OBJECT_HEADER_BYTES + 4 + 8 * 9
+
+
+# --------------------------------------------------------------------- #
+# run sizers: a whole run measured in one call
+# --------------------------------------------------------------------- #
+
+#: Registered classes whose runs are measured object by object, and why.
+PER_OBJECT_ON_PURPOSE = {
+    VIntWritable,  # variable width: the size is a function of each value
+    # blocks: a run is few objects, each O(1) from the table
+    MatrixBlockWritable,
+    VectorBlockWritable,
+    CellMatrixBlockWritable,
+}
+
+
+class ShoutedText(Text):
+    """A user subclass of ``Text``: not the class the run sizer knows."""
+
+
+_ASCII = st.text(st.characters(max_codepoint=127), max_size=140)
+_ANY_TEXT = st.one_of(_ASCII, st.text(max_size=140))
+
+#: One strategy per kind of object a run can hold.
+_OBJECTS = [
+    st.integers(-(2**31), 2**31 - 1).map(IntWritable),
+    st.integers(-(2**63), 2**63 - 1).map(LongWritable),
+    st.integers(-(2**40), 2**40).map(VIntWritable),
+    st.floats().map(FloatWritable),
+    st.floats().map(DoubleWritable),
+    st.booleans().map(BooleanWritable),
+    _ANY_TEXT.map(Text),
+    st.binary(max_size=200).map(BytesWritable),
+    st.just(NullWritable()),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map(
+        lambda cell: BlockIndexWritable(*cell)
+    ),
+    _ANY_TEXT.map(ShoutedText),
+    st.sampled_from(one_of_each_block()),
+    st.one_of(
+        st.none(),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=10),
+        st.binary(max_size=10),
+        st.lists(st.integers(), max_size=3),
+    ),
+]
+
+#: Runs of one kind (the sizers' fast path) and mixed runs (the fallback).
+_RUNS = st.one_of(
+    st.sampled_from(_OBJECTS).flatmap(lambda objects: st.lists(objects, max_size=12)),
+    st.lists(st.one_of(_OBJECTS), max_size=12),
+)
+
+
+def _per_object(run):
+    return sum(map(estimate_size, run))
+
+
+class TestRunSize:
+    @given(_RUNS)
+    @example([])
+    @example([Text("x" * 127), Text("")])  # the longest one-byte VInt
+    @example([Text("x" * 128)])  # a two-byte VInt
+    @example([Text("é" * 64)])  # 64 characters, 128 UTF-8 bytes
+    @example([Text("café"), Text("ascii")])
+    @settings(max_examples=300, deadline=None)
+    def test_run_size_is_the_per_object_sum(self, run):
+        assert run_size(run) == run_size(tuple(run)) == _per_object(run)
+
+    @given(_RUNS, _RUNS)
+    @example([], [])
+    @example([Text("k")], [Text("é" * 64)])
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_size_is_the_two_call_sum(self, keys, values):
+        pairs = list(zip(keys, values))
+        expected = sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
+        assert pairs_size(pairs) == pairs_size(tuple(pairs)) == expected
+
+    def test_every_registered_class_has_a_run_sizer_or_is_per_object_on_purpose(self):
+        with_sizer = {cls for cls, entry in _TRANSPORT.items() if entry[2] is not None}
+        assert with_sizer | PER_OBJECT_ON_PURPOSE == set(_TRANSPORT)
+        assert not with_sizer & PER_OBJECT_ON_PURPOSE
+        for sample in one_of_each():
+            assert run_size([sample] * 3) == 3 * estimate_size(sample)
