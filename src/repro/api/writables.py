@@ -586,6 +586,8 @@ class BlockIndexWritable(WritableComparable):
         return 8
 
     def clone(self) -> "BlockIndexWritable":
+        if type(self) is not BlockIndexWritable:  # a subclass may write more fields
+            return super().clone()
         return BlockIndexWritable(self.row, self.col)
 
     def compare_to(self, other: "BlockIndexWritable") -> int:

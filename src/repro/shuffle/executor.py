@@ -23,6 +23,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.api.counters import Counters, TaskCounter
 from repro.api.job import sort_run
+from repro.lifecycle.events import TaskEnd, TaskStart
 from repro.shuffle.merge import ShuffleInput
 from repro.shuffle.plan import (
     LocalHandoff,
@@ -219,8 +220,6 @@ class ShuffleExecutor:
     def _emit_item(
         bus: Any, task: int, place: int, seconds: float, records: int, nbytes: int
     ) -> None:
-        from repro.lifecycle.events import TaskEnd, TaskStart
-
         base = dict(
             job_id=bus.job_id, engine=bus.engine, stage="shuffle",
             task=task, place=place,

@@ -40,7 +40,7 @@ class RemoteMessage:
     partitions: List[int]
     #: Per partition (parallel to ``partitions``): the map-output pairs.
     runs: List[List[Pair]]
-    #: Per partition: the buffer's accumulated wire-size estimate.
+    #: Per partition: the run's exact wire size, sealed at map-task close.
     run_bytes: List[int]
 
     @property

@@ -34,7 +34,8 @@ object graphs the way X10 would serialize them:
   primitive: what arrives at the other place is what ``copy.deepcopy`` of
   the whole message would build (duplicates stay aliases of one clone,
   nothing aliases the sender), cloned through the table, and ``ship``
-  measures the message in the same traversal.
+  measures the message in the same traversal (column by column when no
+  object repeats).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -143,12 +145,17 @@ def run_size(objs: Sequence[Any]) -> int:
     if objs:
         cls = type(objs[0])
         entry = _TRANSPORT.get(cls)
-        sizer = entry[2] if entry is not None else None
-        if sizer is not None and set(map(type, objs)) == {cls}:
-            size = sizer(objs)
-            if size is not None:
-                return OBJECT_HEADER_BYTES * len(objs) + size
+        if entry is not None and entry[2] is not None and set(map(type, objs)) == {cls}:
+            return _column_size(objs, entry)
     return sum(map(estimate_size, objs))
+
+
+def _column_size(objs: Sequence[Any], entry: Tuple) -> int:
+    """:func:`run_size` of a run known to be all of ``entry``'s class."""
+    size = entry[2](objs) if entry[2] is not None else None
+    if size is None:
+        size = sum(map(entry[0], objs))
+    return OBJECT_HEADER_BYTES * len(objs) + size
 
 
 def pairs_size(pairs: Sequence[Tuple[Any, Any]]) -> int:
@@ -448,13 +455,20 @@ class DedupSerializer:
         of one clone, nothing aliases the sender, and a second ``ship`` of
         the same object makes an independent clone.
 
-        The two halves keep a memo each, both scoped to this call, because
-        they hold different sets: a Writable nested inside a composite is
-        cloned with it but measured only as part of it.
+        A message :func:`_columns` accepts is sized and cloned column by
+        column, without a memo.  Any other takes the walk below, whose two
+        halves keep a memo each, scoped to this call, because a Writable
+        nested inside a composite is cloned with it but measured only as
+        part of it.
         """
         if MUTATION_SANITIZER.enabled:
             for run in runs:
                 MUTATION_SANITIZER.observe_pairs(run, site="DedupSerializer.ship")
+        columns = _columns(runs)
+        if columns is not None:  # no object twice: no memo to keep
+            wire = sum(_column_size(k, ke) + _column_size(v, ve) for k, ke, v, ve in columns if k)
+            records = sum(map(len, runs))
+            return SerializedMessage(wire, wire, records, 2 * records, 0), _clone_columns(columns)
         sizes: Dict[int, List[Any]] = {}  # _dual_size_of's memo
         crossing = Crossing()
         clones = crossing.memo
@@ -506,6 +520,44 @@ class DedupSerializer:
             duplicate_refs=duplicates,
         )
         return message, shipped
+
+
+def _columns(runs: Sequence[Sequence[Any]]) -> Optional[List[Tuple]]:
+    """Each run as ``(keys, key entry, values, value entry)`` when every
+    pair is a plain 2-tuple, each column is of one exact table class and
+    no object fills two slots of the message; else ``None``, for the memo
+    walk (a repeat must cost a back-reference and arrive as an alias).
+    Repeats are checked run by run: a broadcast leaves at its first run."""
+    columns: List[Tuple] = []
+    seen: set = set()
+    for run in runs:
+        if not run:
+            columns.append(((), None, (), None))
+            continue
+        if set(map(type, run)) != {tuple} or set(map(len, run)) != {2}:
+            return None
+        keys, values = list(map(_KEY, run)), list(map(_VALUE, run))
+        key_entry, value_entry = _entry_of(keys), _entry_of(values)
+        filled = len(seen)
+        seen.update(map(id, keys), map(id, values))
+        if key_entry is None or value_entry is None or len(seen) != filled + 2 * len(run):
+            return None
+        columns.append((keys, key_entry, values, value_entry))
+    return columns
+
+
+def _entry_of(column: List[Any]) -> Optional[Tuple]:
+    """The table entry of a column of exactly one registered class."""
+    classes = set(map(type, column))
+    return _TRANSPORT.get(*classes) if len(classes) == 1 else None
+
+
+def _clone_columns(columns: List[Tuple]) -> List[List[Tuple[Any, Any]]]:
+    """Each column cloned by one ``map`` of its table clone, zipped into
+    pairs; one crossing, so blocks over one array arrive over one array."""
+    crossing = repeat(Crossing())
+    return [list(zip(map(ke[1], k, crossing), map(ve[1], v, crossing))) if k else []
+            for k, ke, v, ve in columns]
 
 
 def _is_inline(value: Any) -> bool:

@@ -24,6 +24,13 @@ copy.  One ``MatrixBlockWritable(matrix.copy())`` in a ``clone`` or one
 unregistered block class brings either back, so a warm matvec iteration
 must make no ``check_format`` and no ``copy.deepcopy`` call at any block
 size.
+
+A remote message of distinct objects in plain pairs, one table class per
+column, is shipped column by column (``DedupSerializer.ship``): no memo, no
+``Crossing.pair`` and no ``_dual_size_of`` per pair.  So the 100 %-remote
+microbenchmark must make none of those calls, and a mapper that emits one
+shared value must still take the memo walk, charging what the walk alone
+charges.
 """
 
 from __future__ import annotations
@@ -40,7 +47,13 @@ from workloads import make_hadoop, make_m3r
 from repro.api import job as job_module
 from repro.api.counters import Counters, TaskCounter
 from repro.api.partitioner import Partitioner
+from repro.api.writables import IntWritable
 from repro.apps import matvec
+from repro.apps.microbenchmark import (
+    RemoteFractionMapper,
+    generate_input,
+    microbenchmark_job,
+)
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.x10 import serializer
 
@@ -175,3 +188,68 @@ def test_blocks_cross_without_validating_constructor_or_generic_deepcopy(
     # so whatever is counted here is the engine's.
     assert count_block_calls(monkeypatch, make_engine, block=32) == (0, 0)
     assert count_block_calls(monkeypatch, make_engine, block=64) == (0, 0)
+
+
+class SharedOneMapper(RemoteFractionMapper):
+    """Every pair to the adjacent partition, all of them carrying one
+    shared ``IntWritable(1)``: the wordcount idiom, de-duplicated on the wire."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.one = IntWritable(1)
+
+    def map(self, key, value, output, reporter):
+        output.collect(IntWritable(key.get() + 1), self.one)
+
+
+def count_ship_calls(monkeypatch, mapper, walk_only=False):
+    """One 100 %-remote microbenchmark job under counting shims; returns
+    (``Crossing.pair`` calls, ``_dual_size_of`` calls, shuffle metrics).
+    ``walk_only`` sends every message to the memo walk."""
+    calls = {"pair": 0, "dual": 0}
+    pair, dual = serializer.Crossing.pair, serializer._dual_size_of
+
+    def counting_pair(self, *args):
+        calls["pair"] += 1
+        return pair(self, *args)
+
+    def counting_dual(*args):
+        calls["dual"] += 1
+        return dual(*args)
+
+    engine = make_m3r()
+    try:
+        generate_input(engine.filesystem, "/in", 200, 64, 4)
+        conf = microbenchmark_job("/in", "/out", 100, 4)
+        if mapper is not None:
+            conf.set_mapper_class(mapper)
+        with monkeypatch.context() as patch:
+            patch.setattr(serializer.Crossing, "pair", counting_pair)
+            patch.setattr(serializer, "_dual_size_of", counting_dual)
+            if walk_only:
+                patch.setattr(serializer, "_columns", lambda runs: None)
+            result = engine.run_job(conf)
+        assert result.succeeded, result.error
+        shuffle = [
+            result.metrics.get(name)
+            for name in (
+                "shuffle_remote_bytes", "shuffle_remote_records", "dedup_saved_bytes"
+            )
+        ]
+        return calls["pair"], calls["dual"], shuffle + [result.simulated_seconds]
+    finally:
+        engine.shutdown()
+
+
+def test_distinct_remote_messages_ship_by_column(monkeypatch):
+    pairs, duals, shuffle = count_ship_calls(monkeypatch, None)
+    assert shuffle[1] == 200  # every record crossed places
+    assert (pairs, duals) == (0, 0)
+    assert shuffle == count_ship_calls(monkeypatch, None, walk_only=True)[2]
+
+
+def test_a_shared_value_still_takes_the_walk(monkeypatch):
+    pairs, duals, shuffle = count_ship_calls(monkeypatch, SharedOneMapper)
+    assert shuffle[1] == 200 and shuffle[2] > 0  # the shared value is deduped
+    assert pairs == 200 and duals == 0  # table entries: the inline walk
+    assert shuffle == count_ship_calls(monkeypatch, SharedOneMapper, walk_only=True)[2]

@@ -34,14 +34,21 @@ from repro.api.formats import SequenceFileInputFormat, SequenceFileOutputFormat
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
 from repro.api.multiple_io import MultipleInputs
 from repro.api.writables import (
+    BytesWritable,
     IntWritable,
     MatrixBlockWritable,
     Text,
     VectorBlockWritable,
 )
 from repro.apps import matvec
+from repro.apps.microbenchmark import (
+    RemoteFractionMapper,
+    generate_input,
+    microbenchmark_job,
+)
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.kvstore.locks import LockTable
+from repro.x10 import serializer as serializer_module
 from repro.x10.serializer import DedupSerializer, estimate_size
 
 
@@ -257,6 +264,55 @@ class TestMutationEndToEnd:
         result = engine.run_job(conf)
         assert result.succeeded, result.error
         engine.shutdown()
+
+
+class FreshRemoteMapper(RemoteFractionMapper):
+    """Sends each pair to the adjacent partition as two fresh objects, so
+    every remote message is all distinct: the serializer's column path."""
+
+    def map(self, key, value, output, reporter):
+        output.collect(IntWritable(key.get() + 1), BytesWritable(value.get_bytes()))
+
+
+class ScribblingRemoteMapper(RemoteFractionMapper):
+    """The same, then overwrites the value it emitted (same length)."""
+
+    def map(self, key, value, output, reporter):
+        sent = BytesWritable(value.get_bytes())
+        output.collect(IntWritable(key.get() + 1), sent)
+        sent.set(b"!" * sent.get_length())
+
+
+def _remote_job(mapper):
+    engine = make_m3r()
+    try:
+        generate_input(engine.filesystem, "/in", 40, 16, 4)
+        conf = microbenchmark_job("/in", "/out", 100, 4)
+        conf.set_mapper_class(mapper)
+        conf.set_boolean(SANITIZE_MUTATION_KEY, True)
+        return engine.run_job(conf)
+    finally:
+        engine.shutdown()
+
+
+class TestColumnPathIsStillWatched:
+    def test_mutation_after_emit_is_caught_on_the_column_path(self, monkeypatch):
+        paths = []
+        columns = serializer_module._columns
+
+        def recording_columns(runs):
+            plan = columns(runs)
+            paths.append(plan is not None)
+            return plan
+
+        monkeypatch.setattr(serializer_module, "_columns", recording_columns)
+        result = _remote_job(FreshRemoteMapper)
+        assert result.succeeded, result.error
+        assert paths and all(paths)  # the honest job ships by column
+        result = _remote_job(ScribblingRemoteMapper)
+        assert not result.succeeded
+        assert "ImmutableViolation" in result.error
+        assert "DedupSerializer.ship" in result.error
 
 
 # --------------------------------------------------------------------- #

@@ -39,6 +39,7 @@ from repro.api.writables import (
     writable_from_bytes,
     writable_to_bytes,
 )
+from repro.x10 import deep_copy_value, estimate_size
 
 
 def roundtrip(writable):
@@ -295,6 +296,35 @@ class TestClone:
 
         clone = Stamped(1, stamp=9).clone()
         assert type(clone) is Stamped and (clone.value, clone.stamp) == (1, 9)
+
+    def test_subclass_of_a_block_index_keeps_its_fields(self):
+        """The defensive clone, Hadoop's collect-time snapshot and the
+        sequence-file reader all clone keys; a ``BlockIndexWritable``
+        subclass must come back whole, and measure as it did."""
+
+        class Tile(BlockIndexWritable):
+            __slots__ = ("level",)
+
+            def __init__(self, row: int = 0, col: int = 0, level: int = 0):
+                super().__init__(row, col)
+                self.level = level
+
+            def write(self, out):
+                super().write(out)
+                out.write_int(self.level)
+
+            def read_fields(self, inp):
+                super().read_fields(inp)
+                self.level = inp.read_int()
+
+            def serialized_size(self):
+                return 12
+
+        tile = Tile(1, 2, 7)
+        clone = deep_copy_value(tile)
+        assert type(clone) is Tile and clone is not tile
+        assert (clone.row, clone.col, clone.level) == (1, 2, 7)
+        assert estimate_size(clone) == estimate_size(tile) == 16
 
 
 # --------------------------------------------------------------------- #

@@ -49,6 +49,7 @@ from repro.x10.serializer import (
     BACKREF_BYTES,
     OBJECT_HEADER_BYTES,
     Crossing,
+    _columns,
     _dual_size_of,
     _size_of,
     clone_pairs,
@@ -425,6 +426,157 @@ class TestShipMatchesDeepcopy:
         assert arrived[0].tag == ["keep me"] and arrived[0].tag is not tagged.tag
         # ... and still clones by its own (round-trip) rules, not IntWritable's.
         assert type(tagged.clone()) is TaggedInt
+
+
+#: Every transport-table class, in a fixed order.
+TABLE_CLASSES = sorted(_TRANSPORT, key=lambda cls: cls.__name__)
+
+I32 = st.integers(-(2**31), 2**31 - 1)
+I64 = st.integers(-(2**63), 2**63 - 1)
+
+#: A fresh instance of each table leaf.  ``Text`` covers the run sizer's
+#: case (short ASCII) and both of its fallbacks: non-ASCII, and 128 or more
+#: characters (a two-byte length).
+FRESH_LEAF = {
+    IntWritable: st.builds(IntWritable, I32),
+    LongWritable: st.builds(LongWritable, I64),
+    VIntWritable: st.builds(VIntWritable, I64),
+    FloatWritable: st.builds(FloatWritable, st.floats(allow_nan=False, width=32)),
+    DoubleWritable: st.builds(DoubleWritable, st.floats(allow_nan=False)),
+    BooleanWritable: st.builds(BooleanWritable, st.booleans()),
+    Text: st.builds(
+        Text,
+        st.one_of(
+            st.text(max_size=8),
+            st.text("ab\u00e9\U0001f600", min_size=120, max_size=140),
+            st.text("xy", min_size=127, max_size=130),
+        ),
+    ),
+    BytesWritable: st.builds(BytesWritable, st.binary(max_size=20)),
+    BlockIndexWritable: st.builds(BlockIndexWritable, I32, I32),
+    NullWritable: st.builds(NullWritable),  # the singleton: at most one slot
+}
+
+
+@st.composite
+def distinct_messages(draw):
+    """Runs of fresh objects: each run's key and value class drawn from the
+    whole table, a new object in every slot, empty runs, and blocks that
+    are distinct objects over one array (a shallow copy of the message's
+    template block) beside blocks with arrays of their own."""
+    templates = {type(block): block for block in one_of_each_block()}
+
+    def fresh(cls):
+        if cls in templates:
+            template = templates[cls]
+            return copy.copy(template) if draw(st.booleans()) else template.clone()
+        return draw(FRESH_LEAF[cls])
+
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TABLE_CLASSES),
+                st.sampled_from(TABLE_CLASSES),
+                st.integers(0, 5),
+            ),
+            max_size=4,
+        )
+    )
+    return [
+        [(fresh(key_cls), fresh(value_cls)) for _ in range(length)]
+        for key_cls, value_cls, length in shapes
+    ], fresh
+
+
+def all_distinct(runs):
+    slots = [id(half) for run in runs for pair in run for half in pair]
+    return len(set(slots)) == len(slots)
+
+
+def assert_ships_as_deepcopy(runs):
+    """``ship`` measures what ``measure_pairs`` measures, and ``ship`` and
+    ``clone_pairs`` build what ``copy.deepcopy`` builds."""
+    message, shipped = DedupSerializer().ship(runs)
+    sender = reachable_ids(runs)
+    assert graph_shape(shipped, sender) == graph_shape(copy.deepcopy(runs), sender)
+    flat = [pair for run in runs for pair in run]
+    assert message == DedupSerializer().measure_pairs(flat)
+    assert graph_shape(clone_pairs(flat), sender) == graph_shape(
+        copy.deepcopy(flat), sender
+    )
+
+
+class TestColumnPathMatchesTheWalk:
+    """The column path is an implementation of the memo walk for messages
+    of distinct objects: the same message and the same clone graph."""
+
+    def test_every_table_class_is_generated(self):
+        assert set(FRESH_LEAF) | {type(b) for b in one_of_each_block()} == set(
+            TABLE_CLASSES
+        )
+
+    @given(drawn=distinct_messages())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_message(self, drawn):
+        runs, _ = drawn
+        # Only the NullWritable singleton can put one object in two slots.
+        assert (_columns(runs) is not None) == all_distinct(runs)
+        assert_ships_as_deepcopy(runs)
+
+    @given(
+        drawn=distinct_messages(),
+        miss=st.sampled_from(
+            ["repeat", "repeat_pair", "subclass", "mixed", "list", "plain"]
+        ),
+        where=st.integers(0, 100),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_near_miss_takes_the_walk(self, drawn, miss, where):
+        runs, fresh = drawn
+        runs.append([(IntWritable(-1), Text("anchor"))])
+        filled = [run for run in runs if run]
+        run = filled[where % len(filled)]
+        key, value = run[where % len(run)]
+        if miss == "repeat":  # one object in two slots, classes unchanged
+            run.append((fresh(type(key)), value))
+        elif miss == "repeat_pair":
+            run.append(run[-1])
+        elif miss == "subclass":
+            run.append((TaggedInt(3, "t"), fresh(type(value))))
+        elif miss == "mixed":
+            other = TABLE_CLASSES[(TABLE_CLASSES.index(type(key)) + 1) % len(TABLE_CLASSES)]
+            run.append((fresh(type(key)), fresh(type(value))))
+            run.append((fresh(other), fresh(type(value))))
+        elif miss == "list":
+            run.append([fresh(type(key)), fresh(type(value))])
+        else:
+            run.append((fresh(type(key)), 7))
+        assert _columns(runs) is None
+        assert_ships_as_deepcopy(runs)
+
+    def test_a_three_tuple_takes_the_walk(self):
+        """``ship`` fails on a 3-tuple as ``measure_pairs`` does, and
+        ``clone_pairs`` copies it as ``copy.deepcopy`` does."""
+        triple = [(IntWritable(1), Text("a"), Text("b"))]
+        assert _columns([triple]) is None
+        with pytest.raises(ValueError):
+            DedupSerializer().ship([triple])
+        with pytest.raises(ValueError):
+            DedupSerializer().measure_pairs(triple)
+        sender = reachable_ids(triple)
+        assert graph_shape(clone_pairs(triple), sender) == graph_shape(
+            copy.deepcopy(triple), sender
+        )
+
+    def test_blocks_over_one_array_arrive_over_one_array(self):
+        vector = VectorBlockWritable(np.arange(4.0))
+        twin = copy.copy(vector)
+        runs = [[(IntWritable(0), vector), (IntWritable(1), twin)]]
+        assert _columns(runs) is not None
+        _, ((first, second),) = DedupSerializer().ship(runs)
+        assert first[1] is not second[1]
+        assert first[1].values is second[1].values
+        assert first[1].values is not vector.values
 
 
 class TestTransportTable:
