@@ -1,10 +1,11 @@
 """Batched record path + automatic in-mapper combining — wall-clock gate.
 
 The batched execution path (DESIGN.md §14) moves records from split to
-collector in batches (``m3r.batch.size``) and, when the job's combiner is
-a licensed associative fold, collapses duplicate keys in a bounded map-side
-hash aggregate *before* the sort/measure/transport pipeline sees them
-(``m3r.imc.*``).  This benchmark checks the design's two promises:
+collector in batches of ``engine_common.BATCH_SIZE`` and, when the job's
+combiner is a licensed associative fold, collapses duplicate keys in a
+bounded map-side hash aggregate *before* the sort/measure/transport
+pipeline sees them (``m3r.imc.enabled``).  This benchmark checks the
+design's two promises:
 
 * **byte-identity** — for one job configuration, the per-record, batched
   and batched+imc paths commit identical output, identical counters and
@@ -29,21 +30,17 @@ import time
 import pytest
 
 from common import format_table, fresh_engine, publish, scaled_cost_model
-from repro.api.conf import (
-    BATCH_ENABLED_KEY,
-    BATCH_SIZE_KEY,
-    IMC_ENABLED_KEY,
-)
+from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY
 from repro.apps import matvec
 from repro.apps.grep import grep_sequence
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.engine_common import BATCH_SIZE
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 PLACES = 8
 LINES_PER_PART = 40 if SMOKE else 600
 PARTS_PER_PLACE = 2 if SMOKE else 4
-BATCH_SIZE = 256
 
 GREP_LINES = 200 if SMOKE else 4000
 GREP_PATTERN = "[a-f]+"
@@ -75,7 +72,6 @@ def _apply_mode(conf, mode: str) -> None:
     batch, imc = MODES[mode]
     if batch:
         conf.set_boolean(BATCH_ENABLED_KEY, True)
-        conf.set_int(BATCH_SIZE_KEY, BATCH_SIZE)
     if imc:
         conf.set_boolean(IMC_ENABLED_KEY, True)
 

@@ -9,9 +9,9 @@ Three parts:
 * the :mod:`repro.analysis.knobs` ``KnobRegistry`` — the single source
   of truth for every ``m3r.*`` configuration key (``repro.api.conf`` and
   the README knob table derive from it);
-* runtime sanitizers (:mod:`repro.analysis.sanitizers`) behind the
-  ``m3r.sanitize.mutation`` / ``m3r.sanitize.lock-order`` knobs, wired
-  into the serializer, cache, and lock table.
+* runtime sanitizers (:mod:`repro.analysis.sanitizers`), switched on by
+  the ``M3R_SANITIZE_MUTATION`` / ``M3R_SANITIZE_LOCK_ORDER`` environment
+  variables and wired into the serializer, cache, and lock table.
 """
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph

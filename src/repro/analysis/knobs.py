@@ -96,67 +96,23 @@ def _knobs() -> List[Knob]:
           "retired: accepted and ignored; tasks and shuffle messages "
           "always run inline",
           "SHUFFLE_REAL_THREADS_KEY"),
-        # -- sanitizers (DESIGN.md §10) ---------------------------------- #
-        K("m3r.sanitize.mutation", "bool", None, "M3R_SANITIZE_MUTATION",
-          "sanitize",
-          "per-job override for the ImmutableOutput mutation detector "
-          "(unset = process default from the environment)",
-          "SANITIZE_MUTATION_KEY"),
-        K("m3r.sanitize.lock-order", "bool", None, "M3R_SANITIZE_LOCK_ORDER",
-          "sanitize",
-          "per-job override for the lock-order cycle detector (unset = "
-          "process default from the environment)",
-          "SANITIZE_LOCK_ORDER_KEY"),
         # -- lifecycle tracing (DESIGN.md §11) --------------------------- #
         K("m3r.trace.path", "str", None, "M3R_TRACE_PATH", "trace",
           "append this job's lifecycle events as JSONL to the given file",
           "TRACE_PATH_KEY"),
-        K("m3r.trace.ring-size", "int", 4096, None, "trace",
-          "resize the engine's in-memory event ring (last-N buffer) "
-          "before the job runs",
-          "TRACE_RING_KEY"),
         # -- cross-job result reuse (DESIGN.md §12) ---------------------- #
         K("m3r.restore.enabled", "bool", False, "M3R_RESTORE", "restore",
           "consult the engine's result store at admission and record "
           "committed outputs",
           "RESTORE_ENABLED_KEY"),
-        K("m3r.restore.max-entries", "int", 64, None, "restore",
-          "LRU bound on distinct fingerprints the store retains",
-          "RESTORE_MAX_ENTRIES_KEY"),
-        # -- multi-tenant service (DESIGN.md §13) ------------------------ #
-        K("m3r.service.queue-depth", "int", 64, None, "service",
-          "service-wide bound on queued submissions; admission past it "
-          "raises `QueueFull`",
-          "SERVICE_QUEUE_DEPTH_KEY"),
-        K("m3r.service.in-flight-limit", "int", 8, None, "service",
-          "per-tenant bound on queued+running submissions; past it "
-          "raises `TenantLimitExceeded`",
-          "SERVICE_IN_FLIGHT_KEY"),
-        K("m3r.service.tenant-weight", "int", 1, None, "service",
-          "default stride-scheduling weight for a newly registered tenant",
-          "SERVICE_TENANT_WEIGHT_KEY"),
-        K("m3r.service.tenant-budget-bytes", "int", 0, None, "service",
-          "default per-tenant cache-residency budget; `0` = unbounded",
-          "SERVICE_TENANT_BUDGET_KEY"),
-        K("m3r.service.shared-restore", "bool", False, None, "service",
-          "default ReStore visibility: `false` = private per-tenant "
-          "store, `true` = service-wide shared namespace",
-          "SERVICE_SHARED_RESTORE_KEY"),
         # -- batched record path (DESIGN.md §14) ------------------------- #
         K("m3r.batch.enabled", "bool", False, "M3R_BATCH", "batch",
           "feed map tasks in batches instead of record-at-a-time",
           "BATCH_ENABLED_KEY"),
-        K("m3r.batch.size", "int", 256, None, "batch",
-          "records per batch on the batched path (`0` disables)",
-          "BATCH_SIZE_KEY"),
         K("m3r.imc.enabled", "bool", False, "M3R_IMC", "imc",
           "in-mapper combining: fold duplicate keys into a per-task hash "
           "aggregate when the combiner is licensed associative",
           "IMC_ENABLED_KEY"),
-        K("m3r.imc.max-entries", "int", 4096, None, "imc",
-          "bound on live aggregate entries per map task; overflow spills "
-          "to a partial list re-merged at task finish",
-          "IMC_MAX_ENTRIES_KEY"),
         # -- temporary-output convention (paper §4.2.3) ------------------ #
         K("m3r.temp.output.prefix", "str", "temp", None, "temp",
           "output paths whose basename starts with this prefix are "
@@ -170,7 +126,7 @@ def _knobs() -> List[Knob]:
           "force this job to bypass M3R and run on the Hadoop engine "
           "even in integrated mode",
           "FORCE_HADOOP_ENGINE_KEY"),
-        # -- configuration validation (this PR) -------------------------- #
+        # -- configuration validation ------------------------------------ #
         K("m3r.conf.strict", "bool", False, "M3R_CONF_STRICT", "conf",
           "raise on unknown `m3r.*` keys instead of warning (misspelled "
           "knobs silently no-op otherwise)",

@@ -20,11 +20,11 @@ byte count, no ordering changes):
   ordering rule makes the store deadlock-free; this sanitizer proves every
   new caller keeps it that way.
 
-Enablement is layered: the ``M3R_SANITIZE_MUTATION`` / ``M3R_SANITIZE_LOCK_ORDER``
-environment variables set the process-wide default (that is what the CI
-matrix row flips), and the per-job ``m3r.sanitize.mutation`` /
-``m3r.sanitize.lock-order`` JobConf knobs override it for one job via
-:func:`sanitizer_overrides`.
+Enablement is process-wide: the ``M3R_SANITIZE_MUTATION`` /
+``M3R_SANITIZE_LOCK_ORDER`` environment variables switch the sanitizers on
+at import (that is what the CI matrix row sets), and
+:func:`sanitizer_overrides` forces them on or off for the duration of a
+``with`` block (what tests use to scope one).
 
 This module deliberately imports nothing from the rest of ``repro`` so the
 lowest layers (``x10.serializer``, ``kvstore.locks``) can use it without
@@ -319,8 +319,8 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
-#: Process-wide singletons; the env vars set the default, JobConf knobs
-#: override per job through :func:`sanitizer_overrides`.
+#: Process-wide singletons; the env vars set the default, and
+#: :func:`sanitizer_overrides` scopes a change to one block.
 MUTATION_SANITIZER = MutationSanitizer(enabled=_env_flag("M3R_SANITIZE_MUTATION"))
 LOCK_ORDER_SANITIZER = LockOrderSanitizer(
     enabled=_env_flag("M3R_SANITIZE_LOCK_ORDER")
@@ -333,11 +333,9 @@ def sanitizer_overrides(
 ) -> Iterator[None]:
     """Temporarily force the sanitizers on or off (``None`` = leave as is).
 
-    Engines wrap one job's execution in this so the per-job
-    ``m3r.sanitize.*`` knobs can override the process default.  The flags
-    are process-global, so overlapping jobs with conflicting knobs share
-    the strictest setting that is active at any instant — acceptable for a
-    debugging facility.
+    The flags are process-global and restored on exit, so every job that
+    runs inside the block is observed; an engine runs one job at a time,
+    so the block's jobs are exactly those the caller started in it.
     """
     prev_mutation = MUTATION_SANITIZER.enabled
     prev_lock_order = LOCK_ORDER_SANITIZER.enabled

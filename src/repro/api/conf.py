@@ -173,11 +173,8 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # * engine/shuffle — two retired real-threads keys (accepted, ignored);
 # * cache — per-place memory governance (budget, watermarks, spill,
 #   pinned paths); the Hadoop engine ignores them entirely;
-# * sanitize — per-job overrides for the runtime mutation / lock-order
-#   observers (process default from the environment);
-# * trace — lifecycle JSONL sink and event-ring sizing (pure observer);
+# * trace — the lifecycle JSONL sink (pure observer);
 # * restore — cross-job result reuse (admission-time fingerprint lookup);
-# * service — multi-tenant defaults read by JobService;
 # * batch / imc — the batched record path and licensed in-mapper
 #   combining (byte-identical to the per-record path);
 # * temp — the paper's §4.2.3 temporary-output convention;
@@ -196,31 +193,16 @@ CACHE_LOW_WATERMARK_KEY = _KNOB_KEYS["CACHE_LOW_WATERMARK_KEY"]
 CACHE_SPILL_KEY = _KNOB_KEYS["CACHE_SPILL_KEY"]
 CACHE_PINNED_PATHS_KEY = _KNOB_KEYS["CACHE_PINNED_PATHS_KEY"]
 
-SANITIZE_MUTATION_KEY = _KNOB_KEYS["SANITIZE_MUTATION_KEY"]
-SANITIZE_LOCK_ORDER_KEY = _KNOB_KEYS["SANITIZE_LOCK_ORDER_KEY"]
-
 TRACE_PATH_KEY = _KNOB_KEYS["TRACE_PATH_KEY"]
 TRACE_PATH_ENV = REGISTRY.get(TRACE_PATH_KEY).env
-TRACE_RING_KEY = _KNOB_KEYS["TRACE_RING_KEY"]
 
 RESTORE_ENABLED_KEY = _KNOB_KEYS["RESTORE_ENABLED_KEY"]
 RESTORE_ENV = REGISTRY.get(RESTORE_ENABLED_KEY).env
-RESTORE_MAX_ENTRIES_KEY = _KNOB_KEYS["RESTORE_MAX_ENTRIES_KEY"]
-
-SERVICE_QUEUE_DEPTH_KEY = _KNOB_KEYS["SERVICE_QUEUE_DEPTH_KEY"]
-SERVICE_IN_FLIGHT_KEY = _KNOB_KEYS["SERVICE_IN_FLIGHT_KEY"]
-SERVICE_TENANT_WEIGHT_KEY = _KNOB_KEYS["SERVICE_TENANT_WEIGHT_KEY"]
-SERVICE_TENANT_BUDGET_KEY = _KNOB_KEYS["SERVICE_TENANT_BUDGET_KEY"]
-SERVICE_SHARED_RESTORE_KEY = _KNOB_KEYS["SERVICE_SHARED_RESTORE_KEY"]
 
 BATCH_ENABLED_KEY = _KNOB_KEYS["BATCH_ENABLED_KEY"]
 BATCH_ENV = REGISTRY.get(BATCH_ENABLED_KEY).env
-BATCH_SIZE_KEY = _KNOB_KEYS["BATCH_SIZE_KEY"]
-DEFAULT_BATCH_SIZE = REGISTRY.get(BATCH_SIZE_KEY).default
 IMC_ENABLED_KEY = _KNOB_KEYS["IMC_ENABLED_KEY"]
 IMC_ENV = REGISTRY.get(IMC_ENABLED_KEY).env
-IMC_MAX_ENTRIES_KEY = _KNOB_KEYS["IMC_MAX_ENTRIES_KEY"]
-DEFAULT_IMC_MAX_ENTRIES = REGISTRY.get(IMC_MAX_ENTRIES_KEY).default
 
 # Unknown-knob validation for the m3r.* namespace itself: Configuration.set
 # warns on keys the registry does not know, and raises when this knob (or
@@ -254,7 +236,8 @@ def conf_bool(
     JobConf setting > environment variable > ``default``.
 
     This is the one place the engines' boolean knob parsing
-    (``m3r.batch.*``, ``m3r.imc.*``, ``m3r.sanitize.*``) funnels through.
+    (``m3r.batch.enabled``, ``m3r.imc.enabled``, ``m3r.restore.enabled``)
+    funnels through.
     ``conf`` may be ``None`` (no job context); ``env`` may be ``None`` (no
     environment fallback for this knob).
     """

@@ -390,10 +390,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ``--tenants``, through a caller-driven service, then print one
     schema-versioned document per engine.
 
-    The service is configured with the ``--set`` knobs; tenant ``t<i>``
-    has the ``i``-th ``--weights`` entry, owns ``/out/t<i>`` and submits
-    one job sequence per run."""
-    from repro.api.conf import Configuration
+    Tenant ``t<i>`` has the ``i``-th ``--weights`` entry (default 1),
+    owns ``/out/t<i>`` and submits one job sequence per run."""
     from repro.api.job import JobSequence
     from repro.service import JobService
 
@@ -403,14 +401,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         plan = _stage(args, kind, engine)
         service = None
         if args.tenants:
-            config = Configuration()
-            for key, value in args.settings:
-                config.set(key, value)
-            service = JobService(engine, config)
+            service = JobService(engine)
             clients = [
                 service.register_tenant(
                     f"t{i}",
-                    weight=weights[i] if i < len(weights) else None,
+                    weight=weights[i] if i < len(weights) else 1,
                     prefixes=(f"/out/t{i}",),
                 )
                 for i in range(args.tenants)
@@ -635,8 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="runs of the workload, each under its own output root")
     p.add_argument("--set", dest="settings", action="append", default=[],
                    type=_knob_setting, metavar="KEY=VALUE",
-                   help="a KnobRegistry knob for every job (and the service "
-                        "configuration); repeatable")
+                   help="a KnobRegistry knob for every job; repeatable")
     p.add_argument("--tenants", type=int, default=0,
                    help="route the runs through a job service with this "
                         "many tenants, drained caller-driven (0 = direct)")

@@ -35,12 +35,8 @@ from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.conf import (
     BATCH_ENABLED_KEY,
     BATCH_ENV,
-    BATCH_SIZE_KEY,
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_IMC_MAX_ENTRIES,
     IMC_ENABLED_KEY,
     IMC_ENV,
-    IMC_MAX_ENTRIES_KEY,
     JobConf,
     conf_bool,
 )
@@ -54,6 +50,14 @@ from repro.api.vectorized import is_associative_reducer
 from repro.fs.hdfs import SimulatedHDFS
 from repro.sim.metrics import Metrics
 from repro.x10.serializer import deep_copy_value, estimate_size, pairs_size
+
+#: Records per batch on the batched map path (``m3r.batch.enabled``).
+BATCH_SIZE = 256
+
+#: Bound on live keys in one map task's in-mapper aggregate
+#: (``m3r.imc.enabled``); past it the aggregate spills to a partial list
+#: that is re-merged at task finish.
+IMC_MAX_ENTRIES = 4096
 
 
 class JobFailedError(RuntimeError):
@@ -89,9 +93,7 @@ def batch_size_for(conf: Optional[JobConf]) -> int:
     """Resolved batch size for a task: 0 when the batched path is off."""
     if not conf_bool(conf, BATCH_ENABLED_KEY, env=BATCH_ENV, default=False):
         return 0
-    if conf is None:
-        return DEFAULT_BATCH_SIZE
-    return max(1, conf.get_int(BATCH_SIZE_KEY, DEFAULT_BATCH_SIZE))
+    return BATCH_SIZE
 
 
 def imc_armed(spec: JobSpec, conf: Optional[JobConf]) -> bool:
@@ -109,13 +111,6 @@ def imc_armed(spec: JobSpec, conf: Optional[JobConf]) -> bool:
         and is_associative_reducer(spec.combiner_class)
         and spec.uses_natural_ordering()
     )
-
-
-def imc_max_entries_for(conf: Optional[JobConf]) -> int:
-    """Bound on live keys in one task's in-mapper aggregate."""
-    if conf is None:
-        return DEFAULT_IMC_MAX_ENTRIES
-    return max(1, conf.get_int(IMC_MAX_ENTRIES_KEY, DEFAULT_IMC_MAX_ENTRIES))
 
 
 def pair_bytes(key: Any, value: Any) -> int:
@@ -330,13 +325,12 @@ class _TallyingCollector(OutputCollector):
 class CollectorSink(_TallyingCollector):
     """The engine-side map/reduce output collector.
 
-    ``record_policy`` is the engine's per-record treatment, applied *before*
-    buffering (``"serialize"`` → snapshot via clone, the moral equivalent of
-    Hadoop's immediate serialization; ``"clone"`` → M3R defensive copy;
-    ``"alias"`` → M3R with ImmutableOutput: keep the reference).  The
-    engines charge time from the records and exact wire bytes, which
-    ``flush_counters()`` measures once per partition run and publishes as
-    the task's output counters.
+    ``copies`` is the engine's per-record treatment, applied *before*
+    buffering: ``True`` snapshots each record via clone (Hadoop's
+    immediate serialization, or M3R's defensive copy); ``False`` keeps the
+    reference (M3R with ImmutableOutput).  The engines charge time from
+    the records and exact wire bytes, which ``flush_counters()`` measures
+    once per partition run and publishes as the task's output counters.
     """
 
     def __init__(
@@ -344,14 +338,12 @@ class CollectorSink(_TallyingCollector):
         num_partitions: int,
         partitioner: Optional[Partitioner],
         counters: Counters,
-        record_policy: str = "serialize",
+        copies: bool = True,
         output_counter: TaskCounter = TaskCounter.MAP_OUTPUT_RECORDS,
     ):
-        if record_policy not in ("serialize", "clone", "alias"):
-            raise ValueError(f"unknown record policy {record_policy!r}")
         if num_partitions <= 0:
             raise ValueError("need at least one partition")
-        super().__init__(counters, output_counter, copies=record_policy != "alias")
+        super().__init__(counters, output_counter, copies=copies)
         self.partitions = [PartitionBuffer() for _ in range(num_partitions)]
         # Hot-loop hoists: collect() runs once per record, so the runs'
         # appends and the partition count are resolved here instead of
@@ -412,7 +404,7 @@ def run_combiner_if_any(
     buffer: PartitionBuffer,
     counters: Counters,
     reporter: Reporter,
-    record_policy: str,
+    copies: bool,
 ) -> PartitionBuffer:
     """Apply the job's combiner to one partition buffer (sorted first,
     as Hadoop sorts spills before combining).  Returns the combined buffer
@@ -425,7 +417,7 @@ def run_combiner_if_any(
         num_partitions=1,
         partitioner=None,
         counters=counters,
-        record_policy=record_policy,
+        copies=copies,
         output_counter=TaskCounter.COMBINE_OUTPUT_RECORDS,
     )
     counters.increment(TaskCounter.COMBINE_INPUT_RECORDS, len(ordered))
@@ -483,22 +475,16 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         spec: JobSpec,
         num_partitions: int,
         counters: Counters,
-        record_policy: str,
-        max_entries: int,
+        copies: bool,
         task_conf: Optional[JobConf] = None,
     ):
-        if record_policy not in ("serialize", "clone", "alias"):
-            raise ValueError(f"unknown record policy {record_policy!r}")
         if num_partitions <= 0:
             raise ValueError("need at least one partition")
         # The tallies are pre-combine totals (what the per-record
         # CollectorSink would have tallied): the stage charges sort and
         # serialize time from these.
-        super().__init__(
-            counters, TaskCounter.MAP_OUTPUT_RECORDS, copies=record_policy != "alias"
-        )
+        super().__init__(counters, TaskCounter.MAP_OUTPUT_RECORDS, copies=copies)
         self._spec = spec
-        self._max_entries = max(1, max_entries)
         self._num_partitions = num_partitions
         self._get_partition = spec.partitioner.get_partition
         self._aggregates: List[dict] = [{} for _ in range(num_partitions)]
@@ -559,7 +545,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
             self._buffer_raw(partition, key, value)
             return
         if accumulator is None:
-            if self._entries >= self._max_entries:
+            if self._entries >= IMC_MAX_ENTRIES:
                 self._spill_all()
                 aggregate = self._aggregates[partition]
             if self._copies:

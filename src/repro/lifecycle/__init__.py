@@ -4,8 +4,8 @@ One driver (:class:`~repro.lifecycle.pipeline.JobPipeline`) runs a job as a
 sequence of named stages supplied by an engine's
 :class:`~repro.lifecycle.pipeline.StageProvider`, emitting typed
 :class:`~repro.lifecycle.events.LifecycleEvent` records on a per-job bus.
-Cross-cutting concerns — governor pins, sanitizer scoping, trace capture —
-are bus subscriptions rather than hand-wired engine code.
+Cross-cutting concerns — governor pins, trace capture — are bus
+subscriptions rather than hand-wired engine code.
 
 Import discipline: this package's ``__init__`` deliberately does NOT
 import the engine-specific stage providers (``m3r_stages``,
@@ -30,7 +30,6 @@ from repro.lifecycle.pipeline import JobContext, JobPipeline, StageProvider
 from repro.lifecycle.sinks import (
     DEFAULT_RING_SIZE,
     JsonlTraceSink,
-    MetricsBridgeSink,
     RingBufferSink,
     open_job_bus,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "StageProvider",
     "RingBufferSink",
     "JsonlTraceSink",
-    "MetricsBridgeSink",
     "open_job_bus",
     "DEFAULT_RING_SIZE",
     "JobWaterfall",

@@ -203,9 +203,9 @@ class EventBus:
     to subscribers.
 
     Subscribers come in two classes.  *Critical* subscribers are part of
-    the engine (governor pins, sanitizer scoping): their exceptions
-    propagate and fail the job loudly.  Plain *sinks* are observers (ring
-    buffer, JSONL trace, metrics bridge): a sink that raises is dropped
+    the engine (governor pins): their exceptions propagate and fail the
+    job loudly.  Plain *sinks* are observers (ring buffer, JSONL trace,
+    the job service's status feed): a sink that raises is dropped
     and its error recorded in :attr:`sink_errors` — observability must
     never perturb the run it observes.
     """

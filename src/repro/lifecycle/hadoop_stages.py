@@ -24,8 +24,8 @@ provider's do (DESIGN.md §16):
                split reader; for a reduce, the shuffle fetch filling a
                ShuffleInput with sorted runs)
     → kernel  (user code, :mod:`repro.lifecycle.kernels` — the kernels the
-               M3R provider runs, here with the ``"serialize"`` record
-               policy, the stock object-reusing map runner and, for
+               M3R provider runs, here copying every record as it is
+               emitted, the stock object-reusing map runner and, for
                map-only and reduce output, a streaming record-writer sink:
                output is written while the task runs)
     → epilogue (charges from the kernel outcome, in this engine's order:
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.api.counters import JobCounter, TaskCounter
 from repro.api.formats import FileOutputFormat
@@ -67,7 +67,6 @@ from repro.lifecycle.kernels import (
     run_reduce_kernel,
 )
 from repro.lifecycle.pipeline import JobContext, StageFn, StageProvider, TaskContext
-from repro.lifecycle.subscriptions import SanitizerSubscription
 from repro.restore import admission as restore
 from repro.shuffle import ShuffleInput
 
@@ -99,10 +98,6 @@ class HadoopStageProvider(StageProvider):
     # ------------------------------------------------------------------ #
     # pipeline contract
     # ------------------------------------------------------------------ #
-
-    def subscriptions(self, ctx: JobContext) -> Sequence[Callable[[Any], None]]:
-        # No governor here — the stock engine has no cache to govern.
-        return (SanitizerSubscription(ctx),)
 
     serve_hit = staticmethod(restore.serve_hadoop)
 
@@ -223,10 +218,10 @@ def run_hadoop_map_task(tctx: TaskContext, task_index: int) -> TaskLedger:
         )
         sink = WriterCollector(writer, counters, TaskCounter.MAP_OUTPUT_RECORDS)
     # Hadoop serializes every emit at once, so the stock object-reusing
-    # runner is safe and the record policy is a snapshot per record.
+    # runner is safe and every record is snapshotted as it is collected.
     outcome = run_map_kernel(
         spec, split, raw_reader, counters, reporter, task_conf,
-        policy="serialize", fresh_runner=False, sink=sink,
+        copies=True, fresh_runner=False, sink=sink,
     )
     if writer is not None:
         writer.close()

@@ -45,7 +45,6 @@ from repro.engine_common import (
     PartitionBuffer,
     batch_size_for,
     imc_armed,
-    imc_max_entries_for,
     run_combiner_if_any,
 )
 from repro.fs.instrumented import FsTally, InstrumentedFileSystem
@@ -109,7 +108,7 @@ def open_task(
 
 
 def single_partition_sink(
-    counters: Counters, policy: str, output_counter: TaskCounter
+    counters: Counters, copies: bool, output_counter: TaskCounter
 ) -> CollectorSink:
     """The buffering output sink of an M3R map-only or reduce task: the
     output stays in memory because the cache admits it after the task."""
@@ -117,7 +116,7 @@ def single_partition_sink(
         num_partitions=1,
         partitioner=None,
         counters=counters,
-        record_policy=policy,
+        copies=copies,
         output_counter=output_counter,
     )
 
@@ -159,7 +158,7 @@ def run_map_kernel(
     reporter: Reporter,
     task_conf: JobConf,
     *,
-    policy: str,
+    copies: bool,
     fresh_runner: bool,
     sink: Optional[Any] = None,
 ) -> MapKernelOutcome:
@@ -186,8 +185,7 @@ def run_map_kernel(
             spec,
             num_partitions=spec.num_reducers,
             counters=counters,
-            record_policy=policy,
-            max_entries=imc_max_entries_for(task_conf),
+            copies=copies,
             task_conf=task_conf,
         )
     else:
@@ -195,7 +193,7 @@ def run_map_kernel(
             num_partitions=spec.num_reducers,
             partitioner=spec.partitioner,
             counters=counters,
-            record_policy=policy,
+            copies=copies,
         )
 
     drive = spec.run_map_task_batched if use_batched else spec.run_map_task
@@ -228,7 +226,7 @@ def run_map_kernel(
     buffers = collector.partitions
     if spec.combiner_class is not None:
         buffers = [
-            run_combiner_if_any(spec, buffer, counters, reporter, policy)
+            run_combiner_if_any(spec, buffer, counters, reporter, copies)
             for buffer in buffers
         ]
         outcome.compute_finish = reporter.consume_compute_seconds()

@@ -15,8 +15,8 @@ Every ``ctx.advance`` below reproduces one ``clock +=`` of the original
 ``_execute``, with compound additions (``shuffle_time + barrier``,
 ``makespan + barrier``) kept as single expressions — float addition is
 order-sensitive and the refactor's invariant is byte-identical simulated
-seconds.  The memory governor and sanitizers are NOT wired here: they
-ride the event bus (see :mod:`repro.lifecycle.subscriptions`).
+seconds.  The memory governor is NOT wired here: it rides the event bus
+(see :mod:`repro.lifecycle.subscriptions`).
 
 Task bodies are **module-level functions over an explicit**
 :class:`~repro.lifecycle.pipeline.TaskContext` — not closures over
@@ -64,10 +64,7 @@ from repro.lifecycle.kernels import (
     single_partition_sink,
 )
 from repro.lifecycle.pipeline import JobContext, StageFn, StageProvider, TaskContext
-from repro.lifecycle.subscriptions import (
-    GovernorSubscription,
-    SanitizerSubscription,
-)
+from repro.lifecycle.subscriptions import GovernorSubscription
 from repro.restore import admission as restore
 from repro.shuffle import ShuffleExecutor, ShuffleInput
 from repro.x10.serializer import FALLBACK_TALLY
@@ -87,8 +84,7 @@ class M3RStageProvider(StageProvider):
     # ------------------------------------------------------------------ #
 
     def subscriptions(self, ctx: JobContext) -> Sequence[Callable[[Any], None]]:
-        # Governor first: pins must exist before any stage can evict.
-        return (GovernorSubscription(self.engine, ctx), SanitizerSubscription(ctx))
+        return (GovernorSubscription(self.engine, ctx),)
 
     serve_hit = staticmethod(restore.serve_m3r)
 
@@ -296,11 +292,9 @@ def _m3r_map_task_body(
         charge_input_read(task, model, tally, is_local_read(engine, split, node))
 
     # --- run the user code (the kernel) -------------------------------- #
-    policy = (
-        "alias" if spec.map_output_immutable(split, fresh_runner=True) else "clone"
-    )
+    copies = not spec.map_output_immutable(split, fresh_runner=True)
     sink = (
-        single_partition_sink(counters, policy, TaskCounter.MAP_OUTPUT_RECORDS)
+        single_partition_sink(counters, copies, TaskCounter.MAP_OUTPUT_RECORDS)
         if spec.is_map_only
         else None
     )
@@ -309,7 +303,7 @@ def _m3r_map_task_body(
         raw_reader if pairs is None
         else MaterializedReader(pairs, clone=not mapper_immutable),
         counters, reporter, task_conf,
-        policy=policy, fresh_runner=True, sink=sink,
+        copies=copies, fresh_runner=True, sink=sink,
     )
 
     # Deserialization is paid only when records actually came off the
@@ -387,7 +381,7 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> TaskLedger:
 
     sink = single_partition_sink(
         ctx.counters,
-        "alias" if spec.reduce_output_immutable() else "clone",
+        not spec.reduce_output_immutable(),
         TaskCounter.REDUCE_OUTPUT_RECORDS,
     )
     compute = run_reduce_kernel(

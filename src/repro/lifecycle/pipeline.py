@@ -5,11 +5,11 @@ A job is a sequence of named stages supplied by a :class:`StageProvider`
 Hadoop engine disk-flavoured ones).  The driver owns everything that is
 *lifecycle*, not engine: building the per-job :class:`Counters`/:class:`Metrics`,
 emitting ``JobStart``/``StageStart``/``StageEnd``/``JobEnd`` on the event
-bus, wiring up the provider's critical subscriptions (governor pins,
-sanitizer scoping), translating failures into :class:`EngineResult`, and —
-crucially — emitting ``JobEnd`` in a ``finally`` so subscriptions always
-unwind: a job that raises mid-stage still releases its cache pins and
-restores the sanitizer flags.  :class:`StageProvider` also holds the stage
+bus, wiring up the provider's critical subscriptions (governor pins),
+translating failures into :class:`EngineResult`, and — crucially —
+emitting ``JobEnd`` in a ``finally`` so subscriptions always unwind: a
+job that raises mid-stage still releases its cache pins.
+:class:`StageProvider` also holds the stage
 skeleton both engines share: the ReStore admission / record wrapper around
 the engine's stages, split planning, and the run-tasks → lane replay →
 task-event loop of a map or reduce phase.
@@ -244,9 +244,9 @@ class JobPipeline:
         succeeded = False
         seconds = 0.0
         error: Optional[str] = None
-        # JobStart triggers the critical subscriptions (pins, sanitizer
-        # scope); from here on JobEnd MUST fire, so the whole stage loop
-        # sits inside try/finally.
+        # JobStart triggers the critical subscriptions (pins); from here
+        # on JobEnd MUST fire, so the whole stage loop sits inside
+        # try/finally.
         bus.emit(
             JobStart(
                 job_id=ctx.job_id,

@@ -1,4 +1,4 @@
-"""Pluggable event sinks: ring buffer, JSONL trace file, metrics bridge.
+"""Pluggable event sinks: ring buffer and JSONL trace file.
 
 Sinks are plain callables taking one :class:`~repro.lifecycle.events.LifecycleEvent`;
 the bus drops a sink that raises (observers never fail a job).  The engine
@@ -19,23 +19,12 @@ import os
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.api.conf import TRACE_PATH_ENV, TRACE_PATH_KEY, TRACE_RING_KEY, JobConf
-from repro.lifecycle.events import (
-    CacheEvent,
-    EventBus,
-    JobEnd,
-    LifecycleEvent,
-    ReuseEvent,
-    SpillEvent,
-    StageEnd,
-    TaskEnd,
-)
-from repro.sim.metrics import Metrics, stage_time_key
+from repro.api.conf import TRACE_PATH_ENV, TRACE_PATH_KEY, JobConf
+from repro.lifecycle.events import EventBus, LifecycleEvent
 
 __all__ = [
     "RingBufferSink",
     "JsonlTraceSink",
-    "MetricsBridgeSink",
     "open_job_bus",
     "DEFAULT_RING_SIZE",
 ]
@@ -52,12 +41,6 @@ class RingBufferSink:
     @property
     def maxlen(self) -> int:
         return self._events.maxlen or 0
-
-    def resize(self, maxlen: int) -> None:
-        """Rebuild the ring with a new bound, keeping the newest events."""
-        if maxlen <= 0:
-            raise ValueError("ring size must be positive")
-        self._events = deque(self._events, maxlen=maxlen)
 
     def __call__(self, event: LifecycleEvent) -> None:
         self._events.append(event)
@@ -104,36 +87,6 @@ class JsonlTraceSink:
             self._handle.close()
 
 
-class MetricsBridgeSink:
-    """Aggregates the event stream into a :class:`Metrics` object.
-
-    This is the structured replacement for hand-wired per-stage accounting:
-    stage durations land as ``stage[<name>]`` time categories (see
-    :func:`repro.sim.metrics.stage_time_breakdown`), task/cache/spill
-    events as counters.  It writes to its *own* Metrics by default — the
-    job's ``EngineResult.metrics`` stays byte-identical to the
-    pre-lifecycle engines, which is the refactor's invariant.
-    """
-
-    def __init__(self, metrics: Optional[Metrics] = None):
-        self.metrics = metrics if metrics is not None else Metrics()
-
-    def __call__(self, event: LifecycleEvent) -> None:
-        if isinstance(event, StageEnd):
-            self.metrics.time.charge(stage_time_key(event.stage), event.seconds)
-        elif isinstance(event, TaskEnd):
-            self.metrics.incr(f"stage_tasks[{event.stage}]")
-            self.metrics.incr(f"stage_records[{event.stage}]", event.records)
-        elif isinstance(event, CacheEvent):
-            self.metrics.incr(f"cache_event[{event.action}]")
-        elif isinstance(event, SpillEvent):
-            self.metrics.incr(f"spill_event[{event.action}]")
-        elif isinstance(event, ReuseEvent):
-            self.metrics.incr(f"reuse_event[{event.action}]")
-        elif isinstance(event, JobEnd):
-            self.metrics.incr("jobs_succeeded" if event.succeeded else "jobs_failed")
-
-
 def open_job_bus(
     job_id: str,
     engine_name: str,
@@ -149,8 +102,6 @@ def open_job_bus(
     """
     bus = EventBus(job_id, engine_name)
     if ring is not None:
-        if conf is not None and TRACE_RING_KEY in conf:
-            ring.resize(conf.get_int(TRACE_RING_KEY))
         bus.subscribe(ring)
     for sink in extra_sinks:
         bus.subscribe(sink)

@@ -1,37 +1,25 @@
 """Cross-cutting engine concerns as bus subscriptions.
 
-Before this layer existed, the memory governor and the sanitizers were
-hand-wired into each engine's monolithic ``_execute``: pins taken in one
-method, released in a distant ``finally``, sanitizer overrides entered in
-a ``with`` wrapping the whole body.  Here they are *subscriptions*: a
-``JobStart`` event sets them up, the guaranteed ``JobEnd`` tears them
-down — so any path out of a job (success, user-code failure, node
-failure) releases pins and restores sanitizer flags, which is exactly the
-pin-leak-on-failure bug class the lifecycle refactor closes.
+Before this layer existed, the memory governor was hand-wired into the
+engine's monolithic ``_execute``: pins taken in one method, released in a
+distant ``finally``.  Here it is a *subscription*: a ``JobStart`` event
+sets it up, the guaranteed ``JobEnd`` tears it down — so any path out of a
+job (success, user-code failure, node failure) releases pins, which is
+exactly the pin-leak-on-failure bug class the lifecycle refactor closes.
 
-Both are *critical* subscribers (their exceptions fail the job loudly);
-they ignore every event other than JobStart/JobEnd.
+It is a *critical* subscriber (its exceptions fail the job loudly); it
+ignores every event other than JobStart/JobEnd.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, List, Optional
+from typing import Any, List
 
-from repro.analysis.sanitizers import (
-    LOCK_ORDER_SANITIZER,
-    MUTATION_SANITIZER,
-    sanitizer_overrides,
-)
-from repro.api.conf import (
-    SANITIZE_LOCK_ORDER_KEY,
-    SANITIZE_MUTATION_KEY,
-    conf_bool,
-)
 from repro.lifecycle.events import JobEnd, JobStart, LifecycleEvent
 from repro.lifecycle.pipeline import JobContext
 
-__all__ = ["GovernorSubscription", "SanitizerSubscription"]
+__all__ = ["GovernorSubscription"]
 
 
 class GovernorSubscription:
@@ -68,37 +56,3 @@ class GovernorSubscription:
             for prefix in self._pins:
                 governor.unpin_prefix(prefix)
             self._pins = []
-
-
-class SanitizerSubscription:
-    """Scopes the per-job sanitizer overrides to one job's lifetime.
-
-    The knob resolution is ``m3r.sanitize.*`` on the JobConf, else the
-    process default (the singleton's current ``enabled`` flag, which the
-    ``M3R_SANITIZE_*`` environment variables seed at import — the env
-    parsing itself lives in ``analysis.sanitizers`` because that module
-    must not import the API layer).
-    """
-
-    def __init__(self, ctx: JobContext):
-        self._ctx = ctx
-        self._scope: Optional[Any] = None
-
-    def __call__(self, event: LifecycleEvent) -> None:
-        if isinstance(event, JobStart):
-            conf = self._ctx.conf
-            self._scope = sanitizer_overrides(
-                mutation=conf_bool(
-                    conf, SANITIZE_MUTATION_KEY, default=MUTATION_SANITIZER.enabled
-                ),
-                lock_order=conf_bool(
-                    conf,
-                    SANITIZE_LOCK_ORDER_KEY,
-                    default=LOCK_ORDER_SANITIZER.enabled,
-                ),
-            )
-            self._scope.__enter__()
-        elif isinstance(event, JobEnd):
-            if self._scope is not None:
-                scope, self._scope = self._scope, None
-                scope.__exit__(None, None, None)

@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.conf import (
     RESTORE_ENABLED_KEY,
     RESTORE_ENV,
-    RESTORE_MAX_ENTRIES_KEY,
     JobConf,
     conf_bool,
 )
@@ -68,8 +67,6 @@ def _reuse_event(ctx: Any, action: str, fingerprint: Optional[str],
 def admit(ctx: Any, engine: Any, st: Dict[str, Any]) -> None:
     """The admission stage body (zero simulated seconds)."""
     store = engine.restore
-    if RESTORE_MAX_ENTRIES_KEY in ctx.conf:
-        store.reconfigure(max_entries=ctx.conf.get_int(RESTORE_MAX_ENTRIES_KEY))
     fingerprint = compute_fingerprint(engine, ctx.spec, ctx.conf, store)
     st[FINGERPRINT_KEY] = fingerprint
     if fingerprint is None:

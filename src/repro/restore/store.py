@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["ResultStore", "StoredPart", "StoredResult", "DEFAULT_MAX_ENTRIES"]
 
-#: LRU bound on distinct fingerprints retained (``m3r.restore.max-entries``).
+#: LRU bound on distinct fingerprints retained.
 DEFAULT_MAX_ENTRIES = 64
 
 
@@ -143,17 +143,6 @@ class ResultStore:
             "lineage_entries": len(self._lineage),
             "lifetime": dict(self._tally),
         }
-
-    def reconfigure(self, max_entries: Optional[int] = None) -> None:
-        """Apply knob overrides (``m3r.restore.max-entries``)."""
-        if max_entries is None:
-            return
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        while len(self._results) > self.max_entries:
-            self._results.popitem(last=False)
-            self._tally["evicted"] += 1
 
     def clear(self) -> None:
         self._results.clear()

@@ -26,15 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.api.conf import (
-    Configuration,
-    JobConf,
-    SERVICE_IN_FLIGHT_KEY,
-    SERVICE_QUEUE_DEPTH_KEY,
-    SERVICE_SHARED_RESTORE_KEY,
-    SERVICE_TENANT_BUDGET_KEY,
-    SERVICE_TENANT_WEIGHT_KEY,
-)
+from repro.api.conf import JobConf
 from repro.api.job import JobSequence
 from repro.fs.filesystem import normalize_path
 from repro.lifecycle.events import JobEnd, LifecycleEvent, ServiceEvent, StageStart
@@ -42,8 +34,9 @@ from repro.restore.store import ResultStore
 from repro.service.scheduler import FairScheduler
 from repro.service.tenancy import SubmissionRecord, TenantSpec, TenantState
 
+#: Service-wide bound on queued submissions; admission past it raises
+#: :class:`QueueFull`.
 DEFAULT_QUEUE_DEPTH = 64
-DEFAULT_INFLIGHT_LIMIT = 8
 #: How many ServiceEvents the service remembers (``events``, ``schedule_log``).
 SERVICE_EVENT_RING = 512
 
@@ -87,21 +80,10 @@ class JobService:
     other's way.
     """
 
-    def __init__(self, engine: Any, config: Optional[Configuration] = None):
-        cfg = config if config is not None else Configuration()
+    def __init__(self, engine: Any):
         self.engine = engine
         #: Bounded total queue depth (queued, not running, submissions).
-        self.queue_depth = cfg.get_int(SERVICE_QUEUE_DEPTH_KEY, DEFAULT_QUEUE_DEPTH)
-        if self.queue_depth <= 0:
-            raise ValueError(f"queue depth must be positive: {self.queue_depth}")
-        self._default_weight = cfg.get_int(SERVICE_TENANT_WEIGHT_KEY, 1)
-        self._default_inflight = cfg.get_int(
-            SERVICE_IN_FLIGHT_KEY, DEFAULT_INFLIGHT_LIMIT
-        )
-        self._default_budget = cfg.get_int(SERVICE_TENANT_BUDGET_KEY, 0)
-        self._default_shared_restore = cfg.get_boolean(
-            SERVICE_SHARED_RESTORE_KEY, False
-        )
+        self.queue_depth = DEFAULT_QUEUE_DEPTH
 
         self._tenants: Dict[str, TenantState] = {}
         self._submissions: Dict[str, SubmissionRecord] = {}
@@ -127,31 +109,21 @@ class JobService:
         self,
         name: str,
         *,
-        weight: Optional[int] = None,
-        inflight_limit: Optional[int] = None,
-        cache_budget_bytes: Optional[int] = None,
+        weight: int = 1,
+        inflight_limit: int = 8,
+        cache_budget_bytes: int = 0,
         prefixes: Tuple[str, ...] = (),
-        shared_restore: Optional[bool] = None,
+        shared_restore: bool = False,
     ) -> "TenantClient":
-        """Register a tenant; unset isolation knobs fall back to the
-        ``m3r.service.*`` configuration defaults."""
+        """Register a tenant with its isolation parameters (see
+        :class:`~repro.service.tenancy.TenantSpec`)."""
         spec = TenantSpec(
             name=name,
-            weight=self._default_weight if weight is None else weight,
-            inflight_limit=(
-                self._default_inflight if inflight_limit is None else inflight_limit
-            ),
-            cache_budget_bytes=(
-                self._default_budget
-                if cache_budget_bytes is None
-                else cache_budget_bytes
-            ),
+            weight=weight,
+            inflight_limit=inflight_limit,
+            cache_budget_bytes=cache_budget_bytes,
             prefixes=tuple(prefixes),
-            shared_restore=(
-                self._default_shared_restore
-                if shared_restore is None
-                else shared_restore
-            ),
+            shared_restore=shared_restore,
         )
         if name in self._tenants:
             raise ValueError(f"tenant already registered: {name}")

@@ -56,28 +56,6 @@ def shuffle_place_key(place: int) -> str:
     return f"{SHUFFLE_PLACE_PREFIX}{place}]"
 
 
-#: Prefix of the per-stage time categories the lifecycle metrics bridge
-#: charges (see :class:`repro.lifecycle.sinks.MetricsBridgeSink`):
-#: ``stage[map]`` holds the simulated seconds the ``map`` stage added to
-#: the job clock.
-STAGE_TIME_PREFIX = "stage["
-
-
-def stage_time_key(stage: str) -> str:
-    """The time-breakdown category for one lifecycle stage's duration."""
-    return f"{STAGE_TIME_PREFIX}{stage}]"
-
-
-def stage_time_breakdown(metrics: "Metrics") -> Dict[str, float]:
-    """Extract the per-stage seconds recorded by the metrics bridge as
-    ``{stage: seconds}`` (empty when no bridge was attached)."""
-    result: Dict[str, float] = {}
-    for name, value in metrics.as_dict()["time"].items():
-        if name.startswith(STAGE_TIME_PREFIX) and name.endswith("]"):
-            result[name[len(STAGE_TIME_PREFIX):-1]] = value
-    return result
-
-
 def shuffle_place_bytes(metrics: "Metrics") -> Dict[int, int]:
     """Extract the per-place shuffle byte counters as ``{place: bytes}``."""
     result: Dict[int, int] = {}

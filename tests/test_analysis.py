@@ -698,6 +698,41 @@ def test_knob_registry_markdown_table_lists_public_knobs():
             assert f"`{knob.name}`" not in table
 
 
+def test_every_public_knob_has_a_reader():
+    """A knob needs a caller: each public key's constant is loaded inside
+    some function under ``src/repro`` (the registry and the constant block
+    that derives it do not count), except the two retired rows, which are
+    accepted and ignored on purpose.  A knob cannot outlive its last
+    reader."""
+    import ast
+
+    import repro
+    from repro.analysis.knobs import REGISTRY
+
+    package = Path(repro.__file__).parent
+    read: set = set()
+    for path in package.rglob("*.py"):
+        if path == package / "analysis" / "knobs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read.update(
+                    node.id
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                )
+    retired = {"REAL_THREADS_KEY", "SHUFFLE_REAL_THREADS_KEY"}
+    unread = [
+        knob.name
+        for knob in REGISTRY
+        if not knob.internal
+        and knob.constant not in retired
+        and knob.constant not in read
+    ]
+    assert unread == []
+
+
 # --------------------------------------------------------------------- #
 # noqa suppression
 # --------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
 """Batched record path + automatic in-mapper combining (DESIGN.md §14).
 
 The contract under test is byte-identity: for any job, the batched path
-(``m3r.batch.*``) and the in-mapper-combining path (``m3r.imc.*``) must
+(``m3r.batch.enabled``) and the in-mapper-combining path
+(``m3r.imc.enabled``) must
 produce exactly the output pairs, counters and simulated seconds of the
 per-record path, on both engines.  The sweep reuses the 20-seed differential
 harness; directed tests cover the batch-boundary edge cases (empty splits,
@@ -15,14 +16,9 @@ import pytest
 from conftest import make_hadoop, make_m3r
 from workloads import enable_restore, histogram_job, seeded_histogram_dataset
 
-from repro.api.conf import (
-    BATCH_ENABLED_KEY,
-    BATCH_SIZE_KEY,
-    IMC_ENABLED_KEY,
-    IMC_MAX_ENTRIES_KEY,
-    SANITIZE_MUTATION_KEY,
-    JobConf,
-)
+from repro import engine_common
+from repro.analysis.sanitizers import sanitizer_overrides
+from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY, JobConf
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
 from repro.api.vectorized import (
     AssociativeReducer,
@@ -37,18 +33,14 @@ from repro.apps.wordcount import SumReducer, WordCountMapperImmutable, wordcount
 MODES = ("per-record", "batched", "batched+imc")
 
 
-def apply_mode(conf: JobConf, mode: str, batch_size=None, max_entries=None) -> None:
+def apply_mode(conf: JobConf, mode: str) -> None:
     if mode != "per-record":
         conf.set_boolean(BATCH_ENABLED_KEY, True)
-        if batch_size is not None:
-            conf.set_int(BATCH_SIZE_KEY, batch_size)
     if mode == "batched+imc":
         conf.set_boolean(IMC_ENABLED_KEY, True)
-        if max_entries is not None:
-            conf.set_int(IMC_MAX_ENTRIES_KEY, max_entries)
 
 
-def run_histogram(factory, seed: int, mode: str, **knobs):
+def run_histogram(factory, seed: int, mode: str):
     pairs, params = seeded_histogram_dataset(seed)
     num_parts = params["num_parts"]
     engine = factory()
@@ -64,7 +56,7 @@ def run_histogram(factory, seed: int, mode: str, **knobs):
             # the job name, and placement must match across modes.
             name=f"batching-{seed}",
         )
-        apply_mode(conf, mode, **knobs)
+        apply_mode(conf, mode)
         result = engine.run_job(conf)
         assert result.succeeded, result.error
         return {
@@ -135,7 +127,7 @@ def test_imc_folds_on_a_combiner_seed():
 # --------------------------------------------------------------------- #
 
 
-def run_wordcount(factory, mode: str, **knobs):
+def run_wordcount(factory, mode: str):
     engine = factory()
     try:
         engine.filesystem.write_text("/in/part-00000", "alpha beta alpha\n")
@@ -144,7 +136,7 @@ def run_wordcount(factory, mode: str, **knobs):
             "/in/part-00002", "beta beta gamma\nalpha gamma beta\n"
         )
         conf = wordcount_job("/in", "/out", num_reducers=3)
-        apply_mode(conf, mode, **knobs)
+        apply_mode(conf, mode)
         result = engine.run_job(conf)
         assert result.succeeded, result.error
         return {
@@ -163,7 +155,7 @@ def run_wordcount(factory, mode: str, **knobs):
 
 @pytest.mark.parametrize("kind", ["hadoop", "m3r"])
 @pytest.mark.parametrize("batch_size", [1, 2, 10_000])
-def test_batch_boundaries_with_empty_split(kind, batch_size):
+def test_batch_boundaries_with_empty_split(kind, batch_size, monkeypatch):
     """Batch size 1 (degenerate), 2 (mid-split boundaries) and one far
     larger than any split, against a corpus that includes an empty split."""
     factory = make_hadoop if kind == "hadoop" else make_m3r
@@ -171,18 +163,20 @@ def test_batch_boundaries_with_empty_split(kind, batch_size):
     assert base["output"] == [
         ("alpha", 3), ("beta", 4), ("gamma", 2),
     ]
+    monkeypatch.setattr(engine_common, "BATCH_SIZE", batch_size)
     for mode in MODES[1:]:
-        other = run_wordcount(factory, mode, batch_size=batch_size)
+        other = run_wordcount(factory, mode)
         assert_identical(base, other, (kind, mode, batch_size))
 
 
 @pytest.mark.parametrize("kind", ["hadoop", "m3r"])
-def test_imc_overflow_spills_to_emit(kind):
+def test_imc_overflow_spills_to_emit(kind, monkeypatch):
     """A two-entry aggregate overflows constantly; output must still be
     byte-identical and the spills must be visible in the metrics."""
     factory = make_hadoop if kind == "hadoop" else make_m3r
     base = run_wordcount(factory, "per-record")
-    spilled = run_wordcount(factory, "batched+imc", max_entries=2)
+    monkeypatch.setattr(engine_common, "IMC_MAX_ENTRIES", 2)
+    spilled = run_wordcount(factory, "batched+imc")
     assert_identical(base, spilled, (kind, "spill"))
     assert spilled["metrics"].get("imc_spills", 0) > 0
 
@@ -225,9 +219,8 @@ def test_recycling_associative_reducer_caught_by_sanitizer():
     engine = make_m3r()
     try:
         engine.filesystem.write_text("/in/part-00000", "word word word word\n")
-        conf = _lying_combiner_job(RecyclingSumReducer)
-        conf.set_boolean(SANITIZE_MUTATION_KEY, True)
-        result = engine.run_job(conf)
+        with sanitizer_overrides(mutation=True):
+            result = engine.run_job(_lying_combiner_job(RecyclingSumReducer))
         assert not result.succeeded
         assert "ImmutableViolation" in result.error
     finally:
@@ -287,10 +280,11 @@ def test_markers():
 
 
 @pytest.mark.parametrize("kind", ["hadoop", "m3r"])
-def test_vectorized_mapper_batches(kind):
+def test_vectorized_mapper_batches(kind, monkeypatch):
     """A batch_arrays VectorizedMapper runs via map_batch under the batch
     knob and produces byte-identical results to its per-record map."""
     factory = make_hadoop if kind == "hadoop" else make_m3r
+    monkeypatch.setattr(engine_common, "BATCH_SIZE", 4)
 
     def run(mode):
         engine = factory()
@@ -301,7 +295,7 @@ def test_vectorized_mapper_batches(kind):
             )
             conf = histogram_job("/in", "/out", 2)
             conf.set_mapper_class(DoublingVectorMapper)
-            apply_mode(conf, mode, batch_size=4)
+            apply_mode(conf, mode)
             result = engine.run_job(conf)
             assert result.succeeded, result.error
             return {

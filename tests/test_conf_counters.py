@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.knobs import KNOB_PREFIX
 from repro.api.conf import (
     CONF_STRICT_ENV,
     CONF_STRICT_KEY,
@@ -218,6 +219,46 @@ class TestRetiredKeys:
         for factory in (make_m3r, make_hadoop):
             assert self.observed(factory, {key: value}) == self.observed(factory)
         assert not [w for w in recwarn.list if issubclass(w.category, UnknownKnobWarning)]
+
+
+#: Keys that only tests ever set, deleted from the KnobRegistry with the
+#: code that read them; their values live on as module constants.
+DELETED_KEYS = [
+    KNOB_PREFIX + rest
+    for rest in (
+        "service.queue-depth",
+        "service.in-flight-limit",
+        "service.tenant-weight",
+        "service.tenant-budget-bytes",
+        "service.shared-restore",
+        "restore.max-entries",
+        "trace.ring-size",
+        "batch.size",
+        "imc.max-entries",
+        "sanitize.mutation",
+        "sanitize.lock-order",
+    )
+]
+
+
+class TestDeletedKeys:
+    """A deleted key is an unknown key: it warns, raises under strict
+    mode, and ``repro stats --set`` refuses it."""
+
+    @pytest.mark.parametrize("key", DELETED_KEYS)
+    def test_a_deleted_key_is_unknown(self, key, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.delenv(CONF_STRICT_ENV, raising=False)
+        with pytest.warns(UnknownKnobWarning, match=key):
+            Configuration().set(key, 1)
+        monkeypatch.setenv(CONF_STRICT_ENV, "1")
+        with pytest.raises(UnknownKnobError, match=key):
+            Configuration().set(key, 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--set", f"{key}=1"])
+        assert excinfo.value.code == 2
+        assert key in capsys.readouterr().err
 
 
 class TestJobConf:

@@ -4,7 +4,7 @@ Covers the refactor's contract: both engines drive the same
 :class:`~repro.lifecycle.pipeline.JobPipeline`, every job emits one
 deterministic stream of typed events, observers never perturb the run
 (byte-identity with tracing on or off), and the guaranteed ``JobEnd``
-releases pins and sanitizer scopes on every exit path.  An engine runs
+releases pins on every exit path.  An engine runs
 jobs only on the thread that built it.
 """
 
@@ -20,7 +20,6 @@ import pytest
 from repro.api.conf import (
     CACHE_PINNED_PATHS_KEY,
     TRACE_PATH_KEY,
-    TRACE_RING_KEY,
     JobConf,
 )
 from repro.api.counters import TaskCounter
@@ -38,7 +37,7 @@ from repro.lifecycle.events import (
     StageStart,
     TaskEnd,
 )
-from repro.lifecycle.sinks import MetricsBridgeSink, RingBufferSink
+from repro.lifecycle.sinks import RingBufferSink
 from repro.lifecycle.trace import (
     collect_waterfalls,
     read_jsonl,
@@ -245,32 +244,17 @@ class TestSinks:
         assert len(ring) == 3
         assert [e.job_id for e in ring.events()] == ["j4", "j5", "j6"]
 
-    def test_ring_resizes_from_conf(self):
+    def test_engine_ring_keeps_the_newest_events_of_a_job(self):
         engine = make_m3r(4)
+        engine.event_ring = RingBufferSink(16)
         try:
             engine.filesystem.write_text("/in.txt", generate_text(50))
-            conf = wordcount_job("/in.txt", "/out", 4)
-            conf.set_int(TRACE_RING_KEY, 16)
-            assert engine.run_job(conf).succeeded
-            assert engine.event_ring.maxlen == 16
-            assert len(engine.event_ring) <= 16
+            assert engine.run_job(wordcount_job("/in.txt", "/out", 4)).succeeded
+            events = engine.event_ring.events()
+            assert engine.event_ring.maxlen == len(events) == 16
+            assert isinstance(events[-1], JobEnd)
         finally:
             engine.shutdown()
-
-    def test_metrics_bridge_aggregates_without_touching_result(self):
-        bridge = MetricsBridgeSink()
-        engine = make_m3r(4)
-        try:
-            engine.trace_sinks.append(bridge)
-            result = run_wordcount(engine)
-        finally:
-            engine.shutdown()
-        assert bridge.metrics.time.get("stage[map]") >= 0.0
-        assert bridge.metrics.get("stage_tasks[map]") > 0
-        assert bridge.metrics.get("jobs_succeeded") == 1
-        # The bridge writes to its own Metrics: the job's result carries
-        # no stage[...] categories (the byte-identity invariant).
-        assert "stage[map]" not in result.metrics.time.as_dict()
 
     def test_failing_sink_is_dropped_not_fatal(self):
         bus = EventBus("j1", "m3r")

@@ -28,7 +28,7 @@ from repro.analysis.sanitizers import (
     MutationSanitizer,
     sanitizer_overrides,
 )
-from repro.api.conf import SANITIZE_LOCK_ORDER_KEY, SANITIZE_MUTATION_KEY, JobConf
+from repro.api.conf import JobConf
 from repro.api.extensions import ImmutableOutput
 from repro.api.formats import SequenceFileInputFormat, SequenceFileOutputFormat
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
@@ -228,7 +228,6 @@ def _mutating_job():
     )
     conf.set_mapper_class(LyingImmutableMapper)
     conf.set_reducer_class(CountReducer)
-    conf.set_boolean(SANITIZE_MUTATION_KEY, True)
     return conf
 
 
@@ -236,7 +235,8 @@ class TestMutationEndToEnd:
     def test_mutating_immutable_mapper_is_caught_with_both_stacks(self):
         engine = make_m3r()
         engine.filesystem.write_text("/in.txt", "alpha beta\n")
-        result = engine.run_job(_mutating_job())
+        with sanitizer_overrides(mutation=True):
+            result = engine.run_job(_mutating_job())
         assert not result.succeeded
         assert "ImmutableViolation" in result.error
         # Both stacks ride inside the violation message.
@@ -247,9 +247,8 @@ class TestMutationEndToEnd:
     def test_same_job_passes_with_sanitizer_off(self):
         engine = make_m3r()
         engine.filesystem.write_text("/in.txt", "alpha beta\n")
-        conf = _mutating_job()
-        conf.set_boolean(SANITIZE_MUTATION_KEY, False)
-        result = engine.run_job(conf)
+        with sanitizer_overrides(mutation=False):
+            result = engine.run_job(_mutating_job())
         # Without the sanitizer the lie goes unnoticed (which is the point
         # of having the sanitizer).
         assert result.succeeded
@@ -259,9 +258,8 @@ class TestMutationEndToEnd:
         engine = make_m3r()
         engine.filesystem.write_text("/in.txt", generate_text(50))
         conf = wordcount_job("/in.txt", "/out", num_reducers=4)
-        conf.set_boolean(SANITIZE_MUTATION_KEY, True)
-        conf.set_boolean(SANITIZE_LOCK_ORDER_KEY, True)
-        result = engine.run_job(conf)
+        with sanitizer_overrides(mutation=True, lock_order=True):
+            result = engine.run_job(conf)
         assert result.succeeded, result.error
         engine.shutdown()
 
@@ -289,8 +287,8 @@ def _remote_job(mapper):
         generate_input(engine.filesystem, "/in", 40, 16, 4)
         conf = microbenchmark_job("/in", "/out", 100, 4)
         conf.set_mapper_class(mapper)
-        conf.set_boolean(SANITIZE_MUTATION_KEY, True)
-        return engine.run_job(conf)
+        with sanitizer_overrides(mutation=True):
+            return engine.run_job(conf)
     finally:
         engine.shutdown()
 
@@ -374,7 +372,6 @@ def _multiply_job(g_mapper, v_mapper, blocks=4):
     conf.set_output_format(SequenceFileOutputFormat)
     conf.set_output_path("/partial")
     conf.set_num_reduce_tasks(4)
-    conf.set_boolean(SANITIZE_MUTATION_KEY, True)
     return conf
 
 
@@ -403,7 +400,10 @@ class TestBlocksAreStillWatched:
     def test_mapper_that_writes_into_an_emitted_vector_fails_at_ship(self):
         engine = _matvec_engine()
         try:
-            result = engine.run_job(_multiply_job(matvec.GPassMapper, ScribblingVMapper))
+            with sanitizer_overrides(mutation=True):
+                result = engine.run_job(
+                    _multiply_job(matvec.GPassMapper, ScribblingVMapper)
+                )
             assert not result.succeeded
             assert "ImmutableViolation" in result.error
             assert "DedupSerializer.ship" in result.error
@@ -416,11 +416,14 @@ class TestBlocksAreStillWatched:
         the cached block."""
         engine = _matvec_engine()
         try:
-            first = engine.run_job(_multiply_job(ScribblingGMapper, matvec.VBroadcastMapper))
-            assert first.succeeded, first.error
-            honest = _multiply_job(matvec.GPassMapper, matvec.VBroadcastMapper)
-            honest.set_output_path("/partial-2")
-            result = engine.run_job(honest)
+            with sanitizer_overrides(mutation=True):
+                first = engine.run_job(
+                    _multiply_job(ScribblingGMapper, matvec.VBroadcastMapper)
+                )
+                assert first.succeeded, first.error
+                honest = _multiply_job(matvec.GPassMapper, matvec.VBroadcastMapper)
+                honest.set_output_path("/partial-2")
+                result = engine.run_job(honest)
             assert not result.succeeded
             assert "ImmutableViolation" in result.error
             assert "KeyValueCache.get(/G" in result.error
@@ -431,7 +434,8 @@ class TestBlocksAreStillWatched:
         engine = _matvec_engine()
         try:
             honest = _multiply_job(matvec.GPassMapper, matvec.VBroadcastMapper)
-            assert engine.run_job(honest).succeeded
+            with sanitizer_overrides(mutation=True):
+                assert engine.run_job(honest).succeeded
             cached = [
                 value
                 for entry in engine.cache.entries()
@@ -440,9 +444,8 @@ class TestBlocksAreStillWatched:
             ]
             assert cached and {type(value) for value in cached} == {VectorBlockWritable}
             scribble(cached[0])
-            conf = matvec.sum_job("/partial", "/V1", 4, 4)
-            conf.set_boolean(SANITIZE_MUTATION_KEY, True)
-            result = engine.run_job(conf)
+            with sanitizer_overrides(mutation=True):
+                result = engine.run_job(matvec.sum_job("/partial", "/V1", 4, 4))
             assert not result.succeeded
             assert "ImmutableViolation" in result.error
             assert "KeyValueCache.get(/partial" in result.error
@@ -459,9 +462,8 @@ def _run_wordcount(sanitize: bool):
     engine = make_m3r()
     engine.filesystem.write_text("/in.txt", generate_text(120))
     conf = wordcount_job("/in.txt", "/out", num_reducers=4)
-    conf.set_boolean(SANITIZE_MUTATION_KEY, sanitize)
-    conf.set_boolean(SANITIZE_LOCK_ORDER_KEY, sanitize)
-    result = engine.run_job(conf)
+    with sanitizer_overrides(mutation=sanitize, lock_order=sanitize):
+        result = engine.run_job(conf)
     assert result.succeeded, result.error
     output = {
         k.to_string(): v.get()

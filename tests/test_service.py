@@ -62,11 +62,8 @@ class TestAdmission:
     def test_queue_full_rejects_with_backpressure(self):
         engine = make_m3r()
         write_corpus(engine.filesystem, "/in", seed=1, parts=2)
-        from repro.api.conf import SERVICE_QUEUE_DEPTH_KEY, Configuration
-
-        cfg = Configuration()
-        cfg.set_int(SERVICE_QUEUE_DEPTH_KEY, 2)
-        service = JobService(engine, cfg)
+        service = JobService(engine)
+        service.queue_depth = 2
         client = service.register_tenant("a", prefixes=("/out",))
         client.submit(wc("/in", "/out/r0"))
         client.submit(wc("/in", "/out/r1"))

@@ -28,7 +28,6 @@ from repro.analysis.sanitizers import (
     ImmutableViolation,
     sanitizer_overrides,
 )
-from repro.api.conf import SANITIZE_MUTATION_KEY
 from repro.api.extensions import ImmutableOutput
 from repro.api.mapred import Mapper, OutputCollector, Reporter
 from repro.api.writables import (
@@ -426,8 +425,8 @@ class TestTransport:
                 "/in.txt", "/out", num_reducers=4, immutable=True, use_combiner=False
             )
             conf.set_mapper_class(EmitThenMutateMapper)
-            conf.set_boolean(SANITIZE_MUTATION_KEY, True)
-            result = engine.run_job(conf)
+            with sanitizer_overrides(mutation=True):
+                result = engine.run_job(conf)
             assert not result.succeeded
             assert "ImmutableViolation" in result.error
             assert "DedupSerializer.ship" in result.error

@@ -636,7 +636,10 @@ class TestTransportTable:
         module takes a lock or starts a thread.  One replacement rule: no
         eviction-policy layer, knob or second shedding loop in the package
         or the workflow, and no policy knob in the README or DESIGN.md.
-        One run sizer: no second pair-sequence sum beside ``pairs_size``."""
+        One run sizer: no second pair-sequence sum beside ``pairs_size``.
+        A knob needs a caller: no constant of a deleted test-only knob, no
+        per-job sanitizer scope and no second metrics model (the stage-time
+        bridge) in the package or the workflow."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
         commands = (
             "cache-stats|shuffle-stats|batch-stats|restore-stats|service-stats"
@@ -652,6 +655,10 @@ class TestTransportTable:
             "|EvictionCandidate|plan_tenant_eviction|_enforce_tenants"
             "|eviction-policy|EVICTION_POLICY"
             "|pairs_wire_size|pairs_bytes"
+            "|SERVICE_(QUEUE_DEPTH|IN_FLIGHT|TENANT_WEIGHT|TENANT_BUDGET"
+            "|SHARED_RESTORE)_KEY|RESTORE_MAX_ENTRIES_KEY|TRACE_RING_KEY"
+            "|BATCH_SIZE_KEY|IMC_MAX_ENTRIES_KEY|SANITIZE_(MUTATION|LOCK_ORDER)_KEY"
+            "|SanitizerSubscription|MetricsBridgeSink|stage_time_breakdown"
         )
         threaded = re.compile(
             r"threading\.(Lock|RLock|Condition|Semaphore|Event|Thread|Barrier)\b"
