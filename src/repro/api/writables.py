@@ -14,14 +14,18 @@ for the M3R story and are reproduced faithfully:
   the simulation charges serialization, disk and network time per byte, so
   these sizes drive the reproduced performance numbers.
 
-Besides the standard scalar types, this module provides the blocked-matrix
-writables the paper's Section 6.2 describes: a two-int block index key, a
-compressed-sparse-column matrix block, and a dense vector block.
+The six boxed scalars (``Int``/``Long``/``VInt``/``Float``/``Double``/
+``Boolean``) are one declaration each, built by :func:`_scalar` together
+with their transport-table entries and raw sort keys; ``FloatWritable``
+holds a 32-bit value, as Java's does.  Besides them, this module provides
+``Text``, ``BytesWritable``, ``NullWritable``, the composites and the
+blocked-matrix writables the paper's Section 6.2 describes: a two-int block
+index key, a compressed-sparse-column matrix block, and a dense vector block.
 """
 
 from __future__ import annotations
 
-import struct
+from array import array
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -31,8 +35,6 @@ from scipy import sparse
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
 from repro.x10.serializer import Crossing, fixed_width_run, register_transport
-
-_FLOAT32 = struct.Struct(">f")
 
 
 class Writable:
@@ -79,251 +81,111 @@ class WritableComparable(Writable):
         return self.compare_to(other) >= 0
 
 
-class IntWritable(WritableComparable):
-    """A boxed 32-bit int (fixed 4-byte encoding)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0):
-        self.value = int(value)
-
-    def get(self) -> int:
-        return self.value
-
-    def set(self, value: int) -> None:
-        self.value = int(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_int(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_int()
-
-    def serialized_size(self) -> int:
-        return 4
-
-    def clone(self) -> "IntWritable":
-        if type(self) is not IntWritable:  # a subclass may write more fields
-            return super().clone()
-        return IntWritable(self.value)
-
-    def compare_to(self, other: "IntWritable") -> int:
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"IntWritable({self.value})"
-
-
-class LongWritable(WritableComparable):
-    """A boxed 64-bit long (fixed 8-byte encoding)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0):
-        self.value = int(value)
-
-    def get(self) -> int:
-        return self.value
-
-    def set(self, value: int) -> None:
-        self.value = int(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_long(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_long()
-
-    def serialized_size(self) -> int:
-        return 8
-
-    def clone(self) -> "LongWritable":
-        if type(self) is not LongWritable:  # a subclass may write more fields
-            return super().clone()
-        return LongWritable(self.value)
-
-    def compare_to(self, other: "LongWritable") -> int:
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LongWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"LongWritable({self.value})"
-
-
-class VIntWritable(WritableComparable):
-    """A zero-compressed variable-length int."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0):
-        self.value = int(value)
-
-    def get(self) -> int:
-        return self.value
-
-    def set(self, value: int) -> None:
-        self.value = int(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_vint(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_vint()
-
-    def serialized_size(self) -> int:
-        return vint_size(self.value)
-
-    def clone(self) -> "VIntWritable":
-        if type(self) is not VIntWritable:  # a subclass may write more fields
-            return super().clone()
-        return VIntWritable(self.value)
-
-    def compare_to(self, other: "VIntWritable") -> int:
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VIntWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"VIntWritable({self.value})"
-
-
-class FloatWritable(WritableComparable):
-    """A boxed 32-bit float."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def get(self) -> float:
-        return self.value
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_float(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_float()
-
-    def serialized_size(self) -> int:
-        return 4
-
-    def clone(self) -> "FloatWritable":
-        if type(self) is not FloatWritable:  # a subclass may write more fields
-            return super().clone()
-        # The wire carries 32 bits, so a clone narrows like a round trip.
-        return FloatWritable(_FLOAT32.unpack(_FLOAT32.pack(self.value))[0])
-
-    def compare_to(self, other: "FloatWritable") -> int:
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FloatWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"FloatWritable({self.value})"
-
-
-class DoubleWritable(WritableComparable):
-    """A boxed 64-bit double."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def get(self) -> float:
-        return self.value
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_double(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_double()
-
-    def serialized_size(self) -> int:
-        return 8
-
-    def clone(self) -> "DoubleWritable":
-        if type(self) is not DoubleWritable:  # a subclass may write more fields
-            return super().clone()
-        return DoubleWritable(self.value)
-
-    def compare_to(self, other: "DoubleWritable") -> int:
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DoubleWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"DoubleWritable({self.value})"
-
-
-class BooleanWritable(WritableComparable):
-    """A boxed boolean."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool = False):
-        self.value = bool(value)
-
-    def get(self) -> bool:
-        return self.value
-
-    def set(self, value: bool) -> None:
-        self.value = bool(value)
-
-    def write(self, out: DataOutputBuffer) -> None:
-        out.write_boolean(self.value)
-
-    def read_fields(self, inp: DataInputBuffer) -> None:
-        self.value = inp.read_boolean()
-
-    def serialized_size(self) -> int:
-        return 1
-
-    def clone(self) -> "BooleanWritable":
-        if type(self) is not BooleanWritable:  # a subclass may write more fields
-            return super().clone()
-        return BooleanWritable(self.value)
-
-    def compare_to(self, other: "BooleanWritable") -> int:
-        return int(self.value) - int(other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BooleanWritable) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"BooleanWritable({self.value})"
+#: Exact key class → extractor of a built-in value that orders and equates
+#: exactly as ``compare_to`` does, so a run of such keys is sorted, merged
+#: and grouped by C comparisons — the analogue of the raw comparators Hadoop
+#: registers with ``WritableComparator.define``.  Read-only after import and
+#: keyed by exact type: a subclass may override ``compare_to``.  The
+#: scalars' entries come from their declarations below, the other keys'
+#: from the end of this module.  Left to the comparator on purpose:
+#: ``FloatWritable`` / ``DoubleWritable`` (a NaN compares 0 with everything
+#: but equals nothing) and ``PairWritable`` (parts of any class; no app keys
+#: on it).
+RAW_SORT_KEYS: Dict[type, Callable[[Any], Any]] = {}
+
+
+def _scalar(
+    name: str,
+    coerce: Callable[[Any], Any],
+    wire: str,
+    width: Optional[int],
+    doc: str,
+    raw_sort_key: bool = True,
+) -> Type[WritableComparable]:
+    """Build the boxed scalar ``name``: ``coerce`` makes the stored value of
+    what ``__init__`` / ``set`` get, ``write_<wire>`` / ``read_<wire>`` are
+    its buffer methods and ``width`` its wire size (``None``: the VInt size
+    of the value).  The methods are closures over these, as fast as
+    hand-written ones.  Also registers the class for transport (with a run
+    sizer when fixed-width) and, if ``raw_sort_key``, in RAW_SORT_KEYS."""
+    put = getattr(DataOutputBuffer, f"write_{wire}")
+    take = getattr(DataInputBuffer, f"read_{wire}")
+
+    class Scalar(WritableComparable):
+        __doc__ = doc
+        __qualname__ = name
+        __slots__ = ("value",)
+
+        def __init__(self, value=coerce(0)):
+            self.value = coerce(value)
+
+        def get(self):
+            return self.value
+
+        def set(self, value) -> None:
+            self.value = coerce(value)
+
+        def write(self, out: DataOutputBuffer) -> None:
+            put(out, self.value)
+
+        def read_fields(self, inp: DataInputBuffer) -> None:
+            self.value = take(inp)
+
+        if width is None:
+            def serialized_size(self) -> int:
+                return vint_size(self.value)
+        else:
+            def serialized_size(self) -> int:
+                return width
+
+        def clone(self):
+            if type(self) is not Scalar:  # a subclass may write more fields
+                return super().clone()
+            return Scalar(self.value)
+
+        def compare_to(self, other) -> int:
+            return (self.value > other.value) - (self.value < other.value)
+
+        def __eq__(self, other: object) -> bool:
+            return isinstance(other, Scalar) and other.value == self.value
+
+        def __hash__(self) -> int:
+            return hash(self.value)
+
+        def __repr__(self) -> str:
+            return f"{name}({self.value})"
+
+    def transport(obj: Scalar, crossing: Crossing) -> Scalar:
+        fresh = object.__new__(Scalar)
+        fresh.value = obj.value
+        return fresh
+
+    Scalar.__name__ = name
+    register_transport(Scalar, transport, fixed_width_run(Scalar) if width else None)
+    if raw_sort_key:
+        RAW_SORT_KEYS[Scalar] = attrgetter("value")
+    return Scalar
+
+
+IntWritable = _scalar("IntWritable", int, "int", 4, "A boxed 32-bit int.")
+LongWritable = _scalar("LongWritable", int, "long", 8, "A boxed 64-bit long.")
+VIntWritable = _scalar(
+    "VIntWritable", int, "vint", None, "A zero-compressed variable-length int."
+)
+FloatWritable = _scalar(
+    "FloatWritable",
+    lambda value: array("f", (float(value),))[0],
+    "float",
+    4,
+    """A boxed 32-bit float.  Setting it rounds like Java's ``(float)`` cast
+    (nearest 32-bit value, ±inf beyond the range), so the stored value is
+    what the wire carries whether an engine aliases the object or copies it.""",
+    raw_sort_key=False,  # NaN: see RAW_SORT_KEYS
+)
+DoubleWritable = _scalar(
+    "DoubleWritable", float, "double", 8, "A boxed 64-bit double.", raw_sort_key=False
+)
+BooleanWritable = _scalar("BooleanWritable", bool, "boolean", 1, "A boxed boolean.")
 
 
 class Text(WritableComparable):
@@ -744,21 +606,14 @@ MUTATION_SANITIZER.digest_hook = _sanitizer_wire_digest
 # transport table (x10.serializer): the built-in Writables' clones and
 # run sizers
 # --------------------------------------------------------------------- #
-# Each clone builds what a deep copy builds — a new object of the same class
-# with the same field values, no narrowing, no constructor coercion.  For
-# the scalars that is why these are not the ``clone()`` methods above
-# (those promise a wire round trip); for the array-backed blocks a wire
-# round trip *is* an exact copy, so an exact-class block's ``clone()`` is
-# its table clone: no scipy validating constructor runs, only the array
+# The scalars' entries come from their declarations above.  Each clone
+# builds what a deep copy builds — a new object of the same class with the
+# same field values, no constructor coercion.  For the array-backed blocks a
+# wire round trip *is* an exact copy, so an exact-class block's ``clone()``
+# is its table clone: no scipy validating constructor runs, only the array
 # copies.  The composites (inner sharing) are left to the generic walk on
 # purpose.  Each run sizer sums the ``serialized_size()`` of a collector's
 # run without a Python-level call per object.
-
-
-def _transport_value(obj: Writable, crossing: Crossing) -> Writable:
-    fresh = object.__new__(type(obj))
-    fresh.value = obj.value
-    return fresh
 
 
 def _transport_text(obj: Text, crossing: Crossing) -> Text:
@@ -812,9 +667,6 @@ def _bytes_run(run: Sequence[BytesWritable]) -> int:
     return 4 * len(run) + sum(map(len, map(attrgetter("_data"), run)))
 
 
-for _cls in (IntWritable, LongWritable, FloatWritable, DoubleWritable, BooleanWritable):
-    register_transport(_cls, _transport_value, fixed_width_run(_cls))
-register_transport(VIntWritable, _transport_value)  # variable width: no run sizer
 register_transport(Text, _transport_text, _text_run)
 register_transport(BytesWritable, _transport_bytes, _bytes_run)
 register_transport(
@@ -829,23 +681,9 @@ register_transport(VectorBlockWritable, _transport_vector_block)
 
 
 # --------------------------------------------------------------------- #
-# raw sort keys (api.job): the naturally ordered keys' built-in forms
+# raw sort keys (api.job): the other naturally ordered keys' built-in forms
 # --------------------------------------------------------------------- #
-#: Exact key class → extractor of a built-in value that orders and equates
-#: exactly as ``compare_to`` does, so a run of such keys is sorted, merged
-#: and grouped by C comparisons — the analogue of the raw comparators Hadoop
-#: registers with ``WritableComparator.define``.  Read-only after import and
-#: keyed by exact type: a subclass may override ``compare_to``.  Left to the
-#: comparator on purpose: ``FloatWritable`` / ``DoubleWritable`` (a NaN
-#: compares 0 with everything but equals nothing) and ``PairWritable``
-#: (parts of any class; no app keys on it).
-RAW_SORT_KEYS: Dict[type, Callable[[Any], Any]] = {
-    IntWritable: attrgetter("value"),
-    LongWritable: attrgetter("value"),
-    VIntWritable: attrgetter("value"),
-    BooleanWritable: attrgetter("value"),
-    Text: attrgetter("_value"),
-    BytesWritable: attrgetter("_data"),
-    BlockIndexWritable: attrgetter("row", "col"),
-    NullWritable: lambda key: 0,  # every instance is the singleton
-}
+RAW_SORT_KEYS[Text] = attrgetter("_value")
+RAW_SORT_KEYS[BytesWritable] = attrgetter("_data")
+RAW_SORT_KEYS[BlockIndexWritable] = attrgetter("row", "col")
+RAW_SORT_KEYS[NullWritable] = lambda key: 0  # every instance is the singleton

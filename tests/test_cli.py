@@ -128,6 +128,20 @@ class TestCommands:
                      "--sparsity", "0.05"]) == 0
         assert "generated jobs" in capsys.readouterr().out
 
+    def test_jaql_script_on_both_engines(self, tmp_path, capsys):
+        data = tmp_path / "rows.jsonl"
+        data.write_text("".join(f'{{"k": "r{i}", "v": {i}}}\n' for i in range(3)))
+        script = tmp_path / "pipeline.jaql"
+        script.write_text(
+            "read('/data/input.json') -> filter $.v > 0"
+            " -> transform { k: $.k, w: $.v * 10 } -> write('/out')\n"
+        )
+        assert main(["--nodes", "2", "jaql", "--script", str(script),
+                     "--data", str(data)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(1 jobs)") == 2  # hadoop and m3r
+        assert "outputs verified identical across engines" in out
+
     def test_cache_stats_unbounded(self, capsys):
         docs = stats_docs(capsys, "--nodes", "4", "stats", "--workload",
                           "matvec", "--rows", "100", "--runs", "1")

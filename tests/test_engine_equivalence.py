@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from repro.api.conf import JobConf
 from repro.api.counters import TaskCounter
+from repro.api.extensions import ImmutableOutput
 from repro.api.formats import SequenceFileInputFormat, SequenceFileOutputFormat
 from repro.api.mapred import IdentityMapper, IdentityReducer, Mapper, Reducer
 from repro.api.mapreduce import NewMapper, NewReducer
-from repro.api.writables import IntWritable, Text
+from repro.api.writables import FloatWritable, IntWritable, Text
 from repro.apps.grep import grep_sequence
 from repro.apps.sortapp import is_sorted, read_globally_sorted, sample_and_build_job
 from repro.apps.wordcount import generate_text, wordcount_job
@@ -253,6 +254,40 @@ class TestAdversarialReuse:
         outputs = run_both(build, {"/in": DATA})
         assert outputs["hadoop"] == outputs["m3r"]
         assert all("GARBAGE" not in v for _, v in outputs["m3r"])
+
+
+class TenthsMapper(Mapper, ImmutableOutput):
+    """Emits a fresh ``FloatWritable(0.1 * k)`` per record: M3R aliases it."""
+
+    def map(self, key, value, output, reporter):
+        output.collect(key, FloatWritable(0.1 * key.get()))
+
+
+class TenthsOfSumReducer(Reducer, ImmutableOutput):
+    def reduce(self, key, values, output, reporter):
+        output.collect(key, FloatWritable(0.1 * sum(v.get() for v in values)))
+
+
+class TestAliasedFloats:
+    def test_float_output_is_32_bit_on_both_engines(self):
+        """Hadoop's wire narrows a ``FloatWritable`` to 32 bits; M3R skips
+        the wire for an ImmutableOutput job, so the value must already be
+        32-bit when it is set, or the engines' outputs differ."""
+
+        def build(engine):
+            conf = JobConf()
+            conf.set_input_paths("/in")
+            conf.set_input_format(SequenceFileInputFormat)
+            conf.set_mapper_class(TenthsMapper)
+            conf.set_reducer_class(TenthsOfSumReducer)
+            conf.set_output_format(SequenceFileOutputFormat)
+            conf.set_output_path("/out")
+            conf.set_num_reduce_tasks(2)
+            assert engine.run_job(conf).succeeded
+
+        outputs = run_both(build, {"/in": DATA})
+        assert outputs["hadoop"] == outputs["m3r"]
+        assert len(outputs["m3r"]) == 7
 
 
 class TestPipelines:

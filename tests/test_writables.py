@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import heapq
+import itertools
+import math
+import pickle
+import struct
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -16,8 +22,9 @@ from scipy import sparse
 from repro.api import job as job_module
 from repro.api import writables as writables_module
 from repro.api.conf import JobConf
-from repro.api.io_util import DataInputBuffer, DataOutputBuffer
+from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
 from repro.api.job import JobSpec, _natural_compare, merge_runs, sort_run
+from repro.api.seqfile import decode_pairs, encode_pairs
 from repro.api.writables import (
     RAW_SORT_KEYS,
     ArrayWritable,
@@ -64,6 +71,21 @@ class TestScalars:
 
     def test_float_roundtrip(self):
         assert roundtrip(FloatWritable(1.5)) == FloatWritable(1.5)
+
+    def test_float_holds_the_32_bit_value_it_writes(self):
+        tenth = struct.unpack(">f", struct.pack(">f", 0.1))[0]
+        assert FloatWritable(0.1).get() == tenth != 0.1
+        w = FloatWritable()
+        w.set(0.1)
+        assert w.get() == tenth
+        x = FloatWritable(0.1)
+        assert x.clone() == writable_from_bytes(FloatWritable, writable_to_bytes(x))
+
+    def test_float_beyond_the_32_bit_range_is_infinite(self):
+        # Java's (float) cast; struct's ">f" would refuse to pack these.
+        assert FloatWritable(1e39).get() == math.inf
+        assert FloatWritable(-1e39).get() == -math.inf
+        assert writable_to_bytes(FloatWritable(1e39)) == struct.pack(">f", math.inf)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_roundtrip(self, value):
@@ -267,7 +289,7 @@ class TestClone:
             IntWritable(-7),
             LongWritable(2**40),
             VIntWritable(300),
-            FloatWritable(0.1),  # narrows to 32 bits on the wire
+            FloatWritable(0.1),  # already 32-bit when set
             DoubleWritable(0.1),
             BooleanWritable(True),
             Text("h\u00e9llo \U0001f600"),
@@ -431,8 +453,10 @@ class TestRawSortKeys:
     def test_why_the_floats_stay_comparator_only(self, cls):
         nan, one = cls(float("nan")), cls(1.0)
         assert nan.compare_to(one) == 0 and nan.value != one.value
-        # ... whereas the other awkward values would have been fine:
-        for a, b in [(0.0, -0.0), (float("inf"), 1e308), (float("-inf"), -1e308)]:
+        # ... whereas the other awkward values would have been fine (a large
+        # finite value the class can hold, next to the infinities):
+        big = 3.0e38 if cls is FloatWritable else 1e308
+        for a, b in [(0.0, -0.0), (float("inf"), big), (float("-inf"), -big)]:
             assert (cls(a).compare_to(cls(b)) == 0) == (a == b)
 
     @pytest.mark.parametrize("cls", sorted(RAW_KEY_ARGS, key=lambda c: c.__name__))
@@ -541,3 +565,102 @@ class TestRawSortKeys:
             groups = list(spec.group_sorted_pairs(ordered))
         assert [values for _, values in groups] == [["aa", "ab"], ["ba", "bz"]]
         assert len(seen) == 3 and calls == []
+
+
+# --------------------------------------------------------------------- #
+# the six declared scalars against a reference spelled out here
+# --------------------------------------------------------------------- #
+
+
+def vlong_bytes(value):
+    out = DataOutputBuffer()
+    out.write_vlong(value)
+    return out.to_bytes()
+
+
+#: Declared scalar class -> the wire bytes of a stored value.
+SCALAR_WIRE = {
+    IntWritable: struct.Struct(">i").pack,
+    LongWritable: struct.Struct(">q").pack,
+    VIntWritable: vlong_bytes,
+    FloatWritable: struct.Struct(">f").pack,
+    DoubleWritable: struct.Struct(">d").pack,
+    BooleanWritable: lambda value: b"\x01" if value else b"\x00",
+}
+
+#: Declared scalar class -> strategy of stored values (the raw sort key
+#: classes draw theirs from RAW_KEY_ARGS).
+SCALAR_VALUES = {
+    **{
+        cls: RAW_KEY_ARGS[cls].map(itemgetter(0))
+        for cls in SCALAR_WIRE
+        if cls in RAW_KEY_ARGS
+    },
+    FloatWritable: st.floats(width=32, allow_nan=False),
+    DoubleWritable: st.floats(allow_nan=False),
+}
+
+
+def stamped(cls):
+    """A subclass of ``cls`` that writes one more field."""
+
+    class Stamped(cls):
+        def __init__(self, value=cls().value, stamp=0):
+            super().__init__(value)
+            self.stamp = stamp
+
+        def write(self, out):
+            super().write(out)
+            out.write_int(self.stamp)
+
+        def read_fields(self, inp):
+            super().read_fields(inp)
+            self.stamp = inp.read_int()
+
+    return Stamped
+
+
+def sign(number):
+    return (number > 0) - (number < 0)
+
+
+class TestDeclaredScalars:
+    @pytest.mark.parametrize("cls", SCALAR_WIRE, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference(self, cls, data):
+        a, b = data.draw(SCALAR_VALUES[cls]), data.draw(SCALAR_VALUES[cls])
+        x, y = cls(a), cls(b)
+        wire = SCALAR_WIRE[cls](a)
+        assert writable_to_bytes(x) == wire and x.serialized_size() == len(wire)
+        if cls is VIntWritable:
+            assert x.serialized_size() == vint_size(a)
+        back = writable_from_bytes(cls, wire)
+        assert type(back) is cls and back.value == a and back == x
+
+        twin = x.clone()
+        assert type(twin) is cls and twin is not x and twin == x
+        assert sign(x.compare_to(y)) == (a > b) - (a < b)
+        assert (x == y) == (a == b)
+        assert hash(x) == hash(x.value) and repr(x) == f"{cls.__name__}({x.value})"
+
+        sub = type("Sub", (cls,), {})(a)
+        assert sub == x and x == sub
+        extra = stamped(cls)(a, stamp=7)
+        kept = extra.clone()
+        assert type(kept) is type(extra) and (kept.value, kept.stamp) == (a, 7)
+
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(copied) is cls and copied == x and copied is not x
+        ((key, value),) = decode_pairs(encode_pairs([(x, y)]))
+        assert (type(key), type(value)) == (cls, cls) and (key, value) == (x, y)
+
+    def test_classes_never_equal_each_other(self):
+        for left, right in itertools.permutations(SCALAR_WIRE, 2):
+            assert left(1) != right(1)
+
+    def test_each_is_a_module_level_class_by_name(self):
+        for cls in SCALAR_WIRE:
+            assert cls.__module__ == writables_module.__name__
+            assert getattr(writables_module, cls.__qualname__) is cls
+            assert cls.__name__ == cls.__qualname__
