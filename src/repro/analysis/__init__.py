@@ -3,9 +3,8 @@
 Three parts:
 
 * ``python -m repro analyze`` — an AST lint over the source tree enforcing
-  the determinism, ImmutableOutput, exception-reporting, import-surface,
-  ReStore fingerprintability, associativity-claim, and knob-registry
-  contracts (the catalog and its ids are in :mod:`repro.analysis.rules`);
+  the shuffle-determinism and ReStore fingerprintability contracts (the
+  catalog and its ids are in :mod:`repro.analysis.rules`);
 * the :mod:`repro.analysis.knobs` ``KnobRegistry`` — the single source
   of truth for every ``m3r.*`` configuration key (``repro.api.conf`` and
   the README knob table derive from it);

@@ -7,8 +7,7 @@ default, environment-variable alias, owning subsystem, and the constant
 for it.  Everything else derives from this table:
 
 * the ``*_KEY`` constants in :mod:`repro.api.conf` are looked up from
-  :data:`REGISTRY` (no string literal survives outside this module — rule
-  M3R010 enforces that project-wide);
+  :data:`REGISTRY`, so no key string is written outside this module;
 * :meth:`Configuration.set <repro.api.conf.Configuration.set>` validates
   incoming ``m3r.*`` keys against the registry at runtime (unknown keys
   warn, or raise under ``m3r.conf.strict`` / ``M3R_CONF_STRICT``);

@@ -131,12 +131,12 @@ class MutationSanitizer:
         if self.digest_hook is not None:
             try:
                 payload = self.digest_hook(obj)
-            except Exception:  # noqa: M3R004 - fall back to pickle below
+            except Exception:  # fall back to pickle below
                 payload = None
         if payload is None:
             try:
                 payload = pickle.dumps(obj, protocol=4)
-            except Exception:  # noqa: M3R004 - untrackable, deliberately skipped
+            except Exception:  # untrackable, deliberately skipped
                 return None
         return hashlib.sha1(payload).hexdigest()
 

@@ -104,7 +104,7 @@ class Configuration:
             return default
         if isinstance(value, bool):
             return value
-        return str(value).strip().lower() in ("true", "1", "yes")
+        return str(value).strip().lower() in _TRUTHY
 
     def set_boolean(self, key: str, value: bool) -> None:
         self.set(key, bool(value))
@@ -166,9 +166,8 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 
 # Every m3r.* key below is *derived* from the KnobRegistry
 # (repro.analysis.knobs) — the single place the key strings, defaults and
-# env aliases are written down (rule M3R010 enforces that no literal
-# escapes it).  The per-subsystem semantics live with the registry rows;
-# the short map:
+# env aliases are written down.  The per-subsystem semantics live with the
+# registry rows; the short map:
 #
 # * engine/shuffle — two retired real-threads keys (accepted, ignored);
 # * cache — per-place memory governance (budget, watermarks, spill,
@@ -220,9 +219,11 @@ TASK_FS_KEY = _KNOB_KEYS["TASK_FS_KEY"]
 TASK_PARTITION_KEY = _KNOB_KEYS["TASK_PARTITION_KEY"]
 ACTUAL_MAPPER_KEY = _KNOB_KEYS["ACTUAL_MAPPER_KEY"]
 
-#: String literals accepted as "true" by :func:`conf_bool` env parsing
-#: (mirrors ``repro.analysis.sanitizers._env_flag``, which cannot import
-#: this module — the sanitizers sit below the API layer).
+#: String literals accepted as "true" from a JobConf string
+#: (:meth:`Configuration.get_boolean`) and from the environment
+#: (:func:`conf_bool`), so one spelling means one thing in both.  Mirrors
+#: ``repro.analysis.sanitizers._env_flag``, which cannot import this
+#: module — the sanitizers sit below the API layer.
 _TRUTHY = ("1", "true", "yes", "on")
 
 

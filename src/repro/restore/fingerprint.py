@@ -51,6 +51,10 @@ def _token(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return repr(value)
     if isinstance(value, type):
+        # A class defined inside a function is a new class per call, and
+        # may close over different state under the same qualname.
+        if "<locals>" in value.__qualname__:
+            return _UNSTABLE
         return f"class:{value.__module__}.{value.__qualname__}"
     if isinstance(value, (list, tuple)):
         items = [_token(item) for item in value]

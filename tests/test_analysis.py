@@ -3,8 +3,8 @@
 Each rule gets a fixture pair: a known-bad snippet it must fire on, and
 the fixed version it must stay silent on.  The suite also covers the
 ``# noqa`` suppression convention, the reporters, the fixture contract
-(a rule stays only with a fixture) and the self-gate: the shipped
-``src/repro`` tree must be clean.
+(a rule stays only with a fixture) and the self-gate: ``src/repro``,
+``tests`` and ``benchmarks`` must be clean.
 """
 
 from __future__ import annotations
@@ -98,192 +98,6 @@ def unrelated(d):
 
 
 # --------------------------------------------------------------------- #
-# M3R003: ImmutableOutput attribute writes outside builders
-# --------------------------------------------------------------------- #
-
-M3R003_BAD = """
-class ImmutableOutput:
-    pass
-
-class Mapper(ImmutableOutput):
-    def __init__(self):
-        self.count = 0
-
-    def map(self, key, value, output, reporter):
-        self.count += 1
-        output.collect(key, value)
-"""
-
-M3R003_FIXED = """
-class ImmutableOutput:
-    pass
-
-class Mapper(ImmutableOutput):
-    def __init__(self):
-        self.count = 0
-
-    def map(self, key, value, output, reporter):
-        output.collect(key, value)
-"""
-
-
-def test_m3r003_fires_on_post_construction_write(tmp_path):
-    findings = run_lint(tmp_path, M3R003_BAD)
-    assert "M3R003" in rules_fired(findings)
-    (finding,) = [f for f in findings if f.rule == "M3R003"]
-    assert finding.symbol == "Mapper.map"
-
-
-def test_m3r003_silent_on_fixed_class(tmp_path):
-    findings = run_lint(tmp_path, M3R003_FIXED)
-    assert "M3R003" not in rules_fired(findings)
-
-
-def test_m3r003_follows_transitive_subclassing(tmp_path):
-    source = """
-class ImmutableOutput:
-    pass
-
-class Base(ImmutableOutput):
-    pass
-
-class Leaf(Base):
-    def poke(self):
-        self.x = 1
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R003"]
-    assert fired and fired[0].symbol == "Leaf.poke"
-
-
-def test_m3r003_allows_init_and_configure(tmp_path):
-    source = """
-class ImmutableOutput:
-    pass
-
-class Mapper(ImmutableOutput):
-    def __init__(self):
-        self.a = 1
-
-    def configure(self, conf):
-        self.b = conf
-
-    def with_limit(self, n):
-        self.limit = n
-        return self
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R003" not in rules_fired(findings)
-
-
-M3R003_MARKED_MODULE = """
-from api import ImmutableOutput, Mapper
-
-class TokenizeMapper(Mapper, ImmutableOutput):
-    def map(self, key, value, output, reporter):
-        self.seen = key
-"""
-
-M3R003_UNMARKED_NAMESAKE = """
-from api import Mapper
-
-class TokenizeMapper(Mapper):
-    def map(self, key, value, output, reporter):
-        self.seen = key
-"""
-
-
-def test_m3r003_keys_classes_by_module_not_bare_name(tmp_path):
-    # Two modules define a ``TokenizeMapper``; only one is ImmutableOutput.
-    (tmp_path / "marked.py").write_text(M3R003_MARKED_MODULE)
-    (tmp_path / "namesake.py").write_text(M3R003_UNMARKED_NAMESAKE)
-    fired = [f for f in Analyzer().run([tmp_path]) if f.rule == "M3R003"]
-    assert [Path(f.path).name for f in fired] == ["marked.py"]
-
-
-# --------------------------------------------------------------------- #
-# M3R004: swallowed broad exceptions
-# --------------------------------------------------------------------- #
-
-M3R004_BAD = """
-def fragile():
-    try:
-        return compute()
-    except Exception:
-        return None
-"""
-
-M3R004_FIXED = """
-def fragile(log):
-    try:
-        return compute()
-    except Exception as exc:
-        log.warning("compute failed: %s", exc)
-        return None
-"""
-
-
-def test_m3r004_fires_on_swallowing_handler(tmp_path):
-    findings = run_lint(tmp_path, M3R004_BAD)
-    assert "M3R004" in rules_fired(findings)
-
-
-def test_m3r004_silent_when_exception_is_reported(tmp_path):
-    findings = run_lint(tmp_path, M3R004_FIXED)
-    assert "M3R004" not in rules_fired(findings)
-
-
-def test_m3r004_silent_on_reraise(tmp_path):
-    source = """
-def fragile():
-    try:
-        return compute()
-    except Exception:
-        raise
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R004" not in rules_fired(findings)
-
-
-def test_m3r004_fires_on_bare_except(tmp_path):
-    source = """
-def fragile():
-    try:
-        return compute()
-    except:
-        pass
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R004" in rules_fired(findings)
-
-
-# --------------------------------------------------------------------- #
-# M3R005: package __init__ without __all__
-# --------------------------------------------------------------------- #
-
-
-M3R005_BAD = "from math import pi\n"
-
-M3R005_FIXED = "from math import pi\n__all__ = ['pi']\n"
-
-
-def test_m3r005_fires_on_missing_all(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text(M3R005_BAD)
-    findings = Analyzer().run([pkg])
-    assert "M3R005" in rules_fired(findings)
-
-
-def test_m3r005_silent_with_all(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text(M3R005_FIXED)
-    findings = Analyzer().run([pkg])
-    assert "M3R005" not in rules_fired(findings)
-
-
-# --------------------------------------------------------------------- #
 # M3R007: lambda / local callable registered on a JobSpec
 # --------------------------------------------------------------------- #
 
@@ -355,262 +169,42 @@ def helper(conf):
 
 
 # --------------------------------------------------------------------- #
-# M3R009: associativity claims the reduce body belies
-# --------------------------------------------------------------------- #
-
-M3R009_BAD = """
-class AssociativeReducer:
-    pass
-
-class BadSum(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        self.seen += 1
-        output.collect(key, sum(values))
-"""
-
-M3R009_FIXED = """
-class AssociativeReducer:
-    pass
-
-class GoodSum(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        total = 0
-        for v in values:
-            total += v
-        output.collect(key, total)
-"""
-
-
-def test_m3r009_fires_on_cross_call_state(tmp_path):
-    findings = run_lint(tmp_path, M3R009_BAD)
-    fired = [f for f in findings if f.rule == "M3R009"]
-    assert fired
-    assert fired[0].symbol == "BadSum.reduce"
-    assert "cross-call state" in fired[0].message
-
-
-def test_m3r009_silent_on_pure_fold(tmp_path):
-    findings = run_lint(tmp_path, M3R009_FIXED)
-    assert "M3R009" not in rules_fired(findings)
-
-
-def test_m3r009_fires_on_input_mutation(tmp_path):
-    source = """
-class AssociativeReducer:
-    pass
-
-class Mutator(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        values.sort()
-        output.collect(key, values)
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R009"]
-    assert fired and "mutates input 'values'" in fired[0].message
-
-
-def test_m3r009_fires_on_arrival_order_branching(tmp_path):
-    source = """
-class AssociativeReducer:
-    pass
-
-class FirstWins(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        output.collect(key, values[0])
-"""
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R009"]
-    assert fired and "arrival order" in fired[0].message
-
-
-def test_m3r009_covers_transitive_subclasses_and_allowlist(tmp_path):
-    source = """
-class AssociativeReducer:
-    pass
-
-class Base(AssociativeReducer):
-    pass
-
-class Leaf(Base):
-    def reduce(self, key, values, output, reporter):
-        for i, v in enumerate(values):
-            output.collect(key, v)
-"""
-    findings = run_lint(tmp_path, source)
-    assert any(
-        f.rule == "M3R009" and f.symbol == "Leaf.reduce" for f in findings
-    )
-
-    allow = """
-ASSOCIATIVE_ALLOWLIST = frozenset({"reducers.Claimed"})
-
-class Claimed:
-    def reduce(self, key, values, output, reporter):
-        self.state = key
-"""
-    findings = run_lint(tmp_path, allow, name="reducers.py")
-    assert any(
-        f.rule == "M3R009" and f.symbol == "Claimed.reduce" for f in findings
-    )
-
-
-def test_m3r009_unclaimed_reducer_is_free_to_do_anything(tmp_path):
-    source = """
-class Plain:
-    def reduce(self, key, values, output, reporter):
-        self.seen += 1
-        output.collect(key, values[0])
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R009" not in rules_fired(findings)
-
-
-M3R009_CLAIMED_MODULE = """
-from api import AssociativeReducer, Reducer
-
-class SumReducer(Reducer, AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        self.seen += 1
-        output.collect(key, sum(values))
-"""
-
-M3R009_UNCLAIMED_NAMESAKE = """
-from api import Reducer
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, output, reporter):
-        self.seen += 1
-        output.collect(key, sum(values))
-"""
-
-
-def test_m3r009_keys_classes_by_module_not_bare_name(tmp_path):
-    # Two modules define a ``SumReducer``; only one claims associativity.
-    (tmp_path / "claimed.py").write_text(M3R009_CLAIMED_MODULE)
-    (tmp_path / "namesake.py").write_text(M3R009_UNCLAIMED_NAMESAKE)
-    fired = [f for f in Analyzer().run([tmp_path]) if f.rule == "M3R009"]
-    assert [Path(f.path).name for f in fired] == ["claimed.py"]
-
-
-# --------------------------------------------------------------------- #
-# M3R010: m3r.* knob literal outside the KnobRegistry
-# --------------------------------------------------------------------- #
-
-
-def test_m3r010_fires_on_registered_key_literal(tmp_path):
-    source = 'KEY = "m3r.cache.capacity-bytes"\n'
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R010"]
-    assert fired and "use the derived constant" in fired[0].message
-
-
-def test_m3r010_fires_on_unknown_key_literal(tmp_path):
-    source = 'KEY = "m3r.cache.capacty-bytes"\n'  # typo
-    findings = run_lint(tmp_path, source)
-    fired = [f for f in findings if f.rule == "M3R010"]
-    assert fired and "not in the KnobRegistry" in fired[0].message
-
-
-def test_m3r010_ignores_non_knob_strings(tmp_path):
-    source = '\n'.join([
-        'A = "m3r"',
-        'B = "m3r."',
-        'C = "the m3r.cache.spill knob"  # prose, not a bare key',
-        'D = "M3R_BATCH"',
-    ]) + '\n'
-    findings = run_lint(tmp_path, source)
-    assert "M3R010" not in rules_fired(findings)
-
-
-def test_m3r010_exempts_the_registry_module(tmp_path):
-    source = """
-class KnobRegistry:
-    pass
-
-KEY = "m3r.cache.capacity-bytes"
-"""
-    findings = run_lint(tmp_path, source)
-    assert "M3R010" not in rules_fired(findings)
-
-
-def test_m3r010_src_tree_defines_keys_only_in_the_registry():
-    """The acceptance criterion: every m3r.* literal in src/ lives in
-    knobs.py (or carries a justified suppression)."""
-    package_root = Path(repro.__file__).parent
-    findings = Analyzer().run([package_root])
-    active = [f for f in findings if f.rule == "M3R010" and not f.suppressed]
-    assert active == [], "\n" + render_text(active)
-
-
-# --------------------------------------------------------------------- #
 # the fixture matrix: a rule stays only with a fixture
 # --------------------------------------------------------------------- #
 
-# Rows are (rule, fires, source[, file name]).  A row's test id carries its
-# index, so a retired rule's rows are replaced in place (M3R002/M3R003 sit
-# where M3R006's rows were, M3R004/M3R005 where M3R008's were) and new rows
-# are appended: the surviving ids never shift.
-_MATRIX = [
-    ("M3R002", True, M3R002_BAD),
-    ("M3R002", False, M3R002_FIXED),
-    ("M3R003", True, M3R003_BAD),
-    ("M3R003", False, M3R003_FIXED),
-    ("M3R007", True, M3R007_BAD),
-    ("M3R007", True, """
+# Rows are (rule, fires, source), keyed by the number their test id
+# carries.  Like rule ids, a row number is never reused: a retired rule's
+# rows leave a gap (2-3 were M3R003's, 8-19 M3R004's, M3R005's, M3R009's
+# and M3R010's), so the surviving ids never shift.
+_MATRIX = {
+    0: ("M3R002", True, M3R002_BAD),
+    1: ("M3R002", False, M3R002_FIXED),
+    4: ("M3R007", True, M3R007_BAD),
+    5: ("M3R007", True, """
 def build(conf):
     def fmt():
         pass
     conf.set_input_format(fmt)
 """),
-    ("M3R007", False, M3R007_FIXED),
-    ("M3R007", False, """
+    6: ("M3R007", False, M3R007_FIXED),
+    7: ("M3R007", False, """
 def build(conf, mapper_cls):
     conf.set_mapper_class(mapper_cls)
 """),  # a parameter has module-level identity at the call site
-    ("M3R004", True, M3R004_BAD),
-    ("M3R004", False, M3R004_FIXED),
-    ("M3R005", True, M3R005_BAD, "pkg/__init__.py"),
-    ("M3R005", False, M3R005_FIXED, "pkg/__init__.py"),
-    ("M3R009", True, M3R009_BAD),
-    ("M3R009", True, """
-class AssociativeReducer:
-    pass
-
-class Popper(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        values.pop()
-"""),
-    ("M3R009", False, M3R009_FIXED),
-    ("M3R009", False, """
-class AssociativeReducer:
-    pass
-
-class MaxReducer(AssociativeReducer):
-    def reduce(self, key, values, output, reporter):
-        best = None
-        for v in values:
-            if best is None or v > best:
-                best = v
-        output.collect(key, best)
-"""),
-    ("M3R010", True, 'KEY = "m3r.shuffle.real-threads"\n'),
-    ("M3R010", True, 'conf = {"m3r.no.such.knob": 1}\n'),
-    ("M3R010", False, 'ENV = "M3R_CONF_STRICT"\n'),
-    ("M3R010", False, 'DOC = "set the m3r.cache.spill knob to false"\n'),
-]
+}
 
 
 @pytest.mark.parametrize(
     "row",
-    _MATRIX,
+    list(_MATRIX.values()),
     ids=[
-        f"{row[0]}-{'tp' if row[1] else 'fp'}-{i}"
-        for i, row in enumerate(_MATRIX)
+        f"{rule}-{'tp' if fires else 'fp'}-{number}"
+        for number, (rule, fires, _) in _MATRIX.items()
     ],
 )
 def test_rule_matrix(tmp_path, row):
-    rule, fires, source, *name = row
-    findings = run_lint(tmp_path, source, *name)
+    rule, fires, source = row
+    findings = run_lint(tmp_path, source)
     if fires:
         assert rule in rules_fired(findings)
     else:
@@ -634,11 +228,9 @@ def test_every_rule_has_fixtures_and_is_documented():
     import repro.analysis.rules as rules_module
 
     live = {rule.id for rule in default_rules()}
-    assert live == {
-        "M3R002", "M3R003", "M3R004", "M3R005", "M3R007", "M3R009", "M3R010",
-    }
-    assert {row[0] for row in _MATRIX if row[1]} == live
-    assert {row[0] for row in _MATRIX if not row[1]} == live
+    assert live == {"M3R002", "M3R007"}
+    assert {rule for rule, fires, _ in _MATRIX.values() if fires} == live
+    assert {rule for rule, fires, _ in _MATRIX.values() if not fires} == live
 
     repo_root = Path(repro.__file__).parent.parent.parent
     design = (repo_root / "DESIGN.md").read_text(encoding="utf-8")
@@ -666,7 +258,7 @@ def test_knob_registry_constants_cover_conf_constants():
     from repro.analysis.knobs import REGISTRY
 
     constants = REGISTRY.constants()
-    assert constants["REAL_THREADS_KEY"] == "m3r.engine.real-threads"  # noqa: M3R010 - asserting the literal mapping
+    assert constants["REAL_THREADS_KEY"] == "m3r.engine.real-threads"
     # Every constant maps to a registered key, and conf re-exports it.
     import repro.api.conf as conf
 
@@ -758,7 +350,7 @@ def test_bare_noqa_suppresses_everything_on_line(tmp_path):
 
 def test_noqa_for_other_rule_does_not_suppress(tmp_path):
     source = M3R002_BAD.replace(
-        _M3R002_LINE, _M3R002_LINE + "  # noqa: M3R004"
+        _M3R002_LINE, _M3R002_LINE + "  # noqa: M3R007"
     )
     findings = run_lint(tmp_path, source)
     assert any(
@@ -771,13 +363,13 @@ def test_noqa_multi_code_suppresses_each_listed_rule(tmp_path):
     source = """
 def build_plan(conf):
     order = []
-    for dest in set(conf.get("m3r.no.such.knob")):  # noqa: M3R002, M3R010 - listed together
+    for dest in set(conf.set_mapper_class(lambda: None)):  # noqa: M3R002, M3R007 - listed together
         order.append(dest)
     return order
 """
     findings = run_lint(tmp_path, source)
     assert rules_fired(findings, include_suppressed=True) == {
-        "M3R002", "M3R010",
+        "M3R002", "M3R007",
     }
     assert all(f.suppressed for f in findings)
 
@@ -869,12 +461,18 @@ def driver(scope):
 
 
 # --------------------------------------------------------------------- #
-# the self-gate: the shipped tree must be clean
+# the self-gate: the shipped trees must be clean
 # --------------------------------------------------------------------- #
 
 
-def test_shipped_source_tree_has_zero_unsuppressed_findings():
+@pytest.mark.parametrize("root", ["repro", "tests", "benchmarks"])
+def test_shipped_source_tree_has_zero_unsuppressed_findings(root):
+    """``python -m repro analyze`` and ``analyze tests benchmarks`` exit 0:
+    every finding in the package, the tests and the benchmarks carries
+    its ``# noqa`` at the line."""
     package_root = Path(repro.__file__).parent
-    findings = Analyzer().run([package_root])
+    repo_root = package_root.parent.parent
+    path = package_root if root == "repro" else repo_root / root
+    findings = Analyzer().run([path])
     active = [f for f in findings if not f.suppressed]
     assert active == [], "\n" + render_text(active)

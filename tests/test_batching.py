@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import pytest
 from conftest import make_hadoop, make_m3r
-from workloads import enable_restore, histogram_job, seeded_histogram_dataset
+from workloads import (
+    SumValuesReducer,
+    enable_restore,
+    histogram_job,
+    seeded_histogram_dataset,
+)
 
 from repro import engine_common
 from repro.analysis.sanitizers import sanitizer_overrides
 from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY, JobConf
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
+from repro.api.partitioner import Partitioner
 from repro.api.vectorized import (
     AssociativeReducer,
     VectorizedMapper,
@@ -127,7 +133,7 @@ def test_imc_folds_on_a_combiner_seed():
 # --------------------------------------------------------------------- #
 
 
-def run_wordcount(factory, mode: str):
+def run_wordcount(factory, mode: str, customize=None):
     engine = factory()
     try:
         engine.filesystem.write_text("/in/part-00000", "alpha beta alpha\n")
@@ -136,6 +142,8 @@ def run_wordcount(factory, mode: str):
             "/in/part-00002", "beta beta gamma\nalpha gamma beta\n"
         )
         conf = wordcount_job("/in", "/out", num_reducers=3)
+        if customize is not None:
+            customize(conf)
         apply_mode(conf, mode)
         result = engine.run_job(conf)
         assert result.succeeded, result.error
@@ -179,6 +187,55 @@ def test_imc_overflow_spills_to_emit(kind, monkeypatch):
     spilled = run_wordcount(factory, "batched+imc")
     assert_identical(base, spilled, (kind, "spill"))
     assert spilled["metrics"].get("imc_spills", 0) > 0
+
+
+class UnhashableText(Text):
+    """A key that defines ``__eq__`` but not ``__hash__``, so Python sets
+    ``__hash__`` to None: the in-mapper aggregate cannot index it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return super().__eq__(other)
+
+
+class UnhashableWordMapper(Mapper):
+    def map(self, key, value, output, reporter):
+        for word in value.to_string().split():
+            output.collect(UnhashableText(word), IntWritable(1))
+
+
+class FirstLetterPartitioner(Partitioner):
+    """The stock HashPartitioner would call ``hash`` on the key."""
+
+    def get_partition(self, key, value, num_partitions):
+        return ord(key.get()[0]) % num_partitions
+
+
+def unhashable_keys(conf: JobConf) -> None:
+    conf.set_mapper_class(UnhashableWordMapper)
+    conf.set_combiner_class(SumValuesReducer)
+    conf.set_reducer_class(SumValuesReducer)
+    conf.set_partitioner_class(FirstLetterPartitioner)
+
+
+def test_imc_falls_back_to_buffering_on_unhashable_keys():
+    """IMC on: the first key the aggregate cannot hash degrades the sink
+    to buffering, and the job commits exactly what IMC off commits, on
+    both engines."""
+    runs = {
+        (kind, mode): run_wordcount(factory, mode, unhashable_keys)
+        for kind, factory in (("hadoop", make_hadoop), ("m3r", make_m3r))
+        for mode in ("per-record", "batched+imc")
+    }
+    for kind in ("hadoop", "m3r"):
+        base, folded = runs[kind, "per-record"], runs[kind, "batched+imc"]
+        assert_identical(base, folded, kind)
+        assert folded["metrics"]["imc_input_records"] == 9
+        assert folded["metrics"].get("imc_folded_records", 0) == 0
+    expected = [("alpha", 3), ("beta", 4), ("gamma", 2)]
+    assert runs["m3r", "batched+imc"]["output"] == expected
+    assert runs["hadoop", "per-record"]["output"] == expected
 
 
 # --------------------------------------------------------------------- #

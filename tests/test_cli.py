@@ -56,7 +56,7 @@ class TestParser:
             assert (args.engine, args.nodes) == ("hadoop", 3), name
 
     def test_set_rejects_an_unknown_knob(self, capsys):
-        unknown = "m3r.no.such-key"  # noqa: M3R010 - deliberately unregistered
+        unknown = "m3r.no.such-key"
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", "--set", f"{unknown}=1"])
         assert excinfo.value.code == 2
@@ -359,7 +359,10 @@ class TestCommands:
         # A retired id is a usage error that names the live catalog.
         from repro.analysis import default_rules
 
-        for retired in ("M3R001", "M3R006", "M3R008"):
+        for retired in (
+            "M3R001", "M3R003", "M3R004", "M3R005", "M3R006", "M3R008",
+            "M3R009", "M3R010",
+        ):
             assert main(["analyze", "--explain", retired]) == 2
             err = capsys.readouterr().err
             assert "unknown rule id" in err

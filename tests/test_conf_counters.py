@@ -6,9 +6,12 @@ import pytest
 
 from repro.analysis.knobs import KNOB_PREFIX
 from repro.api.conf import (
+    CACHE_SPILL_KEY,
     CONF_STRICT_ENV,
     CONF_STRICT_KEY,
     REAL_THREADS_KEY,
+    RESTORE_ENABLED_KEY,
+    RESTORE_ENV,
     SHUFFLE_REAL_THREADS_KEY,
     Configuration,
     JobConf,
@@ -85,7 +88,7 @@ class TestConfiguration:
 class TestConfBool:
     """The one canonical boolean-knob resolver: JobConf > env > default."""
 
-    KEY = "m3r.test.knob"  # noqa: M3R010 - throwaway key for resolver tests, deliberately unregistered
+    KEY = "m3r.test.knob"
     ENV = "M3R_TEST_KNOB"
 
     def test_default_when_nothing_set(self, monkeypatch):
@@ -125,13 +128,29 @@ class TestConfBool:
         monkeypatch.setenv(self.ENV, "true")
         assert conf_bool(JobConf(), self.KEY, env=None, default=False) is False
 
+    @pytest.mark.parametrize(
+        "raw", ["on", "On", "yes", "1", "true", " TRUE ", "off", "no", "0", "false"]
+    )
+    def test_jobconf_string_reads_like_the_environment(self, monkeypatch, raw):
+        # One truthiness table: ``on`` used to enable a knob from the
+        # environment but disable it from a JobConf string.
+        monkeypatch.setenv(RESTORE_ENV, raw)
+        from_env = conf_bool(JobConf(), RESTORE_ENABLED_KEY, RESTORE_ENV)
+        conf = JobConf()
+        conf.set(RESTORE_ENABLED_KEY, raw)
+        from_conf = conf_bool(conf, RESTORE_ENABLED_KEY, RESTORE_ENV)
+        truthy = raw.strip().lower() in ("on", "yes", "1", "true")
+        assert from_conf == from_env == truthy
+        conf.set(CACHE_SPILL_KEY, raw)
+        assert conf.get_boolean(CACHE_SPILL_KEY, True) == from_env
+
 
 class TestKnobValidation:
     """Runtime validation of ``m3r.*`` keys against the KnobRegistry:
     unknown keys warn; under strict mode (JobConf > env > default) they
     raise.  Non-``m3r.*`` keys are never validated."""
 
-    BAD = "m3r.cache.capacity-byte"  # noqa: M3R010 - deliberate misspelling of a registered key
+    BAD = "m3r.cache.capacity-byte"
 
     def test_registered_key_is_silent(self, recwarn, monkeypatch):
         monkeypatch.delenv(CONF_STRICT_ENV, raising=False)

@@ -14,7 +14,10 @@ import pytest
 
 from repro.api.conf import (
     CACHE_CAPACITY_KEY,
+    CACHE_HIGH_WATERMARK_KEY,
+    CACHE_LOW_WATERMARK_KEY,
     CACHE_PINNED_PATHS_KEY,
+    CACHE_SPILL_KEY,
     JobConf,
     UnknownKnobWarning,
 )
@@ -148,7 +151,7 @@ def test_rename_keeps_recency():
 
 def test_retired_eviction_policy_key_warns():
     with pytest.warns(UnknownKnobWarning):
-        JobConf().set("m3r.cache.eviction-policy", "gds")  # noqa: M3R010 - the deleted key, deliberately unregistered
+        JobConf().set("m3r.cache.eviction-policy", "gds")
 
 
 # --------------------------------------------------------------------------- #
@@ -453,14 +456,31 @@ def test_jobconf_overrides_reconfigure_governor():
 
     engine = make_m3r(4)
     try:
+        governor = engine.governor
+        defaults = (
+            governor.budget.capacity_bytes,
+            governor.budget.high_watermark,
+            governor.budget.low_watermark,
+            governor.spill_enabled,
+        )
+        assert defaults == (0, 0.9, 0.75, True)
         engine.filesystem.write_text("/in.txt", generate_text(200))
         conf = wordcount_job("/in.txt", "/out", 4)
         conf.set_int(CACHE_CAPACITY_KEY, 50_000)
+        conf.set(CACHE_HIGH_WATERMARK_KEY, 0.95)
+        conf.set(CACHE_LOW_WATERMARK_KEY, 0.5)
+        conf.set_boolean(CACHE_SPILL_KEY, False)
         conf.set_strings(CACHE_PINNED_PATHS_KEY, ["/precious"])
         result = engine.run_job(conf)
         assert result.succeeded
-        # The override outlives the job: it reconfigured the engine.
-        assert engine.governor.budget.capacity_bytes == 50_000
+        # Every m3r.cache.* override reached the governor, and outlives
+        # the job: it reconfigured the engine.
+        assert (
+            governor.budget.capacity_bytes,
+            governor.budget.high_watermark,
+            governor.budget.low_watermark,
+            governor.spill_enabled,
+        ) == (50_000, 0.95, 0.5, False)
         # Job-scoped pins are released after the job.
         assert engine.governor.pinned_prefixes() == []
     finally:

@@ -177,7 +177,7 @@ class TestInvalidation:
             # An unregistered m3r.* key warns (knob validation) but must
             # still be excluded from the fingerprint like any m3r.* knob.
             with pytest.warns(UnknownKnobWarning):
-                conf.set("m3r.trace.note", "different-trace-knob")  # noqa: M3R010 - deliberately unregistered key
+                conf.set("m3r.trace.note", "different-trace-knob")
             second = engine.run_job(conf)
             assert second.succeeded, second.error
             assert second.metrics.get("restore_hits") == 1
@@ -257,7 +257,7 @@ class TestFingerprint:
         a = self._fingerprint(engine, histogram_job("/in", "/out", 4))
         noisy = histogram_job("/in", "/out", 4)
         with pytest.warns(UnknownKnobWarning):
-            noisy.set("m3r.trace.note", "xyz")  # noqa: M3R010 - deliberately unregistered key
+            noisy.set("m3r.trace.note", "xyz")
         noisy.set_boolean(RESTORE_ENABLED_KEY, True)
         assert a == self._fingerprint(engine, noisy)
 
@@ -284,10 +284,22 @@ class TestFingerprint:
         assert a != b  # same bytes, new content version — conservative miss
 
     def test_unstable_plan_bypasses(self):
-        """A lambda in the plan has no stable identity: no fingerprint."""
+        """A lambda or a function-local class in the plan has no stable
+        identity: no fingerprint."""
         engine = self._engine_with_data()
         conf = histogram_job("/in", "/out", 4)
         conf.set("custom.hook", lambda: None)
+        assert self._fingerprint(engine, conf) is None
+
+        # Two calls of one factory give two local classes under one
+        # qualname; fingerprinting the name would serve one's output as
+        # the other's.
+        class LocalMapper(Mapper):
+            def map(self, key, value, output, reporter):
+                output.collect(key, IntWritable(1))
+
+        conf = histogram_job("/in", "/out", 4)
+        conf.set_mapper_class(LocalMapper)  # noqa: M3R007 - the bypass under test
         assert self._fingerprint(engine, conf) is None
 
 
