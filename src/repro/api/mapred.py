@@ -22,6 +22,7 @@ from typing import Any, Generic, Iterator, Optional, Tuple, TypeVar
 from repro.api.conf import JobConf
 from repro.api.counters import Counters
 from repro.api.extensions import ImmutableOutput
+from repro.sim.cost_model import CostModel
 
 K1 = TypeVar("K1")
 V1 = TypeVar("V1")
@@ -61,11 +62,15 @@ class Reporter:
     both engines — mirroring how every M3R extension is Hadoop-neutral.
     """
 
-    def __init__(self, counters: Optional[Counters] = None):
+    def __init__(
+        self, counters: Optional[Counters] = None, cost_model: CostModel = CostModel()
+    ):
         self.counters = counters if counters is not None else Counters()
         self._status = ""
         self._progress = 0.0
         self._compute_seconds = 0.0
+        #: Prices ``charge_flops`` (an engine passes the task's model).
+        self._cost_model = cost_model
 
     def set_status(self, status: str) -> None:
         self._status = status
@@ -95,9 +100,10 @@ class Reporter:
             raise ValueError("cannot charge negative compute time")
         self._compute_seconds += seconds
 
-    def charge_flops(self, flops: float, flops_per_sec: float = 1.1e9) -> None:
-        """Convenience: attribute computation expressed as FLOPs."""
-        self.charge_compute(flops / flops_per_sec)
+    def charge_flops(self, flops: float) -> None:
+        """Attribute computation expressed as FLOPs, priced at the cost
+        model's ``flops_per_sec``."""
+        self.charge_compute(self._cost_model.compute_time(flops))
 
     def consume_compute_seconds(self) -> float:
         """Drain the accumulated compute time (engines call this)."""

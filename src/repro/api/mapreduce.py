@@ -56,8 +56,8 @@ class TaskContext:
     def charge_compute(self, seconds: float) -> None:
         self._reporter.charge_compute(seconds)
 
-    def charge_flops(self, flops: float, flops_per_sec: float = 1.1e9) -> None:
-        self._reporter.charge_flops(flops, flops_per_sec)
+    def charge_flops(self, flops: float) -> None:
+        self._reporter.charge_flops(flops)
 
     @property
     def reporter(self) -> Reporter:

@@ -236,3 +236,11 @@ class EventBus:
             for sink in dead:
                 if sink in self._sinks:
                     self._sinks.remove(sink)
+
+    def close(self) -> None:
+        """Detach every subscriber.  The pipeline closes a job's bus after
+        its ``JobEnd``: a critical subscriber holds the job's context, which
+        holds this bus, and that cycle would keep every sink (and whatever
+        each sink holds) alive until the cyclic collector ran."""
+        self._critical.clear()
+        self._sinks.clear()

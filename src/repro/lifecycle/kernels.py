@@ -98,13 +98,16 @@ def open_task(
 ) -> Tuple[FsTally, InstrumentedFileSystem, JobConf, Reporter]:
     """The task-scoped view every task body starts from: a filesystem that
     tallies this task's I/O at ``node``, a conf copy carrying it and the
-    task's partition (for MultipleOutputs), and a reporter."""
+    task's partition (for MultipleOutputs), and a reporter that prices
+    ``charge_flops`` with the engine's cost model."""
     tally = FsTally()
     task_fs = InstrumentedFileSystem(tctx.engine.filesystem, tally, at_node=node)
     task_conf = JobConf(tctx.ctx.conf)
     task_conf.set(TASK_FS_KEY, task_fs)
     task_conf.set(TASK_PARTITION_KEY, partition)
-    return tally, task_fs, task_conf, Reporter(tctx.ctx.counters)
+    return tally, task_fs, task_conf, Reporter(
+        tctx.ctx.counters, tctx.engine.cost_model
+    )
 
 
 def single_partition_sink(

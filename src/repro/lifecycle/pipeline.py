@@ -25,6 +25,7 @@ float subtraction does not telescope — but ``StageEnd.clock`` and
 from __future__ import annotations
 
 import functools
+import gc
 import threading
 import weakref
 from dataclasses import dataclass
@@ -204,7 +205,12 @@ class JobPipeline:
         """Run one job on a bus carrying the engine's standard sinks (its
         event ring, a JSONL trace when one is configured, anything in
         ``trace_sinks``); the sinks are closed after the job, successful or
-        not, so trace files are flushed per job."""
+        not, so trace files are flushed per job.
+
+        The cyclic collector is paused for the job and the caller's setting
+        restored after it (DESIGN.md §17).  That is safe because a job
+        leaves no reference cycle: once ``JobEnd`` has fired the bus drops
+        every subscriber, so nothing on it points back at the job."""
         caller = threading.get_ident()
         if caller != self._owner:
             raise RuntimeError(
@@ -221,11 +227,16 @@ class JobPipeline:
             extra_sinks=tuple(engine.trace_sinks),
             trace_path=engine.trace_path,
         )
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return self.run_job(spec, conf, bus)
         finally:
+            bus.close()
             for close in closers:
                 close()
+            if collecting:
+                gc.enable()
 
     def run_job(self, spec: JobSpec, conf: JobConf, bus: EventBus) -> EngineResult:
         counters = Counters()

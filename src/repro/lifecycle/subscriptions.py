@@ -13,7 +13,6 @@ ignores every event other than JobStart/JobEnd.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, List
 
 from repro.lifecycle.events import JobEnd, JobStart, LifecycleEvent
@@ -33,16 +32,16 @@ class GovernorSubscription:
     """
 
     def __init__(self, engine: Any, ctx: JobContext):
-        # Weak: the job's bus, context and subscriptions reference each
-        # other, so this object outlives the job until the cyclic collector
-        # runs — it must not keep the engine (filesystem, cache) with it.
-        self._engine = weakref.ref(engine)
+        # The job's bus holds this object, and it holds the context, which
+        # holds the bus: a cycle for the job's lifetime only, because the
+        # pipeline detaches every subscriber once JobEnd has fired.
+        self._engine = engine
         self._ctx = ctx
         self._pins: List[str] = []
 
     def __call__(self, event: LifecycleEvent) -> None:
         if isinstance(event, JobStart):
-            engine, ctx = self._engine(), self._ctx
+            engine, ctx = self._engine, self._ctx
             engine._apply_cache_conf(ctx.conf)
             self._pins = engine._job_pins(ctx.spec, ctx.conf)
             for prefix in self._pins:
@@ -50,7 +49,7 @@ class GovernorSubscription:
             engine.governor.attach_job_metrics(ctx.metrics)
             engine.governor.attach_bus(ctx.bus)
         elif isinstance(event, JobEnd):
-            governor = self._engine().governor
+            governor = self._engine.governor
             governor.detach_bus()
             governor.detach_job_metrics()
             for prefix in self._pins:

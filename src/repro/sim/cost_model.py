@@ -72,7 +72,6 @@ class CostModel:
 
     # --- HDFS ---
     namenode_op: float = 0.002          # one metadata RPC
-    hdfs_replication: int = 3
 
     # --- user compute ---
     flops_per_sec: float = 1.1e9        # one core, dense double math

@@ -10,6 +10,7 @@ jobs only on the thread that built it.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import threading
@@ -25,6 +26,7 @@ from repro.api.conf import (
 from repro.api.counters import TaskCounter
 from repro.api.job import JobSequence
 from repro.api.mapred import IdentityMapper
+from repro.apps.microbenchmark import run_microbenchmark
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.engine_common import JobFailedError
 from repro.lifecycle.events import (
@@ -44,8 +46,10 @@ from repro.lifecycle.trace import (
     render_json,
     render_text,
 )
+from repro.service import JobService
 
 from conftest import make_hadoop, make_m3r
+from workloads import WORKLOADS
 
 
 def run_wordcount(engine, out="/out", lines=120, reducers=4):
@@ -397,7 +401,8 @@ class TestPinLeakOnFailure:
 
 
 # --------------------------------------------------------------------- #
-# engine teardown: by refcount, not by the cyclic collector
+# host memory: a job leaves no reference cycle, so it runs without the
+# cyclic collector and an engine dies by refcount
 # --------------------------------------------------------------------- #
 
 
@@ -413,11 +418,12 @@ def no_cyclic_gc():
 
 class TestEngineTeardown:
     """A dropped engine takes its filesystem and cache with it at once.
-    The provider and the governor subscription point back at the engine
-    weakly; a strong pointer closes engine → pipeline → provider → engine,
-    and the whole simulated cluster then waits for a generational
-    collection that an allocation-light workload may not trigger before the
-    next engine is built on top of it."""
+    The provider points back at the engine weakly, because a strong pointer
+    closes engine → pipeline → provider → engine; and a job's bus drops
+    its subscribers after JobEnd, so nothing the job built outlives it.
+    Either cycle would leave the whole simulated cluster waiting for a
+    generational collection that an allocation-light workload may not
+    trigger before the next engine is built on top of it."""
 
     @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
     def test_dropping_an_engine_frees_it_without_the_collector(
@@ -439,6 +445,136 @@ class TestEngineTeardown:
         engine.shutdown()
         del engine, owned, sequence
         assert [ref() for ref in alive] == [None] * len(alive)
+
+
+def cyclic_garbage(run):
+    """What the cyclic collector finds after ``run()``: every object that
+    only a reference cycle kept alive, collected with nothing freed."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def job_runner(shape, engine, tmp_path):
+    """``run(tag)`` for one job shape of the zero-cycle test: runs the
+    shape's jobs on ``engine`` into outputs named by ``tag``."""
+    by_name = {workload.name: workload for workload in WORKLOADS}
+    wordcount = by_name["wordcount"]
+    if shape in by_name:
+        return functools.partial(by_name[shape].run, engine)
+    if shape == "microbenchmark":
+        return lambda tag: [run_microbenchmark(
+            engine, 40, num_pairs=200, iterations=2, base_path=f"/micro-{tag}"
+        )]
+    if shape == "restore-hit":
+        def hit(tag):
+            wordcount.run(engine, f"{tag}-first", restore=True)
+            results = wordcount.run(engine, tag, restore=True)
+            assert [r.metrics.get("restore_hits") for r in results] == [1]
+            return results
+        return hit
+    if shape == "service":
+        return functools.partial(
+            wordcount.run, JobService(engine).register_tenant("t")
+        )
+    assert shape == "jsonl-trace"
+    path = str(tmp_path / "trace.jsonl")
+
+    def traced(tag):
+        conf = wordcount_job("/in", f"/out-{tag}", 4)
+        conf.set(TRACE_PATH_KEY, path)
+        return [engine.run_job(conf)]
+    return traced
+
+
+class TestHostMemory:
+    """DESIGN.md §17: a job builds no reference cycle that outlives it,
+    and the pipeline pauses the cyclic collector for exactly the job."""
+
+    @pytest.mark.parametrize("shape", [
+        "wordcount", "grep", "matvec", "microbenchmark", "restore-hit",
+        "service", "jsonl-trace",
+    ])
+    @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+    def test_a_job_leaves_no_cyclic_garbage(self, factory, shape, tmp_path):
+        engine = factory(4)
+        for workload in WORKLOADS:
+            workload.prepare(engine, 3)
+        run = job_runner(shape, engine, tmp_path)
+        run("warm")  # first-use imports and caches are not per job
+        results = []
+        garbage = cyclic_garbage(lambda: results.extend(run("probe")))
+        assert results and all(getattr(r, "succeeded", True) for r in results)
+        assert [type(thing).__name__ for thing in garbage] == []
+
+    @pytest.mark.parametrize("make_engine", [make_m3r, make_hadoop])
+    def test_a_sink_holding_the_cache_does_not_outlive_the_engine(
+        self, make_engine, no_cyclic_gc
+    ):
+        """The spine's meter is such a sink: it holds ``engine.cache``."""
+        engine = make_engine(4)
+        held = engine.cache if make_engine is make_m3r else engine.filesystem
+        engine.trace_sinks.append(HoldingSink(held))
+        assert run_wordcount(engine).succeeded
+        alive = weakref.ref(held)
+        engine.shutdown()
+        del engine, held
+        assert alive() is None
+
+    @pytest.mark.parametrize("outcome", ["succeeds", "fails", "raises"])
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+    def test_the_callers_collector_setting_survives_the_job(
+        self, factory, collecting, outcome
+    ):
+        engine = factory(4)
+        engine.filesystem.write_text("/in.txt", generate_text(50))
+        conf = wordcount_job("/in.txt", "/out", 4)
+        mapper = {"succeeds": None, "fails": ExplodingMapper,
+                  "raises": InterruptingMapper}[outcome]
+        if mapper is not None:
+            conf.set_mapper_class(mapper)
+        seen = []
+        engine.trace_sinks.append(lambda event: seen.append(gc.isenabled()))
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if outcome == "raises":
+                with pytest.raises(Interrupted):
+                    engine.run_job(conf)
+            else:
+                assert engine.run_job(conf).succeeded == (outcome == "succeeds")
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
+
+
+class HoldingSink:
+    """An observer that keeps a reference to one engine-owned object."""
+
+    def __init__(self, held):
+        self.held = held
+
+    def __call__(self, event):
+        pass
+
+
+class Interrupted(BaseException):
+    """Not an ``Exception``: the pipeline reports nothing, it propagates."""
+
+
+class InterruptingMapper(IdentityMapper):
+    def map(self, key, value, output, reporter):
+        raise Interrupted()
 
 
 @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])

@@ -16,6 +16,10 @@ from repro.sim import (
     TimeBreakdown,
     paper_cluster_cost_model,
 )
+from repro.api.mapred import Reporter
+
+from conftest import make_hadoop, make_m3r
+from workloads import MatvecWorkload
 
 
 class TestSimClock:
@@ -67,6 +71,31 @@ class TestCostModel:
         assert model.net_transfer_time(megabyte) > 0
         # memory is far faster than disk — the premise of the whole paper
         assert model.memcpy_time(megabyte) < model.disk_read_time(megabyte) / 10
+
+    def test_reporter_prices_flops_with_its_cost_model(self):
+        fast = CostModel().evolve(flops_per_sec=2.2e9)
+        for reporter, seconds in ((Reporter(), 1.0), (Reporter(cost_model=fast), 0.5)):
+            reporter.charge_flops(1.1e9)
+            assert reporter.consume_compute_seconds() == seconds
+
+    @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+    def test_flops_per_sec_moves_a_matvec_job(self, factory):
+        """Doubling ``flops_per_sec`` halves the user compute seconds the
+        matvec reducers charge (exactly: halving is exact in binary) and so
+        moves the job's simulated seconds."""
+        workload = MatvecWorkload()
+        runs = []
+        for rate in (1.1e9, 2.2e9):
+            engine = factory(4, cost_model=CostModel().evolve(flops_per_sec=rate))
+            workload.prepare(engine, 1)
+            runs.append(workload.run(engine, "x"))
+        slow, fast = ([r.metrics.time.get("reduce_compute") for r in run]
+                      for run in runs)
+        assert all(seconds > 0 for seconds in slow)
+        assert fast == [seconds / 2 for seconds in slow]
+        assert sum(r.simulated_seconds for r in runs[1]) < sum(
+            r.simulated_seconds for r in runs[0]
+        )
 
     def test_evolve_is_pure(self):
         base = paper_cluster_cost_model()
