@@ -21,12 +21,13 @@ Records are JSON objects, one per line (the jsonl convention Jaql's
 ``lines()`` I/O adapter used); ``$`` denotes the current record.
 """
 
-from repro.jaql.expr import JaqlExprError, evaluate_expr, parse_expr
+from repro.jaql.expr import evaluate_expr, parse_expr
 from repro.jaql.parser import JaqlParseError, parse_pipeline
 from repro.jaql.compiler import JaqlRunner
+from repro.relational.expr import ExprError
 
 __all__ = [
-    "JaqlExprError",
+    "ExprError",
     "evaluate_expr",
     "parse_expr",
     "JaqlParseError",

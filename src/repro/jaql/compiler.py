@@ -10,22 +10,14 @@ convention (in-memory on M3R).
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.api.conf import JobConf
 from repro.api.extensions import ImmutableOutput
-from repro.api.formats import (
-    SequenceFileInputFormat,
-    SequenceFileOutputFormat,
-    TextInputFormat,
-    TextOutputFormat,
-)
+from repro.api.formats import SequenceFileInputFormat, TextInputFormat
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
-from repro.api.partitioner import TotalOrderPartitioner
-from repro.api.writables import DoubleWritable, IntWritable, NullWritable, Text
-from repro.engine_common import EngineResult
-from repro.jaql.expr import evaluate_expr
+from repro.api.writables import NullWritable, Text
+from repro.jaql.expr import Jaql, dumps, evaluate_expr, loads
 from repro.jaql.parser import (
     FilterOp,
     GroupOp,
@@ -35,19 +27,10 @@ from repro.jaql.parser import (
     TransformOp,
     parse_pipeline,
 )
+from repro.relational.jobs import KEY_EXPR_KEY, CopyMapper, KeyByExprMapper, Runner
 
 JAQL_OPS_KEY = "jaql.fused.ops"
 JAQL_GROUP_KEY = "jaql.group.op"
-JAQL_SORT_KEY = "jaql.sort.op"
-JAQL_TOP_KEY = "jaql.top.count"
-
-
-def dumps(record: Any) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def loads(line: str) -> Any:
-    return json.loads(line)
 
 
 class FusedMapMapper(Mapper, ImmutableOutput):
@@ -76,20 +59,6 @@ class FusedMapMapper(Mapper, ImmutableOutput):
         output.collect(NullWritable.get(), Text(dumps(record)))
 
 
-class GroupKeyMapper(Mapper, ImmutableOutput):
-    def __init__(self) -> None:
-        self._group: Optional[GroupOp] = None
-
-    def configure(self, conf: JobConf) -> None:
-        self._group = conf.get(JAQL_GROUP_KEY)
-
-    def map(self, key, value: Text, output: OutputCollector,
-            reporter: Reporter) -> None:
-        record = loads(value.to_string())
-        group_key = evaluate_expr(self._group.key_expr, record)
-        output.collect(Text(dumps(group_key)), Text(value.to_string()))
-
-
 class GroupIntoReducer(Reducer, ImmutableOutput):
     def __init__(self) -> None:
         self._group: Optional[GroupOp] = None
@@ -108,81 +77,14 @@ class GroupIntoReducer(Reducer, ImmutableOutput):
         output.collect(NullWritable.get(), Text(dumps(result)))
 
 
-class SortKeyMapper(Mapper, ImmutableOutput):
-    def __init__(self) -> None:
-        self._sort: Optional[SortOp] = None
-
-    def configure(self, conf: JobConf) -> None:
-        self._sort = conf.get(JAQL_SORT_KEY)
-
-    def map(self, key, value: Text, output: OutputCollector,
-            reporter: Reporter) -> None:
-        record = loads(value.to_string())
-        sort_value = evaluate_expr(self._sort.key_expr, record)
-        if isinstance(sort_value, bool) or not isinstance(sort_value, (int, float)):
-            raise ValueError(f"sort by needs a numeric key, got {sort_value!r}")
-        numeric = -float(sort_value) if self._sort.descending else float(sort_value)
-        output.collect(DoubleWritable(numeric), Text(value.to_string()))
-
-
-class EmitSortedReducer(Reducer, ImmutableOutput):
-    def reduce(self, key, values: Iterator[Text], output: OutputCollector,
-               reporter: Reporter) -> None:
-        for value in values:
-            output.collect(NullWritable.get(), Text(value.to_string()))
-
-
-class TopMapper(Mapper, ImmutableOutput):
-    """Keys every record 0 so one reducer sees the whole (ordered) stream."""
-
-    def map(self, key, value: Text, output: OutputCollector,
-            reporter: Reporter) -> None:
-        output.collect(IntWritable(0), Text(value.to_string()))
-
-
-class TopReducer(Reducer, ImmutableOutput):
-    def __init__(self) -> None:
-        self._limit = 0
-
-    def configure(self, conf: JobConf) -> None:
-        self._limit = conf.get_int(JAQL_TOP_KEY, 0)
-
-    def reduce(self, key, values: Iterator[Text], output: OutputCollector,
-               reporter: Reporter) -> None:
-        emitted = 0
-        for value in values:
-            if emitted >= self._limit:
-                break
-            output.collect(NullWritable.get(), Text(value.to_string()))
-            emitted += 1
-
-
-class PassThroughMapper(Mapper, ImmutableOutput):
-    def map(self, key, value: Text, output: OutputCollector,
-            reporter: Reporter) -> None:
-        output.collect(NullWritable.get(), Text(value.to_string()))
-
-
-class JaqlRunner:
+class JaqlRunner(Runner):
     """Compiles and runs Jaql pipelines against one engine."""
+
+    dialect = Jaql
 
     def __init__(self, engine, workdir: str = "/jaql",
                  num_reducers: Optional[int] = None):
-        self.engine = engine
-        self.workdir = workdir.rstrip("/")
-        self.num_reducers = (
-            num_reducers if num_reducers is not None else engine.cluster.num_nodes
-        )
-        self.results: List[EngineResult] = []
-        self._counter = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.simulated_seconds for r in self.results)
-
-    @property
-    def jobs_run(self) -> int:
-        return len(self.results)
+        super().__init__(engine, workdir, num_reducers)
 
     # -- public API ------------------------------------------------------- #
 
@@ -203,16 +105,7 @@ class JaqlRunner:
 
     def read_output(self, path: str) -> List[Any]:
         """Read a written pipeline output back as JSON records."""
-        fs = self.engine.filesystem
-        records: List[Any] = []
-        for status in sorted(fs.list_files_recursive(path), key=lambda s: s.path):
-            basename = status.path.rsplit("/", 1)[-1]
-            if basename.startswith((".", "_")):
-                continue
-            for line in fs.read_text(status.path).splitlines():
-                if line.strip():
-                    records.append(loads(line))
-        return records
+        return [loads(line) for line in self._lines(path)]
 
     # -- compilation ------------------------------------------------------- #
 
@@ -245,88 +138,28 @@ class JaqlRunner:
             stages.append({"name": "copy", "kind": "map", "ops": []})
         return stages
 
-    def _temp_path(self, name: str) -> str:
-        self._counter += 1
-        return f"{self.workdir}/temp-{name}-{self._counter}"
-
-    def _submit(self, conf: JobConf) -> EngineResult:
-        result = self.engine.run_job(conf)
-        self.results.append(result)
-        if not result.succeeded:
-            raise RuntimeError(
-                f"jaql job {conf.get_job_name()!r} failed: {result.error}"
-            )
-        return result
-
-    def _base_conf(self, name: str, src: str, src_format, out: str,
-                   final: bool, reducers: Optional[int] = None) -> JobConf:
-        conf = JobConf()
-        conf.set_job_name(f"jaql.{name}")
-        conf.set_input_paths(src)
-        conf.set_input_format(src_format)
-        conf.set_output_path(out)
-        conf.set_output_format(TextOutputFormat if final else SequenceFileOutputFormat)
-        conf.set_num_reduce_tasks(
-            self.num_reducers if reducers is None else reducers
-        )
-        return conf
-
     def _run_stage(self, stage: Dict[str, Any], src: str, src_format,
                    out: str, final: bool) -> None:
         kind = stage["kind"]
+        name = f"jaql.{kind}"
         if kind == "map":
-            conf = self._base_conf("map", src, src_format, out, final, reducers=0)
+            conf = self._conf(name, out, src, src_format, final, reducers=0)
             if stage["ops"]:
                 conf.set_mapper_class(FusedMapMapper)
                 conf.set(JAQL_OPS_KEY, stage["ops"])
             else:
-                conf.set_mapper_class(PassThroughMapper)
-            self._submit(conf)
+                conf.set_mapper_class(CopyMapper)
         elif kind == "group":
-            conf = self._base_conf("group", src, src_format, out, final)
-            conf.set_mapper_class(GroupKeyMapper)
+            conf = self._conf(name, out, src, src_format, final)
+            conf.set(KEY_EXPR_KEY, stage["op"].key_expr)
+            conf.set_mapper_class(KeyByExprMapper)
             conf.set_reducer_class(GroupIntoReducer)
             conf.set(JAQL_GROUP_KEY, stage["op"])
-            self._submit(conf)
         elif kind == "sort":
-            self._run_sort(stage["op"], src, src_format, out, final)
+            conf = self._sort_conf(name, out, src, src_format, final, stage["op"])
         elif kind == "top":
-            conf = self._base_conf("top", src, src_format, out, final, reducers=1)
-            conf.set_mapper_class(TopMapper)
-            conf.set_reducer_class(TopReducer)
-            conf.set_int(JAQL_TOP_KEY, stage["op"].count)
-            self._submit(conf)
+            conf = self._limit_conf(name, out, src, src_format, final,
+                                    stage["op"].count)
         else:  # pragma: no cover
             raise TypeError(kind)
-
-    def _read_records(self, path: str, src_format) -> List[Any]:
-        fs = self.engine.filesystem
-        records: List[Any] = []
-        if src_format is TextInputFormat:
-            for status in fs.list_files_recursive(path):
-                for line in fs.read_text(status.path).splitlines():
-                    if line.strip():
-                        records.append(loads(line))
-        else:
-            for _, value in fs.read_kv_pairs(path):
-                records.append(loads(value.to_string()))
-        return records
-
-    def _run_sort(self, op: SortOp, src: str, src_format, out: str,
-                  final: bool) -> None:
-        # Driver-side sampling, like Jaql's (and Pig's) sampling pass.
-        sample = []
-        for record in self._read_records(src, src_format):
-            value = evaluate_expr(op.key_expr, record)
-            numeric = -float(value) if op.descending else float(value)
-            sample.append(DoubleWritable(numeric))
-        reducers = min(self.num_reducers, max(1, len(sample)))
-        cuts = TotalOrderPartitioner.sample_cut_points(sample, reducers)
-        conf = self._base_conf("sort", src, src_format, out, final,
-                               reducers=len(cuts) + 1)
-        conf.set_mapper_class(SortKeyMapper)
-        conf.set_reducer_class(EmitSortedReducer)
-        conf.set_partitioner_class(TotalOrderPartitioner)
-        conf.set("total.order.partitioner.cuts", cuts)
-        conf.set(JAQL_SORT_KEY, op)
         self._submit(conf)

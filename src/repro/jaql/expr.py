@@ -1,217 +1,85 @@
-"""Jaql expressions over JSON records.
+"""Jaql's dialect of the shared expression language.
 
-``$`` is the current record; ``$.a.b`` navigates objects; literals,
-arithmetic, comparisons and boolean connectives behave as in Jaql.  Inside
-a ``group ... into`` body, ``key`` denotes the group key and the aggregate
-functions ``count($)``, ``sum($.f)``, ``avg($.f)``, ``min($.f)``,
-``max($.f)`` fold over the group's records.
+``$`` is the current record; ``$.a.b`` navigates objects (a missing step
+is ``null``); ``true``, ``false`` and ``null`` are literals and
+``{ name: expr, ... }`` builds an object.  Arithmetic takes numbers only.
+Inside a ``group ... into`` body, ``key`` denotes the group key and the
+aggregate functions ``count($)``, ``sum($.f)``, ``avg($.f)``, ``min($.f)``,
+``max($.f)`` fold over the group's records.  Records travel as JSON text.
 
-Grammar::
+Atoms beyond :mod:`repro.relational.expr`'s::
 
-    expr    := or
-    or      := and ('or' and)*
-    and     := not ('and' not)*
-    not     := 'not' not | cmp
-    cmp     := add (('=='|'!='|'<='|'>='|'<'|'>') add)?
-    add     := mul (('+'|'-') mul)*
-    mul     := unary (('*'|'/'|'%') unary)*
-    unary   := '-' unary | atom
-    atom    := NUMBER | STRING | 'true' | 'false' | 'null' | 'key'
-             | PATH | AGG '(' (PATH|'$') ')' | '(' expr ')'
+    atom    := 'true' | 'false' | 'null' | 'key'
+             | PATH | AGG '(' (PATH|'$') ')'
              | '{' (NAME ':' expr (',' NAME ':' expr)*)? '}'
     PATH    := '$' ('.' NAME)*
 """
 
 from __future__ import annotations
 
+import json
 import re
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence
+
+from repro.api.writables import DoubleWritable
+from repro.relational.expr import Dialect, ExprError, Parser
+from repro.relational.expr import evaluate as _evaluate
+from repro.relational.expr import parse
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
+_LITERALS = {"true": True, "false": False, "null": None}
 
 
-class JaqlExprError(ValueError):
-    """Raised for malformed expressions or evaluation errors."""
+class Scope(NamedTuple):
+    """What a Jaql expression sees: the record and, inside
+    ``group ... into``, the group key and members."""
+
+    record: Any
+    key: Any = None
+    members: Optional[List[Any]] = None
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?)
-      | '(?P<sq>[^']*)'
-      | "(?P<dq>[^"]*)"
-      | (?P<path>\$(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
-      | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>==|!=|<=|>=|<|>|\+|-|\*|/|%|\(|\)|\{|\}|:|,)
-    )""",
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"and", "or", "not", "true", "false", "null", "key"}
+def dumps(record: Any) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise JaqlExprError(f"cannot tokenize at: {rest!r}")
-        if match.group("number") is not None:
-            tokens.append(("NUMBER", match.group("number")))
-        elif match.group("sq") is not None:
-            tokens.append(("STRING", match.group("sq")))
-        elif match.group("dq") is not None:
-            tokens.append(("STRING", match.group("dq")))
-        elif match.group("path") is not None:
-            tokens.append(("PATH", match.group("path")))
-        elif match.group("word") is not None:
-            word = match.group("word")
-            kind = "KW" if word in _KEYWORDS else "NAME"
-            tokens.append((kind, word))
-        else:
-            tokens.append(("OP", match.group("op")))
-        pos = match.end()
-    tokens.append(("EOF", ""))
-    return tokens
+def loads(line: str) -> Any:
+    return json.loads(line)
 
 
-# AST nodes are tuples:
-#   ("num", v) ("str", v) ("bool", v) ("null",) ("key",)
-#   ("path", ["a","b"]) ("agg", fn, ["a"]) ("obj", [(name, ast), ...])
-#   ("un", op, a) ("bin", op, a, b)
+def _path(text: str) -> tuple:
+    return tuple(text.split(".")[1:])
 
 
-class _Parser:
-    def __init__(self, tokens: List[Tuple[str, str]]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self) -> Tuple[str, str]:
-        return self._tokens[self._pos]
-
-    def _take(self) -> Tuple[str, str]:
-        token = self._tokens[self._pos]
-        if token[0] != "EOF":
-            self._pos += 1
-        return token
-
-    def _expect_op(self, text: str) -> None:
-        kind, value = self._take()
-        if kind != "OP" or value != text:
-            raise JaqlExprError(f"expected {text!r}, found {value!r}")
-
-    def parse(self) -> tuple:
-        ast = self._or()
-        if self._peek()[0] != "EOF":
-            raise JaqlExprError(f"trailing tokens from {self._peek()[1]!r}")
-        return ast
-
-    def _or(self) -> tuple:
-        left = self._and()
-        while self._peek() == ("KW", "or"):
-            self._take()
-            left = ("bin", "or", left, self._and())
-        return left
-
-    def _and(self) -> tuple:
-        left = self._not()
-        while self._peek() == ("KW", "and"):
-            self._take()
-            left = ("bin", "and", left, self._not())
-        return left
-
-    def _not(self) -> tuple:
-        if self._peek() == ("KW", "not"):
-            self._take()
-            return ("un", "not", self._not())
-        return self._cmp()
-
-    def _cmp(self) -> tuple:
-        left = self._add()
-        kind, value = self._peek()
-        if kind == "OP" and value in ("==", "!=", "<=", ">=", "<", ">"):
-            self._take()
-            return ("bin", value, left, self._add())
-        return left
-
-    def _add(self) -> tuple:
-        left = self._mul()
-        while self._peek()[0] == "OP" and self._peek()[1] in ("+", "-"):
-            op = self._take()[1]
-            left = ("bin", op, left, self._mul())
-        return left
-
-    def _mul(self) -> tuple:
-        left = self._unary()
-        while self._peek()[0] == "OP" and self._peek()[1] in ("*", "/", "%"):
-            op = self._take()[1]
-            left = ("bin", op, left, self._unary())
-        return left
-
-    def _unary(self) -> tuple:
-        if self._peek() == ("OP", "-"):
-            self._take()
-            return ("un", "-", self._unary())
-        return self._atom()
-
-    def _atom(self) -> tuple:
-        kind, value = self._take()
-        if kind == "NUMBER":
-            return ("num", float(value))
-        if kind == "STRING":
-            return ("str", value)
-        if kind == "PATH":
-            parts = value.split(".")[1:]
-            return ("path", parts)
-        if kind == "KW":
-            if value == "true":
-                return ("bool", True)
-            if value == "false":
-                return ("bool", False)
-            if value == "null":
-                return ("null",)
-            if value == "key":
-                return ("key",)
-            raise JaqlExprError(f"unexpected keyword {value!r}")
-        if kind == "NAME":
-            if value in AGG_FUNCS:
-                self._expect_op("(")
-                arg_kind, arg_value = self._take()
-                if arg_kind != "PATH":
-                    raise JaqlExprError(
-                        f"{value}() takes $ or a $.field path, got {arg_value!r}"
-                    )
-                self._expect_op(")")
-                return ("agg", value, arg_value.split(".")[1:])
-            raise JaqlExprError(f"unknown identifier {value!r}")
-        if kind == "OP" and value == "(":
-            inner = self._or()
-            self._expect_op(")")
-            return inner
-        if kind == "OP" and value == "{":
-            fields: List[Tuple[str, tuple]] = []
-            if self._peek() != ("OP", "}"):
-                while True:
-                    name_kind, name = self._take()
-                    if name_kind not in ("NAME", "KW"):
-                        raise JaqlExprError(f"bad field name {name!r}")
-                    self._expect_op(":")
-                    fields.append((name, self._or()))
-                    if self._peek() == ("OP", ","):
-                        self._take()
-                        continue
+def _atom(parser: Parser, kind: str, text: str) -> tuple:
+    if kind == "PATH":
+        return ("path", _path(text))
+    if kind == "KW" and text in _LITERALS:
+        return ("lit", _LITERALS[text])
+    if (kind, text) == ("KW", "key"):
+        return ("key",)
+    if kind == "NAME" and text in AGG_FUNCS:
+        parser.expect("(")
+        arg_kind, arg = parser.take()
+        if arg_kind != "PATH":
+            raise ExprError(f"{text}() takes $ or a $.field path, got {arg!r}")
+        parser.expect(")")
+        return ("agg", text, _path(arg))
+    if (kind, text) == ("OP", "{"):
+        fields = []
+        if parser.peek() != ("OP", "}"):
+            while True:
+                name_kind, name = parser.take()
+                if name_kind not in ("NAME", "KW"):
+                    raise ExprError(f"bad field name {name!r}")
+                parser.expect(":")
+                fields.append((name, parser.expr()))
+                if parser.peek() != ("OP", ","):
                     break
-            self._expect_op("}")
-            return ("obj", fields)
-        raise JaqlExprError(f"unexpected token {value!r}")
-
-
-def parse_expr(text: str) -> tuple:
-    """Parse one Jaql expression to its AST."""
-    return _Parser(_tokenize(text)).parse()
+                parser.take()
+        parser.expect("}")
+        return ("obj", tuple(fields))
+    raise ExprError(f"unexpected token {text!r}")
 
 
 def _navigate(record: Any, parts: Sequence[str]) -> Any:
@@ -224,6 +92,51 @@ def _navigate(record: Any, parts: Sequence[str]) -> Any:
     return current
 
 
+def _aggregate(ast: tuple, scope: Scope) -> Any:
+    if scope.members is None:
+        raise ExprError(f"{ast[1]}() is only valid inside group ... into")
+    if ast[1] == "count":
+        return float(len(scope.members))
+    values = [_navigate(member, ast[2]) for member in scope.members]
+    numbers = [float(v) for v in values if v is not None]
+    if not numbers:
+        return None
+    if ast[1] == "sum":
+        return float(sum(numbers))
+    if ast[1] == "avg":
+        return float(sum(numbers) / len(numbers))
+    if ast[1] == "min":
+        return float(min(numbers))
+    if ast[1] == "max":
+        return float(max(numbers))
+    raise ExprError(f"unknown aggregate {ast[1]!r}")
+
+
+def _decode(line: str, schema: Any) -> Scope:
+    return Scope(loads(line))
+
+
+class Jaql(Dialect):
+    keywords = re.compile("and|or|not|true|false|null|key")
+    atom = staticmethod(_atom)
+    numeric = (int, float)
+    leaves = {
+        "path": lambda ast, scope: _navigate(scope.record, ast[1]),
+        "key": lambda ast, scope: scope.key,
+        "agg": _aggregate,
+        "obj": lambda ast, scope: {name: _evaluate(sub, scope, Jaql)
+                                   for name, sub in ast[1]},
+    }
+    decode = staticmethod(_decode)
+    encode_key = staticmethod(dumps)
+    sort_keys = {int: DoubleWritable, float: DoubleWritable}
+
+
+def parse_expr(text: str) -> tuple:
+    """Parse one Jaql expression to its AST."""
+    return parse(text, Jaql)
+
+
 def evaluate_expr(
     ast: tuple,
     record: Any,
@@ -231,89 +144,4 @@ def evaluate_expr(
     group_records: Optional[List[Any]] = None,
 ) -> Any:
     """Evaluate an AST against one record (or, for aggregates, a group)."""
-    kind = ast[0]
-    if kind in ("num", "str", "bool"):
-        return ast[1]
-    if kind == "null":
-        return None
-    if kind == "key":
-        return group_key
-    if kind == "path":
-        return _navigate(record, ast[1])
-    if kind == "obj":
-        return {
-            name: evaluate_expr(sub, record, group_key, group_records)
-            for name, sub in ast[1]
-        }
-    if kind == "agg":
-        if group_records is None:
-            raise JaqlExprError(f"{ast[1]}() is only valid inside group ... into")
-        values = [
-            _navigate(member, ast[2]) for member in group_records
-        ]
-        if ast[1] == "count":
-            return float(len(group_records))
-        numbers = [float(v) for v in values if v is not None]
-        if not numbers:
-            return None
-        if ast[1] == "sum":
-            return float(sum(numbers))
-        if ast[1] == "avg":
-            return float(sum(numbers) / len(numbers))
-        if ast[1] == "min":
-            return float(min(numbers))
-        if ast[1] == "max":
-            return float(max(numbers))
-        raise JaqlExprError(f"unknown aggregate {ast[1]!r}")
-    if kind == "un":
-        operand = evaluate_expr(ast[2], record, group_key, group_records)
-        if ast[1] == "-":
-            return -_number(operand)
-        if ast[1] == "not":
-            return not bool(operand)
-        raise JaqlExprError(f"unknown unary {ast[1]!r}")
-    if kind == "bin":
-        op = ast[1]
-        if op == "and":
-            return bool(
-                evaluate_expr(ast[2], record, group_key, group_records)
-            ) and bool(evaluate_expr(ast[3], record, group_key, group_records))
-        if op == "or":
-            return bool(
-                evaluate_expr(ast[2], record, group_key, group_records)
-            ) or bool(evaluate_expr(ast[3], record, group_key, group_records))
-        left = evaluate_expr(ast[2], record, group_key, group_records)
-        right = evaluate_expr(ast[3], record, group_key, group_records)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op in ("<", ">", "<=", ">="):
-            try:
-                return {"<": left < right, ">": left > right,
-                        "<=": left <= right, ">=": left >= right}[op]
-            except TypeError as exc:
-                raise JaqlExprError(
-                    f"cannot compare {left!r} {op} {right!r}"
-                ) from exc
-        a, b = _number(left), _number(right)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        if op == "%":
-            return a % b
-        raise JaqlExprError(f"unknown operator {op!r}")
-    raise JaqlExprError(f"bad AST node {ast!r}")
-
-
-def _number(value: Any) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise JaqlExprError(f"expected a number, got {value!r}")
+    return _evaluate(ast, Scope(record, group_key, group_records), Jaql)

@@ -6,7 +6,9 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.jaql.expr import JaqlExprError, parse_expr
+from repro.jaql.expr import parse_expr
+from repro.relational.expr import ExprError, split_top_level, strip_comments, unquote
+from repro.relational.jobs import SortOrder
 
 
 class JaqlParseError(SyntaxError):
@@ -34,10 +36,8 @@ class GroupOp:
     into_expr: tuple  # evaluated with key/group context
 
 
-@dataclass
-class SortOp:
-    key_expr: tuple
-    descending: bool
+#: A sort stage is the shared total-order sort spec.
+SortOp = SortOrder
 
 
 @dataclass
@@ -57,81 +57,31 @@ class Pipeline:
     sink: Optional[WriteOp] = None
 
 
-def _strip_comments(source: str) -> str:
-    lines = []
-    for line in source.splitlines():
-        cut = line.find("//")
-        lines.append(line if cut < 0 else line[:cut])
-    return "\n".join(lines)
-
-
-def _split_stages(source: str) -> List[str]:
-    """Split on ``->`` at top level (quotes and braces respected)."""
-    stages: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    current: List[str] = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if quote is not None:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            current.append(ch)
-        elif ch in "({[":
-            depth += 1
-            current.append(ch)
-        elif ch in ")}]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "-" and depth == 0 and source.startswith("->", i):
-            stages.append("".join(current).strip())
-            current = []
-            i += 2
-            continue
-        else:
-            current.append(ch)
-        i += 1
-    stages.append("".join(current).strip())
-    return [" ".join(stage.split()) for stage in stages if stage.strip()]
-
-
-def _unquote(text: str) -> str:
-    text = text.strip()
-    if len(text) >= 2 and text[0] in "'\"" and text[-1] == text[0]:
-        return text[1:-1]
-    raise JaqlParseError(f"expected a quoted path, got {text!r}")
-
-
 def _expr(text: str) -> tuple:
     try:
         return parse_expr(text)
-    except JaqlExprError as exc:
+    except ExprError as exc:
         raise JaqlParseError(f"bad expression {text!r}: {exc}") from exc
 
 
 def parse_pipeline(source: str) -> Pipeline:
     """Parse one arrow pipeline."""
-    stages = _split_stages(_strip_comments(source))
+    stages = [" ".join(stage.split())
+              for stage in split_top_level(strip_comments(source, "//"), "->")]
     if not stages:
         raise JaqlParseError("empty pipeline")
 
     read = re.match(r"(?i)^read\s*\((.+)\)$", stages[0])
     if not read:
         raise JaqlParseError(f"pipelines start with read(...), got {stages[0]!r}")
-    pipeline = Pipeline(source=ReadOp(_unquote(read.group(1))))
+    pipeline = Pipeline(source=ReadOp(unquote(read.group(1), JaqlParseError)))
 
     for stage in stages[1:]:
         if pipeline.sink is not None:
             raise JaqlParseError("write(...) must be the final stage")
         write = re.match(r"(?i)^write\s*\((.+)\)$", stage)
         if write:
-            pipeline.sink = WriteOp(_unquote(write.group(1)))
+            pipeline.sink = WriteOp(unquote(write.group(1), JaqlParseError))
             continue
         filt = re.match(r"(?i)^filter\s+(.+)$", stage)
         if filt:
@@ -150,7 +100,8 @@ def parse_pipeline(source: str) -> Pipeline:
         sort = re.match(r"(?i)^sort\s+by\s+(.+?)(\s+desc|\s+asc)?$", stage)
         if sort:
             descending = bool(sort.group(2)) and sort.group(2).strip().lower() == "desc"
-            pipeline.ops.append(SortOp(_expr(sort.group(1)), descending))
+            key = sort.group(1)
+            pipeline.ops.append(SortOp(_expr(key), key, descending))
             continue
         top = re.match(r"(?i)^top\s+(\d+)$", stage)
         if top:

@@ -13,7 +13,7 @@ temporary-output naming convention, so on M3R a multi-statement script's
 intermediates never touch the filesystem.
 """
 
-from repro.pig.expr import parse_expression, evaluate, ExprError
+from repro.pig.expr import parse_expression, evaluate
 from repro.pig.plan import (
     LoadNode,
     FilterNode,
@@ -28,6 +28,7 @@ from repro.pig.plan import (
 )
 from repro.pig.parser import parse_pig_script, PigParseError
 from repro.pig.compiler import PigRunner
+from repro.relational.expr import ExprError
 
 __all__ = [
     "parse_expression",

@@ -6,27 +6,22 @@ intermediate relations are sequence files under temporary-convention paths
 — so a multi-statement script becomes a Hadoop job pipeline whose
 intermediates M3R keeps entirely in memory, while the stock engine writes
 and re-reads each one.  Rows travel as tab-separated ``Text``; fields are
-coerced Pig-style (numeric-looking text becomes a number).
+coerced Pig-style (numeric-looking text becomes a number).  GROUP keys,
+ORDER, LIMIT, LOAD and STORE run the job classes shared with Jaql
+(:mod:`repro.relational.jobs`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.conf import JobConf
 from repro.api.extensions import ImmutableOutput
-from repro.api.formats import (
-    SequenceFileInputFormat,
-    SequenceFileOutputFormat,
-    TextInputFormat,
-    TextOutputFormat,
-)
+from repro.api.formats import SequenceFileInputFormat, TextInputFormat
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
 from repro.api.multiple_io import MultipleInputs
-from repro.api.partitioner import TotalOrderPartitioner
-from repro.api.writables import DoubleWritable, IntWritable, LongWritable, NullWritable, Text
-from repro.engine_common import EngineResult
-from repro.pig.expr import coerce, evaluate
+from repro.api.writables import NullWritable, Text
+from repro.pig.expr import Pig, coerce, evaluate, format_value, parse_row, row_to_text
 from repro.pig.plan import (
     DistinctNode,
     FilterNode,
@@ -39,34 +34,20 @@ from repro.pig.plan import (
     PigScript,
     PlanNode,
     Schema,
-    StoreStatement,
 )
 from repro.pig.parser import parse_pig_script
+from repro.relational.jobs import (
+    KEY_EXPR_KEY,
+    SCHEMA_KEY,
+    CopyMapper,
+    KeyByExprMapper,
+    Runner,
+    SortOrder,
+)
 
 PIG_NODE_KEY = "pig.plan.node"
-PIG_SCHEMA_KEY = "pig.input.schema"
 PIG_SIDE_KEY = "pig.join.side"
 _JOIN_SEP = "\x01"
-
-
-def format_value(value: Any) -> str:
-    """Render a field for the tab-separated row encoding."""
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return repr(value)
-    return str(value)
-
-
-def row_to_text(values: List[Any]) -> Text:
-    return Text("\t".join(format_value(v) for v in values))
-
-
-def parse_row(line: str, schema: Schema) -> Dict[str, Any]:
-    parts = line.split("\t")
-    if len(parts) < len(schema.fields):
-        parts = parts + [""] * (len(schema.fields) - len(parts))
-    return {name: coerce(parts[i]) for i, name in enumerate(schema.fields)}
 
 
 class _RowMapperBase(Mapper, ImmutableOutput):
@@ -79,7 +60,7 @@ class _RowMapperBase(Mapper, ImmutableOutput):
 
     def configure(self, conf: JobConf) -> None:
         self.node = conf.get(PIG_NODE_KEY)
-        self.schema = conf.get(PIG_SCHEMA_KEY)
+        self.schema = conf.get(SCHEMA_KEY)
 
     def _row(self, value: Text) -> Dict[str, Any]:
         return parse_row(value.to_string(), self.schema)
@@ -97,13 +78,6 @@ class ForeachMapper(_RowMapperBase):
         row = self._row(value)
         projected = [evaluate(ast, row) for _, ast in self.node.projections]
         output.collect(NullWritable.get(), row_to_text(projected))
-
-
-class GroupKeyMapper(_RowMapperBase):
-    def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
-        row = self._row(value)
-        group_key = evaluate(self.node.key_expr, row)
-        output.collect(Text(format_value(group_key)), Text(value.to_string()))
 
 
 class BareGroupReducer(Reducer, ImmutableOutput):
@@ -126,7 +100,7 @@ class AggregatingGroupReducer(Reducer, ImmutableOutput):
 
     def configure(self, conf: JobConf) -> None:
         self.node = conf.get(PIG_NODE_KEY)
-        self.source_schema = conf.get(PIG_SCHEMA_KEY)
+        self.source_schema = conf.get(SCHEMA_KEY)
 
     def reduce(self, key: Text, values: Iterator[Text], output: OutputCollector,
                reporter: Reporter) -> None:
@@ -176,7 +150,6 @@ class JoinSideMapper(_RowMapperBase):
         self._side = conf.get(PIG_SIDE_KEY, "L")
         node: JoinNode = self.node
         self._key_expr = node.left_key if self._side == "L" else node.right_key
-        self.schema = conf.get(PIG_SCHEMA_KEY)
 
     def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
         row = self._row(value)
@@ -191,7 +164,7 @@ class LeftJoinMapper(JoinSideMapper):
     def configure(self, conf: JobConf) -> None:
         conf = JobConf(conf)
         conf.set(PIG_SIDE_KEY, "L")
-        conf.set(PIG_SCHEMA_KEY, conf.get("pig.join.left.schema"))
+        conf.set(SCHEMA_KEY, conf.get("pig.join.left.schema"))
         super().configure(conf)
 
 
@@ -199,7 +172,7 @@ class RightJoinMapper(JoinSideMapper):
     def configure(self, conf: JobConf) -> None:
         conf = JobConf(conf)
         conf.set(PIG_SIDE_KEY, "R")
-        conf.set(PIG_SCHEMA_KEY, conf.get("pig.join.right.schema"))
+        conf.set(SCHEMA_KEY, conf.get("pig.join.right.schema"))
         super().configure(conf)
 
 
@@ -216,7 +189,7 @@ class JoinReducer(Reducer, ImmutableOutput):
                 output.collect(NullWritable.get(), Text(f"{l_row}\t{r_row}"))
 
 
-class DistinctMapper(_RowMapperBase):
+class DistinctMapper(Mapper, ImmutableOutput):
     def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
         output.collect(Text(value.to_string()), NullWritable.get())
 
@@ -227,87 +200,14 @@ class DistinctReducer(Reducer, ImmutableOutput):
         output.collect(NullWritable.get(), Text(key.to_string()))
 
 
-class OrderKeyMapper(_RowMapperBase):
-    """Keys each row by its (possibly negated, for DESC) sort field."""
-
-    def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
-        node: OrderNode = self.node
-        row = self._row(value)
-        sort_value = row[node.order_field]
-        if isinstance(sort_value, float):
-            numeric = -sort_value if node.descending else sort_value
-            output.collect(DoubleWritable(numeric), Text(value.to_string()))
-        else:
-            if node.descending:
-                raise ValueError("ORDER ... DESC requires a numeric field")
-            output.collect(Text(str(sort_value)), Text(value.to_string()))
-
-
-class OrderEmitReducer(Reducer, ImmutableOutput):
-    def reduce(self, key, values: Iterator[Text], output: OutputCollector,
-               reporter: Reporter) -> None:
-        for value in values:
-            output.collect(NullWritable.get(), Text(value.to_string()))
-
-
-class LimitMapper(_RowMapperBase):
-    def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
-        output.collect(IntWritable(0), Text(value.to_string()))
-
-
-class LimitReducer(Reducer, ImmutableOutput):
-    def __init__(self) -> None:
-        self._limit = 0
-
-    def configure(self, conf: JobConf) -> None:
-        node: LimitNode = conf.get(PIG_NODE_KEY)
-        self._limit = node.count
-
-    def reduce(self, key, values: Iterator[Text], output: OutputCollector,
-               reporter: Reporter) -> None:
-        emitted = 0
-        for value in values:
-            if emitted >= self._limit:
-                break
-            output.collect(NullWritable.get(), Text(value.to_string()))
-            emitted += 1
-
-
-class StoreCopyMapper(_RowMapperBase):
-    def map(self, key, value: Text, output: OutputCollector, reporter: Reporter) -> None:
-        output.collect(NullWritable.get(), Text(value.to_string()))
-
-
-class LoadLineMapper(_RowMapperBase):
-    """LOAD's implicit map: text line → normalized row encoding."""
-
-    def map(self, key: LongWritable, value: Text, output: OutputCollector,
-            reporter: Reporter) -> None:
-        output.collect(NullWritable.get(), Text(value.to_string()))
-
-
-class PigRunner:
+class PigRunner(Runner):
     """Compiles and runs Pig scripts against one engine."""
 
+    dialect = Pig
+
     def __init__(self, engine, workdir: str = "/pig", num_reducers: Optional[int] = None):
-        self.engine = engine
-        self.workdir = workdir.rstrip("/")
-        self.num_reducers = (
-            num_reducers if num_reducers is not None else engine.cluster.num_nodes
-        )
-        self.results: List[EngineResult] = []
-        self._counter = 0
+        super().__init__(engine, workdir, num_reducers)
         self._materialized: Dict[str, str] = {}
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.simulated_seconds for r in self.results)
-
-    @property
-    def jobs_run(self) -> int:
-        return len(self.results)
-
-    # -- public API ---------------------------------------------------------- #
 
     def run(self, source: str) -> List[str]:
         """Run a script; returns the STORE output paths in statement order."""
@@ -317,175 +217,83 @@ class PigRunner:
         outputs: List[str] = []
         for store in script.stores:
             intermediate = self._materialize(script, store.source)
-            self._run_store(script, store, intermediate)
+            conf = self._conf(f"pig.store[{store.source}]", store.path,
+                              intermediate, SequenceFileInputFormat,
+                              final=True, reducers=0)
+            conf.set_mapper_class(CopyMapper)
+            self._submit(conf)
             outputs.append(store.path)
         return outputs
 
-    def read_output(self, path: str) -> List[str]:
-        """Read a stored relation back as text rows."""
-        fs = self.engine.filesystem
-        rows: List[str] = []
-        for status in sorted(fs.list_files_recursive(path), key=lambda s: s.path):
-            basename = status.path.rsplit("/", 1)[-1]
-            if basename.startswith((".", "_")):
-                continue
-            text = fs.read_text(status.path)
-            rows.extend(line for line in text.splitlines() if line)
-        return rows
-
-    # -- compilation ----------------------------------------------------- #
-
-    def _temp_path(self, alias: str) -> str:
-        self._counter += 1
-        return f"{self.workdir}/temp-{alias}-{self._counter}"
-
-    def _submit(self, conf: JobConf) -> EngineResult:
-        result = self.engine.run_job(conf)
-        self.results.append(result)
-        if not result.succeeded:
-            raise RuntimeError(f"pig job {conf.get_job_name()!r} failed: {result.error}")
-        return result
-
-    def _base_conf(self, name: str, node: PlanNode, output: str,
-                   reducers: Optional[int] = None) -> JobConf:
-        conf = JobConf()
-        conf.set_job_name(name)
-        conf.set(PIG_NODE_KEY, node)
-        conf.set_output_format(SequenceFileOutputFormat)
-        conf.set_output_path(output)
-        conf.set_num_reduce_tasks(self.num_reducers if reducers is None else reducers)
-        return conf
-
-    def _wire_input(self, conf: JobConf, script: PigScript, source: str) -> Schema:
-        """Point the job at its input relation; returns that input's schema."""
+    def _input(self, script: PigScript, source: str) -> Tuple[str, type]:
+        """Where a job reads relation ``source``: a LOAD's text directly,
+        any other relation from its materialized sequence file."""
         node = script.nodes[source]
         if isinstance(node, LoadNode):
-            conf.set_input_paths(node.path)
-            conf.set_input_format(TextInputFormat)
-        else:
-            conf.set_input_paths(self._materialize(script, source))
-            conf.set_input_format(SequenceFileInputFormat)
-        conf.set(PIG_SCHEMA_KEY, node.schema)
-        return node.schema
+            return node.path, TextInputFormat
+        return self._materialize(script, source), SequenceFileInputFormat
+
+    def _job(self, name: str, node: PlanNode, out: str, script: PigScript,
+             source: str, reducers: Optional[int] = None) -> JobConf:
+        """A job over relation ``source`` that carries ``node``."""
+        src, src_format = self._input(script, source)
+        conf = self._conf(name, out, src, src_format, final=False,
+                          reducers=reducers)
+        conf.set(PIG_NODE_KEY, node)
+        conf.set(SCHEMA_KEY, script.nodes[source].schema)
+        return conf
 
     def _materialize(self, script: PigScript, alias: str) -> str:
         """Run the job(s) producing ``alias``; returns its data path."""
         if alias in self._materialized:
             return self._materialized[alias]
         node = script.nodes[alias]
+        out = self._temp_path(alias)
         if isinstance(node, LoadNode):
             # Normalize text input once into the row encoding.
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.load[{alias}]", node, out, reducers=0)
-            conf.set_input_paths(node.path)
-            conf.set_input_format(TextInputFormat)
-            conf.set(PIG_SCHEMA_KEY, node.schema)
-            conf.set_mapper_class(LoadLineMapper)
-            self._submit(conf)
+            conf = self._conf(f"pig.load[{alias}]", out, node.path,
+                              TextInputFormat, final=False, reducers=0)
+            conf.set_mapper_class(CopyMapper)
         elif isinstance(node, FilterNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.filter[{alias}]", node, out, reducers=0)
-            self._wire_input(conf, script, node.source)
+            conf = self._job(f"pig.filter[{alias}]", node, out, script,
+                             node.source, reducers=0)
             conf.set_mapper_class(FilterMapper)
-            self._submit(conf)
         elif isinstance(node, ForeachNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.foreach[{alias}]", node, out, reducers=0)
-            self._wire_input(conf, script, node.source)
+            conf = self._job(f"pig.foreach[{alias}]", node, out, script,
+                             node.source, reducers=0)
             conf.set_mapper_class(ForeachMapper)
-            self._submit(conf)
         elif isinstance(node, GroupNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.group[{alias}]", node, out)
-            self._wire_input(conf, script, node.source)
-            conf.set_mapper_class(GroupKeyMapper)
+            conf = self._job(f"pig.group[{alias}]", node, out, script, node.source)
+            conf.set(KEY_EXPR_KEY, node.key_expr)
+            conf.set_mapper_class(KeyByExprMapper)
             conf.set_reducer_class(
                 AggregatingGroupReducer if node.aggregates else BareGroupReducer
             )
-            self._submit(conf)
         elif isinstance(node, JoinNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.join[{alias}]", node, out)
-            left_path = self._relation_path(script, node.left_source)
-            right_path = self._relation_path(script, node.right_source)
-            conf.set("pig.join.left.schema", script.nodes[node.left_source].schema)
-            conf.set("pig.join.right.schema", script.nodes[node.right_source].schema)
-            left_format = self._format_for(script, node.left_source)
-            right_format = self._format_for(script, node.right_source)
-            MultipleInputs.add_input_path(conf, left_path, left_format, LeftJoinMapper)
-            MultipleInputs.add_input_path(conf, right_path, right_format, RightJoinMapper)
+            conf = self._conf(f"pig.join[{alias}]", out)
+            conf.set(PIG_NODE_KEY, node)
+            for side, source, mapper in (("left", node.left_source, LeftJoinMapper),
+                                         ("right", node.right_source, RightJoinMapper)):
+                conf.set(f"pig.join.{side}.schema", script.nodes[source].schema)
+                MultipleInputs.add_input_path(conf, self._materialize(script, source),
+                                              SequenceFileInputFormat, mapper)
             conf.set_reducer_class(JoinReducer)
-            self._submit(conf)
         elif isinstance(node, DistinctNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.distinct[{alias}]", node, out)
-            self._wire_input(conf, script, node.source)
+            conf = self._job(f"pig.distinct[{alias}]", node, out, script, node.source)
             conf.set_mapper_class(DistinctMapper)
             conf.set_reducer_class(DistinctReducer)
-            self._submit(conf)
         elif isinstance(node, OrderNode):
-            out = self._run_order(script, node)
+            order = SortOrder(("field", node.order_field), node.order_field,
+                              node.descending)
+            conf = self._sort_conf(f"pig.order[{alias}]", out,
+                                   self._materialize(script, node.source),
+                                   SequenceFileInputFormat, False, order, node.schema)
         elif isinstance(node, LimitNode):
-            out = self._temp_path(alias)
-            conf = self._base_conf(f"pig.limit[{alias}]", node, out, reducers=1)
-            self._wire_input(conf, script, node.source)
-            conf.set_mapper_class(LimitMapper)
-            conf.set_reducer_class(LimitReducer)
-            self._submit(conf)
+            src, src_format = self._input(script, node.source)
+            conf = self._limit_conf(f"pig.limit[{alias}]", out, src, src_format,
+                                    False, node.count)
         else:
             raise TypeError(f"cannot compile node {type(node).__name__}")
+        self._submit(conf)
         self._materialized[alias] = out
         return out
-
-    def _relation_path(self, script: PigScript, alias: str) -> str:
-        node = script.nodes[alias]
-        if isinstance(node, LoadNode):
-            return self._materialize(script, alias)  # normalized form
-        return self._materialize(script, alias)
-
-    @staticmethod
-    def _format_for(script: PigScript, alias: str) -> type:
-        # After materialization every relation lives as a sequence file.
-        return SequenceFileInputFormat
-
-    def _run_order(self, script: PigScript, node: OrderNode) -> str:
-        out = self._temp_path(node.alias)
-        source_path = self._materialize(script, node.source)
-        # Sample the sort keys driver-side to derive total-order cut points,
-        # the way Pig runs its sampling job before an ORDER BY.
-        fs = self.engine.filesystem
-        sample = []
-        for _, row_text in fs.read_kv_pairs(source_path):
-            row = parse_row(row_text.to_string(), node.schema)
-            sort_value = row[node.order_field]
-            if isinstance(sort_value, float):
-                sample.append(
-                    DoubleWritable(-sort_value if node.descending else sort_value)
-                )
-            else:
-                sample.append(Text(str(sort_value)))
-        reducers = min(self.num_reducers, max(1, len(sample)))
-        cuts = TotalOrderPartitioner.sample_cut_points(sample, reducers)
-        conf = self._base_conf(f"pig.order[{node.alias}]", node, out,
-                               reducers=len(cuts) + 1)
-        conf.set_input_paths(source_path)
-        conf.set_input_format(SequenceFileInputFormat)
-        conf.set(PIG_SCHEMA_KEY, node.schema)
-        conf.set_mapper_class(OrderKeyMapper)
-        conf.set_reducer_class(OrderEmitReducer)
-        conf.set_partitioner_class(TotalOrderPartitioner)
-        conf.set("total.order.partitioner.cuts", cuts)
-        self._submit(conf)
-        return out
-
-    def _run_store(self, script: PigScript, store: StoreStatement,
-                   intermediate: str) -> None:
-        node = script.nodes[store.source]
-        conf = self._base_conf(f"pig.store[{store.source}]", node, store.path,
-                               reducers=0)
-        conf.set_input_paths(intermediate)
-        conf.set_input_format(SequenceFileInputFormat)
-        conf.set(PIG_SCHEMA_KEY, node.schema)
-        conf.set_mapper_class(StoreCopyMapper)
-        conf.set_output_format(TextOutputFormat)
-        self._submit(conf)

@@ -1,178 +1,27 @@
-"""Pig expression mini-language.
+"""Pig's dialect of the shared expression language.
 
-Covers what FILTER predicates and FOREACH projections need: field
-references, numeric and string literals, arithmetic, comparisons, and
-boolean connectives.  Values are dynamically typed: fields parse as floats
-when they look numeric, otherwise stay strings (Pig's bytearray-with-
-coercion behaviour, reduced to its observable essentials).
-
-Grammar::
-
-    expr    := or_expr
-    or_expr := and_expr ('OR' and_expr)*
-    and_expr:= not_expr ('AND' not_expr)*
-    not_expr:= 'NOT' not_expr | cmp
-    cmp     := add (('=='|'!='|'<='|'>='|'<'|'>') add)?
-    add     := mul (('+'|'-') mul)*
-    mul     := unary (('*'|'/'|'%') unary)*
-    unary   := '-' unary | atom
-    atom    := NUMBER | STRING | FIELD | '(' expr ')'
+FILTER predicates, FOREACH projections and GROUP / JOIN keys are
+expressions of :mod:`repro.relational.expr`.  Pig supplies bare field
+names, case-insensitive ``AND`` / ``OR`` / ``NOT``, and its
+bytearray-with-coercion typing reduced to its observable essentials:
+fields parse as floats when they look numeric, otherwise stay strings,
+and arithmetic coerces numeric-looking strings.  A field the row lacks
+raises.  Rows travel as tab-separated text decoded against a
+:class:`~repro.pig.plan.Schema`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Union
+
+from repro.api.writables import DoubleWritable, Text
+from repro.pig.plan import Schema
+from repro.relational.expr import Dialect, ExprError, Parser
+from repro.relational.expr import evaluate as _evaluate
+from repro.relational.expr import parse
 
 Value = Union[float, str, bool]
-
-
-class ExprError(ValueError):
-    """Raised for malformed expressions or evaluation type errors."""
-
-
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?)
-      | '(?P<sq>[^']*)'
-      | "(?P<dq>[^"]*)"
-      | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>==|!=|<=|>=|<|>|\+|-|\*|/|%|\(|\))
-    )""",
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"AND", "OR", "NOT"}
-
-
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise ExprError(f"cannot tokenize expression at: {remainder!r}")
-        if match.group("number") is not None:
-            tokens.append(("NUMBER", match.group("number")))
-        elif match.group("sq") is not None:
-            tokens.append(("STRING", match.group("sq")))
-        elif match.group("dq") is not None:
-            tokens.append(("STRING", match.group("dq")))
-        elif match.group("word") is not None:
-            word = match.group("word")
-            if word.upper() in _KEYWORDS:
-                tokens.append(("KW", word.upper()))
-            else:
-                tokens.append(("FIELD", word))
-        else:
-            tokens.append(("OP", match.group("op")))
-        pos = match.end()
-    tokens.append(("EOF", ""))
-    return tokens
-
-
-# The AST is plain tuples: ("num", v) | ("str", v) | ("field", name)
-# | ("un", op, a) | ("bin", op, a, b)
-Ast = tuple
-
-
-class _ExprParser:
-    def __init__(self, tokens: List[Tuple[str, str]]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self) -> Tuple[str, str]:
-        return self._tokens[self._pos]
-
-    def _take(self) -> Tuple[str, str]:
-        token = self._tokens[self._pos]
-        if token[0] != "EOF":
-            self._pos += 1
-        return token
-
-    def _accept(self, kind: str, *texts: str) -> bool:
-        token = self._peek()
-        if token[0] == kind and (not texts or token[1] in texts):
-            self._take()
-            return True
-        return False
-
-    def parse(self) -> Ast:
-        ast = self._or()
-        if self._peek()[0] != "EOF":
-            raise ExprError(f"trailing tokens from {self._peek()[1]!r}")
-        return ast
-
-    def _or(self) -> Ast:
-        left = self._and()
-        while self._peek() == ("KW", "OR"):
-            self._take()
-            left = ("bin", "OR", left, self._and())
-        return left
-
-    def _and(self) -> Ast:
-        left = self._not()
-        while self._peek() == ("KW", "AND"):
-            self._take()
-            left = ("bin", "AND", left, self._not())
-        return left
-
-    def _not(self) -> Ast:
-        if self._peek() == ("KW", "NOT"):
-            self._take()
-            return ("un", "NOT", self._not())
-        return self._cmp()
-
-    def _cmp(self) -> Ast:
-        left = self._add()
-        token = self._peek()
-        if token[0] == "OP" and token[1] in ("==", "!=", "<=", ">=", "<", ">"):
-            op = self._take()[1]
-            return ("bin", op, left, self._add())
-        return left
-
-    def _add(self) -> Ast:
-        left = self._mul()
-        while self._peek()[0] == "OP" and self._peek()[1] in ("+", "-"):
-            op = self._take()[1]
-            left = ("bin", op, left, self._mul())
-        return left
-
-    def _mul(self) -> Ast:
-        left = self._unary()
-        while self._peek()[0] == "OP" and self._peek()[1] in ("*", "/", "%"):
-            op = self._take()[1]
-            left = ("bin", op, left, self._unary())
-        return left
-
-    def _unary(self) -> Ast:
-        if self._peek() == ("OP", "-"):
-            self._take()
-            return ("un", "-", self._unary())
-        return self._atom()
-
-    def _atom(self) -> Ast:
-        kind, text = self._take()
-        if kind == "NUMBER":
-            return ("num", float(text))
-        if kind == "STRING":
-            return ("str", text)
-        if kind == "FIELD":
-            return ("field", text)
-        if kind == "OP" and text == "(":
-            inner = self._or()
-            if not self._accept("OP", ")"):
-                raise ExprError("missing closing parenthesis")
-            return inner
-        raise ExprError(f"unexpected token {text!r}")
-
-
-def parse_expression(text: str) -> Ast:
-    """Parse one expression to its tuple AST."""
-    return _ExprParser(_tokenize(text)).parse()
 
 
 def coerce(value: str) -> Value:
@@ -183,61 +32,60 @@ def coerce(value: str) -> Value:
         return value
 
 
-def evaluate(ast: Ast, row: Dict[str, Value]) -> Value:
+def format_value(value: Any) -> str:
+    """Render a field for the tab-separated row encoding."""
+    if isinstance(value, float):
+        if value == int(value) and abs(value) < 1e15:
+            return str(int(value))
+        return repr(value)
+    return str(value)
+
+
+def row_to_text(values: List[Any]) -> Text:
+    return Text("\t".join(format_value(v) for v in values))
+
+
+def parse_row(line: str, schema: Schema) -> Dict[str, Any]:
+    parts = line.split("\t")
+    if len(parts) < len(schema.fields):
+        parts = parts + [""] * (len(schema.fields) - len(parts))
+    return {name: coerce(parts[i]) for i, name in enumerate(schema.fields)}
+
+
+def _atom(parser: Parser, kind: str, text: str) -> tuple:
+    if kind == "NAME":
+        return ("field", text)
+    raise ExprError(f"unexpected token {text!r}")
+
+
+def _field(ast: tuple, row: Dict[str, Value]) -> Value:
+    name = ast[1]
+    if name not in row:
+        raise ExprError(f"unknown field {name!r}; row has {sorted(row)}")
+    return row[name]
+
+
+class Pig(Dialect):
+    keywords = re.compile("and|or|not", re.IGNORECASE)
+    atom = staticmethod(_atom)
+    numeric = (int, float, str)
+    leaves = {"field": _field}
+    decode = staticmethod(parse_row)
+    encode_key = staticmethod(format_value)
+    sort_keys = {float: DoubleWritable, str: Text}
+
+
+def parse_expression(text: str) -> tuple:
+    """Parse one Pig expression to its tuple AST."""
+    return parse(text, Pig)
+
+
+def evaluate(ast: tuple, row: Dict[str, Value]) -> Value:
     """Evaluate an expression AST against one row (field → value)."""
-    kind = ast[0]
-    if kind == "num":
-        return ast[1]
-    if kind == "str":
-        return ast[1]
-    if kind == "field":
-        name = ast[1]
-        if name not in row:
-            raise ExprError(f"unknown field {name!r}; row has {sorted(row)}")
-        return row[name]
-    if kind == "un":
-        operand = evaluate(ast[2], row)
-        if ast[1] == "-":
-            return -_number(operand)
-        if ast[1] == "NOT":
-            return not _boolean(operand)
-        raise ExprError(f"unknown unary {ast[1]!r}")
-    if kind == "bin":
-        op = ast[1]
-        if op == "AND":
-            return _boolean(evaluate(ast[2], row)) and _boolean(evaluate(ast[3], row))
-        if op == "OR":
-            return _boolean(evaluate(ast[2], row)) or _boolean(evaluate(ast[3], row))
-        left = evaluate(ast[2], row)
-        right = evaluate(ast[3], row)
-        if op in ("==", "!="):
-            equal = left == right
-            return equal if op == "==" else not equal
-        if op in ("<", ">", "<=", ">="):
-            try:
-                result = {
-                    "<": left < right, ">": left > right,
-                    "<=": left <= right, ">=": left >= right,
-                }[op]
-            except TypeError as exc:
-                raise ExprError(f"cannot compare {left!r} {op} {right!r}") from exc
-            return result
-        a, b = _number(left), _number(right)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        if op == "%":
-            return a % b
-        raise ExprError(f"unknown operator {op!r}")
-    raise ExprError(f"bad AST node {ast!r}")
+    return _evaluate(ast, row, Pig)
 
 
-def fields_used(ast: Ast) -> List[str]:
+def fields_used(ast: tuple) -> List[str]:
     """All field names referenced by an expression (for schema checks)."""
     kind = ast[0]
     if kind == "field":
@@ -247,18 +95,3 @@ def fields_used(ast: Ast) -> List[str]:
     if kind == "bin":
         return fields_used(ast[2]) + fields_used(ast[3])
     return []
-
-
-def _number(value: Value) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, float):
-        return value
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ExprError(f"expected a number, got {value!r}") from None
-
-
-def _boolean(value: Value) -> bool:
-    return bool(value)

@@ -13,9 +13,10 @@ Supports the statement forms the BigSheets-style workloads exercise::
     I = LIMIT H 10;
     STORE E INTO '/out/e';
 
-Statements end with ``;``; ``--`` starts a comment.  An aggregating FOREACH
-over a grouped relation is folded into the group (which is how Pig's
-compiler produces a single MR job with a combiner for it).
+Statements end with ``;``; ``--`` starts a comment; neither counts inside
+quotes.  An aggregating FOREACH over a grouped relation is folded into the
+group (which is how Pig's compiler produces a single MR job with a combiner
+for it).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.pig.expr import ExprError, parse_expression
+from repro.pig.expr import parse_expression
 from repro.pig.plan import (
     DistinctNode,
     FilterNode,
@@ -37,6 +38,7 @@ from repro.pig.plan import (
     Schema,
     StoreStatement,
 )
+from repro.relational.expr import ExprError, split_top_level, strip_comments, unquote
 
 _AGG_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -53,66 +55,11 @@ def _expr(text: str):
         raise PigParseError(f"bad expression {text!r}: {exc}") from exc
 
 
-def _strip_comments(source: str) -> str:
-    lines = []
-    for line in source.splitlines():
-        cut = line.find("--")
-        lines.append(line if cut < 0 else line[:cut])
-    return "\n".join(lines)
-
-
-def _split_statements(source: str) -> List[str]:
-    statements = []
-    for chunk in source.split(";"):
-        text = " ".join(chunk.split())
-        if text:
-            statements.append(text)
-    return statements
-
-
-def _split_top_level(text: str, separator: str = ",") -> List[str]:
-    """Split on a separator, respecting parentheses and quotes."""
-    parts: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    current: List[str] = []
-    for ch in text:
-        if quote is not None:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "'\"":
-            quote = ch
-            current.append(ch)
-        elif ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            current.append(ch)
-        elif ch == separator and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current).strip())
-    return [p for p in parts if p]
-
-
-def _unquote(text: str) -> str:
-    text = text.strip()
-    if len(text) >= 2 and text[0] in "'\"" and text[-1] == text[0]:
-        return text[1:-1]
-    raise PigParseError(f"expected a quoted string, got {text!r}")
-
-
 def parse_pig_script(source: str) -> PigScript:
     """Parse a Pig Latin script into a :class:`PigScript` plan."""
     script = PigScript()
-    for statement in _split_statements(_strip_comments(source)):
-        _parse_statement(statement, script)
+    for statement in split_top_level(strip_comments(source, "--"), ";"):
+        _parse_statement(" ".join(statement.split()), script)
     return script
 
 
@@ -131,7 +78,8 @@ def _parse_statement(text: str, script: PigScript) -> None:
     if store:
         alias = store.group(1)
         _require_alias(script, alias)
-        script.stores.append(StoreStatement(alias, _unquote(store.group(2))))
+        path = unquote(store.group(2), PigParseError)
+        script.stores.append(StoreStatement(alias, path))
         return
 
     assign = re.match(r"^(\w+)\s*=\s*(.+)$", text)
@@ -142,7 +90,8 @@ def _parse_statement(text: str, script: PigScript) -> None:
     load = re.match(r"(?i)^LOAD\s+(\S+)\s+AS\s+\((.+)\)$", body)
     if load:
         fields = tuple(f.strip() for f in load.group(2).split(","))
-        _add(script, LoadNode(alias, _unquote(load.group(1)), Schema(fields)))
+        path = unquote(load.group(1), PigParseError)
+        _add(script, LoadNode(alias, path, Schema(fields)))
         return
 
     filt = re.match(r"(?i)^FILTER\s+(\w+)\s+BY\s+(.+)$", body)
@@ -231,7 +180,7 @@ def _parse_statement(text: str, script: PigScript) -> None:
 
 def _parse_foreach(alias: str, source: str, generate: str, script: PigScript) -> None:
     source_node = script.nodes[source]
-    items = _split_top_level(generate)
+    items = split_top_level(generate, ",")
 
     if isinstance(source_node, GroupNode) and not source_node.aggregates:
         folded = _try_fold_aggregates(alias, source_node, items)

@@ -13,7 +13,9 @@ everything that can change a job's committed bytes:
   matches);
 * one content token per input *file*: its lineage token when the file is
   a recorded job output (see :mod:`repro.restore.store`), else the
-  literal path plus its content version.
+  literal path plus its content version.  ``MultipleInputs``
+  registrations are keyed the same way, by their path's content tokens,
+  so a rerun that reads the same data from fresh temporary paths matches.
 
 Values tokenize conservatively.  Classes and module-level functions
 become ``module.qualname``; scalars and containers recurse; anything
@@ -33,6 +35,7 @@ from repro.api.conf import (
     OUTPUT_DIR_KEY,
     JobConf,
 )
+from repro.api.multiple_io import MULTIPLE_INPUTS_KEY
 
 __all__ = ["compute_fingerprint", "content_version", "input_tokens"]
 
@@ -129,6 +132,20 @@ def input_tokens(engine: Any, paths: List[str], store: Any) -> Optional[List[str
     return tokens
 
 
+def _registrations_by_content(engine: Any, registrations: Any,
+                              store: Any) -> Optional[List[Any]]:
+    """``MultipleInputs``' {path: registrations} as (content tokens,
+    registrations) pairs in token order, or ``None`` when a path's
+    content cannot be versioned."""
+    keyed = []
+    for path, regs in registrations.items():
+        tokens = input_tokens(engine, [path], store)
+        if tokens is None:
+            return None
+        keyed.append((tokens, regs))
+    return sorted(keyed, key=lambda pair: pair[0])
+
+
 def compute_fingerprint(
     engine: Any, spec: Any, conf: JobConf, store: Any
 ) -> Optional[str]:
@@ -155,7 +172,12 @@ def compute_fingerprint(
     for key in sorted(conf.keys()):
         if key in _IRRELEVANT_KEYS or key.startswith(_IRRELEVANT_PREFIX):
             continue
-        token = _token(conf.get(key))
+        value = conf.get(key)
+        if key == MULTIPLE_INPUTS_KEY:
+            value = _registrations_by_content(engine, value, store)
+            if value is None:
+                return None
+        token = _token(value)
         if token is _UNSTABLE:
             return None
         lines.append(f"conf.{key}={token}")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jaql import (
-    JaqlExprError,
+    ExprError,
     JaqlParseError,
     JaqlRunner,
     evaluate_expr,
@@ -57,7 +57,7 @@ class TestExpressions:
         assert evaluate_expr(parse_expr("{}"), {"x": 1}) == {}
 
     def test_aggregates_require_group_context(self):
-        with pytest.raises(JaqlExprError):
+        with pytest.raises(ExprError):
             evaluate_expr(parse_expr("count($)"), {"x": 1})
 
     def test_aggregates(self):
@@ -78,11 +78,11 @@ class TestExpressions:
         "$.x +", "count(3)", "{ a 1 }", "(1", "$..x", "frobnicate($)",
     ])
     def test_parse_errors(self, bad):
-        with pytest.raises(JaqlExprError):
+        with pytest.raises(ExprError):
             parse_expr(bad)
 
     def test_string_math_rejected(self):
-        with pytest.raises(JaqlExprError):
+        with pytest.raises(ExprError):
             evaluate_expr(parse_expr("$.s + 1"), {"s": "text"})
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -225,6 +225,25 @@ class TestExecution:
         with pytest.raises(Exception):
             runner.run("read('/logs/events.json') -> sort by $.user"
                        " -> write('/out/bad')")
+
+    def test_comment_marker_inside_quotes(self):
+        engine = make_m3r()
+        engine.filesystem.write_text(
+            "/urls.json", '{"url": "http://a"}\n{"url": "http://b"}\n'
+        )
+        runner = JaqlRunner(engine, num_reducers=2)
+        runner.run('read("/urls.json") -> filter $.url == "http://a"'
+                   ' -> write("/out/urls")')
+        assert runner.read_output("/out/urls") == [{"url": "http://a"}]
+
+    @pytest.mark.parametrize("factory", [make_hadoop, make_m3r])
+    def test_sort_by_missing_field_fails_before_the_sort(self, factory):
+        engine = factory()
+        engine.filesystem.write_text("/v.json", '{"v": 2}\n{"w": 1}\n')
+        runner = JaqlRunner(engine, num_reducers=2)
+        with pytest.raises(ValueError, match=r"\$\.v\b.*None"):
+            runner.run("read('/v.json') -> sort by $.v -> write('/out/v')")
+        assert runner.jobs_run == 0
 
     def test_group_without_sort(self):
         engine = make_m3r()

@@ -252,6 +252,25 @@ class TestPigExecution:
                    " STORE u INTO '/out/u';")
         assert sorted(runner.read_output("/out/u")) == ["a\t1", "b\t2"]
 
+    @pytest.mark.parametrize("literal", ["x--y", "x;y"])
+    def test_comment_marker_and_separator_inside_quotes(self, literal):
+        engine = make_m3r()
+        engine.filesystem.write_text("/q.txt", f"{literal}\nz\n")
+        runner = PigRunner(engine, num_reducers=2)
+        runner.run(f"A = LOAD '/q.txt' AS (b); B = FILTER A BY b == '{literal}';"
+                   " STORE B INTO '/out/q';")
+        assert runner.read_output("/out/q") == [literal]
+
+    @pytest.mark.parametrize("factory", [make_hadoop, make_m3r])
+    def test_order_by_mixed_column_fails_before_the_sort(self, factory):
+        engine = factory()
+        engine.filesystem.write_text("/m.txt", "a\t1\nb\tzz\nc\t3\n")
+        runner = PigRunner(engine, num_reducers=2)
+        with pytest.raises(ValueError, match=r"\bv\b.*'zz'"):
+            runner.run("x = LOAD '/m.txt' AS (k, v); o = ORDER x BY v;"
+                       " STORE o INTO '/out/o';")
+        assert [r.job_name for r in runner.results] == ["pig.load[x]"]
+
     def test_order_ascending_strings(self):
         engine = make_m3r()
         engine.filesystem.write_text("/s.txt", "pear\nzeta\napple\n")

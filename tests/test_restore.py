@@ -23,12 +23,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.conf import RESTORE_ENABLED_KEY, UnknownKnobWarning
+from repro.api.conf import RESTORE_ENABLED_KEY, JobConf, UnknownKnobWarning
 from repro.api.counters import JobCounter
+from repro.api.formats import SequenceFileInputFormat
 from repro.api.job import JobSpec
 from repro.api.mapred import Mapper
+from repro.api.multiple_io import MultipleInputs
 from repro.api.writables import IntWritable
+from repro.jaql import JaqlRunner
 from repro.lifecycle.events import ReuseEvent
+from repro.pig import PigRunner
+from repro.pig.compiler import JoinReducer, LeftJoinMapper, RightJoinMapper
 from repro.restore import compute_fingerprint
 
 from workloads import (
@@ -301,6 +306,68 @@ class TestFingerprint:
         conf = histogram_job("/in", "/out", 4)
         conf.set_mapper_class(LocalMapper)  # noqa: M3R007 - the bypass under test
         assert self._fingerprint(engine, conf) is None
+
+
+    def test_multiple_inputs_mapper_swap_included(self):
+        """``MultipleInputs`` registrations are keyed by their path's
+        content, and each keeps its own mapper: swapping which mapper
+        reads which input must not match."""
+        engine = self._engine_with_data()
+        engine.filesystem.write_pairs("/in2/part-00000", DATA)
+
+        def join(left, right):
+            conf = JobConf()
+            conf.set_output_path("/out")
+            MultipleInputs.add_input_path(conf, "/in", SequenceFileInputFormat, left)
+            MultipleInputs.add_input_path(conf, "/in2", SequenceFileInputFormat, right)
+            conf.set_reducer_class(JoinReducer)
+            return conf
+
+        plain = self._fingerprint(engine, join(LeftJoinMapper, RightJoinMapper))
+        swapped = self._fingerprint(engine, join(RightJoinMapper, LeftJoinMapper))
+        assert plain is not None and swapped is not None
+        assert plain != swapped
+
+
+class TestFrontEndReruns:
+    """A compiled script rerun through a fresh workdir, so that every
+    temporary path differs, is served whole: lineage tokens, not paths,
+    identify each intermediate."""
+
+    SCRIPTS = {
+        "pig": ("l = LOAD '/l.txt' AS (k, lv); r = LOAD '/r.txt' AS (k2, rv);"
+                " j = JOIN l BY k, r BY k2; STORE j INTO '/out/TAG';"),
+        "jaql": ("read('/events.json') -> filter $.ms > 1"
+                 " -> group by $.user into { user: key, n: count($) }"
+                 " -> sort by $.n -> write('/out/TAG')"),
+    }
+
+    @pytest.mark.parametrize("language", ["pig", "jaql"])
+    @pytest.mark.parametrize("kind,factory", ENGINES)
+    def test_rerun_in_fresh_workdir_launches_no_task(
+        self, kind, factory, language, monkeypatch
+    ):
+        monkeypatch.setenv("M3R_RESTORE", "1")
+        engine = factory()
+        engine.filesystem.write_text("/l.txt", "1\tx\n1\ty\n2\tz\n")
+        engine.filesystem.write_text("/r.txt", "1\tA\n3\tC\n")
+        engine.filesystem.write_text(
+            "/events.json",
+            '{"user": "a", "ms": 5}\n{"user": "b", "ms": 9}\n{"user": "a", "ms": 2}\n',
+        )
+        runner_class = PigRunner if language == "pig" else JaqlRunner
+        runs = []
+        for tag in ("a", "b"):
+            runner = runner_class(engine, workdir=f"/work-{tag}", num_reducers=2)
+            runner.run(self.SCRIPTS[language].replace("TAG", tag))
+            runs.append(runner)
+        first, second = runs
+        assert total_tasks(first.results) > 0
+        assert total_tasks(second.results) == 0, [r.job_name for r in second.results]
+        bypassed = [r.job_name for run in runs for r in run.results
+                    if r.metrics.get("restore_bypassed")]
+        assert bypassed == []
+        assert second.read_output("/out/b") == first.read_output("/out/a") != []
 
 
 class TestReuseEvents:
