@@ -1,19 +1,19 @@
 """Batched record path + automatic in-mapper combining — wall-clock gate.
 
 The batched execution path (DESIGN.md §14) moves records from split to
-collector in batches of ``engine_common.BATCH_SIZE`` and, when the job's
-combiner is a licensed associative fold, collapses duplicate keys in a
-bounded map-side hash aggregate *before* the sort/measure/transport
-pipeline sees them (``m3r.imc.enabled``).  This benchmark checks the
+collector in batches of ``engine_common.BATCH_SIZE``; when the job's
+combiner is a licensed associative fold, in-mapper combining
+(``m3r.imc.enabled``) reports the map-side combine, run once per
+partition run, as the ``imc_*`` metrics.  This benchmark checks the
 design's two promises:
 
 * **byte-identity** — for one job configuration, the per-record, batched
   and batched+imc paths commit identical output, identical counters and
   identical *simulated* seconds (exact equality, both engines);
-* **wall-clock** — batching amortizes per-record Python dispatch and
-  in-mapper combining skips the map-side sort of pre-combine records, so
-  batched+imc beats the classic per-record path; the ≥1.5x wordcount
-  assertion arms on non-smoke hosts with 4+ cores.
+* **wall-clock** — batching amortizes per-record Python dispatch and the
+  map-side combine shrinks what is measured and shipped, so batched+imc
+  beats the classic per-record path without a combiner; the ≥1.5x
+  wordcount assertion arms on non-smoke hosts with 4+ cores.
 
 Shuffle volume is compared against the honest baseline: a wordcount with
 *no* combiner at all (with a combiner configured, all three paths shuffle
@@ -64,7 +64,6 @@ IMC_METRICS = (
     "imc_input_records",
     "imc_output_records",
     "imc_folded_records",
-    "imc_spills",
 )
 
 
@@ -232,7 +231,6 @@ def test_batched_record_path(benchmark, capfd):
                     run["shuffle_bytes"] / 1024.0,
                     run["metrics"]["imc_input_records"],
                     run["metrics"]["imc_output_records"],
-                    run["metrics"]["imc_spills"],
                 ))
                 json_doc["workloads"][workload][kind][mode] = {
                     "wall_seconds": run["wall"],
@@ -252,7 +250,7 @@ def test_batched_record_path(benchmark, capfd):
         lines.append(format_table(
             titles[workload],
             ["engine", "mode", "wall (s)", "speedup", "simulated (s)",
-             "shuffle KiB", "imc in", "imc out", "spills"],
+             "shuffle KiB", "imc in", "imc out"],
             rows,
         ))
         lines.append("")

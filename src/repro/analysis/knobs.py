@@ -109,8 +109,8 @@ def _knobs() -> List[Knob]:
           "feed map tasks in batches instead of record-at-a-time",
           "BATCH_ENABLED_KEY"),
         K("m3r.imc.enabled", "bool", False, "M3R_IMC", "imc",
-          "in-mapper combining: fold duplicate keys into a per-task hash "
-          "aggregate when the combiner is licensed associative",
+          "in-mapper combining: report the map-side combine of a combiner "
+          "licensed associative as the imc_* metrics",
           "IMC_ENABLED_KEY"),
         # -- temporary-output convention (paper §4.2.3) ------------------ #
         K("m3r.temp.output.prefix", "str", "temp", None, "temp",

@@ -10,26 +10,15 @@ markers let user code participate beyond the generic list-batch loop:
   engine hands numpy object arrays instead of lists (the matvec/SystemML
   workloads slice them straight into vectorized kernels).
 * :class:`AssociativeReducer` — the combiner is a pure associative fold,
-  which licenses automatic in-mapper combining (``m3r.imc.*`` knobs): the
-  map side folds duplicate keys incrementally instead of buffering and
-  sorting every record.
+  which licenses automatic in-mapper combining (``m3r.imc.enabled``): the
+  map task's combine, run once per partition run as on the per-record
+  path, is reported as the ``imc_*`` metrics (DESIGN.md §14).
 
-Because in-mapper combining reorders *when* the combiner runs (but not the
-per-key fold order — see DESIGN.md §14 for the byte-identity argument), the
-associativity marker carries a real contract.  A marked reducer must:
-
-* emit **exactly one** pair per ``reduce`` call, under the key it was
-  handed (or an equal clone);
-* compute an **associative** fold of the values, with a fresh output
-  object per call (no emitted-object reuse — the mutation sanitizer
-  catches violations on the aliasing path);
-* satisfy the **unit law**: reducing a single value emits that value
-  unchanged (as a fresh object).  The engine uses one-value reduce calls
-  to re-fold spilled partials and to finalize surviving entries, exactly
-  as the classic combiner reduces singleton groups;
-* be stateless across calls and free of side effects: no counter updates,
-  no ``charge_compute``, nothing in ``configure``/``close`` beyond reading
-  the conf.
+A marked reducer promises one pair per ``reduce`` call, an associative
+fold of the values and a fresh output object per call.  Both modes run
+it the same way, so a reducer that breaks the promise commits the same
+output with in-mapper combining on or off; a recycled output object is
+caught by the mutation sanitizer on the aliasing path.
 
 ``ASSOCIATIVE_ALLOWLIST`` extends the marker to the stock sum reducers
 that predate it.  Matching is by *exact* qualified class name — a subclass
@@ -71,7 +60,7 @@ def is_vectorized(cls: Any) -> bool:
 
 class AssociativeReducer:
     """Opt-in marker: this reducer is a pure associative single-emission
-    fold (contract in the module docstring), safe for in-mapper combining.
+    fold (module docstring), licensed for in-mapper combining.
 
     The marker is inherited; a subclass that overrides ``reduce`` with
     non-conforming behaviour must not keep it.
@@ -89,7 +78,7 @@ ASSOCIATIVE_ALLOWLIST = frozenset({
 
 
 def is_associative_reducer(cls: Any) -> bool:
-    """May the engine fold this combiner incrementally in the map task?"""
+    """Does this combiner carry the in-mapper-combining licence?"""
     if not isinstance(cls, type):
         return False
     if issubclass(cls, AssociativeReducer):

@@ -88,9 +88,9 @@ class WritableComparable(Writable):
 #: keyed by exact type: a subclass may override ``compare_to``.  The
 #: scalars' entries come from their declarations below, the other keys'
 #: from the end of this module.  Left to the comparator on purpose:
-#: ``FloatWritable`` / ``DoubleWritable`` (a NaN compares 0 with everything
-#: but equals nothing) and ``PairWritable`` (parts of any class; no app keys
-#: on it).
+#: ``FloatWritable`` / ``DoubleWritable`` (``compare_to`` calls two NaNs
+#: equal, but a raw NaN equals nothing) and ``PairWritable`` (parts of any
+#: class; no app keys on it).
 RAW_SORT_KEYS: Dict[type, Callable[[Any], Any]] = {}
 
 
@@ -100,14 +100,16 @@ def _scalar(
     wire: str,
     width: Optional[int],
     doc: str,
-    raw_sort_key: bool = True,
+    compare: Optional[Callable[[Any, Any], int]] = None,
 ) -> Type[WritableComparable]:
     """Build the boxed scalar ``name``: ``coerce`` makes the stored value of
     what ``__init__`` / ``set`` get, ``write_<wire>`` / ``read_<wire>`` are
     its buffer methods and ``width`` its wire size (``None``: the VInt size
     of the value).  The methods are closures over these, as fast as
-    hand-written ones.  Also registers the class for transport (with a run
-    sizer when fixed-width) and, if ``raw_sort_key``, in RAW_SORT_KEYS."""
+    hand-written ones.  ``compare`` replaces the built-in order of the
+    values in ``compare_to``.  Also registers the class for transport
+    (with a run sizer when fixed-width) and, unless it has a ``compare``,
+    in RAW_SORT_KEYS."""
     put = getattr(DataOutputBuffer, f"write_{wire}")
     take = getattr(DataInputBuffer, f"read_{wire}")
 
@@ -143,8 +145,12 @@ def _scalar(
                 return super().clone()
             return Scalar(self.value)
 
-        def compare_to(self, other) -> int:
-            return (self.value > other.value) - (self.value < other.value)
+        if compare is None:
+            def compare_to(self, other) -> int:
+                return (self.value > other.value) - (self.value < other.value)
+        else:
+            def compare_to(self, other) -> int:
+                return compare(self.value, other.value)
 
         def __eq__(self, other: object) -> bool:
             return isinstance(other, Scalar) and other.value == self.value
@@ -162,9 +168,19 @@ def _scalar(
 
     Scalar.__name__ = name
     register_transport(Scalar, transport, fixed_width_run(Scalar) if width else None)
-    if raw_sort_key:
+    if compare is None:
         RAW_SORT_KEYS[Scalar] = attrgetter("value")
     return Scalar
+
+
+def _float_compare(a: float, b: float) -> int:
+    """Java's ``Double.compare`` order, except that ±0.0 stay equal: a NaN
+    equals every NaN and sorts above every other value, +inf included."""
+    if a != a:
+        return 0 if b != b else 1
+    if b != b:
+        return -1
+    return (a > b) - (a < b)
 
 
 IntWritable = _scalar("IntWritable", int, "int", 4, "A boxed 32-bit int.")
@@ -180,10 +196,11 @@ FloatWritable = _scalar(
     """A boxed 32-bit float.  Setting it rounds like Java's ``(float)`` cast
     (nearest 32-bit value, ±inf beyond the range), so the stored value is
     what the wire carries whether an engine aliases the object or copies it.""",
-    raw_sort_key=False,  # NaN: see RAW_SORT_KEYS
+    compare=_float_compare,
 )
 DoubleWritable = _scalar(
-    "DoubleWritable", float, "double", 8, "A boxed 64-bit double.", raw_sort_key=False
+    "DoubleWritable", float, "double", 8, "A boxed 64-bit double.",
+    compare=_float_compare,
 )
 BooleanWritable = _scalar("BooleanWritable", bool, "boolean", 1, "A boxed boolean.")
 

@@ -19,8 +19,6 @@ around it*.  This module holds the parts that are engine-agnostic:
   :class:`~repro.api.counters.Counters` once, in ``flush_counters()``,
   when the task's user code has returned (a task that raises publishes
   nothing, as Hadoop discards a failed attempt's counters);
-* :func:`pair_bytes`, the per-record size the in-mapper fold still takes,
-  because the fold consumes values before the task closes;
 * :func:`is_local_read` / :func:`charge_fs_write` — the input-locality
   test and the output-file write charge, which do not depend on which
   engine is asking.
@@ -49,15 +47,10 @@ from repro.api.partitioner import Partitioner
 from repro.api.vectorized import is_associative_reducer
 from repro.fs.hdfs import SimulatedHDFS
 from repro.sim.metrics import Metrics
-from repro.x10.serializer import deep_copy_value, estimate_size, pairs_size
+from repro.x10.serializer import deep_copy_value, pairs_size
 
 #: Records per batch on the batched map path (``m3r.batch.enabled``).
 BATCH_SIZE = 256
-
-#: Bound on live keys in one map task's in-mapper aggregate
-#: (``m3r.imc.enabled``); past it the aggregate spills to a partial list
-#: that is re-merged at task finish.
-IMC_MAX_ENTRIES = 4096
 
 
 class JobFailedError(RuntimeError):
@@ -97,12 +90,12 @@ def batch_size_for(conf: Optional[JobConf]) -> int:
 
 
 def imc_armed(spec: JobSpec, conf: Optional[JobConf]) -> bool:
-    """Should this job's map tasks fold through an InMapperCombineSink?
+    """Is this job's map-side combine an in-mapper combine?
 
-    Conservative by construction: requires the batched path, a reduce
-    phase, a combiner that carries the associativity license, and the
-    natural key ordering (dict-equality grouping must agree with the
-    sort/group comparators — custom comparators fall back per-record).
+    Such a task runs the same collector and combine as any other (one
+    combiner call per group of each partition run) and reports them as
+    the ``imc_*`` metrics.  Requires the knob, a reduce phase, a combiner
+    that carries the associativity license and the natural key ordering.
     """
     return (
         conf_bool(conf, IMC_ENABLED_KEY, env=IMC_ENV, default=False)
@@ -111,11 +104,6 @@ def imc_armed(spec: JobSpec, conf: Optional[JobConf]) -> bool:
         and is_associative_reducer(spec.combiner_class)
         and spec.uses_natural_ordering()
     )
-
-
-def pair_bytes(key: Any, value: Any) -> int:
-    """Wire size of one key/value pair, ignoring cross-record sharing."""
-    return estimate_size(key) + estimate_size(value)
 
 
 def part_index(basename: str) -> Optional[int]:
@@ -424,257 +412,3 @@ def run_combiner_if_any(
     spec.run_combine(groups, combined, reporter)
     combined.flush_counters()
     return combined.partitions[0]
-
-
-class _FoldSlot(OutputCollector):
-    """Captures the single pair a conforming associative combiner emits."""
-
-    __slots__ = ("key", "value", "emitted")
-
-    def __init__(self) -> None:
-        self.key: Any = None
-        self.value: Any = None
-        self.emitted = 0
-
-    def collect(self, key: Any, value: Any) -> None:
-        self.key = key
-        self.value = value
-        self.emitted += 1
-
-
-class InMapperCombineSink(_TallyingCollector):
-    """Map-output collector that folds duplicate keys as they arrive.
-
-    The per-record path buffers every emission, sorts each partition and
-    runs the combiner over the sorted groups.  This sink produces the
-    byte-identical result without the full buffer or the full sort: a
-    bounded per-partition hash aggregate folds each key incrementally via
-    the combiner itself, and ``finish()`` sorts only the surviving
-    (already-combined) pairs.  Identity holds because (see DESIGN.md §14):
-
-    * the stable sort in the per-record path preserves arrival order
-      within equal keys, so its per-key fold order *is* arrival order —
-      exactly the order the incremental fold uses;
-    * the combiner carries the :class:`~repro.api.vectorized.\
-AssociativeReducer` license (fold associativity covers the spill-to-emit
-      re-merge), emits exactly one fresh pair per call and charges
-      nothing — enforced structurally via :class:`_FoldSlot` and a
-      private throwaway reporter;
-    * counters are published from tracked totals at ``finish()``: every
-      original record counts once as COMBINE_INPUT_RECORDS, every
-      surviving pair once as COMBINE_OUTPUT_RECORDS, per non-empty
-      partition, matching the per-record path's increments exactly.
-
-    Unhashable keys degrade the sink to plain buffering (the ``finish``
-    pass then is the classic sort+combine, still counter-silent until the
-    flush), so arming the sink is never a correctness gamble.
-    """
-
-    def __init__(
-        self,
-        spec: JobSpec,
-        num_partitions: int,
-        counters: Counters,
-        copies: bool,
-        task_conf: Optional[JobConf] = None,
-    ):
-        if num_partitions <= 0:
-            raise ValueError("need at least one partition")
-        # The tallies are pre-combine totals (what the per-record
-        # CollectorSink would have tallied): the stage charges sort and
-        # serialize time from these.
-        super().__init__(counters, TaskCounter.MAP_OUTPUT_RECORDS, copies=copies)
-        self._spec = spec
-        self._num_partitions = num_partitions
-        self._get_partition = spec.partitioner.get_partition
-        self._aggregates: List[dict] = [{} for _ in range(num_partitions)]
-        self._partials: List[List[Tuple[Any, Any]]] = [
-            [] for _ in range(num_partitions)
-        ]
-        self._pre_records: List[int] = [0] * num_partitions
-        self._entries = 0
-        self._degraded = False
-        self._finished = False
-        # One combiner instance folds for the whole task; its emissions are
-        # captured by the slot and its (contractually absent) charges and
-        # counter updates land in a private reporter, never the task's.
-        self._combiner = spec.combiner_class()
-        self._combiner.configure(
-            task_conf if task_conf is not None else JobConf(spec.conf)
-        )
-        self._slot = _FoldSlot()
-        self._fold_reporter = Reporter()
-        # Post-combine totals, available after finish().
-        self.output_records = 0
-        self.output_bytes = 0
-        self.imc_folds = 0
-        self.imc_spills = 0
-
-    # -- record intake -------------------------------------------------- #
-
-    def collect(self, key: Any, value: Any) -> None:
-        nbytes = pair_bytes(key, value)
-        if self._copies:
-            # Mirror the per-record clone *accounting* exactly; physical
-            # copies happen only for pairs that are actually retained
-            # (first occurrences and final emissions) — folded values are
-            # consumed inside this call, so mutation-after-collect cannot
-            # reach them.
-            self.copied_records += 1
-            self.copied_bytes += nbytes
-        elif MUTATION_SANITIZER.enabled:
-            MUTATION_SANITIZER.observe(key, site="InMapperCombineSink.collect")
-            MUTATION_SANITIZER.observe(value, site="InMapperCombineSink.collect")
-        partition = self._get_partition(key, value, self._num_partitions)
-        if not 0 <= partition < self._num_partitions:
-            raise ValueError(
-                f"partitioner returned {partition} outside "
-                f"[0, {self._num_partitions})"
-            )
-        self._pre_records[partition] += 1
-        self.records += 1
-        self.bytes += nbytes
-        if self._degraded:
-            self._buffer_raw(partition, key, value)
-            return
-        aggregate = self._aggregates[partition]
-        try:
-            accumulator = aggregate.get(key)
-        except TypeError:  # unhashable key: fold nothing, buffer everything
-            self._degrade()
-            self._buffer_raw(partition, key, value)
-            return
-        if accumulator is None:
-            if self._entries >= IMC_MAX_ENTRIES:
-                self._spill_all()
-                aggregate = self._aggregates[partition]
-            if self._copies:
-                key = deep_copy_value(key)
-                value = deep_copy_value(value)
-            aggregate[key] = value
-            self._entries += 1
-        else:
-            aggregate[key] = self._fold(key, accumulator, value)
-            self.imc_folds += 1
-
-    def _fold(self, key: Any, accumulator: Any, value: Any) -> Any:
-        """One combiner call over [accumulator, value] (arrival order)."""
-        return self._reduce_values(key, (accumulator, value))
-
-    def _fold_one(self, key: Any, value: Any) -> Any:
-        """One combiner call over [value] — the unit fold.
-
-        Every surviving entry passes through this at ``finish`` so the
-        output object graph matches the per-record path exactly: the
-        classic combiner rewrites *every* group (singletons included) with
-        a fresh output object, so a mapper-shared value object never
-        reaches the shuffle — and the de-duplicating wire measurement —
-        on either path.  The AssociativeReducer unit law (a one-value
-        reduce emits that value unchanged) makes this a no-op value-wise.
-        """
-        return self._reduce_values(key, (value,))
-
-    def _reduce_values(self, key: Any, values: Tuple[Any, ...]) -> Any:
-        slot = self._slot
-        slot.emitted = 0
-        self._combiner.reduce(key, iter(values), slot, self._fold_reporter)
-        if slot.emitted != 1:
-            raise ValueError(
-                f"{type(self._combiner).__name__} emitted {slot.emitted} "
-                "pairs in one reduce call; an AssociativeReducer must emit "
-                "exactly one"
-            )
-        folded = slot.value
-        if not self._copies and MUTATION_SANITIZER.enabled:
-            # The fold result is retained under the aliasing policy: a
-            # combiner that recycles its emitted object (a contract lie)
-            # trips the sanitizer on the next fold of the same key.
-            MUTATION_SANITIZER.observe(folded, site="InMapperCombineSink.fold")
-        return folded
-
-    def _buffer_raw(self, partition: int, key: Any, value: Any) -> None:
-        if self._copies:
-            key = deep_copy_value(key)
-            value = deep_copy_value(value)
-        self._partials[partition].append((key, value))
-
-    def _degrade(self) -> None:
-        """Fall back to buffering: move live aggregates to the partials."""
-        self._degraded = True
-        self._flush_aggregates()
-
-    def _spill_all(self) -> None:
-        """Spill-to-emit on overflow: demote every live entry to a partial
-        (arrival-order prefix folds; associativity covers the re-merge)."""
-        self.imc_spills += 1
-        self._flush_aggregates()
-
-    def _flush_aggregates(self) -> None:
-        for partition, aggregate in enumerate(self._aggregates):
-            if aggregate:
-                self._partials[partition].extend(aggregate.items())
-                aggregate.clear()
-        self._entries = 0
-
-    # -- end of task ----------------------------------------------------- #
-
-    def seal(self) -> None:
-        """Nothing to measure at close: the fold consumes values inside
-        ``collect``, so this sink tallies each record there."""
-
-    def finish(self) -> List[PartitionBuffer]:
-        """Close out the task: merge spills, sort the combined pairs, apply
-        the record policy, publish the task's counters, and hand back
-        per-partition buffers shaped exactly like the per-record path's."""
-        if self._finished:
-            raise RuntimeError("InMapperCombineSink.finish called twice")
-        self._finished = True
-        try:
-            buffers = [self._finish_partition(p) for p in range(self._num_partitions)]
-        finally:
-            self._combiner.close()
-        counters = self._counters
-        self.flush_counters()
-        for partition, buffer in enumerate(buffers):
-            if self._pre_records[partition]:
-                counters.increment(
-                    TaskCounter.COMBINE_INPUT_RECORDS, self._pre_records[partition]
-                )
-                counters.increment(
-                    TaskCounter.COMBINE_OUTPUT_RECORDS, len(buffer.pairs)
-                )
-            self.output_records += len(buffer.pairs)
-            self.output_bytes += buffer.bytes
-        return buffers
-
-    def _finish_partition(self, partition: int) -> PartitionBuffer:
-        live = list(self._aggregates[partition].items())
-        partials = self._partials[partition]
-        if not live and not partials:
-            return PartitionBuffer()
-        fold_one = self._fold_one
-        if partials:
-            # Spilled/degraded pairs precede the live aggregate in arrival
-            # order for every key, so the stable sort reconstructs exactly
-            # the per-record path's per-key value order before re-folding.
-            ordered = sort_run(partials + live, self._spec.sort_key())
-            pairs = []
-            fold = self._fold
-            for key, values in self._spec.group_sorted_pairs(ordered):
-                if len(values) == 1:
-                    accumulator = fold_one(key, values[0])
-                else:
-                    accumulator = values[0]
-                    for value in values[1:]:
-                        accumulator = fold(key, accumulator, value)
-                pairs.append((key, accumulator))
-        else:
-            pairs = [
-                (key, fold_one(key, value))
-                for key, value in sort_run(live, self._spec.sort_key())
-            ]
-        if self._copies:
-            pairs = [(deep_copy_value(k), deep_copy_value(v)) for k, v in pairs]
-        elif MUTATION_SANITIZER.enabled:
-            MUTATION_SANITIZER.observe_pairs(pairs, site="InMapperCombineSink.finish")
-        return PartitionBuffer(pairs, pairs_size(pairs))

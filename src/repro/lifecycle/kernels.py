@@ -41,7 +41,6 @@ from repro.engine_common import (
     BatchingReader,
     CollectorSink,
     CountingReader,
-    InMapperCombineSink,
     PartitionBuffer,
     batch_size_for,
     imc_armed,
@@ -137,18 +136,17 @@ class MapKernelOutcome:
     use_imc: bool = False
     reader_records: int = 0
     reader_batches: int = 0
-    #: Collector pre-finish totals (records/bytes as collected).
+    #: Collector pre-combine totals (records/bytes as collected).
     records: int = 0
     bytes: int = 0
     copied_records: int = 0
     copied_bytes: int = 0
     #: The user's charge_compute seconds, split exactly as the monolithic
-    #: body consumed them: during the map drive, and during finish/combine.
+    #: body consumed them: during the map drive, and during the combine.
     compute_user: float = 0.0
     compute_finish: float = 0.0
+    #: Records the combiner emitted (0 without a combiner).
     output_records: int = 0
-    imc_folds: int = 0
-    imc_spills: int = 0
     #: Per-partition map output (empty when the caller's sink took it).
     buffers: List[PartitionBuffer] = field(default_factory=list)
 
@@ -165,9 +163,9 @@ def run_map_kernel(
     fresh_runner: bool,
     sink: Optional[Any] = None,
 ) -> MapKernelOutcome:
-    """The middle of a map task: user map (+ IMC fold / classic combiner)
-    from the prologue's reader into a collector.  No engine, no
-    filesystem, no cost model.
+    """The middle of a map task: user map (+ the combiner, once per
+    partition run) from the prologue's reader into a collector.  No
+    engine, no filesystem, no cost model.
 
     A job with reducers collects into per-partition buffers here; a
     map-only job writes to ``sink``, which the caller owns (M3R a
@@ -181,23 +179,12 @@ def run_map_kernel(
         if use_batched
         else CountingReader(inner_reader, counters)
     )
-    if sink is not None:
-        collector = sink
-    elif use_imc:
-        collector = InMapperCombineSink(
-            spec,
-            num_partitions=spec.num_reducers,
-            counters=counters,
-            copies=copies,
-            task_conf=task_conf,
-        )
-    else:
-        collector = CollectorSink(
-            num_partitions=spec.num_reducers,
-            partitioner=spec.partitioner,
-            counters=counters,
-            copies=copies,
-        )
+    collector = sink if sink is not None else CollectorSink(
+        num_partitions=spec.num_reducers,
+        partitioner=spec.partitioner,
+        counters=counters,
+        copies=copies,
+    )
 
     drive = spec.run_map_task_batched if use_batched else spec.run_map_task
     drive(split, reader, collector, reporter, task_conf, fresh_runner=fresh_runner)
@@ -218,14 +205,6 @@ def run_map_kernel(
     if sink is not None:
         return outcome
 
-    if use_imc:
-        outcome.buffers = collector.finish()
-        outcome.compute_finish = reporter.consume_compute_seconds()
-        outcome.output_records = collector.output_records
-        outcome.imc_folds = collector.imc_folds
-        outcome.imc_spills = collector.imc_spills
-        return outcome
-
     buffers = collector.partitions
     if spec.combiner_class is not None:
         buffers = [
@@ -233,6 +212,7 @@ def run_map_kernel(
             for buffer in buffers
         ]
         outcome.compute_finish = reporter.consume_compute_seconds()
+        outcome.output_records = sum(len(buffer.pairs) for buffer in buffers)
     outcome.buffers = buffers
     return outcome
 
@@ -323,10 +303,8 @@ def charge_map_combine(
 ) -> None:
     """Sorting the map output for the combiner, and the combiner's compute.
 
-    The in-mapper aggregate replaced buffer-sort-combine, but the
-    simulated cost of the avoided sort is still charged from the same
-    pre-combine totals — identical simulated seconds, the win is
-    wall-clock only (DESIGN.md §14)."""
+    An in-mapper-combining task ran that same combine; it also reports it
+    as the ``imc_*`` metrics (DESIGN.md §14)."""
     if spec.combiner_class is None:
         return
     task.charge("sort", model.sort_time(outcome.records, outcome.bytes))
@@ -335,5 +313,4 @@ def charge_map_combine(
         metrics = task.metrics
         metrics.incr("imc_input_records", outcome.records)
         metrics.incr("imc_output_records", outcome.output_records)
-        metrics.incr("imc_folded_records", outcome.imc_folds)
-        metrics.incr("imc_spills", outcome.imc_spills)
+        metrics.incr("imc_folded_records", outcome.records - outcome.output_records)

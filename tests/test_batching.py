@@ -6,8 +6,9 @@ The contract under test is byte-identity: for any job, the batched path
 produce exactly the output pairs, counters and simulated seconds of the
 per-record path, on both engines.  The sweep reuses the 20-seed differential
 harness; directed tests cover the batch-boundary edge cases (empty splits,
-batch size 1, batch larger than the split, aggregate overflow spill) and the
-enforcement teeth (a lying "associative" reducer is caught, not believed).
+batch size 1, batch larger than the split) and combiners that stretch their
+licence (a recycled output object, a double emit, the new API), which must
+commit with IMC on what they commit with it off.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro import engine_common
 from repro.analysis.sanitizers import sanitizer_overrides
 from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY, JobConf
 from repro.api.mapred import Mapper, OutputCollector, Reducer, Reporter
+from repro.api.mapreduce import NewReducer
 from repro.api.partitioner import Partitioner
 from repro.api.vectorized import (
     AssociativeReducer,
@@ -33,8 +35,8 @@ from repro.api.vectorized import (
     is_vectorized,
     pack_batch,
 )
-from repro.api.writables import IntWritable, Text
-from repro.apps.wordcount import SumReducer, WordCountMapperImmutable, wordcount_job
+from repro.api.writables import DoubleWritable, IntWritable, Text
+from repro.apps.wordcount import SumReducer, wordcount_job
 
 MODES = ("per-record", "batched", "batched+imc")
 
@@ -133,25 +135,27 @@ def test_imc_folds_on_a_combiner_seed():
 # --------------------------------------------------------------------- #
 
 
-def run_wordcount(factory, mode: str, customize=None):
+#: Three parts, one of them an empty split.
+CORPUS = ("alpha beta alpha\n", "", "beta beta gamma\nalpha gamma beta\n")
+
+
+def run_wordcount(factory, mode: str, customize=None, corpus=CORPUS, reducers=3):
     engine = factory()
     try:
-        engine.filesystem.write_text("/in/part-00000", "alpha beta alpha\n")
-        engine.filesystem.write_text("/in/part-00001", "")  # empty split
-        engine.filesystem.write_text(
-            "/in/part-00002", "beta beta gamma\nalpha gamma beta\n"
-        )
-        conf = wordcount_job("/in", "/out", num_reducers=3)
+        for part, text in enumerate(corpus):
+            engine.filesystem.write_text(f"/in/part-{part:05d}", text)
+        conf = wordcount_job("/in", "/out", num_reducers=reducers)
         if customize is not None:
             customize(conf)
         apply_mode(conf, mode)
         result = engine.run_job(conf)
         assert result.succeeded, result.error
+        committed = [
+            (str(k), v.get()) for k, v in engine.filesystem.read_kv_pairs("/out")
+        ]
         return {
-            "output": sorted(
-                (str(k), v.get())
-                for k, v in engine.filesystem.read_kv_pairs("/out")
-            ),
+            "output": sorted(committed),
+            "committed": committed,
             "counters": result.counters.as_dict(),
             "seconds": result.simulated_seconds,
             "metrics": dict(result.metrics.counters),
@@ -177,21 +181,9 @@ def test_batch_boundaries_with_empty_split(kind, batch_size, monkeypatch):
         assert_identical(base, other, (kind, mode, batch_size))
 
 
-@pytest.mark.parametrize("kind", ["hadoop", "m3r"])
-def test_imc_overflow_spills_to_emit(kind, monkeypatch):
-    """A two-entry aggregate overflows constantly; output must still be
-    byte-identical and the spills must be visible in the metrics."""
-    factory = make_hadoop if kind == "hadoop" else make_m3r
-    base = run_wordcount(factory, "per-record")
-    monkeypatch.setattr(engine_common, "IMC_MAX_ENTRIES", 2)
-    spilled = run_wordcount(factory, "batched+imc")
-    assert_identical(base, spilled, (kind, "spill"))
-    assert spilled["metrics"].get("imc_spills", 0) > 0
-
-
 class UnhashableText(Text):
     """A key that defines ``__eq__`` but not ``__hash__``, so Python sets
-    ``__hash__`` to None: the in-mapper aggregate cannot index it."""
+    ``__hash__`` to None: nothing on the combine path may index it."""
 
     __slots__ = ()
 
@@ -220,9 +212,9 @@ def unhashable_keys(conf: JobConf) -> None:
 
 
 def test_imc_falls_back_to_buffering_on_unhashable_keys():
-    """IMC on: the first key the aggregate cannot hash degrades the sink
-    to buffering, and the job commits exactly what IMC off commits, on
-    both engines."""
+    """IMC on: keys that cannot be hashed are combined like any others
+    (sorted and grouped, never indexed), and the job commits exactly what
+    IMC off commits, on both engines."""
     runs = {
         (kind, mode): run_wordcount(factory, mode, unhashable_keys)
         for kind, factory in (("hadoop", make_hadoop), ("m3r", make_m3r))
@@ -232,20 +224,21 @@ def test_imc_falls_back_to_buffering_on_unhashable_keys():
         base, folded = runs[kind, "per-record"], runs[kind, "batched+imc"]
         assert_identical(base, folded, kind)
         assert folded["metrics"]["imc_input_records"] == 9
-        assert folded["metrics"].get("imc_folded_records", 0) == 0
+        assert folded["metrics"]["imc_folded_records"] == 2
     expected = [("alpha", 3), ("beta", 4), ("gamma", 2)]
     assert runs["m3r", "batched+imc"]["output"] == expected
     assert runs["hadoop", "per-record"]["output"] == expected
 
 
 # --------------------------------------------------------------------- #
-# enforcement: contract liars are caught, not believed
+# combiners that stretch their licence: IMC on commits what IMC off does
 # --------------------------------------------------------------------- #
 
 
 class RecyclingSumReducer(Reducer, AssociativeReducer):
-    """Claims associativity but recycles its emitted object across calls —
-    the classic object-reuse lie the mutation sanitizer exists to catch."""
+    """Claims associativity and recycles its emitted object across calls:
+    stock Hadoop's ``IntSumReducer`` idiom, which is only safe where the
+    collector copies what it is given."""
 
     def __init__(self) -> None:
         self.result = IntWritable(0)
@@ -264,35 +257,101 @@ class DoubleEmitReducer(Reducer, AssociativeReducer):
         output.collect(key, IntWritable(total))
 
 
-def _lying_combiner_job(combiner_class) -> JobConf:
-    conf = wordcount_job("/in", "/out", num_reducers=2, immutable=True)
-    conf.set_mapper_class(WordCountMapperImmutable)
-    conf.set_combiner_class(combiner_class)
-    apply_mode(conf, "batched+imc")
-    return conf
+class NewApiSumReducer(NewReducer, AssociativeReducer):
+    """A licensed sum combiner written against the new (``mapreduce``) API."""
+
+    def reduce(self, key, values, context):
+        context.write(key, IntWritable(sum(v.get() for v in values)))
+
+
+def combiner(combiner_class):
+    return lambda conf: conf.set_combiner_class(combiner_class)
+
+
+FOUR_WORDS = ("a a a b\n",)
 
 
 def test_recycling_associative_reducer_caught_by_sanitizer():
-    engine = make_m3r()
-    try:
-        engine.filesystem.write_text("/in/part-00000", "word word word word\n")
-        with sanitizer_overrides(mutation=True):
-            result = engine.run_job(_lying_combiner_job(RecyclingSumReducer))
-        assert not result.succeeded
-        assert "ImmutableViolation" in result.error
-    finally:
-        engine.shutdown()
+    """Under aliasing (M3R, ImmutableOutput mapper) the recycled object is
+    collected for ``a`` and then set for ``b``: the mutation sanitizer
+    catches it with IMC on exactly as with IMC off."""
+    for mode in ("per-record", "batched+imc"):
+        engine = make_m3r()
+        try:
+            engine.filesystem.write_text("/in/part-00000", FOUR_WORDS[0])
+            conf = wordcount_job("/in", "/out", num_reducers=1)
+            conf.set_combiner_class(RecyclingSumReducer)
+            apply_mode(conf, mode)
+            with sanitizer_overrides(mutation=True):
+                result = engine.run_job(conf)
+            assert not result.succeeded, mode
+            assert "ImmutableViolation" in result.error, (mode, result.error)
+        finally:
+            engine.shutdown()
 
 
-def test_double_emit_associative_reducer_rejected():
-    engine = make_m3r()
-    try:
-        engine.filesystem.write_text("/in/part-00000", "word word word word\n")
-        result = engine.run_job(_lying_combiner_job(DoubleEmitReducer))
-        assert not result.succeeded
-        assert "exactly one" in result.error
-    finally:
-        engine.shutdown()
+def test_recycling_combiner_counts_right_on_hadoop():
+    """Hadoop's collector copies every emission, so a combiner that reuses
+    its output object commits the right counts with IMC on, too."""
+    runs = {
+        mode: run_wordcount(
+            make_hadoop, mode, combiner(RecyclingSumReducer), FOUR_WORDS, 1
+        )
+        for mode in ("per-record", "batched+imc")
+    }
+    assert runs["per-record"]["output"] == [("a", 3), ("b", 1)]
+    assert_identical(runs["per-record"], runs["batched+imc"], "hadoop")
+
+
+def test_double_emit_associative_reducer_same_with_imc_on_and_off():
+    """A combiner that emits twice per group is run the same way with IMC
+    on: once per group, on both engines."""
+    for kind, factory in (("hadoop", make_hadoop), ("m3r", make_m3r)):
+        runs = [
+            run_wordcount(factory, mode, combiner(DoubleEmitReducer))
+            for mode in ("per-record", "batched+imc")
+        ]
+        assert_identical(runs[0], runs[1], kind)
+        assert runs[1]["metrics"]["imc_input_records"] == 9
+
+
+@pytest.mark.parametrize("kind", ["hadoop", "m3r"])
+def test_new_api_combiner_runs_with_imc(kind):
+    factory = make_hadoop if kind == "hadoop" else make_m3r
+    base = run_wordcount(factory, "per-record", combiner(NewApiSumReducer))
+    assert base["output"] == [("alpha", 3), ("beta", 4), ("gamma", 2)]
+    folded = run_wordcount(factory, "batched+imc", combiner(NewApiSumReducer))
+    assert_identical(base, folded, kind)
+    assert folded["metrics"]["imc_folded_records"] > 0
+
+
+class FloatKeyMapper(Mapper):
+    def map(self, key, value, output, reporter):
+        for token in value.to_string().split():
+            output.collect(DoubleWritable(float(token)), IntWritable(1))
+
+
+def float_keys(conf: JobConf) -> None:
+    conf.set_mapper_class(FloatKeyMapper)
+    conf.set_combiner_class(SumValuesReducer)
+    conf.set_reducer_class(SumValuesReducer)
+    conf.set_output_key_class(DoubleWritable)
+
+
+@pytest.mark.parametrize("kind", ["hadoop", "m3r"])
+def test_nan_keys_form_their_own_group(kind):
+    """NaN keys sort above every number and group with each other, as
+    Java's ``Double.compare`` orders them, in every mode.  One reducer:
+    the hash partitioner hashes a NaN by identity."""
+    factory = make_hadoop if kind == "hadoop" else make_m3r
+    corpus = ("1 nan 2 nan 1 3 nan 2\n",)
+    runs = [run_wordcount(factory, mode, float_keys, corpus, 1) for mode in MODES]
+    assert runs[0]["committed"] == [
+        (repr(DoubleWritable(key)), count)
+        for key, count in ((1.0, 2), (2.0, 2), (3.0, 1), (float("nan"), 3))
+    ]
+    for mode, other in zip(MODES[1:], runs[1:]):
+        assert_identical(runs[0], other, (kind, mode))
 
 
 # --------------------------------------------------------------------- #

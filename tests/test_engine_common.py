@@ -20,21 +20,26 @@ from repro.engine_common import (
     MaterializedReader,
     PartitionBuffer,
     WriterCollector,
-    pair_bytes,
     run_combiner_if_any,
 )
 from repro.sim.metrics import Metrics
-from repro.x10.serializer import pairs_size
+from repro.x10.serializer import estimate_size, pairs_size
 
 
 PAIRS = [(IntWritable(i), Text(f"value-{i}")) for i in range(6)]
 
 
+def pair_bytes(key, value):
+    """One pair's wire size, measured object by object."""
+    return estimate_size(key) + estimate_size(value)
+
+
 class TestByteHelpers:
     def test_pair_bytes_matches_wire_sizes(self):
         key, value = IntWritable(1), Text("abc")
-        measured = pair_bytes(key, value)
+        measured = pairs_size([(key, value)])
         assert measured >= key.serialized_size() + value.serialized_size()
+        assert measured == pair_bytes(key, value)
 
     def test_pairs_size_sums(self):
         assert pairs_size(PAIRS) == sum(pair_bytes(k, v) for k, v in PAIRS)

@@ -14,9 +14,10 @@ tasks and partitions, not of records) and no ``_natural_compare`` call.
 Collectors only append; every map / reduce run, output file and KV block
 is measured once, at close, by ``run_size`` (``x10/serializer.py``), whose
 run sizers measure a run of ``Text`` or ``IntWritable`` without a call per
-object.  One ``pair_bytes`` in a ``collect`` body, or one run sizer
+object.  One ``estimate_size`` in a ``collect`` body, or one run sizer
 dropped from the table, makes ``estimate_size`` calls grow with records
-again, so the same job must make the same number of them at both sizes.
+again, so the same job must make the same number of them at both sizes,
+with in-mapper combining on or off.
 
 The block Writables are cloned and measured through the transport table
 (``x10/serializer.py``): no scipy validating constructor, no generic deep
@@ -45,6 +46,7 @@ from scipy.sparse import _compressed
 from workloads import make_hadoop, make_m3r
 
 from repro.api import job as job_module
+from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY
 from repro.api.counters import Counters, TaskCounter
 from repro.api.partitioner import Partitioner
 from repro.api.writables import IntWritable
@@ -86,9 +88,10 @@ def estimate_calls(profile):
     )
 
 
-def count_calls(monkeypatch, make_engine, lines_per_part):
+def count_calls(monkeypatch, make_engine, lines_per_part, imc=False):
     """Run the job under counting shims and a profile; returns (increments,
-    compares, map input records, estimate_size calls)."""
+    compares, map input records, estimate_size calls).  ``imc`` runs it
+    batched with in-mapper combining."""
     calls = {"increment": 0, "compare": 0}
     increment, compare = Counters.increment, job_module._natural_compare
 
@@ -107,6 +110,9 @@ def count_calls(monkeypatch, make_engine, lines_per_part):
         conf = wordcount_job("/in", "/out", num_reducers=REDUCERS)
         conf.set_partitioner_class(Crc32Partitioner)
         conf.set_num_map_tasks(1)  # one split per file, at any size
+        if imc:
+            conf.set_boolean(BATCH_ENABLED_KEY, True)
+            conf.set_boolean(IMC_ENABLED_KEY, True)
         with monkeypatch.context() as patch:
             patch.setattr(Counters, "increment", counting_increment)
             patch.setattr(job_module, "_natural_compare", counting_compare)
@@ -134,10 +140,18 @@ def test_counter_and_comparator_calls_do_not_grow_with_records(
     assert small[1] == large[1] == 0  # Text keys never reach the comparator
 
 
-@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
-def test_size_estimates_do_not_grow_with_records(make_engine, monkeypatch):
-    small = count_calls(monkeypatch, make_engine, lines_per_part=6)
-    large = count_calls(monkeypatch, make_engine, lines_per_part=30)
+@pytest.mark.parametrize(
+    "make_engine, imc",
+    [
+        pytest.param(make_hadoop, False, id="make_hadoop"),
+        pytest.param(make_m3r, False, id="make_m3r"),
+        pytest.param(make_hadoop, True, id="make_hadoop-batched+imc"),
+        pytest.param(make_m3r, True, id="make_m3r-batched+imc"),
+    ],
+)
+def test_size_estimates_do_not_grow_with_records(make_engine, imc, monkeypatch):
+    small = count_calls(monkeypatch, make_engine, lines_per_part=6, imc=imc)
+    large = count_calls(monkeypatch, make_engine, lines_per_part=30, imc=imc)
     assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
     assert small[3] == large[3]  # runs are sized per run, not per record
 

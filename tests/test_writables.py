@@ -373,9 +373,9 @@ RAW_KEY_ARGS = {
 
 #: Naturally ordered keys left to ``compare_to``, and why.
 COMPARATOR_ONLY = {
-    # (nan > x) - (nan < x) is 0 for every x, so compare_to calls a NaN equal
-    # to everything, while the raw float equals nothing: grouping and the
-    # heap merge's tie-break would differ.
+    # compare_to orders NaN as Java's Double.compare does: equal to every
+    # NaN, above every other value.  The raw float equals nothing, not even
+    # itself, so grouping and the heap merge's tie-break would differ.
     FloatWritable: "NaN",
     DoubleWritable: "NaN",
     # parts of any class, compared part by part; no app keys on it
@@ -452,7 +452,10 @@ class TestRawSortKeys:
     @pytest.mark.parametrize("cls", [FloatWritable, DoubleWritable])
     def test_why_the_floats_stay_comparator_only(self, cls):
         nan, one = cls(float("nan")), cls(1.0)
-        assert nan.compare_to(one) == 0 and nan.value != one.value
+        other_nan = cls(float("nan"))
+        assert nan.compare_to(other_nan) == 0 and nan.value != other_nan.value
+        assert nan.compare_to(one) > 0 > one.compare_to(nan)
+        assert nan.compare_to(cls(float("inf"))) > 0
         # ... whereas the other awkward values would have been fine (a large
         # finite value the class can hold, next to the infinities):
         big = 3.0e38 if cls is FloatWritable else 1e308

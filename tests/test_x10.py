@@ -639,7 +639,8 @@ class TestTransportTable:
         One run sizer: no second pair-sequence sum beside ``pairs_size``.
         A knob needs a caller: no constant of a deleted test-only knob, no
         per-job sanitizer scope and no second metrics model (the stage-time
-        bridge) in the package or the workflow."""
+        bridge) in the package or the workflow.  One combine: no in-mapper
+        fold sink, its entry bound, per-pair sizer or spill metric."""
         package = pathlib.Path(serializer_module.__file__).parents[1]
         commands = (
             "cache-stats|shuffle-stats|batch-stats|restore-stats|service-stats"
@@ -659,6 +660,7 @@ class TestTransportTable:
             "|SHARED_RESTORE)_KEY|RESTORE_MAX_ENTRIES_KEY|TRACE_RING_KEY"
             "|BATCH_SIZE_KEY|IMC_MAX_ENTRIES_KEY|SANITIZE_(MUTATION|LOCK_ORDER)_KEY"
             "|SanitizerSubscription|MetricsBridgeSink|stage_time_breakdown"
+            "|InMapperCombineSink|IMC_MAX_ENTRIES|pair_bytes|imc_spills"
         )
         threaded = re.compile(
             r"threading\.(Lock|RLock|Condition|Semaphore|Event|Thread|Barrier)\b"
@@ -706,7 +708,7 @@ class TestTransportTable:
         a second copy of a task body (prose naming these counts too)."""
         lifecycle = pathlib.Path(serializer_module.__file__).parents[1] / "lifecycle"
         user_code = re.compile(
-            r"CollectorSink\(|InMapperCombineSink\(|run_combiner_if_any"
+            r"CollectorSink\(|run_combiner_if_any"
             r"|merge_runs|group_sorted_pairs|spec\.run_map_task|spec\.run_reduce_task"
         )
         hits = {
