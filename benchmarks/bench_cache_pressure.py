@@ -11,7 +11,10 @@ checks the two properties the subsystem promises:
   they never corrupt);
 * **cost shape** — below-working-set budgets produce evictions and
   spills and therefore cost more simulated time; at or above the working
-  set there is no pressure, no evictions, and the unbounded timing.
+  set there is no pressure, no evictions, and the unbounded timing;
+* **conservation** — after every run, each place's budget occupancy, the
+  bytes of its resident entries, the store's running byte counter and a
+  full scan of the store's metadata are one number.
 
 Set ``BENCH_SMOKE=1`` to shrink the run for CI smoke jobs.
 """
@@ -34,6 +37,24 @@ ITERATIONS = 2 if SMOKE else 3
 
 #: Budget as a fraction of the measured per-place warm working set.
 CAPACITY_RATIOS = (0.5, 1.0, 2.0)
+
+
+def _assert_conserved(engine) -> None:
+    """Occupancy == resident bytes == store counter == store scan, per place."""
+    store = engine.cache.store
+    for place in range(engine.num_places):
+        resident = sum(
+            entry.nbytes
+            for entry in engine.cache.entries()
+            if entry.place_id == place and not entry.spilled
+        )
+        counts = (
+            engine.governor.budget.occupancy(place),
+            resident,
+            store.total_bytes_at_place(place),
+            store.scan_bytes_at_place(place),
+        )
+        assert len(set(counts)) == 1, f"place {place}: {counts}"
 
 
 def _run(capacity_bytes: int):
@@ -71,6 +92,7 @@ def _run(capacity_bytes: int):
         ),
         9,
     )
+    _assert_conserved(engine)
     counters = engine.governor.lifetime.counters
     stats = {
         "evictions": counters.get("cache_evictions", 0),

@@ -533,8 +533,7 @@ class MatrixBlockWritable(Writable):
         self.matrix = sparse.csc_matrix((data, indices, indptr), shape=(rows, cols))
 
     def serialized_size(self) -> int:
-        rows, cols = self.matrix.shape
-        return 12 + 4 * (cols + 1) + 4 * self.matrix.nnz + 8 * self.matrix.nnz
+        return 12 + 4 * (self.matrix.shape[1] + 1) + 12 * self.matrix.nnz
 
     def clone(self) -> "MatrixBlockWritable":
         if type(self) is MatrixBlockWritable:
@@ -684,6 +683,16 @@ def _bytes_run(run: Sequence[BytesWritable]) -> int:
     return 4 * len(run) + sum(map(len, map(attrgetter("_data"), run)))
 
 
+def _matrix_block_run(run: Sequence[MatrixBlockWritable]) -> int:
+    """``serialized_size`` summed, with each block's nnz read as the last
+    CSC column pointer: scipy's ``nnz`` property re-validates the arrays
+    on every read."""
+    total = 0
+    for matrix in map(attrgetter("matrix"), run):
+        total += 16 + 4 * matrix.shape[1] + 12 * int(matrix.indptr[-1])
+    return total
+
+
 register_transport(Text, _transport_text, _text_run)
 register_transport(BytesWritable, _transport_bytes, _bytes_run)
 register_transport(
@@ -692,8 +701,8 @@ register_transport(
 register_transport(  # a singleton stays one
     NullWritable, lambda obj, crossing: obj, fixed_width_run(NullWritable)
 )
-# The blocks have no run sizer: a run of blocks is few objects, O(1) each.
-register_transport(MatrixBlockWritable, _transport_matrix_block)
+register_transport(MatrixBlockWritable, _transport_matrix_block, _matrix_block_run)
+# A vector block's size is one len(): no run sizer beats the per-object sum.
 register_transport(VectorBlockWritable, _transport_vector_block)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
-    Sequence, Tuple,
+    Sequence, Set, Tuple,
 )
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
@@ -53,6 +53,23 @@ RANGE_SEP = "#"
 def split_cache_name(path: str, start: int, length: int) -> str:
     """The internal cache name for one split of one file."""
     return f"{normalize_path(path)}{RANGE_SEP}{start}+{length}"
+
+
+def _index_keys(name: str, path: str) -> Set[str]:
+    """Every path whose namespace queries must find the entry ``name`` for
+    ``path``: the path itself and each of its ancestor directories up to
+    ``/``, plus each prefix of the name that ends at a :data:`RANGE_SEP`
+    (a split answers to its file)."""
+    keys = {path}
+    probe = path
+    while probe != "/":
+        probe = probe.rpartition("/")[0] or "/"
+        keys.add(probe)
+    cut = name.find(RANGE_SEP)
+    while cut > 0:
+        keys.add(name[:cut])
+        cut = name.find(RANGE_SEP, cut + 1)
+    return keys
 
 
 @dataclass
@@ -111,12 +128,21 @@ class KeyValueCache:
         # name -> (path, place_id); the store holds the data blocks.  This
         # index exists because lookups arrive by path *or* by split name.
         self._index: Dict[str, CacheEntry] = {}
+        # The directory index: each of an entry's _index_keys -> the
+        # entries under it, in _index order (both are updated together),
+        # so a namespace query visits only the entries it answers about.
+        self._under: Dict[str, Dict[str, CacheEntry]] = {}
         #: Ledger/pin/spill coordinator; unbounded + no spill by default.
         self.governor = governor if governor is not None else MemoryGovernor()
         # Admission stamp source for CacheEntry.version.
         self._version_counter = 0
         # Recency stamp source for CacheEntry.touched.
         self._tick = 0
+
+    @property
+    def store(self) -> KeyValueStore:
+        """The key/value store holding the resident entries' blocks."""
+        return self._store
 
     # -- writes ------------------------------------------------------------- #
 
@@ -196,7 +222,7 @@ class KeyValueCache:
             name=name, path=path, place_id=place_id, pairs=stored,
             nbytes=nbytes, durable=durable, version=self._version_counter,
         )
-        self._index[name] = entry
+        self._link(entry)
         self.governor.charge(place_id, path, nbytes)
         self._touch(entry)
         self._enforce((place_id,))
@@ -280,7 +306,7 @@ class KeyValueCache:
             )
         else:
             self._store.delete(entry.name)
-            del self._index[entry.name]
+            self._unlink(entry)
             governor.emit_cache("drop", entry.name, entry.place_id, entry.nbytes)
         governor.release(entry.place_id, entry.path, entry.nbytes)
         governor.incr("cache_evictions")
@@ -311,9 +337,25 @@ class KeyValueCache:
         finally:
             entry.pins -= 1
 
+    def _link(self, entry: CacheEntry) -> None:
+        """Add ``entry`` to the index and the directory index."""
+        self._index[entry.name] = entry
+        for key in _index_keys(entry.name, entry.path):
+            self._under.setdefault(key, {})[entry.name] = entry
+
+    def _unlink(self, entry: CacheEntry) -> None:
+        """Remove ``entry`` from both indexes; a key left empty goes."""
+        del self._index[entry.name]
+        for key in _index_keys(entry.name, entry.path):
+            under = self._under[key]
+            del under[entry.name]
+            if not under:
+                del self._under[key]
+
     def _forget(self, name: str) -> None:
         """Remove an entry outright (replacement, delete, clear)."""
-        entry = self._index.pop(name)
+        entry = self._index[name]
+        self._unlink(entry)
         if entry.spilled:
             self.governor.spill.discard(entry.spill)
         else:
@@ -404,30 +446,27 @@ class KeyValueCache:
             name = "/" + name
         return self._resolve(self._index.get(name), materialize, pin)
 
+    def _entries_under(self, path: str) -> List[CacheEntry]:
+        """The entries the directory index files under ``path``, in index
+        order: at or beneath it, and the names that extend it by a
+        :data:`RANGE_SEP`."""
+        return list(self._under.get(path, {}).values())
+
     def contains_path(self, path: str) -> bool:
         """Is anything cached for ``path`` — the file itself, one of its
         splits, or (for directories) anything beneath it?"""
         path = normalize_path(path)
-        if path in self._index:
-            return True
-        range_prefix = path + RANGE_SEP
-        child_prefix = path + "/"
-        return any(
-            name.startswith(range_prefix) or entry.path.startswith(child_prefix)
-            for name, entry in self._index.items()
-        )
+        return path in self._index or path in self._under
 
     def paths_under(self, directory: str) -> List[str]:
         """Whole-file cache paths at or under ``directory`` (for listing)."""
         directory = normalize_path(directory)
         prefix = "/" if directory == "/" else directory + "/"
         return sorted(
-            {
-                entry.path
-                for entry in self._index.values()  # noqa: M3R002 - insertion-ordered index, deterministic
-                if entry.name == entry.path
-                and (entry.path == directory or entry.path.startswith(prefix))
-            }
+            entry.path
+            for entry in self._entries_under(directory)
+            if entry.name == entry.path
+            and (entry.path == directory or entry.path.startswith(prefix))
         )
 
     # -- invalidation (mirrors filesystem mutation) --------------------------- #
@@ -439,16 +478,9 @@ class KeyValueCache:
         deletes data it knows is dead must actually free the memory), and
         releases the budget bytes and any spill file immediately.
         """
-        path = normalize_path(path)
-        doomed = [
-            name
-            for name, entry in self._index.items()
-            if entry.path == path
-            or entry.path.startswith(path + "/")
-            or name.startswith(path + RANGE_SEP)
-        ]
-        for name in doomed:
-            self._forget(name)
+        doomed = self._entries_under(normalize_path(path))
+        for entry in doomed:
+            self._forget(entry.name)
         return bool(doomed)
 
     def rename_path(self, src: str, dst: str) -> None:
@@ -456,11 +488,11 @@ class KeyValueCache:
         src = normalize_path(src)
         dst = normalize_path(dst)
         moves: List[Tuple[str, str, str, CacheEntry]] = []
-        for name, entry in list(self._index.items()):
+        for entry in self._entries_under(src):
             if entry.path == src or entry.path.startswith(src + "/"):
                 new_path = dst + entry.path[len(src):]
-                new_name = new_path + name[len(entry.path):]
-                moves.append((name, new_name, new_path, entry))
+                new_name = new_path + entry.name[len(entry.path):]
+                moves.append((entry.name, new_name, new_path, entry))
         for old_name, new_name, new_path, entry in moves:
             if not entry.spilled:
                 self._store.rename(old_name, new_name)
@@ -469,10 +501,10 @@ class KeyValueCache:
                 # the resident bytes to the destination's owner.
                 self.governor.release(entry.place_id, entry.path, entry.nbytes)
                 self.governor.charge(entry.place_id, new_path, entry.nbytes)
-            del self._index[old_name]
+            self._unlink(entry)
             entry.name = new_name
             entry.path = new_path
-            self._index[new_name] = entry
+            self._link(entry)
 
     def clear(self) -> None:
         """Flush the whole cache."""

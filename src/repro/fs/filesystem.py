@@ -276,12 +276,16 @@ class FileSystem:
         path: str,
         pairs: Iterable[Tuple[Any, Any]],
         at_node: Optional[int] = None,
+        length: Optional[int] = None,
     ) -> None:
         """Create or replace ``path`` with a typed key/value sequence (any
-        iterable: it is materialised once, then measured)."""
+        iterable: it is materialised once, then measured, unless the
+        caller already knows its ``pairs_size`` and passes it as
+        ``length``)."""
         path = normalize_path(path)
         stored = list(pairs)
-        length = pairs_size(stored)
+        if length is None:
+            length = pairs_size(stored)
         if path in self._dirs:
             raise IsADirectoryError(path)
         self._ensure_parents(path)

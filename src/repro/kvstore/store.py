@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.fs.filesystem import normalize_path, parent_path
+from repro.fs.filesystem import normalize_path
 from repro.kvstore.locks import LockTable
 from repro.x10.places import Place
 from repro.x10.serializer import pairs_size
@@ -173,7 +173,11 @@ class KeyValueStore:
 
     def metadata_place(self, path: str) -> int:
         """The place holding ``path``'s metadata (static hash partitioning)."""
-        path = normalize_path(path)
+        return self._home(normalize_path(path))
+
+    def _home(self, path: str) -> int:
+        """:meth:`metadata_place` of a normalized path.  Each operation
+        hashes each path it touches once and hands the place on."""
         digest = 0
         for ch in path:
             digest = (digest * 131 + ord(ch)) & 0x7FFFFFFF
@@ -181,18 +185,15 @@ class KeyValueStore:
 
     # -- low-level table access (thread-safe, no path locking) -------------- #
 
-    def _meta_get(self, path: str) -> Optional[_PathMeta]:
-        home = self.metadata_place(path)
+    def _meta_get(self, home: int, path: str) -> Optional[_PathMeta]:
         with self._table_guards[home]:
             return self._meta[home].get(path)
 
-    def _meta_put(self, path: str, meta: _PathMeta) -> None:
-        home = self.metadata_place(path)
+    def _meta_put(self, home: int, path: str, meta: _PathMeta) -> None:
         with self._table_guards[home]:
             self._meta[home][path] = meta
 
-    def _meta_pop(self, path: str) -> Optional[_PathMeta]:
-        home = self.metadata_place(path)
+    def _meta_pop(self, home: int, path: str) -> Optional[_PathMeta]:
         with self._table_guards[home]:
             return self._meta[home].pop(path, None)
 
@@ -206,30 +207,41 @@ class KeyValueStore:
         with self._table_guards[place_id]:
             return self._data[place_id][key]
 
-    def _data_pop(self, place_id: int, key: Tuple[str, int]) -> None:
-        with self._table_guards[place_id]:
-            self._data[place_id].pop(key, None)
+    def _drop_blocks(self, path: str, meta: _PathMeta) -> None:
+        """Free the blocks of a file whose metadata was just removed."""
+        for block_id, block in enumerate(meta.blocks):
+            place_id = block.info.place_id
+            with self._table_guards[place_id]:
+                self._data[place_id].pop((path, block_id), None)
+            with self._bytes_guard:
+                self._place_bytes[place_id] -= block.nbytes
 
     # -- API (paper Figure 5) ------------------------------------------------- #
 
     def mkdirs(self, path: str) -> None:
-        """Create a directory and its ancestors (idempotent)."""
+        """Create a directory and its ancestors (idempotent for
+        directories; a file on the way raises :class:`PathExistsError`)."""
         path = normalize_path(path)
         with self._locks.holding(path):
             self._mkdirs_unlocked(path)
 
     def _mkdirs_unlocked(self, path: str) -> None:
-        chain: List[str] = []
-        probe: Optional[str] = path
-        while probe is not None and probe != "/":
-            chain.append(probe)
-            probe = parent_path(probe)
-        for ancestor in reversed(chain):
-            meta = self._meta_get(ancestor)
-            if meta is None:
-                self._meta_put(ancestor, _PathMeta(is_dir=True))
-            elif not meta.is_dir and ancestor != path:
-                raise PathExistsError(f"{ancestor} is a file")
+        """Walk up from the normalized ``path`` to the first existing
+        directory — every ancestor of a path exists, and no path lies
+        under a file — then create the missing ones top-down."""
+        missing: List[Tuple[int, str]] = []
+        probe = path
+        while probe != "/":
+            home = self._home(probe)
+            meta = self._meta_get(home, probe)
+            if meta is not None:
+                if not meta.is_dir:
+                    raise PathExistsError(f"{probe} is a file")
+                break
+            missing.append((home, probe))
+            probe = probe.rpartition("/")[0] or "/"
+        for home, directory in reversed(missing):
+            self._meta_put(home, directory, _PathMeta(is_dir=True))
 
     def create_writer(self, path: str, info: BlockInfo) -> Writer:
         """Create a writer that appends one block to ``path``.
@@ -249,12 +261,13 @@ class KeyValueStore:
         pairs: List[Tuple[Any, Any]],
         nbytes: int,
     ) -> None:
+        home = self._home(path)
         with self._locks.holding(path):
-            meta = self._meta_get(path)
+            meta = self._meta_get(home, path)
             if meta is None:
                 self._mkdirs_unlocked_parent(path)
                 meta = _PathMeta(is_dir=False)
-                self._meta_put(path, meta)
+                self._meta_put(home, path, meta)
             elif meta.is_dir:
                 raise PathExistsError(f"{path} is a directory")
             block_id = len(meta.blocks)
@@ -264,8 +277,9 @@ class KeyValueStore:
                 self._place_bytes[info.place_id] += nbytes
 
     def _mkdirs_unlocked_parent(self, path: str) -> None:
-        parent = parent_path(path)
-        if parent is not None and parent != "/":
+        """Make the parent of the normalized ``path`` a directory."""
+        parent = path.rpartition("/")[0]
+        if parent:  # else the root, which always exists
             self._mkdirs_unlocked(parent)
 
     def put_block(
@@ -294,7 +308,7 @@ class KeyValueStore:
         ``info`` (the paper's per-block reader)."""
         path = normalize_path(path)
         with self._locks.holding(path):
-            meta = self._meta_get(path)
+            meta = self._meta_get(self._home(path), path)
             if meta is None or meta.is_dir:
                 raise PathMissingError(path)
             blocks: List[List[Tuple[Any, Any]]] = []
@@ -308,7 +322,7 @@ class KeyValueStore:
         """Metadata snapshot, or ``None`` when the path does not exist."""
         path = normalize_path(path)
         with self._locks.holding(path):
-            meta = self._meta_get(path)
+            meta = self._meta_get(self._home(path), path)
             if meta is None:
                 return None
             return PathInfo(path=path, is_dir=meta.is_dir, blocks=list(meta.blocks))
@@ -319,15 +333,23 @@ class KeyValueStore:
     def delete(self, path: str) -> bool:
         """Remove a path (and, for directories, everything under it).
 
-        Child locks are acquired while holding the directory's own lock —
+        A file has no children (no path is created under a file), so
+        deleting one pops its own metadata and blocks.  For a directory,
+        child locks are acquired while holding the directory's own lock —
         the directory is the LCA of its children, so the paper's ordering
         rule is satisfied.  New children appearing mid-delete are picked up
         by re-scanning until the set is stable.
         """
         path = normalize_path(path)
+        home = self._home(path)
         self._locks.acquire(path)
         held = [path]
         try:
+            meta = self._meta_get(home, path)
+            if meta is not None and not meta.is_dir:
+                self._meta_pop(home, path)
+                self._drop_blocks(path, meta)
+                return True
             while True:
                 children = [p for p in self._children_of(path) if p not in held]
                 if not children:
@@ -335,7 +357,7 @@ class KeyValueStore:
                 for child in sorted(children):
                     self._locks.acquire(child)
                     held.append(child)
-            return self._delete_unlocked(path)
+            return self._delete_unlocked(home, path)
         finally:
             for held_path in reversed(held):
                 self._locks.release(held_path)
@@ -348,29 +370,21 @@ class KeyValueStore:
                 found.extend(p for p in self._meta[home] if p.startswith(prefix))
         return found
 
-    def _delete_unlocked(self, path: str) -> bool:
-        meta = self._meta_pop(path)
-        removed = meta is not None
-        if meta is not None and not meta.is_dir:
-            for block_id, block in enumerate(meta.blocks):
-                self._data_pop(block.info.place_id, (path, block_id))
-                with self._bytes_guard:
-                    self._place_bytes[block.info.place_id] -= block.nbytes
-        # Children (for directory deletes) are found by scanning every
-        # place's metadata table — acceptable because namespaces are small
-        # compared to data, exactly as in HDFS's namenode.
+    def _delete_unlocked(self, home: int, path: str) -> bool:
+        removed = self._meta_pop(home, path) is not None
+        # A directory's children are found by scanning every place's
+        # metadata table: O(paths in the store), paid by directory deletes
+        # only.  File deletes — every cache eviction, rehydration and
+        # replacement — never get here.
         prefix = path + "/" if path != "/" else "/"
-        for home in range(len(self._places)):
-            with self._table_guards[home]:
-                children = [p for p in self._meta[home] if p.startswith(prefix)]
+        for place in range(len(self._places)):
+            with self._table_guards[place]:
+                children = [p for p in self._meta[place] if p.startswith(prefix)]
             for child in children:
-                child_meta = self._meta_pop(child)
+                child_meta = self._meta_pop(place, child)
                 removed = True
                 if child_meta is not None and not child_meta.is_dir:
-                    for block_id, block in enumerate(child_meta.blocks):
-                        self._data_pop(block.info.place_id, (child, block_id))
-                        with self._bytes_guard:
-                            self._place_bytes[block.info.place_id] -= block.nbytes
+                    self._drop_blocks(child, child_meta)
         return removed
 
     def rename(self, src: str, dst: str) -> None:
@@ -380,31 +394,40 @@ class KeyValueStore:
         if src == dst:
             return
         with self._locks.acquire_all([src, dst]):
-            if self._meta_get(dst) is not None:
+            dst_home = self._home(dst)
+            if self._meta_get(dst_home, dst) is not None:
                 raise PathExistsError(f"rename target exists: {dst}")
-            meta = self._meta_get(src)
+            meta = self._rename_one(self._home(src), src, dst_home, dst)
             if meta is None:
                 raise PathMissingError(src)
-            self._rename_one(src, dst)
+            if not meta.is_dir:  # a file has no children to move
+                return
             prefix = src + "/"
             for home in range(len(self._places)):
                 with self._table_guards[home]:
                     children = [p for p in self._meta[home] if p.startswith(prefix)]
                 for child in children:
-                    self._rename_one(child, dst + child[len(src):])
+                    moved = dst + child[len(src):]
+                    self._rename_one(home, child, self._home(moved), moved)
 
-    def _rename_one(self, src: str, dst: str) -> None:
-        meta = self._meta_pop(src)
-        if meta is None:
-            return
+    def _rename_one(
+        self, src_home: int, src: str, dst_home: int, dst: str
+    ) -> Optional[_PathMeta]:
+        """Move one path's metadata and blocks; the moved metadata, or
+        ``None`` when ``src`` is gone."""
+        if self._meta_get(src_home, src) is None:
+            return None
+        # Before anything moves: a file parent raises with ``src`` intact.
+        self._mkdirs_unlocked_parent(dst)
+        meta = self._meta_pop(src_home, src)
         if not meta.is_dir:
             for block_id, block in enumerate(meta.blocks):
                 place = block.info.place_id
                 with self._table_guards[place]:
                     pairs = self._data[place].pop((src, block_id))
                     self._data[place][(dst, block_id)] = pairs
-        self._mkdirs_unlocked_parent(dst)
-        self._meta_put(dst, meta)
+        self._meta_put(dst_home, dst, meta)
+        return meta
 
     # -- namespace queries ----------------------------------------------------- #
 

@@ -69,11 +69,19 @@ class SpillManager:
 
         Cost = X10 serialization of the (de-duplicated) message + one
         sequential disk write, mirroring what a place would pay to push the
-        sequence out of its heap.
+        sequence out of its heap.  A sequence of distinct objects, one
+        table class per column (every matvec block entry), is sized once,
+        column by column, and that size is the spill file's length too;
+        any other takes the memo walk, and the file measures its own
+        (sharing-ignored) length.
         """
-        message = self._serializer.measure_pairs(pairs)
         path = self._next_path()
-        self._fs.write_pairs(path, pairs)
+        message = self._serializer.measure_columns(pairs)
+        if message is None:
+            message = self._serializer.measure_pairs(pairs)
+            self._fs.write_pairs(path, pairs)
+        else:
+            self._fs.write_pairs(path, pairs, length=message.raw_bytes)
         seconds = self._model.serialize_time(
             message.wire_bytes, message.records
         ) + self._model.disk_write_time(message.wire_bytes, seeks=1)

@@ -35,7 +35,9 @@ object graphs the way X10 would serialize them:
   the whole message would build (duplicates stay aliases of one clone,
   nothing aliases the sender), cloned through the table, and ``ship``
   measures the message in the same traversal (column by column when no
-  object repeats).
+  object repeats);
+* :meth:`DedupSerializer.measure_columns` — that column-by-column size
+  alone, for a message that stays put (a spilled cache entry).
 """
 
 from __future__ import annotations
@@ -443,6 +445,18 @@ class DedupSerializer:
             duplicate_refs=message.duplicate_refs,
         )
 
+    def measure_columns(
+        self, pairs: Sequence[Tuple[Any, Any]]
+    ) -> Optional[SerializedMessage]:
+        """:meth:`measure_pairs` of ``pairs`` when :func:`_columns` accepts
+        them, sized column by column as :meth:`ship` sizes such a message;
+        else ``None``, for the memo walk.  No object repeats in an accepted
+        message, so its wire and raw sizes are both ``pairs_size(pairs)``."""
+        if MUTATION_SANITIZER.enabled:
+            MUTATION_SANITIZER.observe_pairs(pairs, site="DedupSerializer.measure_columns")
+        columns = _columns((pairs,))
+        return None if columns is None else _column_message(columns)
+
     def ship(
         self, runs: Sequence[Sequence[Tuple[Any, Any]]]
     ) -> Tuple[SerializedMessage, List[List[Tuple[Any, Any]]]]:
@@ -466,9 +480,7 @@ class DedupSerializer:
                 MUTATION_SANITIZER.observe_pairs(run, site="DedupSerializer.ship")
         columns = _columns(runs)
         if columns is not None:  # no object twice: no memo to keep
-            wire = sum(_column_size(k, ke) + _column_size(v, ve) for k, ke, v, ve in columns if k)
-            records = sum(map(len, runs))
-            return SerializedMessage(wire, wire, records, 2 * records, 0), _clone_columns(columns)
+            return _column_message(columns), _clone_columns(columns)
         sizes: Dict[int, List[Any]] = {}  # _dual_size_of's memo
         crossing = Crossing()
         clones = crossing.memo
@@ -544,6 +556,14 @@ def _columns(runs: Sequence[Sequence[Any]]) -> Optional[List[Tuple]]:
             return None
         columns.append((keys, key_entry, values, value_entry))
     return columns
+
+
+def _column_message(columns: List[Tuple]) -> SerializedMessage:
+    """The message of runs :func:`_columns` accepted: every object once,
+    so nothing is saved and wire == raw."""
+    wire = sum(_column_size(k, ke) + _column_size(v, ve) for k, ke, v, ve in columns if k)
+    records = sum(len(k) for k, _, _, _ in columns)
+    return SerializedMessage(wire, wire, records, 2 * records, 0)
 
 
 def _entry_of(column: List[Any]) -> Optional[Tuple]:

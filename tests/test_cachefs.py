@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.writables import IntWritable, Text
 from repro.core.cache import KeyValueCache, split_cache_name
 from repro.core.cachefs import CacheOnlyFileSystem, M3RFileSystem
 from repro.fs import InMemoryFileSystem
+from repro.kvstore.store import BlockInfo, PathExistsError
 from repro.x10.places import Place
 
 
@@ -136,6 +139,15 @@ class TestM3RFileSystem:
         assert not m3rfs.inner.exists("/f")
         assert not cache.contains_path("/f")
 
+    def test_delete_root_empties_the_cache(self, m3rfs, cache):
+        cache.put_file("/a/b", 0, PAIRS, 10)
+        cache.put_split("/c", 0, 5, 1, PAIRS, 5)
+        assert cache.contains_path("/") and m3rfs.exists("/a/b")
+        assert m3rfs.delete("/", recursive=True)
+        assert not m3rfs.exists("/a/b")
+        assert m3rfs.get_cache_record_reader("/a/b") is None
+        assert len(cache) == 0 and not cache.contains_path("/")
+
     def test_rename_hits_both(self, m3rfs, cache):
         m3rfs.inner.write_pairs("/a", PAIRS)
         cache.put_file("/a", 0, PAIRS, 10)
@@ -201,3 +213,120 @@ class TestCacheOnlyFileSystem:
             raw.write_bytes("/x", b"data")
         with pytest.raises(NotImplementedError):
             raw.mkdirs("/x")
+
+
+# --------------------------------------------------------------------------- #
+# the directory index agrees with a scan of every entry
+# --------------------------------------------------------------------------- #
+
+#: Files never nest under one another, so no put meets a file ancestor;
+#: "/a" vs "/ab" and "/d/a" vs "/d/ab" share a string prefix, not a directory.
+FILES = ("/a", "/ab", "/d/a", "/d/ab", "/d/e/f")
+#: Named entries whose name extends a file's path by the range separator.
+NAMES = ("/a#n", "/d/a#n")
+QUERIES = ("/", "/a", "/ab", "/d", "/d/a", "/d/e", "/d/e/f", "/a#0+5", "/a#n")
+RENAME_SOURCES = ("/a", "/ab", "/d", "/d/a", "/d/e")
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("file"), st.sampled_from(FILES), st.integers(0, 2)),
+        st.tuples(st.just("split"), st.sampled_from(FILES), st.sampled_from([0, 5])),
+        st.tuples(st.just("named"), st.sampled_from(NAMES), st.integers(0, 2)),
+        st.tuples(st.just("delete"), st.sampled_from(QUERIES)),
+        st.tuples(st.just("rename"), st.sampled_from(RENAME_SOURCES)),
+    ),
+    max_size=25,
+)
+
+
+class ScanModel:
+    """The cache's namespace answered by scanning every entry, in
+    admission order (renamed entries move to the end)."""
+
+    def __init__(self):
+        self.entries = {}  # name -> (path, place, nbytes)
+
+    @staticmethod
+    def _under(path, directory):
+        return directory == "/" or path == directory or path.startswith(directory + "/")
+
+    def put(self, name, path, place, nbytes):
+        self.entries.pop(name, None)
+        self.entries[name] = (path, place, nbytes)
+
+    def delete(self, path):
+        doomed = [
+            name for name, (entry_path, _, _) in self.entries.items()
+            if self._under(entry_path, path) or name.startswith(path + "#")
+        ]
+        for name in doomed:
+            del self.entries[name]
+        return bool(doomed)
+
+    def rename(self, src, dst):
+        for name, (path, place, nbytes) in list(self.entries.items()):
+            if path == src or path.startswith(src + "/"):
+                del self.entries[name]
+                new_path = dst + path[len(src):]
+                self.entries[new_path + name[len(path):]] = (new_path, place, nbytes)
+
+    def contains(self, path):
+        return path in self.entries or any(
+            name.startswith(path + "#") or self._under(entry_path, path)
+            for name, (entry_path, _, _) in self.entries.items()
+        )
+
+    def paths_under(self, directory):
+        return sorted(
+            path for name, (path, _, _) in self.entries.items()
+            if name == path and self._under(path, directory)
+        )
+
+    def names_under(self, directory):
+        return sorted(name for name in self.entries if self._under(name, directory))
+
+
+class TestDirectoryIndex:
+    @given(ops=OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_index_agrees_with_a_scan(self, ops):
+        cache = KeyValueCache([Place(i) for i in range(3)])
+        model = ScanModel()
+        renamed = 0
+        for op in ops:
+            kind, path = op[0], op[1]
+            if kind == "file":
+                cache.put_file(path, op[2], PAIRS, 10 + op[2])
+                model.put(path, path, op[2], 10 + op[2])
+            elif kind == "split":
+                cache.put_split(path, op[2], 5, 1, PAIRS, 5)
+                model.put(split_cache_name(path, op[2], 5), path, 1, 5)
+            elif kind == "named":
+                cache.put_named(path, op[2], PAIRS, 7)
+                model.put(path, path, op[2], 7)
+            elif kind == "delete":
+                assert cache.delete_path(path) == model.delete(path)
+            else:
+                renamed += 1
+                cache.rename_path(path, f"/r{renamed}")
+                model.rename(path, f"/r{renamed}")
+            self.check(cache, model)
+
+    @staticmethod
+    def check(cache, model):
+        store = cache.store
+        assert [entry.name for entry in cache.entries()] == list(model.entries)
+        for query in QUERIES + ("/r1", "/nope"):
+            assert cache.contains_path(query) == model.contains(query), query
+            assert cache.paths_under(query) == model.paths_under(query), query
+            files = [p for p in store.list_paths(query) if not store.get_info(p).is_dir]
+            assert files == model.names_under(query), query
+        for place in range(3):
+            expected = sum(n for _, p, n in model.entries.values() if p == place)
+            assert store.total_bytes_at_place(place) == expected
+            assert store.scan_bytes_at_place(place) == expected
+        for name in model.entries:  # a file has no children
+            for nested in (name + "/x", name + "/x/y"):
+                with pytest.raises(PathExistsError):
+                    store.put_block(nested, BlockInfo(place_id=0), PAIRS, 1)
+

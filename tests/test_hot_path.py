@@ -26,6 +26,13 @@ unregistered block class brings either back, so a warm matvec iteration
 must make no ``check_format`` and no ``copy.deepcopy`` call at any block
 size.
 
+A cache entry evicted to a spill file is sized once
+(``SpillManager.spill``): an entry of distinct objects by its two columns,
+whose size is also the spill file's length, so the filesystem does not
+measure it again.  So matvec under half its working set must spill with
+no ``_dual_size_of`` call and exactly one key and one value column sized
+per spill.
+
 A remote message of distinct objects in plain pairs, one table class per
 column, is shipped column by column (``DedupSerializer.ship``): no memo, no
 ``Crossing.pair`` and no ``_dual_size_of`` per pair.  So the 100 %-remote
@@ -57,6 +64,8 @@ from repro.apps.microbenchmark import (
     microbenchmark_job,
 )
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.fs import filesystem as filesystem_module
+from repro.memory import SpillManager
 from repro.x10 import serializer
 
 PARTS, REDUCERS = 4, 3
@@ -267,3 +276,62 @@ def test_a_shared_value_still_takes_the_walk(monkeypatch):
     assert shuffle[1] == 200 and shuffle[2] > 0  # the shared value is deduped
     assert pairs == 200 and duals == 0  # table entries: the inline walk
     assert shuffle == count_ship_calls(monkeypatch, SharedOneMapper, walk_only=True)[2]
+
+
+def test_a_spill_sizes_its_entry_once(monkeypatch):
+    """Matvec at half the warm working set: every spilled entry is sized by
+    one key and one value column, and nothing else measures it."""
+    calls = {"spills": 0, "dual": 0, "columns": 0, "fs_pairs_size": 0}
+    spill, dual = SpillManager.spill, serializer._dual_size_of
+    column_size, fs_pairs_size = serializer._column_size, filesystem_module.pairs_size
+    in_spill = []
+
+    def counting(name, fn):
+        # No _dual_size_of call at all; column and file sizings also run
+        # outside spills (shuffles, job outputs), so those count inside only.
+        def wrapper(*args):
+            if in_spill or name == "dual":
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def counting_spill(self, pairs):
+        calls["spills"] += 1
+        in_spill.append(True)
+        try:
+            return spill(self, pairs)
+        finally:
+            in_spill.pop()
+
+    def run(capacity):
+        engine = make_m3r(cache_capacity_bytes=capacity)
+        try:
+            g = matvec.generate_blocked_matrix(400, 50, sparsity=0.1, seed=11)
+            v = matvec.generate_blocked_vector(400, 50, seed=12)
+            matvec.write_partitioned(engine.filesystem, "/G", g, 8, 4)
+            matvec.write_partitioned(engine.filesystem, "/V0", v, 8, 4)
+            engine.warm_cache_from("/G")
+            engine.warm_cache_from("/V0")
+            warm = max(map(engine.cache.bytes_at_place, range(engine.num_places)))
+            for index in range(2):
+                sequence = matvec.iteration_jobs(
+                    "/G", f"/V{index}", f"/V{index + 1}", "/scratch", index, 8, 4
+                )
+                assert all(result.succeeded for result in sequence.run_all(engine))
+            return warm
+        finally:
+            engine.shutdown()
+
+    warm = run(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(SpillManager, "spill", counting_spill)
+        patch.setattr(serializer, "_dual_size_of", counting("dual", dual))
+        patch.setattr(serializer, "_column_size", counting("columns", column_size))
+        patch.setattr(
+            filesystem_module, "pairs_size", counting("fs_pairs_size", fs_pairs_size)
+        )
+        run(warm // 2)
+    assert calls["spills"] > 0
+    assert calls["dual"] == 0
+    assert calls["columns"] == 2 * calls["spills"]
+    assert calls["fs_pairs_size"] == 0

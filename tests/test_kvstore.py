@@ -222,6 +222,29 @@ class TestStoreApi:
         places = {store.metadata_place(f"/p{i}") for i in range(64)}
         assert len(places) > 1  # hashing actually spreads metadata
 
+    def test_metadata_place_values_are_pinned(self):
+        """The static partitioning itself: where each path's metadata lives
+        must not move when the hashing is reorganised."""
+        store = KeyValueStore([Place(i) for i in range(7)])
+        paths = ["/", "/a", "a/b/", "/G/part-00003#0+1234",
+                 "/scratch/iter0/part-00001", "/ünï/cödé"]
+        assert [store.metadata_place(p) for p in paths] == [5, 3, 2, 0, 3, 3]
+
+    def test_a_file_takes_no_children(self, store):
+        store.put_block("/f", BlockInfo(place_id=0), [], nbytes=1)
+        with pytest.raises(PathExistsError):
+            store.mkdirs("/f")
+        for nested in ("/f/x", "/f/x/y"):
+            with pytest.raises(PathExistsError):
+                store.put_block(nested, BlockInfo(place_id=0), [], nbytes=1)
+            with pytest.raises(PathExistsError):
+                store.mkdirs(nested)
+        store.put_block("/g", BlockInfo(place_id=1), [], nbytes=2)
+        with pytest.raises(PathExistsError):
+            store.rename("/g", "/f/g")
+        assert store.exists("/g") and store.list_paths() == ["/f", "/g"]
+        assert store.total_bytes_at_place(1) == store.scan_bytes_at_place(1) == 2
+
     def test_put_block_aliases_not_copies(self, store):
         pairs = [(IntWritable(1), Text("shared"))]
         stored = store.put_block("/f", BlockInfo(place_id=0), pairs, nbytes=10)

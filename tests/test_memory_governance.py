@@ -27,6 +27,7 @@ from repro.kvstore.store import BlockInfo, KeyValueStore
 from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
 from repro.sim.cost_model import paper_cluster_cost_model
 from repro.x10.places import Place
+from repro.x10.serializer import DedupSerializer, pairs_size
 from tests.conftest import make_m3r
 
 
@@ -317,6 +318,24 @@ def test_stats_shape():
     assert set(stats["places"]) == {0, 1}
     assert stats["places"][0]["resident_bytes"] == 60
     assert "counters" in stats["lifetime"]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared-value"])
+def test_spill_is_sized_as_the_memo_walk_sizes_it(shared):
+    """A block entry of distinct objects is sized by its columns, one whose
+    pairs share a value object by the memo walk; either way the record
+    carries the de-duplicated wire size and the file its raw length."""
+    from repro.apps import matvec
+
+    pairs = list(matvec.generate_blocked_matrix(250, 100, sparsity=0.1, seed=3))
+    if shared:
+        pairs = [(key, pairs[0][1]) for key, _ in pairs]
+    fs = InMemoryFileSystem()
+    record, _ = SpillManager(fs, paper_cluster_cost_model()).spill(pairs)
+    message = DedupSerializer().measure_pairs(pairs)
+    assert (record.wire_bytes, record.records) == (message.wire_bytes, len(pairs))
+    assert fs.get_file_status(record.path).length == pairs_size(pairs)
+    assert (message.wire_bytes < pairs_size(pairs)) == shared
 
 
 # --------------------------------------------------------------------------- #

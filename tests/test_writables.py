@@ -47,6 +47,7 @@ from repro.api.writables import (
     writable_to_bytes,
 )
 from repro.x10 import deep_copy_value, estimate_size
+from repro.x10.serializer import run_size
 
 
 def roundtrip(writable):
@@ -258,6 +259,29 @@ class TestMatrixBlocks:
         c = m.clone()
         c.matrix.data[0] = 42.0
         assert m.matrix.data[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            [((0, 0), 0.0)],  # the default block
+            [((10, 10), 0.0), ((7, 3), 0.0)],  # nnz = 0
+            # a 237 x 237 matrix cut into 100-blocks: ragged right and bottom
+            [((100, 100), 0.1), ((100, 37), 0.1), ((37, 100), 0.1), ((37, 37), 0.1)],
+            [((0, 0), 0.0), ((5, 0), 0.0), ((30, 20), 0.2), ((1, 1), 1.0)],
+        ],
+    )
+    def test_matrix_run_sizer_is_the_sum_of_serialized_sizes(self, layout):
+        rng = np.random.default_rng(len(layout))
+        blocks = [
+            MatrixBlockWritable(
+                sparse.random(rows, cols, density=density, format="csc", random_state=rng)
+            )
+            for (rows, cols), density in layout
+        ]
+        sizer = writables_module._matrix_block_run
+        wire = sum(len(writable_to_bytes(block)) for block in blocks)
+        assert sizer(blocks) == sum(b.serialized_size() for b in blocks) == wire
+        assert run_size(blocks) == sum(map(estimate_size, blocks))
 
 
 class TestClone:

@@ -768,8 +768,8 @@ class TestTransportTable:
 #: Registered classes whose runs are measured object by object, and why.
 PER_OBJECT_ON_PURPOSE = {
     VIntWritable,  # variable width: the size is a function of each value
-    # blocks: a run is few objects, each O(1) from the table
-    MatrixBlockWritable,
+    # blocks: a run is few objects, each O(1) from the table (the sparse
+    # MatrixBlockWritable has a sizer: scipy's nnz re-validates per read)
     VectorBlockWritable,
     CellMatrixBlockWritable,
 }
