@@ -8,9 +8,9 @@ Three parts:
 * the :mod:`repro.analysis.knobs` ``KnobRegistry`` — the single source
   of truth for every ``m3r.*`` configuration key (``repro.api.conf`` and
   the README knob table derive from it);
-* runtime sanitizers (:mod:`repro.analysis.sanitizers`), switched on by
-  the ``M3R_SANITIZE_MUTATION`` / ``M3R_SANITIZE_LOCK_ORDER`` environment
-  variables and wired into the serializer, cache, and lock table.
+* the runtime mutation sanitizer (:mod:`repro.analysis.sanitizers`),
+  switched on by the ``M3R_SANITIZE_MUTATION`` environment variable and
+  wired into the serializer, the cache and the alias-policy collectors.
 """
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph
@@ -19,11 +19,8 @@ from repro.analysis.linter import Analyzer, Module, Project, load_project
 from repro.analysis.report import findings_to_document, render_json, render_text
 from repro.analysis.rules import Finding, Rule, default_rules, rule_by_id
 from repro.analysis.sanitizers import (
-    LOCK_ORDER_SANITIZER,
     MUTATION_SANITIZER,
     ImmutableViolation,
-    LockOrderSanitizer,
-    LockOrderViolation,
     MutationSanitizer,
     sanitizer_overrides,
 )
@@ -37,9 +34,6 @@ __all__ = [
     "KnobRegistry",
     "REGISTRY",
     "ImmutableViolation",
-    "LOCK_ORDER_SANITIZER",
-    "LockOrderSanitizer",
-    "LockOrderViolation",
     "MUTATION_SANITIZER",
     "Module",
     "MutationSanitizer",

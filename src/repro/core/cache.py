@@ -39,7 +39,7 @@ from typing import (
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.fs.filesystem import normalize_path
-from repro.kvstore.store import BlockInfo, KeyValueStore
+from repro.kvstore.store import BlockInfo, KeyValueStore, PathExistsError
 from repro.memory import MemoryGovernor, SpillRecord, WatermarkLedger
 from repro.x10.places import Place
 from repro.x10.serializer import estimate_size
@@ -484,14 +484,23 @@ class KeyValueCache:
         return bool(doomed)
 
     def rename_path(self, src: str, dst: str) -> None:
-        """Re-key every entry for ``src`` to ``dst`` (data stays in place)."""
+        """Re-key every entry for ``src`` to ``dst`` (data stays in place).
+
+        All or nothing: when a destination name is already cached — resident
+        or spilled — :class:`PathExistsError` is raised before anything
+        moves.
+        """
         src = normalize_path(src)
         dst = normalize_path(dst)
+        if src == dst:
+            return
         moves: List[Tuple[str, str, str, CacheEntry]] = []
         for entry in self._entries_under(src):
             if entry.path == src or entry.path.startswith(src + "/"):
                 new_path = dst + entry.path[len(src):]
                 new_name = new_path + entry.name[len(entry.path):]
+                if new_name in self._index:
+                    raise PathExistsError(f"rename target is cached: {new_name}")
                 moves.append((entry.name, new_name, new_path, entry))
         for old_name, new_name, new_path, entry in moves:
             if not entry.spilled:

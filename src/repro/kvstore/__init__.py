@@ -22,12 +22,15 @@ store and its concurrency discipline:
   acquires a lock *l* while holding locks *L* must already hold the least
   common ancestor of *l* with every lock in *L*.
 
-The locks are real ``threading`` locks and the test suite drives the store
-from many threads concurrently.
+The engine calls the store from one thread, so no lock ever waits: each
+operation is one :class:`~repro.kvstore.locks.Transaction` whose
+acquisitions the :class:`LockTable` checks for order and mutual exclusion
+on every call, and the test suite enumerates interleavings of such
+transactions to show they serialize.
 """
 
 from repro.kvstore.paths import path_components, least_common_ancestor
-from repro.kvstore.locks import LockTable
+from repro.kvstore.locks import LockOrderViolation, LockTable
 from repro.kvstore.store import (
     KeyValueStore,
     BlockInfo,
@@ -46,6 +49,7 @@ __all__ = [
     "KVStoreError",
     "PathExistsError",
     "PathMissingError",
+    "LockOrderViolation",
     "LockTable",
     "path_components",
     "least_common_ancestor",

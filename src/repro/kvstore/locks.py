@@ -1,133 +1,133 @@
-"""The store's lock table.
+"""The store's lock table: two-phase locking as a checked protocol.
 
 The paper's implementation swaps a special *lock entry* into the per-place
 concurrent hash table, upgrading it to a heavier *monitor entry* when a
 second task collides.  The observable protocol is: per-path mutual
-exclusion, blocking waiters, two-phase acquisition within a task, and the
-least-common-ancestor ordering rule that makes deadlock impossible.
+exclusion, two-phase acquisition within a task, and the
+least-common-ancestor ordering rule that makes deadlock impossible ("any
+task that acquires a lock *l* while holding locks *L* must be holding the
+least common ancestor of *l* with all the locks in *L*").
 
-:class:`LockTable` reproduces that protocol with ``threading`` primitives.
-:meth:`LockTable.acquire_all` is the safe entry point for multi-path
-operations: it takes the LCA first and then the paths in sorted order,
-which satisfies the paper's rule ("any task that acquires a lock *l* while
-holding locks *L* must be holding the least common ancestor of *l* with all
-the locks in *L*").
+The engine runs every task inline on one thread (DESIGN §7), so nothing
+here waits.  Each store operation opens one :class:`Transaction`, which
+records the paths it acquires, in order, and releases them all at
+:meth:`Transaction.close` (the shrinking phase).  Every acquire checks the
+protocol, always:
+
+* **order** — the path must sort after every path the transaction already
+  holds, which is the order :func:`growing_phase` produces (the LCA is a
+  prefix of every path under it, so it sorts first); a violation raises
+  :class:`LockOrderViolation` naming both paths;
+* **mutual exclusion** — a path another open transaction holds is refused
+  with :class:`LockConflict`, never waited for;
+* **two phases** — a closed transaction acquires nothing more.
+
+A global order in which every transaction grows means no cycle of waiters
+can form, so a scheduler that retries refused acquires never deadlocks
+(``tests/test_kvstore.py`` enumerates such interleavings).
+
+Paths handed to the table must already be normalized.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence
+from typing import List, Optional, Sequence, Set
 
-from repro.analysis.sanitizers import LOCK_ORDER_SANITIZER
-from repro.fs.filesystem import normalize_path
 from repro.kvstore.paths import least_common_ancestor
 
 
-class _PathLock:
-    """One path's lock: a mutex plus a waiter count for table cleanup."""
+class LockOrderViolation(RuntimeError):
+    """An acquisition out of the growing phase's global order."""
 
-    __slots__ = ("mutex", "waiters")
 
-    def __init__(self) -> None:
-        self.mutex = threading.Lock()
-        self.waiters = 0
+class LockConflict(RuntimeError):
+    """An acquisition of a path another open transaction holds."""
+
+
+def growing_phase(paths: Sequence[str]) -> List[str]:
+    """The order a multi-path transaction takes ``paths`` in: their least
+    common ancestor first, then the paths sorted."""
+    order = sorted(set(paths))
+    if order:
+        lca = least_common_ancestor(order)
+        if lca != order[0]:
+            order.insert(0, lca)
+    return order
+
+
+class Transaction:
+    """The locks of one store operation; a context manager that closes
+    itself on exit."""
+
+    __slots__ = ("_locked", "held")
+
+    def __init__(self, locked: Set[str]) -> None:
+        self._locked = locked
+        #: The paths acquired, ascending; ``None`` once closed.
+        self.held: Optional[List[str]] = []
+
+    def acquire(self, path: str) -> None:
+        held = self.held
+        if held:
+            if path <= held[-1]:
+                raise LockOrderViolation(
+                    f"lock order inversion: acquiring {path!r} while holding "
+                    f"{held[-1]!r}; a transaction acquires in ascending order"
+                )
+        elif held is None:
+            raise RuntimeError(f"acquire of {path!r} after the transaction closed")
+        locked = self._locked
+        if path in locked:
+            raise LockConflict(f"{path!r} is held by another transaction")
+        locked.add(path)
+        held.append(path)
+
+    def close(self) -> None:
+        held = self.held
+        if held is None:
+            raise RuntimeError("release of a closed transaction's locks")
+        self._locked.difference_update(held)
+        self.held = None
+
+    def __enter__(self) -> "Transaction":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
 
 class LockTable:
-    """On-demand per-path locks with LCA-ordered multi-acquisition."""
+    """Per-path locks, held by at most one open transaction each."""
+
+    __slots__ = ("_locked",)
 
     def __init__(self) -> None:
-        self._table: Dict[str, _PathLock] = {}
-        self._guard = threading.Lock()
-        # Observability for tests: how many times a task had to block.
-        self.contended_acquires = 0
+        #: Every path an open transaction holds.
+        self._locked: Set[str] = set()
 
-    # -- single-path ----------------------------------------------------- #
+    def begin(self) -> Transaction:
+        """Open a transaction that holds nothing yet."""
+        return Transaction(self._locked)
 
-    def _checkout(self, path: str) -> _PathLock:
-        with self._guard:
-            lock = self._table.get(path)
-            if lock is None:
-                lock = _PathLock()
-                self._table[path] = lock
-            lock.waiters += 1
-            return lock
+    def holding(self, path: str) -> Transaction:
+        """Open a transaction holding ``path``."""
+        txn = Transaction(self._locked)
+        txn.acquire(path)
+        return txn
 
-    def _checkin(self, path: str, lock: _PathLock) -> None:
-        with self._guard:
-            lock.waiters -= 1
-            if lock.waiters == 0:
-                # Nobody holds or wants it: drop the entry, mirroring the
-                # paper's removal of lock entries from the hash table.
-                self._table.pop(path, None)
-
-    def acquire(self, path: str) -> None:
-        """Block until the path's lock is held by this task."""
-        path = normalize_path(path)
-        # The sanitizer checks *before* we touch the table: a would-be
-        # deadlock raises here instead of blocking forever on the mutex,
-        # and there is no waiter count to unwind.
-        LOCK_ORDER_SANITIZER.before_acquire(path)
-        lock = self._checkout(path)
-        if not lock.mutex.acquire(blocking=False):
-            with self._guard:
-                self.contended_acquires += 1
-            lock.mutex.acquire()
-        LOCK_ORDER_SANITIZER.after_acquire(path)
-
-    def release(self, path: str) -> None:
-        path = normalize_path(path)
-        with self._guard:
-            lock = self._table.get(path)
-        if lock is None:
-            raise RuntimeError(f"release of unheld lock {path!r}")
-        lock.mutex.release()
-        self._checkin(path, lock)
-        LOCK_ORDER_SANITIZER.on_release(path)
-
-    @contextmanager
-    def holding(self, path: str) -> Iterator[None]:
-        """Context manager for a single-path critical section."""
-        self.acquire(path)
+    def acquire_all(self, paths: Sequence[str]) -> Transaction:
+        """Open a transaction holding every path in ``paths``, taken in
+        :func:`growing_phase` order; a refused acquire releases what the
+        transaction took before it raises."""
+        txn = Transaction(self._locked)
         try:
-            yield
-        finally:
-            self.release(path)
-
-    # -- multi-path (2PL + LCA ordering) ----------------------------------- #
-
-    @contextmanager
-    def acquire_all(self, paths: Sequence[str]) -> Iterator[None]:
-        """Atomically hold the locks of every path in ``paths``.
-
-        Growing phase: LCA first, then paths in sorted order (deterministic
-        global order ⇒ no cycles).  Shrinking phase: release everything on
-        exit — classic two-phase locking.
-        """
-        normalized = sorted({normalize_path(p) for p in paths})
-        if not normalized:
-            yield
-            return
-        lca = least_common_ancestor(normalized)
-        order: List[str] = []
-        if lca not in normalized:
-            order.append(lca)
-        order.extend(normalized)
-        held: List[str] = []
-        try:
-            for path in order:
-                self.acquire(path)
-                held.append(path)
-            yield
-        finally:
-            for path in reversed(held):
-                self.release(path)
-
-    # -- introspection --------------------------------------------------- #
+            for path in growing_phase(paths):
+                txn.acquire(path)
+        except LockConflict:
+            txn.close()
+            raise
+        return txn
 
     def live_entries(self) -> int:
-        """Number of lock entries currently in the table (0 when quiescent)."""
-        with self._guard:
-            return len(self._table)
+        """Number of paths currently held (0 when quiescent)."""
+        return len(self._locked)

@@ -1,27 +1,19 @@
-"""Path algebra for the key/value store's hierarchical namespace."""
+"""Path algebra for the key/value store's hierarchical namespace.
+
+Both functions take normalized paths (``repro.fs.filesystem.normalize_path``);
+the store normalizes each path once, at its API.
+"""
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.fs.filesystem import normalize_path
-
 
 def path_components(path: str) -> List[str]:
     """The components of a normalized path (root has none)."""
-    path = normalize_path(path)
     if path == "/":
         return []
     return path[1:].split("/")
-
-
-def ancestors(path: str) -> List[str]:
-    """All ancestors of ``path`` from the root down, excluding ``path``."""
-    parts = path_components(path)
-    result = ["/"]
-    for i in range(1, len(parts)):
-        result.append("/" + "/".join(parts[:i]))
-    return result
 
 
 def least_common_ancestor(paths: Sequence[str]) -> str:
@@ -39,12 +31,3 @@ def least_common_ancestor(paths: Sequence[str]) -> str:
     if not prefix:
         return "/"
     return "/" + "/".join(prefix)
-
-
-def is_ancestor_or_self(candidate: str, path: str) -> bool:
-    """True when ``candidate`` is ``path`` or one of its ancestors."""
-    candidate = normalize_path(candidate)
-    path = normalize_path(path)
-    if candidate == "/":
-        return True
-    return path == candidate or path.startswith(candidate + "/")

@@ -11,7 +11,6 @@ reasonable equality, which :class:`BlockInfo` provides.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -139,9 +138,10 @@ class Reader:
 class KeyValueStore:
     """The store: metadata partitioned by path hash, blocks at their place.
 
-    All public operations are serializable: they take the involved path
-    locks through :class:`~repro.kvstore.locks.LockTable` following 2PL with
-    LCA ordering, so concurrent callers observe atomic behaviour.
+    All public operations are serializable: each opens one transaction on
+    :class:`~repro.kvstore.locks.LockTable` and takes the involved path
+    locks under two-phase locking with LCA ordering, which the table
+    checks on every acquire.
     """
 
     def __init__(self, places: Sequence[Place]):
@@ -151,19 +151,16 @@ class KeyValueStore:
         self._locks = LockTable()
         # Per-place tables, as in the paper ("each place has a handle to its
         # own concurrent hash tables, one for the metadata and one for the
-        # data").  Guarded by per-place mutexes; path-level atomicity comes
-        # from the lock table.
+        # data"); path-level atomicity comes from the lock table.
         self._meta: List[Dict[str, _PathMeta]] = [dict() for _ in places]
         self._data: List[Dict[Tuple[str, int], List[Tuple[Any, Any]]]] = [
             dict() for _ in places
         ]
-        self._table_guards = [threading.Lock() for _ in places]
         # Running per-place byte totals, maintained on commit/delete, so
         # memory-governance callers get O(1) occupancy instead of a full
         # metadata scan.  Rename keeps blocks at their place, so it never
         # touches these.
         self._place_bytes: List[int] = [0 for _ in places]
-        self._bytes_guard = threading.Lock()
 
     # -- placement ---------------------------------------------------------- #
 
@@ -183,38 +180,12 @@ class KeyValueStore:
             digest = (digest * 131 + ord(ch)) & 0x7FFFFFFF
         return digest % len(self._places)
 
-    # -- low-level table access (thread-safe, no path locking) -------------- #
-
-    def _meta_get(self, home: int, path: str) -> Optional[_PathMeta]:
-        with self._table_guards[home]:
-            return self._meta[home].get(path)
-
-    def _meta_put(self, home: int, path: str, meta: _PathMeta) -> None:
-        with self._table_guards[home]:
-            self._meta[home][path] = meta
-
-    def _meta_pop(self, home: int, path: str) -> Optional[_PathMeta]:
-        with self._table_guards[home]:
-            return self._meta[home].pop(path, None)
-
-    def _data_put(
-        self, place_id: int, key: Tuple[str, int], pairs: List[Tuple[Any, Any]]
-    ) -> None:
-        with self._table_guards[place_id]:
-            self._data[place_id][key] = pairs
-
-    def _data_get(self, place_id: int, key: Tuple[str, int]) -> List[Tuple[Any, Any]]:
-        with self._table_guards[place_id]:
-            return self._data[place_id][key]
-
     def _drop_blocks(self, path: str, meta: _PathMeta) -> None:
         """Free the blocks of a file whose metadata was just removed."""
         for block_id, block in enumerate(meta.blocks):
             place_id = block.info.place_id
-            with self._table_guards[place_id]:
-                self._data[place_id].pop((path, block_id), None)
-            with self._bytes_guard:
-                self._place_bytes[place_id] -= block.nbytes
+            self._data[place_id].pop((path, block_id), None)
+            self._place_bytes[place_id] -= block.nbytes
 
     # -- API (paper Figure 5) ------------------------------------------------- #
 
@@ -233,7 +204,7 @@ class KeyValueStore:
         probe = path
         while probe != "/":
             home = self._home(probe)
-            meta = self._meta_get(home, probe)
+            meta = self._meta[home].get(probe)
             if meta is not None:
                 if not meta.is_dir:
                     raise PathExistsError(f"{probe} is a file")
@@ -241,7 +212,7 @@ class KeyValueStore:
             missing.append((home, probe))
             probe = probe.rpartition("/")[0] or "/"
         for home, directory in reversed(missing):
-            self._meta_put(home, directory, _PathMeta(is_dir=True))
+            self._meta[home][directory] = _PathMeta(is_dir=True)
 
     def create_writer(self, path: str, info: BlockInfo) -> Writer:
         """Create a writer that appends one block to ``path``.
@@ -261,20 +232,19 @@ class KeyValueStore:
         pairs: List[Tuple[Any, Any]],
         nbytes: int,
     ) -> None:
-        home = self._home(path)
+        table = self._meta[self._home(path)]
         with self._locks.holding(path):
-            meta = self._meta_get(home, path)
+            meta = table.get(path)
             if meta is None:
                 self._mkdirs_unlocked_parent(path)
                 meta = _PathMeta(is_dir=False)
-                self._meta_put(home, path, meta)
+                table[path] = meta
             elif meta.is_dir:
                 raise PathExistsError(f"{path} is a directory")
             block_id = len(meta.blocks)
             meta.blocks.append(BlockMeta(info=info, records=len(pairs), nbytes=nbytes))
-            self._data_put(info.place_id, (path, block_id), pairs)
-            with self._bytes_guard:
-                self._place_bytes[info.place_id] += nbytes
+            self._data[info.place_id][(path, block_id)] = pairs
+            self._place_bytes[info.place_id] += nbytes
 
     def _mkdirs_unlocked_parent(self, path: str) -> None:
         """Make the parent of the normalized ``path`` a directory."""
@@ -308,21 +278,20 @@ class KeyValueStore:
         ``info`` (the paper's per-block reader)."""
         path = normalize_path(path)
         with self._locks.holding(path):
-            meta = self._meta_get(self._home(path), path)
+            meta = self._meta[self._home(path)].get(path)
             if meta is None or meta.is_dir:
                 raise PathMissingError(path)
-            blocks: List[List[Tuple[Any, Any]]] = []
-            for block_id, block in enumerate(meta.blocks):
-                if info is not None and block.info != info:
-                    continue
-                blocks.append(self._data_get(block.info.place_id, (path, block_id)))
-            return Reader(blocks)
+            return Reader([
+                self._data[block.info.place_id][(path, block_id)]
+                for block_id, block in enumerate(meta.blocks)
+                if info is None or block.info == info
+            ])
 
     def get_info(self, path: str) -> Optional[PathInfo]:
         """Metadata snapshot, or ``None`` when the path does not exist."""
         path = normalize_path(path)
         with self._locks.holding(path):
-            meta = self._meta_get(self._home(path), path)
+            meta = self._meta[self._home(path)].get(path)
             if meta is None:
                 return None
             return PathInfo(path=path, is_dir=meta.is_dir, blocks=list(meta.blocks))
@@ -337,55 +306,39 @@ class KeyValueStore:
         deleting one pops its own metadata and blocks.  For a directory,
         child locks are acquired while holding the directory's own lock —
         the directory is the LCA of its children, so the paper's ordering
-        rule is satisfied.  New children appearing mid-delete are picked up
-        by re-scanning until the set is stable.
+        rule is satisfied.  A directory's children are found by one scan
+        of every place's metadata table: O(paths in the store), paid by
+        directory deletes only.  File deletes — every cache eviction,
+        rehydration and replacement — never scan.
         """
         path = normalize_path(path)
-        home = self._home(path)
-        self._locks.acquire(path)
-        held = [path]
-        try:
-            meta = self._meta_get(home, path)
+        table = self._meta[self._home(path)]
+        with self._locks.holding(path) as txn:
+            meta = table.get(path)
             if meta is not None and not meta.is_dir:
-                self._meta_pop(home, path)
+                del table[path]
                 self._drop_blocks(path, meta)
                 return True
-            while True:
-                children = [p for p in self._children_of(path) if p not in held]
-                if not children:
-                    break
-                for child in sorted(children):
-                    self._locks.acquire(child)
-                    held.append(child)
-            return self._delete_unlocked(home, path)
-        finally:
-            for held_path in reversed(held):
-                self._locks.release(held_path)
-
-    def _children_of(self, path: str) -> List[str]:
-        prefix = "/" if path == "/" else path + "/"
-        found: List[str] = []
-        for home in range(len(self._places)):
-            with self._table_guards[home]:
-                found.extend(p for p in self._meta[home] if p.startswith(prefix))
-        return found
-
-    def _delete_unlocked(self, home: int, path: str) -> bool:
-        removed = self._meta_pop(home, path) is not None
-        # A directory's children are found by scanning every place's
-        # metadata table: O(paths in the store), paid by directory deletes
-        # only.  File deletes — every cache eviction, rehydration and
-        # replacement — never get here.
-        prefix = path + "/" if path != "/" else "/"
-        for place in range(len(self._places)):
-            with self._table_guards[place]:
-                children = [p for p in self._meta[place] if p.startswith(prefix)]
-            for child in children:
-                child_meta = self._meta_pop(place, child)
-                removed = True
-                if child_meta is not None and not child_meta.is_dir:
+            children = self._children_of(path)
+            for child, _ in children:
+                txn.acquire(child)
+            removed = table.pop(path, None) is not None
+            for child, child_table in children:
+                child_meta = child_table.pop(child)
+                if not child_meta.is_dir:
                     self._drop_blocks(child, child_meta)
-        return removed
+            return removed or bool(children)
+
+    def _children_of(self, path: str) -> List[Tuple[str, Dict[str, _PathMeta]]]:
+        """Every path strictly under the normalized ``path``, sorted, each
+        with the metadata table that holds it."""
+        prefix = "/" if path == "/" else path + "/"
+        return sorted(
+            (child, table)
+            for table in self._meta
+            for child in table
+            if child.startswith(prefix)
+        )
 
     def rename(self, src: str, dst: str) -> None:
         """Atomically move ``src`` (file or tree) to ``dst``."""
@@ -395,38 +348,32 @@ class KeyValueStore:
             return
         with self._locks.acquire_all([src, dst]):
             dst_home = self._home(dst)
-            if self._meta_get(dst_home, dst) is not None:
+            if dst in self._meta[dst_home]:
                 raise PathExistsError(f"rename target exists: {dst}")
-            meta = self._rename_one(self._home(src), src, dst_home, dst)
+            meta = self._rename_one(self._meta[self._home(src)], src, dst_home, dst)
             if meta is None:
                 raise PathMissingError(src)
             if not meta.is_dir:  # a file has no children to move
                 return
-            prefix = src + "/"
-            for home in range(len(self._places)):
-                with self._table_guards[home]:
-                    children = [p for p in self._meta[home] if p.startswith(prefix)]
-                for child in children:
-                    moved = dst + child[len(src):]
-                    self._rename_one(home, child, self._home(moved), moved)
+            for child, table in self._children_of(src):
+                moved = dst + child[len(src):]
+                self._rename_one(table, child, self._home(moved), moved)
 
     def _rename_one(
-        self, src_home: int, src: str, dst_home: int, dst: str
+        self, src_table: Dict[str, _PathMeta], src: str, dst_home: int, dst: str
     ) -> Optional[_PathMeta]:
         """Move one path's metadata and blocks; the moved metadata, or
         ``None`` when ``src`` is gone."""
-        if self._meta_get(src_home, src) is None:
+        if src not in src_table:
             return None
         # Before anything moves: a file parent raises with ``src`` intact.
         self._mkdirs_unlocked_parent(dst)
-        meta = self._meta_pop(src_home, src)
+        meta = src_table.pop(src)
         if not meta.is_dir:
             for block_id, block in enumerate(meta.blocks):
-                place = block.info.place_id
-                with self._table_guards[place]:
-                    pairs = self._data[place].pop((src, block_id))
-                    self._data[place][(dst, block_id)] = pairs
-        self._meta_put(dst_home, dst, meta)
+                data = self._data[block.info.place_id]
+                data[(dst, block_id)] = data.pop((src, block_id))
+        self._meta[dst_home][dst] = meta
         return meta
 
     # -- namespace queries ----------------------------------------------------- #
@@ -435,13 +382,12 @@ class KeyValueStore:
         """All known paths at or under ``prefix`` (sorted)."""
         prefix = normalize_path(prefix)
         match = "/" if prefix == "/" else prefix + "/"
-        found: List[str] = []
-        for home in range(len(self._places)):
-            with self._table_guards[home]:
-                for path in self._meta[home]:
-                    if path == prefix or path.startswith(match):
-                        found.append(path)
-        return sorted(found)
+        return sorted(
+            path
+            for table in self._meta
+            for path in table
+            if path == prefix or path.startswith(match)
+        )
 
     def total_bytes_at_place(self, place_id: int) -> int:
         """Bytes of block data stored at one place (memory accounting).
@@ -450,17 +396,14 @@ class KeyValueStore:
         metadata-scan equivalent survives as :meth:`scan_bytes_at_place`
         for verification.
         """
-        with self._bytes_guard:
-            return self._place_bytes[place_id]
+        return self._place_bytes[place_id]
 
     def scan_bytes_at_place(self, place_id: int) -> int:
         """The O(n) metadata-scan computation of the same total."""
-        total = 0
-        for home in range(len(self._places)):
-            with self._table_guards[home]:
-                metas = list(self._meta[home].values())
-            for meta in metas:
-                for block in meta.blocks:
-                    if block.info.place_id == place_id:
-                        total += block.nbytes
-        return total
+        return sum(
+            block.nbytes
+            for table in self._meta
+            for meta in table.values()
+            for block in meta.blocks
+            if block.info.place_id == place_id
+        )

@@ -11,6 +11,8 @@ from repro.core.cache import KeyValueCache, split_cache_name
 from repro.core.cachefs import CacheOnlyFileSystem, M3RFileSystem
 from repro.fs import InMemoryFileSystem
 from repro.kvstore.store import BlockInfo, PathExistsError
+from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
+from repro.sim.cost_model import paper_cluster_cost_model
 from repro.x10.places import Place
 
 
@@ -25,6 +27,15 @@ def m3rfs(cache):
 
 
 PAIRS = [(IntWritable(1), Text("a")), (IntWritable(2), Text("b"))]
+
+
+def _file_names(cache):
+    """The cache's index names and the store's file paths, both sorted."""
+    store = cache.store
+    return (
+        sorted(entry.name for entry in cache.entries()),
+        [p for p in store.list_paths() if not store.get_info(p).is_dir],
+    )
 
 
 class TestKeyValueCache:
@@ -80,6 +91,31 @@ class TestKeyValueCache:
         assert cache.get_file("/new/part-0") is not None
         assert cache.get_split("/new/part-1", 0, 7) is not None
         assert not cache.contains_path("/old")
+
+    def test_rename_path_onto_a_cached_name_moves_nothing(self, cache):
+        for path in ("/a/x", "/a/y", "/b/y"):
+            cache.put_file(path, 0, PAIRS, 10)
+        with pytest.raises(PathExistsError):
+            cache.rename_path("/a", "/b")
+        names = ["/a/x", "/a/y", "/b/y"]
+        assert _file_names(cache) == (names, names)
+
+    def test_rename_path_onto_a_resident_name_from_a_spilled_one(self):
+        governor = MemoryGovernor(
+            budget=WatermarkLedger(100, 0.9, 0.75),
+            spill=SpillManager(InMemoryFileSystem(), paper_cluster_cost_model()),
+            spill_enabled=True,
+        )
+        cache = KeyValueCache([Place(0)], governor=governor)
+        cache.put_file("/a/y", 0, PAIRS, 60)
+        cache.put_file("/b/y", 0, PAIRS, 60)  # over the watermark: /a/y spills
+        assert cache.get_file("/a/y", materialize=False).spilled
+        with pytest.raises(PathExistsError):
+            cache.rename_path("/a", "/b")
+        assert _file_names(cache) == (["/a/y", "/b/y"], ["/b/y"])
+        assert cache.get_file("/a/y", materialize=False).spilled
+        # The budget charges exactly the resident entries.
+        assert governor.budget.occupancy(0) == cache.resident_bytes() == 60
 
     def test_accounting(self, cache):
         cache.put_file("/a", 0, PAIRS, 100)
@@ -160,6 +196,17 @@ class TestM3RFileSystem:
         cache.put_file("/only", 0, PAIRS, 10)
         assert m3rfs.rename("/only", "/moved")
         assert cache.get_file("/moved") is not None
+
+    def test_rename_cache_only_path_onto_a_cached_name_moves_nothing(
+        self, m3rfs, cache
+    ):
+        for path in ("/a/x", "/a/y", "/b/y"):
+            cache.put_file(path, 0, PAIRS, 10)
+        with pytest.raises(PathExistsError):
+            m3rfs.rename("/a", "/b")
+        names = ["/a/x", "/a/y", "/b/y"]
+        assert _file_names(cache) == (names, names)
+        assert [s.path for s in m3rfs.list_status("/a")] == ["/a/x", "/a/y"]
 
     def test_write_invalidates_cache(self, m3rfs, cache):
         cache.put_file("/f", 0, PAIRS, 10)

@@ -1,9 +1,9 @@
-"""The distributed key/value store (paper Section 5.2): API, locking,
-serializability under real concurrency."""
+"""The distributed key/value store (paper Section 5.2): API, locking, and
+serializability over every interleaving of small transactions."""
 
 from __future__ import annotations
 
-import threading
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +13,14 @@ from repro.api.writables import IntWritable, Text
 from repro.kvstore import (
     BlockInfo,
     KeyValueStore,
+    LockOrderViolation,
     LockTable,
     PathExistsError,
     PathMissingError,
     least_common_ancestor,
     path_components,
 )
-from repro.kvstore.paths import ancestors, is_ancestor_or_self
+from repro.kvstore.locks import LockConflict, growing_phase
 from repro.x10.places import Place
 
 
@@ -28,14 +29,165 @@ def store():
     return KeyValueStore([Place(i) for i in range(4)])
 
 
+# --------------------------------------------------------------------- #
+# Interleaving enumeration
+#
+# A transaction is a generator function of a shared model state (a dict
+# of path -> tuple of blocks).  It yields a path to acquire it, or None to
+# let another transaction run between two of its effects; it acquires
+# what the store operation it models acquires.  The scheduler owns one
+# LockTable and, at every yield, may step any transaction: a step
+# acquires the yielded path (the table refuses a held one, and that
+# branch is not taken) and runs the transaction up to its next yield.
+# Generators cannot be copied, so each schedule prefix is replayed on a
+# fresh state and table.
+# --------------------------------------------------------------------- #
+
+_DONE = object()
+
+
+class _World:
+    """One replay: the table, the model state and each transaction."""
+
+    def __init__(self, programs, state):
+        self.table = LockTable()
+        self.state = dict(state)
+        self.txns = [self.table.begin() for _ in programs]
+        self.gens = [program(self.state) for program in programs]
+        self.pending = [next(gen) for gen in self.gens]
+
+    def live(self):
+        return [i for i, path in enumerate(self.pending) if path is not _DONE]
+
+    def step(self, i):
+        path = self.pending[i]
+        if path is not None:
+            self.txns[i].acquire(path)  # LockConflict: refused, nothing changed
+            assert not any(
+                path in txn.held for j, txn in enumerate(self.txns)
+                if j != i and txn.held
+            ), f"{path} held by two transactions"
+        self.pending[i] = next(self.gens[i], _DONE)
+        if self.pending[i] is _DONE:
+            self.txns[i].close()
+
+    def final(self):
+        assert self.table.live_entries() == 0
+        return tuple(sorted(self.state.items()))
+
+
+def _replay(programs, state, schedule):
+    world = _World(programs, state)
+    for i in schedule:
+        world.step(i)
+    return world
+
+
+def interleavings(programs, state=()):
+    """The final state of every interleaving of ``programs``, one per
+    schedule; a state where no live transaction can step is a deadlock."""
+    finals = []
+    worlds = [((), _World(programs, state))]
+    while worlds:
+        schedule, world = worlds.pop()
+        live = world.live()
+        if not live:
+            finals.append(world.final())
+            continue
+        children = []
+        for i in live:
+            try:
+                children.append(
+                    (schedule + (i,), _replay(programs, state, schedule + (i,)))
+                )
+            except LockConflict:
+                pass
+        assert children, f"deadlock after schedule {schedule}"
+        worlds.extend(children)
+    return finals
+
+
+def serial_finals(programs, state=()):
+    """The final states of running ``programs`` one after another, in
+    every order."""
+    finals = set()
+    for order in itertools.permutations(range(len(programs))):
+        world = _World(programs, state)
+        for i in order:
+            while world.pending[i] is not _DONE:
+                world.step(i)
+        finals.add(world.final())
+    return finals
+
+
+def assert_serializable(programs, state=()):
+    finals = interleavings(programs, state)
+    serial = serial_finals(programs, state)
+    for final in finals:
+        assert final in serial, final
+    return finals
+
+
+def put(path, block):
+    """``_commit_block``: the file's own path; appends one block."""
+    def program(state):
+        yield path
+        blocks = state.get(path, ())
+        yield None
+        state[path] = blocks + (block,)
+    return program
+
+
+def read(path):
+    """``create_reader`` / ``get_info``: the path read; records what it saw."""
+    def program(state):
+        yield path
+        state["seen " + path] = state.get(path)
+    return program
+
+
+def rename(src, dst):
+    """``rename``: ``acquire_all([src, dst])``; moves nothing when ``dst``
+    exists or ``src`` does not."""
+    def program(state):
+        for path in growing_phase([src, dst]):
+            yield path
+        if dst in state or src not in state:
+            return
+        moved = state.pop(src)
+        yield None
+        state[dst] = moved
+    return program
+
+
+def delete_tree(directory):
+    """``delete`` of a directory: the directory, then the children one
+    scan found, sorted."""
+    def program(state):
+        yield directory
+        children = sorted(p for p in state if p.startswith(directory + "/"))
+        for child in children:
+            yield child
+        for child in children:
+            state.pop(child, None)
+            yield None
+    return program
+
+
+def counter(path):
+    """A read-modify-write of one path, split by a step."""
+    def program(state):
+        yield path
+        value = state.get(path, 0)
+        yield None
+        state[path] = value + 1
+    return program
+
+
 class TestPathAlgebra:
     def test_components(self):
         assert path_components("/a/b/c") == ["a", "b", "c"]
         assert path_components("/") == []
-
-    def test_ancestors(self):
-        assert ancestors("/a/b/c") == ["/", "/a", "/a/b"]
-        assert ancestors("/a") == ["/"]
 
     def test_lca(self):
         assert least_common_ancestor(["/a/b/c", "/a/b/d"]) == "/a/b"
@@ -45,32 +197,19 @@ class TestPathAlgebra:
         with pytest.raises(ValueError):
             least_common_ancestor([])
 
-    def test_is_ancestor_or_self(self):
-        assert is_ancestor_or_self("/a", "/a/b")
-        assert is_ancestor_or_self("/a/b", "/a/b")
-        assert is_ancestor_or_self("/", "/anything")
-        assert not is_ancestor_or_self("/a/b", "/a")
-        assert not is_ancestor_or_self("/ab", "/a/b")
-
 
 class TestLockTable:
     def test_mutual_exclusion(self):
         table = LockTable()
-        counter = {"value": 0, "max": 0}
-
-        def worker():
-            for _ in range(200):
-                with table.holding("/shared"):
-                    counter["value"] += 1
-                    counter["max"] = max(counter["max"], counter["value"])
-                    counter["value"] -= 1
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter["max"] == 1  # never two holders at once
+        first = table.holding("/shared")
+        with pytest.raises(LockConflict):
+            table.holding("/shared")
+        first.close()
+        table.holding("/shared").close()
+        # Three read-modify-writes: each runs whole once it holds the
+        # path, so the 3! orders are the only interleavings.
+        finals = assert_serializable([counter("/shared")] * 3)
+        assert finals == [(("/shared", 3),)] * 6
 
     def test_table_drains_when_quiescent(self):
         table = LockTable()
@@ -79,31 +218,76 @@ class TestLockTable:
         assert table.live_entries() == 0
 
     def test_release_unheld_raises(self):
+        txn = LockTable().holding("/a")
+        txn.close()
         with pytest.raises(RuntimeError):
-            LockTable().release("/never")
+            txn.close()
+        with pytest.raises(RuntimeError):  # no growing after shrinking
+            txn.acquire("/b")
 
     def test_acquire_all_no_deadlock_opposite_orders(self):
-        """Two tasks locking {a, b} in opposite argument orders must not
-        deadlock — the LCA-ordered growing phase serializes them."""
-        table = LockTable()
-        done = []
+        """Two tasks locking {a, b} in opposite argument orders, beside a
+        writer of b, finish in every interleaving — the LCA-ordered
+        growing phase serializes them."""
+        def swap(first, second):
+            def program(state):
+                for path in growing_phase([first, second]):
+                    yield path
+                a, b = state.get("/x/a", ()), state.get("/x/b", ())
+                yield None
+                state["/x/a"], state["/x/b"] = b, a
+            return program
 
-        def task(paths):
-            for _ in range(100):
-                with table.acquire_all(paths):
-                    pass
-            done.append(True)
-
-        t1 = threading.Thread(target=task, args=(["/x/a", "/x/b"],))
-        t2 = threading.Thread(target=task, args=(["/x/b", "/x/a"],))
-        t1.start(); t2.start()
-        t1.join(timeout=30); t2.join(timeout=30)
-        assert len(done) == 2
-        assert table.live_entries() == 0
+        finals = assert_serializable(
+            [swap("/x/a", "/x/b"), swap("/x/b", "/x/a"), put("/x/b", "w")],
+            {"/x/a": ("a",)},
+        )
+        # Of the 10! / (4! 4! 2!) = 3 150 step orders, the 26 in which no
+        # path is acquired while held.
+        assert len(finals) == 26
 
     def test_acquire_all_empty(self):
         with LockTable().acquire_all([]):
             pass
+
+    def test_two_lock_inversion_trips(self):
+        table = LockTable()
+        txn = table.holding("/data/b")
+        with pytest.raises(LockOrderViolation) as excinfo:
+            txn.acquire("/data/a")
+        assert "'/data/a'" in str(excinfo.value)
+        assert "'/data/b'" in str(excinfo.value)
+        assert txn.held == ["/data/b"]  # the refused path was not taken
+        txn.close()
+        assert table.live_entries() == 0
+
+    def test_consistent_order_never_trips(self):
+        table = LockTable()
+        for _ in range(3):
+            with table.begin() as txn:
+                for path in ("/a", "/b", "/c"):
+                    txn.acquire(path)
+        assert table.live_entries() == 0
+
+    def test_acquire_all_lca_ordering_is_clean(self):
+        table = LockTable()
+        with table.acquire_all(["/dir/y", "/dir/x"]) as txn:
+            assert txn.held == ["/dir", "/dir/x", "/dir/y"]
+        with table.acquire_all(["/dir/y", "/dir/x", "/dir"]) as txn:
+            assert txn.held == ["/dir", "/dir/x", "/dir/y"]
+        assert table.live_entries() == 0
+
+    def test_inverted_transaction_fails_before_it_can_wait(self):
+        """b-then-a beside a-then-b could deadlock; the inverted
+        acquisition raises instead, whatever the interleaving."""
+        def ordered(*paths):
+            def program(state):
+                for path in paths:
+                    yield path
+            return program
+
+        with pytest.raises(LockOrderViolation, match="'/a'.*'/b'"):
+            interleavings([ordered("/a", "/b"), ordered("/b", "/a")])
 
 
 class TestStoreApi:
@@ -256,73 +440,35 @@ class TestStoreApi:
 
 
 class TestStoreConcurrency:
-    def test_concurrent_disjoint_writers(self, store):
-        errors = []
+    def test_concurrent_disjoint_writers(self):
+        finals = assert_serializable(
+            [put(f"/w{t}/f", t) for t in range(3)]
+        )
+        assert len(finals) == 90  # 6! / (2! 2! 2!): nothing ever waits
+        assert set(finals) == {tuple((f"/w{t}/f", (t,)) for t in range(3))}
 
-        def writer_task(tid):
-            try:
-                for i in range(50):
-                    with store.create_writer(f"/w{tid}/f{i}", BlockInfo(tid % 4)) as w:
-                        w.write(IntWritable(i), Text("x"))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+    def test_concurrent_same_path_appends_all_survive(self):
+        finals = assert_serializable([put("/hot", t) for t in range(3)])
+        assert len(finals) == 6
+        assert {sorted(dict(final)["/hot"]) == [0, 1, 2] for final in finals} == {True}
 
-        threads = [threading.Thread(target=writer_task, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for tid in range(8):
-            files = [
-                p for p in store.list_paths(f"/w{tid}")
-                if not store.get_info(p).is_dir
-            ]
-            assert len(files) == 50
+    def test_rename_vs_read_atomicity(self):
+        """A reader of the destination and a writer of the source around a
+        rename: every interleaving ends as some serial order does, so the
+        data is never lost or seen half moved."""
+        assert_serializable(
+            [rename("/ping", "/pong"), read("/pong"), put("/ping", "late")],
+            {"/ping": ("payload",)},
+        )
 
-    def test_concurrent_same_path_appends_all_survive(self, store):
-        def appender(tid):
-            for i in range(25):
-                with store.create_writer("/hot", BlockInfo(tid % 4)) as w:
-                    w.write(IntWritable(tid * 100 + i), Text("v"))
-
-        threads = [threading.Thread(target=appender, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert store.get_info("/hot").total_records == 100
-
-    def test_rename_vs_read_atomicity(self, store):
-        """Readers see either the old path or the new one — never a torn
-        state where the data is in neither."""
-        with store.create_writer("/ping", BlockInfo(0)) as w:
-            w.write(IntWritable(1), Text("payload"))
-        stop = threading.Event()
-        anomalies = []
-
-        def flipper():
-            current, other = "/ping", "/pong"
-            for _ in range(200):
-                store.rename(current, other)
-                current, other = other, current
-            stop.set()
-
-        def reader():
-            while not stop.is_set():
-                spots = [store.exists("/ping"), store.exists("/pong")]
-                if not any(spots):
-                    # A second probe to filter the benign between-ops window:
-                    # existence must be restored immediately.
-                    if not (store.exists("/ping") or store.exists("/pong")):
-                        anomalies.append(spots)
-
-        t1 = threading.Thread(target=flipper)
-        t2 = threading.Thread(target=reader)
-        t1.start(); t2.start()
-        t1.join(); t2.join()
-        # rename holds both path locks, so the data is always reachable.
-        assert not anomalies
+    def test_directory_delete_vs_writers_of_its_children(self):
+        """A directory delete locks the directory, then the children one
+        scan found; a writer of a child and a rename out of the directory
+        serialize with it."""
+        assert_serializable(
+            [delete_tree("/d"), put("/d/a", "w"), rename("/d/b", "/e")],
+            {"/d/a": ("a",), "/d/b": ("b",)},
+        )
 
 
 @given(

@@ -1,18 +1,17 @@
-"""Tests for the runtime sanitizers (repro.analysis.sanitizers).
+"""Tests for the runtime mutation sanitizer (repro.analysis.sanitizers).
 
-Covers the three satellite guarantees:
+Covers its two guarantees:
 
 * a deliberately-mutating ``ImmutableOutput`` mapper is caught, and the
   failure carries BOTH stack traces (allocation/registration + mutation);
-* a two-lock inversion against ``kvstore`` trips the lock-order sanitizer
-  before it can deadlock;
-* the sanitizers observe but never perturb — a job runs byte-identically
-  with both sanitizers on and off.
+* the sanitizer observes but never perturbs — a job runs byte-identically
+  with it on and off.
+
+The KV store's lock-order check is always on; ``tests/test_kvstore.py``
+tests it.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -20,11 +19,8 @@ from conftest import make_m3r
 from scipy import sparse
 
 from repro.analysis.sanitizers import (
-    LOCK_ORDER_SANITIZER,
     MUTATION_SANITIZER,
     ImmutableViolation,
-    LockOrderViolation,
-    LockOrderSanitizer,
     MutationSanitizer,
     sanitizer_overrides,
 )
@@ -47,21 +43,18 @@ from repro.apps.microbenchmark import (
     microbenchmark_job,
 )
 from repro.apps.wordcount import generate_text, wordcount_job
-from repro.kvstore.locks import LockTable
 from repro.x10 import serializer as serializer_module
 from repro.x10.serializer import DedupSerializer, estimate_size
 
 
 @pytest.fixture(autouse=True)
 def clean_sanitizer_state():
-    """Each test starts and ends with empty sanitizer tables (the global
-    enabled flags are left alone so the sanitizer-on CI row still covers
+    """Each test starts and ends with an empty sanitizer table (the global
+    enabled flag is left alone so the sanitizer-on CI row still covers
     the whole file)."""
     MUTATION_SANITIZER.reset()
-    LOCK_ORDER_SANITIZER.reset()
     yield
     MUTATION_SANITIZER.reset()
-    LOCK_ORDER_SANITIZER.reset()
 
 
 # --------------------------------------------------------------------- #
@@ -118,84 +111,6 @@ class TestMutationSanitizer:
         for item in keepalive:
             sanitizer.observe(item, site="s")
         assert len(sanitizer) == 4
-
-
-# --------------------------------------------------------------------- #
-# LockOrderSanitizer + kvstore wiring
-# --------------------------------------------------------------------- #
-
-
-class TestLockOrderSanitizer:
-    def test_two_lock_inversion_trips(self):
-        table = LockTable()
-        with sanitizer_overrides(lock_order=True):
-            table.acquire("/data/a")
-            table.acquire("/data/b")  # establishes /data/a -> /data/b
-            table.release("/data/b")
-            table.release("/data/a")
-
-            table.acquire("/data/b")
-            with pytest.raises(LockOrderViolation) as excinfo:
-                table.acquire("/data/a")  # would close the cycle
-            table.release("/data/b")
-        message = str(excinfo.value)
-        assert "established order first witnessed at" in message
-        assert "inverted acquisition at" in message
-        assert LOCK_ORDER_SANITIZER.violations == 1
-
-    def test_consistent_order_never_trips(self):
-        table = LockTable()
-        with sanitizer_overrides(lock_order=True):
-            for _ in range(3):
-                table.acquire("/a")
-                table.acquire("/b")
-                table.acquire("/c")
-                for path in ("/c", "/b", "/a"):
-                    table.release(path)
-        assert LOCK_ORDER_SANITIZER.violations == 0
-
-    def test_acquire_all_lca_ordering_is_clean(self):
-        table = LockTable()
-        with sanitizer_overrides(lock_order=True):
-            with table.acquire_all(["/dir/x", "/dir/y"]):
-                pass
-            with table.acquire_all(["/dir/y", "/dir/x", "/dir"]):
-                pass
-        assert LOCK_ORDER_SANITIZER.violations == 0
-        assert table.live_entries() == 0
-
-    def test_inversion_across_threads(self):
-        sanitizer = LockOrderSanitizer(enabled=True)
-        sanitizer.before_acquire("/a")
-        sanitizer.after_acquire("/a")
-        sanitizer.before_acquire("/b")
-        sanitizer.after_acquire("/b")
-        sanitizer.on_release("/b")
-        sanitizer.on_release("/a")
-
-        failure = []
-
-        def inverted():
-            sanitizer.before_acquire("/b")
-            sanitizer.after_acquire("/b")
-            try:
-                sanitizer.before_acquire("/a")
-            except LockOrderViolation as exc:
-                failure.append(exc)
-
-        thread = threading.Thread(target=inverted)
-        thread.start()
-        thread.join()
-        assert len(failure) == 1
-
-    def test_disabled_records_nothing(self):
-        table = LockTable()
-        table.acquire("/a")
-        table.acquire("/b")
-        table.release("/b")
-        table.release("/a")
-        if not LOCK_ORDER_SANITIZER.enabled:
-            assert LOCK_ORDER_SANITIZER.edge_count() == 0
 
 
 # --------------------------------------------------------------------- #
@@ -258,7 +173,7 @@ class TestMutationEndToEnd:
         engine = make_m3r()
         engine.filesystem.write_text("/in.txt", generate_text(50))
         conf = wordcount_job("/in.txt", "/out", num_reducers=4)
-        with sanitizer_overrides(mutation=True, lock_order=True):
+        with sanitizer_overrides(mutation=True):
             result = engine.run_job(conf)
         assert result.succeeded, result.error
         engine.shutdown()
@@ -462,7 +377,7 @@ def _run_wordcount(sanitize: bool):
     engine = make_m3r()
     engine.filesystem.write_text("/in.txt", generate_text(120))
     conf = wordcount_job("/in.txt", "/out", num_reducers=4)
-    with sanitizer_overrides(mutation=sanitize, lock_order=sanitize):
+    with sanitizer_overrides(mutation=sanitize):
         result = engine.run_job(conf)
     assert result.succeeded, result.error
     output = {
@@ -483,14 +398,10 @@ class TestObserveNeverPerturb:
         assert counters_on == counters_off
 
     def test_overrides_restore_previous_state(self):
-        before = (MUTATION_SANITIZER.enabled, LOCK_ORDER_SANITIZER.enabled)
-        with sanitizer_overrides(mutation=True, lock_order=True):
+        before = MUTATION_SANITIZER.enabled
+        with sanitizer_overrides(mutation=True):
             assert MUTATION_SANITIZER.enabled
-            assert LOCK_ORDER_SANITIZER.enabled
-        assert (
-            MUTATION_SANITIZER.enabled,
-            LOCK_ORDER_SANITIZER.enabled,
-        ) == before
+        assert MUTATION_SANITIZER.enabled == before
 
 
 # --------------------------------------------------------------------- #
