@@ -24,7 +24,7 @@ from repro.api.conf import JobConf
 from repro.api.mapred import RecordReaderLike, Reporter
 from repro.api.splits import FileSplit, InputSplit
 from repro.api.writables import LongWritable, Text
-from repro.x10.serializer import deep_copy_value
+from repro.x10.serializer import TRANSPORT_COPIES, copy_unregistered
 
 
 class RecordReader(RecordReaderLike):
@@ -47,6 +47,44 @@ class RecordReader(RecordReaderLike):
             if pair is None:
                 return
             yield pair
+
+
+class MaterializedReader(RecordReader):
+    """A reader over an in-memory pair list (cache hits, reduce feeds,
+    sequence files).  With ``clone=True`` each record is defensively
+    copied before being handed out: M3R's cache hits for a job without
+    ImmutableOutput, and every sequence-file read, since a real reader
+    deserializes fresh objects that a consumer (Hadoop's object-reusing
+    MapRunnable) may mutate without touching the "on-disk" data."""
+
+    def __init__(self, pairs: List[Tuple[Any, Any]], clone: bool = False):
+        self._pairs = pairs
+        self._index = 0
+        self._clone = clone
+
+    def next_pair(self) -> Optional[Tuple[Any, Any]]:
+        if self._index >= len(self._pairs):
+            return None
+        key, value = self._pairs[self._index]
+        self._index += 1
+        if self._clone:
+            get, other = TRANSPORT_COPIES.get, copy_unregistered
+            return get(type(key), other)(key), get(type(value), other)(value)
+        return key, value
+
+    def take_batch(self, n: int) -> List[Tuple[Any, Any]]:
+        """Native batch slice (same records, same order as ``next_pair``)."""
+        chunk = self._pairs[self._index : self._index + n]
+        self._index += len(chunk)
+        if self._clone:
+            get, other = TRANSPORT_COPIES.get, copy_unregistered
+            return [(get(type(k), other)(k), get(type(v), other)(v)) for k, v in chunk]
+        return chunk
+
+    def get_progress(self) -> float:
+        if not self._pairs:
+            return 1.0
+        return self._index / len(self._pairs)
 
 
 class RecordWriter:
@@ -240,33 +278,6 @@ class KeyValueTextInputFormat(FileInputFormat):
         return _KeyValueTextRecordReader(data, split.start, split.length)
 
 
-class _SequenceFileRecordReader(RecordReader):
-    """Iterates the typed pairs stored in one sequence file.
-
-    Every record is cloned on the way out: a real sequence-file reader
-    deserializes fresh objects from disk, and consumers (notably Hadoop's
-    object-reusing default MapRunnable) are allowed to mutate what they
-    receive.  Handing out the stored objects would let a mapper corrupt the
-    "on-disk" data in place.
-    """
-
-    def __init__(self, pairs: List[Tuple[Any, Any]]):
-        self._pairs = pairs
-        self._index = 0
-
-    def next_pair(self) -> Optional[Tuple[Any, Any]]:
-        if self._index >= len(self._pairs):
-            return None
-        key, value = self._pairs[self._index]
-        self._index += 1
-        return deep_copy_value(key), deep_copy_value(value)
-
-    def get_progress(self) -> float:
-        if not self._pairs:
-            return 1.0
-        return self._index / len(self._pairs)
-
-
 class SequenceFileInputFormat(FileInputFormat):
     """Typed binary key/value files (one split per file — sequence files
     written by reducers arrive as part-files that parallelize naturally)."""
@@ -281,7 +292,7 @@ class SequenceFileInputFormat(FileInputFormat):
             raise TypeError(
                 f"SequenceFileInputFormat expects FileSplit, got {type(split)}"
             )
-        return _SequenceFileRecordReader(fs.read_pairs(split.path))
+        return MaterializedReader(fs.read_pairs(split.path), clone=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,9 @@ from typing import Any, Generic, Iterator, Optional, Tuple, TypeVar
 from repro.api.conf import JobConf
 from repro.api.counters import Counters
 from repro.api.extensions import ImmutableOutput
+from repro.api.writables import REUSE_FIELDS
 from repro.sim.cost_model import CostModel
+from repro.x10.serializer import TRANSPORT_COPIES
 
 K1 = TypeVar("K1")
 V1 = TypeVar("V1")
@@ -231,8 +233,17 @@ class FreshObjectMapRunnable(MapRunnable, ImmutableOutput):
 
 
 def _reuse_into(reused: Any, incoming: Any) -> Any:
-    """Copy ``incoming``'s state into the reused object when possible."""
-    if reused is None or type(reused) is not type(incoming):
+    """Copy ``incoming``'s state into the reused object when possible: the
+    one field of a ``REUSE_FIELDS`` class, nothing for another table class
+    (none has ``set`` and ``get``), else ``read_instance`` or ``set(get())``."""
+    cls = type(incoming)
+    if reused is None or type(reused) is not cls:
+        return incoming
+    field = REUSE_FIELDS.get(cls)
+    if field is not None:
+        setattr(reused, field, getattr(incoming, field))
+        return reused
+    if cls in TRANSPORT_COPIES:
         return incoming
     setter = getattr(reused, "read_instance", None)
     if callable(setter):

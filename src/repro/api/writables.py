@@ -34,7 +34,7 @@ from scipy import sparse
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
-from repro.x10.serializer import Crossing, fixed_width_run, register_transport
+from repro.x10.serializer import TRANSPORT_COPIES, Crossing, fixed_width_run, register_transport
 
 
 class Writable:
@@ -53,12 +53,12 @@ class Writable:
         raise NotImplementedError
 
     def clone(self) -> "Writable":
-        """A deep copy (Hadoop's ``WritableUtils.clone`` equivalent)."""
-        out = DataOutputBuffer()
-        self.write(out)
-        fresh = type(self)()
-        fresh.read_fields(DataInputBuffer(out.to_bytes()))
-        return fresh
+        """A deep copy (Hadoop's ``WritableUtils.clone``): the table's copy
+        for an exact table class, else a wire round trip."""
+        copy = TRANSPORT_COPIES.get(type(self))
+        if copy is not None:
+            return copy(self)
+        return writable_from_bytes(type(self), writable_to_bytes(self))
 
 
 class WritableComparable(Writable):
@@ -92,6 +92,11 @@ class WritableComparable(Writable):
 #: equal, but a raw NaN equals nothing) and ``PairWritable`` (parts of any
 #: class; no app keys on it).
 RAW_SORT_KEYS: Dict[type, Callable[[Any], Any]] = {}
+
+#: Exact class → the one slot holding its whole, immutable state (the
+#: scalars' ``value``, ``Text._value``), which Hadoop's object reuse
+#: (``api.mapred._reuse_into``) copies to refill a reused object.
+REUSE_FIELDS: Dict[type, str] = {}
 
 
 def _scalar(
@@ -140,11 +145,6 @@ def _scalar(
             def serialized_size(self) -> int:
                 return width
 
-        def clone(self):
-            if type(self) is not Scalar:  # a subclass may write more fields
-                return super().clone()
-            return Scalar(self.value)
-
         if compare is None:
             def compare_to(self, other) -> int:
                 return (self.value > other.value) - (self.value < other.value)
@@ -161,13 +161,14 @@ def _scalar(
         def __repr__(self) -> str:
             return f"{name}({self.value})"
 
-    def transport(obj: Scalar, crossing: Crossing) -> Scalar:
+    def transport(obj: Scalar, crossing: Optional[Crossing] = None) -> Scalar:
         fresh = object.__new__(Scalar)
         fresh.value = obj.value
         return fresh
 
     Scalar.__name__ = name
-    register_transport(Scalar, transport, fixed_width_run(Scalar) if width else None)
+    register_transport(Scalar, transport, width and fixed_width_run(Scalar), crossing=False)
+    REUSE_FIELDS[Scalar] = "value"
     if compare is None:
         RAW_SORT_KEYS[Scalar] = attrgetter("value")
     return Scalar
@@ -233,11 +234,6 @@ class Text(WritableComparable):
         encoded = len(value) if value.isascii() else len(value.encode("utf-8"))
         return vint_size(encoded) + encoded
 
-    def clone(self) -> "Text":
-        if type(self) is not Text:  # a subclass may write more fields
-            return super().clone()
-        return Text(self._value)
-
     def compare_to(self, other: "Text") -> int:
         # Hadoop compares the UTF-8 bytes; UTF-8 preserves code-point order,
         # which is how ``str`` compares, so nothing needs encoding.
@@ -285,11 +281,6 @@ class BytesWritable(WritableComparable):
     def serialized_size(self) -> int:
         return 4 + len(self._data)
 
-    def clone(self) -> "BytesWritable":
-        if type(self) is not BytesWritable:  # a subclass may write more fields
-            return super().clone()
-        return BytesWritable(self._data)
-
     def compare_to(self, other: "BytesWritable") -> int:
         return (self._data > other._data) - (self._data < other._data)
 
@@ -326,9 +317,6 @@ class NullWritable(WritableComparable):
 
     def serialized_size(self) -> int:
         return 0
-
-    def clone(self) -> "NullWritable":
-        return self
 
     def compare_to(self, other: "NullWritable") -> int:
         return 0
@@ -464,11 +452,6 @@ class BlockIndexWritable(WritableComparable):
     def serialized_size(self) -> int:
         return 8
 
-    def clone(self) -> "BlockIndexWritable":
-        if type(self) is not BlockIndexWritable:  # a subclass may write more fields
-            return super().clone()
-        return BlockIndexWritable(self.row, self.col)
-
     def compare_to(self, other: "BlockIndexWritable") -> int:
         if self.row != other.row:
             return -1 if self.row < other.row else 1
@@ -537,7 +520,7 @@ class MatrixBlockWritable(Writable):
 
     def clone(self) -> "MatrixBlockWritable":
         if type(self) is MatrixBlockWritable:
-            return _transport_matrix_block(self, Crossing())
+            return super().clone()
         return MatrixBlockWritable(self.matrix.copy())
 
     def __eq__(self, other: object) -> bool:
@@ -578,7 +561,7 @@ class VectorBlockWritable(Writable):
 
     def clone(self) -> "VectorBlockWritable":
         if type(self) is VectorBlockWritable:
-            return _transport_vector_block(self, Crossing())
+            return super().clone()
         return VectorBlockWritable(self.values.copy())
 
     def __eq__(self, other: object) -> bool:
@@ -624,28 +607,29 @@ MUTATION_SANITIZER.digest_hook = _sanitizer_wire_digest
 # --------------------------------------------------------------------- #
 # The scalars' entries come from their declarations above.  Each clone
 # builds what a deep copy builds — a new object of the same class with the
-# same field values, no constructor coercion.  For the array-backed blocks a
-# wire round trip *is* an exact copy, so an exact-class block's ``clone()``
-# is its table clone: no scipy validating constructor runs, only the array
-# copies.  The composites (inner sharing) are left to the generic walk on
+# same field values, no constructor coercion.  For every class here a wire
+# round trip *is* an exact copy, so an exact-class ``clone()`` is its table
+# copy (``Writable.clone``): for a block, no scipy validating constructor
+# runs, only the array copies.  Only the blocks' clones consult the
+# crossing.  The composites (inner sharing) are left to the generic walk on
 # purpose.  Each run sizer sums the ``serialized_size()`` of a collector's
 # run without a Python-level call per object.
 
 
-def _transport_text(obj: Text, crossing: Crossing) -> Text:
+def _transport_text(obj: Text, crossing: Optional[Crossing] = None) -> Text:
     fresh = object.__new__(Text)
     fresh._value = obj._value
     return fresh
 
 
-def _transport_bytes(obj: BytesWritable, crossing: Crossing) -> BytesWritable:
+def _transport_bytes(obj: BytesWritable, crossing: Optional[Crossing] = None) -> BytesWritable:
     fresh = object.__new__(BytesWritable)
     fresh._data = obj._data
     return fresh
 
 
 def _transport_block_index(
-    obj: BlockIndexWritable, crossing: Crossing
+    obj: BlockIndexWritable, crossing: Optional[Crossing] = None
 ) -> BlockIndexWritable:
     fresh = object.__new__(BlockIndexWritable)
     fresh.row = obj.row
@@ -693,23 +677,25 @@ def _matrix_block_run(run: Sequence[MatrixBlockWritable]) -> int:
     return total
 
 
-register_transport(Text, _transport_text, _text_run)
-register_transport(BytesWritable, _transport_bytes, _bytes_run)
+register_transport(Text, _transport_text, _text_run, crossing=False)
+register_transport(BytesWritable, _transport_bytes, _bytes_run, crossing=False)
 register_transport(
-    BlockIndexWritable, _transport_block_index, fixed_width_run(BlockIndexWritable)
+    BlockIndexWritable, _transport_block_index, fixed_width_run(BlockIndexWritable), crossing=False
 )
 register_transport(  # a singleton stays one
-    NullWritable, lambda obj, crossing: obj, fixed_width_run(NullWritable)
+    NullWritable, lambda obj, crossing=None: obj, fixed_width_run(NullWritable), crossing=False
 )
-register_transport(MatrixBlockWritable, _transport_matrix_block, _matrix_block_run)
+register_transport(MatrixBlockWritable, _transport_matrix_block, _matrix_block_run, crossing=True)
 # A vector block's size is one len(): no run sizer beats the per-object sum.
-register_transport(VectorBlockWritable, _transport_vector_block)
+register_transport(VectorBlockWritable, _transport_vector_block, crossing=True)
 
 
 # --------------------------------------------------------------------- #
-# raw sort keys (api.job): the other naturally ordered keys' built-in forms
+# raw sort keys (api.job) of the other naturally ordered keys, and Text's
+# reuse field (api.mapred)
 # --------------------------------------------------------------------- #
 RAW_SORT_KEYS[Text] = attrgetter("_value")
+REUSE_FIELDS[Text] = "_value"
 RAW_SORT_KEYS[BytesWritable] = attrgetter("_data")
 RAW_SORT_KEYS[BlockIndexWritable] = attrgetter("row", "col")
 RAW_SORT_KEYS[NullWritable] = lambda key: 0  # every instance is the singleton

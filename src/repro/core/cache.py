@@ -39,6 +39,7 @@ from typing import (
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.fs.filesystem import normalize_path
+from repro.kvstore.paths import ancestors
 from repro.kvstore.store import BlockInfo, KeyValueStore, PathExistsError
 from repro.memory import MemoryGovernor, SpillRecord, WatermarkLedger
 from repro.x10.places import Place
@@ -487,8 +488,9 @@ class KeyValueCache:
         """Re-key every entry for ``src`` to ``dst`` (data stays in place).
 
         All or nothing: when a destination name is already cached — resident
-        or spilled — :class:`PathExistsError` is raised before anything
-        moves.
+        or spilled — or in the store, or one of its ancestors is a cached
+        name or a file in the store, :class:`PathExistsError` is raised
+        before anything moves.
         """
         src = normalize_path(src)
         dst = normalize_path(dst)
@@ -499,8 +501,12 @@ class KeyValueCache:
             if entry.path == src or entry.path.startswith(src + "/"):
                 new_path = dst + entry.path[len(src):]
                 new_name = new_path + entry.name[len(entry.path):]
-                if new_name in self._index:
+                if new_name in self._index or self._store.exists(new_name):
                     raise PathExistsError(f"rename target is cached: {new_name}")
+                for directory in ancestors(new_name):
+                    info = self._store.get_info(directory)
+                    if directory in self._index or (info is not None and not info.is_dir):
+                        raise PathExistsError(f"rename target {new_name} is under a file")
                 moves.append((entry.name, new_name, new_path, entry))
         for old_name, new_name, new_path, entry in moves:
             if not entry.spilled:

@@ -47,7 +47,7 @@ from repro.api.partitioner import Partitioner
 from repro.api.vectorized import is_associative_reducer
 from repro.fs.hdfs import SimulatedHDFS
 from repro.sim.metrics import Metrics
-from repro.x10.serializer import deep_copy_value, pairs_size
+from repro.x10.serializer import TRANSPORT_COPIES, copy_unregistered, pairs_size
 
 #: Records per batch on the batched map path (``m3r.batch.enabled``).
 BATCH_SIZE = 256
@@ -185,43 +185,6 @@ class CountingReader(RecordReader):
         self._inner.close()
 
 
-class MaterializedReader(RecordReader):
-    """A reader over an in-memory pair list (cache hits, reduce feeds).
-
-    With ``clone=True`` each record is defensively copied before being handed
-    out — M3R does this when serving cached data to a job that has not
-    promised ImmutableOutput behaviour.
-    """
-
-    def __init__(self, pairs: List[Tuple[Any, Any]], clone: bool = False):
-        self._pairs = pairs
-        self._index = 0
-        self._clone = clone
-
-    def next_pair(self) -> Optional[Tuple[Any, Any]]:
-        if self._index >= len(self._pairs):
-            return None
-        key, value = self._pairs[self._index]
-        self._index += 1
-        if self._clone:
-            return deep_copy_value(key), deep_copy_value(value)
-        return key, value
-
-    def take_batch(self, n: int) -> List[Tuple[Any, Any]]:
-        """Native batch slice (same records, same order as ``next_pair``)."""
-        chunk = self._pairs[self._index : self._index + n]
-        self._index += len(chunk)
-        if self._clone:
-            copy = deep_copy_value
-            return [(copy(key), copy(value)) for key, value in chunk]
-        return chunk
-
-    def get_progress(self) -> float:
-        if not self._pairs:
-            return 1.0
-        return self._index / len(self._pairs)
-
-
 class BatchingReader(CountingReader):
     """A :class:`CountingReader` that also hands out batches.
 
@@ -344,8 +307,8 @@ class CollectorSink(_TallyingCollector):
 
     def collect(self, key: Any, value: Any) -> None:
         if self._copies:
-            key = deep_copy_value(key)
-            value = deep_copy_value(value)
+            get, other = TRANSPORT_COPIES.get, copy_unregistered
+            key, value = get(type(key), other)(key), get(type(value), other)(value)
         elif MUTATION_SANITIZER.enabled:
             # Aliased records are covered by the ImmutableOutput contract
             # from the moment they are collected: fingerprint them here so
@@ -381,8 +344,8 @@ class WriterCollector(_TallyingCollector):
         self._write = writer.write
 
     def collect(self, key: Any, value: Any) -> None:
-        key = deep_copy_value(key)
-        value = deep_copy_value(value)
+        get, other = TRANSPORT_COPIES.get, copy_unregistered
+        key, value = get(type(key), other)(key), get(type(value), other)(value)
         self._keep((key, value))
         self._write(key, value)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from repro.kvstore.paths import least_common_ancestor
+from repro.kvstore.paths import ancestors, least_common_ancestor
 
 
 class LockOrderViolation(RuntimeError):
@@ -53,6 +53,14 @@ def growing_phase(paths: Sequence[str]) -> List[str]:
         if lca != order[0]:
             order.insert(0, lca)
     return order
+
+
+def creation_locks(path: str) -> List[str]:
+    """What an operation that may add ``path`` to the namespace locks, in
+    :func:`growing_phase` order: each ancestor below the (never deleted)
+    root, a directory that may gain an entry or be created, then ``path``;
+    so it serializes with a delete of any of those directories."""
+    return ancestors(path) + [path]
 
 
 class Transaction:
@@ -117,11 +125,19 @@ class LockTable:
 
     def acquire_all(self, paths: Sequence[str]) -> Transaction:
         """Open a transaction holding every path in ``paths``, taken in
-        :func:`growing_phase` order; a refused acquire releases what the
-        transaction took before it raises."""
+        :func:`growing_phase` order."""
+        return self._open(growing_phase(paths))
+
+    def creating(self, path: str) -> Transaction:
+        """Open a transaction holding :func:`creation_locks` of ``path``."""
+        return self._open(creation_locks(path))
+
+    def _open(self, order: Sequence[str]) -> Transaction:
+        """A transaction holding ``order``, taken in turn; a refused
+        acquire releases what the transaction took before it raises."""
         txn = Transaction(self._locked)
         try:
-            for path in growing_phase(paths):
+            for path in order:
                 txn.acquire(path)
         except LockConflict:
             txn.close()

@@ -16,6 +16,12 @@ def path_components(path: str) -> List[str]:
     return path[1:].split("/")
 
 
+def ancestors(path: str) -> List[str]:
+    """The ancestors of a normalized path below the root, top first."""
+    parts = path.split("/")
+    return ["/".join(parts[:end]) for end in range(2, len(parts))]
+
+
 def least_common_ancestor(paths: Sequence[str]) -> str:
     """The deepest path that is an ancestor-or-self of every input path."""
     if not paths:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fs.filesystem import normalize_path
-from repro.kvstore.locks import LockTable
+from repro.kvstore.locks import LockTable, creation_locks
 from repro.x10.places import Place
 from repro.x10.serializer import pairs_size
 
@@ -141,7 +141,9 @@ class KeyValueStore:
     All public operations are serializable: each opens one transaction on
     :class:`~repro.kvstore.locks.LockTable` and takes the involved path
     locks under two-phase locking with LCA ordering, which the table
-    checks on every acquire.
+    checks on every acquire.  An operation that may create a path (a
+    put, ``mkdirs``, a rename's destination) also locks the path's
+    ancestors, the directories it may add an entry to.
     """
 
     def __init__(self, places: Sequence[Place]):
@@ -193,7 +195,7 @@ class KeyValueStore:
         """Create a directory and its ancestors (idempotent for
         directories; a file on the way raises :class:`PathExistsError`)."""
         path = normalize_path(path)
-        with self._locks.holding(path):
+        with self._locks.creating(path):
             self._mkdirs_unlocked(path)
 
     def _mkdirs_unlocked(self, path: str) -> None:
@@ -233,7 +235,7 @@ class KeyValueStore:
         nbytes: int,
     ) -> None:
         table = self._meta[self._home(path)]
-        with self._locks.holding(path):
+        with self._locks.creating(path):
             meta = table.get(path)
             if meta is None:
                 self._mkdirs_unlocked_parent(path)
@@ -346,7 +348,7 @@ class KeyValueStore:
         dst = normalize_path(dst)
         if src == dst:
             return
-        with self._locks.acquire_all([src, dst]):
+        with self._locks.acquire_all([src, *creation_locks(dst)]):
             dst_home = self._home(dst)
             if dst in self._meta[dst_home]:
                 raise PathExistsError(f"rename target exists: {dst}")

@@ -41,15 +41,10 @@ from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 from repro.api.conf import JobConf
 from repro.api.counters import JobCounter, TaskCounter
 from repro.api.extensions import is_immutable_output, is_temporary_output
-from repro.api.formats import FileOutputFormat
+from repro.api.formats import FileOutputFormat, MaterializedReader
 from repro.api.mapred import Reporter
 from repro.api.splits import InputSplit
-from repro.engine_common import (
-    MaterializedReader,
-    PartitionBuffer,
-    charge_fs_write,
-    is_local_read,
-)
+from repro.engine_common import PartitionBuffer, charge_fs_write, is_local_read
 from repro.hadoop_engine.scheduler import SlotLanes
 from repro.lifecycle.kernels import (
     TaskLedger,

@@ -88,13 +88,8 @@ class CellMatrixBlockWritable(Writable):
         return 12 + self.nnz * (16 + CELL_OVERHEAD_BYTES)
 
     def clone(self) -> "CellMatrixBlockWritable":
-        if type(self) is CellMatrixBlockWritable:
-            return _transport_cell_block(self, Crossing())
-        fresh = CellMatrixBlockWritable(shape=(self.rows, self.cols))
-        fresh.cell_rows = self.cell_rows.copy()
-        fresh.cell_cols = self.cell_cols.copy()
-        fresh.cell_vals = self.cell_vals.copy()
-        return fresh
+        # the table's copy; a subclass comes back a base-class block
+        return _transport_cell_block(self, Crossing())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellMatrixBlockWritable):
@@ -122,7 +117,7 @@ def _transport_cell_block(
 # that is the three array copies; no run sizer, as for the other blocks
 # (a run of blocks is few objects).  ``TaggedBlockWritable`` below holds
 # another Writable, so it stays on the generic walk.
-register_transport(CellMatrixBlockWritable, _transport_cell_block)
+register_transport(CellMatrixBlockWritable, _transport_cell_block, crossing=True)
 
 
 class TaggedBlockWritable(Writable):

@@ -352,10 +352,6 @@ class ColSumsMapper(Mapper):
 # --------------------------------------------------------------------------- #
 
 
-class _Imm:
-    """Mixin marker shared by the optimized variants."""
-
-
 def _immutable_variant(cls: type) -> type:
     return type(cls.__name__ + "Immutable", (cls, ImmutableOutput), {
         "__doc__": f"ImmutableOutput-marked variant of {cls.__name__}."

@@ -19,13 +19,13 @@ object graphs the way X10 would serialize them:
   distinct object costs its full size once and a small back-reference for
   every repeat.  Wire and raw (sharing-ignored) bytes come out of a single
   traversal;
-* :func:`deep_copy_value` — the defensive clone M3R performs when a job does
-  *not* implement ``ImmutableOutput``;
+* :func:`deep_copy_value` — the defensive copy of one record (Hadoop's
+  collectors, M3R's without ``ImmutableOutput``, sequence-file reads);
 * :func:`register_transport` — the per-class ``(size, clone, run size)``
   table the built-in leaf Writables and the array-backed blocks fill at
-  import, consulted before every generic walk below.  Nothing is remembered
-  between two measurements: every registered size is O(1) arithmetic,
-  cheaper than any cache in front of it;
+  import, consulted before every generic walk below, and its copy column
+  :data:`TRANSPORT_COPIES`.  Nothing is remembered between two
+  measurements: every registered size is O(1) arithmetic;
 * :func:`run_size` / :func:`pairs_size` — a whole run (a collector's
   partition, an output file, a KV block) measured in one call, by the
   table's run sizer in one C-level pass where it has one: exactly the sum
@@ -72,9 +72,13 @@ _TRANSPORT: Dict[
     type, Tuple[Callable[[Any], int], Callable[[Any, "Crossing"], Any], Optional[RunSizer]]
 ] = {}
 
+#: The table's copy column: ``TRANSPORT_COPIES[cls](obj)`` deep-copies one
+#: object of exactly ``cls``, for one ``dict.get`` at a copy site.
+TRANSPORT_COPIES: Dict[type, Callable[[Any], Any]] = {}
+
 
 def register_transport(
-    cls: type, clone: Callable[[Any, "Crossing"], Any], run_sizer: Optional[RunSizer] = None
+    cls: type, clone: Callable[..., Any], run_sizer: Optional[RunSizer] = None, *, crossing: bool
 ) -> None:
     """Give instances of exactly ``cls`` the table fast path.
 
@@ -89,8 +93,13 @@ def register_transport(
     stays on the generic walk.  ``run_sizer`` is what :func:`run_size`
     calls for a run of exactly ``cls``; without one, runs are measured
     object by object.
+
+    ``crossing`` says whether ``clone`` consults its crossing: the copy
+    of one object is then ``clone(obj, Crossing())``, else ``clone(obj)``,
+    which builds none (``clone`` must default the argument).
     """
     _TRANSPORT[cls] = (cls.serialized_size, clone, run_sizer)
+    TRANSPORT_COPIES[cls] = (lambda obj: clone(obj, Crossing())) if crossing else clone
 
 
 def fixed_width_run(cls: type) -> RunSizer:
@@ -673,13 +682,16 @@ def clone_pairs(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
     ]
 
 
-def deep_copy_value(value: Any) -> Any:
-    """The defensive clone M3R applies without ``ImmutableOutput``.
-
-    Writables implement ``clone()`` (matching Hadoop's
-    ``WritableUtils.clone``); anything else is deep-copied.
-    """
+def copy_unregistered(value: Any) -> Any:
+    """The copy of an object outside the table: its ``clone()`` (Hadoop's
+    ``WritableUtils.clone``), else ``copy.deepcopy``."""
     clone_fn = getattr(value, "clone", None)
     if callable(clone_fn):
         return clone_fn()
     return copy.deepcopy(value)
+
+
+def deep_copy_value(value: Any) -> Any:
+    """The defensive copy of one key or value: its exact class's table
+    copier, else :func:`copy_unregistered` (inlined at the copy sites)."""
+    return TRANSPORT_COPIES.get(type(value), copy_unregistered)(value)

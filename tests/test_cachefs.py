@@ -100,6 +100,31 @@ class TestKeyValueCache:
         names = ["/a/x", "/a/y", "/b/y"]
         assert _file_names(cache) == (names, names)
 
+    def test_rename_path_under_a_cached_file_moves_nothing(self):
+        """``/a/x/q`` would land under the file ``/b/x``: the rename is
+        refused before ``/a/p`` moves, and the governor's ledger, charged
+        to a tenant that owns ``/b``, stays where it was."""
+        governor = MemoryGovernor()
+        governor.register_tenant("b", ["/b"])
+        cache = KeyValueCache([Place(i) for i in range(4)], governor=governor)
+        for place, path in enumerate(("/a/p", "/a/x/q", "/b/x")):
+            cache.put_file(path, place, PAIRS, 10 * (place + 1))
+
+        def state():
+            return (
+                _file_names(cache),
+                sorted((e.name, e.path, e.place_id, e.nbytes) for e in cache.entries()),
+                [cache.paths_under(p) for p in ("/", "/a", "/b", "/b/x")],
+                [governor.budget.occupancy(place) for place in range(4)],
+                governor.tenant_snapshot(),
+            )
+
+        before = state()
+        with pytest.raises(PathExistsError):
+            cache.rename_path("/a", "/b")
+        assert state() == before
+        assert before[0] == (["/a/p", "/a/x/q", "/b/x"],) * 2
+
     def test_rename_path_onto_a_resident_name_from_a_spilled_one(self):
         governor = MemoryGovernor(
             budget=WatermarkLedger(100, 0.9, 0.75),

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.conf import JobConf
 from repro.api.counters import Counters, TaskCounter
-from repro.api.formats import SequenceFileOutputFormat
+from repro.api.formats import MaterializedReader, SequenceFileOutputFormat
 from repro.api.job import JobSpec
 from repro.api.mapred import Reporter
 from repro.api.partitioner import HashPartitioner, Partitioner
@@ -17,7 +17,6 @@ from repro.engine_common import (
     CollectorSink,
     CountingReader,
     EngineResult,
-    MaterializedReader,
     PartitionBuffer,
     WriterCollector,
     run_combiner_if_any,

@@ -53,6 +53,7 @@ from scipy.sparse import _compressed
 from workloads import make_hadoop, make_m3r
 
 from repro.api import job as job_module
+from repro.api import writables
 from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY
 from repro.api.counters import Counters, TaskCounter
 from repro.api.partitioner import Partitioner
@@ -99,8 +100,8 @@ def estimate_calls(profile):
 
 def count_calls(monkeypatch, make_engine, lines_per_part, imc=False):
     """Run the job under counting shims and a profile; returns (increments,
-    compares, map input records, estimate_size calls).  ``imc`` runs it
-    batched with in-mapper combining."""
+    compares, map input records, estimate_size calls, the profile).
+    ``imc`` runs it batched with in-mapper combining."""
     calls = {"increment": 0, "compare": 0}
     increment, compare = Counters.increment, job_module._natural_compare
 
@@ -133,7 +134,7 @@ def count_calls(monkeypatch, make_engine, lines_per_part, imc=False):
                 profile.disable()
         assert result.succeeded, result.error
         records = result.counters.value(TaskCounter.MAP_INPUT_RECORDS)
-        return calls["increment"], calls["compare"], records, estimate_calls(profile)
+        return calls["increment"], calls["compare"], records, estimate_calls(profile), profile
     finally:
         engine.shutdown()
 
@@ -163,6 +164,45 @@ def test_size_estimates_do_not_grow_with_records(make_engine, imc, monkeypatch):
     large = count_calls(monkeypatch, make_engine, lines_per_part=30, imc=imc)
     assert (small[2], large[2]) == (PARTS * 6, PARTS * 30)
     assert small[3] == large[3]  # runs are sized per run, not per record
+
+
+def copy_calls(profile):
+    """What the profiled job did to copy records: calls of any ``clone``, of
+    ``copy.deepcopy`` and of ``deep_copy_value``; ``set`` / ``get`` calls
+    made by ``_reuse_into``; calls of the table's ``Text`` and scalar
+    copiers."""
+    counts = {"clone": 0, "deepcopy": 0, "deep_copy_value": 0, "reuse_set_get": 0,
+              "table_copies": 0, "reuse_into": 0}
+    for (path, _, name), stat in pstats.Stats(profile).stats.items():
+        if name in ("clone", "deepcopy", "deep_copy_value"):
+            counts[name] += stat[1]
+        elif name in ("transport", "_transport_text") and path == writables.__file__:
+            counts["table_copies"] += stat[1]
+        elif name == "_reuse_into":
+            counts["reuse_into"] += stat[1]
+        elif name in ("set", "get") and path == writables.__file__:
+            counts["reuse_set_get"] += sum(
+                caller[1] for (_, _, caller_name), caller in stat[4].items()
+                if caller_name == "_reuse_into"
+            )
+    return counts
+
+
+def test_hadoop_copies_each_record_by_one_table_lookup(monkeypatch):
+    """Hadoop snapshots every collected pair and reuses its map input
+    objects.  A ``Text`` / ``IntWritable`` record is copied by its table
+    copier, looked up at the copy site, and refilled by one field copy:
+    no ``clone()``, no deep copy, no ``deep_copy_value`` hop and no
+    ``set(get())`` at either size."""
+    small, large = (
+        copy_calls(count_calls(monkeypatch, make_hadoop, lines_per_part=lines)[4])
+        for lines in (6, 30)
+    )
+    for counts in (small, large):
+        assert counts["clone"] == counts["deepcopy"] == counts["deep_copy_value"] == 0
+        assert counts["reuse_set_get"] == 0
+    assert 0 < small["reuse_into"] < large["reuse_into"]
+    assert 0 < small["table_copies"] < large["table_copies"]
 
 
 def count_block_calls(monkeypatch, make_engine, block):

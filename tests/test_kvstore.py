@@ -20,7 +20,8 @@ from repro.kvstore import (
     least_common_ancestor,
     path_components,
 )
-from repro.kvstore.locks import LockConflict, growing_phase
+from repro.kvstore.locks import LockConflict, creation_locks, growing_phase
+from repro.kvstore.paths import ancestors
 from repro.x10.places import Place
 
 
@@ -44,6 +45,9 @@ def store():
 # --------------------------------------------------------------------- #
 
 _DONE = object()
+
+#: A directory in the model state.
+DIR = "dir"
 
 
 class _World:
@@ -128,12 +132,20 @@ def assert_serializable(programs, state=()):
     return finals
 
 
+def _mkdirs_parent(state, path):
+    for directory in ancestors(path):
+        state.setdefault(directory, DIR)
+
+
 def put(path, block):
-    """``_commit_block``: the file's own path; appends one block."""
+    """``_commit_block``: the file's :func:`creation_locks`; makes its
+    parent directories and appends one block."""
     def program(state):
-        yield path
+        for lock in creation_locks(path):
+            yield lock
         blocks = state.get(path, ())
         yield None
+        _mkdirs_parent(state, path)
         state[path] = blocks + (block,)
     return program
 
@@ -147,27 +159,29 @@ def read(path):
 
 
 def rename(src, dst):
-    """``rename``: ``acquire_all([src, dst])``; moves nothing when ``dst``
-    exists or ``src`` does not."""
+    """``rename``: ``acquire_all([src, *creation_locks(dst)])``; moves
+    nothing when ``dst`` exists or ``src`` does not."""
     def program(state):
-        for path in growing_phase([src, dst]):
+        for path in growing_phase([src, *creation_locks(dst)]):
             yield path
         if dst in state or src not in state:
             return
         moved = state.pop(src)
         yield None
+        _mkdirs_parent(state, dst)
         state[dst] = moved
     return program
 
 
 def delete_tree(directory):
     """``delete`` of a directory: the directory, then the children one
-    scan found, sorted."""
+    scan found, sorted; removes the directory, then each child."""
     def program(state):
         yield directory
         children = sorted(p for p in state if p.startswith(directory + "/"))
         for child in children:
             yield child
+        state.pop(directory, None)
         for child in children:
             state.pop(child, None)
             yield None
@@ -242,9 +256,9 @@ class TestLockTable:
             [swap("/x/a", "/x/b"), swap("/x/b", "/x/a"), put("/x/b", "w")],
             {"/x/a": ("a",)},
         )
-        # Of the 10! / (4! 4! 2!) = 3 150 step orders, the 26 in which no
-        # path is acquired while held.
-        assert len(finals) == 26
+        # Each takes /x first — the swaps as the LCA, the put as the
+        # directory of /x/b — so the 3! serial orders are the only ones.
+        assert len(finals) == 6
 
     def test_acquire_all_empty(self):
         with LockTable().acquire_all([]):
@@ -444,8 +458,10 @@ class TestStoreConcurrency:
         finals = assert_serializable(
             [put(f"/w{t}/f", t) for t in range(3)]
         )
-        assert len(finals) == 90  # 6! / (2! 2! 2!): nothing ever waits
-        assert set(finals) == {tuple((f"/w{t}/f", (t,)) for t in range(3))}
+        assert len(finals) == 1680  # 9! / (3! 3! 3!): nothing ever waits
+        assert set(finals) == {
+            tuple(sorted([(f"/w{t}", DIR) for t in range(3)] + [(f"/w{t}/f", (t,)) for t in range(3)]))
+        }
 
     def test_concurrent_same_path_appends_all_survive(self):
         finals = assert_serializable([put("/hot", t) for t in range(3)])
@@ -467,8 +483,27 @@ class TestStoreConcurrency:
         serialize with it."""
         assert_serializable(
             [delete_tree("/d"), put("/d/a", "w"), rename("/d/b", "/e")],
-            {"/d/a": ("a",), "/d/b": ("b",)},
+            {"/d": DIR, "/d/a": ("a",), "/d/b": ("b",)},
         )
+
+    @pytest.mark.parametrize(
+        "create",
+        [
+            pytest.param(put("/d/c", "w"), id="put"),
+            pytest.param(put("/d/e/c", "w"), id="put-making-a-directory"),
+            pytest.param(rename("/x", "/d/c"), id="rename-into"),
+        ],
+    )
+    def test_a_new_child_serializes_with_the_delete_of_its_directory(self, create):
+        """Creating a path under ``/d`` adds an entry to ``/d``, so it locks
+        ``/d``: no interleaving with the delete of ``/d`` ends with the new
+        path and no ``/d``."""
+        finals = assert_serializable(
+            [delete_tree("/d"), create], {"/d": DIR, "/d/a": ("a",), "/x": ("x",)}
+        )
+        for final in map(dict, finals):
+            if "/d/c" in final or "/d/e/c" in final:
+                assert final.get("/d") == DIR, final
 
 
 @given(

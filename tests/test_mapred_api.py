@@ -6,6 +6,7 @@ import pytest
 
 from repro.api.conf import JobConf
 from repro.api.extensions import ImmutableOutput, is_immutable_output
+from repro.api.formats import MaterializedReader
 from repro.api.mapred import (
     DefaultMapRunnable,
     FreshObjectMapRunnable,
@@ -16,7 +17,6 @@ from repro.api.mapred import (
     Reporter,
 )
 from repro.api.writables import IntWritable, Text
-from repro.engine_common import MaterializedReader
 
 
 class ListCollector(OutputCollector):

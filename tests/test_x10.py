@@ -17,6 +17,7 @@ from scipy import sparse
 from repro import engine_common
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api import writables
+from repro.api.mapred import _reuse_into
 from repro.api.writables import (
     ArrayWritable,
     BlockIndexWritable,
@@ -34,6 +35,8 @@ from repro.api.writables import (
     VIntWritable,
     Writable,
     WritableComparable,
+    writable_from_bytes,
+    writable_to_bytes,
 )
 from repro.sysml import blocks
 from repro.sysml.blocks import CellMatrixBlockWritable, TaggedBlockWritable
@@ -48,6 +51,7 @@ from repro.x10.serializer import (
     _TRANSPORT,
     BACKREF_BYTES,
     OBJECT_HEADER_BYTES,
+    TRANSPORT_COPIES,
     Crossing,
     _columns,
     _dual_size_of,
@@ -846,3 +850,144 @@ class TestRunSize:
         assert not with_sizer & PER_OBJECT_ON_PURPOSE
         for sample in one_of_each():
             assert run_size([sample] * 3) == 3 * estimate_size(sample)
+
+
+# --------------------------------------------------------------------- #
+# the copy table: one exact-class lookup per defensive copy
+# --------------------------------------------------------------------- #
+
+
+def _matrix(shape, density, seed):
+    rows, cols = shape
+    return sparse.random(rows, cols, density=density, format="csc", random_state=seed)
+
+
+_SHAPES = st.tuples(st.integers(0, 6), st.integers(0, 6))
+_DENSITY = st.sampled_from([0.0, 0.3, 1.0])
+_FLOATS = st.floats(width=32)  # a DoubleWritable takes any, FloatWritable rounds
+
+#: Generated values of every registered class; the examples below add an
+#: empty block of each kind and the NaNs.
+_REGISTERED = st.one_of(
+    st.integers(-(2**31), 2**31 - 1).map(IntWritable),
+    st.integers(-(2**63), 2**63 - 1).map(LongWritable),
+    st.integers(-(2**40), 2**40).map(VIntWritable),
+    st.floats().map(FloatWritable),
+    st.floats().map(DoubleWritable),
+    st.booleans().map(BooleanWritable),
+    _ANY_TEXT.map(Text),
+    st.binary(max_size=64).map(BytesWritable),
+    st.just(NullWritable()),
+    st.tuples(st.integers(-5, 99), st.integers(-5, 99)).map(
+        lambda cell: BlockIndexWritable(*cell)
+    ),
+    st.builds(_matrix, _SHAPES, _DENSITY, st.integers(0, 9)).map(MatrixBlockWritable),
+    st.builds(_matrix, _SHAPES, _DENSITY, st.integers(0, 9)).map(CellMatrixBlockWritable),
+    st.lists(_FLOATS, max_size=8).map(lambda values: VectorBlockWritable(np.array(values))),
+)
+
+
+def _arrays(obj):
+    """Every ndarray reachable from ``obj``."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _ATOMS) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        stack.extend(_children(item))
+    return found
+
+
+class TestCopyTable:
+    """``deep_copy_value``, ``clone()`` and the wire round trip agree for
+    every registered class: the table's copy is an exact copy."""
+
+    def test_every_registered_class_is_generated(self):
+        assert set(TRANSPORT_COPIES) == set(_TRANSPORT)
+        drawn = set()
+
+        @given(_REGISTERED)
+        @settings(max_examples=400, deadline=None)
+        def collect(value):
+            drawn.add(type(value))
+
+        collect()
+        assert drawn == set(_TRANSPORT)
+
+    @given(_REGISTERED)
+    @example(FloatWritable(float("nan")))
+    @example(DoubleWritable(float("nan")))
+    @example(MatrixBlockWritable())
+    @example(VectorBlockWritable())
+    @example(CellMatrixBlockWritable())
+    @example(Text(""))
+    @example(BytesWritable(b""))
+    @settings(max_examples=300, deadline=None)
+    def test_three_copies_agree(self, value):
+        wire = writable_to_bytes(value)
+        copies = (
+            deep_copy_value(value),
+            value.clone(),
+            writable_from_bytes(type(value), wire),
+        )
+        originals = {id(array) for array in _arrays(value)}
+        for copied in copies:
+            assert type(copied) is type(value)
+            assert writable_to_bytes(copied) == wire  # equal, NaN included
+            if value == value:  # a NaN equals nothing, itself included
+                assert copied == value
+            # NullWritable is a singleton, as copy.deepcopy of it is
+            assert (copied is value) == (type(value) is NullWritable)
+            arrays = _arrays(copied)
+            assert not originals & {id(array) for array in arrays}
+            assert not any(
+                np.shares_memory(mine, theirs)
+                for mine in arrays
+                for theirs in _arrays(value)
+            )
+
+    def test_only_the_blocks_build_a_crossing(self, monkeypatch):
+        built = []
+
+        class CountingCrossing(Crossing):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(serializer_module, "Crossing", CountingCrossing)
+        monkeypatch.setattr(blocks, "Crossing", CountingCrossing)
+        for sample in one_of_each():
+            deep_copy_value(sample)
+            sample.clone()
+        assert built == []
+        for sample in one_of_each_block():
+            deep_copy_value(sample)
+            sample.clone()
+        assert len(built) == 2 * len(one_of_each_block())
+
+    def test_reuse_of_a_table_class_is_what_the_probes_decide(self):
+        """``_reuse_into`` decides a table class by its class; the answer
+        is the one probing the objects would give: refill the reused
+        object when it has ``set`` and ``get``, else hand on the new one."""
+        for sample in one_of_each() + one_of_each_block():
+            reused = deep_copy_value(sample)
+            refills = callable(getattr(reused, "read_instance", None)) or (
+                callable(getattr(reused, "set", None))
+                and callable(getattr(sample, "get", None))
+            )
+            arrived = _reuse_into(reused, sample)
+            assert (arrived is sample) == (not refills), type(sample)
+            assert writable_to_bytes(arrived) == writable_to_bytes(sample)
+
+    def test_a_subclass_takes_the_round_trip(self):
+        for value in (ShoutedText("loud"), TaggedInt(4, tag="t")):
+            assert type(value) not in TRANSPORT_COPIES
+            for copied in (deep_copy_value(value), value.clone()):
+                assert type(copied) is type(value) and copied is not value
+                assert writable_to_bytes(copied) == writable_to_bytes(value)
+        # the round trip writes what the class writes: TaggedInt's tag is
+        # not on its wire, so its clone comes back with the default
+        assert TaggedInt(4, tag="t").clone().tag == [""]
