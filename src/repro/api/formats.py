@@ -72,6 +72,16 @@ class MaterializedReader(RecordReader):
             return get(type(key), other)(key), get(type(value), other)(value)
         return key, value
 
+    def take_run(self) -> Optional[List[Tuple[Any, Any]]]:
+        """Every unread record in one list, when the reader copies nothing
+        (the list itself when nothing was read yet); ``None`` for a
+        cloning reader, whose records are handed out one by one."""
+        if self._clone:
+            return None
+        rest = self._pairs if self._index == 0 else self._pairs[self._index :]
+        self._index = len(self._pairs)
+        return rest
+
     def take_batch(self, n: int) -> List[Tuple[Any, Any]]:
         """Native batch slice (same records, same order as ``next_pair``)."""
         chunk = self._pairs[self._index : self._index + n]
@@ -85,6 +95,15 @@ class MaterializedReader(RecordReader):
         if not self._pairs:
             return 1.0
         return self._index / len(self._pairs)
+
+
+def read_all(reader: RecordReaderLike) -> List[Tuple[Any, Any]]:
+    """Every record ``reader`` has left, in one new list: a
+    :class:`MaterializedReader`'s rest in one ``take_batch``, any other
+    reader's by one ``next_pair`` call per record."""
+    if isinstance(reader, MaterializedReader):
+        return reader.take_batch(len(reader._pairs))
+    return list(iter(reader.next_pair, None))
 
 
 class RecordWriter:

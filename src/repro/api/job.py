@@ -21,7 +21,6 @@ The immutability rules of paper Section 4.1 are encoded here:
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -95,35 +94,40 @@ _key_of = operator.itemgetter(0)
 _value_of = operator.itemgetter(1)
 
 
-def _raw_pair_key(pairs: Iterable[Pair]) -> Optional[PairKey]:
-    """The natural order of ``pairs`` as a key of built-in values, if it has
+def _raw_key_column(pairs: List[Pair]) -> Optional[List[Any]]:
+    """The raw form of every key of ``pairs``, in run order, if the run has
     one: every key is of one exact class with an entry in
     :data:`~repro.api.writables.RAW_SORT_KEYS`.  Such keys compare in C,
     and since they order and equate exactly as ``compare_to`` does, a
-    stable sort, a stable merge and a grouping over them return what the
-    comparator returns, object for object.  Anything else — a subclass, an
+    stable sort and a grouping over them return what the comparator
+    returns, object for object.  Anything else — a subclass, an
     unregistered or plain-Python key, a run mixing classes — gets None."""
-    classes = set(map(type, map(_key_of, pairs)))
+    keys = list(map(_key_of, pairs))
+    classes = set(map(type, keys))
     raw = RAW_SORT_KEYS.get(classes.pop()) if len(classes) == 1 else None
     if raw is None:
         return None
-    return lambda pair: raw(pair[0])
+    return list(map(raw, keys))
 
 
 def sort_run(pairs: List[Pair], key: PairKey) -> List[Pair]:
-    """``sorted(pairs, key=key)``, on raw keys when ``key`` is the natural
-    order and the run has them."""
+    """``sorted(pairs, key=key)``.  When ``key`` is the natural order and
+    the run has raw keys, the run is ordered through its raw-key column:
+    ``range(n)`` sorted by column position, then the pairs picked in that
+    order, all without a Python call per pair."""
     if key is NATURAL_SORT_KEY:
-        key = _raw_pair_key(pairs) or key
+        column = _raw_key_column(pairs)
+        if column is not None:
+            order = sorted(range(len(column)), key=column.__getitem__)
+            return list(map(pairs.__getitem__, order))
     return sorted(pairs, key=key)
 
 
 def merge_runs(runs: List[List[Pair]], key: PairKey) -> List[Pair]:
-    """Stable k-way merge of runs sorted by ``key`` (ties keep run order),
-    on raw keys under the same condition as :func:`sort_run`."""
-    if key is NATURAL_SORT_KEY:
-        key = _raw_pair_key(itertools.chain.from_iterable(runs)) or key
-    return list(heapq.merge(*runs, key=key))
+    """Merge runs sorted by ``key``: a :func:`sort_run` of their
+    concatenation.  Timsort finds the runs and merges them, and it is
+    stable, so ties keep run order."""
+    return sort_run(list(itertools.chain.from_iterable(runs)), key)
 
 
 @dataclass
@@ -424,14 +428,31 @@ class JobSpec:
     def group_sorted_pairs(
         self, pairs: List[Tuple[Any, Any]]
     ) -> Iterator[Tuple[Any, List[Any]]]:
-        """Group an already-sorted run of pairs with the grouping comparator
-        (on raw keys when that is the natural order and the run has them)."""
-        raw = _raw_pair_key(pairs) if self.group_cmp is _natural_compare else None
-        if raw is not None:
-            for _, group in itertools.groupby(pairs, key=raw):
-                members = list(group)
-                yield members[0][0], list(map(_value_of, members))
-            return
+        """Group an already-sorted run of pairs with the grouping comparator.
+
+        On raw keys, when that is the natural order and the run has them, a
+        group starts wherever a raw key differs from the one before, and its
+        values are one slice of the value column: the groups are built
+        without a Python call per pair or per group."""
+        column = _raw_key_column(pairs) if self.group_cmp is _natural_compare else None
+        if column is None:
+            return self._group_by_comparator(pairs)
+        starts = [
+            0,
+            *itertools.compress(
+                range(1, len(column)),
+                map(operator.ne, itertools.islice(column, 1, None), column),
+            ),
+        ]
+        values = list(map(_value_of, pairs))
+        return zip(
+            map(_key_of, map(pairs.__getitem__, starts)),
+            map(values.__getitem__, map(slice, starts, starts[1:] + [len(values)])),
+        )
+
+    def _group_by_comparator(
+        self, pairs: Iterable[Tuple[Any, Any]]
+    ) -> Iterator[Tuple[Any, List[Any]]]:
         group_key: Any = None
         group_values: List[Any] = []
         for key, value in pairs:

@@ -17,7 +17,7 @@ automatically replacing it".
 
 from __future__ import annotations
 
-from typing import Any, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Any, Generic, Iterable, Iterator, Optional, Tuple, TypeVar
 
 from repro.api.conf import JobConf
 from repro.api.counters import Counters
@@ -196,19 +196,16 @@ class DefaultMapRunnable(MapRunnable):
         self.mapper = mapper
 
     def run(self, reader: RecordReaderLike, output: OutputCollector, reporter: Reporter) -> None:
+        map_fn = self.mapper.map
         reused_key: Any = None
         reused_value: Any = None
-        while True:
-            pair = reader.next_pair()
-            if pair is None:
-                break
-            key, value = pair
+        for key, value in records_of(reader):
             # Mutate the reused objects in place when the types allow it —
             # this is the Hadoop object-reuse optimization, reproduced
             # faithfully because it is what breaks naive aliasing.
             reused_key = _reuse_into(reused_key, key)
             reused_value = _reuse_into(reused_value, value)
-            self.mapper.map(reused_key, reused_value, output, reporter)
+            map_fn(reused_key, reused_value, output, reporter)
 
 
 class FreshObjectMapRunnable(MapRunnable, ImmutableOutput):
@@ -224,12 +221,18 @@ class FreshObjectMapRunnable(MapRunnable, ImmutableOutput):
         self.mapper = mapper
 
     def run(self, reader: RecordReaderLike, output: OutputCollector, reporter: Reporter) -> None:
-        while True:
-            pair = reader.next_pair()
-            if pair is None:
-                break
-            key, value = pair
-            self.mapper.map(key, value, output, reporter)
+        map_fn = self.mapper.map
+        for key, value in records_of(reader):
+            map_fn(key, value, output, reporter)
+
+
+def records_of(reader: RecordReaderLike) -> Iterable[Tuple[Any, Any]]:
+    """Every record ``reader`` has left: its unread run in one step when it
+    hands one over whole (``take_run``: an aliasing cache hit), else one
+    ``next_pair`` call per record."""
+    take_run = getattr(reader, "take_run", None)
+    run = take_run() if take_run is not None else None
+    return run if run is not None else iter(reader.next_pair, None)
 
 
 def _reuse_into(reused: Any, incoming: Any) -> Any:

@@ -521,7 +521,8 @@ class MatrixBlockWritable(Writable):
     def clone(self) -> "MatrixBlockWritable":
         if type(self) is MatrixBlockWritable:
             return super().clone()
-        return MatrixBlockWritable(self.matrix.copy())
+        # a subclass keeps its class and extra fields: the transport's copy
+        return Crossing().clone(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixBlockWritable):
@@ -562,7 +563,8 @@ class VectorBlockWritable(Writable):
     def clone(self) -> "VectorBlockWritable":
         if type(self) is VectorBlockWritable:
             return super().clone()
-        return VectorBlockWritable(self.values.copy())
+        # a subclass keeps its class and extra fields: the transport's copy
+        return Crossing().clone(self)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VectorBlockWritable) and np.array_equal(

@@ -6,14 +6,16 @@ around it*.  This module holds the parts that are engine-agnostic:
 
 * :class:`EngineResult` — what a run returns (success, simulated seconds,
   counters, metrics, output paths);
-* :class:`CountingReader` / :class:`MaterializedReader` — record sources that
-  keep the system counters honest regardless of which MapRunnable drives the
-  task;
+* :class:`CountingReader` — the record source that keeps the system
+  counters honest regardless of which MapRunnable drives the task, whether
+  records are handed out one by one or, from an aliasing cache hit, as one
+  run;
 * :class:`CollectorSink` — the engine-side OutputCollector that partitions
   map output, applies the engine's per-record policy (serialize-now for
   Hadoop, clone-or-alias for M3R) and appends each record to its
-  partition's run.  Nothing is sized per record: at task close ``seal()``
-  measures each run once (:func:`~repro.x10.serializer.pairs_size`);
+  partition's run, through a ``collect`` chosen once per sink.  Nothing
+  is sized per record: at task close ``seal()`` measures each run once
+  (:func:`~repro.x10.serializer.pairs_size`);
 * the per-task counter deltas: readers and sinks tally the per-record
   system counters in plain ints and publish them to the job's
   :class:`~repro.api.counters.Counters` once, in ``flush_counters()``,
@@ -27,7 +29,7 @@ around it*.  This module holds the parts that are engine-agnostic:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.conf import (
@@ -156,7 +158,8 @@ def charge_fs_write(engine: Any, nbytes: int, metrics: Metrics) -> float:
 class CountingReader(RecordReader):
     """Wraps a reader so MAP_INPUT_RECORDS is counted by the engine, not by
     whichever MapRunnable happens to drive the task: every record handed
-    out is tallied in ``records`` and published by ``flush_counters()``."""
+    out — one by one, or in the run :meth:`take_run` hands over — is
+    tallied in ``records`` and published by ``flush_counters()``."""
 
     def __init__(self, inner: RecordReader, counters: Counters):
         self._inner = inner
@@ -169,6 +172,16 @@ class CountingReader(RecordReader):
         if pair is not None:
             self.records += 1
         return pair
+
+    def take_run(self) -> Optional[List[Tuple[Any, Any]]]:
+        """The inner reader's unread records in one list, counted at once,
+        when it hands them over whole (an aliasing
+        :class:`~repro.api.formats.MaterializedReader`); else ``None``."""
+        take_run = getattr(self._inner, "take_run", None)
+        run = take_run() if take_run is not None else None
+        if run is not None:
+            self.records += len(run)
+        return run
 
     def flush_counters(self) -> None:
         """Publish the task's MAP_INPUT_RECORDS (idempotent; an empty task
@@ -296,36 +309,71 @@ class CollectorSink(_TallyingCollector):
             raise ValueError("need at least one partition")
         super().__init__(counters, output_counter, copies=copies)
         self.partitions = [PartitionBuffer() for _ in range(num_partitions)]
-        # Hot-loop hoists: collect() runs once per record, so the runs'
-        # appends and the partition count are resolved here instead of
-        # there.
-        self._appends = [buffer.pairs.append for buffer in self.partitions]
-        self._num_partitions = num_partitions
-        self._get_partition = (
-            partitioner.get_partition if partitioner is not None else None
+        self.collect = _collect_into(
+            [buffer.pairs.append for buffer in self.partitions],
+            partitioner.get_partition if partitioner is not None else None,
+            copies,
         )
 
-    def collect(self, key: Any, value: Any) -> None:
-        if self._copies:
-            get, other = TRANSPORT_COPIES.get, copy_unregistered
+
+def _out_of_range(partition: int, num_partitions: int) -> ValueError:
+    return ValueError(f"partitioner returned {partition} outside [0, {num_partitions})")
+
+
+def _collect_into(
+    appends: List[Callable[[Tuple[Any, Any]], None]],
+    get_partition: Optional[Callable[[Any, Any, int], int]],
+    copies: bool,
+) -> Callable[[Any, Any], None]:
+    """A sink's ``collect``, decided once per sink: the record policy (the
+    clone, or, on the alias path, the sanitizer's observe when it is on),
+    the partitioner call and its bounds check when there is a partitioner,
+    and one append to the partition's run.  Each variant is one closure,
+    so a record costs one Python-level call besides the partitioner."""
+    get, other = TRANSPORT_COPIES.get, copy_unregistered
+    num_partitions = len(appends)
+    append = appends[0]
+
+    if get_partition is None and copies:
+
+        def collect(key: Any, value: Any) -> None:
+            append((get(type(key), other)(key), get(type(value), other)(value)))
+
+    elif get_partition is None:
+
+        def collect(key: Any, value: Any) -> None:
+            append((key, value))
+
+    elif copies:
+
+        def collect(key: Any, value: Any) -> None:
             key, value = get(type(key), other)(key), get(type(value), other)(value)
-        elif MUTATION_SANITIZER.enabled:
-            # Aliased records are covered by the ImmutableOutput contract
-            # from the moment they are collected: fingerprint them here so
-            # a later mutation is caught at the next send or cache read.
-            MUTATION_SANITIZER.observe(key, site="CollectorSink.collect")
-            MUTATION_SANITIZER.observe(value, site="CollectorSink.collect")
-        get_partition = self._get_partition
-        if get_partition is not None:
-            partition = get_partition(key, value, self._num_partitions)
-            if not 0 <= partition < self._num_partitions:
-                raise ValueError(
-                    f"partitioner returned {partition} outside "
-                    f"[0, {self._num_partitions})"
-                )
-        else:
-            partition = 0
-        self._appends[partition]((key, value))
+            partition = get_partition(key, value, num_partitions)
+            if not 0 <= partition < num_partitions:
+                raise _out_of_range(partition, num_partitions)
+            appends[partition]((key, value))
+
+    else:
+
+        def collect(key: Any, value: Any) -> None:
+            partition = get_partition(key, value, num_partitions)
+            if not 0 <= partition < num_partitions:
+                raise _out_of_range(partition, num_partitions)
+            appends[partition]((key, value))
+
+    if copies or not MUTATION_SANITIZER.enabled:
+        return collect
+    aliased, observe = collect, MUTATION_SANITIZER.observe
+
+    def collect(key: Any, value: Any) -> None:
+        # Aliased records are covered by the ImmutableOutput contract from
+        # the moment they are collected: fingerprint them here so a later
+        # mutation is caught at the next send or cache read.
+        observe(key, site="CollectorSink.collect")
+        observe(value, site="CollectorSink.collect")
+        aliased(key, value)
+
+    return collect
 
 
 class WriterCollector(_TallyingCollector):

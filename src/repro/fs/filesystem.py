@@ -22,7 +22,25 @@ from repro.x10.serializer import pairs_size
 
 
 def normalize_path(path: str) -> str:
-    """Normalize to an absolute, slash-separated, no-trailing-slash path."""
+    """Normalize to an absolute, slash-separated, no-trailing-slash path.
+
+    A path that is already normal — a leading ``/``, no empty, ``.`` or
+    ``..`` part, no trailing ``/`` unless it is the root — comes back as
+    it is, without a split; anything else goes through
+    :func:`_normalize_parts`."""
+    if (
+        path.startswith("/")
+        and "//" not in path
+        and "/." not in path
+        and (path == "/" or not path.endswith("/"))
+    ):
+        return path
+    return _normalize_parts(path)
+
+
+def _normalize_parts(path: str) -> str:
+    """:func:`normalize_path` part by part: drop empty and ``.`` parts,
+    resolve ``..`` (raising if it escapes the root)."""
     if not path:
         raise ValueError("empty path")
     if not path.startswith("/"):

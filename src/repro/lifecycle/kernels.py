@@ -230,7 +230,7 @@ def run_reduce_kernel(
     reporter: Reporter,
     task_conf: JobConf,
 ) -> float:
-    """The middle of a reduce task: k-way merge of the pre-sorted runs,
+    """The middle of a reduce task: merge the pre-sorted runs,
     group, drive the reducer into the caller's ``sink`` (M3R a buffer it
     caches afterwards, Hadoop a streaming record writer).  The output
     tallies are the sink's; returns the user's charge_compute seconds."""

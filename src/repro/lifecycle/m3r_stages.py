@@ -7,7 +7,7 @@ Section 3.2), decomposed onto the shared :class:`~repro.lifecycle.pipeline.JobPi
     cache-admit → teardown
 
 (map-only jobs skip shuffle/reduce; the combiner is a per-task sub-phase
-of ``map`` and the sort/k-way-merge a per-task sub-phase of ``reduce`` —
+of ``map`` and the sort/merge a per-task sub-phase of ``reduce`` —
 they run inside task bodies, so surfacing them as barrier stages would
 change the simulation).
 
@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 from repro.api.conf import JobConf
 from repro.api.counters import JobCounter, TaskCounter
 from repro.api.extensions import is_immutable_output, is_temporary_output
-from repro.api.formats import FileOutputFormat, MaterializedReader
+from repro.api.formats import FileOutputFormat, MaterializedReader, read_all
 from repro.api.mapred import Reporter
 from repro.api.splits import InputSplit
 from repro.engine_common import PartitionBuffer, charge_fs_write, is_local_read
@@ -159,8 +159,9 @@ class M3RStageProvider(StageProvider):
         The heavy lifting lives in :mod:`repro.shuffle`: a deterministic
         plan, one pass of work per place-to-place message in plan order,
         and a replay of all charges in plan order onto per-place lanes.
-        Runs are sorted map-side and reducers stream a k-way merge.  The
-        replay also narrates each message as a ``shuffle`` TaskEnd event.
+        Runs are sorted map-side and reducers merge them by one stable
+        sort of their concatenation.  The replay also narrates each
+        message as a ``shuffle`` TaskEnd event.
         """
         engine = self.engine
         model = engine.cost_model
@@ -277,7 +278,7 @@ def _m3r_map_task_body(
         )
         identity = engine._split_cache_identity(split)
         if identity is not None and engine.enable_cache:
-            pairs = [pair for pair in iter(raw_reader.next_pair, None)]
+            pairs = read_all(raw_reader)
             nbytes = tally.bytes_read
             engine._cache_insert(identity, place, pairs, nbytes)
             metrics.incr("cache_inserts")
@@ -366,10 +367,9 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> TaskLedger:
     # actual merge.
     task.records = shuffle_input.records
     task.nbytes = shuffle_input.bytes
-    # Runs arrived pre-sorted: stream a k-way merge instead of re-sorting
-    # the concatenation.  heapq.merge is stable and runs are merged in
-    # map-index order, so the output order matches a stable sort of the
-    # concatenated input exactly.
+    # Runs arrived pre-sorted and in map-index order: the kernel merges
+    # them with one stable sort of their concatenation, which Timsort does
+    # run by run, so ties keep map-index order.
     task.charge(
         "merge", model.merge_time(task.records, task.nbytes, len(shuffle_input.runs))
     )

@@ -17,8 +17,9 @@ This package factors it out of the engine into three deterministic stages:
    concurrently, as per-place lanes of the virtual clock.
 
 Reducers receive a :class:`~repro.shuffle.merge.ShuffleInput`: per-mapper
-runs in arrival order, each pre-sorted, so the reduce side streams a
-``heapq.merge`` instead of re-sorting the concatenation.
+runs in arrival order, each pre-sorted, so the reduce side merges them
+with one stable sort of their concatenation, which Timsort does run by
+run.
 """
 
 from repro.shuffle.executor import ShuffleExecutor

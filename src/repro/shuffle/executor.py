@@ -93,8 +93,9 @@ class ShuffleExecutor:
     def execute(self, plan: ShufflePlan, sort_key: SortKey) -> List[Any]:
         """Run every plan item, in plan order; results in plan order.
 
-        Runs are sorted map-side by ``sort_key`` so reducers stream a k-way
-        merge.  An item that raises fails the shuffle at that item.
+        Runs are sorted map-side by ``sort_key`` so a reducer merges them
+        with one stable sort of their concatenation.  An item that raises
+        fails the shuffle at that item.
         """
         return [
             self._prepare_local(item, sort_key)

@@ -1,11 +1,11 @@
-"""Reduce-side shuffle input: per-mapper runs, streamed through a k-way merge.
+"""Reduce-side shuffle input: per-mapper runs, merged by one stable sort.
 
 Each run arrives already sorted by the job's key order (the executor sorts
-map-side), so the reducer consumes a ``heapq.merge`` instead of re-sorting
-the concatenation — O(n log k) comparisons over k runs instead of
-O(n log n), and the order M3R's reducers see is the order a stable sort of
-the concatenation would give because Timsort and the heap merge are both
-stable: ties keep run order, and runs are added in map-index order.
+map-side), so the reducer sorts their concatenation with
+:func:`~repro.api.job.merge_runs`: Timsort finds the k sorted runs and
+merges them, O(n log k) comparisons, and on raw keys it orders one
+raw-key column without a Python call per pair.  The sort is stable, so
+ties keep run order, and runs are added in map-index order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class ShuffleInput:
         self.bytes += nbytes
 
     def merged(self, key: Callable[[Pair], Any]) -> List[Pair]:
-        """K-way merge of the pre-sorted runs."""
+        """The pre-sorted runs merged into one run, ties in run order."""
         if not self.runs:
             return []
         if len(self.runs) == 1:

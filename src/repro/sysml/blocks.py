@@ -88,8 +88,9 @@ class CellMatrixBlockWritable(Writable):
         return 12 + self.nnz * (16 + CELL_OVERHEAD_BYTES)
 
     def clone(self) -> "CellMatrixBlockWritable":
-        # the table's copy; a subclass comes back a base-class block
-        return _transport_cell_block(self, Crossing())
+        # the transport's copy: the table's, or a subclass's deep copy with
+        # its class and extra fields
+        return Crossing().clone(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellMatrixBlockWritable):

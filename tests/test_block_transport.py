@@ -237,6 +237,10 @@ class SubclassMatrix(MatrixBlockWritable):
     pass
 
 
+class SubclassCells(CellMatrixBlockWritable):
+    pass
+
+
 class TestSubclassesTakeTheGenericWalk:
     def test_transport_deep_copies_a_subclass_with_its_extra_field(self, monkeypatch):
         block = SubclassVector(np.arange(3.0))
@@ -252,9 +256,22 @@ class TestSubclassesTakeTheGenericWalk:
         assert type(arrived) is SubclassVector
         assert arrived.note == ["kept"] and arrived.note is not block.note
 
-    def test_clone_of_a_subclass_is_the_constructor_path(self):
-        """As before this table existed: a base-class block, rebuilt."""
-        for block in (SubclassVector(np.arange(3.0)), SubclassMatrix(sparse.identity(2))):
-            clone = block.clone()
-            assert type(clone) is type(block).__mro__[1]
-            assert_same_block(clone, validating_clone(block), block)
+    def test_clone_of_a_subclass_keeps_its_class_and_extra_fields(self):
+        """``clone()`` and ``deep_copy_value`` copy a subclass as the
+        transport does: the same class, its extra fields deep-copied."""
+        blocks = (
+            SubclassVector(np.arange(3.0)),
+            SubclassMatrix(sparse.identity(2, format="csc")),
+            SubclassCells(sparse.identity(2, format="csc")),
+        )
+        for block in blocks:
+            for clone in (block.clone(), deep_copy_value(block)):
+                assert type(clone) is type(block)
+                for mine, original in zip(arrays_of(clone), arrays_of(block)):
+                    assert mine.tobytes() == original.tobytes()
+                    assert not np.shares_memory(mine, original)
+                assert writable_to_bytes(clone) == writable_to_bytes(block)
+                assert vars(clone).keys() == vars(block).keys()
+        vector = blocks[0]
+        for clone in (vector.clone(), deep_copy_value(vector)):
+            assert clone.note == ["kept"] and clone.note is not vector.note

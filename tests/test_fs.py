@@ -16,6 +16,7 @@ from repro.fs import (
     normalize_path,
     parent_path,
 )
+from repro.fs.filesystem import _normalize_parts
 from repro.sim import Cluster
 
 
@@ -36,6 +37,26 @@ class TestPaths:
             normalize_path("/../x")
         with pytest.raises(ValueError):
             normalize_path("")
+
+    @given(st.text(alphabet="/.ab", max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_an_already_normal_path_comes_back_unsplit(self, raw):
+        """The fast path returns what the part-by-part walk returns and
+        raises where it raises; a normal path comes back as it is."""
+        try:
+            expected = _normalize_parts(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                normalize_path(raw)
+            return
+        assert normalize_path(raw) == expected
+        if "/." not in expected:  # a dot-led name takes the walk too
+            assert normalize_path(expected) is expected  # not rebuilt
+
+    @pytest.mark.parametrize("raw", ["", "..", "/..", "/a/../..", "a/./../../b"])
+    def test_empty_or_escaping_paths_still_raise(self, raw):
+        with pytest.raises(ValueError):
+            normalize_path(raw)
 
     def test_parent(self):
         assert parent_path("/a/b") == "/a"

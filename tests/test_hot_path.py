@@ -33,6 +33,14 @@ measure it again.  So matvec under half its working set must spill with
 no ``_dual_size_of`` call and exactly one key and one value column sized
 per spill.
 
+An M3R cache hit for an ``ImmutableOutput`` old-API mapper is handed to
+the map runner as one run (``take_run``): no ``next_pair`` call per
+record, ``MAP_INPUT_RECORDS`` counted from the run's length; a miss fills
+the cache from the sequence file in one ``take_batch``.  So such a job
+makes the same number of ``next_pair`` calls at two input sizes, and
+on both engines every reader that stays per record — a cloning one, or a
+new-API mapper's context — still counts exactly the records it read.
+
 A remote message of distinct objects in plain pairs, one table class per
 column, is shipped column by column (``DedupSerializer.ship``): no memo, no
 ``Crossing.pair`` and no ``_dual_size_of`` per pair.  So the 100 %-remote
@@ -56,15 +64,19 @@ from repro.api import job as job_module
 from repro.api import writables
 from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY
 from repro.api.counters import Counters, TaskCounter
+from repro.api.extensions import ImmutableOutput
+from repro.api.mapreduce import NewMapper
 from repro.api.partitioner import Partitioner
 from repro.api.writables import IntWritable
 from repro.apps import matvec
 from repro.apps.microbenchmark import (
     RemoteFractionMapper,
+    RemoteFractionMapperMutable,
     generate_input,
     microbenchmark_job,
 )
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.core.engine import M3REngine
 from repro.fs import filesystem as filesystem_module
 from repro.memory import SpillManager
 from repro.x10 import serializer
@@ -251,6 +263,64 @@ def test_blocks_cross_without_validating_constructor_or_generic_deepcopy(
     # so whatever is counted here is the engine's.
     assert count_block_calls(monkeypatch, make_engine, block=32) == (0, 0)
     assert count_block_calls(monkeypatch, make_engine, block=64) == (0, 0)
+
+
+class ImmutableNewApiIdentity(NewMapper, ImmutableOutput):
+    def map(self, key, value, context):
+        context.write(key, value)
+
+
+def count_reads(make_engine, mapper, num_pairs, warm=True):
+    """One microbenchmark job with ``mapper`` over ``num_pairs`` records,
+    read from a warm cache on M3R unless ``warm`` is off; returns
+    (``next_pair`` calls, ``MAP_INPUT_RECORDS``)."""
+    engine = make_engine()
+    try:
+        generate_input(engine.filesystem, "/in", num_pairs, 16, 4)
+        warm = warm and isinstance(engine, M3REngine)
+        if warm:
+            assert engine.warm_cache_from("/in") == 4
+        conf = microbenchmark_job("/in", "/out", 50, 4)
+        conf.set_mapper_class(mapper)
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            result = engine.run_job(conf)
+        finally:
+            profile.disable()
+        assert result.succeeded, result.error
+        if isinstance(engine, M3REngine):
+            assert result.metrics.get("cache_hits") == (4 if warm else 0)
+        reads = sum(
+            stat[1]
+            for (_, _, name), stat in pstats.Stats(profile).stats.items()
+            if name == "next_pair"
+        )
+        return reads, result.counters.value(TaskCounter.MAP_INPUT_RECORDS)
+    finally:
+        engine.shutdown()
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["cache-hit", "cache-fill"])
+def test_an_aliased_cache_hit_is_handed_over_whole(warm):
+    """A hit hands the cached run to the runner; a miss fills the cache
+    from the sequence file in one ``take_batch`` and then does the same."""
+    small = count_reads(make_m3r, RemoteFractionMapper, 40, warm)
+    large = count_reads(make_m3r, RemoteFractionMapper, 200, warm)
+    assert (small[1], large[1]) == (40, 200)
+    assert small[0] == large[0]  # no next_pair per record
+
+
+@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
+@pytest.mark.parametrize(
+    "mapper", [RemoteFractionMapperMutable, ImmutableNewApiIdentity],
+    ids=["cloning-reader", "new-api"],
+)
+def test_per_record_readers_count_what_they_read(make_engine, mapper):
+    small = count_reads(make_engine, mapper, 40)
+    large = count_reads(make_engine, mapper, 200)
+    assert (small[1], large[1]) == (40, 200)
+    assert large[0] - small[0] >= 160  # one next_pair (or more) per record
 
 
 class SharedOneMapper(RemoteFractionMapper):

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro import engine_common
-from repro.analysis.sanitizers import MUTATION_SANITIZER
+from repro.analysis.sanitizers import MUTATION_SANITIZER, sanitizer_overrides
 from repro.api import writables
+from repro.api.counters import Counters
 from repro.api.mapred import _reuse_into
+from repro.api.partitioner import HashPartitioner
 from repro.api.writables import (
     ArrayWritable,
     BlockIndexWritable,
@@ -724,29 +726,37 @@ class TestTransportTable:
         assert hits == {"kernels.py"}
 
     def test_collectors_only_append(self):
-        """Size each run once: the per-record ``collect`` of the buffering
-        sink and of the streaming sink measures nothing — ``seal()`` does,
-        once per run, when the task closes."""
+        """Size each run once: no per-record ``collect`` in ``engine_common``
+        measures anything — not the streaming sink's method, and not one of
+        the closures a buffering sink picks at construction — ``seal()``
+        does, once per run, when the task closes."""
         sizers = {"estimate_size", "pair_bytes", "pairs_size", "run_size"}
         calls = {}
-        for node in ast.parse(pathlib.Path(engine_common.__file__).read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name in (
-                "CollectorSink",
-                "WriterCollector",
-            ):
-                (collect,) = [
-                    item
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and item.name == "collect"
-                ]
-                calls[node.name] = [
-                    name
-                    for call in ast.walk(collect)
-                    if isinstance(call, ast.Call)
-                    for name in [getattr(call.func, "attr", getattr(call.func, "id", ""))]
-                    if name in sizers
-                ]
-        assert calls == {"CollectorSink": [], "WriterCollector": []}
+        for top in ast.parse(pathlib.Path(engine_common.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and node.name == "collect":
+                    calls.setdefault(top.name, []).append(
+                        [
+                            name
+                            for call in ast.walk(node)
+                            if isinstance(call, ast.Call)
+                            for name in [
+                                getattr(call.func, "attr", getattr(call.func, "id", ""))
+                            ]
+                            if name in sizers
+                        ]
+                    )
+        # four policy x partitioner closures and the sanitizer's wrapper
+        assert calls == {"_collect_into": [[]] * 5, "WriterCollector": [[]]}
+        # ... and a buffering sink collects through one of them in every mode
+        for mutation in (False, True):
+            for copies in (False, True):
+                for partitions, partitioner in ((1, None), (2, HashPartitioner())):
+                    with sanitizer_overrides(mutation=mutation):
+                        sink = engine_common.CollectorSink(
+                            partitions, partitioner, Counters(), copies=copies
+                        )
+                    assert sink.collect.__qualname__ == "_collect_into.<locals>.collect"
 
     def test_blocks_are_measured_from_the_table_every_time(self):
         """What replaced the size memo: a block's size is the table's O(1)
