@@ -66,6 +66,10 @@ class RemoteFractionMapperMutable(Mapper):
         self._num_partitions = max(1, conf.get_num_reduce_tasks())
 
     def _goes_remote(self, key: int) -> bool:
+        # The coin is ``md5(seed:key)[0] * 100 < percent * 256`` with the
+        # byte in [0, 255]: certain at percent <= 0 and percent >= 100.
+        if self._remote_percent <= 0 or self._remote_percent >= 100:
+            return self._remote_percent > 0
         digest = hashlib.md5(f"{self._seed}:{key}".encode("ascii")).digest()
         return digest[0] * 100 < self._remote_percent * 256
 
@@ -89,8 +93,9 @@ class RemoteFractionMapper(RemoteFractionMapperMutable, ImmutableOutput):
 
     The decision is a deterministic hash of (seed, key), so both engines
     shuffle exactly the same pairs to exactly the same partitions and the
-    outputs stay comparable.  Marked ``ImmutableOutput`` per the paper's
-    Section 6.1 methodology.
+    outputs stay comparable.  At 0 % and 100 % the coin is certain and no
+    hash is computed; the decisions are the ones the hash would give.
+    Marked ``ImmutableOutput`` per the paper's Section 6.1 methodology.
     """
 
 

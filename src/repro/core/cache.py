@@ -31,9 +31,10 @@ no spill, which is exactly the historical behaviour.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Any, Dict, Hashable, Iterable, Iterator, List, Optional,
     Sequence, Set, Tuple,
 )
 
@@ -107,13 +108,8 @@ class CacheEntry:
         return len(self.pairs) if self.pairs is not None else 0
 
 
-def _place_of(entry: CacheEntry) -> int:
-    return entry.place_id
-
-
-def _recency(entry: CacheEntry) -> Tuple[int, str]:
-    """LRU order, ties broken by name."""
-    return entry.touched, entry.name
+def _touched(entry: CacheEntry) -> int:
+    return entry.touched
 
 
 class KeyValueCache:
@@ -139,6 +135,11 @@ class KeyValueCache:
         self._version_counter = 0
         # Recency stamp source for CacheEntry.touched.
         self._tick = 0
+        # place -> its resident entries (by id, which a rename keeps) in
+        # ascending ``touched`` order: a touch moves an entry to the end,
+        # eviction and removal take it out.  The stamps are distinct, so
+        # this is exactly the LRU order an eviction wave walks.
+        self._lru: Dict[int, Dict[int, CacheEntry]] = {}
 
     @property
     def store(self) -> KeyValueStore:
@@ -235,64 +236,69 @@ class KeyValueCache:
         """Stamp ``entry`` as the most recently used."""
         self._tick += 1
         entry.touched = self._tick
+        order = self._lru.setdefault(entry.place_id, {})
+        order.pop(id(entry), None)
+        order[id(entry)] = entry
 
     def _enforce(self, place_ids: Iterable[int]) -> None:
         """Bring every place in ``place_ids``, then every tenant (in name
         order), back under its high watermark."""
         governor = self.governor
         for place_id in place_ids:
-            self._shed(governor.budget, place_id, _place_of)
+            self._shed(governor.budget, place_id, self._lru.get(place_id, {}).values())
         for tenant in governor.tenant_names():
-            self._shed(governor.tenants, tenant, self._tenant_of)
-
-    def _tenant_of(self, entry: CacheEntry) -> Optional[str]:
-        return self.governor.tenant_of(entry.path)
+            # A tenant's entries span places: merge the places' orders.
+            self._shed(governor.tenants, tenant, (
+                entry
+                for entry in heapq.merge(
+                    *(self._lru[place].values() for place in sorted(self._lru)),
+                    key=_touched,
+                )
+                if governor.tenant_of(entry.path) == tenant
+            ))
 
     def _shed(
         self,
         ledger: WatermarkLedger,
         owner: Hashable,
-        owner_of: Callable[[CacheEntry], Hashable],
+        resident: Iterable[CacheEntry],
     ) -> None:
         """The one eviction wave, for places and tenants alike.
 
         When ``owner`` is over its high watermark in ``ledger``, evict the
-        least recently touched prefix of its evictable entries (those with
-        ``owner_of(entry) == owner``, resident, unpinned) that covers the
-        bytes down to its low watermark — or every one of them, when even
-        that is not enough (occupancy then stays above the watermark and
-        the high-water mark records it).  Candidates are restricted to the
-        owner, so one tenant's pressure never touches another tenant's
-        entries.
+        least recently touched prefix of its evictable entries (``resident``
+        holds the owner's resident entries, least recently touched first;
+        the evictable ones are unpinned) that covers the bytes down to its
+        low watermark — or every one of them, when even that is not enough
+        (occupancy then stays above the watermark and the high-water mark
+        records it).  The walk stops at the last victim.  Candidates are
+        restricted to the owner, so one tenant's pressure never touches
+        another tenant's entries.
         """
         if not ledger.over_high_watermark(owner):
             return
         governor = self.governor
         spill_active = governor.spill_active
-        candidates = sorted(
-            (
-                entry
-                for entry in self._index.values()  # noqa: M3R002 - sorted by (touched, name), a total order
-                if not entry.spilled
-                and owner_of(entry) == owner
-                # Without spill, dropping a non-durable entry (a temporary
-                # output that was never flushed) would lose data — treat
-                # it as implicitly pinned.
-                and (spill_active or entry.durable)
-                and not governor.is_pinned(entry.name, entry.path, entry.pins)
-            ),
-            key=_recency,
-        )
         to_free = ledger.eviction_target(owner)
-        for entry in candidates:
+        victims: List[CacheEntry] = []
+        for entry in resident:
             if to_free <= 0:
                 break
+            # Without spill, dropping a non-durable entry (a temporary
+            # output that was never flushed) would lose data — treat it as
+            # implicitly pinned.
+            if (spill_active or entry.durable) and not governor.is_pinned(
+                entry.name, entry.path, entry.pins
+            ):
+                victims.append(entry)
+                to_free -= entry.nbytes
+        for entry in victims:
             self._evict(entry)
-            to_free -= entry.nbytes
 
     def _evict(self, entry: CacheEntry) -> None:
         """Demote one resident entry: spill if available, else drop."""
         governor = self.governor
+        del self._lru[entry.place_id][id(entry)]
         if governor.spill_active:
             record, seconds = governor.spill.spill(entry.pairs)
             self._store.delete(entry.name)
@@ -360,6 +366,7 @@ class KeyValueCache:
         if entry.spilled:
             self.governor.spill.discard(entry.spill)
         else:
+            del self._lru[entry.place_id][id(entry)]
             self._store.delete(name)
             self.governor.release(entry.place_id, entry.path, entry.nbytes)
 

@@ -210,7 +210,10 @@ class JobPipeline:
         The cyclic collector is paused for the job and the caller's setting
         restored after it (DESIGN.md §17).  That is safe because a job
         leaves no reference cycle: once ``JobEnd`` has fired the bus drops
-        every subscriber, so nothing on it points back at the job."""
+        every subscriber, so nothing on it points back at the job.  For the
+        same reason, what a succeeded job leaves alive is promoted to the
+        oldest generation instead of being walked by the next young
+        collection — unless the caller froze objects of its own."""
         caller = threading.get_ident()
         if caller != self._owner:
             raise RuntimeError(
@@ -229,13 +232,19 @@ class JobPipeline:
         )
         collecting = gc.isenabled()
         gc.disable()
+        result: Optional[EngineResult] = None
         try:
-            return self.run_job(spec, conf, bus)
+            result = self.run_job(spec, conf, bus)
+            return result
         finally:
             bus.close()
             for close in closers:
                 close()
             if collecting:
+                if result is not None and result.succeeded and not gc.get_freeze_count():
+                    # Two list splices; also zeroes the young count.
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
     def run_job(self, spec: JobSpec, conf: JobConf, bus: EventBus) -> EngineResult:

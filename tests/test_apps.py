@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.apps import matvec
 from repro.apps.microbenchmark import (
     MicrobenchmarkResult,
     ModPartitioner,
+    REMOTE_PERCENT_KEY,
     RemoteFractionMapper,
     generate_input,
     microbenchmark_job,
@@ -119,11 +123,22 @@ class TestMicrobenchmark:
         assert 20 < sum(first) < 80  # roughly half at 50%
 
     def test_extremes(self):
-        for percent, expected in ((0, 0), (100, 100)):
+        """The certain coins (at or beyond 0 and 100, decided without a
+        hash) and the uncertain ones decide as the hashed rule does."""
+        for percent, seed in itertools.product([0, 100, -5, 150, 1, 50, 99], range(4)):
+            conf = microbenchmark_job("/in", "/out", 50, 4, seed=seed)
+            conf.set_int(REMOTE_PERCENT_KEY, percent)  # past the job's range check
             mapper = RemoteFractionMapper()
-            mapper.configure(microbenchmark_job("/in", "/out", percent, 4))
-            remote = sum(mapper._goes_remote(k) for k in range(100))
-            assert remote == expected
+            mapper.configure(conf)
+            got = [mapper._goes_remote(k) for k in range(1000)]
+            rule = [
+                hashlib.md5(f"{seed}:{k}".encode("ascii")).digest()[0] * 100
+                < percent * 256
+                for k in range(1000)
+            ]
+            assert got == rule
+            if percent <= 0 or percent >= 100:
+                assert got == [percent > 0] * 1000
 
     def test_invalid_percent_rejected(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ makes the same number of ``next_pair`` calls at two input sizes, and
 on both engines every reader that stays per record — a cloning one, or a
 new-API mapper's context — still counts exactly the records it read.
 
+An eviction wave walks its owner's resident entries in touch order
+(``KeyValueCache._shed``) and stops at its last victim.  So a wave that
+evicts one entry out of 200 examines that one entry only.
+
 A remote message of distinct objects in plain pairs, one table class per
 column, is shipped column by column (``DedupSerializer.ship``): no memo, no
 ``Crossing.pair`` and no ``_dual_size_of`` per pair.  So the 100 %-remote
@@ -76,10 +80,12 @@ from repro.apps.microbenchmark import (
     microbenchmark_job,
 )
 from repro.apps.wordcount import generate_text, wordcount_job
+from repro.core.cache import KeyValueCache
 from repro.core.engine import M3REngine
 from repro.fs import filesystem as filesystem_module
-from repro.memory import SpillManager
+from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
 from repro.x10 import serializer
+from repro.x10.places import Place
 
 PARTS, REDUCERS = 4, 3
 
@@ -445,3 +451,25 @@ def test_a_spill_sizes_its_entry_once(monkeypatch):
     assert calls["dual"] == 0
     assert calls["columns"] == 2 * calls["spills"]
     assert calls["fs_pairs_size"] == 0
+
+
+def test_an_eviction_wave_visits_no_entry_behind_its_last_victim(monkeypatch):
+    """200 entries of 10 bytes fill a 2 000-byte place; the 201st makes
+    the wave free 10 bytes: it evicts the oldest entry and examines no
+    other (each examined entry asks the governor whether it is pinned)."""
+    governor = MemoryGovernor(budget=WatermarkLedger(2000, 1.0, 1.0), spill_enabled=False)
+    cache = KeyValueCache([Place(0)], governor=governor)
+    for index in range(200):
+        cache.put_file(f"/e{index}", 0, [(index, index)], 10)
+    cache.get_file("/e0")  # the least recently touched is now /e1
+    examined = []
+    is_pinned = governor.is_pinned
+
+    def counting(name, *rest):
+        examined.append(name)
+        return is_pinned(name, *rest)
+
+    monkeypatch.setattr(governor, "is_pinned", counting)
+    cache.put_file("/e200", 0, [(200, 200)], 10)
+    assert examined == ["/e1"]
+    assert [entry.name for entry in cache.entries()] == ["/e0"] + [f"/e{i}" for i in range(2, 201)]

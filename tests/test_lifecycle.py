@@ -26,7 +26,7 @@ from repro.api.conf import (
 from repro.api.counters import TaskCounter
 from repro.api.job import JobSequence
 from repro.api.mapred import IdentityMapper
-from repro.apps.microbenchmark import run_microbenchmark
+from repro.apps.microbenchmark import microbenchmark_job, run_microbenchmark
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.engine_common import JobFailedError
 from repro.lifecycle.events import (
@@ -535,27 +535,71 @@ class TestHostMemory:
     def test_the_callers_collector_setting_survives_the_job(
         self, factory, collecting, outcome
     ):
+        """Whether the collector runs, its thresholds, and what the caller
+        froze (say, before a fork) are the same after the job as before."""
         engine = factory(4)
         engine.filesystem.write_text("/in.txt", generate_text(50))
-        conf = wordcount_job("/in.txt", "/out", 4)
         mapper = {"succeeds": None, "fails": ExplodingMapper,
                   "raises": InterruptingMapper}[outcome]
-        if mapper is not None:
-            conf.set_mapper_class(mapper)
         seen = []
         engine.trace_sinks.append(lambda event: seen.append(gc.isenabled()))
-        was = gc.isenabled()
+        was, threshold = gc.isenabled(), gc.get_threshold()
         (gc.enable if collecting else gc.disable)()
         try:
-            if outcome == "raises":
-                with pytest.raises(Interrupted):
-                    engine.run_job(conf)
-            else:
-                assert engine.run_job(conf).succeeded == (outcome == "succeeds")
-            assert gc.isenabled() == collecting
+            for frozen in (False, True):
+                conf = wordcount_job("/in.txt", f"/out-{frozen}", 4)
+                if mapper is not None:
+                    conf.set_mapper_class(mapper)
+                if frozen:
+                    gc.freeze()
+                freeze_count = gc.get_freeze_count()
+                if outcome == "raises":
+                    with pytest.raises(Interrupted):
+                        engine.run_job(conf)
+                else:
+                    assert engine.run_job(conf).succeeded == (outcome == "succeeds")
+                assert gc.isenabled() == collecting
+                assert gc.get_threshold() == threshold
+                assert gc.get_freeze_count() == freeze_count
         finally:
+            gc.unfreeze()
             (gc.enable if was else gc.disable)()
         assert seen and not any(seen)
+
+    @pytest.mark.parametrize("factory", [make_m3r, make_hadoop])
+    def test_a_collecting_caller_sees_no_collection_between_jobs(self, factory):
+        """What each job leaves alive is promoted, not walked: a collecting
+        caller's three-iteration microbenchmark fires no collection from
+        its first ``JobStart`` to its return, and after a job the young
+        generation holds only what the caller allocated since."""
+        engine = factory(4)
+        run_microbenchmark(engine, 40, num_pairs=200, iterations=1, base_path="/warm")
+        starts, collections = [], []
+
+        def on_event(event):
+            if isinstance(event, JobStart):
+                starts.append(event)
+
+        def on_collection(phase, info):
+            if phase == "start" and starts:
+                collections.append(info["generation"])
+
+        engine.trace_sinks.append(on_event)
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(on_collection)
+        try:
+            run_microbenchmark(engine, 40, num_pairs=200, iterations=3)
+            between = list(collections)
+            assert engine.run_job(
+                microbenchmark_job("/micro/output-r40-i2", "/after", 40, 4)
+            ).succeeded
+            young = gc.get_count()[0]
+        finally:
+            gc.callbacks.remove(on_collection)
+            (gc.enable if was else gc.disable)()
+        assert len(starts) == 4 and between == []
+        assert young < 50
 
 
 class HoldingSink:
