@@ -11,7 +11,10 @@ runs ``--pairs`` times in each tree, alternating, and in every other pair the
 change runs first, so a drift of the host falls on both trees alike.  The
 report gives, per end-to-end metric of BENCHMARK.json, both medians, the
 change's shift, in how many pairs the change was better, and the parent's
-inter-quartile distance.  It also says whether every exact metric
+inter-quartile distance.  Beside ``setup_s`` it gives each tree's medians
+of the record's ``info.setup_breakdown_s`` parts (``import``, ``generate``;
+raw seconds of the measuring process), so a ``setup_s`` move can be
+attributed to one of them.  It also says whether every exact metric
 (``*_sim_s``, ``m3r_shuffle_bytes``, ``m3r_mem_mb_s``) and the output digest
 were equal in every run of both trees.  A claimed gain needs the change to win
 at least 9 of 10 pairs and to move the median by more than the parent's
@@ -87,9 +90,21 @@ def summarize(runs: Dict[str, List[Dict[str, Any]]], better: Dict[str, str]) -> 
             "equal": len(set(values["parent"] + values["change"])) == 1,
         }
     every = runs["parent"] + runs["change"]
+    parts = set.intersection(*(set(run["info"].get("setup_breakdown_s", ())) for run in every))
+    setup_breakdown = {}
+    for part in sorted(parts):
+        parent, change = (
+            statistics.median(run["info"]["setup_breakdown_s"][part] for run in runs[tree])
+            for tree in TREES
+        )
+        setup_breakdown[part] = {
+            "parent": parent, "change": change,
+            "shift": (change - parent) / parent if parent else 0.0,
+        }
     return {
         "pairs": len(runs["change"]),
         "metrics": metrics,
+        "setup_breakdown_s": setup_breakdown,
         "exact_equal": all(metrics[name]["equal"] for name in EXACT),
         "digests_equal": len({run["output_digest"] for run in every}) == 1,
         "failed": sum(run["failed"] + (run["exit_code"] != 0) for run in every),
@@ -104,6 +119,10 @@ def report(workload: str, summary: Dict[str, Any]) -> None:
         wins = "equal" if row["equal"] else f"{row['wins']}/{summary['pairs']}"
         print(f"  {name:<20}{row['parent']:>12.6g}{row['change']:>12.6g}{row['shift']:>+9.1%}"
               f"{wins:>7}{row['parent_iqr']:>12.4g}")
+        if name == "setup_s":
+            for part, part_row in summary["setup_breakdown_s"].items():
+                print(f"    {part + ' (raw s)':<18}{part_row['parent']:>12.6g}"
+                      f"{part_row['change']:>12.6g}{part_row['shift']:>+9.1%}")
 
 
 def record_row(path: str, row: Dict[str, Any]) -> None:

@@ -13,17 +13,37 @@ Three parts:
   wired into the serializer, the cache and the alias-policy collectors.
 """
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph
+from importlib import import_module
+from typing import Any
+
 from repro.analysis.knobs import REGISTRY, Knob, KnobRegistry, render_markdown_table
-from repro.analysis.linter import Analyzer, Module, Project, load_project
-from repro.analysis.report import findings_to_document, render_json, render_text
-from repro.analysis.rules import Finding, Rule, default_rules, rule_by_id
 from repro.analysis.sanitizers import (
     MUTATION_SANITIZER,
     ImmutableViolation,
     MutationSanitizer,
     sanitizer_overrides,
 )
+
+# The lint's names load with their module on first use (PEP 562): the
+# runtime imports this package for the knobs and the sanitizer, and a job
+# never needs the linter, call graph, rules or report (DESIGN.md §3).
+_LAZY = {
+    name: module
+    for module, names in (
+        ("callgraph", "CallGraph FunctionInfo build_call_graph"),
+        ("linter", "Analyzer Module Project load_project"),
+        ("report", "findings_to_document render_json render_text"),
+        ("rules", "Finding Rule default_rules rule_by_id"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "Analyzer",

@@ -27,14 +27,16 @@ from __future__ import annotations
 
 from array import array
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
-from scipy import sparse
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
 from repro.api.io_util import DataInputBuffer, DataOutputBuffer, vint_size
 from repro.x10.serializer import TRANSPORT_COPIES, Crossing, fixed_width_run, register_transport
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class Writable:
@@ -473,16 +475,29 @@ class BlockIndexWritable(WritableComparable):
         return f"BlockIndexWritable({self.row}, {self.col})"
 
 
+#: ``scipy.sparse`` once the first block needed it (DESIGN.md §3).
+_sparse: Any = None
+
+
+def _import_sparse() -> Any:
+    global _sparse
+    from scipy import sparse as _sparse
+
+    return _sparse
+
+
 class MatrixBlockWritable(Writable):
     """A sparse matrix block in compressed-sparse-column form.
 
     This is the value type of paper Section 6.2 ("the value of such pairs is
     a compressed sparse column (CSC) representation of the sparse block").
     Backed by ``scipy.sparse.csc_matrix``; the wire format is shape + nnz +
-    the three CSC arrays.
+    the three CSC arrays.  scipy is imported by the first block built
+    (:func:`_import_sparse`), not with this module.
     """
 
     def __init__(self, matrix: Optional[sparse.spmatrix] = None):
+        sparse = _sparse or _import_sparse()
         if matrix is None:
             matrix = sparse.csc_matrix((0, 0), dtype=np.float64)
         self.matrix = sparse.csc_matrix(matrix, dtype=np.float64)
@@ -513,6 +528,7 @@ class MatrixBlockWritable(Writable):
         )
         indices = np.frombuffer(inp.read_bytes(4 * nnz), dtype=">i4").astype(np.int32)
         data = np.frombuffer(inp.read_bytes(8 * nnz), dtype=">f8").astype(np.float64)
+        sparse = _sparse or _import_sparse()
         self.matrix = sparse.csc_matrix((data, indices, indptr), shape=(rows, cols))
 
     def serialized_size(self) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.api.conf import JobConf
 from repro.api.extensions import ImmutableOutput
@@ -266,6 +265,8 @@ def generate_blocked_matrix(
 ) -> List[Tuple[BlockIndexWritable, MatrixBlockWritable]]:
     """A square blocked sparse matrix with the paper's parameters
     (sparsity 0.001, square blocking)."""
+    from scipy import sparse
+
     rng = np.random.default_rng(seed)
     num_blocks = (rows + block_size - 1) // block_size
     blocks: List[Tuple[BlockIndexWritable, MatrixBlockWritable]] = []

@@ -660,13 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster path for --data (default /data/input.txt)")
     p.set_defaults(func=cmd_pig)
 
-    from repro.analysis import default_rules
-
     p = sub.add_parser(
         "analyze",
         help="static lint: check the source tree against the M3R "
-             "determinism/immutability/fingerprintability/knob rules ("
-             + ", ".join(rule.id for rule in default_rules()) + ")",
+             "determinism and fingerprintability rules (--explain ID "
+             "describes one)",
         description="Static analysis over the source tree.  Exit codes: "
                     "0 = clean (no unsuppressed findings), "
                     "1 = findings or doc drift, 2 = usage error (unknown "

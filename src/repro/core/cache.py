@@ -31,7 +31,6 @@ no spill, which is exactly the historical behaviour.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Hashable, Iterable, Iterator, List, Optional,
@@ -140,6 +139,13 @@ class KeyValueCache:
         # eviction and removal take it out.  The stamps are distinct, so
         # this is exactly the LRU order an eviction wave walks.
         self._lru: Dict[int, Dict[int, CacheEntry]] = {}
+        # tenant -> its resident entries in the same order, for a tenant's
+        # wave (``_tenant_orders``); ``_filed_for`` is the registration
+        # count they were last filed for.
+        self._by_tenant: Dict[str, Dict[int, CacheEntry]] = {}
+        self._filed_for: Optional[int] = 0
+        # place -> the running counts ``stats`` reports (``_tally``).
+        self._totals: Dict[int, Dict[str, int]] = {}
 
     @property
     def store(self) -> KeyValueStore:
@@ -236,9 +242,33 @@ class KeyValueCache:
         """Stamp ``entry`` as the most recently used."""
         self._tick += 1
         entry.touched = self._tick
-        order = self._lru.setdefault(entry.place_id, {})
-        order.pop(id(entry), None)
-        order[id(entry)] = entry
+        key = id(entry)
+        for order in (self._lru.setdefault(entry.place_id, {}), self._tenant_order(entry)):
+            order.pop(key, None)
+            order[key] = entry
+
+    def _tenant_order(self, entry: CacheEntry) -> Dict[int, CacheEntry]:
+        """The touch order of the tenant owning ``entry`` (a throwaway dict
+        when no tenant does)."""
+        tenant = self.governor.tenant_of(entry.path)
+        return {} if tenant is None else self._by_tenant.setdefault(tenant, {})
+
+    def _tenant_orders(self) -> Dict[str, Dict[int, CacheEntry]]:
+        """tenant -> its resident entries in touch order, filed again after
+        a registration or a rename across tenants: a tenant registered late
+        finds its older data, a renamed entry keeps its stamp's place."""
+        if self._filed_for != self.governor.registrations:
+            self._filed_for = self.governor.registrations
+            self._by_tenant = {}
+            for entry in sorted(self._index.values(), key=_touched):
+                if not entry.spilled:
+                    self._tenant_order(entry)[id(entry)] = entry
+        return self._by_tenant
+
+    def _resign(self, entry: CacheEntry) -> None:
+        """Take a resident entry out of its place's and tenant's orders."""
+        del self._lru[entry.place_id][id(entry)]
+        self._tenant_order(entry).pop(id(entry), None)
 
     def _enforce(self, place_ids: Iterable[int]) -> None:
         """Bring every place in ``place_ids``, then every tenant (in name
@@ -246,16 +276,9 @@ class KeyValueCache:
         governor = self.governor
         for place_id in place_ids:
             self._shed(governor.budget, place_id, self._lru.get(place_id, {}).values())
+        orders = self._tenant_orders()
         for tenant in governor.tenant_names():
-            # A tenant's entries span places: merge the places' orders.
-            self._shed(governor.tenants, tenant, (
-                entry
-                for entry in heapq.merge(
-                    *(self._lru[place].values() for place in sorted(self._lru)),
-                    key=_touched,
-                )
-                if governor.tenant_of(entry.path) == tenant
-            ))
+            self._shed(governor.tenants, tenant, orders.get(tenant, {}).values())
 
     def _shed(
         self,
@@ -298,12 +321,14 @@ class KeyValueCache:
     def _evict(self, entry: CacheEntry) -> None:
         """Demote one resident entry: spill if available, else drop."""
         governor = self.governor
-        del self._lru[entry.place_id][id(entry)]
+        self._resign(entry)
         if governor.spill_active:
             record, seconds = governor.spill.spill(entry.pairs)
             self._store.delete(entry.name)
             entry.pairs = None
+            self._tally(entry, -1)
             entry.spilled = True
+            self._tally(entry, 1)
             entry.spill = record
             governor.incr("cache_spills")
             governor.incr("cache_spill_bytes", record.wire_bytes)
@@ -327,7 +352,9 @@ class KeyValueCache:
             entry.name, BlockInfo(place_id=entry.place_id), pairs, entry.nbytes
         )
         entry.pairs = stored
+        self._tally(entry, -1)
         entry.spilled = False
+        self._tally(entry, 1)
         entry.spill = None
         governor.charge(entry.place_id, entry.path, entry.nbytes)
         self._touch(entry)
@@ -345,19 +372,36 @@ class KeyValueCache:
             entry.pins -= 1
 
     def _link(self, entry: CacheEntry) -> None:
-        """Add ``entry`` to the index and the directory index."""
+        """Add ``entry`` to the index, the directory index and its place's
+        totals."""
         self._index[entry.name] = entry
         for key in _index_keys(entry.name, entry.path):
             self._under.setdefault(key, {})[entry.name] = entry
+        self._tally(entry, 1)
 
     def _unlink(self, entry: CacheEntry) -> None:
-        """Remove ``entry`` from both indexes; a key left empty goes."""
+        """Remove ``entry`` from both indexes and its place's totals; a key
+        left empty goes."""
         del self._index[entry.name]
         for key in _index_keys(entry.name, entry.path):
             under = self._under[key]
             del under[entry.name]
             if not under:
                 del self._under[key]
+        self._tally(entry, -1)
+
+    def _tally(self, entry: CacheEntry, sign: int) -> None:
+        """Count ``entry`` into (``sign`` 1) or out of (-1) its place's
+        totals."""
+        totals = self._totals.setdefault(entry.place_id, dict.fromkeys(
+            ("entries", "spilled", "resident_bytes", "spilled_bytes"), 0
+        ))
+        totals["entries"] += sign
+        if entry.spilled:
+            totals["spilled"] += sign
+            totals["spilled_bytes"] += sign * entry.nbytes
+        else:
+            totals["resident_bytes"] += sign * entry.nbytes
 
     def _forget(self, name: str) -> None:
         """Remove an entry outright (replacement, delete, clear)."""
@@ -366,7 +410,7 @@ class KeyValueCache:
         if entry.spilled:
             self.governor.spill.discard(entry.spill)
         else:
-            del self._lru[entry.place_id][id(entry)]
+            self._resign(entry)
             self._store.delete(name)
             self.governor.release(entry.place_id, entry.path, entry.nbytes)
 
@@ -515,14 +559,17 @@ class KeyValueCache:
                     if directory in self._index or (info is not None and not info.is_dir):
                         raise PathExistsError(f"rename target {new_name} is under a file")
                 moves.append((entry.name, new_name, new_path, entry))
+        governor = self.governor
         for old_name, new_name, new_path, entry in moves:
             if not entry.spilled:
                 self._store.rename(old_name, new_name)
                 # A rename can cross tenant namespaces (commit moves a
                 # temp path into the tenant's output dir) — re-attribute
                 # the resident bytes to the destination's owner.
-                self.governor.release(entry.place_id, entry.path, entry.nbytes)
-                self.governor.charge(entry.place_id, new_path, entry.nbytes)
+                governor.release(entry.place_id, entry.path, entry.nbytes)
+                governor.charge(entry.place_id, new_path, entry.nbytes)
+                if governor.tenant_of(entry.path) != governor.tenant_of(new_path):
+                    self._filed_for = None  # file every entry again
             self._unlink(entry)
             entry.name = new_name
             entry.path = new_path
@@ -537,20 +584,15 @@ class KeyValueCache:
 
     def total_bytes(self) -> int:
         """Logical bytes of every entry, resident or spilled."""
-        return sum(entry.nbytes for entry in self._index.values())
+        return sum(map(self.bytes_at_place, self._totals))
 
     def resident_bytes(self) -> int:
         """Bytes actually held in memory (what the budget charges)."""
-        return sum(
-            entry.nbytes for entry in self._index.values() if not entry.spilled
-        )
+        return sum(totals["resident_bytes"] for totals in self._totals.values())
 
     def bytes_at_place(self, place_id: int) -> int:
-        return sum(
-            entry.nbytes
-            for entry in self._index.values()
-            if entry.place_id == place_id
-        )
+        totals = self._totals.get(place_id, {})
+        return totals.get("resident_bytes", 0) + totals.get("spilled_bytes", 0)
 
     def entries(self) -> Iterator[CacheEntry]:
         return iter(list(self._index.values()))
@@ -559,23 +601,16 @@ class KeyValueCache:
         """Per-place occupancy/budget plus lifetime governance counters
         (the ``cache`` section of ``repro stats``)."""
         governor = self.governor
-        per_place: Dict[int, Dict[str, int]] = {}
-        for entry in self._index.values():
-            slot = per_place.setdefault(
-                entry.place_id,
-                {"entries": 0, "spilled": 0, "resident_bytes": 0,
-                 "spilled_bytes": 0},
-            )
-            slot["entries"] += 1
-            if entry.spilled:
-                slot["spilled"] += 1
-                slot["spilled_bytes"] += entry.nbytes
-            else:
-                slot["resident_bytes"] += entry.nbytes
         budget = governor.budget
-        for place_id, slot in per_place.items():
-            slot["occupancy_bytes"] = budget.occupancy(place_id)
-            slot["high_water_bytes"] = budget.high_water(place_id)
+        per_place = {
+            place_id: dict(
+                totals,
+                occupancy_bytes=budget.occupancy(place_id),
+                high_water_bytes=budget.high_water(place_id),
+            )
+            for place_id, totals in self._totals.items()
+            if totals["entries"]
+        }
         lifetime = governor.lifetime.as_dict()
         return {
             "capacity_bytes": budget.capacity_bytes,

@@ -16,7 +16,7 @@ explicit here is what makes that interposition (in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.x10.serializer import pairs_size
 
@@ -63,8 +63,12 @@ def parent_path(path: str) -> Optional[str]:
     path = normalize_path(path)
     if path == "/":
         return None
-    head, _, _ = path.rpartition("/")
-    return head or "/"
+    return _parent(path)
+
+
+def _parent(path: str) -> str:
+    """The parent of a normal path other than the root."""
+    return path.rpartition("/")[0] or "/"
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,11 @@ class FileStatus:
 
 
 class _Entry:
-    """One stored file: raw bytes or a pair list, plus its wire length."""
+    """One stored file: raw bytes or a pair list, plus its wire length.
+    ``born`` is the file's place in the order the names entered the
+    namespace (a rewrite keeps it, a rename gives a new one)."""
 
-    __slots__ = ("data", "pairs", "length", "stamp")
+    __slots__ = ("data", "pairs", "length", "stamp", "born")
 
     def __init__(
         self,
@@ -108,8 +114,11 @@ class FileSystem:
 
     def __init__(self) -> None:
         self._files: Dict[str, _Entry] = {}
-        self._dirs: set = {"/"}
+        # directory -> the paths of its direct children (the keys are the
+        # directories): a namespace operation visits only its subtree.
+        self._children: Dict[str, Set[str]] = {"/": set()}
         self._stamp = 0
+        self._born = 0
 
     # -- internal helpers ------------------------------------------------- #
 
@@ -120,13 +129,44 @@ class FileSystem:
     def _ensure_parents(self, path: str) -> None:
         parent = parent_path(path)
         ancestors: List[str] = []
-        while parent is not None and parent not in self._dirs:
+        while parent is not None and parent not in self._children:
             if parent in self._files:
                 raise NotADirectoryError(f"{parent} is a file")
             ancestors.append(parent)
             parent = parent_path(parent)
         for ancestor in reversed(ancestors):
-            self._dirs.add(ancestor)
+            self._add_dir(ancestor)
+
+    def _add_dir(self, path: str) -> None:
+        """Make ``path`` an empty directory of its (existing) parent."""
+        self._children[path] = set()
+        self._children[_parent(path)].add(path)
+
+    def _add_file(self, path: str, entry: _Entry) -> None:
+        """Store ``entry`` at ``path`` (its parent exists); a new name
+        joins its parent's children and is the youngest file."""
+        old = self._files.get(path)
+        if old is None:
+            self._children[_parent(path)].add(path)
+            self._born += 1
+        entry.born = self._born if old is None else old.born
+        self._files[path] = entry
+
+    def _subtree(self, path: str) -> Tuple[List[str], List[str]]:
+        """The files, in the order they were born, and the directories
+        beneath the directory ``path``."""
+        files: List[str] = []
+        dirs: List[str] = []
+        pending = [path]
+        while pending:
+            for child in self._children[pending.pop()]:
+                if child in self._children:
+                    dirs.append(child)
+                    pending.append(child)
+                else:
+                    files.append(child)
+        files.sort(key=lambda file_path: self._files[file_path].born)
+        return files, dirs
 
     def _on_file_written(self, path: str, length: int, at_node: Optional[int]) -> None:
         """Subclass hook: called after a file (re)write."""
@@ -138,21 +178,21 @@ class FileSystem:
 
     def exists(self, path: str) -> bool:
         path = normalize_path(path)
-        return path in self._files or path in self._dirs
+        return path in self._files or path in self._children
 
     def is_directory(self, path: str) -> bool:
         path = normalize_path(path)
-        return path in self._dirs
+        return path in self._children
 
     def mkdirs(self, path: str) -> bool:
         """Create a directory and all missing ancestors; True if created."""
         path = normalize_path(path)
         if path in self._files:
             raise NotADirectoryError(f"{path} is a file")
-        if path in self._dirs:
+        if path in self._children:
             return False
         self._ensure_parents(path)
-        self._dirs.add(path)
+        self._add_dir(path)
         return True
 
     def get_file_status(self, path: str) -> Optional[FileStatus]:
@@ -161,7 +201,7 @@ class FileSystem:
         if entry is not None:
             return FileStatus(path, entry.length, is_dir=False,
                               modification_stamp=entry.stamp)
-        if path in self._dirs:
+        if path in self._children:
             return FileStatus(path, 0, is_dir=True)
         return None
 
@@ -170,61 +210,42 @@ class FileSystem:
         path = normalize_path(path)
         if path in self._files:
             return [self.get_file_status(path)]  # type: ignore[list-item]
-        if path not in self._dirs:
+        if path not in self._children:
             raise FileNotFoundError(path)
-        prefix = "/" if path == "/" else path + "/"
-        children: List[FileStatus] = []
-        for file_path, entry in self._files.items():
-            if file_path.startswith(prefix) and "/" not in file_path[len(prefix):]:
-                children.append(
-                    FileStatus(file_path, entry.length, is_dir=False,
-                               modification_stamp=entry.stamp)
-                )
-        for dir_path in self._dirs:
-            if (
-                dir_path != path
-                and dir_path.startswith(prefix)
-                and "/" not in dir_path[len(prefix):]
-            ):
-                children.append(FileStatus(dir_path, 0, is_dir=True))
-        return sorted(children, key=lambda s: s.path)
+        return [self.get_file_status(child) for child in sorted(self._children[path])]
 
     def list_files_recursive(self, path: str) -> List[FileStatus]:
         """Every file at or under ``path``."""
         path = normalize_path(path)
         if path in self._files:
             return [self.get_file_status(path)]  # type: ignore[list-item]
-        prefix = "/" if path == "/" else path + "/"
-        return sorted(
-            (
-                FileStatus(p, e.length, is_dir=False, modification_stamp=e.stamp)
-                for p, e in self._files.items()
-                if p.startswith(prefix)
-            ),
-            key=lambda s: s.path,
-        )
+        if path not in self._children:
+            return []
+        return [self.get_file_status(p) for p in sorted(self._subtree(path)[0])]
 
     def delete(self, path: str, recursive: bool = False) -> bool:
         """Remove a file or directory; True when something was removed."""
         path = normalize_path(path)
         if path in self._files:
             del self._files[path]
+            self._children[_parent(path)].discard(path)
             self._on_file_removed(path)
             return True
-        if path not in self._dirs:
+        if path not in self._children:
             return False
-        prefix = "/" if path == "/" else path + "/"
-        nested_files = [p for p in self._files if p.startswith(prefix)]
-        nested_dirs = [d for d in self._dirs if d != path and d.startswith(prefix)]
-        if (nested_files or nested_dirs) and not recursive:
+        if self._children[path] and not recursive:
             raise IsADirectoryError(f"{path} is a non-empty directory")
+        nested_files, nested_dirs = self._subtree(path)
         for file_path in nested_files:
             del self._files[file_path]
             self._on_file_removed(file_path)
         for dir_path in nested_dirs:
-            self._dirs.discard(dir_path)
-        if path != "/":
-            self._dirs.discard(path)
+            del self._children[dir_path]
+        if path == "/":
+            self._children[path].clear()
+        else:
+            del self._children[path]
+            self._children[_parent(path)].discard(path)
         return True
 
     def rename(self, src: str, dst: str) -> bool:
@@ -232,28 +253,33 @@ class FileSystem:
         src = normalize_path(src)
         dst = normalize_path(dst)
         if src == dst:
-            return src in self._files or src in self._dirs
-        if dst in self._files or dst in self._dirs:
+            return src in self._files or src in self._children
+        if dst in self._files or dst in self._children:
             raise FileExistsError(f"rename target exists: {dst}")
         if src in self._files:
             self._ensure_parents(dst)
             entry = self._files.pop(src)
+            self._children[_parent(src)].discard(src)
             entry.stamp = self._next_stamp()
-            self._files[dst] = entry
+            self._add_file(dst, entry)
             self._on_file_removed(src)
             self._on_file_written(dst, entry.length, at_node=None)
             return True
-        if src in self._dirs:
+        if src in self._children:
+            if dst.startswith("/" if src == "/" else src + "/"):
+                raise ValueError(f"cannot move {src} beneath itself: {dst}")
             self._ensure_parents(dst)
-            prefix = "/" if src == "/" else src + "/"
-            moved_files = [p for p in self._files if p.startswith(prefix)]
-            moved_dirs = [d for d in self._dirs if d == src or d.startswith(prefix)]
-            for dir_path in moved_dirs:
-                self._dirs.discard(dir_path)
-                self._dirs.add(dst + dir_path[len(src):])
+            moved_files, moved_dirs = self._subtree(src)
+            for dir_path in [src] + moved_dirs:  # no new name is an old one
+                children = self._children.pop(dir_path)
+                self._children[dst + dir_path[len(src):]] = {dst + c[len(src):] for c in children}
+            self._children[_parent(src)].discard(src)
+            self._children[_parent(dst)].add(dst)
             for file_path in moved_files:
                 entry = self._files.pop(file_path)
                 new_path = dst + file_path[len(src):]
+                self._born += 1
+                entry.born = self._born
                 self._files[new_path] = entry
                 self._on_file_removed(file_path)
                 self._on_file_written(new_path, entry.length, at_node=None)
@@ -265,13 +291,13 @@ class FileSystem:
     def write_bytes(self, path: str, data: bytes, at_node: Optional[int] = None) -> None:
         """Create or replace ``path`` with raw bytes."""
         path = normalize_path(path)
-        if path in self._dirs:
+        if path in self._children:
             raise IsADirectoryError(path)
         self._ensure_parents(path)
-        self._files[path] = _Entry(
+        self._add_file(path, _Entry(
             data=bytes(data), pairs=None, length=len(data),
             stamp=self._next_stamp(),
-        )
+        ))
         self._on_file_written(path, len(data), at_node)
 
     def read_bytes(self, path: str) -> bytes:
@@ -304,13 +330,13 @@ class FileSystem:
         stored = list(pairs)
         if length is None:
             length = pairs_size(stored)
-        if path in self._dirs:
+        if path in self._children:
             raise IsADirectoryError(path)
         self._ensure_parents(path)
-        self._files[path] = _Entry(
+        self._add_file(path, _Entry(
             data=None, pairs=stored, length=length,
             stamp=self._next_stamp(),
-        )
+        ))
         self._on_file_written(path, length, at_node)
 
     def read_pairs(self, path: str) -> List[Tuple[Any, Any]]:

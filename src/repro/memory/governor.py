@@ -47,6 +47,9 @@ class MemoryGovernor:
         #: service registers namespaces + budgets; none = no tenancy).
         self.tenants = WatermarkLedger()
         self._tenant_prefixes: Dict[str, Tuple[str, ...]] = {}
+        #: Bumped by every registration: ``tenant_of`` may answer
+        #: differently for paths already admitted.
+        self.registrations = 0
         self.spill = spill
         self.spill_enabled = spill_enabled
         #: Engine-lifetime counters/time (``repro stats`` reads these).
@@ -70,6 +73,7 @@ class MemoryGovernor:
             raise ValueError(f"tenant {name!r} needs at least one path prefix")
         self.tenants.set_capacity(name, capacity_bytes)
         self._tenant_prefixes[name] = cleaned
+        self.registrations += 1
 
     def tenant_names(self) -> List[str]:
         return sorted(self._tenant_prefixes)

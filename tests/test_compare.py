@@ -41,6 +41,13 @@ def test_one_quick_pair_against_head(tmp_path):
     assert summary["pairs"] == 1 and summary["failed"] == 0
     for name in ("m3r_wall_s", "hadoop_wall_s", "m3r_sim_s", "setup_s"):
         assert summary["metrics"][name]["wins"] in (0, 1)
+    # setup_s is attributed: each tree's median of each set-up part
+    breakdown = summary["setup_breakdown_s"]
+    assert set(breakdown) == {"import", "generate"}
+    for part, row in breakdown.items():
+        assert row["parent"] > 0 and row["change"] > 0
+        assert row["shift"] == pytest.approx((row["change"] - row["parent"]) / row["parent"])
+        assert f"    {part} (raw s)" in done.stdout
     if not git("status", "--porcelain", "src").stdout:
         # the same source on both sides: every exact number repeats
         assert summary["exact_equal"] and summary["digests_equal"]

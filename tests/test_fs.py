@@ -147,6 +147,46 @@ class TestNamespace:
     def test_rename_missing_returns_false(self, memfs):
         assert memfs.rename("/nope", "/dst") is False
 
+    def test_rename_beneath_itself_raises_and_moves_nothing(self, memfs):
+        memfs.write_text("/a/f", "1")
+        with pytest.raises(ValueError):
+            memfs.rename("/a", "/a/b")
+        assert memfs.read_text("/a/f") == "1"
+        assert [s.path for s in memfs.list_status("/a")] == ["/a/f"]
+
+    def test_a_subtree_leaves_and_moves_in_the_order_its_files_were_created(self):
+        """The child index visits a directory by children, yet the hooks
+        fire file by file in creation order, as a scan of every file did:
+        a rewrite keeps a file's place, a file renamed in is the youngest."""
+        calls = []
+
+        class Recording(InMemoryFileSystem):
+            def _on_file_written(self, path, length, at_node):
+                calls.append(("written", path))
+
+            def _on_file_removed(self, path):
+                calls.append(("removed", path))
+
+        fs = Recording()
+        for path in ("/d/z", "/d/sub/b", "/elsewhere", "/d/a", "/d/sub/a"):
+            fs.write_text(path, "x")
+        fs.write_text("/d/z", "rewritten")
+        fs.rename("/elsewhere", "/d/sub/moved")
+        order = ["/d/z", "/d/sub/b", "/d/a", "/d/sub/a", "/d/sub/moved"]
+        del calls[:]
+        fs.rename("/d", "/e")
+        assert calls == [
+            call for path in order
+            for call in (("removed", path), ("written", "/e" + path[2:]))
+        ]
+        assert [s.path for s in fs.list_files_recursive("/e")] == sorted(
+            "/e" + path[2:] for path in order
+        )
+        del calls[:]
+        fs.delete("/e", recursive=True)
+        assert calls == [("removed", "/e" + path[2:]) for path in order]
+        assert fs.list_status("/") == []
+
     def test_pairs_roundtrip(self, memfs):
         pairs = [(IntWritable(i), Text(f"v{i}")) for i in range(3)]
         memfs.write_pairs("/p", pairs)

@@ -43,7 +43,13 @@ new-API mapper's context — still counts exactly the records it read.
 
 An eviction wave walks its owner's resident entries in touch order
 (``KeyValueCache._shed``) and stops at its last victim.  So a wave that
-evicts one entry out of 200 examines that one entry only.
+evicts one entry out of 200 examines that one entry only, and a tenant's
+wave examines none of another tenant's older entries: each tenant keeps
+its own touch order.
+
+A long-lived engine's namespace operations visit what they are about
+(the filesystem's per-directory child index), so the 1 000th of a run of
+identical tiny jobs makes no more calls than the 10th, on either engine.
 
 A remote message of distinct objects in plain pairs, one table class per
 column, is shipped column by column (``DedupSerializer.ship``): no memo, no
@@ -473,3 +479,83 @@ def test_an_eviction_wave_visits_no_entry_behind_its_last_victim(monkeypatch):
     cache.put_file("/e200", 0, [(200, 200)], 10)
     assert examined == ["/e1"]
     assert [entry.name for entry in cache.entries()] == ["/e0"] + [f"/e{i}" for i in range(2, 201)]
+
+
+def test_a_tenant_wave_examines_only_that_tenants_entries(monkeypatch):
+    """1 000 entries of an unbudgeted tenant are admitted before a 1 000-byte
+    tenant's; the small tenant's 91st entry of 10 bytes starts a wave that
+    frees 160 bytes.  The wave examines its 16 victims and no entry of the
+    other tenant, and asks ``tenant_of`` a number of times that follows the
+    victims, not the older entries (``KeyValueCache._tenant_orders``)."""
+    governor = MemoryGovernor(spill_enabled=False)
+    governor.register_tenant("big", ("/big",))
+    governor.register_tenant("small", ("/small",), capacity_bytes=1000)
+    cache = KeyValueCache([Place(0), Place(1)], governor=governor)
+    for index in range(1000):
+        cache.put_file(f"/big/e{index}", index % 2, [(index, index)], 10)
+    for index in range(90):
+        cache.put_file(f"/small/e{index}", index % 2, [(index, index)], 10)
+    examined, owners = [], []
+    is_pinned, tenant_of = governor.is_pinned, governor.tenant_of
+
+    def counting_is_pinned(name, *rest):
+        examined.append(name)
+        return is_pinned(name, *rest)
+
+    def counting_tenant_of(path):
+        owners.append(path)
+        return tenant_of(path)
+
+    monkeypatch.setattr(governor, "is_pinned", counting_is_pinned)
+    monkeypatch.setattr(governor, "tenant_of", counting_tenant_of)
+    cache.put_file("/small/e90", 0, [(90, 90)], 10)
+    victims = [f"/small/e{index}" for index in range(16)]
+    assert examined == victims
+    assert len(owners) <= 2 * len(victims) + 2  # the put's, and each victim's
+    assert not any(path.startswith("/big/") for path in owners)
+    assert [e.name for e in cache.entries() if e.name.startswith("/small/")] == [
+        f"/small/e{index}" for index in range(16, 91)
+    ]
+
+
+def test_a_tenant_registered_late_still_finds_its_older_data():
+    """Entries admitted before their tenant registers are that tenant's
+    oldest: its first wave takes them first, as a scan at wave time would."""
+    governor = MemoryGovernor(spill_enabled=False)
+    cache = KeyValueCache([Place(0), Place(1)], governor=governor)
+    for index in range(5):
+        cache.put_file(f"/late/old{index}", index % 2, [(index, index)], 10)
+    governor.register_tenant("late", ("/late",), capacity_bytes=100)
+    for index in range(10):  # the 10th charges 100 > 90 bytes: free 25
+        cache.put_file(f"/late/new{index}", index % 2, [(index, index)], 10)
+    assert [entry.name for entry in cache.entries()] == [
+        "/late/old3", "/late/old4", *(f"/late/new{index}" for index in range(10))
+    ]
+
+
+@pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])
+def test_the_thousandth_tiny_job_visits_no_more_namespace_than_the_tenth(make_engine):
+    """One long-lived engine runs 1 000 one-line wordcounts from ``/in`` to
+    ``/out``, and each output directory is then renamed away, so the
+    namespace (and M3R's cache) grows by a few paths a job while every job
+    does the same work on the same paths.  A listing, directory delete or
+    rename that scanned every path (``fs/filesystem.py`` keeps a child
+    index instead) would make the 1 000th job make thousands more calls
+    than the 10th; it may make no more."""
+    engine = make_engine()
+    calls = {}
+    try:
+        engine.filesystem.write_text("/in/part-0", "a b")
+        for index in range(1, 1001):
+            profile = cProfile.Profile() if index in (10, 1000) else None
+            if profile is not None:
+                profile.enable()
+            result = engine.run_job(wordcount_job("/in", "/out", num_reducers=1))
+            if profile is not None:
+                profile.disable()
+                calls[index] = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
+            assert result.succeeded, result.error
+            engine.filesystem.rename("/out", f"/done/{index:04d}")
+    finally:
+        engine.shutdown()
+    assert calls[1000] <= calls[10]

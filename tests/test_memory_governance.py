@@ -11,6 +11,8 @@ interleaved round-robin on one cache.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api.conf import (
     CACHE_CAPACITY_KEY,
@@ -23,7 +25,7 @@ from repro.api.conf import (
 )
 from repro.core.cache import KeyValueCache, split_cache_name
 from repro.fs import InMemoryFileSystem
-from repro.kvstore.store import BlockInfo, KeyValueStore
+from repro.kvstore.store import BlockInfo, KeyValueStore, PathExistsError
 from repro.memory import MemoryGovernor, SpillManager, WatermarkLedger
 from repro.sim.cost_model import paper_cluster_cost_model
 from repro.x10.places import Place
@@ -318,6 +320,82 @@ def test_stats_shape():
     assert set(stats["places"]) == {0, 1}
     assert stats["places"][0]["resident_bytes"] == 60
     assert "counters" in stats["lifetime"]
+
+
+_CACHE_PATHS = ["/a", "/a/x", "/a/y", "/b/x", "/b/y", "/c/z", "/b"]
+
+
+def _recount(cache):
+    """What ``stats()["places"]`` counts, by walking every entry."""
+    per_place = {}
+    for entry in cache.entries():
+        slot = per_place.setdefault(entry.place_id, dict.fromkeys(
+            ("entries", "spilled", "resident_bytes", "spilled_bytes"), 0
+        ))
+        slot["entries"] += 1
+        if entry.spilled:
+            slot["spilled"] += 1
+            slot["spilled_bytes"] += entry.nbytes
+        else:
+            slot["resident_bytes"] += entry.nbytes
+    return per_place
+
+
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(["put", "get", "delete", "rename", "register"]),
+        st.sampled_from(_CACHE_PATHS),
+        st.sampled_from(_CACHE_PATHS),
+        st.integers(0, 1),
+        st.integers(1, 30),
+    ),
+    max_size=40,
+))
+# a spill and its rehydration; a rename into another tenant; a late tenant
+@example([("put", "/a/x", "/a", 0, 30), ("put", "/a/y", "/a", 0, 30), ("get", "/a/x", "/a", 0, 1)])
+@example([("register", "/a", "/a", 0, 9), ("register", "/b", "/b", 0, 9),
+          ("put", "/b/x", "/a", 0, 5), ("put", "/a/x", "/a", 1, 5),
+          ("rename", "/a/x", "/b/y", 0, 1)])
+@example([("put", "/c/z", "/a", 0, 5), ("register", "/c/z", "/a", 0, 1)])
+@settings(max_examples=80, deadline=None)
+def test_running_totals_and_tenant_orders_match_a_recount(ops):
+    """After generated put / lookup (which rehydrates) / delete_path /
+    rename_path / tenant-registration sequences under a small budget (so
+    waves evict and spill), ``stats()`` equals a recount of the entries,
+    and each tenant's touch order holds exactly its resident entries, in
+    stamp order: the sequence a scan of every place's order would give."""
+    cache, _ = _governed_cache(60)
+    governor = cache.governor
+    for op, path, other, place, nbytes in ops:
+        try:
+            if op == "put":
+                cache.put_file(path, place, _pairs(path, 2), nbytes)
+            elif op == "get":
+                cache.get_file(path)
+            elif op == "delete":
+                cache.delete_path(path)
+            elif op == "rename":
+                cache.rename_path(path, other)
+            else:
+                governor.register_tenant(path.split("/")[1], (path,), 10 * nbytes)
+        except (PathExistsError, NotADirectoryError, IsADirectoryError):
+            pass
+        places = {p: {k: slot[k] for k in ("entries", "spilled", "resident_bytes",
+                                            "spilled_bytes")}
+                  for p, slot in cache.stats()["places"].items()}
+        assert places == _recount(cache)
+        assert cache.total_bytes() == sum(e.nbytes for e in cache.entries())
+        assert cache.resident_bytes() == sum(
+            e.nbytes for e in cache.entries() if not e.spilled
+        )
+        resident = sorted(
+            (e for e in cache.entries() if not e.spilled), key=lambda e: e.touched
+        )
+        orders = cache._tenant_orders()
+        for tenant in governor.tenant_names():
+            assert list(orders.get(tenant, {}).values()) == [
+                e for e in resident if governor.tenant_of(e.path) == tenant
+            ]
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared-value"])
