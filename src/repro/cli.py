@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="static lint: check the source tree against the M3R "
-             "determinism and fingerprintability rules (--explain ID "
-             "describes one)",
+             "determinism/immutability/fingerprintability/knob rules "
+             "(--explain ID describes one)",
         description="Static analysis over the source tree.  Exit codes: "
                     "0 = clean (no unsuppressed findings), "
                     "1 = findings or doc drift, 2 = usage error (unknown "

@@ -111,6 +111,20 @@ def _touched(entry: CacheEntry) -> int:
     return entry.touched
 
 
+def _file_at_stamp(order: Dict[int, CacheEntry], entry: CacheEntry) -> None:
+    """Put ``entry`` into the touch ``order`` at its stamp's place: lift the
+    newer entries off the end, then put them back after it."""
+    newer = []
+    while order:
+        key, last = order.popitem()
+        if last.touched < entry.touched:
+            order[key] = last
+            break
+        newer.append((key, last))
+    order[id(entry)] = entry
+    order.update(reversed(newer))
+
+
 class KeyValueCache:
     """The engine-wide cache: one instance per M3R engine, distributed over
     the engine's places through the key/value store."""
@@ -139,11 +153,12 @@ class KeyValueCache:
         # eviction and removal take it out.  The stamps are distinct, so
         # this is exactly the LRU order an eviction wave walks.
         self._lru: Dict[int, Dict[int, CacheEntry]] = {}
-        # tenant -> its resident entries in the same order, for a tenant's
-        # wave (``_tenant_orders``); ``_filed_for`` is the registration
-        # count they were last filed for.
+        # budgeted tenant -> its resident entries in the same order, for a
+        # tenant's wave (``_tenant_orders``); ``_filed_for`` is the
+        # registration count they were last filed for.  Empty while no
+        # tenant has a budget, and then no touch asks ``tenant_of``.
         self._by_tenant: Dict[str, Dict[int, CacheEntry]] = {}
-        self._filed_for: Optional[int] = 0
+        self._filed_for = 0
         # place -> the running counts ``stats`` reports (``_tally``).
         self._totals: Dict[int, Dict[str, int]] = {}
 
@@ -243,42 +258,48 @@ class KeyValueCache:
         self._tick += 1
         entry.touched = self._tick
         key = id(entry)
-        for order in (self._lru.setdefault(entry.place_id, {}), self._tenant_order(entry)):
-            order.pop(key, None)
-            order[key] = entry
+        for order in (self._lru.setdefault(entry.place_id, {}), self._tenant_order(entry.path)):
+            if order is not None:
+                order.pop(key, None)
+                order[key] = entry
 
-    def _tenant_order(self, entry: CacheEntry) -> Dict[int, CacheEntry]:
-        """The touch order of the tenant owning ``entry`` (a throwaway dict
-        when no tenant does)."""
-        tenant = self.governor.tenant_of(entry.path)
-        return {} if tenant is None else self._by_tenant.setdefault(tenant, {})
+    def _tenant_order(self, path: str) -> Optional[Dict[int, CacheEntry]]:
+        """The touch order of the budgeted tenant owning ``path``, if one
+        does (asking nothing while no tenant has a budget)."""
+        return self._by_tenant.get(self.governor.tenant_of(path)) if self._by_tenant else None
 
     def _tenant_orders(self) -> Dict[str, Dict[int, CacheEntry]]:
-        """tenant -> its resident entries in touch order, filed again after
-        a registration or a rename across tenants: a tenant registered late
-        finds its older data, a renamed entry keeps its stamp's place."""
-        if self._filed_for != self.governor.registrations:
-            self._filed_for = self.governor.registrations
-            self._by_tenant = {}
-            for entry in sorted(self._index.values(), key=_touched):
-                if not entry.spilled:
-                    self._tenant_order(entry)[id(entry)] = entry
+        """budgeted tenant (in name order) -> its resident entries in touch
+        order, filed again from the index after a registration, so a
+        tenant registered late finds its older data."""
+        governor = self.governor
+        if self._filed_for != governor.registrations:
+            self._filed_for = governor.registrations
+            self._by_tenant = {
+                name: {} for name in governor.tenant_names()
+                if governor.tenants.capacity(name) > 0
+            }
+            for entry in sorted(self._index.values(), key=_touched) if self._by_tenant else ():
+                order = self._tenant_order(entry.path)
+                if order is not None and not entry.spilled:
+                    order[id(entry)] = entry
         return self._by_tenant
 
     def _resign(self, entry: CacheEntry) -> None:
         """Take a resident entry out of its place's and tenant's orders."""
         del self._lru[entry.place_id][id(entry)]
-        self._tenant_order(entry).pop(id(entry), None)
+        order = self._tenant_order(entry.path)
+        if order is not None:
+            order.pop(id(entry), None)
 
     def _enforce(self, place_ids: Iterable[int]) -> None:
-        """Bring every place in ``place_ids``, then every tenant (in name
-        order), back under its high watermark."""
+        """Bring every place in ``place_ids``, then every budgeted tenant
+        (in name order), back under its high watermark."""
         governor = self.governor
         for place_id in place_ids:
             self._shed(governor.budget, place_id, self._lru.get(place_id, {}).values())
-        orders = self._tenant_orders()
-        for tenant in governor.tenant_names():
-            self._shed(governor.tenants, tenant, orders.get(tenant, {}).values())
+        for tenant, order in self._tenant_orders().items():
+            self._shed(governor.tenants, tenant, order.values())
 
     def _shed(
         self,
@@ -568,8 +589,12 @@ class KeyValueCache:
                 # the resident bytes to the destination's owner.
                 governor.release(entry.place_id, entry.path, entry.nbytes)
                 governor.charge(entry.place_id, new_path, entry.nbytes)
-                if governor.tenant_of(entry.path) != governor.tenant_of(new_path):
-                    self._filed_for = None  # file every entry again
+                before, after = self._tenant_order(entry.path), self._tenant_order(new_path)
+                if before is not after:
+                    if before is not None:
+                        before.pop(id(entry), None)
+                    if after is not None:
+                        _file_at_stamp(after, entry)
             self._unlink(entry)
             entry.name = new_name
             entry.path = new_path

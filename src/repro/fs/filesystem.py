@@ -86,11 +86,9 @@ class FileStatus:
 
 
 class _Entry:
-    """One stored file: raw bytes or a pair list, plus its wire length.
-    ``born`` is the file's place in the order the names entered the
-    namespace (a rewrite keeps it, a rename gives a new one)."""
+    """One stored file: raw bytes or a pair list, plus its wire length."""
 
-    __slots__ = ("data", "pairs", "length", "stamp", "born")
+    __slots__ = ("data", "pairs", "length", "stamp")
 
     def __init__(
         self,
@@ -118,7 +116,6 @@ class FileSystem:
         # directories): a namespace operation visits only its subtree.
         self._children: Dict[str, Set[str]] = {"/": set()}
         self._stamp = 0
-        self._born = 0
 
     # -- internal helpers ------------------------------------------------- #
 
@@ -144,17 +141,15 @@ class FileSystem:
 
     def _add_file(self, path: str, entry: _Entry) -> None:
         """Store ``entry`` at ``path`` (its parent exists); a new name
-        joins its parent's children and is the youngest file."""
-        old = self._files.get(path)
-        if old is None:
+        joins its parent's children."""
+        if path not in self._files:
             self._children[_parent(path)].add(path)
-            self._born += 1
-        entry.born = self._born if old is None else old.born
         self._files[path] = entry
 
     def _subtree(self, path: str) -> Tuple[List[str], List[str]]:
-        """The files, in the order they were born, and the directories
-        beneath the directory ``path``."""
+        """The files and the directories beneath the directory ``path``,
+        in no particular order (the hooks a delete or rename fires for
+        them depend on the path alone, not on the order)."""
         files: List[str] = []
         dirs: List[str] = []
         pending = [path]
@@ -165,7 +160,6 @@ class FileSystem:
                     pending.append(child)
                 else:
                     files.append(child)
-        files.sort(key=lambda file_path: self._files[file_path].born)
         return files, dirs
 
     def _on_file_written(self, path: str, length: int, at_node: Optional[int]) -> None:
@@ -278,8 +272,6 @@ class FileSystem:
             for file_path in moved_files:
                 entry = self._files.pop(file_path)
                 new_path = dst + file_path[len(src):]
-                self._born += 1
-                entry.born = self._born
                 self._files[new_path] = entry
                 self._on_file_removed(file_path)
                 self._on_file_written(new_path, entry.length, at_node=None)

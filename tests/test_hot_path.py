@@ -516,6 +516,12 @@ def test_a_tenant_wave_examines_only_that_tenants_entries(monkeypatch):
     assert [e.name for e in cache.entries() if e.name.startswith("/small/")] == [
         f"/small/e{index}" for index in range(16, 91)
     ]
+    # An entry renamed across tenants moves between the two orders; the
+    # next admission files nothing again.
+    del owners[:]
+    cache.rename_path("/small/e16", "/big/moved")
+    cache.put_file("/small/e91", 1, [(91, 91)], 10)
+    assert len(owners) <= 6  # release, charge and both orders; charge, touch
 
 
 def test_a_tenant_registered_late_still_finds_its_older_data():
@@ -531,6 +537,31 @@ def test_a_tenant_registered_late_still_finds_its_older_data():
     assert [entry.name for entry in cache.entries()] == [
         "/late/old3", "/late/old4", *(f"/late/new{index}" for index in range(10))
     ]
+
+
+def test_unbudgeted_tenants_cost_a_touch_no_tenant_lookup(monkeypatch):
+    """Tenants registered without a budget are never shed, so the cache
+    keeps no touch order for them: neither a hit nor an admission's place
+    wave asks ``tenant_of`` beyond the governor's own charge."""
+    governor = MemoryGovernor(spill_enabled=False)
+    governor.register_tenant("a", ("/a",))
+    governor.register_tenant("b", ("/b",))
+    cache = KeyValueCache([Place(0), Place(1)], governor=governor)
+    for index in range(100):
+        cache.put_file(f"/{'ab'[index % 2]}/e{index}", index % 2, [(index, index)], 10)
+    owners = []
+    tenant_of = governor.tenant_of
+
+    def counting_tenant_of(path):
+        owners.append(path)
+        return tenant_of(path)
+
+    monkeypatch.setattr(governor, "tenant_of", counting_tenant_of)
+    for index in range(100):
+        assert cache.get_file(f"/{'ab'[index % 2]}/e{index}") is not None
+    cache.rename_path("/a/e0", "/b/moved")
+    cache.put_file("/a/new", 0, [(0, 0)], 10)
+    assert owners == ["/a/e0", "/b/moved", "/a/new"]  # release, charge, charge
 
 
 @pytest.mark.parametrize("make_engine", [make_hadoop, make_m3r])

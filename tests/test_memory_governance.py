@@ -357,13 +357,18 @@ def _recount(cache):
           ("put", "/b/x", "/a", 0, 5), ("put", "/a/x", "/a", 1, 5),
           ("rename", "/a/x", "/b/y", 0, 1)])
 @example([("put", "/c/z", "/a", 0, 5), ("register", "/c/z", "/a", 0, 1)])
+# an entry renamed into a tenant whose entries are newer goes before them
+@example([("register", "/a", "/a", 0, 9), ("register", "/b", "/b", 0, 9),
+          ("put", "/a/x", "/a", 0, 5), ("put", "/b/x", "/a", 1, 5),
+          ("rename", "/a/x", "/b/y", 0, 1)])
 @settings(max_examples=80, deadline=None)
 def test_running_totals_and_tenant_orders_match_a_recount(ops):
     """After generated put / lookup (which rehydrates) / delete_path /
     rename_path / tenant-registration sequences under a small budget (so
     waves evict and spill), ``stats()`` equals a recount of the entries,
-    and each tenant's touch order holds exactly its resident entries, in
-    stamp order: the sequence a scan of every place's order would give."""
+    and each budgeted tenant's touch order holds exactly its resident
+    entries, in stamp order: the sequence a scan of every place's order
+    would give."""
     cache, _ = _governed_cache(60)
     governor = cache.governor
     for op, path, other, place, nbytes in ops:
@@ -377,7 +382,9 @@ def test_running_totals_and_tenant_orders_match_a_recount(ops):
             elif op == "rename":
                 cache.rename_path(path, other)
             else:
-                governor.register_tenant(path.split("/")[1], (path,), 10 * nbytes)
+                # place 1 registers an unbudgeted tenant, which has no order
+                budget = 10 * nbytes if place == 0 else 0
+                governor.register_tenant(path.split("/")[1], (path,), budget)
         except (PathExistsError, NotADirectoryError, IsADirectoryError):
             pass
         places = {p: {k: slot[k] for k in ("entries", "spilled", "resident_bytes",
@@ -392,8 +399,11 @@ def test_running_totals_and_tenant_orders_match_a_recount(ops):
             (e for e in cache.entries() if not e.spilled), key=lambda e: e.touched
         )
         orders = cache._tenant_orders()
-        for tenant in governor.tenant_names():
-            assert list(orders.get(tenant, {}).values()) == [
+        assert set(orders) == {
+            t for t in governor.tenant_names() if governor.tenants.capacity(t) > 0
+        }
+        for tenant, order in orders.items():
+            assert list(order.values()) == [
                 e for e in resident if governor.tenant_of(e.path) == tenant
             ]
 
