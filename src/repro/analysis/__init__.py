@@ -27,16 +27,12 @@ from repro.analysis.sanitizers import (
 # The lint's names load with their module on first use (PEP 562): the
 # runtime imports this package for the knobs and the sanitizer, and a job
 # never needs the linter, call graph, rules or report (DESIGN.md §3).
-_LAZY = {
-    name: module
-    for module, names in (
-        ("callgraph", "CallGraph FunctionInfo build_call_graph"),
-        ("linter", "Analyzer Module Project load_project"),
-        ("report", "findings_to_document render_json render_text"),
-        ("rules", "Finding Rule default_rules rule_by_id"),
-    )
-    for name in names.split()
-}
+_LAZY = {name: module for module, names in (
+    ("callgraph", "CallGraph FunctionInfo build_call_graph"),
+    ("linter", "Analyzer Module Project load_project"),
+    ("report", "findings_to_document render_json render_text"),
+    ("rules", "Finding Rule default_rules rule_by_id"),
+) for name in names.split()}
 
 
 def __getattr__(name: str) -> Any:

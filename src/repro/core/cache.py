@@ -115,12 +115,8 @@ def _file_at_stamp(order: Dict[int, CacheEntry], entry: CacheEntry) -> None:
     """Put ``entry`` into the touch ``order`` at its stamp's place: lift the
     newer entries off the end, then put them back after it."""
     newer = []
-    while order:
-        key, last = order.popitem()
-        if last.touched < entry.touched:
-            order[key] = last
-            break
-        newer.append((key, last))
+    while order and next(reversed(order.values())).touched > entry.touched:
+        newer.append(order.popitem())
     order[id(entry)] = entry
     order.update(reversed(newer))
 
@@ -153,10 +149,9 @@ class KeyValueCache:
         # eviction and removal take it out.  The stamps are distinct, so
         # this is exactly the LRU order an eviction wave walks.
         self._lru: Dict[int, Dict[int, CacheEntry]] = {}
-        # budgeted tenant -> its resident entries in the same order, for a
-        # tenant's wave (``_tenant_orders``); ``_filed_for`` is the
-        # registration count they were last filed for.  Empty while no
-        # tenant has a budget, and then no touch asks ``tenant_of``.
+        # budgeted tenant -> its resident entries in the same order, filed
+        # for registration count ``_filed_for`` (``_tenant_orders``); while
+        # it is empty, no touch asks ``tenant_of``.
         self._by_tenant: Dict[str, Dict[int, CacheEntry]] = {}
         self._filed_for = 0
         # place -> the running counts ``stats`` reports (``_tally``).
@@ -270,15 +265,12 @@ class KeyValueCache:
 
     def _tenant_orders(self) -> Dict[str, Dict[int, CacheEntry]]:
         """budgeted tenant (in name order) -> its resident entries in touch
-        order, filed again from the index after a registration, so a
-        tenant registered late finds its older data."""
+        order, filed again after a registration (it may claim old data)."""
         governor = self.governor
         if self._filed_for != governor.registrations:
             self._filed_for = governor.registrations
-            self._by_tenant = {
-                name: {} for name in governor.tenant_names()
-                if governor.tenants.capacity(name) > 0
-            }
+            capacity = governor.tenants.capacity
+            self._by_tenant = {name: {} for name in governor.tenant_names() if capacity(name)}
             for entry in sorted(self._index.values(), key=_touched) if self._by_tenant else ():
                 order = self._tenant_order(entry.path)
                 if order is not None and not entry.spilled:
@@ -288,9 +280,7 @@ class KeyValueCache:
     def _resign(self, entry: CacheEntry) -> None:
         """Take a resident entry out of its place's and tenant's orders."""
         del self._lru[entry.place_id][id(entry)]
-        order = self._tenant_order(entry.path)
-        if order is not None:
-            order.pop(id(entry), None)
+        (self._tenant_order(entry.path) or {}).pop(id(entry), None)
 
     def _enforce(self, place_ids: Iterable[int]) -> None:
         """Bring every place in ``place_ids``, then every budgeted tenant
@@ -393,16 +383,14 @@ class KeyValueCache:
             entry.pins -= 1
 
     def _link(self, entry: CacheEntry) -> None:
-        """Add ``entry`` to the index, the directory index and its place's
-        totals."""
+        """Add ``entry`` to both indexes and its place's totals."""
         self._index[entry.name] = entry
         for key in _index_keys(entry.name, entry.path):
             self._under.setdefault(key, {})[entry.name] = entry
         self._tally(entry, 1)
 
     def _unlink(self, entry: CacheEntry) -> None:
-        """Remove ``entry`` from both indexes and its place's totals; a key
-        left empty goes."""
+        """Remove ``entry`` from both indexes and its place's totals."""
         del self._index[entry.name]
         for key in _index_keys(entry.name, entry.path):
             under = self._under[key]
@@ -591,8 +579,7 @@ class KeyValueCache:
                 governor.charge(entry.place_id, new_path, entry.nbytes)
                 before, after = self._tenant_order(entry.path), self._tenant_order(new_path)
                 if before is not after:
-                    if before is not None:
-                        before.pop(id(entry), None)
+                    (before or {}).pop(id(entry), None)
                     if after is not None:
                         _file_at_stamp(after, entry)
             self._unlink(entry)

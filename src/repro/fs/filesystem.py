@@ -147,9 +147,8 @@ class FileSystem:
         self._files[path] = entry
 
     def _subtree(self, path: str) -> Tuple[List[str], List[str]]:
-        """The files and the directories beneath the directory ``path``,
-        in no particular order (the hooks a delete or rename fires for
-        them depend on the path alone, not on the order)."""
+        """The files and the directories beneath the directory ``path``, in
+        no set order (a hook's effect depends on the path, not the order)."""
         files: List[str] = []
         dirs: List[str] = []
         pending = [path]
