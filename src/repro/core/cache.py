@@ -31,6 +31,7 @@ no spill, which is exactly the historical behaviour.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Hashable, Iterable, Iterator, List, Optional,
@@ -155,7 +156,9 @@ class KeyValueCache:
         self._by_tenant: Dict[str, Dict[int, CacheEntry]] = {}
         self._filed_for = 0
         # place -> the running counts ``stats`` reports (``_tally``).
-        self._totals: Dict[int, Dict[str, int]] = {}
+        self._totals: Dict[int, Dict[str, int]] = defaultdict(lambda: dict.fromkeys(
+            ("entries", "spilled", "resident_bytes", "spilled_bytes"), 0
+        ))
 
     @property
     def store(self) -> KeyValueStore:
@@ -402,9 +405,7 @@ class KeyValueCache:
     def _tally(self, entry: CacheEntry, sign: int) -> None:
         """Count ``entry`` into (``sign`` 1) or out of (-1) its place's
         totals."""
-        totals = self._totals.setdefault(entry.place_id, dict.fromkeys(
-            ("entries", "spilled", "resident_bytes", "spilled_bytes"), 0
-        ))
+        totals = self._totals[entry.place_id]
         totals["entries"] += sign
         if entry.spilled:
             totals["spilled"] += sign
